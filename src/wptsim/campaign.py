@@ -341,29 +341,39 @@ def _build_codebooks(config: CampaignConfig, rect_model) -> dict:
 
 
 def _channel_factory(config: CampaignConfig, location, m: int, m_max: int,
-                     grid: ToneGrid):
+                     grid: ToneGrid, cache: dict):
     """Per-frame channels; all sweep points at a location share the fade.
 
     Taps are always drawn for the campaign's largest antenna count and the
     first m rows are used, so smaller arrays see a subset of the same
-    physical channel rather than an unrelated draw.
+    physical channel rather than an unrelated draw.  The cache dict, one
+    per run and shared by its work items, holds each realization under
+    (location, fade index, M, N), so the strategies and codebook sizes
+    sweeping a location draw it once.  Two threads that miss together
+    compute the same value, so the race is harmless.
     """
     def factory(frame: int) -> ChannelRealization:
         idx = frame if config.resample_per_frame else 0
+        key = (location.label, idx, m, grid.n_tones)
+        if key in cache:
+            return cache[key]
         gen = rngmod.stream(location.params.seed, rngmod.TAPS, idx)
         taps = sample_taps(location.params, m_max, gen)[:m]
         gains = frequency_response(taps, location.params, grid)
-        return ChannelRealization(m_antennas=m, grid=grid, gains=gains,
-                                  location_label=location.label)
+        channel = ChannelRealization(m_antennas=m, grid=grid, gains=gains,
+                                     location_label=location.label)
+        cache[key] = channel
+        return channel
     return factory
 
 
 def _run_item(config: CampaignConfig, rect_model, books, locations,
-              m_max: int, item) -> list[tuple]:
+              m_max: int, channels: dict, item) -> list[tuple]:
     strategy, m, n, k, loc_idx = item
     location = locations[loc_idx]
     grid = ToneGrid.centered(config.center_frequency_hz, config.bandwidth_hz, n)
-    channel_for = _channel_factory(config, location, m, m_max, grid)
+    channel_for = _channel_factory(config, location, m, m_max, grid,
+                                   channels)
     rows = []
     if strategy == LIMITED:
         frame_cfg = FrameConfig(k_codewords=k, t_s=config.t_s,
@@ -441,14 +451,15 @@ def run_campaign(config: CampaignConfig, out_dir=None,
                         items.append((strategy, m, n, k, loc_idx))
 
     results: dict = {}
+    channels: dict = {}
     if jobs <= 1:
         for item in items:
             results[item] = _run_item(config, rect_model, books, locations,
-                                      m_max, item)
+                                      m_max, channels, item)
     else:
         with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
             futures = {pool.submit(_run_item, config, rect_model, books,
-                                   locations, m_max, item): item
+                                   locations, m_max, channels, item): item
                        for item in items}
             for fut in concurrent.futures.as_completed(futures):
                 results[futures[fut]] = fut.result()

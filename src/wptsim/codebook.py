@@ -23,8 +23,9 @@ training objective, so it is non-decreasing across iterations.
 
 from __future__ import annotations
 
+import functools
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,7 +33,8 @@ from .channel import ChannelRealization
 from .errors import CodebookIOError, DimensionError, DomainError
 from .rectenna import DiodeMomentModel
 from .strategies import SmfParams, smf_weights, up_weights
-from .waveform import ToneGrid, WaveformWeights
+from .waveform import (ToneGrid, WaveformWeights, autoconvolution,
+                       tone_moments)
 
 _POWER_REL_TOL = 1e-9
 
@@ -79,6 +81,13 @@ class Codebook:
     @property
     def power_budget(self) -> float:
         return self.entries[0].power_budget
+
+    @functools.cached_property
+    def stacked(self) -> np.ndarray:
+        """All weights as one read-only (K, M, N) array, built on first use."""
+        w = np.stack([e.weights for e in self.entries])
+        w.flags.writeable = False
+        return w
 
     def prefix(self, k: int) -> "Codebook":
         """The codebook formed by the first k entries (requires nested)."""
@@ -140,26 +149,10 @@ def _amplitudes(gains: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return np.einsum("cmn,mn->cn", gains, weights)
 
 
-def _autoconv(a: np.ndarray) -> np.ndarray:
-    # row-wise autoconvolution c_k = sum_{i+j=k} a_i a_j, shape (C, 2N-1)
-    n = a.shape[1]
-    out = np.zeros((a.shape[0], 2 * n - 1), dtype=complex)
-    for k in range(2 * n - 1):
-        i0 = max(0, k - n + 1)
-        i1 = min(k, n - 1)
-        out[:, k] = np.sum(a[:, i0:i1 + 1] * a[:, k - i1:k - i0 + 1][:, ::-1],
-                           axis=1)
-    return out
-
-
 def _dc_batch(gains: np.ndarray, weights: np.ndarray,
               model: DiodeMomentModel) -> np.ndarray:
     """dc power of one codeword on a batch of channels, shape (C,)."""
-    a = _amplitudes(gains, weights)
-    m2 = 0.5 * np.sum(np.abs(a) ** 2, axis=1)
-    m4 = 0.375 * np.sum(np.abs(_autoconv(a)) ** 2, axis=1)
-    z = model.k2 * m2 + model.k4 * m4
-    return model.alpha * z * z
+    return model.dc(*tone_moments(_amplitudes(gains, weights)))
 
 
 def _dc_and_grad(gains: np.ndarray, weights: np.ndarray,
@@ -173,17 +166,15 @@ def _dc_and_grad(gains: np.ndarray, weights: np.ndarray,
     """
     c_count, _, n = gains.shape
     a = _amplitudes(gains, weights)
-    conv = _autoconv(a)
-    m2 = 0.5 * np.sum(np.abs(a) ** 2, axis=1)
-    m4 = 0.375 * np.sum(np.abs(conv) ** 2, axis=1)
-    z = model.k2 * m2 + model.k4 * m4
-    dc = model.alpha * z * z
-    dm2 = 0.5 * a
+    conv = autoconvolution(a)
+    m2, m4 = tone_moments(a, conv)
+    z = model.proxy(m2, m4)
+    dc = model.dc(m2, m4)
     dm4 = np.empty_like(a)
     a_conj = np.conj(a)
     for p in range(n):
         dm4[:, p] = 0.75 * np.sum(a_conj * conv[:, p:p + n], axis=1)
-    dz = model.k2 * dm2 + model.k4 * dm4
+    dz = model.proxy(0.5 * a, dm4)
     ddc = (2.0 * model.alpha) * z[:, None] * dz
     grad = np.einsum("cn,cmn->mn", ddc, np.conj(gains)) / c_count
     return float(np.mean(dc)), grad
@@ -231,7 +222,10 @@ def train_lloyd(training_channels, k: int, rect_model: DiodeMomentModel,
         power: codeword power budget, required when init is None.
         inner_steps: gradient-ascent steps per cluster per iteration.
         on_iteration: optional callback (iteration, mean training dc power),
-            called once per iteration with a non-decreasing value.
+            called once per iteration with a non-decreasing value.  The
+            value is the in-sample objective on the training channels the
+            book is fitted to; it overstates, and does not estimate, the
+            dc power the book delivers on fresh channels.
 
     Returns:
         Trained codebook (not nested).

@@ -22,8 +22,9 @@ from .channel import ChannelRealization
 from .errors import ConfigError, DimensionError, DomainError, ProtocolError
 from .rectenna import (AdcConfig, DiodeMomentModel, dc_power_moment,
                        dc_power_table, measure_dc)
-from .strategies import feedback_bits, select_codeword
-from .waveform import WaveformWeights, effective_tones, received_rf_power
+from .strategies import feedback_bits, select_codeword, up_weights
+from .waveform import (ToneGrid, WaveformWeights, effective_tones,
+                       received_rf_power, tone_moments)
 
 #: applied_index value meaning "open-loop uniform power fallback"
 UP_FALLBACK = 0
@@ -141,8 +142,20 @@ def _codeword_dc(codebook: Codebook, channel: ChannelRealization,
         raise DimensionError(
             f"codebook ({codebook.m_antennas}, {codebook.n_tones}) vs channel "
             f"({channel.m_antennas}, {channel.grid.n_tones})")
-    return [_dc_power(rect_model, effective_tones(channel, e), channel.grid)
+    if isinstance(rect_model, DiodeMomentModel):
+        # all K codewords at once: (K, M, N) weights -> (K, N) tones
+        tones = np.sum(channel.gains * codebook.stacked, axis=1)
+        return rect_model.dc(*tone_moments(tones)).tolist()
+    return [dc_power_table(rect_model, effective_tones(channel, e),
+                           channel.grid)
             for e in codebook.entries]
+
+
+def _readings(dcs: list[float], adc: AdcConfig | None,
+              rng: np.random.Generator | None) -> list[float]:
+    if adc is None:
+        return list(dcs)
+    return [measure_dc(adc, p, rng)[1] for p in dcs]
 
 
 def run_training(codebook: Codebook, channel: ChannelRealization, rect_model,
@@ -153,24 +166,14 @@ def run_training(codebook: Codebook, channel: ChannelRealization, rect_model,
     With an AdcConfig the reading is the quantized voltage from measure_dc;
     with adc=None ("ideal" mode) it is the raw dc power in watts.
     """
-    dcs = _codeword_dc(codebook, channel, rect_model)
-    if adc is None:
-        return dcs
-    return [measure_dc(adc, p, rng)[1] for p in dcs]
+    return _readings(_codeword_dc(codebook, channel, rect_model), adc, rng)
 
 
-def _applied_weights(codebook: Codebook, applied_index: int) -> WaveformWeights:
+def _applied_weights(codebook: Codebook, applied_index: int,
+                     grid: ToneGrid) -> WaveformWeights:
     if applied_index != UP_FALLBACK:
         return codebook.entries[applied_index - 1]
-    first = codebook.entries[0]
-    # UP magnitudes depend only on dimensions and budget, not the grid
-    return WaveformWeights(
-        m_antennas=first.m_antennas, n_tones=first.n_tones,
-        weights=np.full((first.m_antennas, first.n_tones),
-                        np.sqrt(2.0 * first.power_budget
-                                / (first.m_antennas * first.n_tones)),
-                        dtype=complex),
-        power_budget=first.power_budget)
+    return up_weights(codebook.m_antennas, grid, codebook.power_budget)
 
 
 def run_frame(config: FrameConfig, codebook: Codebook,
@@ -194,11 +197,9 @@ def run_frame(config: FrameConfig, codebook: Codebook,
     if link.latency >= config.t_p:
         raise ConfigError(
             f"feedback latency {link.latency} must be < t_p = {config.t_p}")
+    # the training energy needs the dc levels themselves, not the readings
     dcs = _codeword_dc(codebook, channel, rect_model)
-    if adc is None:
-        measurements = list(dcs)
-    else:
-        measurements = [measure_dc(adc, p, rng)[1] for p in dcs]
+    measurements = _readings(dcs, adc, rng)
     k_star = select_codeword(measurements)
     msg = encode_feedback(k_star, codebook.k_codewords, frame_id=frame_id)
     delivered = bool(rng.random() < link.delivery_probability)
@@ -208,7 +209,7 @@ def run_frame(config: FrameConfig, codebook: Codebook,
         applied = UP_FALLBACK
     else:
         applied = fallback_state
-    applied_w = _applied_weights(codebook, applied)
+    applied_w = _applied_weights(codebook, applied, channel.grid)
     tones = effective_tones(channel, applied_w)
     p_dc = _dc_power(rect_model, tones, channel.grid)
     p_rf = received_rf_power(tones)

@@ -48,6 +48,15 @@ class DiodeMomentModel:
         if not self.alpha > 0:
             raise DomainError(f"alpha must be > 0, got {self.alpha}")
 
+    def proxy(self, m2, m4):
+        """z = k2*m2 + k4*m4 elementwise; linear, so it maps derivatives too."""
+        return self.k2 * m2 + self.k4 * m4
+
+    def dc(self, m2, m4):
+        """dc power alpha * z^2 of moments (m2, m4), elementwise."""
+        z = self.proxy(m2, m4)
+        return self.alpha * z * z
+
 
 @dataclass(frozen=True)
 class EfficiencyTableModel:
@@ -163,9 +172,7 @@ class AdcConfig:
 def dc_power_moment(model: DiodeMomentModel, tones: EffectiveTones,
                     grid: ToneGrid) -> float:
     """dc output of the moment nonlinearity, alpha*(k2*m2 + k4*m4)^2 watts."""
-    m2, m4 = waveform_moments(tones, grid)
-    z = model.k2 * m2 + model.k4 * m4
-    return model.alpha * z * z
+    return model.dc(*waveform_moments(tones, grid))
 
 
 @dataclass

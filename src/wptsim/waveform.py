@@ -199,14 +199,54 @@ def received_rf_power(tones: EffectiveTones) -> float:
     return 0.5 * float(np.sum(np.abs(tones.amplitudes) ** 2))
 
 
-def waveform_moments(tones: EffectiveTones, grid: ToneGrid) -> tuple[float, float]:
-    """Closed-form second and fourth moments of the received waveform.
+def autoconvolution(a: np.ndarray) -> np.ndarray:
+    """Autoconvolution c_k = sum_{n1+n2=k} a_n1 a_n2 along the last axis.
+
+    Amplitudes of shape (..., N) give shape (..., 2N-1).  Each diagonal k is
+    summed by one numpy reduction over n1 in increasing order, so a batch
+    row and the same amplitudes evaluated alone agree to the last bit.
+    Other formulations (np.convolve, an FFT, a zero-padded gather) round
+    differently, and a last-bit change can move a codeword selection.
+    """
+    n = a.shape[-1]
+    out = np.empty(a.shape[:-1] + (2 * n - 1,), dtype=complex)
+    for k in range(2 * n - 1):
+        i0 = max(0, k - n + 1)
+        i1 = min(k, n - 1)
+        # np.add.reduce is np.sum without its Python-level dispatch
+        out[..., k] = np.add.reduce(
+            a[..., i0:i1 + 1] * a[..., k - i1:k - i0 + 1][..., ::-1], axis=-1)
+    return out
+
+
+def tone_moments(a: np.ndarray, conv: np.ndarray | None = None
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form (m2, m4) of received amplitudes of shape (..., N).
 
     m2 = (1/2) sum_n |a_n|^2 and m4 = (3/8) * sum over all index quadruples
     with n1 + n2 = n3 + n4 of a_n1 a_n2 conj(a_n3) conj(a_n4).  The quadruple
     sum factors over the diagonals k = n1 + n2 into the autoconvolution
-    c_k = sum_{n1+n2=k} a_n1 a_n2, giving m4 = (3/8) sum_k |c_k|^2, which is
-    manifestly real and non-negative.
+    c_k, giving m4 = (3/8) sum_k |c_k|^2, which is manifestly real and
+    non-negative.  This is the one implementation of the moment math: every
+    codeword sweep, Lloyd step and single-waveform query runs through it.
+
+    Args:
+        a: complex amplitudes, the last axis over tones; any leading axes
+            (channels, codewords) are a batch.
+        conv: autoconvolution(a) when the caller already holds it.
+
+    Returns:
+        (m2, m4) arrays of shape a.shape[:-1], in W and W^2.
+    """
+    if conv is None:
+        conv = autoconvolution(a)
+    m2 = 0.5 * np.sum(np.abs(a) ** 2, axis=-1)
+    m4 = 0.375 * np.sum(np.abs(conv) ** 2, axis=-1)
+    return m2, m4
+
+
+def waveform_moments(tones: EffectiveTones, grid: ToneGrid) -> tuple[float, float]:
+    """Second and fourth moments of one received waveform; see tone_moments.
 
     Args:
         tones: received per-tone amplitudes.
@@ -220,11 +260,8 @@ def waveform_moments(tones: EffectiveTones, grid: ToneGrid) -> tuple[float, floa
     if tones.n_tones != grid.n_tones:
         raise DimensionError(
             f"tones carry {tones.n_tones} amplitudes, grid has {grid.n_tones}")
-    a = tones.amplitudes
-    m2 = 0.5 * float(np.sum(np.abs(a) ** 2))
-    c = np.convolve(a, a)
-    m4 = 0.375 * float(np.sum(np.abs(c) ** 2))
-    return m2, m4
+    m2, m4 = tone_moments(tones.amplitudes)
+    return float(m2), float(m4)
 
 
 def papr(tones: EffectiveTones, grid: ToneGrid, oversampling: int = 32) -> float:

@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wptsim import (ALL_LOCATIONS, CampaignConfig, ConfigError, DomainError,
-                    SummaryError, db_gain, figure_config, load_config,
-                    run_campaign, summarize)
-from wptsim.campaign import DETAIL_HEADER, SUMMARY_HEADER
+                    SummaryError, ToneGrid, db_gain, figure_config,
+                    load_config, make_locations, run_campaign, summarize)
+from wptsim.campaign import DETAIL_HEADER, SUMMARY_HEADER, _channel_factory
 
 
 def _mini_config(**overrides) -> CampaignConfig:
@@ -231,6 +231,49 @@ def test_parallel_run_is_byte_identical(tmp_path):
     d2, s2 = run_campaign(cfg, out_dir=tmp_path / "b", jobs=5)
     assert open(d1, "rb").read() == open(d2, "rb").read()
     assert open(s1, "rb").read() == open(s2, "rb").read()
+
+
+def _locations(cfg):
+    return make_locations(cfg.n_locations, cfg.seed, cfg.channel_template,
+                          (cfg.pathloss_db_min, cfg.pathloss_db_max))
+
+
+@pytest.mark.parametrize("resample", [True, False])
+def test_channel_cache_returns_uncached_draws(resample):
+    cfg = _mini_config(antenna_counts=(1, 2, 4), tone_counts=(1, 8),
+                       frames_per_location=3, resample_per_frame=resample)
+    m_max = max(cfg.antenna_counts)
+    cache: dict = {}
+    for _ in range(2):  # the second pass is served from the cache
+        for location, m, n, frame in itertools.product(
+                _locations(cfg), cfg.antenna_counts, cfg.tone_counts,
+                range(cfg.frames_per_location)):
+            grid = ToneGrid.centered(cfg.center_frequency_hz,
+                                     cfg.bandwidth_hz, n)
+            cached = _channel_factory(cfg, location, m, m_max, grid,
+                                      cache)(frame)
+            fresh = _channel_factory(cfg, location, m, m_max, grid, {})(frame)
+            assert np.array_equal(cached.gains, fresh.gains)
+            assert cached.location_label == fresh.location_label
+    fades = cfg.frames_per_location if resample else 1
+    assert len(cache) == (cfg.n_locations * fades * len(cfg.antenna_counts)
+                          * len(cfg.tone_counts))
+
+
+def test_campaign_draws_each_channel_once(tmp_path, monkeypatch):
+    from wptsim import campaign
+    calls = []
+    original = campaign.frequency_response
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+    monkeypatch.setattr(campaign, "frequency_response", counting)
+    cfg = _mini_config()
+    run_campaign(cfg, out_dir=tmp_path)
+    # UP, SMF and both codebook sizes share every (location, frame, M, N)
+    assert len(calls) == (cfg.n_locations * cfg.frames_per_location
+                          * len(cfg.antenna_counts) * len(cfg.tone_counts))
 
 
 def test_seed_changes_output(tmp_path):

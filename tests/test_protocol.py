@@ -120,6 +120,31 @@ def test_run_training_adc_quantizes():
         assert r == pytest.approx(round(r / step) * step, abs=1e-12)
 
 
+@pytest.mark.parametrize("m", [1, 2, 4])
+@pytest.mark.parametrize("n", [1, 2, 4, 8])
+def test_batched_sweep_is_bit_identical_to_per_codeword_path(m, n):
+    # selections at M=1, N=1 hang on last-bit rounding (every codeword ties
+    # in exact arithmetic), so the batch must equal the scalar path exactly
+    grid = ToneGrid.centered(2.4e9, 10e6, n)
+    book = gen_nested(m, grid, 1.0, 64, stream(40 + m, 4, n))
+    model = DiodeMomentModel()
+    for frame in range(20):
+        ch = make_channel(41 + n, m, grid, pathloss_db=10.0, frame=frame)
+        expected = [dc_power_moment(model, effective_tones(ch, e), grid)
+                    for e in book.entries]
+        assert run_training(book, ch, model) == expected
+
+
+def test_codebook_stacks_its_entries_read_only():
+    _, book, _, _ = _setup(k=4)
+    stacked = book.stacked
+    assert stacked.shape == (4, 2, 2)
+    for e, w in zip(book.entries, stacked):
+        assert np.array_equal(e.weights, w)
+    assert not stacked.flags.writeable
+    assert book.stacked is stacked
+
+
 def test_run_frame_energy_accounting():
     _, book, ch, model = _setup()
     cfg = FrameConfig(k_codewords=4, t_s=0.010, t_frame=2.0)
