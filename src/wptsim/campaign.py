@@ -118,6 +118,12 @@ class CampaignConfig:
                     f"K*t_s must stay below t_frame, got K="
                     f"{max(self.codebook_sizes)}, t_s={self.t_s}, "
                     f"t_frame={self.t_frame}")
+            # the largest K leaves the shortest WPT phase t_p
+            t_p = self.t_frame - max(self.codebook_sizes) * self.t_s
+            if not 0 <= self.link_latency_s < t_p:
+                raise ConfigError(
+                    f"link latency_s must be in [0, t_p = {t_p}) for K="
+                    f"{max(self.codebook_sizes)}, got {self.link_latency_s}")
         if self.n_locations < 1 or self.frames_per_location < 1:
             raise ConfigError("need at least one location and one frame")
         if self.rectifier_model not in ("moment", "table"):

@@ -211,7 +211,9 @@ def run_frame(config: FrameConfig, codebook: Codebook,
         applied = fallback_state
     applied_w = _applied_weights(codebook, applied, channel.grid)
     tones = effective_tones(channel, applied_w)
-    p_dc = _dc_power(rect_model, tones, channel.grid)
+    # the sweep already holds a codeword's dc; only the UP fallback is new
+    p_dc = (_dc_power(rect_model, tones, channel.grid)
+            if applied == UP_FALLBACK else dcs[applied - 1])
     p_rf = received_rf_power(tones)
     e_train = float(sum(dcs)) * config.t_s
     e_wpt = p_dc * config.t_p

@@ -3,7 +3,9 @@
 Everything here is obtained by synthesizing the received waveform y(t) on a
 dense uniform grid over one fundamental period and averaging powers of the
 samples.  No result is taken from the closed forms in `waveform`; the two
-paths are kept independent so each can certify the other.
+paths are kept independent so each can certify the other.  The sample
+instants are `waveform.sample_times`, the ones `papr` uses, but the oracles
+build their phasors afresh on every call and never read papr's cache.
 
 Exactness: uniform-rectangle averaging of a trigonometric polynomial over
 one period is exact (to rounding) once the sample count exceeds the highest
@@ -19,22 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError
-from .waveform import EffectiveTones, ToneGrid
-
-
-def sample_times(grid: ToneGrid, oversampling: int = 32) -> np.ndarray:
-    """Uniform sample instants covering one fundamental period [0, 1/delta_f).
-
-    The count is oversampling * ceil(f_max / delta_f), i.e. ``oversampling``
-    samples per cycle of the highest tone, which for oversampling >= 8
-    safely exceeds the 4*f_max/delta_f harmonics of y^4.
-    """
-    if oversampling < 8:
-        raise DomainError(f"oversampling must be >= 8, got {oversampling}")
-    f_max = grid.angular_frequencies[-1] / (2.0 * np.pi)
-    n = int(oversampling * np.ceil(f_max / grid.delta_f))
-    period = 1.0 / grid.delta_f
-    return np.arange(n) * (period / n)
+from .waveform import EffectiveTones, ToneGrid, sample_times
 
 
 def received_waveform(tones: EffectiveTones, grid: ToneGrid,

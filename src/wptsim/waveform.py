@@ -22,6 +22,8 @@ the brute-force counterpart used to cross-check them.
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +31,12 @@ import numpy as np
 from .errors import DimensionError, DomainError, ZeroWaveformError
 
 _REL_TOL = 1e-9
+
+#: phasor matrices papr keeps, one per (grid, oversampling); the standard
+#: sweeps use 4 tone counts, and the N=8 matrix at oversampling 32 is 7.9 MB
+_PHASOR_CACHE_SIZE = 8
+_phasor_cache: OrderedDict = OrderedDict()
+_phasor_lock = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -264,13 +272,48 @@ def waveform_moments(tones: EffectiveTones, grid: ToneGrid) -> tuple[float, floa
     return float(m2), float(m4)
 
 
+def sample_times(grid: ToneGrid, oversampling: int = 32) -> np.ndarray:
+    """Uniform sample instants covering one fundamental period [0, 1/delta_f).
+
+    The count is oversampling * ceil(f_max / delta_f), i.e. ``oversampling``
+    samples per cycle of the highest tone, which for oversampling >= 8
+    safely exceeds the 4*f_max/delta_f harmonics of y^4.
+    """
+    if oversampling < 8:
+        raise DomainError(f"oversampling must be >= 8, got {oversampling}")
+    f_max = grid.angular_frequencies[-1] / (2.0 * np.pi)
+    n = int(oversampling * np.ceil(f_max / grid.delta_f))
+    period = 1.0 / grid.delta_f
+    return np.arange(n) * (period / n)
+
+
+def _phasors(grid: ToneGrid, oversampling: int) -> np.ndarray:
+    # read-only exp(j w t) at sample_times, from a small LRU keyed by value:
+    # every campaign item builds its own ToneGrid, so identity never repeats
+    key = (grid.angular_frequencies.tobytes(), grid.delta_f, oversampling)
+    with _phasor_lock:
+        if key in _phasor_cache:
+            _phasor_cache.move_to_end(key)
+            return _phasor_cache[key]
+    t = sample_times(grid, oversampling)
+    e = np.exp(1j * np.outer(t, grid.angular_frequencies))
+    e.flags.writeable = False
+    with _phasor_lock:
+        _phasor_cache[key] = e
+        while len(_phasor_cache) > _PHASOR_CACHE_SIZE:
+            _phasor_cache.popitem(last=False)
+    return e
+
+
 def papr(tones: EffectiveTones, grid: ToneGrid, oversampling: int = 32) -> float:
     """Peak-to-average power ratio of the received waveform.
 
-    Samples y(t) uniformly over one fundamental period 1/delta_f at
-    ``oversampling`` points per cycle of the highest tone and returns
-    max(y^2) / mean(y^2).  A single tone gives 2 (peak cos^2 = 1 against a
-    mean of 1/2); N equal in-phase tones give 2N.
+    Samples y(t) at sample_times(grid, oversampling), uniformly over one
+    fundamental period 1/delta_f at ``oversampling`` points per cycle of the
+    highest tone, and returns max(y^2) / mean(y^2).  A single tone gives 2
+    (peak cos^2 = 1 against a mean of 1/2); N equal in-phase tones give 2N.
+    The (samples, N) phasor matrix depends only on the grid and is built
+    once per (grid, oversampling), so a call costs one matrix-vector product.
 
     Args:
         tones: received per-tone amplitudes.
@@ -281,15 +324,10 @@ def papr(tones: EffectiveTones, grid: ToneGrid, oversampling: int = 32) -> float
     if tones.n_tones != grid.n_tones:
         raise DimensionError(
             f"tones carry {tones.n_tones} amplitudes, grid has {grid.n_tones}")
-    if oversampling < 8:
-        raise DomainError(f"oversampling must be >= 8, got {oversampling}")
+    e = _phasors(grid, oversampling)
     a = tones.amplitudes
     if not np.any(np.abs(a) > 0):
         raise ZeroWaveformError("papr of the zero waveform is undefined")
-    f_max = grid.angular_frequencies[-1] / (2.0 * np.pi)
-    period = 1.0 / grid.delta_f
-    n_samples = int(oversampling * np.ceil(f_max / grid.delta_f))
-    t = np.arange(n_samples) * (period / n_samples)
-    y = np.real(np.exp(1j * np.outer(t, grid.angular_frequencies)) @ a)
+    y = np.real(e @ a)
     y2 = y ** 2
     return float(np.max(y2) / np.mean(y2))

@@ -120,6 +120,23 @@ def test_load_config_reports_bad_value_with_location(tmp_path):
         load_config(path)
 
 
+def test_load_config_rejects_latency_beyond_shortest_wpt_phase(tmp_path):
+    # K=64 at t_s = 10 ms leaves t_p = 1.36 s of the 2 s frame; the check
+    # runs at load time, before any codebook is built
+    path = tmp_path / "c.ini"
+    text = "[campaign]\nstrategies = {}\ncodebook_sizes = 4, 64\n" \
+           "[link]\nlatency_s = {}\n"
+    path.write_text(text.format("UP, LIMITED", 1.3))
+    assert load_config(path).link_latency_s == 1.3
+    for latency in (1.36, 1.5, -0.1):
+        path.write_text(text.format("UP, LIMITED", latency))
+        with pytest.raises(ConfigError, match="latency"):
+            load_config(path)
+    # without LIMITED no feedback link runs, so latency is not checked
+    path.write_text(text.format("UP, SMF", 1.5))
+    assert load_config(path).link_latency_s == 1.5
+
+
 def test_load_config_missing_file():
     with pytest.raises(ConfigError):
         load_config("/nonexistent/config.ini")

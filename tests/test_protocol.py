@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wptsim import (AdcConfig, ConfigError, DiodeMomentModel, DomainError,
-                    FeedbackMsg, FrameConfig, LinkModel, ProtocolError,
-                    ToneGrid, UP_FALLBACK, decode_feedback, dc_power_moment,
-                    effective_tones, encode_feedback, gen_nested, gen_random,
-                    run_frame, run_session, run_training, stream, up_weights)
+                    EfficiencyTableModel, FeedbackMsg, FrameConfig, LinkModel,
+                    ProtocolError, ToneGrid, UP_FALLBACK, decode_feedback,
+                    dc_power_moment, effective_tones, encode_feedback,
+                    gen_nested, gen_random, protocol, run_frame, run_session,
+                    run_training, stream, up_weights)
 
 from conftest import make_channel
 
@@ -181,6 +182,35 @@ def test_run_frame_lost_feedback_first_frame_applies_uniform():
     up = up_weights(2, grid, 1.0)
     expected = dc_power_moment(model, effective_tones(ch, up), grid)
     assert report.p_dc_wpt == pytest.approx(expected, rel=1e-12)
+
+
+def test_run_frame_evaluates_each_codeword_once(monkeypatch):
+    # the applied codeword's dc comes from the sweep; only the UP fallback
+    # of a first frame with lost feedback costs one more evaluation
+    _, book, ch, _ = _setup(k=4)
+    table = EfficiencyTableModel(p_dbm=np.array([-60.0, 40.0]),
+                                 papr_axis=np.array([1.0, 20.0]),
+                                 eta=np.array([[0.1, 0.2], [0.3, 0.4]]))
+    dcs = run_training(book, ch, table)
+    real = protocol.dc_power_table
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(protocol, "dc_power_table", spy)
+    cfg = FrameConfig(k_codewords=4, t_s=0.010, t_frame=2.0)
+    for link, fallback, k_evals in ((LinkModel(1.0), None, 4),
+                                    (LinkModel(0.0), 3, 4),
+                                    (LinkModel(0.0), None, 5)):
+        calls.clear()
+        report = run_frame(cfg, book, ch, table, None, link, fallback,
+                           stream(27, 6))
+        assert len(calls) == k_evals
+        if report.applied_index != UP_FALLBACK:
+            assert report.p_dc_wpt == dcs[report.applied_index - 1]
+    assert report.applied_index == UP_FALLBACK
 
 
 def test_run_frame_lost_feedback_keeps_previous_applied():

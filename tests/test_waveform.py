@@ -1,5 +1,8 @@
 """Waveform synthesis, moments, and PAPR against independent references."""
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +13,7 @@ from wptsim import (ChannelRealization, DimensionError, DomainError,
                     effective_tones, moments_by_averaging, papr,
                     received_rf_power, rf_power_by_averaging, stream,
                     synthesize_transmit_waveform, waveform_moments)
+from wptsim import waveform
 from wptsim.timedomain import received_waveform, sample_times
 
 from conftest import make_channel, random_weights
@@ -278,3 +282,72 @@ def test_papr_needs_enough_oversampling():
     grid = ToneGrid.centered(2.4e9, 10e6, 2)
     with pytest.raises(DomainError):
         papr(_tones([1.0, 1.0]), grid, oversampling=4)
+
+
+# ---------------------------------------------------------------------------
+# PAPR phasor cache
+
+@pytest.mark.parametrize("n", [1, 2, 4, 8])
+@pytest.mark.parametrize("oversampling", [8, 32])
+def test_papr_equals_sampled_oracle_ratio_bit_for_bit(n, oversampling):
+    # the first call builds the phasors, the second reuses them; both must
+    # equal the oracle, which builds its own, to the last bit
+    waveform._phasor_cache.clear()
+    grid = ToneGrid.centered(2.4e9, 10e6, n)
+    t = sample_times(grid, oversampling)
+    gen = stream(31, 10, n, oversampling)
+    for _ in range(5):
+        tones = _tones(gen.normal(size=n) + 1j * gen.normal(size=n))
+        y = received_waveform(tones, grid, t)
+        expected = float(np.max(y ** 2) / np.mean(y ** 2))
+        assert papr(tones, grid, oversampling) == expected
+        assert papr(tones, grid, oversampling) == expected
+    assert len(waveform._phasor_cache) == 1
+
+
+def test_phasor_cache_keys_on_grid_values_not_identity():
+    grid = ToneGrid.centered(2.4e9, 10e6, 4)
+    e = waveform._phasors(grid, 32)
+    assert waveform._phasors(ToneGrid.centered(2.4e9, 10e6, 4), 32) is e
+    for other in (ToneGrid.centered(2.45e9, 10e6, 4),
+                  ToneGrid.centered(2.4e9, 20e6, 4)):
+        f = waveform._phasors(other, 32)
+        assert f.shape != e.shape or not np.array_equal(f, e)
+        assert np.array_equal(f, np.exp(1j * np.outer(
+            sample_times(other, 32), other.angular_frequencies)))
+
+
+def test_cached_phasors_are_read_only():
+    e = waveform._phasors(ToneGrid.centered(2.4e9, 10e6, 2), 32)
+    assert not e.flags.writeable
+    with pytest.raises(ValueError):
+        e[0, 0] = 0.0
+
+
+def test_phasor_cache_stays_within_its_bound():
+    bound = waveform._PHASOR_CACHE_SIZE
+    for i in range(bound + 3):
+        grid = ToneGrid.centered(2.4e9 + i * 1e6, 10e6, 2)
+        papr(_tones([1.0, 0.5j]), grid)
+    assert len(waveform._phasor_cache) == bound
+
+
+def test_phasor_cache_survives_concurrent_callers():
+    # campaign threads share the cache; one grid more than the bound makes
+    # every caller evict while others look up, insert and reorder
+    grids = [ToneGrid.centered(2.4e9 + i * 1e6, 10e6, 1)
+             for i in range(waveform._PHASOR_CACHE_SIZE + 1)]
+    tones = _tones([1.0])
+    expected = [papr(tones, g, 8) for g in grids] * 20
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            futures = [pool.submit(lambda: [papr(tones, g, 8)
+                                            for g in grids * 20])
+                       for _ in range(24)]
+            results = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [expected] * 24
+    assert len(waveform._phasor_cache) <= waveform._PHASOR_CACHE_SIZE
