@@ -124,6 +124,14 @@ class CampaignConfig:
                 raise ConfigError(
                     f"link latency_s must be in [0, t_p = {t_p}) for K="
                     f"{max(self.codebook_sizes)}, got {self.link_latency_s}")
+            # LinkModel and AdcConfig own their value checks; building them
+            # here makes a bad setting fail at load, not mid-run
+            try:
+                self.link_model()
+                self.adc_config()
+            except DomainError as exc:
+                raise ConfigError(f"invalid link or adc setting: {exc}") \
+                    from exc
         if self.n_locations < 1 or self.frames_per_location < 1:
             raise ConfigError("need at least one location and one frame")
         if self.rectifier_model not in ("moment", "table"):
@@ -134,6 +142,20 @@ class CampaignConfig:
             raise ConfigError(f"unknown codebook method {self.codebook_method!r}")
         if self.pathloss_db_max < self.pathloss_db_min:
             raise ConfigError("empty pathloss range")
+
+    def link_model(self) -> LinkModel:
+        """The feedback link of the LIMITED sessions."""
+        return LinkModel(delivery_probability=self.link_delivery_probability,
+                         latency=self.link_latency_s)
+
+    def adc_config(self) -> AdcConfig | None:
+        """The LIMITED sessions' measurement path; None when disabled."""
+        if not self.adc_enabled:
+            return None
+        return AdcConfig(resolution_bits=self.adc_resolution_bits,
+                         v_ref=self.adc_v_ref,
+                         noise_sigma=self.adc_noise_sigma,
+                         load_resistance=self.adc_load_resistance)
 
     @property
     def channel_template(self) -> ChannelModelParams:
@@ -384,17 +406,11 @@ def _run_item(config: CampaignConfig, rect_model, books, locations,
     if strategy == LIMITED:
         frame_cfg = FrameConfig(k_codewords=k, t_s=config.t_s,
                                 t_frame=config.t_frame)
-        adc = AdcConfig(resolution_bits=config.adc_resolution_bits,
-                        v_ref=config.adc_v_ref,
-                        noise_sigma=config.adc_noise_sigma,
-                        load_resistance=config.adc_load_resistance) \
-            if config.adc_enabled else None
-        link = LinkModel(delivery_probability=config.link_delivery_probability,
-                         latency=config.link_latency_s)
         gen = rngmod.stream(config.seed, rngmod.SESSION,
                             _STRATEGY_IDS[strategy], m, n, k, loc_idx)
         reports = run_session(frame_cfg, books[(m, n, k)], channel_for,
-                              rect_model, adc, link,
+                              rect_model, config.adc_config(),
+                              config.link_model(),
                               config.frames_per_location, gen)
         for r in reports:
             rows.append((strategy, m, n, k, location.label, r.frame_id,

@@ -16,9 +16,14 @@ realizations and the smooth moment rectifier:
           step halving until the objective does not decrease and projection
           back onto the power sphere.
 
-Empty clusters are re-seeded with the SMF solution of the currently
-worst-served training channel.  Both steps can only raise the average
-training objective, so it is non-decreasing across iterations.
+The UPDATE of one cluster reads only its own codeword and its members'
+channels, so the UPDATE steps of one iteration are independent: they run
+together in lock-step over the training channels sorted by cluster, with
+every reduction kept per cluster, and give the same bytes as one cluster
+at a time.  Empty clusters are then re-seeded, in index order, with the
+SMF solution of the currently worst-served training channel.  Both steps
+can only raise the average training objective, so it is non-decreasing
+across iterations.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ from .waveform import (ToneGrid, WaveformWeights, autoconvolution,
                        tone_moments)
 
 _POWER_REL_TOL = 1e-9
+_MAX_HALVINGS = 40      # step halvings a line search tries before giving up
 
 
 @dataclass(frozen=True)
@@ -100,9 +106,9 @@ class Codebook:
 
 
 def _sphere(weights: np.ndarray, power: float) -> np.ndarray:
-    """Rescale onto the power sphere (1/2)||s||^2 = power."""
-    norm_sq = np.sum(np.abs(weights) ** 2)
-    if norm_sq == 0:
+    """Rescale each (M, N) matrix onto the sphere (1/2)||s||^2 = power."""
+    norm_sq = np.sum(np.abs(weights) ** 2, axis=(-2, -1), keepdims=True)
+    if np.any(norm_sq == 0):
         raise DomainError("cannot project the zero matrix onto the power sphere")
     return weights * np.sqrt(2.0 * power / norm_sq)
 
@@ -155,17 +161,31 @@ def _dc_batch(gains: np.ndarray, weights: np.ndarray,
     return model.dc(*tone_moments(_amplitudes(gains, weights)))
 
 
-def _dc_and_grad(gains: np.ndarray, weights: np.ndarray,
-                 model: DiodeMomentModel) -> tuple[float, np.ndarray]:
-    """Mean dc over a channel batch and its Wirtinger ascent direction.
+def _dc_and_grad(gains: np.ndarray, words: np.ndarray, bounds,
+                 model: DiodeMomentModel) -> tuple[np.ndarray, np.ndarray]:
+    """Per-segment mean dc and Wirtinger ascent direction.
+
+    Segment i pairs codeword words[i] with the channels
+    gains[bounds[i][0]:bounds[i][1]].  The elementwise math runs once over
+    the rows of all segments; the reductions over channels (the mean and
+    the gradient sum) run per segment, so each segment's result equals
+    its evaluation alone to the last bit.
 
     The gradient is d(mean dc)/d(conj s): with a_n = sum_m h[m,n] s[m,n],
     d m2/d conj(a_p) = a_p / 2 and
     d m4/d conj(a_p) = (3/4) sum_q conj(a_q) c_{p+q} with c the
     autoconvolution of a; the chain rule multiplies by conj(h[m,p]).
+
+    Returns:
+        (means, grads) of shapes (S,) and (S, M, N) for S segments.
     """
-    c_count, _, n = gains.shape
-    a = _amplitudes(gains, weights)
+    n = gains.shape[2]
+    rows = [0]
+    for start, stop in bounds:
+        rows.append(rows[-1] + stop - start)
+    a = np.empty((rows[-1], n), dtype=complex)
+    for i, (start, stop) in enumerate(bounds):
+        a[rows[i]:rows[i + 1]] = _amplitudes(gains[start:stop], words[i])
     conv = autoconvolution(a)
     m2, m4 = tone_moments(a, conv)
     z = model.proxy(m2, m4)
@@ -176,31 +196,58 @@ def _dc_and_grad(gains: np.ndarray, weights: np.ndarray,
         dm4[:, p] = 0.75 * np.sum(a_conj * conv[:, p:p + n], axis=1)
     dz = model.proxy(0.5 * a, dm4)
     ddc = (2.0 * model.alpha) * z[:, None] * dz
-    grad = np.einsum("cn,cmn->mn", ddc, np.conj(gains)) / c_count
-    return float(np.mean(dc)), grad
+    means = np.empty(len(rows) - 1)
+    grads = np.empty_like(words)
+    for i, (start, stop) in enumerate(bounds):
+        # a reduceat or zero-padded sum would regroup numpy's pairwise sum
+        means[i] = np.mean(dc[rows[i]:rows[i + 1]])
+        grads[i] = np.einsum("cn,cmn->mn", ddc[rows[i]:rows[i + 1]],
+                             np.conj(gains[start:stop])) / int(stop - start)
+    return means, grads
 
 
-def _ascend(weights: np.ndarray, gains: np.ndarray, model: DiodeMomentModel,
-            power: float, inner_steps: int = 4,
-            max_halvings: int = 40) -> np.ndarray:
-    """Projected gradient ascent from the incumbent; never decreases."""
-    best = weights
+def _ascend_clusters(words: np.ndarray, gains: np.ndarray,
+                     bounds: np.ndarray, model: DiodeMomentModel,
+                     power: float, inner_steps: int) -> np.ndarray:
+    """Projected gradient ascent of every segment's codeword, in lock-step.
+
+    Segment i of the (C, M, N) gains is rows bounds[i, 0]:bounds[i, 1] and
+    belongs to words[i].  Each codeword climbs its own segment's mean dc
+    from the incumbent with its own step, halved while its trial does not
+    reach the current value; it stops once its gradient vanishes or a step
+    does not improve it, so no codeword ever decreases.  Returns the
+    ascended (S, M, N) codewords.
+    """
+    best = words.copy()
+    f_cur, grad = _dc_and_grad(gains, best, bounds, model)
+    active = np.ones(len(best), dtype=bool)
     for _ in range(inner_steps):
-        f_cur, grad = _dc_and_grad(gains, best, model)
-        g_norm = np.linalg.norm(grad)
-        if g_norm == 0:
-            break
-        step = np.linalg.norm(best) / g_norm
-        improved = False
-        for _ in range(max_halvings):
-            trial = _sphere(best + step * grad, power)
-            f_trial, _ = _dc_and_grad(gains, trial, model)
-            if f_trial >= f_cur:
-                improved = f_trial > f_cur
-                best = trial
+        step = np.zeros(len(best))
+        for i in np.flatnonzero(active):
+            g_norm = np.linalg.norm(grad[i])
+            if g_norm == 0:
+                active[i] = False
+            else:
+                step[i] = np.linalg.norm(best[i]) / g_norm
+        pending = active.copy()
+        improved = np.zeros(len(best), dtype=bool)
+        for _ in range(_MAX_HALVINGS):
+            idx = np.flatnonzero(pending)
+            if idx.size == 0:
                 break
-            step *= 0.5
-        if not improved:
+            trial = _sphere(best[idx] + step[idx, None, None] * grad[idx],
+                            power)
+            f_trial, g_trial = _dc_and_grad(gains, trial, bounds[idx], model)
+            ok = f_trial >= f_cur[idx]
+            done = idx[ok]
+            improved[done] = f_trial[ok] > f_cur[done]
+            best[done] = trial[ok]
+            f_cur[done] = f_trial[ok]
+            grad[done] = g_trial[ok]
+            pending[done] = False
+            step[idx[~ok]] *= 0.5
+        active &= improved
+        if not active.any():
             break
     return best
 
@@ -272,15 +319,23 @@ def train_lloyd(training_channels, k: int, rect_model: DiodeMomentModel,
     iterations_run = 0
     for it in range(iters):
         iterations_run = it + 1
+        # UPDATE: all non-empty clusters together on cluster-sorted gains;
+        # the stable sort keeps each cluster's channels in index order
+        counts = np.bincount(assign, minlength=k)
+        stops = np.cumsum(counts)
+        occupied = np.flatnonzero(counts)
+        ascended = _ascend_clusters(
+            np.stack([words[kk] for kk in occupied]),
+            gains[np.argsort(assign, kind="stable")],
+            np.column_stack([stops - counts, stops])[occupied],
+            rect_model, power, inner_steps)
+        for kk, w in zip(occupied, ascended):
+            words[kk] = w
         for kk in range(k):
-            members = np.flatnonzero(assign == kk)
-            if members.size == 0:
+            if counts[kk] == 0:
                 served = dc_matrix[np.arange(len(channels)), assign]
                 worst = int(np.argmin(served))
                 words[kk] = smf_weights(channels[worst], smf).weights.copy()
-            else:
-                words[kk] = _ascend(words[kk], gains[members], rect_model,
-                                    power, inner_steps=inner_steps)
             dc_matrix[:, kk] = _dc_batch(gains, words[kk], rect_model)
         if on_iteration is not None:
             objective = float(np.mean(dc_matrix[np.arange(len(channels)),

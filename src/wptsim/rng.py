@@ -27,15 +27,16 @@ SESSION = 6         # protocol session internals (ADC noise, feedback loss)
 ORACLE = 7          # self-check case generation
 
 
+def _seed_sequence(seed: int, path) -> np.random.SeedSequence:
+    return np.random.SeedSequence(entropy=int(seed),
+                                  spawn_key=tuple(int(p) for p in path))
+
+
 def stream(seed: int, *path: int) -> np.random.Generator:
     """Independent generator for the given seed and integer path."""
-    ss = np.random.SeedSequence(entropy=int(seed),
-                                spawn_key=tuple(int(p) for p in path))
-    return np.random.Generator(np.random.Philox(ss))
+    return np.random.Generator(np.random.Philox(_seed_sequence(seed, path)))
 
 
 def derive_seed(seed: int, *path: int) -> int:
     """Deterministic 64-bit child seed for (seed, path)."""
-    ss = np.random.SeedSequence(entropy=int(seed),
-                                spawn_key=tuple(int(p) for p in path))
-    return int(ss.generate_state(1, np.uint64)[0])
+    return int(_seed_sequence(seed, path).generate_state(1, np.uint64)[0])

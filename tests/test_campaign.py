@@ -137,6 +137,41 @@ def test_load_config_rejects_latency_beyond_shortest_wpt_phase(tmp_path):
     assert load_config(path).link_latency_s == 1.5
 
 
+@pytest.mark.parametrize("section,key,field,value", [
+    ("link", "delivery_probability", "link_delivery_probability", 1.5),
+    ("link", "delivery_probability", "link_delivery_probability", -0.1),
+    ("adc", "resolution_bits", "adc_resolution_bits", 0),
+    ("adc", "v_ref_v", "adc_v_ref", 0.0),
+    ("adc", "v_ref_v", "adc_v_ref", -1.0),
+    ("adc", "load_resistance_ohm", "adc_load_resistance", 0.0),
+    ("adc", "noise_sigma_v", "adc_noise_sigma", -1e-3),
+])
+def test_config_rejects_bad_link_and_adc_settings(tmp_path, section, key,
+                                                  field, value):
+    # rejected at load, before any codebook is built or trained
+    path = tmp_path / "c.ini"
+    path.write_text("[campaign]\nstrategies = UP, LIMITED\n"
+                    "codebook_sizes = 4\n[adc]\nenabled = true\n"
+                    + ("" if section == "adc" else f"[{section}]\n")
+                    + f"{key} = {value}\n")
+    with pytest.raises(ConfigError, match="link or adc"):
+        load_config(path)
+    with pytest.raises(ConfigError, match="link or adc"):
+        CampaignConfig(strategies=("UP", "LIMITED"), codebook_sizes=(4,),
+                       adc_enabled=True, **{field: value})
+
+
+def test_config_checks_adc_settings_only_when_enabled():
+    cfg = CampaignConfig(strategies=("UP", "LIMITED"), codebook_sizes=(4,),
+                         adc_resolution_bits=0, adc_v_ref=-1.0)
+    assert cfg.adc_config() is None
+    enabled = CampaignConfig(strategies=("UP", "LIMITED"),
+                             codebook_sizes=(4,),
+                             adc_enabled=True, adc_resolution_bits=10)
+    assert enabled.adc_config().resolution_bits == 10
+    assert enabled.link_model().delivery_probability == 1.0
+
+
 def test_load_config_missing_file():
     with pytest.raises(ConfigError):
         load_config("/nonexistent/config.ini")

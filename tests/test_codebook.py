@@ -1,5 +1,7 @@
 """Codebook generation, training, gradients, and the file format."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,9 @@ from wptsim import (Codebook, CodebookIOError, DiodeMomentModel,
                     ToneGrid, WaveformWeights, dc_power_moment,
                     effective_tones, gen_nested, gen_random, load_codebook,
                     save_codebook, stream, train_lloyd, up_weights)
+from wptsim import codebook as codebook_module
 from wptsim.codebook import _dc_and_grad, _dc_batch, _sphere
+from wptsim.waveform import autoconvolution, tone_moments
 
 from conftest import make_channel
 
@@ -97,6 +101,12 @@ def _batch_setup(seed, c, m, n):
     return grid, channels, gains, _sphere(w, 1.0)
 
 
+def _one_segment(gains, w, model):
+    # (mean dc, gradient) of one codeword over all of gains
+    means, grads = _dc_and_grad(gains, w[None], [(0, len(gains))], model)
+    return means[0], grads[0]
+
+
 def test_dc_batch_matches_scalar_path():
     grid, channels, gains, w = _batch_setup(7, 5, 2, 3)
     model = DiodeMomentModel()
@@ -113,7 +123,7 @@ def test_dc_batch_matches_scalar_path():
 def test_gradient_matches_finite_differences(seed):
     _, _, gains, w = _batch_setup(seed, 3, 2, 3)
     model = DiodeMomentModel(k2=1.0, k4=1.0)
-    _, grad = _dc_and_grad(gains, w, model)
+    _, grad = _one_segment(gains, w, model)
     eps = 1e-7
     gen = stream(seed, 91)
     for _ in range(4):
@@ -126,8 +136,8 @@ def test_gradient_matches_finite_differences(seed):
             up[i, j] += eps * direction
             down = w.copy()
             down[i, j] -= eps * direction
-            numeric = (_dc_and_grad(gains, up, model)[0]
-                       - _dc_and_grad(gains, down, model)[0]) / (2.0 * eps)
+            numeric = (_one_segment(gains, up, model)[0]
+                       - _one_segment(gains, down, model)[0]) / (2.0 * eps)
             analytic = 2.0 * float(part(grad[i, j]))
             assert numeric == pytest.approx(analytic, rel=1e-4, abs=1e-9)
 
@@ -138,6 +148,67 @@ def test_sphere_projection():
     assert 0.5 * np.sum(np.abs(s) ** 2) == pytest.approx(2.0, rel=1e-14)
     with pytest.raises(DomainError):
         _sphere(np.zeros((1, 1), dtype=complex), 1.0)
+
+
+# numpy's pairwise sum adds blocks of 8 and splits past 128 terms, so these
+# sizes cross its block edges; a regrouped segment sum fails here
+_SEGMENT_SIZES = (1, 3, 4, 7, 8, 9, 17, 130)
+
+
+def _cluster_alone(gains, w, model):
+    # one cluster's mean dc and gradient, written out on its own arrays
+    a = np.einsum("cmn,mn->cn", gains, w)
+    conv = autoconvolution(a)
+    m2, m4 = tone_moments(a, conv)
+    n = a.shape[1]
+    dm4 = np.empty_like(a)
+    for p in range(n):
+        dm4[:, p] = 0.75 * np.sum(np.conj(a) * conv[:, p:p + n], axis=1)
+    ddc = (2.0 * model.alpha) * model.proxy(m2, m4)[:, None] \
+        * model.proxy(0.5 * a, dm4)
+    grad = np.einsum("cn,cmn->mn", ddc, np.conj(gains)) / len(gains)
+    return np.mean(model.dc(m2, m4)), grad
+
+
+@pytest.mark.parametrize("m", [1, 4])
+@pytest.mark.parametrize("n", [1, 8])
+def test_segmented_dc_and_grad_equals_each_segment_alone(m, n):
+    gen = stream(11, 92, m, n)
+    rows = sum(_SEGMENT_SIZES)
+    gains = gen.standard_normal((rows, m, n)) \
+        + 1j * gen.standard_normal((rows, m, n))
+    words = _sphere(gen.standard_normal((len(_SEGMENT_SIZES), m, n))
+                    + 1j * gen.standard_normal((len(_SEGMENT_SIZES), m, n)),
+                    1.0)
+    stops = np.cumsum(_SEGMENT_SIZES)
+    bounds = np.column_stack([stops - _SEGMENT_SIZES, stops])
+    model = DiodeMomentModel(k2=1.0, k4=1.0)
+    alone = [_cluster_alone(gains[s:e], words[i], model)
+             for i, (s, e) in enumerate(bounds)]
+    means, grads = _dc_and_grad(gains, words, bounds, model)
+    for i, (mean, grad) in enumerate(alone):
+        assert means[i] == mean
+        assert np.array_equal(grads[i], grad)
+        s, e = bounds[i]
+        one_mean, one_grad = _one_segment(gains[s:e], words[i], model)
+        assert one_mean == mean and np.array_equal(one_grad, grad)
+    # a subset in another order, as the line search evaluates pending ones
+    pick = np.array([7, 0, 5, 2])
+    means, grads = _dc_and_grad(gains, words[pick], bounds[pick], model)
+    for j, i in enumerate(pick):
+        assert means[j] == alone[i][0]
+        assert np.array_equal(grads[j], alone[i][1])
+
+
+def test_sphere_projects_each_matrix_of_a_batch():
+    gen = stream(12, 93)
+    w = gen.standard_normal((5, 3, 4)) + 1j * gen.standard_normal((5, 3, 4))
+    batch = _sphere(w, 1.5)
+    for i in range(5):
+        assert np.array_equal(batch[i], _sphere(w[i], 1.5))
+    w[3] = 0.0
+    with pytest.raises(DomainError):
+        _sphere(w, 1.5)
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +320,80 @@ def test_train_lloyd_provenance_mentions_setup():
                        power=1.0)
     assert "k=4" in book.provenance
     assert "n_train=20" in book.provenance
+
+
+def _saved_digest(book, path):
+    save_codebook(book, path)
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+# (seed, M, N, K, channels): sha256 of the saved book and the float.hex of
+# every on_iteration objective, recorded from the one-cluster-at-a-time
+# trainer that the lock-step UPDATE replaced
+_GOLDEN_BOOKS = [
+    ((0, 1, 1, 4, 40),
+     "a604de723446c6d38354049817bde7be121a7bbc05b800319177300025522dd3",
+     ["0x1.d7859a0519ef6p+18", "0x1.d7859a0519ef6p+18",
+      "0x1.d7859a0519ef6p+18"]),
+    ((1, 2, 2, 16, 60),
+     "4b9eae0a4651247048aaec6c00e7121fbd356b440638f1824f1a68050853f9f9",
+     ["0x1.054b62d631c57p+21", "0x1.0bff40b877ab2p+21",
+      "0x1.0d5d447ca5e2ep+21", "0x1.0dfbd5b4b6aa2p+21",
+      "0x1.0e96154c2218cp+21"]),
+    ((2, 4, 1, 32, 100),
+     "67a306c7b31ee9ce2015763176c2b7917ed70ce31a699555945c55100c0a63d2",
+     ["0x1.827bc262e3643p+22", "0x1.8cd0b98ed7e28p+22",
+      "0x1.947064af42b37p+22", "0x1.966b31413fe2fp+22",
+      "0x1.97dde0f15edf7p+22", "0x1.97e0f8671a038p+22"]),
+    ((0, 1, 8, 8, 200),
+     "18103ec05d46bbc948439dd4754b50688c55c569e98cb7be1f0e031064cd88b5",
+     ["0x1.5f90e40d30498p+20", "0x1.acfe0f9c777bfp+20",
+      "0x1.b7c74a71eda5cp+20", "0x1.ba8d2808ca28cp+20",
+      "0x1.bbbe613ba95fdp+20", "0x1.bc8f2417a08dbp+20",
+      "0x1.bd464edb29c5ap+20", "0x1.bdfe62bb40cf6p+20",
+      "0x1.bfe4b7036d5f7p+20", "0x1.c047a62d78fa4p+20"]),
+]
+
+
+@pytest.mark.parametrize(
+    "setup,digest,objectives", _GOLDEN_BOOKS,
+    ids=[f"seed{s}-m{m}-n{n}-k{k}" for (s, m, n, k, _), _, _ in _GOLDEN_BOOKS])
+def test_train_lloyd_golden_bytes(tmp_path, setup, digest, objectives):
+    seed, m, n, k, count = setup
+    trace = []
+    book = train_lloyd(_training_channels(seed, count, m, n), k,
+                       DiodeMomentModel(), iters=30, rng=stream(seed, 5),
+                       power=2.0,
+                       on_iteration=lambda it, obj: trace.append(obj.hex()))
+    assert trace == objectives
+    assert _saved_digest(book, tmp_path / "book.cb") == digest
+
+
+def test_train_lloyd_golden_bytes_with_reseeds(tmp_path, monkeypatch):
+    # codewords 5-8 duplicate 1-4; ties go to the lowest index, so 5-8 get
+    # no members and are re-seeded through codebook.smf_weights
+    channels = _training_channels(0, 50, 2, 4)
+    base = gen_random(2, channels[0].grid, 1.0, 4, stream(0, 6))
+    init = Codebook(k_codewords=8, entries=base.entries + base.entries)
+    calls = []
+    real = codebook_module.smf_weights
+
+    def spy(channel, params):
+        calls.append(channel)
+        return real(channel, params)
+
+    monkeypatch.setattr(codebook_module, "smf_weights", spy)
+    trace = []
+    book = train_lloyd(channels, 8, DiodeMomentModel(), iters=10, init=init,
+                       on_iteration=lambda it, obj: trace.append(obj.hex()))
+    assert len(calls) == 10
+    assert trace == ["0x1.5fb8eb1a3d91cp+16", "0x1.2359514118be5p+17",
+                     "0x1.679ac47dce2adp+17", "0x1.7c577f7465905p+17",
+                     "0x1.8d3d3ae9c68e1p+17", "0x1.8fc5a2a9557eep+17",
+                     "0x1.90368a9736889p+17", "0x1.9053a0d22d2b6p+17",
+                     "0x1.90aafe3106157p+17", "0x1.90c6d7ded247cp+17"]
+    assert _saved_digest(book, tmp_path / "book.cb") == \
+        "d7e236a77be94e9a3db313a3ca32c6713a6516ce278667ada3cc108358cb2b2a"
 
 
 # ---------------------------------------------------------------------------

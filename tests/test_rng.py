@@ -1,0 +1,17 @@
+"""Deterministic streams: the SeedSequence recipe behind stream/derive_seed."""
+
+import numpy as np
+
+from wptsim import derive_seed, stream
+
+
+def test_stream_is_philox_keyed_by_seed_sequence():
+    ss = np.random.SeedSequence(entropy=42, spawn_key=(5, 3, 7))
+    expected = np.random.Generator(np.random.Philox(ss)).random(4)
+    assert np.array_equal(stream(42, 5, 3, 7).random(4), expected)
+
+
+def test_derive_seed_uses_the_same_seed_sequence():
+    ss = np.random.SeedSequence(entropy=42, spawn_key=(3, 1))
+    assert derive_seed(42, 3, 1) == int(ss.generate_state(1, np.uint64)[0])
+    assert derive_seed(42, 3, 1) == 12600661634385724904
