@@ -19,21 +19,16 @@ import sys
 
 import numpy as np
 
-from wptsim import (ChannelModelParams, ChannelRealization, DiodeMomentModel,
-                    SmfParams, ToneGrid, dc_ceiling, dc_power_moment,
-                    effective_tones, frequency_response, sample_taps,
-                    smf_weights, stream, train_lloyd)
+from wptsim import (ChannelModelParams, DiodeMomentModel, SmfParams, ToneGrid,
+                    dc_ceiling, dc_power_moment, effective_tones,
+                    realize_channel, smf_weights, stream, train_lloyd)
 import wptsim.rng as rngmod
 
 
 def draw_channels(seed, count, m, grid, base):
     params = ChannelModelParams(pathloss_db=60.0, seed=seed)
-    out = []
-    for i in range(count):
-        taps = sample_taps(params, m, stream(seed, rngmod.TAPS, base + i))
-        gains = frequency_response(taps, params, grid)
-        out.append(ChannelRealization(m_antennas=m, grid=grid, gains=gains))
-    return out
+    return [realize_channel(params, m, grid, frame=base + i)
+            for i in range(count)]
 
 
 def main(argv=None):

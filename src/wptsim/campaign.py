@@ -30,7 +30,8 @@ import numpy as np
 
 from . import rng as rngmod
 from .channel import (ChannelModelParams, ChannelRealization,
-                      frequency_response, make_locations, sample_taps)
+                      frequency_response, make_locations, realize_channel,
+                      sample_taps)
 from .codebook import gen_nested, gen_random, train_lloyd
 from .errors import ConfigError, DomainError, SummaryError
 from .protocol import FrameConfig, LinkModel, run_session
@@ -81,7 +82,6 @@ class CampaignConfig:
     adc_noise_sigma: float = 0.0
     adc_load_resistance: float = 5000.0
     link_delivery_probability: float = 1.0
-    link_latency_s: float = 0.0
     t_s: float = 0.010
     t_frame: float = 2.0
     codebook_method: str = "nested"     # "nested", "random", or "lloyd"
@@ -118,12 +118,6 @@ class CampaignConfig:
                     f"K*t_s must stay below t_frame, got K="
                     f"{max(self.codebook_sizes)}, t_s={self.t_s}, "
                     f"t_frame={self.t_frame}")
-            # the largest K leaves the shortest WPT phase t_p
-            t_p = self.t_frame - max(self.codebook_sizes) * self.t_s
-            if not 0 <= self.link_latency_s < t_p:
-                raise ConfigError(
-                    f"link latency_s must be in [0, t_p = {t_p}) for K="
-                    f"{max(self.codebook_sizes)}, got {self.link_latency_s}")
             # LinkModel and AdcConfig own their value checks; building them
             # here makes a bad setting fail at load, not mid-run
             try:
@@ -145,8 +139,7 @@ class CampaignConfig:
 
     def link_model(self) -> LinkModel:
         """The feedback link of the LIMITED sessions."""
-        return LinkModel(delivery_probability=self.link_delivery_probability,
-                         latency=self.link_latency_s)
+        return LinkModel(delivery_probability=self.link_delivery_probability)
 
     def adc_config(self) -> AdcConfig | None:
         """The LIMITED sessions' measurement path; None when disabled."""
@@ -182,25 +175,66 @@ class SummaryRow:
 # ---------------------------------------------------------------------------
 # config file parsing (INI sections; unknown keys are errors)
 
-_SCHEMA = {
-    "campaign": {"strategies", "antenna_counts", "tone_counts",
-                 "codebook_sizes", "frames_per_location", "seed"},
-    "grid": {"center_frequency_hz", "bandwidth_hz"},
-    "power": {"transmit_power_w"},
-    "channel": {"n_taps", "tap_spacing_s", "pdp_decay", "n_locations",
-                "pathloss_db_min", "pathloss_db_max", "resample_per_frame"},
-    "rectifier": {"model", "k2", "k4", "alpha", "table_path"},
-    "adc": {"enabled", "resolution_bits", "v_ref_v", "noise_sigma_v",
-            "load_resistance_ohm"},
-    "link": {"delivery_probability", "latency_s"},
-    "frame": {"t_s_s", "t_frame_s"},
-    "codebook": {"method", "training_channels", "training_iters"},
-    "output": {"dir"},
+def _str_list(raw):
+    return tuple(x.strip() for x in raw.split(",") if x.strip())
+
+
+def _int_list(raw):
+    return tuple(int(x) for x in _str_list(raw))
+
+
+def _boolean(raw):
+    lowered = raw.strip().lower()
+    if lowered in ("true", "1", "yes", "on"):
+        return True
+    if lowered in ("false", "0", "no", "off"):
+        return False
+    raise ValueError(f"not a boolean: {raw!r}")
+
+
+#: every config file key: (section, key) -> (CampaignConfig field, parser)
+_KEYS = {
+    ("campaign", "strategies"): ("strategies", _str_list),
+    ("campaign", "antenna_counts"): ("antenna_counts", _int_list),
+    ("campaign", "tone_counts"): ("tone_counts", _int_list),
+    ("campaign", "codebook_sizes"): ("codebook_sizes", _int_list),
+    ("campaign", "frames_per_location"): ("frames_per_location", int),
+    ("campaign", "seed"): ("seed", int),
+    ("grid", "center_frequency_hz"): ("center_frequency_hz", float),
+    ("grid", "bandwidth_hz"): ("bandwidth_hz", float),
+    ("power", "transmit_power_w"): ("transmit_power_w", float),
+    ("channel", "n_taps"): ("n_taps", int),
+    ("channel", "tap_spacing_s"): ("tap_spacing_s", float),
+    ("channel", "pdp_decay"): ("pdp_decay", float),
+    ("channel", "n_locations"): ("n_locations", int),
+    ("channel", "pathloss_db_min"): ("pathloss_db_min", float),
+    ("channel", "pathloss_db_max"): ("pathloss_db_max", float),
+    ("channel", "resample_per_frame"): ("resample_per_frame", _boolean),
+    ("rectifier", "model"): ("rectifier_model", str.strip),
+    ("rectifier", "k2"): ("k2", float),
+    ("rectifier", "k4"): ("k4", float),
+    ("rectifier", "alpha"): ("alpha", float),
+    ("rectifier", "table_path"): ("table_path", str.strip),
+    ("adc", "enabled"): ("adc_enabled", _boolean),
+    ("adc", "resolution_bits"): ("adc_resolution_bits", int),
+    ("adc", "v_ref_v"): ("adc_v_ref", float),
+    ("adc", "noise_sigma_v"): ("adc_noise_sigma", float),
+    ("adc", "load_resistance_ohm"): ("adc_load_resistance", float),
+    ("link", "delivery_probability"): ("link_delivery_probability", float),
+    ("frame", "t_s_s"): ("t_s", float),
+    ("frame", "t_frame_s"): ("t_frame", float),
+    ("codebook", "method"): ("codebook_method", str.strip),
+    ("codebook", "training_channels"): ("training_channels", int),
+    ("codebook", "training_iters"): ("training_iters", int),
+    ("output", "dir"): ("output_dir", str.strip),
 }
 
 
 def load_config(path) -> CampaignConfig:
-    """Parse the sectioned key-value config file into a CampaignConfig."""
+    """Parse the sectioned key-value config file into a CampaignConfig.
+
+    Keys left out keep the CampaignConfig default.
+    """
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
@@ -208,101 +242,24 @@ def load_config(path) -> CampaignConfig:
         parser.read(path)
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+    sections = {section for section, _ in _KEYS}
+    kwargs = {}
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section not in sections:
             raise ConfigError(f"{path}: unknown section [{section}]")
-        for key in parser[section]:
-            if key not in _SCHEMA[section]:
+        for key, raw in parser[section].items():
+            if (section, key) not in _KEYS:
                 raise ConfigError(
                     f"{path}: unknown key {key!r} in section [{section}]")
-
-    def get(section, key, conv, default):
-        if section in parser and key in parser[section]:
-            raw = parser[section][key]
+            field, parse = _KEYS[(section, key)]
             try:
-                return conv(raw)
+                kwargs[field] = parse(raw)
             except ValueError as exc:
                 raise ConfigError(
                     f"{path}: bad value for [{section}] {key} = {raw!r}: "
                     f"{exc}") from exc
-        return default
-
-    def str_list(raw):
-        return tuple(x.strip() for x in raw.split(",") if x.strip())
-
-    def int_list(raw):
-        return tuple(int(x) for x in str_list(raw))
-
-    def boolean(raw):
-        lowered = raw.strip().lower()
-        if lowered in ("true", "1", "yes", "on"):
-            return True
-        if lowered in ("false", "0", "no", "off"):
-            return False
-        raise ValueError(f"not a boolean: {raw!r}")
-
-    default = CampaignConfig()
     try:
-        return CampaignConfig(
-            strategies=get("campaign", "strategies", str_list,
-                           default.strategies),
-            antenna_counts=get("campaign", "antenna_counts", int_list,
-                               default.antenna_counts),
-            tone_counts=get("campaign", "tone_counts", int_list,
-                            default.tone_counts),
-            codebook_sizes=get("campaign", "codebook_sizes", int_list,
-                               default.codebook_sizes),
-            frames_per_location=get("campaign", "frames_per_location", int,
-                                    default.frames_per_location),
-            seed=get("campaign", "seed", int, default.seed),
-            center_frequency_hz=get("grid", "center_frequency_hz", float,
-                                    default.center_frequency_hz),
-            bandwidth_hz=get("grid", "bandwidth_hz", float,
-                             default.bandwidth_hz),
-            transmit_power_w=get("power", "transmit_power_w", float,
-                                 default.transmit_power_w),
-            n_taps=get("channel", "n_taps", int, default.n_taps),
-            tap_spacing_s=get("channel", "tap_spacing_s", float,
-                              default.tap_spacing_s),
-            pdp_decay=get("channel", "pdp_decay", float, default.pdp_decay),
-            n_locations=get("channel", "n_locations", int,
-                            default.n_locations),
-            pathloss_db_min=get("channel", "pathloss_db_min", float,
-                                default.pathloss_db_min),
-            pathloss_db_max=get("channel", "pathloss_db_max", float,
-                                default.pathloss_db_max),
-            resample_per_frame=get("channel", "resample_per_frame", boolean,
-                                   default.resample_per_frame),
-            rectifier_model=get("rectifier", "model", str.strip,
-                                default.rectifier_model),
-            k2=get("rectifier", "k2", float, default.k2),
-            k4=get("rectifier", "k4", float, default.k4),
-            alpha=get("rectifier", "alpha", float, default.alpha),
-            table_path=get("rectifier", "table_path", str.strip,
-                           default.table_path),
-            adc_enabled=get("adc", "enabled", boolean, default.adc_enabled),
-            adc_resolution_bits=get("adc", "resolution_bits", int,
-                                    default.adc_resolution_bits),
-            adc_v_ref=get("adc", "v_ref_v", float, default.adc_v_ref),
-            adc_noise_sigma=get("adc", "noise_sigma_v", float,
-                                default.adc_noise_sigma),
-            adc_load_resistance=get("adc", "load_resistance_ohm", float,
-                                    default.adc_load_resistance),
-            link_delivery_probability=get("link", "delivery_probability",
-                                          float,
-                                          default.link_delivery_probability),
-            link_latency_s=get("link", "latency_s", float,
-                               default.link_latency_s),
-            t_s=get("frame", "t_s_s", float, default.t_s),
-            t_frame=get("frame", "t_frame_s", float, default.t_frame),
-            codebook_method=get("codebook", "method", str.strip,
-                                default.codebook_method),
-            training_channels=get("codebook", "training_channels", int,
-                                  default.training_channels),
-            training_iters=get("codebook", "training_iters", int,
-                               default.training_iters),
-            output_dir=get("output", "dir", str.strip, default.output_dir),
-        )
+        return CampaignConfig(**kwargs)
     except DomainError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
@@ -327,14 +284,8 @@ def _training_set(config: CampaignConfig, m: int, grid: ToneGrid) -> list:
         pdp_decay=config.pdp_decay,
         pathloss_db=0.5 * (config.pathloss_db_min + config.pathloss_db_max),
         seed=rngmod.derive_seed(config.seed, rngmod.TRAINING, m, grid.n_tones))
-    channels = []
-    for i in range(config.training_channels):
-        gen = rngmod.stream(params.seed, rngmod.TAPS, i)
-        taps = sample_taps(params, m, gen)
-        gains = frequency_response(taps, params, grid)
-        channels.append(ChannelRealization(m_antennas=m, grid=grid,
-                                           gains=gains))
-    return channels
+    return [realize_channel(params, m, grid, frame=i)
+            for i in range(config.training_channels)]
 
 
 def _build_codebooks(config: CampaignConfig, rect_model) -> dict:

@@ -19,7 +19,7 @@ import numpy as np
 from . import rng as rngmod
 from .campaign import figure_config, load_config, run_campaign
 from .channel import (ChannelModelParams, ChannelRealization,
-                      frequency_response, sample_taps)
+                      frequency_response, realize_channel, sample_taps)
 from .codebook import gen_nested, gen_random, save_codebook, train_lloyd
 from .errors import WptsimError
 from .rectenna import DiodeMomentModel
@@ -114,13 +114,8 @@ def _cmd_codebook(args) -> int:
             pdp_decay=args.pdp_decay, pathloss_db=args.pathloss_db,
             seed=rngmod.derive_seed(args.seed, rngmod.TRAINING,
                                     args.antennas, args.tones))
-        channels = []
-        for i in range(args.channels):
-            g = rngmod.stream(params.seed, rngmod.TAPS, i)
-            taps = sample_taps(params, args.antennas, g)
-            gains = frequency_response(taps, params, grid)
-            channels.append(ChannelRealization(m_antennas=args.antennas,
-                                               grid=grid, gains=gains))
+        channels = [realize_channel(params, args.antennas, grid, frame=i)
+                    for i in range(args.channels)]
         model = DiodeMomentModel(k2=args.k2, k4=args.k4)
         book = train_lloyd(channels, args.size, model, iters=args.iters,
                            rng=rngmod.stream(args.seed, rngmod.TRAINING,

@@ -43,6 +43,7 @@ from .waveform import (ToneGrid, WaveformWeights, autoconvolution,
 
 _POWER_REL_TOL = 1e-9
 _MAX_HALVINGS = 40      # step halvings a line search tries before giving up
+_INNER_STEPS = 4        # gradient-ascent steps per cluster per iteration
 
 
 @dataclass(frozen=True)
@@ -208,7 +209,7 @@ def _dc_and_grad(gains: np.ndarray, words: np.ndarray, bounds,
 
 def _ascend_clusters(words: np.ndarray, gains: np.ndarray,
                      bounds: np.ndarray, model: DiodeMomentModel,
-                     power: float, inner_steps: int) -> np.ndarray:
+                     power: float) -> np.ndarray:
     """Projected gradient ascent of every segment's codeword, in lock-step.
 
     Segment i of the (C, M, N) gains is rows bounds[i, 0]:bounds[i, 1] and
@@ -221,7 +222,7 @@ def _ascend_clusters(words: np.ndarray, gains: np.ndarray,
     best = words.copy()
     f_cur, grad = _dc_and_grad(gains, best, bounds, model)
     active = np.ones(len(best), dtype=bool)
-    for _ in range(inner_steps):
+    for _ in range(_INNER_STEPS):
         step = np.zeros(len(best))
         for i in np.flatnonzero(active):
             g_norm = np.linalg.norm(grad[i])
@@ -255,7 +256,7 @@ def _ascend_clusters(words: np.ndarray, gains: np.ndarray,
 def train_lloyd(training_channels, k: int, rect_model: DiodeMomentModel,
                 iters: int = 30, rng: np.random.Generator | None = None,
                 init: Codebook | None = None, power: float | None = None,
-                inner_steps: int = 4, on_iteration=None) -> Codebook:
+                on_iteration=None) -> Codebook:
     """Alternating assign/ascend codebook training on the moment model.
 
     Args:
@@ -267,7 +268,6 @@ def train_lloyd(training_channels, k: int, rect_model: DiodeMomentModel,
         init: optional starting codebook (e.g. an SMF solution to refine);
             its power budget is reused.
         power: codeword power budget, required when init is None.
-        inner_steps: gradient-ascent steps per cluster per iteration.
         on_iteration: optional callback (iteration, mean training dc power),
             called once per iteration with a non-decreasing value.  The
             value is the in-sample objective on the training channels the
@@ -328,7 +328,7 @@ def train_lloyd(training_channels, k: int, rect_model: DiodeMomentModel,
             np.stack([words[kk] for kk in occupied]),
             gains[np.argsort(assign, kind="stable")],
             np.column_stack([stops - counts, stops])[occupied],
-            rect_model, power, inner_steps)
+            rect_model, power)
         for kk, w in zip(occupied, ascended):
             words[kk] = w
         for kk in range(k):
@@ -346,7 +346,7 @@ def train_lloyd(training_channels, k: int, rect_model: DiodeMomentModel,
             break
         assign = new_assign
 
-    cfg = f"k={k} iters={iters} n_train={len(channels)} inner={inner_steps}"
+    cfg = f"k={k} iters={iters} n_train={len(channels)} inner={_INNER_STEPS}"
     digest = hashlib.sha256(cfg.encode()).hexdigest()[:8]
     entries = tuple(_entry(w, power) for w in words)
     return Codebook(k_codewords=k, entries=entries, nested=False,

@@ -66,16 +66,13 @@ class FrameConfig:
 
 @dataclass(frozen=True)
 class LinkModel:
-    """Feedback link: Bernoulli delivery, optional latency (< t_p)."""
+    """Feedback link: each index message arrives with a fixed probability."""
 
     delivery_probability: float = 1.0
-    latency: float = 0.0
 
     def __post_init__(self):
         if not 0.0 <= self.delivery_probability <= 1.0:
             raise DomainError("delivery_probability must be in [0, 1]")
-        if self.latency < 0:
-            raise DomainError(f"latency must be >= 0, got {self.latency}")
 
 
 @dataclass(frozen=True)
@@ -194,9 +191,6 @@ def run_frame(config: FrameConfig, codebook: Codebook,
         raise ConfigError(
             f"config expects K={config.k_codewords}, codebook has "
             f"{codebook.k_codewords}")
-    if link.latency >= config.t_p:
-        raise ConfigError(
-            f"feedback latency {link.latency} must be < t_p = {config.t_p}")
     # the training energy needs the dc levels themselves, not the readings
     dcs = _codeword_dc(codebook, channel, rect_model)
     measurements = _readings(dcs, adc, rng)

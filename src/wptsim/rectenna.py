@@ -198,7 +198,7 @@ def _interp_axis(axis: np.ndarray, x: float) -> tuple[int, float, bool]:
 
 
 def dc_power_table(model: EfficiencyTableModel, tones: EffectiveTones,
-                   grid: ToneGrid, oversampling: int = 32,
+                   grid: ToneGrid, *,
                    diag: TableDiagnostics | None = None) -> float:
     """dc output via the efficiency table: P_RF * eta(P_RF dBm, PAPR).
 
@@ -209,7 +209,7 @@ def dc_power_table(model: EfficiencyTableModel, tones: EffectiveTones,
     p_rf = received_rf_power(tones)
     if p_rf == 0.0:
         return 0.0
-    ratio = papr(tones, grid, oversampling=oversampling)
+    ratio = papr(tones, grid)
     p_dbm = 10.0 * np.log10(p_rf / 1e-3)
     i, u, cp = _interp_axis(model.p_dbm, p_dbm)
     j, v, cq = _interp_axis(model.papr_axis, ratio)

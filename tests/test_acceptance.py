@@ -22,9 +22,10 @@ from wptsim import (ChannelModelParams, ChannelRealization, DiodeMomentModel,
                     WaveformWeights, dc_ceiling, dc_power_moment,
                     effective_tones, encode_feedback, feedback_bits,
                     frequency_response,
-                    gen_nested, gen_random, moments_by_averaging, run_session,
-                    sample_taps, smf_weights, stream, train_lloyd, up_weights,
-                    waveform_moments, received_rf_power)
+                    gen_nested, gen_random, moments_by_averaging,
+                    realize_channel, run_session, sample_taps, smf_weights,
+                    stream, train_lloyd, up_weights, waveform_moments,
+                    received_rf_power)
 import wptsim.rng as rngmod
 from wptsim.cli import main
 
@@ -38,10 +39,7 @@ def _report(criterion: int, ok: bool, detail: str) -> None:
 
 def _random_channel(seed, m, grid, pathloss_db=60.0):
     params = ChannelModelParams(pathloss_db=pathloss_db, seed=seed)
-    gen = stream(seed, rngmod.TAPS, 0)
-    taps = sample_taps(params, m, gen)
-    gains = frequency_response(taps, params, grid)
-    return ChannelRealization(m_antennas=m, grid=grid, gains=gains)
+    return realize_channel(params, m, grid)
 
 
 def test_criterion_01_moment_oracle():

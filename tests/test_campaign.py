@@ -1,6 +1,9 @@
 """Campaign harness: config parsing, CSV contracts, aggregation, determinism."""
 
+import dataclasses
+import hashlib
 import itertools
+import pathlib
 import re
 
 import numpy as np
@@ -11,7 +14,8 @@ from hypothesis import strategies as st
 from wptsim import (ALL_LOCATIONS, CampaignConfig, ConfigError, DomainError,
                     SummaryError, ToneGrid, db_gain, figure_config,
                     load_config, make_locations, run_campaign, summarize)
-from wptsim.campaign import DETAIL_HEADER, SUMMARY_HEADER, _channel_factory
+from wptsim.campaign import (DETAIL_HEADER, SUMMARY_HEADER, _KEYS,
+                             _channel_factory)
 
 
 def _mini_config(**overrides) -> CampaignConfig:
@@ -99,6 +103,77 @@ dir = somewhere
     assert cfg.seed == 9
 
 
+def test_key_table_covers_every_config_field():
+    fields = {f.name for f in dataclasses.fields(CampaignConfig)}
+    targets = [field for field, _ in _KEYS.values()]
+    assert len(targets) == len(set(targets))
+    assert set(targets) == fields
+
+
+# every config file key set away from its default: (raw text, loaded value)
+_NON_DEFAULT = {
+    ("campaign", "strategies"): ("LIMITED, UP", ("LIMITED", "UP")),
+    ("campaign", "antenna_counts"): ("2, 3", (2, 3)),
+    ("campaign", "tone_counts"): ("2", (2,)),
+    ("campaign", "codebook_sizes"): ("4, 8", (4, 8)),
+    ("campaign", "frames_per_location"): ("5", 5),
+    ("campaign", "seed"): ("7", 7),
+    ("grid", "center_frequency_hz"): ("5.8e9", 5.8e9),
+    ("grid", "bandwidth_hz"): ("20e6", 20e6),
+    ("power", "transmit_power_w"): ("1.5", 1.5),
+    ("channel", "n_taps"): ("4", 4),
+    ("channel", "tap_spacing_s"): ("5e-8", 5e-8),
+    ("channel", "pdp_decay"): ("0.5", 0.5),
+    ("channel", "n_locations"): ("6", 6),
+    ("channel", "pathloss_db_min"): ("50", 50.0),
+    ("channel", "pathloss_db_max"): ("65", 65.0),
+    ("channel", "resample_per_frame"): ("false", False),
+    ("rectifier", "model"): ("table", "table"),
+    ("rectifier", "k2"): ("0.2", 0.2),
+    ("rectifier", "k4"): ("20", 20.0),
+    ("rectifier", "alpha"): ("0.9", 0.9),
+    ("rectifier", "table_path"): ("eta.csv", "eta.csv"),
+    ("adc", "enabled"): ("true", True),
+    ("adc", "resolution_bits"): ("10", 10),
+    ("adc", "v_ref_v"): ("1.8", 1.8),
+    ("adc", "noise_sigma_v"): ("0.001", 0.001),
+    ("adc", "load_resistance_ohm"): ("1000", 1000.0),
+    ("link", "delivery_probability"): ("0.9", 0.9),
+    ("frame", "t_s_s"): ("0.02", 0.02),
+    ("frame", "t_frame_s"): ("3.0", 3.0),
+    ("codebook", "method"): ("random", "random"),
+    ("codebook", "training_channels"): ("500", 500),
+    ("codebook", "training_iters"): ("10", 10),
+    ("output", "dir"): ("elsewhere", "elsewhere"),
+}
+
+
+def test_load_config_sets_every_key(tmp_path):
+    assert set(_NON_DEFAULT) == set(_KEYS)
+    lines = []
+    for section in dict.fromkeys(section for section, _ in _NON_DEFAULT):
+        lines.append(f"[{section}]")
+        lines += [f"{key} = {raw}" for (s, key), (raw, _) in
+                  _NON_DEFAULT.items() if s == section]
+    path = tmp_path / "c.ini"
+    path.write_text("\n".join(lines) + "\n")
+    cfg = load_config(path)
+    default = CampaignConfig()
+    for section_key, (_, value) in _NON_DEFAULT.items():
+        field = _KEYS[section_key][0]
+        assert getattr(default, field) != value, field
+        assert getattr(cfg, field) == value, field
+
+
+def test_readme_config_block_is_the_default(tmp_path):
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## Campaign config format", 1)[1]
+    block = section.split("```ini\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "c.ini"
+    path.write_text(block)
+    assert load_config(path) == CampaignConfig()
+
+
 def test_load_config_rejects_unknown_section(tmp_path):
     path = tmp_path / "c.ini"
     path.write_text("[mystery]\nx = 1\n")
@@ -120,21 +195,12 @@ def test_load_config_reports_bad_value_with_location(tmp_path):
         load_config(path)
 
 
-def test_load_config_rejects_latency_beyond_shortest_wpt_phase(tmp_path):
-    # K=64 at t_s = 10 ms leaves t_p = 1.36 s of the 2 s frame; the check
-    # runs at load time, before any codebook is built
+def test_load_config_rejects_latency_key(tmp_path):
+    # feedback latency is not modeled, so a config cannot ask for it
     path = tmp_path / "c.ini"
-    text = "[campaign]\nstrategies = {}\ncodebook_sizes = 4, 64\n" \
-           "[link]\nlatency_s = {}\n"
-    path.write_text(text.format("UP, LIMITED", 1.3))
-    assert load_config(path).link_latency_s == 1.3
-    for latency in (1.36, 1.5, -0.1):
-        path.write_text(text.format("UP, LIMITED", latency))
-        with pytest.raises(ConfigError, match="latency"):
-            load_config(path)
-    # without LIMITED no feedback link runs, so latency is not checked
-    path.write_text(text.format("UP, SMF", 1.5))
-    assert load_config(path).link_latency_s == 1.5
+    path.write_text("[link]\nlatency_s = 0.0\n")
+    with pytest.raises(ConfigError, match="unknown key 'latency_s'"):
+        load_config(path)
 
 
 @pytest.mark.parametrize("section,key,field,value", [
@@ -283,6 +349,20 @@ def test_parallel_run_is_byte_identical(tmp_path):
     d2, s2 = run_campaign(cfg, out_dir=tmp_path / "b", jobs=5)
     assert open(d1, "rb").read() == open(d2, "rb").read()
     assert open(s1, "rb").read() == open(s2, "rb").read()
+
+
+def test_lloyd_campaign_golden_bytes(tmp_path):
+    # recorded from the inline tap-draw loop that realize_channel replaced
+    cfg = CampaignConfig(antenna_counts=(1, 2), tone_counts=(1, 4),
+                         codebook_sizes=(2, 4), n_locations=2,
+                         codebook_method="lloyd", training_channels=60,
+                         training_iters=5)
+    detail, summary = run_campaign(cfg, out_dir=tmp_path)
+    digests = [hashlib.sha256(open(p, "rb").read()).hexdigest()
+               for p in (detail, summary)]
+    assert digests == [
+        "46e9d554b06742cf769ef56e12cb78e3e371779a06e636f4ceef8ad4b1609475",
+        "303e5ceb61bc740c52c0d10643869894d97f7c044835f454d2ea152375969e32"]
 
 
 def _locations(cfg):

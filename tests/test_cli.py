@@ -1,5 +1,7 @@
 """Command line behavior: exit codes, artifacts, round trips."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -113,6 +115,16 @@ def test_codebook_train_writes_trained_book(tmp_path):
     book = load_codebook(out)
     assert book.k_codewords == 4
     assert "train_lloyd" in book.provenance
+
+
+def test_codebook_train_golden_bytes(tmp_path):
+    # recorded from the inline tap-draw loop that realize_channel replaced
+    out = tmp_path / "book.txt"
+    assert main(["codebook", "train", "--out", str(out), "--antennas", "2",
+                 "--tones", "2", "--size", "4", "--channels", "40",
+                 "--iters", "3"]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+        "cc1334341eea9266dfc64e817a71994304e61e3bb305cd32169343269e4152f9"
 
 
 def test_oracle_moments_passes(capsys):

@@ -42,8 +42,6 @@ def test_link_model_domain():
         LinkModel(delivery_probability=1.5)
     with pytest.raises(DomainError):
         LinkModel(delivery_probability=-0.1)
-    with pytest.raises(DomainError):
-        LinkModel(delivery_probability=0.5, latency=-1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -227,14 +225,6 @@ def test_run_frame_rejects_k_mismatch():
     with pytest.raises(ConfigError):
         run_frame(cfg, book, ch, model, None, LinkModel(), None,
                   stream(25, 6))
-
-
-def test_run_frame_rejects_latency_beyond_wpt_phase():
-    _, book, ch, model = _setup()
-    cfg = FrameConfig(k_codewords=4, t_s=0.010, t_frame=2.0)
-    slow = LinkModel(delivery_probability=1.0, latency=cfg.t_p)
-    with pytest.raises(ConfigError):
-        run_frame(cfg, book, ch, model, None, slow, None, stream(26, 6))
 
 
 def test_run_session_threads_fallback_state():
