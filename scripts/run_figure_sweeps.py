@@ -5,7 +5,7 @@ Writes out/figure-bf, out/figure-wf, out/figure-joint (detail.csv and
 summary.csv each).  The printed tables are the ALL rows only; per-location
 rows stay in the CSVs.
 
-Usage: python3 scripts/run_figure_sweeps.py [--jobs J] [--seed S]
+Usage: python3 scripts/run_figure_sweeps.py [--seed S]
 """
 
 import argparse
@@ -27,12 +27,11 @@ def print_all_rows(summary_path):
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--jobs", type=int, default=4)
     ap.add_argument("--seed", type=int, default=None)
     args = ap.parse_args(argv)
     for name in ("figure-bf", "figure-wf", "figure-joint"):
         config = figure_config(name, seed=args.seed)
-        detail, summary = run_campaign(config, jobs=args.jobs)
+        detail, summary = run_campaign(config)
         print(f"{name}: wrote {detail} and {summary}")
         print_all_rows(summary)
         print()

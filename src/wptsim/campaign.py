@@ -15,13 +15,12 @@ writes two artifacts:
 Determinism contract: all randomness is keyed by (seed, purpose, indices)
 Philox streams, work items are independent, and rows are sorted by the
 literal tuple (strategy, M, N, K, location, frame) before writing, so the
-bytes never depend on scheduling or the number of worker threads.  Floats
-are written with 6 significant digits ("%.6g"), gains with 4 decimals.
+bytes never depend on the order work items run in.  Floats are written
+with 6 significant digits ("%.6g"), gains with 4 decimals.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import configparser
 import os
 from dataclasses import dataclass
@@ -242,6 +241,10 @@ def load_config(path) -> CampaignConfig:
         parser.read(path)
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+    # configparser hides [DEFAULT] from sections() and copies its keys into
+    # every other section
+    if parser.defaults():
+        raise ConfigError(f"{path}: unknown section [{parser.default_section}]")
     sections = {section for section, _ in _KEYS}
     kwargs = {}
     for section in parser.sections():
@@ -319,17 +322,16 @@ def _build_codebooks(config: CampaignConfig, rect_model) -> dict:
     return books
 
 
-def _channel_factory(config: CampaignConfig, location, m: int, m_max: int,
+def _channel_factory(config: CampaignConfig, location, m: int,
                      grid: ToneGrid, cache: dict):
     """Per-frame channels; all sweep points at a location share the fade.
 
-    Taps are always drawn for the campaign's largest antenna count and the
-    first m rows are used, so smaller arrays see a subset of the same
-    physical channel rather than an unrelated draw.  The cache dict, one
-    per run and shared by its work items, holds each realization under
-    (location, fade index, M, N), so the strategies and codebook sizes
-    sweeping a location draw it once.  Two threads that miss together
-    compute the same value, so the race is harmless.
+    ``sample_taps`` draws antenna rows in order from one stream, so the
+    m-antenna taps are the first m rows of any larger array's draw and a
+    smaller array sees a subset of the same physical channel.  The cache
+    dict, one per run and shared by its work items, holds each realization
+    under (location, fade index, M, N), so the strategies and codebook
+    sizes sweeping a location draw it once.
     """
     def factory(frame: int) -> ChannelRealization:
         idx = frame if config.resample_per_frame else 0
@@ -337,7 +339,7 @@ def _channel_factory(config: CampaignConfig, location, m: int, m_max: int,
         if key in cache:
             return cache[key]
         gen = rngmod.stream(location.params.seed, rngmod.TAPS, idx)
-        taps = sample_taps(location.params, m_max, gen)[:m]
+        taps = sample_taps(location.params, m, gen)
         gains = frequency_response(taps, location.params, grid)
         channel = ChannelRealization(m_antennas=m, grid=grid, gains=gains,
                                      location_label=location.label)
@@ -347,12 +349,11 @@ def _channel_factory(config: CampaignConfig, location, m: int, m_max: int,
 
 
 def _run_item(config: CampaignConfig, rect_model, books, locations,
-              m_max: int, channels: dict, item) -> list[tuple]:
-    strategy, m, n, k, loc_idx = item
+              channels: dict, strategy: str, m: int, n: int, k: int,
+              loc_idx: int) -> list[tuple]:
     location = locations[loc_idx]
     grid = ToneGrid.centered(config.center_frequency_hz, config.bandwidth_hz, n)
-    channel_for = _channel_factory(config, location, m, m_max, grid,
-                                   channels)
+    channel_for = _channel_factory(config, location, m, grid, channels)
     rows = []
     if strategy == LIMITED:
         frame_cfg = FrameConfig(k_codewords=k, t_s=config.t_s,
@@ -391,12 +392,19 @@ def run_campaign(config: CampaignConfig, out_dir=None,
     Args:
         config: campaign description.
         out_dir: output directory; defaults to config.output_dir.
-        jobs: worker threads for independent work items; the output bytes
-            are identical for any value.
+        jobs: must be 1.  Work items run one after another in the calling
+            thread; the keyword stays only until the benchmark in
+            ``perfbench/workloads.py`` stops passing ``jobs=1``.
 
     Returns:
         (detail_path, summary_path).
+
+    Raises:
+        DomainError: jobs is not 1.
     """
+    if jobs != 1:
+        raise DomainError(f"run_campaign runs in one thread; jobs must be 1, "
+                          f"got {jobs!r}")
     out = str(out_dir) if out_dir is not None else config.output_dir
     os.makedirs(out, exist_ok=True)
     probe = os.path.join(out, ".write_probe")
@@ -412,32 +420,17 @@ def run_campaign(config: CampaignConfig, out_dir=None,
                                config.channel_template,
                                (config.pathloss_db_min, config.pathloss_db_max))
     books = _build_codebooks(config, rect_model)
-    m_max = max(config.antenna_counts)
 
-    items = []
+    rows = []
+    channels: dict = {}
     for strategy in config.strategies:
         sizes = config.codebook_sizes if strategy == LIMITED else (0,)
         for m in config.antenna_counts:
             for n in config.tone_counts:
                 for k in sizes:
                     for loc_idx in range(config.n_locations):
-                        items.append((strategy, m, n, k, loc_idx))
-
-    results: dict = {}
-    channels: dict = {}
-    if jobs <= 1:
-        for item in items:
-            results[item] = _run_item(config, rect_model, books, locations,
-                                      m_max, channels, item)
-    else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = {pool.submit(_run_item, config, rect_model, books,
-                                   locations, m_max, channels, item): item
-                       for item in items}
-            for fut in concurrent.futures.as_completed(futures):
-                results[futures[fut]] = fut.result()
-
-    rows = [row for item in items for row in results[item]]
+                        rows += _run_item(config, rect_model, books, locations,
+                                          channels, strategy, m, n, k, loc_idx)
     rows.sort(key=lambda r: (r[0], r[1], r[2], r[3], r[4], r[5]))
 
     detail_path = os.path.join(out, "detail.csv")

@@ -38,8 +38,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--config", required=True, help="campaign config file")
     sim.add_argument("--out", default=None,
                      help="output directory (overrides the config)")
-    sim.add_argument("--jobs", type=int, default=1,
-                     help="worker threads; output bytes do not depend on it")
 
     cb = sub.add_parser("codebook", help="generate or train a codebook file")
     cbsub = cb.add_subparsers(dest="codebook_command", required=True)
@@ -86,14 +84,13 @@ def _build_parser() -> argparse.ArgumentParser:
                                       "figure-joint"))
     swp.add_argument("--out", default=None,
                      help="output directory (default out/<name>)")
-    swp.add_argument("--jobs", type=int, default=1)
     swp.add_argument("--seed", type=int, default=None)
     return parser
 
 
 def _cmd_simulate(args) -> int:
     config = load_config(args.config)
-    detail, summary = run_campaign(config, out_dir=args.out, jobs=args.jobs)
+    detail, summary = run_campaign(config, out_dir=args.out)
     print(f"wrote {detail}")
     print(f"wrote {summary}")
     return 0
@@ -165,7 +162,7 @@ def _cmd_oracle_moments(args) -> int:
 
 def _cmd_sweep(args) -> int:
     config = figure_config(args.name, seed=args.seed)
-    detail, summary = run_campaign(config, out_dir=args.out, jobs=args.jobs)
+    detail, summary = run_campaign(config, out_dir=args.out)
     print(f"wrote {detail}")
     print(f"wrote {summary}")
     return 0

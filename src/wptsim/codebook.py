@@ -34,7 +34,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelRealization
 from .errors import CodebookIOError, DimensionError, DomainError
 from .rectenna import DiodeMomentModel
 from .strategies import SmfParams, smf_weights, up_weights

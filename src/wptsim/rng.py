@@ -5,7 +5,7 @@ keyed by an integer path: ``stream(seed, purpose, *indices)``.  Two calls
 with the same (seed, path) return generators that produce identical draws on
 every platform and in every process, and distinct paths give statistically
 independent streams.  This is what makes campaign output byte-reproducible
-regardless of execution order or parallelism.
+regardless of execution order.
 
 Concretely, the path is fed to ``numpy.random.SeedSequence(entropy=seed,
 spawn_key=path)`` and the resulting state keys a ``numpy.random.Philox``

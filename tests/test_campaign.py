@@ -8,8 +8,6 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from wptsim import (ALL_LOCATIONS, CampaignConfig, ConfigError, DomainError,
                     SummaryError, ToneGrid, db_gain, figure_config,
@@ -181,6 +179,19 @@ def test_load_config_rejects_unknown_section(tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize("text", [
+    "[DEFAULT]\nseed = 5\n",
+    "[DEFAULT]\nseed = 5\n[grid]\nbandwidth_hz = 1e6\n",
+])
+def test_load_config_rejects_default_section(tmp_path, text):
+    # configparser would otherwise drop the first file's seed silently and
+    # blame [grid] for the second file's
+    path = tmp_path / "c.ini"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=r"unknown section \[DEFAULT\]"):
+        load_config(path)
+
+
 def test_load_config_rejects_unknown_key(tmp_path):
     path = tmp_path / "c.ini"
     path.write_text("[campaign]\nwarp_speed = 9\n")
@@ -343,12 +354,46 @@ def test_rerun_is_byte_identical(tmp_path):
     assert open(s1, "rb").read() == open(s2, "rb").read()
 
 
-def test_parallel_run_is_byte_identical(tmp_path):
+def test_run_campaign_accepts_only_one_job(tmp_path):
     cfg = _mini_config()
+    with pytest.raises(DomainError, match="jobs"):
+        run_campaign(cfg, out_dir=tmp_path / "two", jobs=2)
     d1, s1 = run_campaign(cfg, out_dir=tmp_path / "a", jobs=1)
-    d2, s2 = run_campaign(cfg, out_dir=tmp_path / "b", jobs=5)
+    d2, s2 = run_campaign(cfg, out_dir=tmp_path / "b")
     assert open(d1, "rb").read() == open(d2, "rb").read()
     assert open(s1, "rb").read() == open(s2, "rb").read()
+
+
+def _lines_at(path, antenna_counts, tone_counts):
+    """The data lines of a detail or summary CSV at the given M and N."""
+    with open(path, encoding="ascii") as fh:
+        lines = fh.read().splitlines()[1:]
+    return [line for line in lines
+            if int(line.split(",")[1]) in antenna_counts
+            and int(line.split(",")[2]) in tone_counts]
+
+
+@pytest.mark.parametrize("method", ["nested", "random", "lloyd"])
+def test_sweep_point_rows_do_not_depend_on_other_points(tmp_path, method):
+    # each (strategy, M, N, K, location) draws from its own streams, so a
+    # campaign over fewer antenna or tone counts writes a subset of the
+    # lines of the full sweep
+    axis = (1, 2, 4)
+    training = dict(training_channels=40, training_iters=3)
+    extra = training if method == "lloyd" else {}
+
+    def run(antennas, tones, name):
+        cfg = _mini_config(antenna_counts=antennas, tone_counts=tones,
+                           codebook_method=method, **extra)
+        return run_campaign(cfg, out_dir=tmp_path / name)
+
+    full = run(axis, axis, "full")
+    for antennas, tones in [((1,), axis), (axis, (1,)), ((1, 2), (1, 2)),
+                            ((1, 4), (1, 4))]:
+        part = run(antennas, tones, f"m{antennas}-n{tones}")
+        for full_path, part_path in zip(full, part):
+            assert (_lines_at(part_path, antennas, tones)
+                    == _lines_at(full_path, antennas, tones))
 
 
 def test_lloyd_campaign_golden_bytes(tmp_path):
@@ -374,7 +419,6 @@ def _locations(cfg):
 def test_channel_cache_returns_uncached_draws(resample):
     cfg = _mini_config(antenna_counts=(1, 2, 4), tone_counts=(1, 8),
                        frames_per_location=3, resample_per_frame=resample)
-    m_max = max(cfg.antenna_counts)
     cache: dict = {}
     for _ in range(2):  # the second pass is served from the cache
         for location, m, n, frame in itertools.product(
@@ -382,9 +426,8 @@ def test_channel_cache_returns_uncached_draws(resample):
                 range(cfg.frames_per_location)):
             grid = ToneGrid.centered(cfg.center_frequency_hz,
                                      cfg.bandwidth_hz, n)
-            cached = _channel_factory(cfg, location, m, m_max, grid,
-                                      cache)(frame)
-            fresh = _channel_factory(cfg, location, m, m_max, grid, {})(frame)
+            cached = _channel_factory(cfg, location, m, grid, cache)(frame)
+            fresh = _channel_factory(cfg, location, m, grid, {})(frame)
             assert np.array_equal(cached.gains, fresh.gains)
             assert cached.location_label == fresh.location_label
     fades = cfg.frames_per_location if resample else 1

@@ -2,7 +2,6 @@
 
 import hashlib
 
-import numpy as np
 import pytest
 
 from wptsim import load_codebook
@@ -46,17 +45,6 @@ def test_simulate_out_overrides_config(tmp_path):
                  str(override)]) == 0
     assert (override / "detail.csv").exists()
     assert not (tmp_path / "ignored").exists()
-
-
-def test_simulate_jobs_do_not_change_bytes(tmp_path):
-    cfg = tmp_path / "c.ini"
-    cfg.write_text(MINI.format(out=tmp_path / "unused"))
-    a, b = tmp_path / "a", tmp_path / "b"
-    assert main(["simulate", "--config", str(cfg), "--out", str(a)]) == 0
-    assert main(["simulate", "--config", str(cfg), "--out", str(b),
-                 "--jobs", "4"]) == 0
-    assert (a / "detail.csv").read_bytes() == (b / "detail.csv").read_bytes()
-    assert (a / "summary.csv").read_bytes() == (b / "summary.csv").read_bytes()
 
 
 def test_simulate_missing_config_exits_1(tmp_path, capsys):
@@ -136,7 +124,7 @@ def test_oracle_moments_passes(capsys):
 
 def test_sweep_runs_pre_canned_config(tmp_path):
     out = tmp_path / "bf"
-    assert main(["sweep", "figure-bf", "--out", str(out), "--jobs", "2"]) == 0
+    assert main(["sweep", "figure-bf", "--out", str(out)]) == 0
     header = open(out / "detail.csv").readline().strip()
     assert header == DETAIL_HEADER
     body = open(out / "detail.csv").read()

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wptsim import (Codebook, CodebookIOError, DiodeMomentModel,
-                    DimensionError, DomainError, EfficiencyTableModel,
+                    DomainError, EfficiencyTableModel,
                     ToneGrid, WaveformWeights, dc_power_moment,
                     effective_tones, gen_nested, gen_random, load_codebook,
                     save_codebook, stream, train_lloyd, up_weights)

@@ -9,7 +9,7 @@ from wptsim import (AdcConfig, ConfigError, DiodeMomentModel, DomainError,
                     EfficiencyTableModel, FeedbackMsg, FrameConfig, LinkModel,
                     ProtocolError, ToneGrid, UP_FALLBACK, decode_feedback,
                     dc_power_moment, effective_tones, encode_feedback,
-                    gen_nested, gen_random, protocol, run_frame, run_session,
+                    gen_nested, protocol, run_frame, run_session,
                     run_training, stream, up_weights)
 
 from conftest import make_channel

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from wptsim import (ChannelRealization, DegenerateChannelError, DomainError,
                     SmfParams, ToneGrid, effective_tones, feedback_bits,
-                    received_rf_power, select_codeword, smf_weights, stream,
+                    received_rf_power, select_codeword, smf_weights,
                     up_weights)
 
 from conftest import make_channel

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wptsim import (ChannelRealization, DimensionError, DomainError,
-                    EffectiveTones, ToneGrid, WaveformWeights, ZeroWaveformError,
+from wptsim import (DimensionError, DomainError, EffectiveTones, ToneGrid,
+                    WaveformWeights, ZeroWaveformError,
                     effective_tones, moments_by_averaging, papr,
                     received_rf_power, rf_power_by_averaging, stream,
                     synthesize_transmit_waveform, waveform_moments)
