@@ -13,17 +13,19 @@ writes two artifacts:
   the same location (so every baseline row reads exactly 0 dB).
 
 Determinism contract: all randomness is keyed by (seed, purpose, indices)
-Philox streams, work items are independent, and rows are sorted by the
-literal tuple (strategy, M, N, K, location, frame) before writing, so the
-bytes never depend on the order work items run in.  Floats are written
-with 6 significant digits ("%.6g"), gains with 4 decimals.
+Philox streams, every sweep point draws from its own streams, and rows are
+sorted by the literal tuple (strategy, M, N, K, location, frame) before
+writing, so the bytes never depend on the order sweep points run in.
+Floats are written with 6 significant digits ("%.6g"), gains with 4
+decimals.
 """
 
 from __future__ import annotations
 
 import configparser
+import itertools
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -280,109 +282,53 @@ def _rect_model(config: CampaignConfig):
     return EfficiencyTableModel.from_csv(config.table_path)
 
 
-def _training_set(config: CampaignConfig, m: int, grid: ToneGrid) -> list:
-    """Training channels drawn from the campaign's channel family."""
-    params = ChannelModelParams(
-        n_taps=config.n_taps, tap_spacing_s=config.tap_spacing_s,
-        pdp_decay=config.pdp_decay,
+def _books(config: CampaignConfig, rect_model, m: int,
+           grid: ToneGrid) -> dict:
+    """The (M, N) codebook for every swept K, keyed deterministically by seed.
+
+    Lloyd books train on channels drawn from the campaign's channel family
+    at the midpoint of its pathloss range.
+    """
+    n, power = grid.n_tones, config.transmit_power_w
+    if config.codebook_method == "nested":
+        full = gen_nested(m, grid, power, max(config.codebook_sizes),
+                          rngmod.stream(config.seed, rngmod.CODEBOOK, m, n))
+        return {k: full.prefix(k) for k in config.codebook_sizes}
+    if config.codebook_method == "random":
+        return {k: gen_random(m, grid, power, k, rngmod.stream(
+                    config.seed, rngmod.CODEBOOK, m, n, k))
+                for k in config.codebook_sizes}
+    params = replace(
+        config.channel_template,
         pathloss_db=0.5 * (config.pathloss_db_min + config.pathloss_db_max),
-        seed=rngmod.derive_seed(config.seed, rngmod.TRAINING, m, grid.n_tones))
-    return [realize_channel(params, m, grid, frame=i)
-            for i in range(config.training_channels)]
+        seed=rngmod.derive_seed(config.seed, rngmod.TRAINING, m, n))
+    training = [realize_channel(params, m, grid, frame=i)
+                for i in range(config.training_channels)]
+    return {k: train_lloyd(training, k, rect_model,
+                           iters=config.training_iters,
+                           rng=rngmod.stream(config.seed, rngmod.TRAINING,
+                                             m, n, k),
+                           power=power)
+            for k in config.codebook_sizes}
 
 
-def _build_codebooks(config: CampaignConfig, rect_model) -> dict:
-    """One codebook per (M, N, K), keyed deterministically by the seed."""
-    books: dict = {}
-    if LIMITED not in config.strategies:
-        return books
-    k_max = max(config.codebook_sizes)
-    for m in config.antenna_counts:
-        for n in config.tone_counts:
-            grid = ToneGrid.centered(config.center_frequency_hz,
-                                     config.bandwidth_hz, n)
-            gen = rngmod.stream(config.seed, rngmod.CODEBOOK, m, n)
-            if config.codebook_method == "nested":
-                full = gen_nested(m, grid, config.transmit_power_w, k_max, gen)
-                for k in config.codebook_sizes:
-                    books[(m, n, k)] = full.prefix(k)
-            elif config.codebook_method == "random":
-                for k in config.codebook_sizes:
-                    books[(m, n, k)] = gen_random(
-                        m, grid, config.transmit_power_w, k,
-                        rngmod.stream(config.seed, rngmod.CODEBOOK, m, n, k))
-            else:  # lloyd
-                training = _training_set(config, m, grid)
-                for k in config.codebook_sizes:
-                    books[(m, n, k)] = train_lloyd(
-                        training, k, rect_model, iters=config.training_iters,
-                        rng=rngmod.stream(config.seed, rngmod.TRAINING,
-                                          m, n, k),
-                        power=config.transmit_power_w)
-    return books
-
-
-def _channel_factory(config: CampaignConfig, location, m: int,
-                     grid: ToneGrid, cache: dict):
-    """Per-frame channels; all sweep points at a location share the fade.
+def _fades(config: CampaignConfig, location, m: int, grid: ToneGrid) -> list:
+    """The channel of every frame at a location; all sweep points share it.
 
     ``sample_taps`` draws antenna rows in order from one stream, so the
     m-antenna taps are the first m rows of any larger array's draw and a
-    smaller array sees a subset of the same physical channel.  The cache
-    dict, one per run and shared by its work items, holds each realization
-    under (location, fade index, M, N), so the strategies and codebook
-    sizes sweeping a location draw it once.
+    smaller array sees a subset of the same physical channel.  Under block
+    fading one realization serves every frame.
     """
-    def factory(frame: int) -> ChannelRealization:
-        idx = frame if config.resample_per_frame else 0
-        key = (location.label, idx, m, grid.n_tones)
-        if key in cache:
-            return cache[key]
-        gen = rngmod.stream(location.params.seed, rngmod.TAPS, idx)
+    def draw(fade: int) -> ChannelRealization:
+        gen = rngmod.stream(location.params.seed, rngmod.TAPS, fade)
         taps = sample_taps(location.params, m, gen)
         gains = frequency_response(taps, location.params, grid)
-        channel = ChannelRealization(m_antennas=m, grid=grid, gains=gains,
-                                     location_label=location.label)
-        cache[key] = channel
-        return channel
-    return factory
-
-
-def _run_item(config: CampaignConfig, rect_model, books, locations,
-              channels: dict, strategy: str, m: int, n: int, k: int,
-              loc_idx: int) -> list[tuple]:
-    location = locations[loc_idx]
-    grid = ToneGrid.centered(config.center_frequency_hz, config.bandwidth_hz, n)
-    channel_for = _channel_factory(config, location, m, grid, channels)
-    rows = []
-    if strategy == LIMITED:
-        frame_cfg = FrameConfig(k_codewords=k, t_s=config.t_s,
-                                t_frame=config.t_frame)
-        gen = rngmod.stream(config.seed, rngmod.SESSION,
-                            _STRATEGY_IDS[strategy], m, n, k, loc_idx)
-        reports = run_session(frame_cfg, books[(m, n, k)], channel_for,
-                              rect_model, config.adc_config(),
-                              config.link_model(),
-                              config.frames_per_location, gen)
-        for r in reports:
-            rows.append((strategy, m, n, k, location.label, r.frame_id,
-                         r.p_dc_wpt, r.p_rf_wpt, r.selected_index,
-                         r.applied_index, int(r.feedback_delivered),
-                         r.energy_training, r.energy_wpt))
-    else:
-        smf_params = SmfParams(beta=3.0, power_budget=config.transmit_power_w)
-        for frame in range(config.frames_per_location):
-            ch = channel_for(frame)
-            if strategy == UP:
-                w = up_weights(m, grid, config.transmit_power_w)
-            else:
-                w = smf_weights(ch, smf_params)
-            tones = effective_tones(ch, w)
-            p_dc = _dc_power(rect_model, tones, grid)
-            p_rf = received_rf_power(tones)
-            rows.append((strategy, m, n, 0, location.label, frame, p_dc, p_rf,
-                         0, 0, 1, 0.0, p_dc * config.t_frame))
-    return rows
+        return ChannelRealization(m_antennas=m, grid=grid, gains=gains,
+                                  location_label=location.label)
+    if config.resample_per_frame:
+        return [draw(frame) for frame in range(config.frames_per_location)]
+    return [draw(0)] * config.frames_per_location
 
 
 def run_campaign(config: CampaignConfig, out_dir=None,
@@ -392,8 +338,8 @@ def run_campaign(config: CampaignConfig, out_dir=None,
     Args:
         config: campaign description.
         out_dir: output directory; defaults to config.output_dir.
-        jobs: must be 1.  Work items run one after another in the calling
-            thread; the keyword stays only until the benchmark in
+        jobs: must be 1.  The campaign runs in the calling thread; the
+            keyword stays only until the benchmark in
             ``perfbench/workloads.py`` stops passing ``jobs=1``.
 
     Returns:
@@ -401,6 +347,9 @@ def run_campaign(config: CampaignConfig, out_dir=None,
 
     Raises:
         DomainError: jobs is not 1.
+        ConfigError: the ADC is on and reads 0 V for every LIMITED training
+            measurement, so every frame would pick codeword 1.  No CSV is
+            written then.
     """
     if jobs != 1:
         raise DomainError(f"run_campaign runs in one thread; jobs must be 1, "
@@ -419,18 +368,53 @@ def run_campaign(config: CampaignConfig, out_dir=None,
     locations = make_locations(config.n_locations, config.seed,
                                config.channel_template,
                                (config.pathloss_db_min, config.pathloss_db_max))
-    books = _build_codebooks(config, rect_model)
-
+    smf_params = SmfParams(beta=3.0, power_budget=config.transmit_power_w)
+    adc_reads_signal = False
     rows = []
-    channels: dict = {}
-    for strategy in config.strategies:
-        sizes = config.codebook_sizes if strategy == LIMITED else (0,)
-        for m in config.antenna_counts:
-            for n in config.tone_counts:
-                for k in sizes:
-                    for loc_idx in range(config.n_locations):
-                        rows += _run_item(config, rect_model, books, locations,
-                                          channels, strategy, m, n, k, loc_idx)
+    for m, n in itertools.product(config.antenna_counts, config.tone_counts):
+        grid = ToneGrid.centered(config.center_frequency_hz,
+                                 config.bandwidth_hz, n)
+        books = (_books(config, rect_model, m, grid)
+                 if LIMITED in config.strategies else {})
+        for loc_idx, location in enumerate(locations):
+            fades = _fades(config, location, m, grid)
+            for strategy in config.strategies:
+                if strategy == LIMITED:
+                    for k, book in books.items():
+                        frame_cfg = FrameConfig(k_codewords=k, t_s=config.t_s,
+                                                t_frame=config.t_frame)
+                        gen = rngmod.stream(config.seed, rngmod.SESSION,
+                                            _STRATEGY_IDS[LIMITED], m, n, k,
+                                            loc_idx)
+                        for r in run_session(frame_cfg, book,
+                                             fades.__getitem__, rect_model,
+                                             config.adc_config(),
+                                             config.link_model(),
+                                             config.frames_per_location, gen):
+                            adc_reads_signal |= any(r.measurements)
+                            rows.append((LIMITED, m, n, k, location.label,
+                                         r.frame_id, r.p_dc_wpt, r.p_rf_wpt,
+                                         r.selected_index, r.applied_index,
+                                         int(r.feedback_delivered),
+                                         r.energy_training, r.energy_wpt))
+                    continue
+                for frame, ch in enumerate(fades):
+                    if strategy == UP:
+                        w = up_weights(m, grid, config.transmit_power_w)
+                    else:
+                        w = smf_weights(ch, smf_params)
+                    tones = effective_tones(ch, w)
+                    p_dc = _dc_power(rect_model, tones, grid)
+                    rows.append((strategy, m, n, 0, location.label, frame,
+                                 p_dc, received_rf_power(tones), 0, 0, 1, 0.0,
+                                 p_dc * config.t_frame))
+    if config.adc_enabled and LIMITED in config.strategies \
+            and not adc_reads_signal:
+        raise ConfigError(
+            f"every LIMITED training reading is 0 V: the "
+            f"{config.adc_resolution_bits}-bit ADC (v_ref {config.adc_v_ref} "
+            f"V, load {config.adc_load_resistance} ohm) resolves none of the "
+            f"harvested dc levels, so every frame would select codeword 1")
     rows.sort(key=lambda r: (r[0], r[1], r[2], r[3], r[4], r[5]))
 
     detail_path = os.path.join(out, "detail.csv")

@@ -125,11 +125,18 @@ def _cmd_codebook(args) -> int:
     return 0
 
 
-def _cmd_oracle_moments(args) -> int:
+def oracle_moment_errors(seed: int, cases: int) -> tuple[float, float]:
+    """Worst relative errors (m2, m4) of the closed forms over random cases.
+
+    Case i draws its tone and antenna counts, a commensurate carrier, a
+    channel and weights at a random power budget from the stream (seed,
+    ORACLE, i), then compares ``waveform_moments`` with the time averages
+    of ``timedomain.moments_by_averaging``.
+    """
     worst_m2 = 0.0
     worst_m4 = 0.0
-    for case in range(args.cases):
-        gen = rngmod.stream(args.seed, rngmod.ORACLE, case)
+    for case in range(cases):
+        gen = rngmod.stream(seed, rngmod.ORACLE, case)
         n = int(gen.integers(1, 9))
         m = int(gen.integers(1, 5))
         bandwidth = 10e6
@@ -153,6 +160,11 @@ def _cmd_oracle_moments(args) -> int:
         ref2, ref4 = moments_by_averaging(tones, grid)
         worst_m2 = max(worst_m2, abs(m2 - ref2) / ref2)
         worst_m4 = max(worst_m4, abs(m4 - ref4) / ref4)
+    return worst_m2, worst_m4
+
+
+def _cmd_oracle_moments(args) -> int:
+    worst_m2, worst_m4 = oracle_moment_errors(args.seed, args.cases)
     ok = worst_m2 < 1e-6 and worst_m4 < 1e-6
     status = "PASS" if ok else "FAIL"
     print(f"{status}: {args.cases} cases, max relative error "

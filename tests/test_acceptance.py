@@ -18,15 +18,13 @@ import numpy as np
 
 from wptsim import (ChannelModelParams, ChannelRealization, DiodeMomentModel,
                     ConfigError, FrameConfig, LinkModel, SmfParams, ToneGrid,
-                    WaveformWeights, dc_ceiling, dc_power_moment,
-                    effective_tones, encode_feedback, feedback_bits,
-                    frequency_response,
-                    gen_nested, gen_random, moments_by_averaging,
-                    realize_channel, run_session, sample_taps, smf_weights,
-                    stream, train_lloyd, up_weights, waveform_moments,
+                    dc_ceiling, dc_power_moment, effective_tones,
+                    encode_feedback, feedback_bits, frequency_response,
+                    gen_nested, gen_random, realize_channel, run_session,
+                    sample_taps, smf_weights, stream, train_lloyd, up_weights,
                     received_rf_power)
 import wptsim.rng as rngmod
-from wptsim.cli import main
+from wptsim.cli import main, oracle_moment_errors
 
 _SUITE_START = time.perf_counter()
 
@@ -44,24 +42,8 @@ def _random_channel(seed, m, grid, pathloss_db=60.0):
 def test_criterion_01_moment_oracle():
     """Closed-form m2/m4 vs dense time averages, 100 cases, 1e-6 relative."""
     start = time.perf_counter()
-    worst = 0.0
     cases = 100
-    for case in range(cases):
-        gen = stream(9100, rngmod.ORACLE, case)
-        n = int(gen.integers(1, 9))
-        m = int(gen.integers(1, 5))
-        grid = ToneGrid.centered(2.4e9, 10e6, n)
-        ch = _random_channel(int(gen.integers(0, 2 ** 31)), m, grid,
-                             pathloss_db=float(gen.uniform(0.0, 30.0)))
-        raw = gen.normal(size=(m, n)) + 1j * gen.normal(size=(m, n))
-        power = float(gen.uniform(0.5, 4.0))
-        raw *= np.sqrt(2.0 * power / np.sum(np.abs(raw) ** 2))
-        weights = WaveformWeights(m_antennas=m, n_tones=n, weights=raw,
-                                  power_budget=power)
-        tones = effective_tones(ch, weights)
-        m2, m4 = waveform_moments(tones, grid)
-        ref2, ref4 = moments_by_averaging(tones, grid, oversampling=32)
-        worst = max(worst, abs(m2 - ref2) / ref2, abs(m4 - ref4) / ref4)
+    worst = max(oracle_moment_errors(9100, cases))
     elapsed = time.perf_counter() - start
     ok = worst < 1e-6 and elapsed <= 30.0
     _report(1, ok, f"max rel err {worst:.3e} over {cases} cases "

@@ -10,10 +10,9 @@ import numpy as np
 import pytest
 
 from wptsim import (ALL_LOCATIONS, CampaignConfig, ConfigError, DomainError,
-                    SummaryError, ToneGrid, db_gain, figure_config,
-                    load_config, make_locations, run_campaign, summarize)
-from wptsim.campaign import (DETAIL_HEADER, SUMMARY_HEADER, _KEYS,
-                             _channel_factory)
+                    SummaryError, db_gain, figure_config, load_config,
+                    run_campaign, summarize)
+from wptsim.campaign import DETAIL_HEADER, SUMMARY_HEADER, _KEYS
 
 
 def _mini_config(**overrides) -> CampaignConfig:
@@ -410,32 +409,8 @@ def test_lloyd_campaign_golden_bytes(tmp_path):
         "303e5ceb61bc740c52c0d10643869894d97f7c044835f454d2ea152375969e32"]
 
 
-def _locations(cfg):
-    return make_locations(cfg.n_locations, cfg.seed, cfg.channel_template,
-                          (cfg.pathloss_db_min, cfg.pathloss_db_max))
-
-
 @pytest.mark.parametrize("resample", [True, False])
-def test_channel_cache_returns_uncached_draws(resample):
-    cfg = _mini_config(antenna_counts=(1, 2, 4), tone_counts=(1, 8),
-                       frames_per_location=3, resample_per_frame=resample)
-    cache: dict = {}
-    for _ in range(2):  # the second pass is served from the cache
-        for location, m, n, frame in itertools.product(
-                _locations(cfg), cfg.antenna_counts, cfg.tone_counts,
-                range(cfg.frames_per_location)):
-            grid = ToneGrid.centered(cfg.center_frequency_hz,
-                                     cfg.bandwidth_hz, n)
-            cached = _channel_factory(cfg, location, m, grid, cache)(frame)
-            fresh = _channel_factory(cfg, location, m, grid, {})(frame)
-            assert np.array_equal(cached.gains, fresh.gains)
-            assert cached.location_label == fresh.location_label
-    fades = cfg.frames_per_location if resample else 1
-    assert len(cache) == (cfg.n_locations * fades * len(cfg.antenna_counts)
-                          * len(cfg.tone_counts))
-
-
-def test_campaign_draws_each_channel_once(tmp_path, monkeypatch):
+def test_campaign_draws_each_channel_once(tmp_path, monkeypatch, resample):
     from wptsim import campaign
     calls = []
     original = campaign.frequency_response
@@ -444,11 +419,50 @@ def test_campaign_draws_each_channel_once(tmp_path, monkeypatch):
         calls.append(1)
         return original(*args, **kwargs)
     monkeypatch.setattr(campaign, "frequency_response", counting)
-    cfg = _mini_config()
-    run_campaign(cfg, out_dir=tmp_path)
-    # UP, SMF and both codebook sizes share every (location, frame, M, N)
-    assert len(calls) == (cfg.n_locations * cfg.frames_per_location
-                          * len(cfg.antenna_counts) * len(cfg.tone_counts))
+    cfg = _mini_config(resample_per_frame=resample)
+    detail, _ = run_campaign(cfg, out_dir=tmp_path)
+    # UP, SMF and both codebook sizes share every (location, fade, M, N)
+    fades = cfg.frames_per_location if resample else 1
+    assert len(calls) == (cfg.n_locations * fades * len(cfg.antenna_counts)
+                          * len(cfg.tone_counts))
+    if not resample:
+        # block fading: UP sees one channel in every frame
+        p_dc = {}
+        for line in open(detail).read().splitlines()[1:]:
+            parts = line.split(",")
+            if parts[0] == "UP":
+                p_dc.setdefault(tuple(parts[1:5]), set()).add(parts[6])
+        assert len(p_dc) == (cfg.n_locations * len(cfg.antenna_counts)
+                             * len(cfg.tone_counts))
+        assert all(len(values) == 1 for values in p_dc.values())
+
+
+def _adc_config(load_resistance):
+    return CampaignConfig(antenna_counts=(1, 2), tone_counts=(1, 2),
+                          codebook_sizes=(2, 4), n_locations=3,
+                          adc_enabled=True,
+                          adc_load_resistance=load_resistance)
+
+
+def test_adc_reading_zero_everywhere_is_rejected(tmp_path):
+    # at the default 5 kohm load the harvested dc stays far below one
+    # 12-bit LSB, so every reading is code 0 and every frame would pick
+    # codeword 1: LIMITED would silently become UP
+    with pytest.raises(ConfigError, match=r"12-bit ADC \(v_ref 3\.3 V, "
+                                          r"load 5000\.0 ohm\)"):
+        run_campaign(_adc_config(5000.0), out_dir=tmp_path)
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_adc_reading_above_zero_writes_csvs(tmp_path):
+    # at 1e8 ohm some codes read above zero (11 of the 72 LIMITED frames
+    # select a codeword other than 1)
+    detail, summary = run_campaign(_adc_config(1e8), out_dir=tmp_path)
+    selected = {line.split(",")[8]
+                for line in open(detail).read().splitlines()[1:]
+                if line.startswith("LIMITED,")}
+    assert selected - {"1"}
+    assert open(summary).read().startswith(SUMMARY_HEADER)
 
 
 def test_seed_changes_output(tmp_path):

@@ -1,6 +1,7 @@
-"""Every top-level import of a package or test module is used."""
+"""Every top-level import is used, and every benchmark trace point exists."""
 
 import ast
+import importlib
 import pathlib
 
 import pytest
@@ -39,3 +40,24 @@ def test_scan_finds_an_unused_import():
                          ids=[str(p.relative_to(_ROOT)) for p in _MODULES])
 def test_module_has_no_unused_import(path):
     assert _unused_imports(path.read_text()) == []
+
+
+def _span_targets() -> tuple:
+    """The benchmark tracer's TARGETS, read from its source, not imported."""
+    tree = ast.parse((_ROOT / "perfbench" / "spans.py").read_text())
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and [t.id for t in node.targets] == ["TARGETS"]):
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/spans.py defines no TARGETS")
+
+
+def test_benchmark_trace_points_resolve():
+    # the tracer wraps each (module, attribute) by name; a refactor that
+    # stops looking a function up there would leave its span unrecorded
+    targets = _span_targets()
+    assert targets
+    missing = [f"{module}.{attr}" for _, module, attr in targets
+               if not callable(getattr(importlib.import_module(module), attr,
+                                       None))]
+    assert missing == []
