@@ -1,0 +1,95 @@
+#!/usr/bin/env python3
+"""Layer timing of the moment kernel; writes BENCH_kernel.json.
+
+Two layer rows, on random complex amplitudes and channel gains:
+
+* ``waveform.tone_moments`` for N in {1, 2, 4, 8} tones and a batch of C in
+  {1, 64, 192, 1000} waveforms.  C = 1 is one waveform of shape (N,), as
+  ``waveform_moments`` passes it; 192 is one campaign session's sweep
+  (3 frames x 64 codewords); 1000 is one Lloyd column.
+* ``codebook._dc_and_grad`` at M=4, N=8 on one segment of 1000 channels,
+  the step Lloyd's UPDATE repeats.
+
+Each row is the median over --repeat timings of --number calls, in
+microseconds per call.  The file's header names the numpy and Python
+versions, since the kernel's speed and its summation order both come from
+numpy.
+
+Usage: python3 scripts/bench_kernel.py [--out BENCH_kernel.json]
+       [--repeat 15] [--number 20] [--seed 7]
+"""
+
+import argparse
+import json
+import platform
+import statistics
+import sys
+from timeit import Timer
+
+import numpy as np
+
+from wptsim import DiodeMomentModel
+from wptsim.codebook import _dc_and_grad, _sphere
+from wptsim.waveform import tone_moments
+
+TONES = (1, 2, 4, 8)
+BATCHES = (1, 64, 192, 1000)
+
+
+def complex_normal(gen, shape):
+    return gen.standard_normal(shape) + 1j * gen.standard_normal(shape)
+
+
+def median_us(fn, repeat, number):
+    runs = Timer(fn).repeat(repeat=repeat, number=number)
+    return 1e6 * statistics.median(runs) / number
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__)
+    ap.add_argument("--out", default="BENCH_kernel.json")
+    ap.add_argument("--repeat", type=int, default=15)
+    ap.add_argument("--number", type=int, default=20)
+    ap.add_argument("--seed", type=int, default=7)
+    args = ap.parse_args(argv)
+    if args.repeat < 1 or args.number < 1:
+        ap.error("--repeat and --number must be >= 1")
+
+    gen = np.random.default_rng(args.seed)
+    rows = []
+    for n in TONES:
+        for c in BATCHES:
+            a = complex_normal(gen, (n,) if c == 1 else (c, n))
+            rows.append({"layer": "waveform.tone_moments", "n_tones": n,
+                         "batch": c,
+                         "median_us": median_us(lambda: tone_moments(a),
+                                                args.repeat, args.number)})
+    m, n, c = 4, 8, 1000
+    gains = complex_normal(gen, (c, m, n))
+    words = _sphere(complex_normal(gen, (1, m, n)), 1.0)
+    bounds = np.array([[0, c]])
+    model = DiodeMomentModel()
+    rows.append({"layer": "codebook._dc_and_grad", "m_antennas": m,
+                 "n_tones": n, "batch": c,
+                 "median_us": median_us(
+                     lambda: _dc_and_grad(gains, words, bounds, model),
+                     args.repeat, args.number)})
+
+    report = {"benchmark": "kernel", "numpy": np.__version__,
+              "python": platform.python_version(),
+              "platform": platform.platform(), "seed": args.seed,
+              "repeat": args.repeat, "number": args.number, "rows": rows}
+    with open(args.out, "w", encoding="utf-8") as fh:
+        json.dump(report, fh, indent=1)
+        fh.write("\n")
+    print(f"# numpy {report['numpy']}, Python {report['python']}")
+    for row in rows:
+        shape = (f"M={row['m_antennas']} " if "m_antennas" in row else "") \
+            + f"N={row['n_tones']} C={row['batch']}"
+        print(f"{row['layer']:<24} {shape:<18} {row['median_us']:10.1f} us")
+    print(f"wrote {args.out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

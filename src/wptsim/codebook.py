@@ -38,7 +38,7 @@ from .errors import CodebookIOError, DimensionError, DomainError
 from .rectenna import DiodeMomentModel
 from .strategies import SmfParams, smf_weights, up_weights
 from .waveform import (ToneGrid, WaveformWeights, autoconvolution,
-                       tone_moments)
+                       m4_gradient, tone_moments)
 
 _POWER_REL_TOL = 1e-9
 _MAX_HALVINGS = 40      # step halvings a line search tries before giving up
@@ -175,6 +175,8 @@ def _dc_and_grad(gains: np.ndarray, words: np.ndarray, bounds,
     d m2/d conj(a_p) = a_p / 2 and
     d m4/d conj(a_p) = (3/4) sum_q conj(a_q) c_{p+q} with c the
     autoconvolution of a; the chain rule multiplies by conj(h[m,p]).
+    autoconvolution and m4_gradient run tone-major over all rows at once
+    and equal a per-row evaluation to the last bit.
 
     Returns:
         (means, grads) of shapes (S,) and (S, M, N) for S segments.
@@ -190,10 +192,7 @@ def _dc_and_grad(gains: np.ndarray, words: np.ndarray, bounds,
     m2, m4 = tone_moments(a, conv)
     z = model.proxy(m2, m4)
     dc = model.dc(m2, m4)
-    dm4 = np.empty_like(a)
-    a_conj = np.conj(a)
-    for p in range(n):
-        dm4[:, p] = 0.75 * np.sum(a_conj * conv[:, p:p + n], axis=1)
+    dm4 = m4_gradient(a, conv)
     dz = model.proxy(0.5 * a, dm4)
     ddc = (2.0 * model.alpha) * z[:, None] * dz
     means = np.empty(len(rows) - 1)

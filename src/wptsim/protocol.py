@@ -132,20 +132,26 @@ def _dc_power(rect_model, tones, grid) -> float:
     return dc_power_table(rect_model, tones, grid)
 
 
-def _codeword_dc(codebook: Codebook, channel: ChannelRealization,
-                 rect_model) -> list[float]:
-    if (codebook.m_antennas, codebook.n_tones) != \
-            (channel.m_antennas, channel.grid.n_tones):
-        raise DimensionError(
-            f"codebook ({codebook.m_antennas}, {codebook.n_tones}) vs channel "
-            f"({channel.m_antennas}, {channel.grid.n_tones})")
+def _codeword_dc(codebook: Codebook, channels,
+                 rect_model) -> list[list[float]]:
+    """dc power of every codeword on every channel, as [channel][codeword]."""
+    for channel in channels:
+        if (codebook.m_antennas, codebook.n_tones) != \
+                (channel.m_antennas, channel.grid.n_tones):
+            raise DimensionError(
+                f"codebook ({codebook.m_antennas}, {codebook.n_tones}) vs "
+                f"channel ({channel.m_antennas}, {channel.grid.n_tones})")
     if isinstance(rect_model, DiodeMomentModel):
-        # all K codewords at once: (K, M, N) weights -> (K, N) tones
-        tones = np.sum(channel.gains * codebook.stacked, axis=1)
+        # all channels x K codewords in one moment call.  Each channel's
+        # (K, N) tones are formed alone, as in its own sweep: at M=N=K=1
+        # that multiply has one element and numpy rounds it without the
+        # fused multiply-add that a broadcast (F, K, M, N) product uses
+        tones = np.stack([np.sum(ch.gains * codebook.stacked, axis=1)
+                          for ch in channels])
         return rect_model.dc(*tone_moments(tones)).tolist()
-    return [dc_power_table(rect_model, effective_tones(channel, e),
-                           channel.grid)
-            for e in codebook.entries]
+    return [[dc_power_table(rect_model, effective_tones(ch, e), ch.grid)
+             for e in codebook.entries]
+            for ch in channels]
 
 
 def _readings(dcs: list[float], adc: AdcConfig | None,
@@ -163,7 +169,8 @@ def run_training(codebook: Codebook, channel: ChannelRealization, rect_model,
     With an AdcConfig the reading is the quantized voltage from measure_dc;
     with adc=None ("ideal" mode) it is the raw dc power in watts.
     """
-    return _readings(_codeword_dc(codebook, channel, rect_model), adc, rng)
+    return _readings(_codeword_dc(codebook, [channel], rect_model)[0], adc,
+                     rng)
 
 
 def _applied_weights(codebook: Codebook, applied_index: int,
@@ -177,12 +184,15 @@ def run_frame(config: FrameConfig, codebook: Codebook,
               channel: ChannelRealization, rect_model,
               adc: AdcConfig | None, link: LinkModel,
               fallback_state: int | None, rng: np.random.Generator,
-              frame_id: int = 0) -> FrameReport:
+              frame_id: int = 0, sweep: list[float] | None = None
+              ) -> FrameReport:
     """One closed-loop frame on a constant channel.
 
     Args:
         fallback_state: applied_index of the previous frame, or None on the
             first frame (then the fallback is the UP codeword, marker 0).
+        sweep: the K codewords' dc powers on this channel when the caller
+            already holds them, as run_session does for all its frames.
 
     Returns:
         FrameReport; energy_total is exactly energy_training + energy_wpt.
@@ -192,7 +202,8 @@ def run_frame(config: FrameConfig, codebook: Codebook,
             f"config expects K={config.k_codewords}, codebook has "
             f"{codebook.k_codewords}")
     # the training energy needs the dc levels themselves, not the readings
-    dcs = _codeword_dc(codebook, channel, rect_model)
+    dcs = (_codeword_dc(codebook, [channel], rect_model)[0]
+           if sweep is None else sweep)
     measurements = _readings(dcs, adc, rng)
     k_star = select_codeword(measurements)
     msg = encode_feedback(k_star, codebook.k_codewords, frame_id=frame_id)
@@ -224,21 +235,32 @@ def run_session(config: FrameConfig, codebook: Codebook, channel_source,
                 n_frames: int, rng: np.random.Generator) -> list[FrameReport]:
     """n_frames closed-loop frames with the fallback state threaded through.
 
+    The session sweeps the codebook on all its channels in one batch and
+    hands each frame its row; a row equals the frame's own sweep to the
+    last bit, so the reports equal those of run_frame called frame by
+    frame.
+
     Args:
         channel_source: a ChannelRealization used for every frame, or a
             callable frame_index -> ChannelRealization for evolving fades.
-        link: one LinkModel for all frames, or a sequence of per-frame
-            LinkModels (scripted loss patterns).
+        link: one LinkModel for all frames, or a list or tuple of exactly
+            n_frames per-frame LinkModels (scripted loss patterns).
     """
     if n_frames < 1:
         raise DomainError(f"n_frames must be >= 1, got {n_frames}")
+    if isinstance(link, (list, tuple)) and len(link) != n_frames:
+        raise DomainError(
+            f"{len(link)} scripted links for {n_frames} frames")
+    channels = [channel_source(i) if callable(channel_source)
+                else channel_source for i in range(n_frames)]
+    sweeps = _codeword_dc(codebook, channels, rect_model)
     reports = []
     fallback: int | None = None
-    for i in range(n_frames):
-        ch = channel_source(i) if callable(channel_source) else channel_source
+    for i, (ch, sweep) in enumerate(zip(channels, sweeps)):
         frame_link = link[i] if isinstance(link, (list, tuple)) else link
         report = run_frame(config, codebook, ch, rect_model, adc, frame_link,
-                           fallback_state=fallback, rng=rng, frame_id=i)
+                           fallback_state=fallback, rng=rng, frame_id=i,
+                           sweep=sweep)
         reports.append(report)
         fallback = report.applied_index
     return reports

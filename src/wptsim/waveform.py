@@ -27,6 +27,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DimensionError, DomainError, ZeroWaveformError
 
@@ -207,24 +208,79 @@ def received_rf_power(tones: EffectiveTones) -> float:
     return 0.5 * float(np.sum(np.abs(tones.amplitudes) ** 2))
 
 
+def pairwise_sum(terms: np.ndarray) -> np.ndarray:
+    """Sum of the complex terms[0] + ... + terms[L-1] in numpy's order.
+
+    np.add.reduce over a contiguous last axis of L complex terms adds them
+    pairwise (``pairwise_sum`` in numpy's ``loops_utils.h.src``): fewer
+    than 4 terms in order; 4 to 64 terms in 4 lanes, lane j taking terms
+    j, j+4, ..., combined as (r0 + r1) + (r2 + r3), then the remainder
+    in order; past 64 terms the first (L - L % 8) // 2 and the rest
+    summed apart and added.  The reduction then adds that to its identity
+    +0.0, which only turns a -0.0 sum into +0.0.  Here each term is a
+    whole array, so one elementwise add serves a batch, and the result
+    equals np.add.reduce(np.moveaxis(terms, 0, -1), axis=-1) bit for bit.
+
+    Args:
+        terms: complex array of shape (L, ...), L >= 1, summed over axis 0.
+    """
+    return _pairwise(terms) + 0.0
+
+
+def _pairwise(terms):
+    n = len(terms)
+    if n < 4:
+        s = terms[0]
+        for i in range(1, n):
+            s = s + terms[i]
+        return s
+    if n > 64:
+        half = (n - n % 8) // 2
+        return _pairwise(terms[:half]) + _pairwise(terms[half:])
+    stop = n - n % 4
+    lanes = terms[0:4]
+    for i in range(4, stop, 4):
+        lanes = lanes + terms[i:i + 4]
+    lanes = lanes[0::2] + lanes[1::2]
+    s = lanes[0] + lanes[1]
+    for i in range(stop, n):
+        s = s + terms[i]
+    return s
+
+
 def autoconvolution(a: np.ndarray) -> np.ndarray:
     """Autoconvolution c_k = sum_{n1+n2=k} a_n1 a_n2 along the last axis.
 
-    Amplitudes of shape (..., N) give shape (..., 2N-1).  Each diagonal k is
-    summed by one numpy reduction over n1 in increasing order, so a batch
-    row and the same amplitudes evaluated alone agree to the last bit.
-    Other formulations (np.convolve, an FFT, a zero-padded gather) round
+    Amplitudes of shape (..., N) give a C-ordered array of shape
+    (..., 2N-1).  The kernel is tone-major: the amplitudes are copied to a
+    contiguous (N, ...) array, every product a_n1 a_n2 is one elementwise
+    multiply over the whole batch, and each diagonal k is summed over n1
+    in increasing order as pairwise_sum adds.  It equals a per-diagonal
+    np.add.reduce over the last axis bit for bit, so a batch row and the
+    same amplitudes evaluated alone agree to the last bit.  Other
+    formulations (np.convolve, an FFT, a zero-padded gather) round
     differently, and a last-bit change can move a codeword selection.
+    The result must stay C-ordered: tone_moments sums |c_k|^2 along the
+    last axis, and numpy adds a strided axis in another order.
     """
-    n = a.shape[-1]
-    out = np.empty(a.shape[:-1] + (2 * n - 1,), dtype=complex)
+    # .T reverses every axis: the tones come first, the batch axes follow
+    # in reverse, and the closing .T puts them back in place
+    at = np.ascontiguousarray(a.T)
+    n = at.shape[0]
+    # term i of diagonal k is at[i] * at[k - i], in that operand order:
+    # numpy's complex multiply is not commutative to the bit (a*b and b*a
+    # differ in the last bit for about a third of random pairs on AVX-512).
+    # In the flattened (N*N, ...) products, diagonal k is the rows
+    # k + i*(N-1) for i0 <= i <= i1.
+    prods = (at[:, None] * at[None, :]).reshape((n * n,) + at.shape[1:])
+    step = max(n - 1, 1)
+    conv = np.empty((2 * n - 1,) + at.shape[1:], dtype=complex)
     for k in range(2 * n - 1):
         i0 = max(0, k - n + 1)
         i1 = min(k, n - 1)
-        # np.add.reduce is np.sum without its Python-level dispatch
-        out[..., k] = np.add.reduce(
-            a[..., i0:i1 + 1] * a[..., k - i1:k - i0 + 1][..., ::-1], axis=-1)
-    return out
+        conv[k] = _pairwise(prods[k + i0 * step:k + i1 * step + 1:step])
+    # adding the reduction's identity +0.0 is also the copy back to C order
+    return np.add(conv.T, 0.0, out=np.empty(conv.T.shape, dtype=complex))
 
 
 def tone_moments(a: np.ndarray, conv: np.ndarray | None = None
@@ -248,9 +304,37 @@ def tone_moments(a: np.ndarray, conv: np.ndarray | None = None
     """
     if conv is None:
         conv = autoconvolution(a)
-    m2 = 0.5 * np.sum(np.abs(a) ** 2, axis=-1)
-    m4 = 0.375 * np.sum(np.abs(conv) ** 2, axis=-1)
+    # np.add.reduce is np.sum without its Python-level dispatch
+    m2 = 0.5 * np.add.reduce(np.abs(a) ** 2, axis=-1)
+    m4 = 0.375 * np.add.reduce(np.abs(conv) ** 2, axis=-1)
     return m2, m4
+
+
+def m4_gradient(a: np.ndarray, conv: np.ndarray) -> np.ndarray:
+    """Wirtinger derivative d m4 / d conj(a_p) of amplitudes of shape (..., N).
+
+    d m4 / d conj(a_p) = (3/4) sum_q conj(a_q) c_{p+q}, with c the
+    autoconvolution of a.  Like autoconvolution the kernel is tone-major:
+    the N^2 terms conj(a_q) c_{p+q} are one elementwise multiply over the
+    batch, in that operand order, and each p sums its terms over q as
+    pairwise_sum adds, so every value equals
+    (3/4) * np.sum(conj(a) * conv[..., p:p + N], axis=-1) bit for bit.
+
+    Args:
+        a: complex amplitudes, the last axis over tones.
+        conv: autoconvolution(a), of shape (..., 2N-1).
+
+    Returns:
+        C-ordered array of a's shape.
+    """
+    n = a.shape[-1]
+    # tones first, batch axes reversed, as in autoconvolution
+    conv_t = np.ascontiguousarray(conv.T)
+    # terms[q, p] = conj(a_q) * c_{p+q}, each of the batch's shape
+    terms = np.conj(a.T)[:, None] \
+        * np.moveaxis(sliding_window_view(conv_t, n, axis=0), -1, 0)
+    return np.multiply(0.75, pairwise_sum(terms).T,
+                       out=np.empty(a.shape, dtype=complex))
 
 
 def waveform_moments(tones: EffectiveTones, grid: ToneGrid) -> tuple[float, float]:
@@ -289,7 +373,8 @@ def sample_times(grid: ToneGrid, oversampling: int = 32) -> np.ndarray:
 
 def _phasors(grid: ToneGrid, oversampling: int) -> np.ndarray:
     # read-only exp(j w t) at sample_times, from a small LRU keyed by value:
-    # every campaign item builds its own ToneGrid, so identity never repeats
+    # run_campaign builds one ToneGrid per (M, N) point, so the grids of one
+    # N at different M are equal but distinct objects
     key = (grid.angular_frequencies.tobytes(), grid.delta_f, oversampling)
     with _phasor_lock:
         if key in _phasor_cache:

@@ -1,5 +1,7 @@
 """Frame protocol: timing, feedback encoding, fallback, energy accounting."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,8 +11,8 @@ from wptsim import (AdcConfig, ConfigError, DiodeMomentModel, DomainError,
                     EfficiencyTableModel, FeedbackMsg, FrameConfig, LinkModel,
                     ProtocolError, ToneGrid, UP_FALLBACK, decode_feedback,
                     dc_power_moment, effective_tones, encode_feedback,
-                    gen_nested, protocol, run_frame, run_session,
-                    run_training, stream, up_weights)
+                    gen_nested, gen_random, protocol, run_frame,
+                    run_session, run_training, stream, up_weights)
 
 from conftest import make_channel
 
@@ -271,6 +273,94 @@ def test_run_session_rejects_zero_frames():
     cfg = FrameConfig(k_codewords=4, t_s=0.010, t_frame=2.0)
     with pytest.raises(DomainError):
         run_session(cfg, book, ch, model, None, LinkModel(), 0, stream(30, 6))
+
+
+def test_run_session_rejects_scripted_links_of_the_wrong_length():
+    grid, book, _, model = _setup()
+    cfg = FrameConfig(k_codewords=4, t_s=0.010, t_frame=2.0)
+    seen = []
+
+    def source(i):
+        seen.append(i)
+        return make_channel(40 + i, 2, grid, pathloss_db=10.0)
+
+    for n_links in (2, 5):
+        links = [LinkModel()] * n_links
+        with pytest.raises(DomainError):
+            run_session(cfg, book, source, model, None, links, 3,
+                        stream(33, 6))
+        with pytest.raises(DomainError):
+            run_session(cfg, book, source, model, None, tuple(links), 3,
+                        stream(33, 6))
+    assert seen == []
+
+
+def _frame_by_frame(cfg, book, source, model, adc, link, n_frames, gen):
+    # run_session written out as it was before its batched sweep: one
+    # run_frame per frame, each sweeping its own channel
+    reports, fallback = [], None
+    for i in range(n_frames):
+        ch = source(i) if callable(source) else source
+        report = run_frame(cfg, book, ch, model, adc, link, fallback, gen,
+                           frame_id=i)
+        reports.append(report)
+        fallback = report.applied_index
+    return reports
+
+
+@pytest.mark.parametrize("m", [1, 2, 4])
+@pytest.mark.parametrize("n", [1, 2, 4, 8])
+def test_session_batch_equals_frame_by_frame(m, n):
+    # at M=1, N=1 every codeword ties in exact arithmetic and rounding picks
+    # the winner, so the batched sweep must equal each frame's own sweep.
+    # At M=N=K=1 a frame's amplitudes are one element, which numpy
+    # multiplies without the fused multiply-add of its array loops; a
+    # random codeword has an imaginary part for that rounding to show in.
+    grid = ToneGrid.centered(2.4e9, 10e6, n)
+    books = (gen_random(m, grid, 1.0, 1, stream(50 + m, 4, n)),
+             gen_nested(m, grid, 1.0, 64, stream(50 + m, 4, n)))
+    model = DiodeMomentModel()
+    lossy = LinkModel(delivery_probability=0.5)
+    fixed = make_channel(51, m, grid, pathloss_db=10.0)
+
+    def fading(i):
+        return make_channel(52, m, grid, pathloss_db=10.0, frame=i)
+
+    # a 0.1 ohm load keeps the readings below v_ref; the ADC noise draws
+    # from the session's stream, interleaved with the link's draws
+    adcs = (None, AdcConfig(load_resistance=0.1, noise_sigma=1e-3))
+    for book, source, adc in itertools.product(books, (fixed, fading), adcs):
+        k = book.k_codewords
+        cfg = FrameConfig(k_codewords=k, t_s=0.010, t_frame=2.0)
+        batched = run_session(cfg, book, source, model, adc, lossy, 6,
+                              stream(53, 6, m, n))
+        alone = _frame_by_frame(cfg, book, source, model, adc, lossy, 6,
+                                stream(53, 6, m, n))
+        assert batched == alone
+        assert any(not r.feedback_delivered for r in batched)
+        if k > 1:
+            assert len(set(batched[0].measurements)) > 1
+        channels = [source(i) if callable(source) else source
+                    for i in range(6)]
+        assert protocol._codeword_dc(book, channels, model) == \
+            [run_training(book, ch, model) for ch in channels]
+
+
+def test_session_batch_equals_frame_by_frame_on_the_table_model():
+    grid, book, _, _ = _setup(k=8, m=2, n=4)
+    cfg = FrameConfig(k_codewords=8, t_s=0.010, t_frame=2.0)
+    table = EfficiencyTableModel(p_dbm=np.array([-60.0, 40.0]),
+                                 papr_axis=np.array([1.0, 20.0]),
+                                 eta=np.array([[0.1, 0.2], [0.3, 0.4]]))
+
+    def fading(i):
+        return make_channel(54, 2, grid, pathloss_db=10.0, frame=i)
+
+    lossy = LinkModel(delivery_probability=0.5)
+    batched = run_session(cfg, book, fading, table, None, lossy, 6,
+                          stream(55, 6))
+    assert batched == _frame_by_frame(cfg, book, fading, table, None, lossy,
+                                      6, stream(55, 6))
 
 
 def test_adc_selection_can_differ_from_ideal_but_stays_valid():

@@ -1,5 +1,9 @@
 """Waveform synthesis, moments, and PAPR against independent references."""
 
+import importlib.util
+import json
+import os
+import platform
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -244,6 +248,98 @@ def test_moments_nonnegative(seed, n):
     m2, m4 = waveform_moments(_tones(a), grid)
     assert m2 >= 0.0
     assert m4 >= 0.0
+
+
+# ---------------------------------------------------------------------------
+# the moment kernel's summation order: the tone-major kernel writes out the
+# order in which numpy's pairwise sum adds complex terms, so a numpy whose
+# order differs fails here rather than in a golden CSV
+
+def _spread(gen, shape):
+    # complex values with magnitudes spread over e^[-20, 5], where a
+    # regrouped sum rounds differently
+    return np.exp(gen.uniform(-20.0, 5.0, shape)) \
+        * (gen.standard_normal(shape) + 1j * gen.standard_normal(shape))
+
+
+def _signed_zeros(gen, shape):
+    # exact zeros of both signs among values of both signs, so products and
+    # sums of -0.0 occur; numpy's reduction adds to +0.0 and never ends -0.0
+    pick = np.array([-0.0, 0.0, -1.5, 2.0])
+    out = np.empty(shape, dtype=complex)
+    out.real = pick[gen.integers(0, 4, shape)]
+    out.imag = pick[gen.integers(0, 4, shape)]
+    return out
+
+
+def _by_diagonal(a):
+    # the kernel before it went tone-major: one np.add.reduce per diagonal
+    n = a.shape[-1]
+    out = np.empty(a.shape[:-1] + (2 * n - 1,), dtype=complex)
+    for k in range(2 * n - 1):
+        i0 = max(0, k - n + 1)
+        i1 = min(k, n - 1)
+        out[..., k] = np.add.reduce(
+            a[..., i0:i1 + 1] * a[..., k - i1:k - i0 + 1][..., ::-1], axis=-1)
+    return out
+
+
+def test_pairwise_sum_equals_numpy_reduce():
+    gen = stream(1, 95)
+    # 1..64 terms is numpy's one-block range; longer sums split recursively
+    for n_terms in list(range(1, 65)) + [65, 71, 128, 129, 200]:
+        for terms in (_spread(gen, (n_terms, 300)),
+                      _signed_zeros(gen, (n_terms, 300))):
+            expected = np.add.reduce(np.ascontiguousarray(terms.T), axis=-1)
+            assert waveform.pairwise_sum(terms).tobytes() == \
+                expected.tobytes(), n_terms
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_autoconvolution_equals_per_diagonal_reduce(n):
+    gen = stream(n, 96)
+    for batch in [(), (1,), (7,), (1000,), (5, 64)]:
+        for a in (_spread(gen, batch + (n,)),
+                  _signed_zeros(gen, batch + (n,))):
+            conv = waveform.autoconvolution(a)
+            assert conv.shape == batch + (2 * n - 1,)
+            assert conv.flags.c_contiguous
+            assert conv.tobytes() == _by_diagonal(a).tobytes()
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_m4_gradient_equals_per_tone_loop(n):
+    gen = stream(n, 97)
+    for rows in (1, 7, 1000):
+        for a in (_spread(gen, (rows, n)), _signed_zeros(gen, (rows, n))):
+            conv = waveform.autoconvolution(a)
+            # the gradient loop before it went tone-major
+            expected = np.empty_like(a)
+            for p in range(n):
+                expected[:, p] = 0.75 * np.sum(np.conj(a) * conv[:, p:p + n],
+                                               axis=1)
+            grad = waveform.m4_gradient(a, conv)
+            assert grad.flags.c_contiguous
+            assert grad.tobytes() == expected.tobytes()
+
+
+def test_bench_kernel_script_writes_its_table(tmp_path):
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "scripts",
+                        "bench_kernel.py")
+    spec = importlib.util.spec_from_file_location("bench_kernel", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    out = tmp_path / "BENCH_kernel.json"
+    assert script.main(["--out", str(out), "--repeat", "1",
+                        "--number", "1"]) == 0
+    report = json.loads(out.read_text())
+    assert report["numpy"] == np.__version__
+    assert report["python"] == platform.python_version()
+    rows = report["rows"]
+    assert [(r["n_tones"], r["batch"]) for r in rows[:-1]] == \
+        [(n, c) for n in (1, 2, 4, 8) for c in (1, 64, 192, 1000)]
+    assert rows[-1]["layer"] == "codebook._dc_and_grad"
+    assert all(r["median_us"] > 0 for r in rows)
 
 
 # ---------------------------------------------------------------------------
