@@ -9,6 +9,12 @@ Two layer rows, on random complex amplitudes and channel gains:
   (3 frames x 64 codewords); 1000 is one Lloyd column.
 * ``codebook._dc_and_grad`` at M=4, N=8 on one segment of 1000 channels,
   the step Lloyd's UPDATE repeats.
+* ``codebook._assign``, Lloyd's pruned ASSIGN, at M=4, N=8, K=64 on 1000
+  channels drawn with ``realize_channel`` at 60 dB and at 0 dB pathloss,
+  against SMF codewords of 64 of those channels (as ``train_lloyd``
+  starts).  ``full_matrix_us`` times the (C, K) ``_dc_batch`` matrix and
+  its argmax that ASSIGN replaces; ``pairs_per_channel`` counts the pairs
+  that reach the exact m4 evaluation, out of K.
 
 Each row is the median over --repeat timings of --number calls, in
 microseconds per call.  The file's header names the numpy and Python
@@ -28,12 +34,14 @@ from timeit import Timer
 
 import numpy as np
 
-from wptsim import DiodeMomentModel
-from wptsim.codebook import _dc_and_grad, _sphere
+from wptsim import (ChannelModelParams, DiodeMomentModel, SmfParams,
+                    ToneGrid, codebook, realize_channel, smf_weights)
+from wptsim.codebook import _assign, _dc_and_grad, _dc_batch, _sphere
 from wptsim.waveform import tone_moments
 
 TONES = (1, 2, 4, 8)
 BATCHES = (1, 64, 192, 1000)
+PATHLOSS_DB = (60.0, 0.0)
 
 
 def complex_normal(gen, shape):
@@ -43,6 +51,18 @@ def complex_normal(gen, shape):
 def median_us(fn, repeat, number):
     runs = Timer(fn).repeat(repeat=repeat, number=number)
     return 1e6 * statistics.median(runs) / number
+
+
+def _exact_pairs(gains, words, model):
+    # the rows _assign hands to the fourth moment, counted on one call
+    count = []
+    real = codebook.fourth_moment
+    codebook.fourth_moment = lambda a: count.append(len(a)) or real(a)
+    try:
+        _assign(gains, words, model)
+    finally:
+        codebook.fourth_moment = real
+    return sum(count)
 
 
 def main(argv=None):
@@ -74,6 +94,31 @@ def main(argv=None):
                  "median_us": median_us(
                      lambda: _dc_and_grad(gains, words, bounds, model),
                      args.repeat, args.number)})
+    k = 64
+    grid = ToneGrid.centered(2.4e9, 10e6, n)
+    smf = SmfParams(beta=3.0, power_budget=2.0)
+    for pathloss_db in PATHLOSS_DB:
+        params = ChannelModelParams(pathloss_db=pathloss_db, seed=args.seed)
+        channels = [realize_channel(params, m, grid, frame=i)
+                    for i in range(c)]
+        gains = np.stack([ch.gains for ch in channels])
+        words = [smf_weights(channels[int(i)], smf).weights
+                 for i in gen.choice(c, size=k, replace=False)]
+
+        def full_matrix():
+            dc = np.column_stack([_dc_batch(gains, w, model) for w in words])
+            return np.argmax(dc, axis=1)
+
+        rows.append({"layer": "codebook._assign", "m_antennas": m,
+                     "n_tones": n, "k_codewords": k, "batch": c,
+                     "pathloss_db": pathloss_db,
+                     "pairs_per_channel": _exact_pairs(gains, words, model)
+                     / c,
+                     "full_matrix_us": median_us(full_matrix, args.repeat,
+                                                 args.number),
+                     "median_us": median_us(
+                         lambda: _assign(gains, words, model),
+                         args.repeat, args.number)})
 
     report = {"benchmark": "kernel", "numpy": np.__version__,
               "python": platform.python_version(),
@@ -86,7 +131,13 @@ def main(argv=None):
     for row in rows:
         shape = (f"M={row['m_antennas']} " if "m_antennas" in row else "") \
             + f"N={row['n_tones']} C={row['batch']}"
-        print(f"{row['layer']:<24} {shape:<18} {row['median_us']:10.1f} us")
+        line = f"{row['layer']:<24} {shape:<18} {row['median_us']:10.1f} us"
+        if "pathloss_db" in row:
+            line += (f"  at {row['pathloss_db']:g} dB: full matrix "
+                     f"{row['full_matrix_us']:.1f} us, "
+                     f"{row['pairs_per_channel']:.2f} of "
+                     f"{row['k_codewords']} pairs exact")
+        print(line)
     print(f"wrote {args.out}")
     return 0
 

@@ -16,6 +16,19 @@ realizations and the smooth moment rectifier:
           step halving until the objective does not decrease and projection
           back onto the power sphere.
 
+ASSIGN computes the fourth moment only where the argmax can land.  m4
+lies between 0 and 1.5*N*m2^2 (docs/covering_bound.md, step 1), so m2
+alone bounds every (channel, codeword) dc.  A pair is evaluated exactly
+only if its upper bound reaches its channel's floor, the running maximum
+of the lower bounds and of the exact dc values computed so far; at 60 dB
+pathloss about 5 of 64 pairs per channel reach that step, at 0 dB about
+30.  The pruning is exact.  Rounding is monotone, so the computed dc never
+falls below its lower bound, and a 1e-9 slack on the upper bound covers
+the rounding of m4 against it.  Every pair that can win or tie is
+evaluated, and a row's m2 and m4 do not depend on the rows beside it, so
+the assignment and its dc values equal the full (C, K) matrix's bit for
+bit.
+
 The UPDATE of one cluster reads only its own codeword and its members'
 channels, so the UPDATE steps of one iteration are independent: they run
 together in lock-step over the training channels sorted by cluster, with
@@ -23,7 +36,8 @@ every reduction kept per cluster, and give the same bytes as one cluster
 at a time.  Empty clusters are then re-seeded, in index order, with the
 SMF solution of the currently worst-served training channel.  Both steps
 can only raise the average training objective, so it is non-decreasing
-across iterations.
+across iterations.  The objective and the re-seeds read each channel's dc
+on its own updated codeword.
 """
 
 from __future__ import annotations
@@ -38,9 +52,19 @@ from .errors import CodebookIOError, DimensionError, DomainError
 from .rectenna import DiodeMomentModel
 from .strategies import SmfParams, smf_weights, up_weights
 from .waveform import (ToneGrid, WaveformWeights, autoconvolution,
-                       m4_gradient, tone_moments)
+                       fourth_moment, m4_gradient, second_moment,
+                       tone_moments)
 
 _POWER_REL_TOL = 1e-9
+#: relative slack on the bound m4 <= 1.5*N*m2^2 that ASSIGN prunes with.
+#: Computed from the same amplitudes, m4 exceeds the bound only by
+#: rounding: the computed |c_k| is at most 1 + O(N u) times
+#: sum_i |a_i||a_{k-i}|, whose squares the bound's proof already caps, and
+#: the squares, sums and scalings of m2, m4 and the bound add relative
+#: errors of order N u, with u = 2^-53: about 1e-13 at N = 1000.  At N = 1
+#: the bound holds with equality, and without slack the computed m4
+#: exceeds it by an ulp about half the time.
+_M4_BOUND_SLACK = 1e-9
 _MAX_HALVINGS = 40      # step halvings a line search tries before giving up
 _INNER_STEPS = 4        # gradient-ascent steps per cluster per iteration
 
@@ -159,6 +183,67 @@ def _dc_batch(gains: np.ndarray, weights: np.ndarray,
               model: DiodeMomentModel) -> np.ndarray:
     """dc power of one codeword on a batch of channels, shape (C,)."""
     return model.dc(*tone_moments(_amplitudes(gains, weights)))
+
+
+def _dc_bounds(m2: np.ndarray, n_tones: int, model: DiodeMomentModel
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds on the computed dc of amplitudes whose m2 is given.
+
+    The lower bound sets m4 = 0.  Rounding is monotone and k4*m4 >= 0, so
+    model.dc(m2, m4) is never below model.dc(m2, 0) in floating point
+    either.  The upper bound sets m4 to 1.5*N*m2^2 (docs/covering_bound.md,
+    step 1) widened by _M4_BOUND_SLACK for rounding; it holds while m2*m2
+    stays a normal float (m2 above about 1e-154 W).
+    """
+    ceiling = (1.5 * n_tones * (1.0 + _M4_BOUND_SLACK)) * (m2 * m2)
+    return model.dc(m2, 0.0), model.dc(m2, ceiling)
+
+
+def _assign(gains: np.ndarray, words, model: DiodeMomentModel
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """Lloyd's ASSIGN: each channel's best codeword and its dc power.
+
+    A pair (channel, codeword) can win, or tie, only if its upper bound
+    from _dc_bounds reaches the channel's floor: the largest value known
+    not to exceed the channel's best computed dc.  The floor is the
+    running maximum of the lower bounds and of the exact dc values
+    computed so far.  One pass over the codewords forms each one's
+    amplitudes and m2 and stashes the pairs that reach the floor; the
+    stash is evaluated exactly, in batches of at most C rows, whenever it
+    holds C rows and after the last codeword, and each exact value raises
+    its channel's floor.  Every other entry of the (C, K) matrix is -inf.
+
+    A row's amplitudes, m2 and m4 are the same bits whatever rows share
+    its batch, and every pair that can win or tie is evaluated, so the
+    first-index argmax and its value equal those of the full _dc_batch
+    matrix bit for bit.
+
+    Returns:
+        (assign, dc) of shape (C,): codeword indices and their dc powers.
+    """
+    c, _, n = gains.shape
+    dc = np.full((c, len(words)), -np.inf)
+    floor = np.zeros(c)
+    stash, held = [], 0     # blocks of (rows, codewords, amplitudes, m2)
+    for kk, w in enumerate(words):
+        a = _amplitudes(gains, w)
+        m2 = second_moment(a)
+        lower, upper = _dc_bounds(m2, n, model)
+        np.maximum(floor, lower, out=floor)
+        keep = np.flatnonzero(upper >= floor)
+        stash.append((keep, np.full(keep.size, kk), a[keep], m2[keep]))
+        held += keep.size
+        if held < c and kk < len(words) - 1:
+            continue
+        rows, cols, a, m2 = map(np.concatenate, zip(*stash))
+        for start in range(0, held, c):
+            batch = slice(start, start + c)
+            exact = model.dc(m2[batch], fourth_moment(a[batch]))
+            dc[rows[batch], cols[batch]] = exact
+            np.maximum.at(floor, rows[batch], exact)
+        stash, held = [], 0
+    assign = np.argmax(dc, axis=1)
+    return assign, dc[np.arange(c), assign]
 
 
 def _dc_and_grad(gains: np.ndarray, words: np.ndarray, bounds,
@@ -311,8 +396,7 @@ def train_lloyd(training_channels, k: int, rect_model: DiodeMomentModel,
         words = [smf_weights(channels[int(i)], smf).weights.copy()
                  for i in picks]
 
-    dc_matrix = np.column_stack([_dc_batch(gains, w, rect_model) for w in words])
-    assign = np.argmax(dc_matrix, axis=1)
+    assign, served = _assign(gains, words, rect_model)
     smf = SmfParams(beta=3.0, power_budget=power)
     iterations_run = 0
     for it in range(iters):
@@ -329,17 +413,18 @@ def train_lloyd(training_channels, k: int, rect_model: DiodeMomentModel,
             rect_model, power)
         for kk, w in zip(occupied, ascended):
             words[kk] = w
-        for kk in range(k):
-            if counts[kk] == 0:
-                served = dc_matrix[np.arange(len(channels)), assign]
-                worst = int(np.argmin(served))
-                words[kk] = smf_weights(channels[worst], smf).weights.copy()
-            dc_matrix[:, kk] = _dc_batch(gains, words[kk], rect_model)
+        # the dc of each channel's own codeword, updated; the re-seeds
+        # below touch only empty clusters, so it stays current through them
+        fresh = rect_model.dc(*tone_moments(np.einsum(
+            "cmn,cmn->cn", gains, np.stack(words)[assign])))
+        for kk in np.flatnonzero(counts == 0):
+            # the worst-served channel as seen while re-seeding in index
+            # order: codewords below kk are updated, those above are not
+            worst = int(np.argmin(np.where(assign < kk, fresh, served)))
+            words[kk] = smf_weights(channels[worst], smf).weights.copy()
         if on_iteration is not None:
-            objective = float(np.mean(dc_matrix[np.arange(len(channels)),
-                                                assign]))
-            on_iteration(it, objective)
-        new_assign = np.argmax(dc_matrix, axis=1)
+            on_iteration(it, float(np.mean(fresh)))
+        new_assign, served = _assign(gains, words, rect_model)
         if np.array_equal(new_assign, assign):
             break
         assign = new_assign

@@ -143,10 +143,11 @@ def _codeword_dc(codebook: Codebook, channels,
                 f"channel ({channel.m_antennas}, {channel.grid.n_tones})")
     if isinstance(rect_model, DiodeMomentModel):
         # all channels x K codewords in one moment call.  Each channel's
-        # (K, N) tones are formed alone, as in its own sweep: at M=N=K=1
-        # that multiply has one element and numpy rounds it without the
-        # fused multiply-add that a broadcast (F, K, M, N) product uses
-        tones = np.stack([np.sum(ch.gains * codebook.stacked, axis=1)
+        # (K, N) tones are formed alone, as in its own sweep, and from
+        # operands of equal ndim, as effective_tones forms them: numpy
+        # rounds a one-element complex multiply (M=N=K=1) whose operands
+        # differ in ndim without the fused multiply-add it uses otherwise
+        tones = np.stack([np.sum(ch.gains[None] * codebook.stacked, axis=1)
                           for ch in channels])
         return rect_model.dc(*tone_moments(tones)).tolist()
     return [[dc_power_table(rect_model, effective_tones(ch, e), ch.grid)
@@ -235,10 +236,11 @@ def run_session(config: FrameConfig, codebook: Codebook, channel_source,
                 n_frames: int, rng: np.random.Generator) -> list[FrameReport]:
     """n_frames closed-loop frames with the fallback state threaded through.
 
-    The session sweeps the codebook on all its channels in one batch and
-    hands each frame its row; a row equals the frame's own sweep to the
-    last bit, so the reports equal those of run_frame called frame by
-    frame.
+    The session sweeps the codebook once on each distinct channel object
+    (a block-fading source returns one object for every frame), all in
+    one batch, and hands each frame its channel's row; a row equals the
+    frame's own sweep to the last bit, so the reports equal those of
+    run_frame called frame by frame.
 
     Args:
         channel_source: a ChannelRealization used for every frame, or a
@@ -253,14 +255,16 @@ def run_session(config: FrameConfig, codebook: Codebook, channel_source,
             f"{len(link)} scripted links for {n_frames} frames")
     channels = [channel_source(i) if callable(channel_source)
                 else channel_source for i in range(n_frames)]
-    sweeps = _codeword_dc(codebook, channels, rect_model)
+    distinct = {id(ch): ch for ch in channels}
+    rows = _codeword_dc(codebook, list(distinct.values()), rect_model)
+    sweeps = dict(zip(distinct, rows))
     reports = []
     fallback: int | None = None
-    for i, (ch, sweep) in enumerate(zip(channels, sweeps)):
+    for i, ch in enumerate(channels):
         frame_link = link[i] if isinstance(link, (list, tuple)) else link
         report = run_frame(config, codebook, ch, rect_model, adc, frame_link,
                            fallback_state=fallback, rng=rng, frame_id=i,
-                           sweep=sweep)
+                           sweep=sweeps[id(ch)])
         reports.append(report)
         fallback = report.applied_index
     return reports

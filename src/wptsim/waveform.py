@@ -302,12 +302,29 @@ def tone_moments(a: np.ndarray, conv: np.ndarray | None = None
     Returns:
         (m2, m4) arrays of shape a.shape[:-1], in W and W^2.
     """
+    return second_moment(a), fourth_moment(a, conv)
+
+
+def second_moment(a: np.ndarray) -> np.ndarray:
+    """m2 = (1/2) sum_n |a_n|^2 of amplitudes of shape (..., N), per row.
+
+    tone_moments takes its m2 from here, so a caller that needs m2 first
+    (the bound Lloyd's ASSIGN prunes with) gets the same bits.
+    """
+    # np.add.reduce is np.sum without its Python-level dispatch
+    return 0.5 * np.add.reduce(np.abs(a) ** 2, axis=-1)
+
+
+def fourth_moment(a: np.ndarray, conv: np.ndarray | None = None
+                  ) -> np.ndarray:
+    """m4 = (3/8) sum_k |c_k|^2 of amplitudes of shape (..., N), per row.
+
+    tone_moments takes its m4 from here; conv is autoconvolution(a) when
+    the caller already holds it.
+    """
     if conv is None:
         conv = autoconvolution(a)
-    # np.add.reduce is np.sum without its Python-level dispatch
-    m2 = 0.5 * np.add.reduce(np.abs(a) ** 2, axis=-1)
-    m4 = 0.375 * np.add.reduce(np.abs(conv) ** 2, axis=-1)
-    return m2, m4
+    return 0.375 * np.add.reduce(np.abs(conv) ** 2, axis=-1)
 
 
 def m4_gradient(a: np.ndarray, conv: np.ndarray) -> np.ndarray:

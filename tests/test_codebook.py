@@ -13,8 +13,9 @@ from wptsim import (Codebook, CodebookIOError, DiodeMomentModel,
                     effective_tones, gen_nested, gen_random, load_codebook,
                     save_codebook, stream, train_lloyd, up_weights)
 from wptsim import codebook as codebook_module
-from wptsim.codebook import _dc_and_grad, _dc_batch, _sphere
-from wptsim.waveform import autoconvolution, tone_moments
+from wptsim.codebook import (_amplitudes, _assign, _dc_and_grad, _dc_batch,
+                             _dc_bounds, _sphere)
+from wptsim.waveform import autoconvolution, second_moment, tone_moments
 
 from conftest import make_channel
 
@@ -209,6 +210,87 @@ def test_sphere_projects_each_matrix_of_a_batch():
     w[3] = 0.0
     with pytest.raises(DomainError):
         _sphere(w, 1.5)
+
+
+def _same_bits(x, y):
+    return x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("m", [1, 2, 4])
+@pytest.mark.parametrize("n", [1, 2, 8])
+@pytest.mark.parametrize("c", [1, 2, 17, 1000])
+def test_amplitude_rows_do_not_depend_on_the_batch(m, n, c):
+    # Lloyd's ASSIGN evaluates subsets of rows, and train_lloyd forms each
+    # channel's own amplitudes through one gathered einsum
+    gen = stream(13, 95, m, n, c)
+    gains = gen.standard_normal((c, m, n)) + 1j * gen.standard_normal((c, m, n))
+    words = _sphere(gen.standard_normal((3, m, n))
+                    + 1j * gen.standard_normal((3, m, n)), 1.0)
+    for w in words:
+        full = _amplitudes(gains, w)
+        for rows in (np.arange(c)[::-1], gen.permutation(c)[:max(1, c // 3)],
+                     np.array([c - 1])):
+            assert _same_bits(_amplitudes(gains[rows], w), full[rows])
+    pick = gen.integers(0, len(words), size=c)
+    gathered = np.einsum("cmn,cmn->cn", gains, words[pick])
+    for kk, w in enumerate(words):
+        rows = pick == kk
+        assert _same_bits(gathered[rows], _amplitudes(gains, w)[rows])
+
+
+# (M, N, K, C, pathloss dB, k4, twist); twist "dup" repeats 10 channels
+# over the batch, "zero" zeroes every fifth channel
+_ASSIGN_CASES = {
+    "60dB": (4, 8, 64, 300, 60.0, 19.1, None),
+    "45dB": (4, 8, 64, 300, 45.0, 19.1, None),
+    "30dB": (4, 8, 64, 300, 30.0, 19.1, None),
+    "0dB": (4, 8, 64, 300, 0.0, 19.1, None),
+    "ties-m1n1-0dB": (1, 1, 64, 200, 0.0, 19.1, None),
+    "ties-m1n1-60dB": (1, 1, 64, 200, 60.0, 19.1, None),
+    "duplicates": (2, 4, 16, 120, 20.0, 19.1, "dup"),
+    "zero-rows": (2, 4, 16, 120, 20.0, 19.1, "zero"),
+    "k4-zero": (4, 8, 32, 200, 30.0, 0.0, None),
+}
+
+
+@pytest.mark.parametrize("case", list(_ASSIGN_CASES), ids=list(_ASSIGN_CASES))
+def test_assign_equals_the_full_dc_matrix(case, monkeypatch):
+    m, n, k, c, pathloss_db, k4, twist = _ASSIGN_CASES[case]
+    grid = ToneGrid.centered(2.4e9, 10e6, n)
+    gains = np.stack([make_channel(500 + i, m, grid,
+                                   pathloss_db=pathloss_db).gains
+                      for i in range(c)])
+    if twist == "dup":
+        gains = gains[np.arange(c) % 10]
+    if twist == "zero":
+        gains[::5] = 0.0
+    gen = stream(14, 96, m, n)
+    words = list(_sphere(gen.standard_normal((k, m, n))
+                         + 1j * gen.standard_normal((k, m, n)), 2.0))
+    model = DiodeMomentModel(k4=k4)
+    full = np.column_stack([_dc_batch(gains, w, model) for w in words])
+    best = np.argmax(full, axis=1)
+
+    evaluated = []
+    real = codebook_module.fourth_moment
+    monkeypatch.setattr(codebook_module, "fourth_moment",
+                        lambda a: evaluated.append(len(a)) or real(a))
+    assign, dc = _assign(gains, words, model)
+    assert np.array_equal(assign, best)
+    assert _same_bits(dc, full[np.arange(c), best])
+
+    # the bounds the pruning rests on hold for every computed dc
+    m2 = np.stack([second_moment(_amplitudes(gains, w)) for w in words])
+    lower, upper = _dc_bounds(m2, n, model)
+    assert np.all(lower <= full.T) and np.all(full.T <= upper)
+    # no exact batch exceeds C rows, and the exact pass sees no more pairs
+    # than a running maximum of the lower bounds keeps; where m4 dominates
+    # the exact values raise the floor and rule out more
+    assert max(evaluated) <= c
+    kept = np.count_nonzero(upper >= np.maximum.accumulate(lower, axis=0))
+    assert sum(evaluated) <= kept
+    if pathloss_db <= 30.0 and k4 > 0 and n > 1:
+        assert sum(evaluated) < kept
 
 
 # ---------------------------------------------------------------------------

@@ -136,6 +136,18 @@ def test_batched_sweep_is_bit_identical_to_per_codeword_path(m, n):
         assert run_training(book, ch, model) == expected
 
 
+def test_one_codeword_sweep_equals_effective_tones_at_m1_n1():
+    # at M=N=K=1 the sweep's multiply has one element; numpy rounds it
+    # with the fused multiply-add only when both operands share an ndim
+    grid = ToneGrid.centered(2.4e9, 10e6, 1)
+    model = DiodeMomentModel()
+    for i in range(200):
+        book = gen_random(1, grid, 1.0, 1, stream(60, 4, i))
+        ch = make_channel(61 + i, 1, grid, pathloss_db=10.0)
+        assert run_training(book, ch, model)[0] == dc_power_moment(
+            model, effective_tones(ch, book.entries[0]), grid)
+
+
 def test_codebook_stacks_its_entries_read_only():
     _, book, _, _ = _setup(k=4)
     stacked = book.stacked
@@ -361,6 +373,39 @@ def test_session_batch_equals_frame_by_frame_on_the_table_model():
                           stream(55, 6))
     assert batched == _frame_by_frame(cfg, book, fading, table, None, lossy,
                                       6, stream(55, 6))
+
+
+def test_session_sweeps_each_distinct_channel_once(monkeypatch):
+    # under block fading one realization serves every frame; the session
+    # sweeps it once and hands every frame its row
+    grid, book, _, _ = _setup(k=8, m=2, n=4)
+    cfg = FrameConfig(k_codewords=8, t_s=0.010, t_frame=2.0)
+    table = EfficiencyTableModel(p_dbm=np.array([-60.0, 40.0]),
+                                 papr_axis=np.array([1.0, 20.0]),
+                                 eta=np.array([[0.1, 0.2], [0.3, 0.4]]))
+    a, b = (make_channel(56 + i, 2, grid, pathloss_db=10.0) for i in range(2))
+    # (channel source, distinct channels among its 6 frames)
+    sources = ((a, 1), (([a] * 6).__getitem__, 1),
+               (([a, b] * 3).__getitem__, 2))
+    # waveforms evaluated: a moment call's (channels, K) rows, one each
+    # for a table lookup
+    evals = []
+    real_moments, real_table = protocol.tone_moments, protocol.dc_power_table
+    monkeypatch.setattr(protocol, "tone_moments", lambda tones: (
+        evals.append(tones.size // tones.shape[-1]) or real_moments(tones)))
+    monkeypatch.setattr(protocol, "dc_power_table", lambda *args: (
+        evals.append(1) or real_table(*args)))
+    for (source, distinct), model in itertools.product(
+            sources, (DiodeMomentModel(), table)):
+        evals.clear()
+        run_session(cfg, book, source, model, None, LinkModel(1.0), 6,
+                    stream(57, 6))
+        assert sum(evals) == distinct * 8
+        lossy = LinkModel(delivery_probability=0.5)
+        assert run_session(cfg, book, source, model, None, lossy, 6,
+                           stream(58, 6)) == \
+            _frame_by_frame(cfg, book, source, model, None, lossy, 6,
+                            stream(58, 6))
 
 
 def test_adc_selection_can_differ_from_ideal_but_stays_valid():

@@ -336,10 +336,19 @@ def test_bench_kernel_script_writes_its_table(tmp_path):
     assert report["numpy"] == np.__version__
     assert report["python"] == platform.python_version()
     rows = report["rows"]
-    assert [(r["n_tones"], r["batch"]) for r in rows[:-1]] == \
+    assert [(r["n_tones"], r["batch"]) for r in rows[:16]] == \
         [(n, c) for n in (1, 2, 4, 8) for c in (1, 64, 192, 1000)]
-    assert rows[-1]["layer"] == "codebook._dc_and_grad"
+    assert rows[16]["layer"] == "codebook._dc_and_grad"
+    assign = rows[17:]
+    assert [(r["layer"], r["pathloss_db"]) for r in assign] == \
+        [("codebook._assign", 60.0), ("codebook._assign", 0.0)]
     assert all(r["median_us"] > 0 for r in rows)
+    assert all(r["full_matrix_us"] > 0 for r in assign)
+    # every channel evaluates at least its winner; pruning leaves fewer
+    # than K pairs at 60 dB
+    assert all(1 <= r["pairs_per_channel"] <= r["k_codewords"]
+               for r in assign)
+    assert assign[0]["pairs_per_channel"] < assign[0]["k_codewords"]
 
 
 # ---------------------------------------------------------------------------
