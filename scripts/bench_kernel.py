@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Layer timing of the moment kernel; writes BENCH_kernel.json.
 
-Two layer rows, on random complex amplitudes and channel gains:
+Layer rows, on random complex amplitudes and channel gains:
 
 * ``waveform.tone_moments`` for N in {1, 2, 4, 8} tones and a batch of C in
   {1, 64, 192, 1000} waveforms.  C = 1 is one waveform of shape (N,), as
@@ -15,6 +15,11 @@ Two layer rows, on random complex amplitudes and channel gains:
   starts).  ``full_matrix_us`` times the (C, K) ``_dc_batch`` matrix and
   its argmax that ASSIGN replaces; ``pairs_per_channel`` counts the pairs
   that reach the exact m4 evaluation, out of K.
+* ``protocol.run_session``: one location's LIMITED sessions at M=4, N=8
+  over F=3 fades, for the nested books K in {2, ..., 64}, as
+  ``run_campaign`` runs them.  ``per_k_sweep_us`` lets each K's session
+  sweep its own book; ``median_us`` sweeps the K_max book once and hands
+  each K its columns.
 
 Each row is the median over --repeat timings of --number calls, in
 microseconds per call.  The file's header names the numpy and Python
@@ -34,14 +39,19 @@ from timeit import Timer
 
 import numpy as np
 
-from wptsim import (ChannelModelParams, DiodeMomentModel, SmfParams,
-                    ToneGrid, codebook, realize_channel, smf_weights)
+from wptsim import (ChannelModelParams, DiodeMomentModel, FrameConfig,
+                    LinkModel, SmfParams, ToneGrid, codebook, gen_nested,
+                    realize_channel, rng, run_session, smf_weights)
+from wptsim.campaign import _columns, _sweep_book
 from wptsim.codebook import _assign, _dc_and_grad, _dc_batch, _sphere
+from wptsim.protocol import _sweep
 from wptsim.waveform import tone_moments
 
 TONES = (1, 2, 4, 8)
 BATCHES = (1, 64, 192, 1000)
 PATHLOSS_DB = (60.0, 0.0)
+SESSION_SIZES = (2, 4, 8, 16, 32, 64)
+SESSION_FRAMES = 3
 
 
 def complex_normal(gen, shape):
@@ -63,6 +73,32 @@ def _exact_pairs(gains, words, model):
     finally:
         codebook.fourth_moment = real
     return sum(count)
+
+
+def _session_row(grid, model, seed, repeat, number):
+    m, f = 4, SESSION_FRAMES
+    fades = [realize_channel(ChannelModelParams(seed=seed), m, grid,
+                             frame=i) for i in range(f)]
+    full = gen_nested(m, grid, 2.0, max(SESSION_SIZES),
+                      rng.stream(seed, rng.CODEBOOK))
+    books = {k: full.prefix(k) for k in SESSION_SIZES}
+    sweep_book, columns = _sweep_book(books)
+    link = LinkModel()
+
+    def sessions(shared):
+        swept = _sweep(sweep_book, fades, model) if shared else None
+        for k, book in books.items():
+            run_session(FrameConfig(k_codewords=k), book, fades.__getitem__,
+                        model, None, link, f,
+                        rng.stream(seed, rng.SESSION, k),
+                        _columns(swept, columns[k]) if shared else None)
+
+    return {"layer": "protocol.run_session", "m_antennas": m,
+            "n_tones": grid.n_tones, "frames": f,
+            "k_sizes": list(SESSION_SIZES),
+            "per_k_sweep_us": median_us(lambda: sessions(False), repeat,
+                                        number),
+            "median_us": median_us(lambda: sessions(True), repeat, number)}
 
 
 def main(argv=None):
@@ -119,6 +155,8 @@ def main(argv=None):
                      "median_us": median_us(
                          lambda: _assign(gains, words, model),
                          args.repeat, args.number)})
+    rows.append(_session_row(grid, model, args.seed, args.repeat,
+                             args.number))
 
     report = {"benchmark": "kernel", "numpy": np.__version__,
               "python": platform.python_version(),
@@ -129,14 +167,17 @@ def main(argv=None):
         fh.write("\n")
     print(f"# numpy {report['numpy']}, Python {report['python']}")
     for row in rows:
-        shape = (f"M={row['m_antennas']} " if "m_antennas" in row else "") \
-            + f"N={row['n_tones']} C={row['batch']}"
+        shape = " ".join(f"{key}={row[name]}" for key, name in (
+            ("M", "m_antennas"), ("N", "n_tones"), ("C", "batch"),
+            ("F", "frames")) if name in row)
         line = f"{row['layer']:<24} {shape:<18} {row['median_us']:10.1f} us"
         if "pathloss_db" in row:
             line += (f"  at {row['pathloss_db']:g} dB: full matrix "
                      f"{row['full_matrix_us']:.1f} us, "
                      f"{row['pairs_per_channel']:.2f} of "
                      f"{row['k_codewords']} pairs exact")
+        if "per_k_sweep_us" in row:
+            line += f"  (sweep per K: {row['per_k_sweep_us']:.1f} us)"
         print(line)
     print(f"wrote {args.out}")
     return 0

@@ -33,10 +33,10 @@ from . import rng as rngmod
 from .channel import (ChannelModelParams, ChannelRealization,
                       frequency_response, make_locations, realize_channel,
                       sample_taps)
-from .codebook import gen_nested, gen_random, train_lloyd
+from .codebook import Codebook, gen_nested, gen_random, train_lloyd
 from .errors import ConfigError, DomainError, SummaryError
 from .protocol import FrameConfig, LinkModel, run_session
-from .protocol import _dc_power
+from .protocol import _dc_power, _sweep
 from .rectenna import AdcConfig, DiodeMomentModel, EfficiencyTableModel
 from .strategies import SmfParams, smf_weights, up_weights
 from .waveform import ToneGrid, effective_tones, received_rf_power
@@ -312,6 +312,30 @@ def _books(config: CampaignConfig, rect_model, m: int,
             for k in config.codebook_sizes}
 
 
+def _sweep_book(books: dict) -> tuple[Codebook, dict]:
+    """One book of the distinct codewords of all books, and each K's columns.
+
+    Codewords are told apart by object identity.  The prefixes of a nested
+    book share its entries, so its sweep book is the K_max book and K reads
+    columns 0..K-1; random and Lloyd books are concatenated.
+    """
+    entries, column = [], {}
+    for book in books.values():
+        for e in book.entries:
+            if id(e) not in column:
+                column[id(e)] = len(entries)
+                entries.append(e)
+    return (Codebook(k_codewords=len(entries), entries=tuple(entries)),
+            {k: [column[id(e)] for e in book.entries]
+             for k, book in books.items()})
+
+
+def _columns(swept: list, cols: list) -> list:
+    """Each frame's sweep of one book, read from the sweep book's sweep."""
+    return [([dcs[j] for j in cols], [p_rfs[j] for j in cols])
+            for dcs, p_rfs in swept]
+
+
 def _fades(config: CampaignConfig, location, m: int, grid: ToneGrid) -> list:
     """The channel of every frame at a location; all sweep points share it.
 
@@ -374,12 +398,16 @@ def run_campaign(config: CampaignConfig, out_dir=None,
     for m, n in itertools.product(config.antenna_counts, config.tone_counts):
         grid = ToneGrid.centered(config.center_frequency_hz,
                                  config.bandwidth_hz, n)
-        books = (_books(config, rect_model, m, grid)
-                 if LIMITED in config.strategies else {})
+        if LIMITED in config.strategies:
+            books = _books(config, rect_model, m, grid)
+            sweep_book, columns = _sweep_book(books)
         for loc_idx, location in enumerate(locations):
             fades = _fades(config, location, m, grid)
             for strategy in config.strategies:
                 if strategy == LIMITED:
+                    # one sweep of every distinct codeword; a column equals
+                    # that codeword's sweep in its own book to the last bit
+                    swept = _sweep(sweep_book, fades, rect_model)
                     for k, book in books.items():
                         frame_cfg = FrameConfig(k_codewords=k, t_s=config.t_s,
                                                 t_frame=config.t_frame)
@@ -390,7 +418,8 @@ def run_campaign(config: CampaignConfig, out_dir=None,
                                              fades.__getitem__, rect_model,
                                              config.adc_config(),
                                              config.link_model(),
-                                             config.frames_per_location, gen):
+                                             config.frames_per_location, gen,
+                                             _columns(swept, columns[k])):
                             adc_reads_signal |= any(r.measurements)
                             rows.append((LIMITED, m, n, k, location.label,
                                          r.frame_id, r.p_dc_wpt, r.p_rf_wpt,

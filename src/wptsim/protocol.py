@@ -23,8 +23,7 @@ from .errors import ConfigError, DimensionError, DomainError, ProtocolError
 from .rectenna import (AdcConfig, DiodeMomentModel, dc_power_moment,
                        dc_power_table, measure_dc)
 from .strategies import feedback_bits, select_codeword, up_weights
-from .waveform import (ToneGrid, WaveformWeights, effective_tones,
-                       received_rf_power, tone_moments)
+from .waveform import effective_tones, received_rf_power, tone_moments
 
 #: applied_index value meaning "open-loop uniform power fallback"
 UP_FALLBACK = 0
@@ -132,27 +131,40 @@ def _dc_power(rect_model, tones, grid) -> float:
     return dc_power_table(rect_model, tones, grid)
 
 
-def _codeword_dc(codebook: Codebook, channels,
-                 rect_model) -> list[list[float]]:
-    """dc power of every codeword on every channel, as [channel][codeword]."""
-    for channel in channels:
+def _sweep(codebook: Codebook, channels, rect_model) -> list[tuple]:
+    """Every codeword's (dc powers, RF powers) on each channel, as lists.
+
+    Each distinct channel object is swept once, on the moment model all in
+    one moment call, whose m2 is the RF power.  A row does not depend on
+    the rows or codewords beside it, so a codeword's column of a larger
+    book's sweep equals its own book's sweep to the last bit.
+    """
+    distinct = {id(ch): ch for ch in channels}
+    for channel in distinct.values():
         if (codebook.m_antennas, codebook.n_tones) != \
                 (channel.m_antennas, channel.grid.n_tones):
             raise DimensionError(
                 f"codebook ({codebook.m_antennas}, {codebook.n_tones}) vs "
                 f"channel ({channel.m_antennas}, {channel.grid.n_tones})")
     if isinstance(rect_model, DiodeMomentModel):
-        # all channels x K codewords in one moment call.  Each channel's
-        # (K, N) tones are formed alone, as in its own sweep, and from
-        # operands of equal ndim, as effective_tones forms them: numpy
-        # rounds a one-element complex multiply (M=N=K=1) whose operands
-        # differ in ndim without the fused multiply-add it uses otherwise
+        # each channel's (K, N) tones are formed alone, as in its own sweep,
+        # and from operands of equal ndim, as effective_tones forms them:
+        # numpy rounds a one-element complex multiply (M=N=K=1) whose
+        # operands differ in ndim without the fused multiply-add it uses
+        # otherwise
         tones = np.stack([np.sum(ch.gains[None] * codebook.stacked, axis=1)
-                          for ch in channels])
-        return rect_model.dc(*tone_moments(tones)).tolist()
-    return [[dc_power_table(rect_model, effective_tones(ch, e), ch.grid)
-             for e in codebook.entries]
-            for ch in channels]
+                          for ch in distinct.values()])
+        m2, m4 = tone_moments(tones)
+        rows = zip(rect_model.dc(m2, m4).tolist(), m2.tolist())
+    else:
+        rows = []
+        for ch in distinct.values():
+            tones = [effective_tones(ch, e) for e in codebook.entries]
+            rows.append(([dc_power_table(rect_model, t, ch.grid)
+                          for t in tones],
+                         [received_rf_power(t) for t in tones]))
+    swept = dict(zip(distinct, rows))
+    return [swept[id(ch)] for ch in channels]
 
 
 def _readings(dcs: list[float], adc: AdcConfig | None,
@@ -170,30 +182,22 @@ def run_training(codebook: Codebook, channel: ChannelRealization, rect_model,
     With an AdcConfig the reading is the quantized voltage from measure_dc;
     with adc=None ("ideal" mode) it is the raw dc power in watts.
     """
-    return _readings(_codeword_dc(codebook, [channel], rect_model)[0], adc,
-                     rng)
-
-
-def _applied_weights(codebook: Codebook, applied_index: int,
-                     grid: ToneGrid) -> WaveformWeights:
-    if applied_index != UP_FALLBACK:
-        return codebook.entries[applied_index - 1]
-    return up_weights(codebook.m_antennas, grid, codebook.power_budget)
+    return _readings(_sweep(codebook, [channel], rect_model)[0][0], adc, rng)
 
 
 def run_frame(config: FrameConfig, codebook: Codebook,
               channel: ChannelRealization, rect_model,
               adc: AdcConfig | None, link: LinkModel,
               fallback_state: int | None, rng: np.random.Generator,
-              frame_id: int = 0, sweep: list[float] | None = None
-              ) -> FrameReport:
+              frame_id: int = 0, sweep: tuple | None = None) -> FrameReport:
     """One closed-loop frame on a constant channel.
 
     Args:
         fallback_state: applied_index of the previous frame, or None on the
             first frame (then the fallback is the UP codeword, marker 0).
-        sweep: the K codewords' dc powers on this channel when the caller
-            already holds them, as run_session does for all its frames.
+        sweep: the K codewords' (dc powers, RF powers) on this channel
+            when the caller already holds them, as run_session does for
+            all its frames.
 
     Returns:
         FrameReport; energy_total is exactly energy_training + energy_wpt.
@@ -203,8 +207,8 @@ def run_frame(config: FrameConfig, codebook: Codebook,
             f"config expects K={config.k_codewords}, codebook has "
             f"{codebook.k_codewords}")
     # the training energy needs the dc levels themselves, not the readings
-    dcs = (_codeword_dc(codebook, [channel], rect_model)[0]
-           if sweep is None else sweep)
+    dcs, p_rfs = (_sweep(codebook, [channel], rect_model)[0]
+                  if sweep is None else sweep)
     measurements = _readings(dcs, adc, rng)
     k_star = select_codeword(measurements)
     msg = encode_feedback(k_star, codebook.k_codewords, frame_id=frame_id)
@@ -215,12 +219,14 @@ def run_frame(config: FrameConfig, codebook: Codebook,
         applied = UP_FALLBACK
     else:
         applied = fallback_state
-    applied_w = _applied_weights(codebook, applied, channel.grid)
-    tones = effective_tones(channel, applied_w)
-    # the sweep already holds a codeword's dc; only the UP fallback is new
-    p_dc = (_dc_power(rect_model, tones, channel.grid)
-            if applied == UP_FALLBACK else dcs[applied - 1])
-    p_rf = received_rf_power(tones)
+    # a codeword's powers come from the sweep; only the UP fallback is new
+    if applied == UP_FALLBACK:
+        tones = effective_tones(channel, up_weights(
+            codebook.m_antennas, channel.grid, codebook.power_budget))
+        p_dc = _dc_power(rect_model, tones, channel.grid)
+        p_rf = received_rf_power(tones)
+    else:
+        p_dc, p_rf = dcs[applied - 1], p_rfs[applied - 1]
     e_train = float(sum(dcs)) * config.t_s
     e_wpt = p_dc * config.t_p
     return FrameReport(frame_id=frame_id, measurements=tuple(measurements),
@@ -233,7 +239,8 @@ def run_frame(config: FrameConfig, codebook: Codebook,
 
 def run_session(config: FrameConfig, codebook: Codebook, channel_source,
                 rect_model, adc: AdcConfig | None, link,
-                n_frames: int, rng: np.random.Generator) -> list[FrameReport]:
+                n_frames: int, rng: np.random.Generator,
+                sweeps: list | None = None) -> list[FrameReport]:
     """n_frames closed-loop frames with the fallback state threaded through.
 
     The session sweeps the codebook once on each distinct channel object
@@ -247,24 +254,28 @@ def run_session(config: FrameConfig, codebook: Codebook, channel_source,
             callable frame_index -> ChannelRealization for evolving fades.
         link: one LinkModel for all frames, or a list or tuple of exactly
             n_frames per-frame LinkModels (scripted loss patterns).
+        sweeps: each frame's sweep, as run_frame takes it, when the caller
+            already holds them; run_campaign reads them from one sweep of
+            all its books' codewords.
     """
     if n_frames < 1:
         raise DomainError(f"n_frames must be >= 1, got {n_frames}")
     if isinstance(link, (list, tuple)) and len(link) != n_frames:
         raise DomainError(
             f"{len(link)} scripted links for {n_frames} frames")
+    if sweeps is not None and len(sweeps) != n_frames:
+        raise DomainError(f"{len(sweeps)} sweeps for {n_frames} frames")
     channels = [channel_source(i) if callable(channel_source)
                 else channel_source for i in range(n_frames)]
-    distinct = {id(ch): ch for ch in channels}
-    rows = _codeword_dc(codebook, list(distinct.values()), rect_model)
-    sweeps = dict(zip(distinct, rows))
+    if sweeps is None:
+        sweeps = _sweep(codebook, channels, rect_model)
     reports = []
     fallback: int | None = None
     for i, ch in enumerate(channels):
         frame_link = link[i] if isinstance(link, (list, tuple)) else link
         report = run_frame(config, codebook, ch, rect_model, adc, frame_link,
                            fallback_state=fallback, rng=rng, frame_id=i,
-                           sweep=sweeps[id(ch)])
+                           sweep=sweeps[i])
         reports.append(report)
         fallback = report.applied_index
     return reports

@@ -22,7 +22,6 @@ the brute-force counterpart used to cross-check them.
 
 from __future__ import annotations
 
-import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
@@ -37,7 +36,6 @@ _REL_TOL = 1e-9
 #: sweeps use 4 tone counts, and the N=8 matrix at oversampling 32 is 7.9 MB
 _PHASOR_CACHE_SIZE = 8
 _phasor_cache: OrderedDict = OrderedDict()
-_phasor_lock = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -204,8 +202,8 @@ def effective_tones(channel, weights: WaveformWeights) -> EffectiveTones:
 
 
 def received_rf_power(tones: EffectiveTones) -> float:
-    """RF power of the received multi-sine, (1/2) sum |a_n|^2, watts."""
-    return 0.5 * float(np.sum(np.abs(tones.amplitudes) ** 2))
+    """RF power of the received multi-sine, (1/2) sum |a_n|^2 = m2, watts."""
+    return float(second_moment(tones.amplitudes))
 
 
 def pairwise_sum(terms: np.ndarray) -> np.ndarray:
@@ -393,17 +391,15 @@ def _phasors(grid: ToneGrid, oversampling: int) -> np.ndarray:
     # run_campaign builds one ToneGrid per (M, N) point, so the grids of one
     # N at different M are equal but distinct objects
     key = (grid.angular_frequencies.tobytes(), grid.delta_f, oversampling)
-    with _phasor_lock:
-        if key in _phasor_cache:
-            _phasor_cache.move_to_end(key)
-            return _phasor_cache[key]
+    if key in _phasor_cache:
+        _phasor_cache.move_to_end(key)
+        return _phasor_cache[key]
     t = sample_times(grid, oversampling)
     e = np.exp(1j * np.outer(t, grid.angular_frequencies))
     e.flags.writeable = False
-    with _phasor_lock:
-        _phasor_cache[key] = e
-        while len(_phasor_cache) > _PHASOR_CACHE_SIZE:
-            _phasor_cache.popitem(last=False)
+    _phasor_cache[key] = e
+    while len(_phasor_cache) > _PHASOR_CACHE_SIZE:
+        _phasor_cache.popitem(last=False)
     return e
 
 

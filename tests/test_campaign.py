@@ -471,6 +471,65 @@ def test_seed_changes_output(tmp_path):
     assert open(d1).read() != open(d2).read()
 
 
+def _write_table(path):
+    # efficiency rising with input power, and with PAPR at a given power,
+    # so that codewords with one RF power still read differently
+    p_axis = (-300.0, -100.0, -60.0, -45.0, -35.0, -25.0, 0.0, 30.0)
+    q_axis = (1.0, 2.0, 4.0, 8.0, 16.0)
+    lines = ["p_dbm,papr,eta"]
+    for p, q in itertools.product(p_axis, q_axis):
+        eta = 0.6 / (1.0 + np.exp(-(p + 40.0 + 3.0 * np.log2(q)) / 6.0))
+        lines.append(f"{p!r},{q!r},{float(eta)!r}")
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _limited_lines(path, k):
+    with open(path, encoding="ascii") as fh:
+        lines = fh.read().splitlines()[1:]
+    return [line for line in lines
+            if line.startswith("LIMITED,") and int(line.split(",")[3]) == k]
+
+
+@pytest.mark.parametrize("method", ["nested", "random"])
+@pytest.mark.parametrize("variant", ["moment", "table-adc", "block-lossy"])
+def test_each_k_reads_its_rows_from_the_shared_sweep(tmp_path, method,
+                                                     variant):
+    # a location sweeps the distinct codewords of all its books once, and
+    # each K reads its columns of that sweep; its rows must equal, byte for
+    # byte, those of a campaign that sweeps that K alone.  K=1 at M=N=1 is
+    # where numpy's fused multiply-add rounding once split the sweep.  The
+    # lossy link and the ADC noise draw from each K's own session stream.
+    sizes = (1, 2, 4, 64)
+    settings = {
+        "moment": {},
+        "table-adc": dict(rectifier_model="table",
+                          table_path=str(tmp_path / "eta.csv"),
+                          adc_enabled=True, adc_noise_sigma=1e-3,
+                          link_delivery_probability=0.8),
+        "block-lossy": dict(resample_per_frame=False,
+                            link_delivery_probability=0.5),
+    }[variant]
+    _write_table(tmp_path / "eta.csv")
+
+    def run(ks, name):
+        cfg = _mini_config(strategies=("UP", "LIMITED"),
+                           antenna_counts=(1, 2), tone_counts=(1, 4),
+                           codebook_sizes=ks, frames_per_location=3,
+                           codebook_method=method, **settings)
+        return run_campaign(cfg, out_dir=tmp_path / name)[0]
+
+    shared = run(sizes, "shared")
+    for k in sizes:
+        alone = _limited_lines(run((k,), f"k{k}"), k)
+        assert len(alone) == 2 * 2 * 2 * 3
+        assert _limited_lines(shared, k) == alone
+    # the lossy variants do lose feedback, so the session streams matter
+    if settings.get("link_delivery_probability", 1.0) < 1.0:
+        flags = {line.split(",")[10] for k in sizes
+                 for line in _limited_lines(shared, k)}
+        assert flags == {"0", "1"}
+
+
 # ---------------------------------------------------------------------------
 # summarize as a standalone aggregation
 

@@ -11,8 +11,9 @@ from wptsim import (AdcConfig, ConfigError, DiodeMomentModel, DomainError,
                     EfficiencyTableModel, FeedbackMsg, FrameConfig, LinkModel,
                     ProtocolError, ToneGrid, UP_FALLBACK, decode_feedback,
                     dc_power_moment, effective_tones, encode_feedback,
-                    gen_nested, gen_random, protocol, run_frame,
-                    run_session, run_training, stream, up_weights)
+                    gen_nested, gen_random, protocol, received_rf_power,
+                    run_frame, run_session, run_training, stream,
+                    up_weights)
 
 from conftest import make_channel
 
@@ -304,6 +305,11 @@ def test_run_session_rejects_scripted_links_of_the_wrong_length():
         with pytest.raises(DomainError):
             run_session(cfg, book, source, model, None, tuple(links), 3,
                         stream(33, 6))
+        # precomputed sweeps are checked the same way
+        sweep = ([0.0] * 4, [0.0] * 4)
+        with pytest.raises(DomainError):
+            run_session(cfg, book, source, model, None, LinkModel(), 3,
+                        stream(33, 6), [sweep] * n_links)
     assert seen == []
 
 
@@ -354,8 +360,8 @@ def test_session_batch_equals_frame_by_frame(m, n):
             assert len(set(batched[0].measurements)) > 1
         channels = [source(i) if callable(source) else source
                     for i in range(6)]
-        assert protocol._codeword_dc(book, channels, model) == \
-            [run_training(book, ch, model) for ch in channels]
+        assert [dcs for dcs, _ in protocol._sweep(book, channels, model)] \
+            == [run_training(book, ch, model) for ch in channels]
 
 
 def test_session_batch_equals_frame_by_frame_on_the_table_model():
@@ -406,6 +412,57 @@ def test_session_sweeps_each_distinct_channel_once(monkeypatch):
                            stream(58, 6)) == \
             _frame_by_frame(cfg, book, source, model, None, lossy, 6,
                             stream(58, 6))
+
+
+@pytest.mark.parametrize("m", [1, 2, 4])
+@pytest.mark.parametrize("n", [1, 2, 4, 8])
+def test_sweep_rf_power_is_received_rf_power(m, n):
+    # a frame reads the applied codeword's RF power from the sweep's m2,
+    # which must equal the power of the codeword's own effective tones
+    grid = ToneGrid.centered(2.4e9, 10e6, n)
+    book = gen_nested(m, grid, 2.0, 64, stream(60 + m, 4, n))
+    channels = [make_channel(61, m, grid, frame=i) for i in range(30)]
+    swept = protocol._sweep(book, channels, DiodeMomentModel())
+    for ch, (_, p_rfs) in zip(channels, swept):
+        assert p_rfs == [received_rf_power(effective_tones(ch, e))
+                         for e in book.entries]
+
+
+def test_session_forms_tones_only_in_its_sweep(monkeypatch):
+    # with every feedback delivered, no frame needs the UP fallback, so
+    # every effective_tones call comes from the table sweep: one per
+    # (channel, codeword).  Lost feedback on a first frame falls back to
+    # UP, which forms its tones outside the sweep.
+    grid, book, _, _ = _setup(k=8, m=2, n=4)
+    cfg = FrameConfig(k_codewords=8, t_s=0.010, t_frame=2.0)
+    table = EfficiencyTableModel(p_dbm=np.array([-60.0, 40.0]),
+                                 papr_axis=np.array([1.0, 20.0]),
+                                 eta=np.array([[0.1, 0.2], [0.3, 0.4]]))
+    fades = [make_channel(62, 2, grid, pathloss_db=10.0, frame=i)
+             for i in range(3)]
+    depth, calls = [], []
+    real_sweep, real_tones = protocol._sweep, protocol.effective_tones
+
+    def sweep(*args):
+        depth.append(1)
+        try:
+            return real_sweep(*args)
+        finally:
+            depth.pop()
+
+    def tones(channel, weights):
+        calls.append(bool(depth))
+        return real_tones(channel, weights)
+
+    monkeypatch.setattr(protocol, "_sweep", sweep)
+    monkeypatch.setattr(protocol, "effective_tones", tones)
+    for delivery, outside in ((1.0, 0), (0.0, 3)):
+        calls.clear()
+        reports = run_session(cfg, book, fades.__getitem__, table, None,
+                              LinkModel(delivery), 3, stream(63, 6))
+        assert calls.count(True) == 3 * 8
+        assert calls.count(False) == outside
+        assert sum(r.applied_index == UP_FALLBACK for r in reports) == outside
 
 
 def test_adc_selection_can_differ_from_ideal_but_stays_valid():
