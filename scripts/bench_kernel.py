@@ -12,7 +12,7 @@ Layer rows, on random complex amplitudes and channel gains:
 * ``codebook._assign``, Lloyd's pruned ASSIGN, at M=4, N=8, K=64 on 1000
   channels drawn with ``realize_channel`` at 60 dB and at 0 dB pathloss,
   against SMF codewords of 64 of those channels (as ``train_lloyd``
-  starts).  ``full_matrix_us`` times the (C, K) ``_dc_batch`` matrix and
+  starts).  ``full_matrix_us`` times the unpruned (C, K) dc matrix and
   its argmax that ASSIGN replaces; ``pairs_per_channel`` counts the pairs
   that reach the exact m4 evaluation, out of K.
 * ``protocol.run_session``: one location's LIMITED sessions at M=4, N=8
@@ -20,6 +20,13 @@ Layer rows, on random complex amplitudes and channel gains:
   ``run_campaign`` runs them.  ``per_k_sweep_us`` lets each K's session
   sweep its own book; ``median_us`` sweeps the K_max book once and hands
   each K its columns.
+* ``campaign.up_frames``: one location's open-loop UP frames and tap
+  draws at figure-joint's (M, N) points, M in {1, 2, 4} x N in
+  {1, 2, 4, 8}, over F=3 fades, next to the location's sweep of the
+  K_max=64 nested book that both ways run.  ``per_frame_us`` draws the
+  taps at every (M, N) and evaluates UP frame by frame; ``median_us``
+  draws each fade's taps once at the largest M and reads UP from a
+  column of the shared sweep, as ``run_campaign`` does.
 
 Each row is the median over --repeat timings of --number calls, in
 microseconds per call.  The file's header names the numpy and Python
@@ -31,6 +38,7 @@ Usage: python3 scripts/bench_kernel.py [--out BENCH_kernel.json]
 """
 
 import argparse
+import itertools
 import json
 import platform
 import statistics
@@ -39,12 +47,14 @@ from timeit import Timer
 
 import numpy as np
 
-from wptsim import (ChannelModelParams, DiodeMomentModel, FrameConfig,
-                    LinkModel, SmfParams, ToneGrid, codebook, gen_nested,
-                    realize_channel, rng, run_session, smf_weights)
+from wptsim import (ChannelModelParams, ChannelRealization, Codebook,
+                    DiodeMomentModel, FrameConfig, LinkModel, SmfParams,
+                    ToneGrid, codebook, effective_tones, frequency_response,
+                    gen_nested, realize_channel, received_rf_power, rng,
+                    run_session, sample_taps, smf_weights, up_weights)
 from wptsim.campaign import _columns, _sweep_book
-from wptsim.codebook import _assign, _dc_and_grad, _dc_batch, _sphere
-from wptsim.protocol import _sweep
+from wptsim.codebook import _amplitudes, _assign, _dc_and_grad, _sphere
+from wptsim.protocol import _dc_power, _sweep
 from wptsim.waveform import tone_moments
 
 TONES = (1, 2, 4, 8)
@@ -52,6 +62,8 @@ BATCHES = (1, 64, 192, 1000)
 PATHLOSS_DB = (60.0, 0.0)
 SESSION_SIZES = (2, 4, 8, 16, 32, 64)
 SESSION_FRAMES = 3
+CAMPAIGN_ANTENNAS = (1, 2, 4)
+CAMPAIGN_TONES = (1, 2, 4, 8)
 
 
 def complex_normal(gen, shape):
@@ -101,6 +113,51 @@ def _session_row(grid, model, seed, repeat, number):
             "median_us": median_us(lambda: sessions(True), repeat, number)}
 
 
+def _campaign_row(model, seed, repeat, number):
+    f, power = SESSION_FRAMES, 2.0
+    params = ChannelModelParams(seed=seed)
+    points = []
+    for m, n in itertools.product(CAMPAIGN_ANTENNAS, CAMPAIGN_TONES):
+        grid = ToneGrid.centered(2.4e9, 10e6, n)
+        full = gen_nested(m, grid, power, max(SESSION_SIZES),
+                          rng.stream(seed, rng.CODEBOOK, m, n))
+        up = Codebook(k_codewords=1, entries=(up_weights(m, grid, power),))
+        points.append((m, grid, full,
+                       _sweep_book({max(SESSION_SIZES): full, "UP": up})))
+
+    def draw(m):
+        return [sample_taps(params, m, rng.stream(seed, rng.TAPS, fade))
+                for fade in range(f)]
+
+    def fades(m, grid, taps):
+        return [ChannelRealization(
+                    m_antennas=m, grid=grid,
+                    gains=frequency_response(t[:m], params, grid))
+                for t in taps]
+
+    def per_frame():
+        for m, grid, full, _ in points:
+            channels = fades(m, grid, draw(m))
+            _sweep(full, channels, model)
+            for ch in channels:
+                tones = effective_tones(ch, up_weights(m, grid, power))
+                _dc_power(model, tones, grid)
+                received_rf_power(tones)
+
+    def shared():
+        taps = draw(max(CAMPAIGN_ANTENNAS))
+        for m, grid, _, (book, columns) in points:
+            (col,) = columns["UP"]
+            swept = _sweep(book, fades(m, grid, taps), model)
+            [(dcs[col], p_rfs[col]) for dcs, p_rfs in swept]
+
+    return {"layer": "campaign.up_frames",
+            "antenna_counts": list(CAMPAIGN_ANTENNAS),
+            "tone_counts": list(CAMPAIGN_TONES), "frames": f,
+            "per_frame_us": median_us(per_frame, repeat, number),
+            "median_us": median_us(shared, repeat, number)}
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default="BENCH_kernel.json")
@@ -142,7 +199,8 @@ def main(argv=None):
                  for i in gen.choice(c, size=k, replace=False)]
 
         def full_matrix():
-            dc = np.column_stack([_dc_batch(gains, w, model) for w in words])
+            dc = np.column_stack([model.dc(*tone_moments(
+                _amplitudes(gains, w))) for w in words])
             return np.argmax(dc, axis=1)
 
         rows.append({"layer": "codebook._assign", "m_antennas": m,
@@ -157,6 +215,7 @@ def main(argv=None):
                          args.repeat, args.number)})
     rows.append(_session_row(grid, model, args.seed, args.repeat,
                              args.number))
+    rows.append(_campaign_row(model, args.seed, args.repeat, args.number))
 
     report = {"benchmark": "kernel", "numpy": np.__version__,
               "python": platform.python_version(),
@@ -178,6 +237,8 @@ def main(argv=None):
                      f"{row['k_codewords']} pairs exact")
         if "per_k_sweep_us" in row:
             line += f"  (sweep per K: {row['per_k_sweep_us']:.1f} us)"
+        if "per_frame_us" in row:
+            line += f"  (UP per frame: {row['per_frame_us']:.1f} us)"
         print(line)
     print(f"wrote {args.out}")
     return 0

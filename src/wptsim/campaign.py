@@ -317,7 +317,8 @@ def _sweep_book(books: dict) -> tuple[Codebook, dict]:
 
     Codewords are told apart by object identity.  The prefixes of a nested
     book share its entries, so its sweep book is the K_max book and K reads
-    columns 0..K-1; random and Lloyd books are concatenated.
+    columns 0..K-1; random and Lloyd books, and UP's one-entry book, are
+    concatenated.
     """
     entries, column = [], {}
     for book in books.values():
@@ -336,23 +337,37 @@ def _columns(swept: list, cols: list) -> list:
             for dcs, p_rfs in swept]
 
 
-def _fades(config: CampaignConfig, location, m: int, grid: ToneGrid) -> list:
-    """The channel of every frame at a location; all sweep points share it.
+def _taps(config: CampaignConfig, location) -> list:
+    """A location's tap draws at the largest antenna count, one per fade.
 
     ``sample_taps`` draws antenna rows in order from one stream, so the
-    m-antenna taps are the first m rows of any larger array's draw and a
-    smaller array sees a subset of the same physical channel.  Under block
-    fading one realization serves every frame.
+    m-antenna taps are the first m rows of the draw and a smaller array
+    sees a subset of the same physical channel.  Under block fading one
+    draw serves every frame.
     """
-    def draw(fade: int) -> ChannelRealization:
-        gen = rngmod.stream(location.params.seed, rngmod.TAPS, fade)
-        taps = sample_taps(location.params, m, gen)
-        gains = frequency_response(taps, location.params, grid)
-        return ChannelRealization(m_antennas=m, grid=grid, gains=gains,
-                                  location_label=location.label)
+    draws = config.frames_per_location if config.resample_per_frame else 1
+    return [sample_taps(location.params, max(config.antenna_counts),
+                        rngmod.stream(location.params.seed, rngmod.TAPS,
+                                      fade))
+            for fade in range(draws)]
+
+
+def _fades(config: CampaignConfig, location, taps: list, m: int,
+           grid: ToneGrid) -> list:
+    """The channel of every frame at a location; all sweep points share it.
+
+    The first m rows of each draw give the same bits as realize_channel's
+    own m-antenna draw.  Under block fading one realization serves every
+    frame.
+    """
+    fades = [ChannelRealization(
+                 m_antennas=m, grid=grid,
+                 gains=frequency_response(t[:m], location.params, grid),
+                 location_label=location.label)
+             for t in taps]
     if config.resample_per_frame:
-        return [draw(frame) for frame in range(config.frames_per_location)]
-    return [draw(0)] * config.frames_per_location
+        return fades
+    return fades * config.frames_per_location
 
 
 def run_campaign(config: CampaignConfig, out_dir=None,
@@ -393,21 +408,30 @@ def run_campaign(config: CampaignConfig, out_dir=None,
                                config.channel_template,
                                (config.pathloss_db_min, config.pathloss_db_max))
     smf_params = SmfParams(beta=3.0, power_budget=config.transmit_power_w)
+    taps = [_taps(config, location) for location in locations]
     adc_reads_signal = False
     rows = []
     for m, n in itertools.product(config.antenna_counts, config.tone_counts):
         grid = ToneGrid.centered(config.center_frequency_hz,
                                  config.bandwidth_hz, n)
-        if LIMITED in config.strategies:
-            books = _books(config, rect_model, m, grid)
-            sweep_book, columns = _sweep_book(books)
+        books = (_books(config, rect_model, m, grid)
+                 if LIMITED in config.strategies else {})
+        # UP is one more codeword of the location's sweep, in a book of its
+        # own
+        swept_books = dict(books)
+        if UP in config.strategies:
+            swept_books[UP] = Codebook(k_codewords=1, entries=(
+                up_weights(m, grid, config.transmit_power_w),))
+        if swept_books:
+            sweep_book, columns = _sweep_book(swept_books)
         for loc_idx, location in enumerate(locations):
-            fades = _fades(config, location, m, grid)
+            fades = _fades(config, location, taps[loc_idx], m, grid)
+            if swept_books:
+                # one sweep of every distinct codeword; a column equals
+                # that codeword's sweep in its own book to the last bit
+                swept = _sweep(sweep_book, fades, rect_model)
             for strategy in config.strategies:
                 if strategy == LIMITED:
-                    # one sweep of every distinct codeword; a column equals
-                    # that codeword's sweep in its own book to the last bit
-                    swept = _sweep(sweep_book, fades, rect_model)
                     for k, book in books.items():
                         frame_cfg = FrameConfig(k_codewords=k, t_s=config.t_s,
                                                 t_frame=config.t_frame)
@@ -427,15 +451,18 @@ def run_campaign(config: CampaignConfig, out_dir=None,
                                          int(r.feedback_delivered),
                                          r.energy_training, r.energy_wpt))
                     continue
-                for frame, ch in enumerate(fades):
-                    if strategy == UP:
-                        w = up_weights(m, grid, config.transmit_power_w)
-                    else:
-                        w = smf_weights(ch, smf_params)
-                    tones = effective_tones(ch, w)
-                    p_dc = _dc_power(rect_model, tones, grid)
+                if strategy == UP:
+                    (up,) = columns[UP]
+                    powers = [(dcs[up], p_rfs[up]) for dcs, p_rfs in swept]
+                else:
+                    powers = []
+                    for ch in fades:
+                        tones = effective_tones(ch, smf_weights(ch, smf_params))
+                        powers.append((_dc_power(rect_model, tones, grid),
+                                       received_rf_power(tones)))
+                for frame, (p_dc, p_rf) in enumerate(powers):
                     rows.append((strategy, m, n, 0, location.label, frame,
-                                 p_dc, received_rf_power(tones), 0, 0, 1, 0.0,
+                                 p_dc, p_rf, 0, 0, 1, 0.0,
                                  p_dc * config.t_frame))
     if config.adc_enabled and LIMITED in config.strategies \
             and not adc_reads_signal:

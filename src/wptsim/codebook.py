@@ -42,9 +42,8 @@ on its own updated codeword.
 
 from __future__ import annotations
 
-import functools
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -77,6 +76,8 @@ class Codebook:
     entries: tuple
     nested: bool = False
     provenance: str = ""
+    #: all weights as one read-only (K, M, N) array
+    stacked: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         entries = tuple(self.entries)
@@ -93,12 +94,17 @@ class Codebook:
                     f"expected ({first.m_antennas}, {first.n_tones})")
             if e.power_budget != first.power_budget:
                 raise DomainError("entries must share one power budget")
-            if abs(e.transmit_power - e.power_budget) > \
-                    _POWER_REL_TOL * e.power_budget:
-                raise DomainError(
-                    f"entry {i + 1} power {e.transmit_power!r} != budget "
-                    f"{e.power_budget!r}")
+        stacked = np.stack([e.weights for e in entries])
+        stacked.flags.writeable = False
+        # each entry's transmit_power, to the bit, in one reduction
+        powers = 0.5 * np.sum(np.abs(stacked) ** 2, axis=(1, 2))
+        budget = first.power_budget
+        off = np.flatnonzero(np.abs(powers - budget) > _POWER_REL_TOL * budget)
+        if off.size:
+            raise DomainError(f"entry {off[0] + 1} power "
+                              f"{float(powers[off[0]])!r} != budget {budget!r}")
         object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "stacked", stacked)
 
     @property
     def m_antennas(self) -> int:
@@ -111,13 +117,6 @@ class Codebook:
     @property
     def power_budget(self) -> float:
         return self.entries[0].power_budget
-
-    @functools.cached_property
-    def stacked(self) -> np.ndarray:
-        """All weights as one read-only (K, M, N) array, built on first use."""
-        w = np.stack([e.weights for e in self.entries])
-        w.flags.writeable = False
-        return w
 
     def prefix(self, k: int) -> "Codebook":
         """The codebook formed by the first k entries (requires nested)."""
@@ -137,10 +136,23 @@ def _sphere(weights: np.ndarray, power: float) -> np.ndarray:
     return weights * np.sqrt(2.0 * power / norm_sq)
 
 
-def _entry(weights: np.ndarray, power: float) -> WaveformWeights:
-    w = _sphere(weights, power)
-    return WaveformWeights(m_antennas=w.shape[0], n_tones=w.shape[1],
-                           weights=w, power_budget=power)
+def _entries(words: np.ndarray, power: float) -> list:
+    """Codewords of the (K, M, N) words projected onto the sphere."""
+    _, m, n = words.shape
+    return [WaveformWeights(m_antennas=m, n_tones=n, weights=w,
+                            power_budget=power)
+            for w in _sphere(words, power)]
+
+
+def _random_entries(m: int, n: int, power: float, k: int,
+                    rng: np.random.Generator) -> list:
+    """k complex-Gaussian codewords on the sphere, drawn in one call.
+
+    Index 0 of axis 1 is the real part and index 1 the imaginary part, so
+    the stream is read in the order of a per-codeword pair of (M, N) draws.
+    """
+    z = rng.standard_normal((k, 2, m, n))
+    return _entries(z[:, 0] + 1j * z[:, 1], power)
 
 
 def gen_random(m: int, grid: ToneGrid, power: float, k: int,
@@ -148,11 +160,7 @@ def gen_random(m: int, grid: ToneGrid, power: float, k: int,
     """K i.i.d. complex-Gaussian codewords rescaled onto the power sphere."""
     if k < 1:
         raise DomainError(f"k must be >= 1, got {k}")
-    n = grid.n_tones
-    entries = []
-    for _ in range(k):
-        w = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
-        entries.append(_entry(w, power))
+    entries = _random_entries(m, grid.n_tones, power, k, rng)
     return Codebook(k_codewords=k, entries=tuple(entries), nested=False,
                     provenance=provenance or f"gen_random k={k}")
 
@@ -162,11 +170,8 @@ def gen_nested(m: int, grid: ToneGrid, power: float, k_max: int,
     """Prefix-nested codebook: entry 1 is the UP codeword, the rest random."""
     if k_max < 1 or (k_max & (k_max - 1)) != 0:
         raise DomainError(f"k_max must be a power of two, got {k_max}")
-    n = grid.n_tones
-    entries = [up_weights(m, grid, power)]
-    for _ in range(k_max - 1):
-        w = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
-        entries.append(_entry(w, power))
+    entries = [up_weights(m, grid, power)] + _random_entries(
+        m, grid.n_tones, power, k_max - 1, rng)
     return Codebook(k_codewords=k_max, entries=tuple(entries), nested=True,
                     provenance=provenance or f"gen_nested k_max={k_max}")
 
@@ -177,12 +182,6 @@ def gen_nested(m: int, grid: ToneGrid, power: float, k_max: int,
 def _amplitudes(gains: np.ndarray, weights: np.ndarray) -> np.ndarray:
     # (C, M, N) x (M, N) -> per-channel effective tones (C, N)
     return np.einsum("cmn,mn->cn", gains, weights)
-
-
-def _dc_batch(gains: np.ndarray, weights: np.ndarray,
-              model: DiodeMomentModel) -> np.ndarray:
-    """dc power of one codeword on a batch of channels, shape (C,)."""
-    return model.dc(*tone_moments(_amplitudes(gains, weights)))
 
 
 def _dc_bounds(m2: np.ndarray, n_tones: int, model: DiodeMomentModel
@@ -215,8 +214,8 @@ def _assign(gains: np.ndarray, words, model: DiodeMomentModel
 
     A row's amplitudes, m2 and m4 are the same bits whatever rows share
     its batch, and every pair that can win or tie is evaluated, so the
-    first-index argmax and its value equal those of the full _dc_batch
-    matrix bit for bit.
+    first-index argmax and its value equal those of the full (C, K) matrix
+    of every pair's dc bit for bit.
 
     Returns:
         (assign, dc) of shape (C,): codeword indices and their dc powers.
@@ -431,7 +430,7 @@ def train_lloyd(training_channels, k: int, rect_model: DiodeMomentModel,
 
     cfg = f"k={k} iters={iters} n_train={len(channels)} inner={_INNER_STEPS}"
     digest = hashlib.sha256(cfg.encode()).hexdigest()[:8]
-    entries = tuple(_entry(w, power) for w in words)
+    entries = tuple(_entries(np.stack(words), power))
     return Codebook(k_codewords=k, entries=entries, nested=False,
                     provenance=f"train_lloyd {cfg} ran={iterations_run} "
                                f"cfg={digest}")

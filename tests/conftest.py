@@ -4,6 +4,8 @@ from hypothesis import HealthCheck, settings
 
 from wptsim import (ChannelModelParams, ToneGrid, WaveformWeights,
                     realize_channel)
+from wptsim.codebook import _amplitudes
+from wptsim.waveform import tone_moments
 
 settings.register_profile(
     "suite", deadline=None,
@@ -35,3 +37,12 @@ def random_weights(gen: np.random.Generator, m: int, n: int,
     raw *= np.sqrt(2.0 * power / np.sum(np.abs(raw) ** 2))
     return WaveformWeights(m_antennas=m, n_tones=n, weights=raw,
                            power_budget=power)
+
+
+def dc_batch(gains: np.ndarray, weights: np.ndarray, model) -> np.ndarray:
+    """dc power of one (M, N) codeword on (C, M, N) channel gains, shape (C,).
+
+    The unpruned reference for Lloyd's ASSIGN: each channel's amplitudes
+    are formed as ASSIGN forms them, so the values are the same bits.
+    """
+    return model.dc(*tone_moments(_amplitudes(gains, weights)))

@@ -21,9 +21,8 @@ from wptsim import (ChannelModelParams, Codebook, DiodeMomentModel,
                     stream, tap_variances, train_lloyd)
 import wptsim.rng as rngmod
 from wptsim.bounds import _tone_cdf_floor
-from wptsim.codebook import _dc_batch
 
-from conftest import make_channel
+from conftest import dc_batch, make_channel
 
 MODEL = DiodeMomentModel()
 POWER = 2.0
@@ -164,7 +163,7 @@ def measured():
                                  power=POWER),
         }
         for kind, book in books.items():
-            dc = np.column_stack([_dc_batch(gains, e.weights, MODEL)
+            dc = np.column_stack([dc_batch(gains, e.weights, MODEL)
                                   for e in book.entries])
             best[(kind, k)] = np.max(dc, axis=1)
     return smf_mean, best

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from wptsim import (ALL_LOCATIONS, CampaignConfig, ConfigError, DomainError,
-                    SummaryError, db_gain, figure_config, load_config,
+                    SummaryError, ToneGrid, db_gain, figure_config,
+                    load_config, make_locations, realize_channel,
                     run_campaign, summarize)
 from wptsim.campaign import DETAIL_HEADER, SUMMARY_HEADER, _KEYS
 
@@ -412,19 +413,26 @@ def test_lloyd_campaign_golden_bytes(tmp_path):
 @pytest.mark.parametrize("resample", [True, False])
 def test_campaign_draws_each_channel_once(tmp_path, monkeypatch, resample):
     from wptsim import campaign
-    calls = []
-    original = campaign.frequency_response
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
-    monkeypatch.setattr(campaign, "frequency_response", counting)
-    cfg = _mini_config(resample_per_frame=resample)
-    detail, _ = run_campaign(cfg, out_dir=tmp_path)
-    # UP, SMF and both codebook sizes share every (location, fade, M, N)
-    fades = cfg.frames_per_location if resample else 1
-    assert len(calls) == (cfg.n_locations * fades * len(cfg.antenna_counts)
-                          * len(cfg.tone_counts))
+    calls = {"sample_taps": [], "frequency_response": []}
+    for name, original in [("sample_taps", campaign.sample_taps),
+                           ("frequency_response",
+                            campaign.frequency_response)]:
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls[_name].append(1)
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(campaign, name, counting)
+    for axes in [{}, dict(antenna_counts=(1, 3, 4), tone_counts=(1, 2, 8))]:
+        for made in calls.values():
+            made.clear()
+        cfg = _mini_config(resample_per_frame=resample, **axes)
+        detail, _ = run_campaign(cfg, out_dir=tmp_path / str(len(axes)))
+        # UP, SMF and both codebook sizes share every (location, fade, M, N)
+        # realization, and every (M, N) shares the (location, fade) taps
+        fades = cfg.frames_per_location if resample else 1
+        assert len(calls["sample_taps"]) == cfg.n_locations * fades
+        assert len(calls["frequency_response"]) == (
+            cfg.n_locations * fades * len(cfg.antenna_counts)
+            * len(cfg.tone_counts))
     if not resample:
         # block fading: UP sees one channel in every frame
         p_dc = {}
@@ -435,6 +443,33 @@ def test_campaign_draws_each_channel_once(tmp_path, monkeypatch, resample):
         assert len(p_dc) == (cfg.n_locations * len(cfg.antenna_counts)
                              * len(cfg.tone_counts))
         assert all(len(values) == 1 for values in p_dc.values())
+
+
+@pytest.mark.parametrize("n_taps", [1, 3, 8])
+@pytest.mark.parametrize("m_max", [1, 3, 8])
+@pytest.mark.parametrize("resample", [True, False])
+def test_shared_taps_give_realize_channel_gains(n_taps, m_max, resample):
+    # one draw at the largest M serves every antenna count: its first m
+    # rows give the bits of realize_channel's own m-antenna draw
+    from wptsim import campaign
+    cfg = _mini_config(antenna_counts=(1, m_max), n_taps=n_taps,
+                       n_locations=3, frames_per_location=3,
+                       resample_per_frame=resample)
+    locations = make_locations(cfg.n_locations, cfg.seed,
+                               cfg.channel_template,
+                               (cfg.pathloss_db_min, cfg.pathloss_db_max))
+    for location in locations:
+        taps = campaign._taps(cfg, location)
+        for m, n in itertools.product(range(1, m_max + 1), (1, 2, 5, 16)):
+            grid = ToneGrid.centered(2.4e9, 10e6, n)
+            fades = campaign._fades(cfg, location, taps, m, grid)
+            assert len(fades) == cfg.frames_per_location
+            for frame, ch in enumerate(fades):
+                alone = realize_channel(location.params, m, grid,
+                                        frame=frame if resample else 0)
+                assert ch.gains.tobytes() == alone.gains.tobytes()
+                assert (ch.m_antennas, ch.location_label) == \
+                    (m, location.label)
 
 
 def _adc_config(load_resistance):
@@ -528,6 +563,56 @@ def test_each_k_reads_its_rows_from_the_shared_sweep(tmp_path, method,
         flags = {line.split(",")[10] for k in sizes
                  for line in _limited_lines(shared, k)}
         assert flags == {"0", "1"}
+
+
+@pytest.mark.parametrize("rectifier,method,strategies,resample", [
+    ("moment", "nested", ("UP", "SMF", "LIMITED"), True),
+    ("moment", "random", ("UP", "LIMITED"), True),
+    ("moment", "lloyd", ("UP", "LIMITED"), True),
+    ("moment", "nested", ("UP",), False),
+    ("table", "nested", ("UP", "LIMITED"), False),
+    ("table", "random", ("UP", "LIMITED"), True),
+    ("table", "nested", ("UP",), True),
+], ids=["moment-nested", "moment-random", "moment-lloyd", "moment-up-only",
+        "table-nested-block", "table-random", "table-up-only"])
+def test_up_rows_read_from_the_sweep_equal_frame_by_frame(
+        tmp_path, monkeypatch, rectifier, method, strategies, resample):
+    # UP is a column of the location's sweep; its rows must carry the bits
+    # of the per-frame recipe, so the detail CSV is written with repr here
+    from wptsim import campaign, effective_tones, received_rf_power, \
+        up_weights
+    from wptsim.protocol import _dc_power
+    monkeypatch.setattr(campaign, "_fmt", lambda x: repr(float(x)))
+    _write_table(tmp_path / "eta.csv")
+    cfg = _mini_config(strategies=strategies, antenna_counts=(1, 2, 4),
+                       tone_counts=(1, 2, 8), frames_per_location=3,
+                       rectifier_model=rectifier,
+                       table_path=str(tmp_path / "eta.csv"),
+                       codebook_method=method, training_channels=40,
+                       training_iters=3, resample_per_frame=resample)
+    detail, _ = run_campaign(cfg, out_dir=tmp_path / "out")
+    rows = {tuple(parts[1:6]): parts[6:]
+            for parts in (line.split(",")
+                          for line in open(detail).read().splitlines()[1:])
+            if parts[0] == "UP"}
+    rect_model = campaign._rect_model(cfg)
+    locations = make_locations(cfg.n_locations, cfg.seed,
+                               cfg.channel_template,
+                               (cfg.pathloss_db_min, cfg.pathloss_db_max))
+    expected = {}
+    for m, n in itertools.product(cfg.antenna_counts, cfg.tone_counts):
+        grid = ToneGrid.centered(cfg.center_frequency_hz, cfg.bandwidth_hz, n)
+        for location, frame in itertools.product(
+                locations, range(cfg.frames_per_location)):
+            ch = realize_channel(location.params, m, grid,
+                                 frame=frame if resample else 0)
+            tones = effective_tones(ch, up_weights(m, grid,
+                                                   cfg.transmit_power_w))
+            p_dc = _dc_power(rect_model, tones, grid)
+            expected[(str(m), str(n), "0", location.label, str(frame))] = [
+                repr(float(p_dc)), repr(received_rf_power(tones)), "0", "0",
+                "1", "0.0", repr(float(p_dc * cfg.t_frame))]
+    assert rows == expected
 
 
 # ---------------------------------------------------------------------------

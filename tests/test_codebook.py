@@ -13,11 +13,11 @@ from wptsim import (Codebook, CodebookIOError, DiodeMomentModel,
                     effective_tones, gen_nested, gen_random, load_codebook,
                     save_codebook, stream, train_lloyd, up_weights)
 from wptsim import codebook as codebook_module
-from wptsim.codebook import (_amplitudes, _assign, _dc_and_grad, _dc_batch,
-                             _dc_bounds, _sphere)
+from wptsim.codebook import (_amplitudes, _assign, _dc_and_grad, _dc_bounds,
+                             _sphere)
 from wptsim.waveform import autoconvolution, second_moment, tone_moments
 
-from conftest import make_channel
+from conftest import dc_batch, make_channel
 
 
 # ---------------------------------------------------------------------------
@@ -87,6 +87,52 @@ def test_codebook_rejects_off_sphere_entry():
                         weights=np.array([[1.0 + 0j]]), power_budget=2.0)
     with pytest.raises(DomainError):
         Codebook(k_codewords=1, entries=(w,))
+    # all entries are checked in one reduction; the error still names one
+    grid = ToneGrid.centered(2.4e9, 10e6, 4)
+    good = gen_random(2, grid, 2.0, 5, stream(5, 4)).entries
+    low = WaveformWeights(m_antennas=2, n_tones=4,
+                          weights=0.5 * good[0].weights, power_budget=2.0)
+    with pytest.raises(DomainError, match=r"^entry 4 power 0\.5\d* != "
+                                          r"budget 2\.0$"):
+        Codebook(k_codewords=6, entries=good[:3] + (low,) + good[3:5])
+
+
+@pytest.mark.parametrize("m", [1, 2, 4, 8])
+@pytest.mark.parametrize("n", [1, 3, 8, 16])
+def test_codebook_power_check_reads_each_transmit_power(m, n):
+    # the one reduction over the stacked book equals each entry's
+    # transmit_power to the bit, so the check accepts what it did per entry
+    grid = ToneGrid.centered(2.4e9, 10e6, n)
+    book = gen_nested(m, grid, 2.0, 64, stream(m * 100 + n, 4))
+    powers = 0.5 * np.sum(np.abs(book.stacked) ** 2, axis=(1, 2))
+    assert powers.tolist() == [e.transmit_power for e in book.entries]
+    assert not book.stacked.flags.writeable
+
+
+def _one_draw_per_codeword(m, n, power, k, gen):
+    # the recipe before the books were drawn in one call: a real and an
+    # imaginary (M, N) draw per codeword, each projected on its own
+    return [_sphere(gen.standard_normal((m, n))
+                    + 1j * gen.standard_normal((m, n)), power)
+            for _ in range(k)]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 8])
+@pytest.mark.parametrize("n", [1, 2, 5, 16])
+def test_books_equal_the_per_codeword_draws(m, n):
+    grid = ToneGrid.centered(2.4e9, 10e6, n)
+    for k in (1, 2, 7, 64, 128):
+        expected = _one_draw_per_codeword(m, n, 2.0, k, stream(k, 4, m, n))
+        book = gen_random(m, grid, 2.0, k, stream(k, 4, m, n))
+        assert [e.weights.tobytes() for e in book.entries] == \
+            [w.tobytes() for w in expected]
+        if k & (k - 1) == 0:
+            expected = _one_draw_per_codeword(m, n, 2.0, k - 1,
+                                              stream(k, 4, m, n))
+            book = gen_nested(m, grid, 2.0, k, stream(k, 4, m, n))
+            assert [e.weights.tobytes() for e in book.entries] == \
+                [up_weights(m, grid, 2.0).weights.tobytes()] + \
+                [w.tobytes() for w in expected]
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +157,7 @@ def _one_segment(gains, w, model):
 def test_dc_batch_matches_scalar_path():
     grid, channels, gains, w = _batch_setup(7, 5, 2, 3)
     model = DiodeMomentModel()
-    batch = _dc_batch(gains, w, model)
+    batch = dc_batch(gains, w, model)
     weights = WaveformWeights(m_antennas=2, n_tones=3, weights=w,
                               power_budget=1.0)
     for i, ch in enumerate(channels):
@@ -268,7 +314,7 @@ def test_assign_equals_the_full_dc_matrix(case, monkeypatch):
     words = list(_sphere(gen.standard_normal((k, m, n))
                          + 1j * gen.standard_normal((k, m, n)), 2.0))
     model = DiodeMomentModel(k4=k4)
-    full = np.column_stack([_dc_batch(gains, w, model) for w in words])
+    full = np.column_stack([dc_batch(gains, w, model) for w in words])
     best = np.argmax(full, axis=1)
 
     evaluated = []

@@ -340,12 +340,16 @@ def test_bench_kernel_script_writes_its_table(tmp_path):
     assign = rows[17:19]
     assert [(r["layer"], r["pathloss_db"]) for r in assign] == \
         [("codebook._assign", 60.0), ("codebook._assign", 0.0)]
-    session = rows[19]
-    assert len(rows) == 20
+    session, campaign = rows[19:21]
+    assert len(rows) == 21
     assert (session["layer"], session["m_antennas"], session["n_tones"],
             session["frames"], session["k_sizes"]) == \
         ("protocol.run_session", 4, 8, 3, [2, 4, 8, 16, 32, 64])
     assert session["per_k_sweep_us"] > 0
+    assert (campaign["layer"], campaign["antenna_counts"],
+            campaign["tone_counts"], campaign["frames"]) == \
+        ("campaign.up_frames", [1, 2, 4], [1, 2, 4, 8], 3)
+    assert campaign["per_frame_us"] > 0
     assert all(r["median_us"] > 0 for r in rows)
     assert all(r["full_matrix_us"] > 0 for r in assign)
     # every channel evaluates at least its winner; pruning leaves fewer
