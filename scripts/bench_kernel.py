@@ -27,6 +27,13 @@ Layer rows, on random complex amplitudes and channel gains:
   taps at every (M, N) and evaluates UP frame by frame; ``median_us``
   draws each fade's taps once at the largest M and reads UP from a
   column of the shared sweep, as ``run_campaign`` does.
+* ``waveform.papr`` for N in {1, 8, 16} tones at oversampling 32, on
+  random amplitudes: ``median_us`` is one ``papr`` call on the cached
+  phasor matrix, ``table_us`` one ``rectenna.dc_power_table`` call on a
+  small efficiency table, and ``build_ms`` one cold build of the matrix
+  by ``waveform._phasors`` (timed once per --repeat, with the cache
+  cleared), whose ``tracemalloc`` peak ``build_peak_mb`` is set against
+  the matrix's own ``matrix_mb``.
 
 Each row is the median over --repeat timings of --number calls, in
 microseconds per call.  The file's header names the numpy and Python
@@ -43,15 +50,18 @@ import json
 import platform
 import statistics
 import sys
+import tracemalloc
 from timeit import Timer
 
 import numpy as np
 
 from wptsim import (ChannelModelParams, ChannelRealization, Codebook,
-                    DiodeMomentModel, FrameConfig, LinkModel, SmfParams,
-                    ToneGrid, codebook, effective_tones, frequency_response,
-                    gen_nested, realize_channel, received_rf_power, rng,
-                    run_session, sample_taps, smf_weights, up_weights)
+                    DiodeMomentModel, EffectiveTones, EfficiencyTableModel,
+                    FrameConfig, LinkModel, SmfParams, ToneGrid, codebook,
+                    dc_power_table, effective_tones, frequency_response,
+                    gen_nested, papr, realize_channel, received_rf_power,
+                    rng, run_session, sample_taps, smf_weights, up_weights)
+from wptsim import waveform
 from wptsim.campaign import _columns, _sweep_book
 from wptsim.codebook import _amplitudes, _assign, _dc_and_grad, _sphere
 from wptsim.protocol import _dc_power, _sweep
@@ -64,6 +74,8 @@ SESSION_SIZES = (2, 4, 8, 16, 32, 64)
 SESSION_FRAMES = 3
 CAMPAIGN_ANTENNAS = (1, 2, 4)
 CAMPAIGN_TONES = (1, 2, 4, 8)
+PAPR_TONES = (1, 8, 16)
+PAPR_OVERSAMPLING = 32
 
 
 def complex_normal(gen, shape):
@@ -147,7 +159,7 @@ def _campaign_row(model, seed, repeat, number):
     def shared():
         taps = draw(max(CAMPAIGN_ANTENNAS))
         for m, grid, _, (book, columns) in points:
-            (col,) = columns["UP"]
+            col = columns["UP"].start
             swept = _sweep(book, fades(m, grid, taps), model)
             [(dcs[col], p_rfs[col]) for dcs, p_rfs in swept]
 
@@ -156,6 +168,38 @@ def _campaign_row(model, seed, repeat, number):
             "tone_counts": list(CAMPAIGN_TONES), "frames": f,
             "per_frame_us": median_us(per_frame, repeat, number),
             "median_us": median_us(shared, repeat, number)}
+
+
+def _papr_row(n, gen, repeat, number):
+    grid = ToneGrid.centered(2.4e9, 10e6, n)
+    # amplitudes near -30 dBm received, inside the table's power axis
+    tones = EffectiveTones(1e-3 * complex_normal(gen, n))
+    table = EfficiencyTableModel(
+        p_dbm=np.array([-60.0, -40.0, -20.0, 0.0]),
+        papr_axis=np.array([1.0, 4.0, 16.0, 32.0]),
+        eta=np.linspace(0.05, 0.6, 16).reshape(4, 4))
+
+    def build():
+        waveform._phasor_cache.clear()
+        return waveform._phasors(grid, PAPR_OVERSAMPLING)
+
+    build_s = Timer(build).repeat(repeat=repeat, number=1)
+    waveform._phasor_cache.clear()
+    tracemalloc.start()
+    try:
+        e = waveform._phasors(grid, PAPR_OVERSAMPLING)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return {"layer": "waveform.papr", "n_tones": n,
+            "oversampling": PAPR_OVERSAMPLING,
+            "build_ms": 1e3 * statistics.median(build_s),
+            "build_peak_mb": peak / 1e6, "matrix_mb": e.nbytes / 1e6,
+            "median_us": median_us(
+                lambda: papr(tones, grid, PAPR_OVERSAMPLING), repeat,
+                number),
+            "table_us": median_us(lambda: dc_power_table(table, tones, grid),
+                                  repeat, number)}
 
 
 def main(argv=None):
@@ -216,6 +260,8 @@ def main(argv=None):
     rows.append(_session_row(grid, model, args.seed, args.repeat,
                              args.number))
     rows.append(_campaign_row(model, args.seed, args.repeat, args.number))
+    rows.extend(_papr_row(n, gen, args.repeat, args.number)
+                for n in PAPR_TONES)
 
     report = {"benchmark": "kernel", "numpy": np.__version__,
               "python": platform.python_version(),
@@ -239,6 +285,10 @@ def main(argv=None):
             line += f"  (sweep per K: {row['per_k_sweep_us']:.1f} us)"
         if "per_frame_us" in row:
             line += f"  (UP per frame: {row['per_frame_us']:.1f} us)"
+        if "build_ms" in row:
+            line += (f"  (build {row['build_ms']:.2f} ms, peak "
+                     f"{row['build_peak_mb']:.2f} of {row['matrix_mb']:.2f}"
+                     f" MB; dc_power_table {row['table_us']:.1f} us)")
         print(line)
     print(f"wrote {args.out}")
     return 0

@@ -315,26 +315,34 @@ def _books(config: CampaignConfig, rect_model, m: int,
 def _sweep_book(books: dict) -> tuple[Codebook, dict]:
     """One book of the distinct codewords of all books, and each K's columns.
 
-    Codewords are told apart by object identity.  The prefixes of a nested
-    book share its entries, so its sweep book is the K_max book and K reads
-    columns 0..K-1; random and Lloyd books, and UP's one-entry book, are
-    concatenated.
+    Codewords are told apart by object identity and appended in order, so
+    every book's columns are one slice of the sweep book.  The prefixes of
+    a nested book share its entries, so its sweep book is the K_max book
+    and K reads columns 0..K-1; random and Lloyd books, and UP's one-entry
+    book, are concatenated.
+
+    Raises:
+        DomainError: a book's codewords are not contiguous columns.
     """
-    entries, column = [], {}
-    for book in books.values():
+    entries, column, columns = [], {}, {}
+    for key, book in books.items():
         for e in book.entries:
             if id(e) not in column:
                 column[id(e)] = len(entries)
                 entries.append(e)
+        start = column[id(book.entries[0])]
+        if [column[id(e)] for e in book.entries] != list(
+                range(start, start + book.k_codewords)):
+            raise DomainError(f"book {key!r} is not contiguous in the "
+                              f"sweep book")
+        columns[key] = slice(start, start + book.k_codewords)
     return (Codebook(k_codewords=len(entries), entries=tuple(entries)),
-            {k: [column[id(e)] for e in book.entries]
-             for k, book in books.items()})
+            columns)
 
 
-def _columns(swept: list, cols: list) -> list:
+def _columns(swept: list, cols: slice) -> list:
     """Each frame's sweep of one book, read from the sweep book's sweep."""
-    return [([dcs[j] for j in cols], [p_rfs[j] for j in cols])
-            for dcs, p_rfs in swept]
+    return [(dcs[cols], p_rfs[cols]) for dcs, p_rfs in swept]
 
 
 def _taps(config: CampaignConfig, location) -> list:
@@ -409,6 +417,13 @@ def run_campaign(config: CampaignConfig, out_dir=None,
                                (config.pathloss_db_min, config.pathloss_db_max))
     smf_params = SmfParams(beta=3.0, power_budget=config.transmit_power_w)
     taps = [_taps(config, location) for location in locations]
+    if LIMITED in config.strategies:
+        # every LIMITED session of one K shares its frame timing, and all
+        # share one link and one ADC
+        frame_cfgs = {k: FrameConfig(k_codewords=k, t_s=config.t_s,
+                                     t_frame=config.t_frame)
+                      for k in config.codebook_sizes}
+        link, adc = config.link_model(), config.adc_config()
     adc_reads_signal = False
     rows = []
     for m, n in itertools.product(config.antenna_counts, config.tone_counts):
@@ -433,15 +448,12 @@ def run_campaign(config: CampaignConfig, out_dir=None,
             for strategy in config.strategies:
                 if strategy == LIMITED:
                     for k, book in books.items():
-                        frame_cfg = FrameConfig(k_codewords=k, t_s=config.t_s,
-                                                t_frame=config.t_frame)
                         gen = rngmod.stream(config.seed, rngmod.SESSION,
                                             _STRATEGY_IDS[LIMITED], m, n, k,
                                             loc_idx)
-                        for r in run_session(frame_cfg, book,
+                        for r in run_session(frame_cfgs[k], book,
                                              fades.__getitem__, rect_model,
-                                             config.adc_config(),
-                                             config.link_model(),
+                                             adc, link,
                                              config.frames_per_location, gen,
                                              _columns(swept, columns[k])):
                             adc_reads_signal |= any(r.measurements)
@@ -452,7 +464,7 @@ def run_campaign(config: CampaignConfig, out_dir=None,
                                          r.energy_training, r.energy_wpt))
                     continue
                 if strategy == UP:
-                    (up,) = columns[UP]
+                    up = columns[UP].start
                     powers = [(dcs[up], p_rfs[up]) for dcs, p_rfs in swept]
                 else:
                     powers = []

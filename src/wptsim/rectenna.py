@@ -177,7 +177,12 @@ def dc_power_moment(model: DiodeMomentModel, tones: EffectiveTones,
 
 @dataclass
 class TableDiagnostics:
-    """Set by dc_power_table when a query falls outside the table."""
+    """Set by dc_power_table when a query falls outside the table.
+
+    The campaign passes none.  It stays public for callers that count
+    clamped queries: the benchmark's tracer (``perfbench/spans.py``)
+    hands one to every table call to report ``rectenna.table_clamps``.
+    """
 
     clamped_power: bool = False
     clamped_papr: bool = False

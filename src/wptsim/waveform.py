@@ -129,9 +129,10 @@ class WaveformWeights:
         if s.shape != (self.m_antennas, self.n_tones):
             raise DimensionError(
                 f"weights shape {s.shape} != ({self.m_antennas}, {self.n_tones})")
-        if not np.all(np.isfinite(s.view(float))):
+        # the reductions np.all and np.sum run, without their Python dispatch
+        if not np.isfinite(s.view(float)).all():
             raise DomainError("weights must be finite")
-        p = 0.5 * float(np.sum(np.abs(s) ** 2))
+        p = 0.5 * float(np.add.reduce(np.abs(s) ** 2, axis=None))
         if p > self.power_budget * (1.0 + _REL_TOL):
             raise DomainError(
                 f"radiated power {p!r} exceeds budget {self.power_budget!r}")
@@ -395,7 +396,14 @@ def _phasors(grid: ToneGrid, oversampling: int) -> np.ndarray:
         _phasor_cache.move_to_end(key)
         return _phasor_cache[key]
     t = sample_times(grid, oversampling)
-    e = np.exp(1j * np.outer(t, grid.angular_frequencies))
+    # one matrix, written in place, bit for bit np.exp(1j * np.outer(t, w))
+    # without its two full-size temporaries.  1j * x has imaginary part
+    # x + 0.0, which turns the -0.0 of t=0 times a tone below 0 Hz into
+    # +0.0; its real part is a signed zero, and exp(+-0 + jx) is one value
+    e = np.zeros((t.size, grid.n_tones), dtype=complex)
+    np.multiply(t[:, None], grid.angular_frequencies, out=e.imag)
+    e.imag += 0.0
+    np.exp(e, out=e)
     e.flags.writeable = False
     _phasor_cache[key] = e
     while len(_phasor_cache) > _PHASOR_CACHE_SIZE:

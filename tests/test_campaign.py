@@ -565,6 +565,32 @@ def test_each_k_reads_its_rows_from_the_shared_sweep(tmp_path, method,
         assert flags == {"0", "1"}
 
 
+def test_sweep_book_gives_each_book_one_slice():
+    from wptsim import Codebook, gen_nested, gen_random, stream, up_weights
+    from wptsim.campaign import _sweep_book
+    grid = ToneGrid.centered(2.4e9, 10e6, 2)
+    full = gen_nested(2, grid, 2.0, 8, stream(1, 3))
+    up = Codebook(k_codewords=1, entries=(up_weights(2, grid, 2.0),))
+    books = {k: full.prefix(k) for k in (1, 2, 8)}
+    books["UP"] = up
+    book, columns = _sweep_book(books)
+    assert columns == {1: slice(0, 1), 2: slice(0, 2), 8: slice(0, 8),
+                       "UP": slice(8, 9)}
+    assert all(a is b for a, b in zip(book.entries,
+                                      full.entries + up.entries))
+    assert book.k_codewords == 9
+    random = {k: gen_random(2, grid, 2.0, k, stream(1, 4, k)) for k in (2, 4)}
+    book, columns = _sweep_book(random)
+    assert columns == {2: slice(0, 2), 4: slice(2, 6)}
+    # codewords read out of order, or around another book's, form no slice
+    for before, reused in (
+            ({2: full.prefix(2)}, (full.entries[1], full.entries[0])),
+            (random, (random[2].entries[0], random[4].entries[0]))):
+        mixed = Codebook(k_codewords=2, entries=reused)
+        with pytest.raises(DomainError, match="'mixed' is not contiguous"):
+            _sweep_book({**before, "mixed": mixed})
+
+
 @pytest.mark.parametrize("rectifier,method,strategies,resample", [
     ("moment", "nested", ("UP", "SMF", "LIMITED"), True),
     ("moment", "random", ("UP", "LIMITED"), True),

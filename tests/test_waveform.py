@@ -4,6 +4,7 @@ import importlib.util
 import json
 import os
 import platform
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 from wptsim import (DimensionError, DomainError, EffectiveTones, ToneGrid,
                     WaveformWeights, ZeroWaveformError,
-                    effective_tones, moments_by_averaging, papr,
+                    effective_tones, gen_random, moments_by_averaging, papr,
                     received_rf_power, rf_power_by_averaging, stream,
                     synthesize_transmit_waveform, waveform_moments)
 from wptsim import waveform
@@ -82,6 +83,48 @@ def test_weights_reject_shape_mismatch():
         WaveformWeights(m_antennas=2, n_tones=3,
                         weights=np.zeros((3, 2), dtype=complex),
                         power_budget=1.0)
+
+
+def _checked_before(s, budget):
+    # WaveformWeights' finiteness and budget checks as np.all and np.sum
+    # wrote them; None when the weights pass
+    if not np.all(np.isfinite(s.view(float))):
+        return "weights must be finite"
+    p = 0.5 * float(np.sum(np.abs(s) ** 2))
+    if p > budget * (1.0 + 1e-9):
+        return f"radiated power {p!r} exceeds budget {budget!r}"
+    return None
+
+
+def test_weights_checks_pass_and_fail_as_before():
+    gen = stream(5, 99)
+    cases = []
+    for m, n in ((1, 1), (2, 3), (4, 8)):
+        book = gen_random(m, ToneGrid.centered(2.4e9, 10e6, n), 2.0, 16, gen)
+        cases += [e.weights.copy() for e in book.entries]
+        w = book.entries[0].weights
+        # just inside and just past the relative tolerance, and far past
+        cases += [w * np.sqrt(1.0 + 0.9e-9), w * np.sqrt(1.0 + 1.1e-9),
+                  w * 1.5]
+        for bad in (np.nan, np.inf, -np.inf):
+            real, imag = w.copy(), w.copy()
+            real[-1, -1] = complex(bad, 1.0)
+            imag[0, 0] = complex(1.0, bad)
+            cases += [real, imag]
+    outcomes = set()
+    for s in cases:
+        expected = _checked_before(s, 2.0)
+        outcomes.add(expected is None)
+        if expected is None:
+            w = WaveformWeights(m_antennas=s.shape[0], n_tones=s.shape[1],
+                                weights=s, power_budget=2.0)
+            assert w.weights.tobytes() == s.tobytes()
+            continue
+        with pytest.raises(DomainError) as info:
+            WaveformWeights(m_antennas=s.shape[0], n_tones=s.shape[1],
+                            weights=s, power_budget=2.0)
+        assert str(info.value) == expected
+    assert outcomes == {True, False}
 
 
 def test_transmit_power_is_half_norm_squared():
@@ -341,7 +384,8 @@ def test_bench_kernel_script_writes_its_table(tmp_path):
     assert [(r["layer"], r["pathloss_db"]) for r in assign] == \
         [("codebook._assign", 60.0), ("codebook._assign", 0.0)]
     session, campaign = rows[19:21]
-    assert len(rows) == 21
+    papr_rows = rows[21:]
+    assert len(rows) == 24
     assert (session["layer"], session["m_antennas"], session["n_tones"],
             session["frames"], session["k_sizes"]) == \
         ("protocol.run_session", 4, 8, 3, [2, 4, 8, 16, 32, 64])
@@ -350,6 +394,13 @@ def test_bench_kernel_script_writes_its_table(tmp_path):
             campaign["tone_counts"], campaign["frames"]) == \
         ("campaign.up_frames", [1, 2, 4], [1, 2, 4, 8], 3)
     assert campaign["per_frame_us"] > 0
+    assert [(r["layer"], r["n_tones"], r["oversampling"])
+            for r in papr_rows] == [("waveform.papr", n, 32)
+                                    for n in (1, 8, 16)]
+    # a cold build holds at least its matrix; at N=16 little more
+    assert all(r["build_peak_mb"] >= r["matrix_mb"] for r in papr_rows)
+    assert papr_rows[-1]["build_peak_mb"] <= 1.1 * papr_rows[-1]["matrix_mb"]
+    assert all(r["build_ms"] > 0 and r["table_us"] > 0 for r in papr_rows)
     assert all(r["median_us"] > 0 for r in rows)
     assert all(r["full_matrix_us"] > 0 for r in assign)
     # every channel evaluates at least its winner; pruning leaves fewer
@@ -431,10 +482,49 @@ def test_phasor_cache_keys_on_grid_values_not_identity():
 
 
 def test_cached_phasors_are_read_only():
-    e = waveform._phasors(ToneGrid.centered(2.4e9, 10e6, 2), 32)
-    assert not e.flags.writeable
-    with pytest.raises(ValueError):
-        e[0, 0] = 0.0
+    grid = ToneGrid.centered(2.4e9, 10e6, 2)
+    waveform._phasor_cache.clear()
+    # the matrix is written in place before it is frozen; built and
+    # cached, it must refuse writes
+    for e in (waveform._phasors(grid, 32), waveform._phasors(grid, 32)):
+        assert not e.flags.writeable
+        with pytest.raises(ValueError):
+            e[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            e.imag[0, 0] = 0.0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 16])
+@pytest.mark.parametrize("oversampling", [8, 32])
+@pytest.mark.parametrize("center_hz", [2.4e9, 1e6])
+def test_phasors_equal_one_shot_exp_by_bytes(n, oversampling, center_hz):
+    # the matrix is written in place; it must carry the bytes of the
+    # one-shot exp(1j * outer(t, w)), built and read from the cache.  At
+    # 1 MHz the grid's lower tones sit below 0 Hz, so phases are negative
+    # and t=0 gives -0.0
+    grid = ToneGrid.centered(center_hz, 10e6, n)
+    expected = np.exp(1j * np.outer(sample_times(grid, oversampling),
+                                    grid.angular_frequencies))
+    waveform._phasor_cache.clear()
+    built = waveform._phasors(grid, oversampling)
+    cached = waveform._phasors(grid, oversampling)
+    assert cached is built
+    assert built.dtype == expected.dtype and built.shape == expected.shape
+    assert built.tobytes() == expected.tobytes()
+
+
+def test_cold_phasor_build_peaks_near_one_matrix():
+    # the one-shot exp(1j * outer(t, w)) peaks at two matrices; the build
+    # in place must hold little beyond the matrix it returns
+    grid = ToneGrid.centered(2.4e9, 10e6, 16)
+    waveform._phasor_cache.clear()
+    tracemalloc.start()
+    try:
+        e = waveform._phasors(grid, 32)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert e.nbytes <= peak <= 1.1 * e.nbytes
 
 
 def test_phasor_cache_stays_within_its_bound():
