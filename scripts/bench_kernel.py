@@ -13,8 +13,10 @@ Layer rows, on random complex amplitudes and channel gains:
   channels drawn with ``realize_channel`` at 60 dB and at 0 dB pathloss,
   against SMF codewords of 64 of those channels (as ``train_lloyd``
   starts).  ``full_matrix_us`` times the unpruned (C, K) dc matrix and
-  its argmax that ASSIGN replaces; ``pairs_per_channel`` counts the pairs
-  that reach the exact m4 evaluation, out of K.
+  its argmax that ASSIGN replaces; ``screen_us`` times ASSIGN's BLAS
+  screen alone, block by block as ASSIGN runs it; ``pairs_per_channel``
+  counts the pairs that reach the exact m4 evaluation, out of K, each
+  channel's seeded pair (the one the screen ranks first) included.
 * ``protocol.run_session``: one location's LIMITED sessions at M=4, N=8
   over F=3 fades, for the nested books K in {2, ..., 64}, as
   ``run_campaign`` runs them.  ``per_k_sweep_us`` lets each K's session
@@ -241,6 +243,7 @@ def main(argv=None):
         gains = np.stack([ch.gains for ch in channels])
         words = [smf_weights(channels[int(i)], smf).weights
                  for i in gen.choice(c, size=k, replace=False)]
+        stack, block = np.stack(words), codebook._ASSIGN_BLOCK
 
         def full_matrix():
             dc = np.column_stack([model.dc(*tone_moments(
@@ -254,6 +257,10 @@ def main(argv=None):
                      / c,
                      "full_matrix_us": median_us(full_matrix, args.repeat,
                                                  args.number),
+                     "screen_us": median_us(
+                         lambda: [codebook._screen(gains[s:s + block], stack)
+                                  for s in range(0, c, block)],
+                         args.repeat, args.number),
                      "median_us": median_us(
                          lambda: _assign(gains, words, model),
                          args.repeat, args.number)})
@@ -278,7 +285,8 @@ def main(argv=None):
         line = f"{row['layer']:<24} {shape:<18} {row['median_us']:10.1f} us"
         if "pathloss_db" in row:
             line += (f"  at {row['pathloss_db']:g} dB: full matrix "
-                     f"{row['full_matrix_us']:.1f} us, "
+                     f"{row['full_matrix_us']:.1f} us, screen "
+                     f"{row['screen_us']:.1f} us, "
                      f"{row['pairs_per_channel']:.2f} of "
                      f"{row['k_codewords']} pairs exact")
         if "per_k_sweep_us" in row:

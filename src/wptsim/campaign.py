@@ -137,6 +137,13 @@ class CampaignConfig:
             raise ConfigError(f"unknown codebook method {self.codebook_method!r}")
         if self.pathloss_db_max < self.pathloss_db_min:
             raise ConfigError("empty pathloss range")
+        # an N-tone grid's lowest tone lies B*(N-1)/(2N) below the carrier,
+        # which nears B/2 as N grows
+        if not self.center_frequency_hz > self.bandwidth_hz / 2:
+            raise ConfigError(
+                f"[grid] center_frequency_hz = {self.center_frequency_hz!r} "
+                f"must exceed half of [grid] bandwidth_hz = "
+                f"{self.bandwidth_hz!r}, or a tone lies at or below 0 Hz")
 
     def link_model(self) -> LinkModel:
         """The feedback link of the LIMITED sessions."""

@@ -18,16 +18,20 @@ realizations and the smooth moment rectifier:
 
 ASSIGN computes the fourth moment only where the argmax can land.  m4
 lies between 0 and 1.5*N*m2^2 (docs/covering_bound.md, step 1), so m2
-alone bounds every (channel, codeword) dc.  A pair is evaluated exactly
-only if its upper bound reaches its channel's floor, the running maximum
-of the lower bounds and of the exact dc values computed so far; at 60 dB
-pathloss about 5 of 64 pairs per channel reach that step, at 0 dB about
-30.  The pruning is exact.  Rounding is monotone, so the computed dc never
-falls below its lower bound, and a 1e-9 slack on the upper bound covers
-the rounding of m4 against it.  Every pair that can win or tie is
-evaluated, and a row's m2 and m4 do not depend on the rows beside it, so
-the assignment and its dc values equal the full (C, K) matrix's bit for
-bit.
+alone bounds every (channel, codeword) dc.  A screen bounds every pair's
+m2 at once, from one BLAS product per tone, widened by a slack that
+provably covers the difference between BLAS's rounding and the einsum's
+(see _assign).  Each channel's most promising pair is evaluated exactly
+first, and its dc sets the channel's floor; after it only the pairs
+whose upper bound reaches that floor are evaluated exactly: at 60 dB
+pathloss about 1.02 of 64 pairs per channel in all, at 0 dB about 22.
+The pruning is exact.  Rounding is monotone, so the computed dc
+never falls below its lower bound, and a 1e-9 slack on the upper bound
+covers the rounding of m4 against it.  Both slacks assume normal floats
+(m2 above about 1e-154 W, or exact zeros).  Every pair that can win or
+tie is evaluated, and a row's m2 and m4 do not depend on the rows beside
+it, so the assignment and its dc values equal the full (C, K) matrix's
+bit for bit; the screen never reaches a byte of the result.
 
 The UPDATE of one cluster reads only its own codeword and its members'
 channels, so the UPDATE steps of one iteration are independent: they run
@@ -64,6 +68,15 @@ _POWER_REL_TOL = 1e-9
 #: the bound holds with equality, and without slack the computed m4
 #: exceeds it by an ulp about half the time.
 _M4_BOUND_SLACK = 1e-9
+#: relative slack of ASSIGN's screen on each pair's amplitude norm; the
+#: rounding it covers is below 1e-13 for M + N up to about 1000 (_assign)
+_SCREEN_SLACK = 1e-12
+#: training channels ASSIGN handles at once.  Every temporary of a block
+#: (the screen's products, an exact batch's gathered gains and codewords,
+#: autoconvolution's N^2 products) then stays near 0.5 MB at M=4, N=8,
+#: K=64; with whole (K, C) temporaries, Lloyd training at C = 1000
+#: peaked about 0.5 MB higher in RSS than with blocks.
+_ASSIGN_BLOCK = 256
 _MAX_HALVINGS = 40      # step halvings a line search tries before giving up
 _INNER_STEPS = 4        # gradient-ascent steps per cluster per iteration
 
@@ -198,51 +211,125 @@ def _dc_bounds(m2: np.ndarray, n_tones: int, model: DiodeMomentModel
     return model.dc(m2, 0.0), model.dc(m2, ceiling)
 
 
+def _screen(gains: np.ndarray, words: np.ndarray
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds on the m2 that second_moment computes for every pair.
+
+    For each tone t, one BLAS product words[:, :, t] @ gains[:, :, t].T
+    forms the amplitudes of all (K, C) pairs, and their squared moduli
+    are summed over the tones in place, so no (N, K, C) array is held.
+    With r the norm of a pair's screened amplitudes, the interval
+    [r - delta, r + delta], delta = _SCREEN_SLACK*(||g||_F ||w||_F + r),
+    holds the norm sqrt(2*m2) of the einsum's amplitudes; _assign gives
+    the argument.
+
+    Returns:
+        (floor, upper): floor (C,) is each channel's largest lower bound
+        on m2 over the codewords, upper (K, C) every pair's upper bound.
+    """
+    c, _, n = gains.shape
+    k = len(words)
+    p = np.empty((k, c), dtype=complex)
+    parts = p.view(float)   # (K, 2C): each real part beside its imaginary
+    acc = np.zeros_like(parts)
+    for t in range(n):
+        np.matmul(words[:, :, t], gains[:, :, t].T, out=p)
+        np.multiply(parts, parts, out=parts)
+        acc += parts
+    r = np.sqrt(np.add(acc[:, 0::2], acc[:, 1::2]))
+    delta = np.multiply.outer(np.linalg.norm(words.reshape(k, -1), axis=1),
+                              np.linalg.norm(gains.reshape(c, -1), axis=1))
+    delta += r
+    delta *= _SCREEN_SLACK
+    floor = np.maximum(np.max(r - delta, axis=0), 0.0)
+    r += delta
+    np.square(r, out=r)
+    r *= 0.5
+    return 0.5 * floor * floor, r
+
+
+def _exact_dc(gains: np.ndarray, words: np.ndarray, rows: np.ndarray,
+              cols: np.ndarray, model: DiodeMomentModel) -> np.ndarray:
+    """dc of each pair (channel rows[i], codeword cols[i]), shape (P,).
+
+    The pairs are evaluated in batches of as many pairs as gains has
+    channels.  The gathered einsum gives each pair the amplitude bits
+    _amplitudes gives it (tests/test_codebook.py pins that), and a row's
+    m2 and m4 do not depend on its batch.
+    """
+    dc = np.empty(rows.size)
+    for start in range(0, rows.size, len(gains)):
+        batch = slice(start, start + len(gains))
+        a = np.einsum("cmn,cmn->cn", gains[rows[batch]], words[cols[batch]])
+        dc[batch] = model.dc(second_moment(a), fourth_moment(a))
+    return dc
+
+
 def _assign(gains: np.ndarray, words, model: DiodeMomentModel
             ) -> tuple[np.ndarray, np.ndarray]:
     """Lloyd's ASSIGN: each channel's best codeword and its dc power.
 
-    A pair (channel, codeword) can win, or tie, only if its upper bound
-    from _dc_bounds reaches the channel's floor: the largest value known
-    not to exceed the channel's best computed dc.  The floor is the
-    running maximum of the lower bounds and of the exact dc values
-    computed so far.  One pass over the codewords forms each one's
-    amplitudes and m2 and stashes the pairs that reach the floor; the
-    stash is evaluated exactly, in batches of at most C rows, whenever it
-    holds C rows and after the last codeword, and each exact value raises
-    its channel's floor.  Every other entry of the (C, K) matrix is -inf.
+    A channel's assignment reads no other channel, so the channels are
+    taken in blocks of _ASSIGN_BLOCK.  In a block, _screen bounds every
+    pair's m2 from one BLAS product per tone.  Each channel's pair with
+    the highest upper bound is evaluated exactly first.  Its dc, and the
+    dc lower bound of the channel's largest lower m2 bound, set the
+    channel's floor: a value known not to exceed its best computed dc.
+    After it, only the pairs whose dc upper bound from _dc_bounds reaches
+    the floor are evaluated exactly, in batches no larger than the block;
+    every other entry of the block's (C, K) dc matrix is -inf.
 
-    A row's amplitudes, m2 and m4 are the same bits whatever rows share
-    its batch, and every pair that can win or tie is evaluated, so the
-    first-index argmax and its value equal those of the full (C, K) matrix
-    of every pair's dc bit for bit.
+    The screen only decides which pairs are evaluated.  BLAS sums in its
+    own order, blocking and fused multiply-adds, so its amplitudes differ
+    from the einsum's; the slack covers that.  Each amplitude is an M-term
+    complex inner product, so any such evaluation lies within
+    gamma_{M+2} * sum_m |g_m||w_m| of the exact value, gamma_j =
+    j*u/(1 - j*u) with u = 2^-53 (Higham, Accuracy and Stability of
+    Numerical Algorithms, sections 3.1 and 3.6).  Summed over the tones
+    in norm and by Cauchy-Schwarz, the screened and the einsum's
+    amplitude vectors differ by at most 2*gamma_{M+2}*||g||_F*||w||_F.
+    The computed norm r and sqrt(2*m2) add relative errors of order
+    (N + 4)*u.  So |sqrt(2*m2) - r| <= _SCREEN_SLACK*(||g||_F ||w||_F + r)
+    with room to spare while (M + N)*u stays far below 1e-12, that is for
+    any M + N up to about 1000.  Like _dc_bounds, the argument assumes
+    that no product or square leaves the normal range (m2 above about
+    1e-154 W, or exact zeros such as an all-zero channel).
+
+    Every pair that can win or tie is evaluated, and a row's amplitudes,
+    m2 and m4 are the same bits whatever rows share its batch, so the
+    first-index argmax and its value equal those of the full (C, K)
+    matrix of every pair's dc bit for bit, whatever BLAS library, thread
+    count or machine computed the screen.
 
     Returns:
         (assign, dc) of shape (C,): codeword indices and their dc powers.
     """
+    words = np.asarray(words)
+    assign = np.empty(len(gains), dtype=np.intp)
+    dc = np.empty(len(gains))
+    for start in range(0, len(gains), _ASSIGN_BLOCK):
+        block = slice(start, start + _ASSIGN_BLOCK)
+        assign[block], dc[block] = _assign_block(gains[block], words, model)
+    return assign, dc
+
+
+def _assign_block(gains: np.ndarray, words: np.ndarray,
+                  model: DiodeMomentModel) -> tuple[np.ndarray, np.ndarray]:
+    """_assign on one block of channels, every array sized by the block."""
     c, _, n = gains.shape
+    floor_m2, upper_m2 = _screen(gains, words)
+    channels = np.arange(c)
+    seed = np.argmax(upper_m2, axis=0)
+    seed_dc = _exact_dc(gains, words, channels, seed, model)
+    floor = np.maximum(seed_dc, _dc_bounds(floor_m2, n, model)[0])
+    reach = _dc_bounds(upper_m2, n, model)[1] >= floor
+    reach[seed, channels] = False
+    cols, rows = np.nonzero(reach)
     dc = np.full((c, len(words)), -np.inf)
-    floor = np.zeros(c)
-    stash, held = [], 0     # blocks of (rows, codewords, amplitudes, m2)
-    for kk, w in enumerate(words):
-        a = _amplitudes(gains, w)
-        m2 = second_moment(a)
-        lower, upper = _dc_bounds(m2, n, model)
-        np.maximum(floor, lower, out=floor)
-        keep = np.flatnonzero(upper >= floor)
-        stash.append((keep, np.full(keep.size, kk), a[keep], m2[keep]))
-        held += keep.size
-        if held < c and kk < len(words) - 1:
-            continue
-        rows, cols, a, m2 = map(np.concatenate, zip(*stash))
-        for start in range(0, held, c):
-            batch = slice(start, start + c)
-            exact = model.dc(m2[batch], fourth_moment(a[batch]))
-            dc[rows[batch], cols[batch]] = exact
-            np.maximum.at(floor, rows[batch], exact)
-        stash, held = [], 0
+    dc[channels, seed] = seed_dc
+    dc[rows, cols] = _exact_dc(gains, words, rows, cols, model)
     assign = np.argmax(dc, axis=1)
-    return assign, dc[np.arange(c), assign]
+    return assign, dc[channels, assign]
 
 
 def _dc_and_grad(gains: np.ndarray, words: np.ndarray, bounds,
@@ -282,10 +369,12 @@ def _dc_and_grad(gains: np.ndarray, words: np.ndarray, bounds,
     means = np.empty(len(rows) - 1)
     grads = np.empty_like(words)
     for i, (start, stop) in enumerate(bounds):
-        # a reduceat or zero-padded sum would regroup numpy's pairwise sum
-        means[i] = np.mean(dc[rows[i]:rows[i + 1]])
-        grads[i] = np.einsum("cn,cmn->mn", ddc[rows[i]:rows[i + 1]],
-                             np.conj(gains[start:stop])) / int(stop - start)
+        seg, count = slice(rows[i], rows[i + 1]), int(stop - start)
+        # np.mean's sum and division without its Python-level dispatch; a
+        # reduceat or zero-padded sum would regroup numpy's pairwise sum
+        means[i] = np.add.reduce(dc[seg]) / count
+        grads[i] = np.einsum("cn,cmn->mn", ddc[seg],
+                             np.conj(gains[start:stop])) / count
     return means, grads
 
 

@@ -249,6 +249,21 @@ def test_config_checks_adc_settings_only_when_enabled():
     assert enabled.link_model().delivery_probability == 1.0
 
 
+@pytest.mark.parametrize("center,bandwidth", [
+    ("5e6", "10e6"), ("1e6", "10e6"), ("-2.4e9", "10e6")])
+def test_config_rejects_a_grid_reaching_zero_hz(tmp_path, center, bandwidth):
+    # such a carrier puts the lowest tones of a wide grid at or below 0 Hz
+    path = tmp_path / "c.ini"
+    path.write_text(f"[grid]\ncenter_frequency_hz = {center}\n"
+                    f"bandwidth_hz = {bandwidth}\n")
+    with pytest.raises(ConfigError, match=r"\[grid\] center_frequency_hz "
+                                          r".*\[grid\] bandwidth_hz"):
+        load_config(path)
+    path.write_text("[grid]\ncenter_frequency_hz = 5.000001e6\n"
+                    "bandwidth_hz = 10e6\n")
+    assert load_config(path).center_frequency_hz == 5.000001e6
+
+
 def test_load_config_missing_file():
     with pytest.raises(ConfigError):
         load_config("/nonexistent/config.ini")

@@ -14,7 +14,7 @@ from wptsim import (Codebook, CodebookIOError, DiodeMomentModel,
                     save_codebook, stream, train_lloyd, up_weights)
 from wptsim import codebook as codebook_module
 from wptsim.codebook import (_amplitudes, _assign, _dc_and_grad, _dc_bounds,
-                             _sphere)
+                             _screen, _sphere)
 from wptsim.waveform import autoconvolution, second_moment, tone_moments
 
 from conftest import dc_batch, make_channel
@@ -284,8 +284,61 @@ def test_amplitude_rows_do_not_depend_on_the_batch(m, n, c):
         assert _same_bits(gathered[rows], _amplitudes(gains, w)[rows])
 
 
+def _screen_case(m, n, c, k, pathloss_db, seed):
+    grid = ToneGrid.centered(2.4e9, 10e6, n)
+    gains = np.stack([make_channel(seed + i, m, grid,
+                                   pathloss_db=pathloss_db).gains
+                      for i in range(c)])
+    gen = stream(seed, 97, m, n)
+    words = _sphere(gen.standard_normal((k, m, n))
+                    + 1j * gen.standard_normal((k, m, n)), 2.0)
+    return gains, words
+
+
+def _screened_m2(gains, words):
+    # the m2 of every (codeword, channel) pair as ASSIGN computes it exactly,
+    # and the screen's interval: each channel's floor must not exceed its
+    # largest m2, and no m2 may exceed its pair's upper bound
+    m2 = np.stack([second_moment(_amplitudes(gains, w)) for w in words])
+    floor, upper = _screen(gains, words)
+    assert floor.shape == (len(gains),) and upper.shape == m2.shape
+    return m2, floor, upper
+
+
+@pytest.mark.parametrize("m", [1, 8])
+@pytest.mark.parametrize("n", [1, 16])
+@pytest.mark.parametrize("pathloss_db", [0.0, 30.0, 60.0])
+def test_screen_contains_every_computed_m2(m, n, pathloss_db):
+    gains, words = _screen_case(m, n, 150, 24, pathloss_db, 600)
+    gains[::7] = 0.0    # all-zero channels: every product is an exact zero
+    m2, floor, upper = _screened_m2(gains, words)
+    assert np.all(floor <= m2.max(axis=0)) and np.all(m2 <= upper)
+    assert np.all(upper[:, ::7] == 0.0) and np.all(floor[::7] == 0.0)
+    # the widening is a few 1e-12 of a typical m2, so the screen is sharp
+    live = m2 > 0
+    assert np.median(upper[live] / m2[live]) < 1.0 + 1e-10
+
+
+def test_screen_contains_cancelling_codewords():
+    # at M = 2 the codeword w[:, n] = (g1n, -g0n) of a channel gives it
+    # a = g0 g1 - g1 g0 = 0 in exact arithmetic, so the screen's BLAS
+    # product and the einsum each leave their own rounding residue, and
+    # only the slack's ||g||_F ||w||_F term can cover the difference
+    gains, _ = _screen_case(2, 8, 120, 1, 0.0, 700)
+    words = _sphere(np.stack([gains[:, 1], -gains[:, 0]], axis=1), 2.0)
+    m2, floor, upper = _screened_m2(gains, words)
+    own = np.diagonal(m2)
+    assert np.all(own <= 1e-25 * np.median(m2))
+    assert np.all(floor <= m2.max(axis=0)) and np.all(m2 <= upper)
+    assert np.all(np.diagonal(upper) <= 1e-20 * np.median(m2))
+
+
 # (M, N, K, C, pathloss dB, k4, twist); twist "dup" repeats 10 channels
-# over the batch, "zero" zeroes every fifth channel
+# over the batch, "zero" zeroes every fifth channel, and "shadow" gives no
+# channel gain on the last antenna and makes each odd codeword the even
+# one before it with that antenna filled: the two tie exactly, but the
+# larger norm ranks the odd one first in the screen, so its channel's
+# evaluation starts there and the first-index rule must move the pick
 _ASSIGN_CASES = {
     "60dB": (4, 8, 64, 300, 60.0, 19.1, None),
     "45dB": (4, 8, 64, 300, 45.0, 19.1, None),
@@ -296,6 +349,8 @@ _ASSIGN_CASES = {
     "duplicates": (2, 4, 16, 120, 20.0, 19.1, "dup"),
     "zero-rows": (2, 4, 16, 120, 20.0, 19.1, "zero"),
     "k4-zero": (4, 8, 32, 200, 30.0, 0.0, None),
+    "k1": (4, 8, 1, 100, 60.0, 19.1, None),
+    "shadow": (3, 4, 16, 120, 20.0, 19.1, "shadow"),
 }
 
 
@@ -313,6 +368,14 @@ def test_assign_equals_the_full_dc_matrix(case, monkeypatch):
     gen = stream(14, 96, m, n)
     words = list(_sphere(gen.standard_normal((k, m, n))
                          + 1j * gen.standard_normal((k, m, n)), 2.0))
+    if twist == "shadow":
+        gains[:, -1] = 0.0
+        for j in range(0, k, 2):
+            words[j][-1] = 0.0
+            words[j + 1] = words[j].copy()
+            words[j + 1][-1] = 1.0
+        assert np.all(np.argmax(_screen(gains, np.stack(words))[1],
+                                axis=0) % 2 == 1)
     model = DiodeMomentModel(k4=k4)
     full = np.column_stack([dc_batch(gains, w, model) for w in words])
     best = np.argmax(full, axis=1)
@@ -324,6 +387,8 @@ def test_assign_equals_the_full_dc_matrix(case, monkeypatch):
     assign, dc = _assign(gains, words, model)
     assert np.array_equal(assign, best)
     assert _same_bits(dc, full[np.arange(c), best])
+    if twist == "shadow":
+        assert np.all(best % 2 == 0)
 
     # the bounds the pruning rests on hold for every computed dc
     m2 = np.stack([second_moment(_amplitudes(gains, w)) for w in words])

@@ -402,9 +402,10 @@ def test_bench_kernel_script_writes_its_table(tmp_path):
     assert papr_rows[-1]["build_peak_mb"] <= 1.1 * papr_rows[-1]["matrix_mb"]
     assert all(r["build_ms"] > 0 and r["table_us"] > 0 for r in papr_rows)
     assert all(r["median_us"] > 0 for r in rows)
-    assert all(r["full_matrix_us"] > 0 for r in assign)
-    # every channel evaluates at least its winner; pruning leaves fewer
-    # than K pairs at 60 dB
+    assert all(r["full_matrix_us"] > 0 and r["screen_us"] > 0
+               for r in assign)
+    # every channel evaluates at least its seeded pair; pruning leaves
+    # fewer than K pairs at 60 dB
     assert all(1 <= r["pairs_per_channel"] <= r["k_codewords"]
                for r in assign)
     assert assign[0]["pairs_per_channel"] < assign[0]["k_codewords"]
