@@ -135,7 +135,7 @@ def _campaign_row(model, seed, repeat, number):
         grid = ToneGrid.centered(2.4e9, 10e6, n)
         full = gen_nested(m, grid, power, max(SESSION_SIZES),
                           rng.stream(seed, rng.CODEBOOK, m, n))
-        up = Codebook(k_codewords=1, entries=(up_weights(m, grid, power),))
+        up = Codebook(entries=(up_weights(m, grid, power),))
         points.append((m, grid, full,
                        _sweep_book({max(SESSION_SIZES): full, "UP": up})))
 
@@ -145,8 +145,7 @@ def _campaign_row(model, seed, repeat, number):
 
     def fades(m, grid, taps):
         return [ChannelRealization(
-                    m_antennas=m, grid=grid,
-                    gains=frequency_response(t[:m], params, grid))
+                    grid=grid, gains=frequency_response(t[:m], params, grid))
                 for t in taps]
 
     def per_frame():

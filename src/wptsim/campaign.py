@@ -108,25 +108,20 @@ class CampaignConfig:
         if LIMITED in self.strategies:
             if not self.codebook_sizes:
                 raise ConfigError("LIMITED strategy needs codebook_sizes")
-            if any(k < 1 for k in self.codebook_sizes):
-                raise ConfigError("codebook_sizes must be >= 1")
+            # FrameConfig, LinkModel and AdcConfig own their value checks;
+            # building them here makes a bad setting fail at load, not
+            # mid-run
+            try:
+                self.frame_configs()
+                self.link_model()
+                self.adc_config()
+            except (ConfigError, DomainError) as exc:
+                raise ConfigError(
+                    f"invalid frame, link or adc setting: {exc}") from exc
             if self.codebook_method == "nested" and any(
                     k & (k - 1) for k in self.codebook_sizes):
                 raise ConfigError(
                     "nested codebooks require power-of-two sizes")
-            if not max(self.codebook_sizes) * self.t_s < self.t_frame:
-                raise ConfigError(
-                    f"K*t_s must stay below t_frame, got K="
-                    f"{max(self.codebook_sizes)}, t_s={self.t_s}, "
-                    f"t_frame={self.t_frame}")
-            # LinkModel and AdcConfig own their value checks; building them
-            # here makes a bad setting fail at load, not mid-run
-            try:
-                self.link_model()
-                self.adc_config()
-            except DomainError as exc:
-                raise ConfigError(f"invalid link or adc setting: {exc}") \
-                    from exc
         if self.n_locations < 1 or self.frames_per_location < 1:
             raise ConfigError("need at least one location and one frame")
         if self.rectifier_model not in ("moment", "table"):
@@ -144,6 +139,12 @@ class CampaignConfig:
                 f"[grid] center_frequency_hz = {self.center_frequency_hz!r} "
                 f"must exceed half of [grid] bandwidth_hz = "
                 f"{self.bandwidth_hz!r}, or a tone lies at or below 0 Hz")
+
+    def frame_configs(self) -> dict:
+        """The LIMITED sessions' frame timing, keyed by codebook size K."""
+        return {k: FrameConfig(k_codewords=k, t_s=self.t_s,
+                               t_frame=self.t_frame)
+                for k in self.codebook_sizes}
 
     def link_model(self) -> LinkModel:
         """The feedback link of the LIMITED sessions."""
@@ -343,8 +344,7 @@ def _sweep_book(books: dict) -> tuple[Codebook, dict]:
             raise DomainError(f"book {key!r} is not contiguous in the "
                               f"sweep book")
         columns[key] = slice(start, start + book.k_codewords)
-    return (Codebook(k_codewords=len(entries), entries=tuple(entries)),
-            columns)
+    return Codebook(entries=tuple(entries)), columns
 
 
 def _columns(swept: list, cols: slice) -> list:
@@ -375,10 +375,8 @@ def _fades(config: CampaignConfig, location, taps: list, m: int,
     own m-antenna draw.  Under block fading one realization serves every
     frame.
     """
-    fades = [ChannelRealization(
-                 m_antennas=m, grid=grid,
-                 gains=frequency_response(t[:m], location.params, grid),
-                 location_label=location.label)
+    fades = [ChannelRealization(grid=grid, gains=frequency_response(
+                 t[:m], location.params, grid), location_label=location.label)
              for t in taps]
     if config.resample_per_frame:
         return fades
@@ -427,9 +425,7 @@ def run_campaign(config: CampaignConfig, out_dir=None,
     if LIMITED in config.strategies:
         # every LIMITED session of one K shares its frame timing, and all
         # share one link and one ADC
-        frame_cfgs = {k: FrameConfig(k_codewords=k, t_s=config.t_s,
-                                     t_frame=config.t_frame)
-                      for k in config.codebook_sizes}
+        frame_cfgs = config.frame_configs()
         link, adc = config.link_model(), config.adc_config()
     adc_reads_signal = False
     rows = []
@@ -442,7 +438,7 @@ def run_campaign(config: CampaignConfig, out_dir=None,
         # own
         swept_books = dict(books)
         if UP in config.strategies:
-            swept_books[UP] = Codebook(k_codewords=1, entries=(
+            swept_books[UP] = Codebook(entries=(
                 up_weights(m, grid, config.transmit_power_w),))
         if swept_books:
             sweep_book, columns = _sweep_book(swept_books)

@@ -61,22 +61,28 @@ class ChannelModelParams:
 
 @dataclass(frozen=True)
 class ChannelRealization:
-    """One draw of per-tone complex gains for an M-antenna link."""
+    """One draw of per-tone complex gains for an M-antenna link.
 
-    m_antennas: int
+    gains is an (M, N) matrix over the grid's N tones.
+    """
+
     grid: ToneGrid
     gains: np.ndarray = field(repr=False)
     location_label: str = ""
 
     def __post_init__(self):
         g = np.asarray(self.gains, dtype=complex)
-        if g.shape != (self.m_antennas, self.grid.n_tones):
+        if g.ndim != 2 or g.shape[1] != self.grid.n_tones:
             raise DimensionError(
-                f"gains shape {g.shape} != ({self.m_antennas}, {self.grid.n_tones})")
+                f"gains shape {g.shape} != (M, {self.grid.n_tones})")
         if not np.all(np.isfinite(g.view(float))):
             raise DomainError("gains must be finite")
         g.flags.writeable = False
         object.__setattr__(self, "gains", g)
+
+    @property
+    def m_antennas(self) -> int:
+        return self.gains.shape[0]
 
 
 @dataclass(frozen=True)
@@ -133,8 +139,7 @@ def realize_channel(params: ChannelModelParams, m_antennas: int,
     gen = rngmod.stream(params.seed, rngmod.TAPS, frame)
     taps = sample_taps(params, m_antennas, gen)
     gains = frequency_response(taps, params, grid)
-    return ChannelRealization(m_antennas=m_antennas, grid=grid, gains=gains,
-                              location_label=label)
+    return ChannelRealization(grid=grid, gains=gains, location_label=label)
 
 
 def make_locations(count: int, base_seed: int,
@@ -208,5 +213,4 @@ def load_channel(path, grid: ToneGrid, label: str = "") -> ChannelRealization:
             if (m, n) not in entries:
                 raise ConfigError(f"{path}: missing entry ({m}, {n})")
             gains[m - 1, n - 1] = entries[(m, n)]
-    return ChannelRealization(m_antennas=m_antennas, grid=grid, gains=gains,
-                              location_label=label)
+    return ChannelRealization(grid=grid, gains=gains, location_label=label)

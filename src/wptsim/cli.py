@@ -25,7 +25,14 @@ from .errors import WptsimError
 from .rectenna import DiodeMomentModel
 from .timedomain import moments_by_averaging
 from .waveform import (ToneGrid, WaveformWeights, effective_tones,
-                       waveform_moments)
+                       radiated_power, waveform_moments)
+
+
+def _positive_int(raw: str) -> int:
+    value = int(raw)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -77,7 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "moments",
         help="closed-form moments vs time-domain averaging")
     mom.add_argument("--seed", type=int, default=0)
-    mom.add_argument("--cases", type=int, default=100)
+    mom.add_argument("--cases", type=_positive_int, default=100)
 
     swp = sub.add_parser("sweep", help="run a pre-canned figure campaign")
     swp.add_argument("name", choices=("figure-bf", "figure-wf",
@@ -88,9 +95,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_simulate(args) -> int:
-    config = load_config(args.config)
-    detail, summary = run_campaign(config, out_dir=args.out)
+def _run(config, out) -> int:
+    detail, summary = run_campaign(config, out_dir=out)
     print(f"wrote {detail}")
     print(f"wrote {summary}")
     return 0
@@ -149,12 +155,11 @@ def oracle_moment_errors(seed: int, cases: int) -> tuple[float, float]:
             seed=0)
         taps = sample_taps(params, m, gen)
         gains = frequency_response(taps, params, grid)
-        channel = ChannelRealization(m_antennas=m, grid=grid, gains=gains)
+        channel = ChannelRealization(grid=grid, gains=gains)
         raw = gen.normal(size=(m, n)) + 1j * gen.normal(size=(m, n))
         power = float(gen.uniform(0.5, 4.0))
-        raw *= np.sqrt(2.0 * power / np.sum(np.abs(raw) ** 2))
-        weights = WaveformWeights(m_antennas=m, n_tones=n, weights=raw,
-                                  power_budget=power)
+        raw *= np.sqrt(power / radiated_power(raw))
+        weights = WaveformWeights(weights=raw, power_budget=power)
         tones = effective_tones(channel, weights)
         m2, m4 = waveform_moments(tones, grid)
         ref2, ref4 = moments_by_averaging(tones, grid)
@@ -172,24 +177,16 @@ def _cmd_oracle_moments(args) -> int:
     return 0 if ok else 1
 
 
-def _cmd_sweep(args) -> int:
-    config = figure_config(args.name, seed=args.seed)
-    detail, summary = run_campaign(config, out_dir=args.out)
-    print(f"wrote {detail}")
-    print(f"wrote {summary}")
-    return 0
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "simulate":
-            return _cmd_simulate(args)
+            return _run(load_config(args.config), args.out)
         if args.command == "codebook":
             return _cmd_codebook(args)
         if args.command == "oracle":
             return _cmd_oracle_moments(args)
-        return _cmd_sweep(args)
+        return _run(figure_config(args.name, seed=args.seed), args.out)
     except (WptsimError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -17,21 +17,21 @@ realizations and the smooth moment rectifier:
           back onto the power sphere.
 
 ASSIGN computes the fourth moment only where the argmax can land.  m4
-lies between 0 and 1.5*N*m2^2 (docs/covering_bound.md, step 1), so m2
-alone bounds every (channel, codeword) dc.  A screen bounds every pair's
-m2 at once, from one BLAS product per tone, widened by a slack that
-provably covers the difference between BLAS's rounding and the einsum's
-(see _assign).  Each channel's most promising pair is evaluated exactly
-first, and its dc sets the channel's floor; after it only the pairs
-whose upper bound reaches that floor are evaluated exactly: at 60 dB
-pathloss about 1.02 of 64 pairs per channel in all, at 0 dB about 22.
-The pruning is exact.  Rounding is monotone, so the computed dc
-never falls below its lower bound, and a 1e-9 slack on the upper bound
-covers the rounding of m4 against it.  Both slacks assume normal floats
-(m2 above about 1e-154 W, or exact zeros).  Every pair that can win or
-tie is evaluated, and a row's m2 and m4 do not depend on the rows beside
-it, so the assignment and its dc values equal the full (C, K) matrix's
-bit for bit; the screen never reaches a byte of the result.
+is at most 1.5*N*m2^2 (docs/covering_bound.md, step 1), so m2 alone
+bounds every (channel, codeword) dc from above.  A screen bounds every
+pair's m2 at once, from one BLAS product per tone, widened by a slack
+that provably covers the difference between BLAS's rounding and the
+einsum's (see _assign).  Each channel's most promising pair is evaluated
+exactly first, and its dc sets the channel's floor; after it only the
+pairs whose upper bound reaches that floor are evaluated exactly: at
+60 dB pathloss about 1.02 of 64 pairs per channel in all, at 0 dB about
+22.  The pruning is exact.  The floor is a computed dc of the channel,
+and a 1e-9 slack on the upper bound covers the rounding of m4 against
+it.  Both slacks assume normal floats (m2 above about 1e-154 W, or exact
+zeros).  Every pair that can win or tie is evaluated, and a row's m2 and
+m4 do not depend on the rows beside it, so the assignment and its dc
+values equal the full (C, K) matrix's bit for bit; the screen never
+reaches a byte of the result.
 
 The UPDATE of one cluster reads only its own codeword and its members'
 channels, so the UPDATE steps of one iteration are independent: they run
@@ -55,8 +55,8 @@ from .errors import CodebookIOError, DimensionError, DomainError
 from .rectenna import DiodeMomentModel
 from .strategies import SmfParams, smf_weights, up_weights
 from .waveform import (ToneGrid, WaveformWeights, autoconvolution,
-                       fourth_moment, m4_gradient, second_moment,
-                       tone_moments)
+                       fourth_moment, m4_gradient, radiated_power,
+                       second_moment, tone_moments)
 
 _POWER_REL_TOL = 1e-9
 #: relative slack on the bound m4 <= 1.5*N*m2^2 that ASSIGN prunes with.
@@ -85,7 +85,6 @@ _INNER_STEPS = 4        # gradient-ascent steps per cluster per iteration
 class Codebook:
     """K codewords of identical dimensions, all meeting the budget exactly."""
 
-    k_codewords: int
     entries: tuple
     nested: bool = False
     provenance: str = ""
@@ -94,23 +93,22 @@ class Codebook:
 
     def __post_init__(self):
         entries = tuple(self.entries)
-        if self.k_codewords < 1 or len(entries) != self.k_codewords:
-            raise DomainError(
-                f"expected {self.k_codewords} entries, got {len(entries)}")
+        if not entries:
+            raise DomainError("a codebook needs at least one entry")
         first = entries[0]
         for i, e in enumerate(entries):
             if not isinstance(e, WaveformWeights):
                 raise DomainError(f"entry {i + 1} is not a WaveformWeights")
-            if (e.m_antennas, e.n_tones) != (first.m_antennas, first.n_tones):
+            if e.weights.shape != first.weights.shape:
                 raise DimensionError(
-                    f"entry {i + 1} has shape ({e.m_antennas}, {e.n_tones}), "
-                    f"expected ({first.m_antennas}, {first.n_tones})")
+                    f"entry {i + 1} has shape {e.weights.shape}, "
+                    f"expected {first.weights.shape}")
             if e.power_budget != first.power_budget:
                 raise DomainError("entries must share one power budget")
         stacked = np.stack([e.weights for e in entries])
         stacked.flags.writeable = False
         # each entry's transmit_power, to the bit, in one reduction
-        powers = 0.5 * np.sum(np.abs(stacked) ** 2, axis=(1, 2))
+        powers = radiated_power(stacked)
         budget = first.power_budget
         off = np.flatnonzero(np.abs(powers - budget) > _POWER_REL_TOL * budget)
         if off.size:
@@ -118,6 +116,10 @@ class Codebook:
                               f"{float(powers[off[0]])!r} != budget {budget!r}")
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "stacked", stacked)
+
+    @property
+    def k_codewords(self) -> int:
+        return len(self.entries)
 
     @property
     def m_antennas(self) -> int:
@@ -137,23 +139,21 @@ class Codebook:
             raise DomainError("prefix export requires a nested codebook")
         if not 1 <= k <= self.k_codewords:
             raise DomainError(f"k must be in [1, {self.k_codewords}], got {k}")
-        return Codebook(k_codewords=k, entries=self.entries[:k], nested=True,
+        return Codebook(entries=self.entries[:k], nested=True,
                         provenance=f"{self.provenance} prefix[{k}]")
 
 
 def _sphere(weights: np.ndarray, power: float) -> np.ndarray:
     """Rescale each (M, N) matrix onto the sphere (1/2)||s||^2 = power."""
-    norm_sq = np.sum(np.abs(weights) ** 2, axis=(-2, -1), keepdims=True)
-    if np.any(norm_sq == 0):
+    p = radiated_power(weights)[..., None, None]
+    if np.any(p == 0):
         raise DomainError("cannot project the zero matrix onto the power sphere")
-    return weights * np.sqrt(2.0 * power / norm_sq)
+    return weights * np.sqrt(power / p)
 
 
 def _entries(words: np.ndarray, power: float) -> list:
     """Codewords of the (K, M, N) words projected onto the sphere."""
-    _, m, n = words.shape
-    return [WaveformWeights(m_antennas=m, n_tones=n, weights=w,
-                            power_budget=power)
+    return [WaveformWeights(weights=w, power_budget=power)
             for w in _sphere(words, power)]
 
 
@@ -174,7 +174,7 @@ def gen_random(m: int, grid: ToneGrid, power: float, k: int,
     if k < 1:
         raise DomainError(f"k must be >= 1, got {k}")
     entries = _random_entries(m, grid.n_tones, power, k, rng)
-    return Codebook(k_codewords=k, entries=tuple(entries), nested=False,
+    return Codebook(entries=tuple(entries), nested=False,
                     provenance=provenance or f"gen_random k={k}")
 
 
@@ -185,7 +185,7 @@ def gen_nested(m: int, grid: ToneGrid, power: float, k_max: int,
         raise DomainError(f"k_max must be a power of two, got {k_max}")
     entries = [up_weights(m, grid, power)] + _random_entries(
         m, grid.n_tones, power, k_max - 1, rng)
-    return Codebook(k_codewords=k_max, entries=tuple(entries), nested=True,
+    return Codebook(entries=tuple(entries), nested=True,
                     provenance=provenance or f"gen_nested k_max={k_max}")
 
 
@@ -197,23 +197,20 @@ def _amplitudes(gains: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return np.einsum("cmn,mn->cn", gains, weights)
 
 
-def _dc_bounds(m2: np.ndarray, n_tones: int, model: DiodeMomentModel
-               ) -> tuple[np.ndarray, np.ndarray]:
-    """Bounds on the computed dc of amplitudes whose m2 is given.
+def _dc_upper(m2: np.ndarray, n_tones: int, model: DiodeMomentModel
+              ) -> np.ndarray:
+    """Upper bound on the computed dc of amplitudes whose m2 is given.
 
-    The lower bound sets m4 = 0.  Rounding is monotone and k4*m4 >= 0, so
-    model.dc(m2, m4) is never below model.dc(m2, 0) in floating point
-    either.  The upper bound sets m4 to 1.5*N*m2^2 (docs/covering_bound.md,
-    step 1) widened by _M4_BOUND_SLACK for rounding; it holds while m2*m2
-    stays a normal float (m2 above about 1e-154 W).
+    It sets m4 to 1.5*N*m2^2 (docs/covering_bound.md, step 1) widened by
+    _M4_BOUND_SLACK for rounding; it holds while m2*m2 stays a normal
+    float (m2 above about 1e-154 W).
     """
     ceiling = (1.5 * n_tones * (1.0 + _M4_BOUND_SLACK)) * (m2 * m2)
-    return model.dc(m2, 0.0), model.dc(m2, ceiling)
+    return model.dc(m2, ceiling)
 
 
-def _screen(gains: np.ndarray, words: np.ndarray
-            ) -> tuple[np.ndarray, np.ndarray]:
-    """Bounds on the m2 that second_moment computes for every pair.
+def _screen(gains: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """Upper bounds on the m2 that second_moment computes for every pair.
 
     For each tone t, one BLAS product words[:, :, t] @ gains[:, :, t].T
     forms the amplitudes of all (K, C) pairs, and their squared moduli
@@ -221,11 +218,10 @@ def _screen(gains: np.ndarray, words: np.ndarray
     With r the norm of a pair's screened amplitudes, the interval
     [r - delta, r + delta], delta = _SCREEN_SLACK*(||g||_F ||w||_F + r),
     holds the norm sqrt(2*m2) of the einsum's amplitudes; _assign gives
-    the argument.
+    the argument.  Only its top is needed.
 
     Returns:
-        (floor, upper): floor (C,) is each channel's largest lower bound
-        on m2 over the codewords, upper (K, C) every pair's upper bound.
+        (K, C) array: every pair's upper bound on m2, (r + delta)^2 / 2.
     """
     c, _, n = gains.shape
     k = len(words)
@@ -241,11 +237,10 @@ def _screen(gains: np.ndarray, words: np.ndarray
                               np.linalg.norm(gains.reshape(c, -1), axis=1))
     delta += r
     delta *= _SCREEN_SLACK
-    floor = np.maximum(np.max(r - delta, axis=0), 0.0)
     r += delta
     np.square(r, out=r)
     r *= 0.5
-    return 0.5 * floor * floor, r
+    return r
 
 
 def _exact_dc(gains: np.ndarray, words: np.ndarray, rows: np.ndarray,
@@ -271,13 +266,14 @@ def _assign(gains: np.ndarray, words, model: DiodeMomentModel
 
     A channel's assignment reads no other channel, so the channels are
     taken in blocks of _ASSIGN_BLOCK.  In a block, _screen bounds every
-    pair's m2 from one BLAS product per tone.  Each channel's pair with
-    the highest upper bound is evaluated exactly first.  Its dc, and the
-    dc lower bound of the channel's largest lower m2 bound, set the
-    channel's floor: a value known not to exceed its best computed dc.
-    After it, only the pairs whose dc upper bound from _dc_bounds reaches
-    the floor are evaluated exactly, in batches no larger than the block;
-    every other entry of the block's (C, K) dc matrix is -inf.
+    pair's m2 from above, with one BLAS product per tone.  Each channel's
+    pair with the highest upper bound, its seed, is evaluated exactly
+    first.  The seed's dc is one of the channel's computed dc values, so
+    the best one is at least as large; a pair whose dc upper bound from
+    _dc_upper falls below it can neither win nor tie.  Only the pairs
+    whose bound reaches it are evaluated exactly after the seed, in
+    batches no larger than the block; every other entry of the block's
+    (C, K) dc matrix is -inf.
 
     The screen only decides which pairs are evaluated.  BLAS sums in its
     own order, blocking and fused multiply-adds, so its amplitudes differ
@@ -291,7 +287,7 @@ def _assign(gains: np.ndarray, words, model: DiodeMomentModel
     The computed norm r and sqrt(2*m2) add relative errors of order
     (N + 4)*u.  So |sqrt(2*m2) - r| <= _SCREEN_SLACK*(||g||_F ||w||_F + r)
     with room to spare while (M + N)*u stays far below 1e-12, that is for
-    any M + N up to about 1000.  Like _dc_bounds, the argument assumes
+    any M + N up to about 1000.  Like _dc_upper, the argument assumes
     that no product or square leaves the normal range (m2 above about
     1e-154 W, or exact zeros such as an all-zero channel).
 
@@ -317,12 +313,11 @@ def _assign_block(gains: np.ndarray, words: np.ndarray,
                   model: DiodeMomentModel) -> tuple[np.ndarray, np.ndarray]:
     """_assign on one block of channels, every array sized by the block."""
     c, _, n = gains.shape
-    floor_m2, upper_m2 = _screen(gains, words)
+    upper_m2 = _screen(gains, words)
     channels = np.arange(c)
     seed = np.argmax(upper_m2, axis=0)
     seed_dc = _exact_dc(gains, words, channels, seed, model)
-    floor = np.maximum(seed_dc, _dc_bounds(floor_m2, n, model)[0])
-    reach = _dc_bounds(upper_m2, n, model)[1] >= floor
+    reach = _dc_upper(upper_m2, n, model) >= seed_dc
     reach[seed, channels] = False
     cols, rows = np.nonzero(reach)
     dc = np.full((c, len(words)), -np.inf)
@@ -503,8 +498,8 @@ def train_lloyd(training_channels, k: int, rect_model: DiodeMomentModel,
             words[kk] = w
         # the dc of each channel's own codeword, updated; the re-seeds
         # below touch only empty clusters, so it stays current through them
-        fresh = rect_model.dc(*tone_moments(np.einsum(
-            "cmn,cmn->cn", gains, np.stack(words)[assign])))
+        fresh = _exact_dc(gains, np.stack(words), np.arange(len(gains)),
+                          assign, rect_model)
         for kk in np.flatnonzero(counts == 0):
             # the worst-served channel as seen while re-seeding in index
             # order: codewords below kk are updated, those above are not
@@ -520,7 +515,7 @@ def train_lloyd(training_channels, k: int, rect_model: DiodeMomentModel,
     cfg = f"k={k} iters={iters} n_train={len(channels)} inner={_INNER_STEPS}"
     digest = hashlib.sha256(cfg.encode()).hexdigest()[:8]
     entries = tuple(_entries(np.stack(words), power))
-    return Codebook(k_codewords=k, entries=entries, nested=False,
+    return Codebook(entries=entries, nested=False,
                     provenance=f"train_lloyd {cfg} ran={iterations_run} "
                                f"cfg={digest}")
 
@@ -590,7 +585,6 @@ def load_codebook(path) -> Codebook:
                         f"{path}:{lineno}: expected entry ({mi + 1}, {ni + 1}),"
                         f" found ({fm}, {fn})")
                 w[mi, ni] = val
-        entries.append(WaveformWeights(m_antennas=m, n_tones=n, weights=w,
-                                       power_budget=power))
-    return Codebook(k_codewords=k, entries=tuple(entries), nested=nested,
+        entries.append(WaveformWeights(weights=w, power_budget=power))
+    return Codebook(entries=tuple(entries), nested=nested,
                     provenance=provenance)

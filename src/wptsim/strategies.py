@@ -16,7 +16,7 @@ import numpy as np
 
 from .channel import ChannelRealization
 from .errors import DegenerateChannelError, DomainError
-from .waveform import ToneGrid, WaveformWeights
+from .waveform import ToneGrid, WaveformWeights, radiated_power
 
 
 @dataclass(frozen=True)
@@ -42,8 +42,7 @@ def up_weights(m_antennas: int, grid: ToneGrid, power: float) -> WaveformWeights
     n = grid.n_tones
     w = np.full((m_antennas, n), np.sqrt(2.0 * power / (m_antennas * n)),
                 dtype=complex)
-    return WaveformWeights(m_antennas=m_antennas, n_tones=n, weights=w,
-                           power_budget=power)
+    return WaveformWeights(weights=w, power_budget=power)
 
 
 def smf_weights(channel: ChannelRealization, params: SmfParams) -> WaveformWeights:
@@ -64,11 +63,8 @@ def smf_weights(channel: ChannelRealization, params: SmfParams) -> WaveformWeigh
     scale[alive] = c * norms[alive] ** (params.beta - 1.0)
     s = np.conj(h) * scale[None, :]
     # remove the last few ulps of constraint slack so equality holds exactly
-    p_now = 0.5 * np.sum(np.abs(s) ** 2)
-    s = s * np.sqrt(params.power_budget / p_now)
-    return WaveformWeights(m_antennas=channel.m_antennas,
-                           n_tones=channel.grid.n_tones, weights=s,
-                           power_budget=params.power_budget)
+    s = s * np.sqrt(params.power_budget / radiated_power(s))
+    return WaveformWeights(weights=s, power_budget=params.power_budget)
 
 
 def select_codeword(measurements) -> int:

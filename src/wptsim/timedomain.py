@@ -50,10 +50,4 @@ def moments_by_averaging(tones: EffectiveTones, grid: ToneGrid,
 def rf_power_by_averaging(tones: EffectiveTones, grid: ToneGrid,
                           oversampling: int = 16) -> float:
     """Time-average of y^2 over one period; cross-check for received_rf_power."""
-    if not grid.is_commensurate():
-        raise DomainError(
-            "time averaging over 1/delta_f is only exact when 2*f_c is an "
-            "integer multiple of delta_f; refusing an incommensurate grid")
-    t = sample_times(grid, oversampling)
-    y = received_waveform(tones, grid, t)
-    return float(np.mean(y ** 2))
+    return moments_by_averaging(tones, grid, oversampling)[0]

@@ -35,8 +35,7 @@ def random_weights(gen: np.random.Generator, m: int, n: int,
                    power: float) -> WaveformWeights:
     raw = gen.normal(size=(m, n)) + 1j * gen.normal(size=(m, n))
     raw *= np.sqrt(2.0 * power / np.sum(np.abs(raw) ** 2))
-    return WaveformWeights(m_antennas=m, n_tones=n, weights=raw,
-                           power_budget=power)
+    return WaveformWeights(weights=raw, power_budget=power)
 
 
 def dc_batch(gains: np.ndarray, weights: np.ndarray, model) -> np.ndarray:

@@ -196,7 +196,7 @@ def test_criterion_06_multisine_trend():
         taps = sample_taps(params, 1, stream(9600, rngmod.TAPS, i))
         for n in tone_counts:
             gains = frequency_response(taps, params, grids[n])
-            ch = ChannelRealization(m_antennas=1, grid=grids[n], gains=gains)
+            ch = ChannelRealization(grid=grids[n], gains=gains)
             w = smf_weights(ch, smf)
             means[n] += dc_power_moment(model, effective_tones(ch, w),
                                         grids[n]) / n_channels
@@ -223,7 +223,7 @@ def test_criterion_07_beamforming_trend():
         taps4 = sample_taps(params, 4, stream(9700, rngmod.TAPS, i))
         for m in antenna_counts:
             gains = frequency_response(taps4[:m], params, grid)
-            ch = ChannelRealization(m_antennas=m, grid=grid, gains=gains)
+            ch = ChannelRealization(grid=grid, gains=gains)
             w = smf_weights(ch, smf)
             means[m] += dc_power_moment(model, effective_tones(ch, w),
                                         grid) / n_channels

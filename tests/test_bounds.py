@@ -104,9 +104,8 @@ def _beam_book(k, m=4, n=8):
             w[:, t * (n // tones)] = (np.sqrt(2.0 * POWER / m)
                                       * np.exp(2j * np.pi * np.arange(m)
                                                * j / beams))
-            entries.append(WaveformWeights(m_antennas=m, n_tones=n,
-                                           weights=w, power_budget=POWER))
-    return Codebook(k_codewords=k, entries=tuple(entries))
+            entries.append(WaveformWeights(weights=w, power_budget=POWER))
+    return Codebook(entries=tuple(entries))
 
 
 @pytest.mark.parametrize("k, m", [(2, 2), (8, 4), (64, 4), (5, 3)])

@@ -50,6 +50,16 @@ def test_config_rejects_training_overrun():
         _mini_config(codebook_sizes=(256,), t_s=0.010, t_frame=2.0)
 
 
+@pytest.mark.parametrize("t_s", ["0", "-0.01"])
+def test_config_rejects_a_nonpositive_dwell(tmp_path, t_s):
+    # rejected at load; the run would otherwise fail in its first session
+    path = tmp_path / "c.ini"
+    path.write_text("[campaign]\nstrategies = UP, LIMITED\n"
+                    f"codebook_sizes = 4\n[frame]\nt_s_s = {t_s}\n")
+    with pytest.raises(ConfigError, match="t_s must be > 0"):
+        load_config(path)
+
+
 def test_config_rejects_non_power_of_two_nested():
     with pytest.raises(ConfigError):
         _mini_config(codebook_sizes=(3,))
@@ -585,7 +595,7 @@ def test_sweep_book_gives_each_book_one_slice():
     from wptsim.campaign import _sweep_book
     grid = ToneGrid.centered(2.4e9, 10e6, 2)
     full = gen_nested(2, grid, 2.0, 8, stream(1, 3))
-    up = Codebook(k_codewords=1, entries=(up_weights(2, grid, 2.0),))
+    up = Codebook(entries=(up_weights(2, grid, 2.0),))
     books = {k: full.prefix(k) for k in (1, 2, 8)}
     books["UP"] = up
     book, columns = _sweep_book(books)
@@ -601,7 +611,7 @@ def test_sweep_book_gives_each_book_one_slice():
     for before, reused in (
             ({2: full.prefix(2)}, (full.entries[1], full.entries[0])),
             (random, (random[2].entries[0], random[4].entries[0]))):
-        mixed = Codebook(k_codewords=2, entries=reused)
+        mixed = Codebook(entries=reused)
         with pytest.raises(DomainError, match="'mixed' is not contiguous"):
             _sweep_book({**before, "mixed": mixed})
 

@@ -95,6 +95,13 @@ def test_codebook_gen_nested_rejects_bad_size(tmp_path, capsys):
     assert "power of two" in capsys.readouterr().err
 
 
+def test_codebook_gen_rejects_zero_tones(tmp_path, capsys):
+    out = tmp_path / "book.txt"
+    assert main(["codebook", "gen", "--out", str(out), "--tones", "0"]) == 1
+    assert "error: n_tones must be an integer >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_codebook_train_writes_trained_book(tmp_path):
     out = tmp_path / "book.txt"
     assert main(["codebook", "train", "--out", str(out), "--antennas", "2",
@@ -120,6 +127,15 @@ def test_oracle_moments_passes(capsys):
     out = capsys.readouterr().out
     assert out.startswith("PASS")
     assert "max relative error" in out
+
+
+@pytest.mark.parametrize("cases", ["0", "-1"])
+def test_oracle_moments_needs_a_case(cases, capsys):
+    # a self-check over no cases would pass having checked nothing
+    with pytest.raises(SystemExit) as err:
+        main(["oracle", "moments", "--cases", cases])
+    assert err.value.code == 2
+    assert "--cases: must be >= 1" in capsys.readouterr().err
 
 
 def test_sweep_runs_pre_canned_config(tmp_path):

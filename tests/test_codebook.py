@@ -13,7 +13,7 @@ from wptsim import (Codebook, CodebookIOError, DiodeMomentModel,
                     effective_tones, gen_nested, gen_random, load_codebook,
                     save_codebook, stream, train_lloyd, up_weights)
 from wptsim import codebook as codebook_module
-from wptsim.codebook import (_amplitudes, _assign, _dc_and_grad, _dc_bounds,
+from wptsim.codebook import (_amplitudes, _assign, _dc_and_grad, _dc_upper,
                              _screen, _sphere)
 from wptsim.waveform import autoconvolution, second_moment, tone_moments
 
@@ -78,23 +78,21 @@ def test_codebook_rejects_mixed_budgets():
     a = up_weights(1, grid, 1.0)
     b = up_weights(1, grid, 2.0)
     with pytest.raises(DomainError):
-        Codebook(k_codewords=2, entries=(a, b))
+        Codebook(entries=(a, b))
 
 
 def test_codebook_rejects_off_sphere_entry():
     # an entry whose transmit power is below the shared budget
-    w = WaveformWeights(m_antennas=1, n_tones=1,
-                        weights=np.array([[1.0 + 0j]]), power_budget=2.0)
+    w = WaveformWeights(weights=np.array([[1.0 + 0j]]), power_budget=2.0)
     with pytest.raises(DomainError):
-        Codebook(k_codewords=1, entries=(w,))
+        Codebook(entries=(w,))
     # all entries are checked in one reduction; the error still names one
     grid = ToneGrid.centered(2.4e9, 10e6, 4)
     good = gen_random(2, grid, 2.0, 5, stream(5, 4)).entries
-    low = WaveformWeights(m_antennas=2, n_tones=4,
-                          weights=0.5 * good[0].weights, power_budget=2.0)
+    low = WaveformWeights(weights=0.5 * good[0].weights, power_budget=2.0)
     with pytest.raises(DomainError, match=r"^entry 4 power 0\.5\d* != "
                                           r"budget 2\.0$"):
-        Codebook(k_codewords=6, entries=good[:3] + (low,) + good[3:5])
+        Codebook(entries=good[:3] + (low,) + good[3:5])
 
 
 @pytest.mark.parametrize("m", [1, 2, 4, 8])
@@ -158,8 +156,7 @@ def test_dc_batch_matches_scalar_path():
     grid, channels, gains, w = _batch_setup(7, 5, 2, 3)
     model = DiodeMomentModel()
     batch = dc_batch(gains, w, model)
-    weights = WaveformWeights(m_antennas=2, n_tones=3, weights=w,
-                              power_budget=1.0)
+    weights = WaveformWeights(weights=w, power_budget=1.0)
     for i, ch in enumerate(channels):
         scalar = dc_power_moment(model, effective_tones(ch, weights), grid)
         assert batch[i] == pytest.approx(scalar, rel=1e-10)
@@ -297,12 +294,11 @@ def _screen_case(m, n, c, k, pathloss_db, seed):
 
 def _screened_m2(gains, words):
     # the m2 of every (codeword, channel) pair as ASSIGN computes it exactly,
-    # and the screen's interval: each channel's floor must not exceed its
-    # largest m2, and no m2 may exceed its pair's upper bound
+    # and the screen's bounds: no m2 may exceed its pair's upper bound
     m2 = np.stack([second_moment(_amplitudes(gains, w)) for w in words])
-    floor, upper = _screen(gains, words)
-    assert floor.shape == (len(gains),) and upper.shape == m2.shape
-    return m2, floor, upper
+    upper = _screen(gains, words)
+    assert upper.shape == m2.shape
+    return m2, upper
 
 
 @pytest.mark.parametrize("m", [1, 8])
@@ -311,9 +307,9 @@ def _screened_m2(gains, words):
 def test_screen_contains_every_computed_m2(m, n, pathloss_db):
     gains, words = _screen_case(m, n, 150, 24, pathloss_db, 600)
     gains[::7] = 0.0    # all-zero channels: every product is an exact zero
-    m2, floor, upper = _screened_m2(gains, words)
-    assert np.all(floor <= m2.max(axis=0)) and np.all(m2 <= upper)
-    assert np.all(upper[:, ::7] == 0.0) and np.all(floor[::7] == 0.0)
+    m2, upper = _screened_m2(gains, words)
+    assert np.all(m2 <= upper)
+    assert np.all(upper[:, ::7] == 0.0)
     # the widening is a few 1e-12 of a typical m2, so the screen is sharp
     live = m2 > 0
     assert np.median(upper[live] / m2[live]) < 1.0 + 1e-10
@@ -326,10 +322,10 @@ def test_screen_contains_cancelling_codewords():
     # only the slack's ||g||_F ||w||_F term can cover the difference
     gains, _ = _screen_case(2, 8, 120, 1, 0.0, 700)
     words = _sphere(np.stack([gains[:, 1], -gains[:, 0]], axis=1), 2.0)
-    m2, floor, upper = _screened_m2(gains, words)
+    m2, upper = _screened_m2(gains, words)
     own = np.diagonal(m2)
     assert np.all(own <= 1e-25 * np.median(m2))
-    assert np.all(floor <= m2.max(axis=0)) and np.all(m2 <= upper)
+    assert np.all(m2 <= upper)
     assert np.all(np.diagonal(upper) <= 1e-20 * np.median(m2))
 
 
@@ -374,7 +370,7 @@ def test_assign_equals_the_full_dc_matrix(case, monkeypatch):
             words[j][-1] = 0.0
             words[j + 1] = words[j].copy()
             words[j + 1][-1] = 1.0
-        assert np.all(np.argmax(_screen(gains, np.stack(words))[1],
+        assert np.all(np.argmax(_screen(gains, np.stack(words)),
                                 axis=0) % 2 == 1)
     model = DiodeMomentModel(k4=k4)
     full = np.column_stack([dc_batch(gains, w, model) for w in words])
@@ -390,9 +386,10 @@ def test_assign_equals_the_full_dc_matrix(case, monkeypatch):
     if twist == "shadow":
         assert np.all(best % 2 == 0)
 
-    # the bounds the pruning rests on hold for every computed dc
+    # the upper bound the pruning rests on, and the lower bound m4 = 0,
+    # hold for every computed dc
     m2 = np.stack([second_moment(_amplitudes(gains, w)) for w in words])
-    lower, upper = _dc_bounds(m2, n, model)
+    lower, upper = model.dc(m2, 0.0), _dc_upper(m2, n, model)
     assert np.all(lower <= full.T) and np.all(full.T <= upper)
     # no exact batch exceeds C rows, and the exact pass sees no more pairs
     # than a running maximum of the lower bounds keeps; where m4 dominates
@@ -567,7 +564,7 @@ def test_train_lloyd_golden_bytes_with_reseeds(tmp_path, monkeypatch):
     # no members and are re-seeded through codebook.smf_weights
     channels = _training_channels(0, 50, 2, 4)
     base = gen_random(2, channels[0].grid, 1.0, 4, stream(0, 6))
-    init = Codebook(k_codewords=8, entries=base.entries + base.entries)
+    init = Codebook(entries=base.entries + base.entries)
     calls = []
     real = codebook_module.smf_weights
 

@@ -76,7 +76,7 @@ def test_smf_phase_aligns_tones():
 def test_smf_favors_strong_tones_for_large_beta():
     grid = ToneGrid.centered(2.4e9, 10e6, 2)
     gains = np.array([[2.0 + 0j, 0.5 + 0j]])
-    ch = ChannelRealization(m_antennas=1, grid=grid, gains=gains)
+    ch = ChannelRealization(grid=grid, gains=gains)
     w1 = smf_weights(ch, SmfParams(beta=1.0, power_budget=1.0))
     w3 = smf_weights(ch, SmfParams(beta=3.0, power_budget=1.0))
     share1 = np.abs(w1.weights[0, 0]) / np.abs(w1.weights[0, 1])
@@ -96,7 +96,7 @@ def test_smf_beta_one_is_pure_matched_filter():
 def test_smf_dead_tone_gets_zero_weight():
     grid = ToneGrid.centered(2.4e9, 10e6, 2)
     gains = np.array([[1.0 + 0j, 0.0 + 0j]])
-    ch = ChannelRealization(m_antennas=1, grid=grid, gains=gains)
+    ch = ChannelRealization(grid=grid, gains=gains)
     w = smf_weights(ch, SmfParams(beta=3.0, power_budget=1.0))
     assert np.all(w.weights[:, 1] == 0.0)
     assert w.transmit_power == pytest.approx(1.0, rel=1e-12)
@@ -104,7 +104,7 @@ def test_smf_dead_tone_gets_zero_weight():
 
 def test_smf_all_zero_channel_rejected():
     grid = ToneGrid.centered(2.4e9, 10e6, 2)
-    ch = ChannelRealization(m_antennas=1, grid=grid,
+    ch = ChannelRealization(grid=grid,
                             gains=np.zeros((1, 2), dtype=complex))
     with pytest.raises(DegenerateChannelError):
         smf_weights(ch, SmfParams(beta=3.0, power_budget=1.0))

@@ -44,18 +44,23 @@ def test_grid_delta_f():
     assert grid.delta_f == pytest.approx(2.5e6, rel=1e-15)
 
 
-def test_grid_rejects_nonuniform_spacing():
-    w = 2 * np.pi * np.array([1e9, 1.1e9, 1.3e9])
-    with pytest.raises(DomainError):
-        ToneGrid(n_tones=3, center_frequency_hz=1.1e9, bandwidth_hz=0.3e9,
-                 angular_frequencies=w)
+@pytest.mark.parametrize("center,bandwidth", [(2.4e9, 10e6), (1e6, 1e6)])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 16])
+def test_grid_computes_its_frequencies(center, bandwidth, n):
+    grid = ToneGrid(n, center, bandwidth)
+    offsets = np.arange(1, n + 1) - (n + 1) / 2.0
+    expected = 2.0 * np.pi * (center + offsets * (bandwidth / n))
+    assert grid.angular_frequencies.tobytes() == expected.tobytes()
+    assert not grid.angular_frequencies.flags.writeable
+    assert ToneGrid.centered(center, bandwidth, n) == grid
 
 
-def test_grid_rejects_decreasing_frequencies():
-    w = 2 * np.pi * np.array([1.2e9, 1.1e9])
+@pytest.mark.parametrize("n,center,bandwidth", [
+    (0, 2.4e9, 10e6), (-1, 2.4e9, 10e6), (2.5, 2.4e9, 10e6),
+    (4, 0.0, 10e6), (4, 2.4e9, 0.0)])
+def test_grid_rejects_bad_arguments(n, center, bandwidth):
     with pytest.raises(DomainError):
-        ToneGrid(n_tones=2, center_frequency_hz=1.15e9, bandwidth_hz=0.2e9,
-                 angular_frequencies=w)
+        ToneGrid(n, center, bandwidth)
 
 
 def test_default_grids_are_commensurate():
@@ -75,14 +80,16 @@ def test_incommensurate_grid_detected():
 def test_weights_reject_over_budget():
     w = np.full((1, 1), 2.0, dtype=complex)   # (1/2)*4 = 2 > 1
     with pytest.raises(DomainError):
-        WaveformWeights(m_antennas=1, n_tones=1, weights=w, power_budget=1.0)
+        WaveformWeights(weights=w, power_budget=1.0)
 
 
 def test_weights_reject_shape_mismatch():
-    with pytest.raises(DimensionError):
-        WaveformWeights(m_antennas=2, n_tones=3,
-                        weights=np.zeros((3, 2), dtype=complex),
-                        power_budget=1.0)
+    for bad in (np.zeros(3, dtype=complex), np.zeros((1, 2, 3)),
+                np.zeros((0, 2))):
+        with pytest.raises(DimensionError):
+            WaveformWeights(weights=bad, power_budget=1.0)
+    w = WaveformWeights(weights=np.zeros((2, 3)), power_budget=1.0)
+    assert (w.m_antennas, w.n_tones) == (2, 3)
 
 
 def _checked_before(s, budget):
@@ -116,13 +123,11 @@ def test_weights_checks_pass_and_fail_as_before():
         expected = _checked_before(s, 2.0)
         outcomes.add(expected is None)
         if expected is None:
-            w = WaveformWeights(m_antennas=s.shape[0], n_tones=s.shape[1],
-                                weights=s, power_budget=2.0)
+            w = WaveformWeights(weights=s, power_budget=2.0)
             assert w.weights.tobytes() == s.tobytes()
             continue
         with pytest.raises(DomainError) as info:
-            WaveformWeights(m_antennas=s.shape[0], n_tones=s.shape[1],
-                            weights=s, power_budget=2.0)
+            WaveformWeights(weights=s, power_budget=2.0)
         assert str(info.value) == expected
     assert outcomes == {True, False}
 
