@@ -109,13 +109,12 @@ def _session_row(grid, model, seed, repeat, number):
                       rng.stream(seed, rng.CODEBOOK))
     books = {k: full.prefix(k) for k in SESSION_SIZES}
     sweep_book, columns = _sweep_book(books)
-    link = LinkModel()
+    timing, link = FrameConfig(), LinkModel()
 
     def sessions(shared):
         swept = _sweep(sweep_book, fades, model) if shared else None
         for k, book in books.items():
-            run_session(FrameConfig(k_codewords=k), book, fades.__getitem__,
-                        model, None, link, f,
+            run_session(timing, book, fades, model, None, link,
                         rng.stream(seed, rng.SESSION, k),
                         _columns(swept, columns[k]) if shared else None)
 
@@ -181,11 +180,11 @@ def _papr_row(n, gen, repeat, number):
         eta=np.linspace(0.05, 0.6, 16).reshape(4, 4))
 
     def build():
-        waveform._phasor_cache.clear()
+        waveform._phasors.cache_clear()
         return waveform._phasors(grid, PAPR_OVERSAMPLING)
 
     build_s = Timer(build).repeat(repeat=repeat, number=1)
-    waveform._phasor_cache.clear()
+    waveform._phasors.cache_clear()
     tracemalloc.start()
     try:
         e = waveform._phasors(grid, PAPR_OVERSAMPLING)

@@ -108,11 +108,14 @@ class CampaignConfig:
         if LIMITED in self.strategies:
             if not self.codebook_sizes:
                 raise ConfigError("LIMITED strategy needs codebook_sizes")
+            if min(self.codebook_sizes) < 1:
+                raise ConfigError(f"codebook_sizes must be >= 1, got "
+                                  f"{min(self.codebook_sizes)}")
             # FrameConfig, LinkModel and AdcConfig own their value checks;
             # building them here makes a bad setting fail at load, not
             # mid-run
             try:
-                self.frame_configs()
+                self.frame_config().t_p(max(self.codebook_sizes))
                 self.link_model()
                 self.adc_config()
             except (ConfigError, DomainError) as exc:
@@ -140,11 +143,9 @@ class CampaignConfig:
                 f"must exceed half of [grid] bandwidth_hz = "
                 f"{self.bandwidth_hz!r}, or a tone lies at or below 0 Hz")
 
-    def frame_configs(self) -> dict:
-        """The LIMITED sessions' frame timing, keyed by codebook size K."""
-        return {k: FrameConfig(k_codewords=k, t_s=self.t_s,
-                               t_frame=self.t_frame)
-                for k in self.codebook_sizes}
+    def frame_config(self) -> FrameConfig:
+        """The LIMITED sessions' frame timing."""
+        return FrameConfig(t_s=self.t_s, t_frame=self.t_frame)
 
     def link_model(self) -> LinkModel:
         """The feedback link of the LIMITED sessions."""
@@ -423,9 +424,8 @@ def run_campaign(config: CampaignConfig, out_dir=None,
     smf_params = SmfParams(beta=3.0, power_budget=config.transmit_power_w)
     taps = [_taps(config, location) for location in locations]
     if LIMITED in config.strategies:
-        # every LIMITED session of one K shares its frame timing, and all
-        # share one link and one ADC
-        frame_cfgs = config.frame_configs()
+        # every LIMITED session shares one frame timing, link and ADC
+        timing = config.frame_config()
         link, adc = config.link_model(), config.adc_config()
     adc_reads_signal = False
     rows = []
@@ -454,10 +454,8 @@ def run_campaign(config: CampaignConfig, out_dir=None,
                         gen = rngmod.stream(config.seed, rngmod.SESSION,
                                             _STRATEGY_IDS[LIMITED], m, n, k,
                                             loc_idx)
-                        for r in run_session(frame_cfgs[k], book,
-                                             fades.__getitem__, rect_model,
-                                             adc, link,
-                                             config.frames_per_location, gen,
+                        for r in run_session(timing, book, fades,
+                                             rect_model, adc, link, gen,
                                              _columns(swept, columns[k])):
                             adc_reads_signal |= any(r.measurements)
                             rows.append((LIMITED, m, n, k, location.label,

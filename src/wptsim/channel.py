@@ -72,9 +72,9 @@ class ChannelRealization:
 
     def __post_init__(self):
         g = np.asarray(self.gains, dtype=complex)
-        if g.ndim != 2 or g.shape[1] != self.grid.n_tones:
+        if g.ndim != 2 or g.shape[0] < 1 or g.shape[1] != self.grid.n_tones:
             raise DimensionError(
-                f"gains shape {g.shape} != (M, {self.grid.n_tones})")
+                f"gains shape {g.shape} != (M >= 1, {self.grid.n_tones})")
         if not np.all(np.isfinite(g.view(float))):
             raise DomainError("gains must be finite")
         g.flags.writeable = False

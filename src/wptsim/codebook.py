@@ -16,22 +16,10 @@ realizations and the smooth moment rectifier:
           step halving until the objective does not decrease and projection
           back onto the power sphere.
 
-ASSIGN computes the fourth moment only where the argmax can land.  m4
-is at most 1.5*N*m2^2 (docs/covering_bound.md, step 1), so m2 alone
-bounds every (channel, codeword) dc from above.  A screen bounds every
-pair's m2 at once, from one BLAS product per tone, widened by a slack
-that provably covers the difference between BLAS's rounding and the
-einsum's (see _assign).  Each channel's most promising pair is evaluated
-exactly first, and its dc sets the channel's floor; after it only the
-pairs whose upper bound reaches that floor are evaluated exactly: at
-60 dB pathloss about 1.02 of 64 pairs per channel in all, at 0 dB about
-22.  The pruning is exact.  The floor is a computed dc of the channel,
-and a 1e-9 slack on the upper bound covers the rounding of m4 against
-it.  Both slacks assume normal floats (m2 above about 1e-154 W, or exact
-zeros).  Every pair that can win or tie is evaluated, and a row's m2 and
-m4 do not depend on the rows beside it, so the assignment and its dc
-values equal the full (C, K) matrix's bit for bit; the screen never
-reaches a byte of the result.
+ASSIGN computes the fourth moment only for the (channel, codeword) pairs
+whose dc upper bound from m2 can still reach the channel's best, and its
+assignment and dc values equal those of the full (C, K) matrix bit for
+bit, whatever BLAS computed its screen; _assign gives the argument.
 
 The UPDATE of one cluster reads only its own codeword and its members'
 channels, so the UPDATE steps of one iteration are independent: they run
@@ -270,10 +258,13 @@ def _assign(gains: np.ndarray, words, model: DiodeMomentModel
     pair with the highest upper bound, its seed, is evaluated exactly
     first.  The seed's dc is one of the channel's computed dc values, so
     the best one is at least as large; a pair whose dc upper bound from
-    _dc_upper falls below it can neither win nor tie.  Only the pairs
-    whose bound reaches it are evaluated exactly after the seed, in
-    batches no larger than the block; every other entry of the block's
-    (C, K) dc matrix is -inf.
+    _dc_upper (m4 at most 1.5*N*m2^2, docs/covering_bound.md, step 1,
+    widened for the rounding of m4) falls below it can neither win nor
+    tie.  Only the pairs whose bound reaches it are evaluated exactly
+    after the seed, in batches no larger than the block; every other
+    entry of the block's (C, K) dc matrix is -inf.  At 60 dB pathloss
+    about 1.02 of 64 pairs per channel are evaluated in all, at 0 dB
+    about 22.
 
     The screen only decides which pairs are evaluated.  BLAS sums in its
     own order, blocking and fused multiply-adds, so its amplitudes differ
@@ -556,6 +547,9 @@ def load_codebook(path) -> Codebook:
         nested = bool(int(header[6]))
     except ValueError as exc:
         raise CodebookIOError(f"{path}:1: {exc}") from exc
+    if min(m, n, k) < 1:
+        raise CodebookIOError(
+            f"{path}:1: M, N and K must be >= 1, got {m}, {n}, {k}")
     if len(lines) < 2 or not lines[1].startswith("provenance"):
         raise CodebookIOError(f"{path}:2: missing provenance line")
     provenance = lines[1][len("provenance"):].strip()

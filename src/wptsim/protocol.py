@@ -31,36 +31,26 @@ UP_FALLBACK = 0
 
 @dataclass(frozen=True)
 class FrameConfig:
-    """Frame timing: per-codeword dwell, total length, codebook size."""
+    """Frame timing: per-codeword dwell and total length, in seconds."""
 
-    k_codewords: int
     t_s: float = 0.010
     t_frame: float = 2.0
 
     def __post_init__(self):
-        if self.k_codewords < 1:
-            raise DomainError(f"k_codewords must be >= 1, got {self.k_codewords}")
         if not self.t_s > 0:
             raise ConfigError(f"t_s must be > 0, got {self.t_s}")
-        if not self.k_codewords * self.t_s < self.t_frame:
+
+    def t_p(self, k: int) -> float:
+        """WPT phase length t_frame - K*t_s of a frame sweeping K codewords.
+
+        Raises:
+            ConfigError: the K*t_s training phase fills the frame.
+        """
+        if not k * self.t_s < self.t_frame:
             raise ConfigError(
-                f"training K*t_s = {self.k_codewords * self.t_s} must be "
+                f"training K*t_s = {k * self.t_s} must be "
                 f"strictly less than t_frame = {self.t_frame}")
-
-    @property
-    def t_training(self) -> float:
-        """Training phase length K*t_s in seconds."""
-        return self.k_codewords * self.t_s
-
-    @property
-    def t_p(self) -> float:
-        """WPT phase length t_frame - K*t_s in seconds."""
-        return self.t_frame - self.k_codewords * self.t_s
-
-    @property
-    def training_overhead(self) -> float:
-        """Fraction of the frame spent sweeping the codebook."""
-        return self.k_codewords * self.t_s / self.t_frame
+        return self.t_frame - k * self.t_s
 
 
 @dataclass(frozen=True)
@@ -93,7 +83,6 @@ class FrameReport:
     feedback_delivered: bool
     energy_training: float
     energy_wpt: float
-    energy_total: float
     p_dc_wpt: float             # dc power during the WPT phase, watts
     p_rf_wpt: float             # received RF power during the WPT phase, watts
 
@@ -192,6 +181,9 @@ def run_frame(config: FrameConfig, codebook: Codebook,
               frame_id: int = 0, sweep: tuple | None = None) -> FrameReport:
     """One closed-loop frame on a constant channel.
 
+    The frame trains for K*t_s, K the codebook's size, and transmits for
+    the rest of config.t_frame.
+
     Args:
         fallback_state: applied_index of the previous frame, or None on the
             first frame (then the fallback is the UP codeword, marker 0).
@@ -199,13 +191,10 @@ def run_frame(config: FrameConfig, codebook: Codebook,
             when the caller already holds them, as run_session does for
             all its frames.
 
-    Returns:
-        FrameReport; energy_total is exactly energy_training + energy_wpt.
+    Raises:
+        ConfigError: the book's K*t_s training phase fills the frame.
     """
-    if config.k_codewords != codebook.k_codewords:
-        raise ConfigError(
-            f"config expects K={config.k_codewords}, codebook has "
-            f"{codebook.k_codewords}")
+    t_p = config.t_p(codebook.k_codewords)
     # the training energy needs the dc levels themselves, not the readings
     dcs, p_rfs = (_sweep(codebook, [channel], rect_model)[0]
                   if sweep is None else sweep)
@@ -228,45 +217,42 @@ def run_frame(config: FrameConfig, codebook: Codebook,
     else:
         p_dc, p_rf = dcs[applied - 1], p_rfs[applied - 1]
     e_train = float(sum(dcs)) * config.t_s
-    e_wpt = p_dc * config.t_p
+    e_wpt = p_dc * t_p
     return FrameReport(frame_id=frame_id, measurements=tuple(measurements),
                        selected_index=k_star, applied_index=applied,
                        feedback_delivered=delivered,
                        energy_training=e_train, energy_wpt=e_wpt,
-                       energy_total=e_train + e_wpt,
                        p_dc_wpt=p_dc, p_rf_wpt=p_rf)
 
 
-def run_session(config: FrameConfig, codebook: Codebook, channel_source,
+def run_session(config: FrameConfig, codebook: Codebook, channels,
                 rect_model, adc: AdcConfig | None, link,
-                n_frames: int, rng: np.random.Generator,
+                rng: np.random.Generator,
                 sweeps: list | None = None) -> list[FrameReport]:
-    """n_frames closed-loop frames with the fallback state threaded through.
+    """One closed-loop frame per channel, with the fallback state threaded.
 
     The session sweeps the codebook once on each distinct channel object
-    (a block-fading source returns one object for every frame), all in
-    one batch, and hands each frame its channel's row; a row equals the
-    frame's own sweep to the last bit, so the reports equal those of
-    run_frame called frame by frame.
+    (under block fading one object serves every frame), all in one batch,
+    and hands each frame its channel's row; a row equals the frame's own
+    sweep to the last bit, so the reports equal those of run_frame called
+    frame by frame.
 
     Args:
-        channel_source: a ChannelRealization used for every frame, or a
-            callable frame_index -> ChannelRealization for evolving fades.
-        link: one LinkModel for all frames, or a list or tuple of exactly
-            n_frames per-frame LinkModels (scripted loss patterns).
+        channels: each frame's ChannelRealization, in frame order.
+        link: one LinkModel for all frames, or a list or tuple of one
+            LinkModel per channel (scripted loss patterns).
         sweeps: each frame's sweep, as run_frame takes it, when the caller
             already holds them; run_campaign reads them from one sweep of
             all its books' codewords.
     """
-    if n_frames < 1:
-        raise DomainError(f"n_frames must be >= 1, got {n_frames}")
+    if not channels:
+        raise DomainError("a session needs at least one channel")
+    n_frames = len(channels)
     if isinstance(link, (list, tuple)) and len(link) != n_frames:
         raise DomainError(
             f"{len(link)} scripted links for {n_frames} frames")
     if sweeps is not None and len(sweeps) != n_frames:
         raise DomainError(f"{len(sweeps)} sweeps for {n_frames} frames")
-    channels = [channel_source(i) if callable(channel_source)
-                else channel_source for i in range(n_frames)]
     if sweeps is None:
         sweeps = _sweep(codebook, channels, rect_model)
     reports = []

@@ -22,7 +22,7 @@ the brute-force counterpart used to cross-check them.
 
 from __future__ import annotations
 
-from collections import OrderedDict
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,7 +35,6 @@ _REL_TOL = 1e-9
 #: phasor matrices papr keeps, one per (grid, oversampling); the standard
 #: sweeps use 4 tone counts, and the N=8 matrix at oversampling 32 is 7.9 MB
 _PHASOR_CACHE_SIZE = 8
-_phasor_cache: OrderedDict = OrderedDict()
 
 
 @dataclass(frozen=True)
@@ -394,14 +393,12 @@ def sample_times(grid: ToneGrid, oversampling: int = 32) -> np.ndarray:
     return np.arange(n) * (period / n)
 
 
+@functools.lru_cache(maxsize=_PHASOR_CACHE_SIZE)
 def _phasors(grid: ToneGrid, oversampling: int) -> np.ndarray:
     # read-only exp(j w t) at sample_times, from a small LRU keyed by value:
     # run_campaign builds one ToneGrid per (M, N) point, so the grids of one
-    # N at different M are equal but distinct objects
-    key = (grid.angular_frequencies.tobytes(), grid.delta_f, oversampling)
-    if key in _phasor_cache:
-        _phasor_cache.move_to_end(key)
-        return _phasor_cache[key]
+    # N at different M are equal but distinct objects.  A ToneGrid hashes
+    # and compares on its three fields, which fix its frequencies
     t = sample_times(grid, oversampling)
     # one matrix, written in place, bit for bit np.exp(1j * np.outer(t, w))
     # without its two full-size temporaries.  1j * x has imaginary part
@@ -412,9 +409,6 @@ def _phasors(grid: ToneGrid, oversampling: int) -> np.ndarray:
     e.imag += 0.0
     np.exp(e, out=e)
     e.flags.writeable = False
-    _phasor_cache[key] = e
-    while len(_phasor_cache) > _PHASOR_CACHE_SIZE:
-        _phasor_cache.popitem(last=False)
     return e
 
 

@@ -237,19 +237,21 @@ def test_criterion_07_beamforming_trend():
 
 
 def test_criterion_08_protocol_accounting():
-    """Frame split exact at K=8; energies add exactly; payload sizes."""
-    cfg = FrameConfig(k_codewords=8, t_s=0.010, t_frame=2.0)
-    split_exact = (cfg.t_p == 1.92)
+    """Frame split exact at K=8; each phase's energy exact; payload sizes."""
+    cfg = FrameConfig(t_s=0.010, t_frame=2.0)
+    split_exact = (cfg.t_p(8) == 1.92)
     grid = ToneGrid.centered(2.4e9, 10e6, 2)
     book = gen_nested(2, grid, 1.0, 8, stream(9800, rngmod.CODEBOOK))
     ch = _random_channel(500_000, 2, grid)
-    reports = run_session(cfg, book, ch, DiodeMomentModel(), None,
-                          LinkModel(), 5, stream(9800, rngmod.SESSION))
-    energy_exact = all(r.energy_total == r.energy_training + r.energy_wpt
-                       for r in reports)
+    reports = run_session(cfg, book, [ch] * 5, DiodeMomentModel(), None,
+                          LinkModel(), stream(9800, rngmod.SESSION))
+    # ideal mode: the readings are the swept dc levels themselves
+    energy_exact = all(
+        r.energy_training == float(sum(r.measurements)) * cfg.t_s
+        and r.energy_wpt == r.p_dc_wpt * cfg.t_p(8) for r in reports)
     rejected = False
     try:
-        FrameConfig(k_codewords=200, t_s=0.010, t_frame=2.0)
+        cfg.t_p(200)
     except ConfigError:
         rejected = True
     payload_ok = True
@@ -258,7 +260,7 @@ def test_criterion_08_protocol_accounting():
         payload_ok &= feedback_bits(k) == want
         payload_ok &= len(encode_feedback(1, k).index_bits) == want
     ok = split_exact and energy_exact and rejected and payload_ok
-    _report(8, ok, f"t_p == 1.92 exactly: {split_exact}, energy identity "
+    _report(8, ok, f"t_p == 1.92 exactly: {split_exact}, phase energies "
                    f"exact on {len(reports)} frames: {energy_exact}, "
                    f"overrun rejected: {rejected}, payload sizes: "
                    f"{payload_ok}")
@@ -274,11 +276,11 @@ def test_criterion_09_fallback_behavior():
     grid = ToneGrid.centered(2.4e9, 10e6, 2)
     book = gen_nested(2, grid, 1.0, 4, stream(9900, rngmod.CODEBOOK))
     ch = _random_channel(600_000, 2, grid)
-    cfg = FrameConfig(k_codewords=4, t_s=0.010, t_frame=2.0)
+    cfg = FrameConfig(t_s=0.010, t_frame=2.0)
     model = DiodeMomentModel()
 
     lost = LinkModel(delivery_probability=0.0)
-    reports = run_session(cfg, book, ch, model, None, lost, 4,
+    reports = run_session(cfg, book, [ch] * 4, model, None, lost,
                           stream(9900, rngmod.SESSION))
     all_uniform = all(r.applied_index == 0 for r in reports)
     up = up_weights(2, grid, 1.0)
@@ -289,7 +291,7 @@ def test_criterion_09_fallback_behavior():
     scripted = [LinkModel(delivery_probability=1.0),
                 LinkModel(delivery_probability=0.0),
                 LinkModel(delivery_probability=0.0)]
-    chain = run_session(cfg, book, ch, model, None, scripted, 3,
+    chain = run_session(cfg, book, [ch] * 3, model, None, scripted,
                         stream(9901, rngmod.SESSION))
     carried = (chain[0].applied_index == chain[0].selected_index >= 1
                and chain[1].applied_index == chain[0].applied_index

@@ -60,6 +60,16 @@ def test_config_rejects_a_nonpositive_dwell(tmp_path, t_s):
         load_config(path)
 
 
+@pytest.mark.parametrize("method", ["nested", "random"])
+def test_config_rejects_an_empty_codebook_size(tmp_path, method):
+    # 0 passes the power-of-two test, and random books skip it
+    path = tmp_path / "c.ini"
+    path.write_text("[campaign]\nstrategies = UP, LIMITED\n"
+                    f"codebook_sizes = 0, 4\n[codebook]\nmethod = {method}\n")
+    with pytest.raises(ConfigError):
+        load_config(path)
+
+
 def test_config_rejects_non_power_of_two_nested():
     with pytest.raises(ConfigError):
         _mini_config(codebook_sizes=(3,))

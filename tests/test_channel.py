@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wptsim import (ChannelModelParams, ConfigError, DomainError, ToneGrid,
+from wptsim import (ChannelModelParams, ChannelRealization, ConfigError,
+                    DimensionError, DomainError, ToneGrid,
                     frequency_response, load_channel, make_locations,
                     realize_channel, sample_taps, save_channel, stream,
                     tap_variances)
@@ -166,3 +167,9 @@ def test_load_channel_rejects_truncated_file(tmp_path):
     path.write_text("\n".join(lines[:-1]) + "\n")
     with pytest.raises(ConfigError):
         load_channel(path, grid)
+
+
+def test_channel_realization_rejects_a_channel_with_no_antennas():
+    grid = ToneGrid.centered(2.4e9, 10e6, 4)
+    with pytest.raises(DimensionError):
+        ChannelRealization(grid=grid, gains=np.zeros((0, 4), dtype=complex))

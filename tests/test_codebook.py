@@ -1,6 +1,7 @@
 """Codebook generation, training, gradients, and the file format."""
 
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -649,4 +650,14 @@ def test_load_rejects_out_of_order_entries(tmp_path):
     lines[2], lines[3] = lines[3], lines[2]
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(CodebookIOError):
+        load_codebook(path)
+
+
+@pytest.mark.parametrize("m, n, k", [(2, 2, 0), (0, 2, 2), (2, 0, 2)])
+def test_load_names_the_file_for_an_empty_header(tmp_path, m, n, k):
+    # every entry line is missing, so the line count matches the header;
+    # the header itself is at fault
+    path = tmp_path / "book.txt"
+    path.write_text(f"wptcb v1 {m} {n} {k} 2.0 0\nprovenance x\n")
+    with pytest.raises(CodebookIOError, match=re.escape(f"{path}:1:")):
         load_codebook(path)

@@ -8,7 +8,7 @@ import pytest
 
 _ROOT = pathlib.Path(__file__).parents[1]
 # __init__.py imports are re-exports, so they are left out
-_MODULES = sorted(path for folder in ("src/wptsim", "tests")
+_MODULES = sorted(path for folder in ("src/wptsim", "tests", "scripts")
                   for path in (_ROOT / folder).glob("*.py")
                   if path.name != "__init__.py")
 

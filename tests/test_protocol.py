@@ -22,22 +22,17 @@ from conftest import make_channel
 # frame timing
 
 def test_frame_config_split_is_exact():
-    cfg = FrameConfig(k_codewords=8, t_s=0.010, t_frame=2.0)
-    assert cfg.t_training == 0.08
-    assert cfg.t_p == 1.92           # exact in binary floating point
-    assert cfg.t_training + cfg.t_p == cfg.t_frame
+    cfg = FrameConfig(t_s=0.010, t_frame=2.0)
+    assert 8 * cfg.t_s == 0.08
+    assert cfg.t_p(8) == 1.92        # exact in binary floating point
+    assert 8 * cfg.t_s + cfg.t_p(8) == cfg.t_frame
 
 
 def test_frame_config_rejects_training_overrun():
     with pytest.raises(ConfigError):
-        FrameConfig(k_codewords=200, t_s=0.010, t_frame=2.0)
+        FrameConfig(t_s=0.010, t_frame=2.0).t_p(200)
     with pytest.raises(ConfigError):
-        FrameConfig(k_codewords=200, t_s=0.010, t_frame=2.0 - 1e-12)
-
-
-def test_frame_config_training_overhead():
-    cfg = FrameConfig(k_codewords=8, t_s=0.010, t_frame=2.0)
-    assert cfg.training_overhead == pytest.approx(0.04, rel=1e-12)
+        FrameConfig(t_s=0.010, t_frame=2.0 - 1e-12).t_p(200)
 
 
 def test_link_model_domain():
@@ -161,15 +156,14 @@ def test_codebook_stacks_its_entries_read_only():
 
 def test_run_frame_energy_accounting():
     _, book, ch, model = _setup()
-    cfg = FrameConfig(k_codewords=4, t_s=0.010, t_frame=2.0)
+    cfg = FrameConfig(t_s=0.010, t_frame=2.0)
     link = LinkModel(delivery_probability=1.0)
     report = run_frame(cfg, book, ch, model, None, link, None, stream(21, 6))
     raw = run_training(book, ch, model)
     assert report.energy_training == pytest.approx(sum(raw) * 0.010,
                                                    rel=1e-12)
-    assert report.energy_wpt == pytest.approx(report.p_dc_wpt * cfg.t_p,
+    assert report.energy_wpt == pytest.approx(report.p_dc_wpt * cfg.t_p(4),
                                               rel=1e-12)
-    assert report.energy_total == report.energy_training + report.energy_wpt
     assert report.selected_index == int(np.argmax(raw)) + 1
     assert report.applied_index == report.selected_index
     assert report.feedback_delivered
@@ -177,7 +171,7 @@ def test_run_frame_energy_accounting():
 
 def test_run_frame_applies_best_codeword_dc():
     grid, book, ch, model = _setup()
-    cfg = FrameConfig(k_codewords=4, t_s=0.010, t_frame=2.0)
+    cfg = FrameConfig(t_s=0.010, t_frame=2.0)
     link = LinkModel(delivery_probability=1.0)
     report = run_frame(cfg, book, ch, model, None, link, None, stream(22, 6))
     best = max(dc_power_moment(model, effective_tones(ch, e), grid)
@@ -187,7 +181,7 @@ def test_run_frame_applies_best_codeword_dc():
 
 def test_run_frame_lost_feedback_first_frame_applies_uniform():
     grid, book, ch, model = _setup()
-    cfg = FrameConfig(k_codewords=4, t_s=0.010, t_frame=2.0)
+    cfg = FrameConfig(t_s=0.010, t_frame=2.0)
     lost = LinkModel(delivery_probability=0.0)
     report = run_frame(cfg, book, ch, model, None, lost, None, stream(23, 6))
     assert not report.feedback_delivered
@@ -213,7 +207,7 @@ def test_run_frame_evaluates_each_codeword_once(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(protocol, "dc_power_table", spy)
-    cfg = FrameConfig(k_codewords=4, t_s=0.010, t_frame=2.0)
+    cfg = FrameConfig(t_s=0.010, t_frame=2.0)
     for link, fallback, k_evals in ((LinkModel(1.0), None, 4),
                                     (LinkModel(0.0), 3, 4),
                                     (LinkModel(0.0), None, 5)):
@@ -228,29 +222,34 @@ def test_run_frame_evaluates_each_codeword_once(monkeypatch):
 
 def test_run_frame_lost_feedback_keeps_previous_applied():
     _, book, ch, model = _setup()
-    cfg = FrameConfig(k_codewords=4, t_s=0.010, t_frame=2.0)
+    cfg = FrameConfig(t_s=0.010, t_frame=2.0)
     lost = LinkModel(delivery_probability=0.0)
     report = run_frame(cfg, book, ch, model, None, lost, 3, stream(24, 6))
     assert report.applied_index == 3
 
 
-def test_run_frame_rejects_k_mismatch():
-    _, book, ch, model = _setup(k=4)
-    cfg = FrameConfig(k_codewords=8, t_s=0.010, t_frame=2.0)
+def test_run_frame_rejects_a_book_whose_training_fills_the_frame():
+    # K = 8 dwells of 0.25 s fill a 2 s frame; K = 4 leave 1 s of WPT
+    _, book, ch, model = _setup(k=8)
+    cfg = FrameConfig(t_s=0.25, t_frame=2.0)
     with pytest.raises(ConfigError):
         run_frame(cfg, book, ch, model, None, LinkModel(), None,
                   stream(25, 6))
+    report = run_frame(cfg, book.prefix(4), ch, model, None, LinkModel(),
+                       None, stream(25, 6))
+    assert report.energy_wpt == report.p_dc_wpt * 1.0
 
 
 def test_run_session_threads_fallback_state():
     # scripted link: deliver on frame 0, lose afterwards; the applied index
     # carried into later frames must be frame 0's decoded selection
     _, book, ch, model = _setup()
-    cfg = FrameConfig(k_codewords=4, t_s=0.010, t_frame=2.0)
+    cfg = FrameConfig(t_s=0.010, t_frame=2.0)
     links = [LinkModel(delivery_probability=1.0),
              LinkModel(delivery_probability=0.0),
              LinkModel(delivery_probability=0.0)]
-    reports = run_session(cfg, book, ch, model, None, links, 3, stream(27, 6))
+    reports = run_session(cfg, book, [ch] * 3, model, None, links,
+                          stream(27, 6))
     assert reports[0].feedback_delivered
     first_applied = reports[0].applied_index
     assert first_applied >= 1
@@ -260,65 +259,50 @@ def test_run_session_threads_fallback_state():
 
 def test_run_session_all_lost_stays_uniform():
     _, book, ch, model = _setup()
-    cfg = FrameConfig(k_codewords=4, t_s=0.010, t_frame=2.0)
+    cfg = FrameConfig(t_s=0.010, t_frame=2.0)
     lost = LinkModel(delivery_probability=0.0)
-    reports = run_session(cfg, book, ch, model, None, lost, 4, stream(28, 6))
+    reports = run_session(cfg, book, [ch] * 4, model, None, lost,
+                          stream(28, 6))
     assert [r.applied_index for r in reports] == [UP_FALLBACK] * 4
 
 
-def test_run_session_callable_channel_source():
-    grid, book, _, model = _setup()
-    cfg = FrameConfig(k_codewords=4, t_s=0.010, t_frame=2.0)
-    seen = []
-
-    def source(i):
-        seen.append(i)
-        return make_channel(40 + i, 2, grid, pathloss_db=10.0)
-
-    reports = run_session(cfg, book, source, model, None, LinkModel(), 3,
-                          stream(29, 6))
-    assert seen == [0, 1, 2]
-    assert [r.frame_id for r in reports] == [0, 1, 2]
-
-
 def test_run_session_rejects_zero_frames():
-    _, book, ch, model = _setup()
-    cfg = FrameConfig(k_codewords=4, t_s=0.010, t_frame=2.0)
+    _, book, _, model = _setup()
+    cfg = FrameConfig(t_s=0.010, t_frame=2.0)
     with pytest.raises(DomainError):
-        run_session(cfg, book, ch, model, None, LinkModel(), 0, stream(30, 6))
+        run_session(cfg, book, [], model, None, LinkModel(), stream(30, 6))
 
 
-def test_run_session_rejects_scripted_links_of_the_wrong_length():
+def test_run_session_rejects_scripted_links_of_the_wrong_length(
+        monkeypatch):
     grid, book, _, model = _setup()
-    cfg = FrameConfig(k_codewords=4, t_s=0.010, t_frame=2.0)
-    seen = []
-
-    def source(i):
-        seen.append(i)
-        return make_channel(40 + i, 2, grid, pathloss_db=10.0)
-
+    cfg = FrameConfig(t_s=0.010, t_frame=2.0)
+    channels = [make_channel(40 + i, 2, grid, pathloss_db=10.0)
+                for i in range(3)]
+    swept = []
+    monkeypatch.setattr(protocol, "_sweep",
+                        lambda *args: swept.append(args))
     for n_links in (2, 5):
         links = [LinkModel()] * n_links
         with pytest.raises(DomainError):
-            run_session(cfg, book, source, model, None, links, 3,
+            run_session(cfg, book, channels, model, None, links,
                         stream(33, 6))
         with pytest.raises(DomainError):
-            run_session(cfg, book, source, model, None, tuple(links), 3,
+            run_session(cfg, book, channels, model, None, tuple(links),
                         stream(33, 6))
         # precomputed sweeps are checked the same way
         sweep = ([0.0] * 4, [0.0] * 4)
         with pytest.raises(DomainError):
-            run_session(cfg, book, source, model, None, LinkModel(), 3,
+            run_session(cfg, book, channels, model, None, LinkModel(),
                         stream(33, 6), [sweep] * n_links)
-    assert seen == []
+    assert swept == []
 
 
-def _frame_by_frame(cfg, book, source, model, adc, link, n_frames, gen):
+def _frame_by_frame(cfg, book, channels, model, adc, link, gen):
     # run_session written out as it was before its batched sweep: one
     # run_frame per frame, each sweeping its own channel
     reports, fallback = [], None
-    for i in range(n_frames):
-        ch = source(i) if callable(source) else source
+    for i, ch in enumerate(channels):
         report = run_frame(cfg, book, ch, model, adc, link, fallback, gen,
                            frame_id=i)
         reports.append(report)
@@ -339,60 +323,54 @@ def test_session_batch_equals_frame_by_frame(m, n):
              gen_nested(m, grid, 1.0, 64, stream(50 + m, 4, n)))
     model = DiodeMomentModel()
     lossy = LinkModel(delivery_probability=0.5)
-    fixed = make_channel(51, m, grid, pathloss_db=10.0)
-
-    def fading(i):
-        return make_channel(52, m, grid, pathloss_db=10.0, frame=i)
-
+    fixed = [make_channel(51, m, grid, pathloss_db=10.0)] * 6
+    fading = [make_channel(52, m, grid, pathloss_db=10.0, frame=i)
+              for i in range(6)]
+    cfg = FrameConfig(t_s=0.010, t_frame=2.0)
     # a 0.1 ohm load keeps the readings below v_ref; the ADC noise draws
     # from the session's stream, interleaved with the link's draws
     adcs = (None, AdcConfig(load_resistance=0.1, noise_sigma=1e-3))
-    for book, source, adc in itertools.product(books, (fixed, fading), adcs):
-        k = book.k_codewords
-        cfg = FrameConfig(k_codewords=k, t_s=0.010, t_frame=2.0)
-        batched = run_session(cfg, book, source, model, adc, lossy, 6,
+    for book, channels, adc in itertools.product(books, (fixed, fading),
+                                                 adcs):
+        batched = run_session(cfg, book, channels, model, adc, lossy,
                               stream(53, 6, m, n))
-        alone = _frame_by_frame(cfg, book, source, model, adc, lossy, 6,
+        alone = _frame_by_frame(cfg, book, channels, model, adc, lossy,
                                 stream(53, 6, m, n))
         assert batched == alone
         assert any(not r.feedback_delivered for r in batched)
-        if k > 1:
+        if book.k_codewords > 1:
             assert len(set(batched[0].measurements)) > 1
-        channels = [source(i) if callable(source) else source
-                    for i in range(6)]
         assert [dcs for dcs, _ in protocol._sweep(book, channels, model)] \
             == [run_training(book, ch, model) for ch in channels]
 
 
 def test_session_batch_equals_frame_by_frame_on_the_table_model():
     grid, book, _, _ = _setup(k=8, m=2, n=4)
-    cfg = FrameConfig(k_codewords=8, t_s=0.010, t_frame=2.0)
+    cfg = FrameConfig(t_s=0.010, t_frame=2.0)
     table = EfficiencyTableModel(p_dbm=np.array([-60.0, 40.0]),
                                  papr_axis=np.array([1.0, 20.0]),
                                  eta=np.array([[0.1, 0.2], [0.3, 0.4]]))
 
-    def fading(i):
-        return make_channel(54, 2, grid, pathloss_db=10.0, frame=i)
-
+    fading = [make_channel(54, 2, grid, pathloss_db=10.0, frame=i)
+              for i in range(6)]
     lossy = LinkModel(delivery_probability=0.5)
-    batched = run_session(cfg, book, fading, table, None, lossy, 6,
+    batched = run_session(cfg, book, fading, table, None, lossy,
                           stream(55, 6))
     assert batched == _frame_by_frame(cfg, book, fading, table, None, lossy,
-                                      6, stream(55, 6))
+                                      stream(55, 6))
 
 
 def test_session_sweeps_each_distinct_channel_once(monkeypatch):
     # under block fading one realization serves every frame; the session
     # sweeps it once and hands every frame its row
     grid, book, _, _ = _setup(k=8, m=2, n=4)
-    cfg = FrameConfig(k_codewords=8, t_s=0.010, t_frame=2.0)
+    cfg = FrameConfig(t_s=0.010, t_frame=2.0)
     table = EfficiencyTableModel(p_dbm=np.array([-60.0, 40.0]),
                                  papr_axis=np.array([1.0, 20.0]),
                                  eta=np.array([[0.1, 0.2], [0.3, 0.4]]))
     a, b = (make_channel(56 + i, 2, grid, pathloss_db=10.0) for i in range(2))
-    # (channel source, distinct channels among its 6 frames)
-    sources = ((a, 1), (([a] * 6).__getitem__, 1),
-               (([a, b] * 3).__getitem__, 2))
+    # (each frame's channel, distinct channels among the 6 frames)
+    sources = (([a] * 6, 1), ([a, b] * 3, 2))
     # waveforms evaluated: a moment call's (channels, K) rows, one each
     # for a table lookup
     evals = []
@@ -401,16 +379,16 @@ def test_session_sweeps_each_distinct_channel_once(monkeypatch):
         evals.append(tones.size // tones.shape[-1]) or real_moments(tones)))
     monkeypatch.setattr(protocol, "dc_power_table", lambda *args: (
         evals.append(1) or real_table(*args)))
-    for (source, distinct), model in itertools.product(
+    for (channels, distinct), model in itertools.product(
             sources, (DiodeMomentModel(), table)):
         evals.clear()
-        run_session(cfg, book, source, model, None, LinkModel(1.0), 6,
+        run_session(cfg, book, channels, model, None, LinkModel(1.0),
                     stream(57, 6))
         assert sum(evals) == distinct * 8
         lossy = LinkModel(delivery_probability=0.5)
-        assert run_session(cfg, book, source, model, None, lossy, 6,
+        assert run_session(cfg, book, channels, model, None, lossy,
                            stream(58, 6)) == \
-            _frame_by_frame(cfg, book, source, model, None, lossy, 6,
+            _frame_by_frame(cfg, book, channels, model, None, lossy,
                             stream(58, 6))
 
 
@@ -434,7 +412,7 @@ def test_session_forms_tones_only_in_its_sweep(monkeypatch):
     # (channel, codeword).  Lost feedback on a first frame falls back to
     # UP, which forms its tones outside the sweep.
     grid, book, _, _ = _setup(k=8, m=2, n=4)
-    cfg = FrameConfig(k_codewords=8, t_s=0.010, t_frame=2.0)
+    cfg = FrameConfig(t_s=0.010, t_frame=2.0)
     table = EfficiencyTableModel(p_dbm=np.array([-60.0, 40.0]),
                                  papr_axis=np.array([1.0, 20.0]),
                                  eta=np.array([[0.1, 0.2], [0.3, 0.4]]))
@@ -458,8 +436,8 @@ def test_session_forms_tones_only_in_its_sweep(monkeypatch):
     monkeypatch.setattr(protocol, "effective_tones", tones)
     for delivery, outside in ((1.0, 0), (0.0, 3)):
         calls.clear()
-        reports = run_session(cfg, book, fades.__getitem__, table, None,
-                              LinkModel(delivery), 3, stream(63, 6))
+        reports = run_session(cfg, book, fades, table, None,
+                              LinkModel(delivery), stream(63, 6))
         assert calls.count(True) == 3 * 8
         assert calls.count(False) == outside
         assert sum(r.applied_index == UP_FALLBACK for r in reports) == outside
@@ -467,7 +445,7 @@ def test_session_forms_tones_only_in_its_sweep(monkeypatch):
 
 def test_adc_selection_can_differ_from_ideal_but_stays_valid():
     _, book, ch, model = _setup(k=8, seed=31)
-    cfg = FrameConfig(k_codewords=8, t_s=0.010, t_frame=2.0)
+    cfg = FrameConfig(t_s=0.010, t_frame=2.0)
     adc = AdcConfig()
     report = run_frame(cfg, book, ch, model, adc, LinkModel(), None,
                        stream(31, 6))
@@ -477,7 +455,7 @@ def test_adc_selection_can_differ_from_ideal_but_stays_valid():
 
 def test_measurements_are_reported_per_codeword():
     _, book, ch, model = _setup(k=4)
-    cfg = FrameConfig(k_codewords=4, t_s=0.010, t_frame=2.0)
+    cfg = FrameConfig(t_s=0.010, t_frame=2.0)
     report = run_frame(cfg, book, ch, model, None, LinkModel(), None,
                        stream(32, 6))
     assert len(report.measurements) == 4

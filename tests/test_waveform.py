@@ -462,7 +462,7 @@ def test_papr_needs_enough_oversampling():
 def test_papr_equals_sampled_oracle_ratio_bit_for_bit(n, oversampling):
     # the first call builds the phasors, the second reuses them; both must
     # equal the oracle, which builds its own, to the last bit
-    waveform._phasor_cache.clear()
+    waveform._phasors.cache_clear()
     grid = ToneGrid.centered(2.4e9, 10e6, n)
     t = sample_times(grid, oversampling)
     gen = stream(31, 10, n, oversampling)
@@ -472,7 +472,7 @@ def test_papr_equals_sampled_oracle_ratio_bit_for_bit(n, oversampling):
         expected = float(np.max(y ** 2) / np.mean(y ** 2))
         assert papr(tones, grid, oversampling) == expected
         assert papr(tones, grid, oversampling) == expected
-    assert len(waveform._phasor_cache) == 1
+    assert waveform._phasors.cache_info().currsize == 1
 
 
 def test_phasor_cache_keys_on_grid_values_not_identity():
@@ -489,7 +489,7 @@ def test_phasor_cache_keys_on_grid_values_not_identity():
 
 def test_cached_phasors_are_read_only():
     grid = ToneGrid.centered(2.4e9, 10e6, 2)
-    waveform._phasor_cache.clear()
+    waveform._phasors.cache_clear()
     # the matrix is written in place before it is frozen; built and
     # cached, it must refuse writes
     for e in (waveform._phasors(grid, 32), waveform._phasors(grid, 32)):
@@ -511,7 +511,7 @@ def test_phasors_equal_one_shot_exp_by_bytes(n, oversampling, center_hz):
     grid = ToneGrid.centered(center_hz, 10e6, n)
     expected = np.exp(1j * np.outer(sample_times(grid, oversampling),
                                     grid.angular_frequencies))
-    waveform._phasor_cache.clear()
+    waveform._phasors.cache_clear()
     built = waveform._phasors(grid, oversampling)
     cached = waveform._phasors(grid, oversampling)
     assert cached is built
@@ -523,7 +523,7 @@ def test_cold_phasor_build_peaks_near_one_matrix():
     # the one-shot exp(1j * outer(t, w)) peaks at two matrices; the build
     # in place must hold little beyond the matrix it returns
     grid = ToneGrid.centered(2.4e9, 10e6, 16)
-    waveform._phasor_cache.clear()
+    waveform._phasors.cache_clear()
     tracemalloc.start()
     try:
         e = waveform._phasors(grid, 32)
@@ -535,7 +535,8 @@ def test_cold_phasor_build_peaks_near_one_matrix():
 
 def test_phasor_cache_stays_within_its_bound():
     bound = waveform._PHASOR_CACHE_SIZE
+    assert waveform._phasors.cache_info().maxsize == bound
     for i in range(bound + 3):
         grid = ToneGrid.centered(2.4e9 + i * 1e6, 10e6, 2)
         papr(_tones([1.0, 0.5j]), grid)
-    assert len(waveform._phasor_cache) == bound
+    assert waveform._phasors.cache_info().currsize == bound
