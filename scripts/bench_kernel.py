@@ -8,7 +8,8 @@ Layer rows, on random complex amplitudes and channel gains:
   ``waveform_moments`` passes it; 192 is one campaign session's sweep
   (3 frames x 64 codewords); 1000 is one Lloyd column.
 * ``codebook._dc_and_grad`` at M=4, N=8 on one segment of 1000 channels,
-  the step Lloyd's UPDATE repeats.
+  the step Lloyd's UPDATE repeats: the segment's mean dc, every row's dc
+  and the gradient.
 * ``codebook._assign``, Lloyd's pruned ASSIGN, at M=4, N=8, K=64 on 1000
   channels drawn with ``realize_channel`` at 60 dB and at 0 dB pathloss,
   against SMF codewords of 64 of those channels (as ``train_lloyd``
@@ -17,6 +18,12 @@ Layer rows, on random complex amplitudes and channel gains:
   screen alone, block by block as ASSIGN runs it; ``pairs_per_channel``
   counts the pairs that reach the exact m4 evaluation, out of K, each
   channel's seeded pair (the one the screen ranks first) included.
+* ``codebook.train_iteration``: one Lloyd iteration on the 60 dB
+  ``_assign`` inputs, from their first ASSIGN: the UPDATE of every
+  non-empty cluster with each channel's dc on its updated codeword
+  (``codebook._update``), then the ASSIGN that starts from those known
+  pairs.  ``exact_pairs`` counts the pairs that iteration evaluates
+  exactly outside the UPDATE.
 * ``protocol.run_session``: one location's LIMITED sessions at M=4, N=8
   over F=3 fades, for the nested books K in {2, ..., 64}, as
   ``run_campaign`` runs them.  ``per_k_sweep_us`` lets each K's session
@@ -89,16 +96,31 @@ def median_us(fn, repeat, number):
     return 1e6 * statistics.median(runs) / number
 
 
-def _exact_pairs(gains, words, model):
-    # the rows _assign hands to the fourth moment, counted on one call
+def _exact_pairs(fn):
+    # the rows codebook's exact pair evaluation hands to the fourth moment,
+    # counted on one call of fn
     count = []
     real = codebook.fourth_moment
     codebook.fourth_moment = lambda a: count.append(len(a)) or real(a)
     try:
-        _assign(gains, words, model)
+        fn()
     finally:
         codebook.fourth_moment = real
     return sum(count)
+
+
+def _iteration_row(gains, words, model, power, repeat, number):
+    assign, _ = _assign(gains, words, model)
+
+    def iteration():
+        updated, fresh = codebook._update(gains, words, assign, model, power)
+        return _assign(gains, updated, model, (assign, fresh))
+
+    k, m, n = words.shape
+    return {"layer": "codebook.train_iteration", "m_antennas": m,
+            "n_tones": n, "k_codewords": k, "batch": len(gains),
+            "exact_pairs": _exact_pairs(iteration),
+            "median_us": median_us(iteration, repeat, number)}
 
 
 def _session_row(grid, model, seed, repeat, number):
@@ -231,9 +253,10 @@ def main(argv=None):
                  "median_us": median_us(
                      lambda: _dc_and_grad(gains, words, bounds, model),
                      args.repeat, args.number)})
-    k = 64
+    k, power = 64, 2.0
     grid = ToneGrid.centered(2.4e9, 10e6, n)
-    smf = SmfParams(beta=3.0, power_budget=2.0)
+    smf = SmfParams(beta=3.0, power_budget=power)
+    inputs = {}
     for pathloss_db in PATHLOSS_DB:
         params = ChannelModelParams(pathloss_db=pathloss_db, seed=args.seed)
         channels = [realize_channel(params, m, grid, frame=i)
@@ -242,6 +265,7 @@ def main(argv=None):
         words = [smf_weights(channels[int(i)], smf).weights
                  for i in gen.choice(c, size=k, replace=False)]
         stack, block = np.stack(words), codebook._ASSIGN_BLOCK
+        inputs[pathloss_db] = gains, stack
 
         def full_matrix():
             dc = np.column_stack([model.dc(*tone_moments(
@@ -251,8 +275,8 @@ def main(argv=None):
         rows.append({"layer": "codebook._assign", "m_antennas": m,
                      "n_tones": n, "k_codewords": k, "batch": c,
                      "pathloss_db": pathloss_db,
-                     "pairs_per_channel": _exact_pairs(gains, words, model)
-                     / c,
+                     "pairs_per_channel": _exact_pairs(
+                         lambda: _assign(gains, words, model)) / c,
                      "full_matrix_us": median_us(full_matrix, args.repeat,
                                                  args.number),
                      "screen_us": median_us(
@@ -262,6 +286,8 @@ def main(argv=None):
                      "median_us": median_us(
                          lambda: _assign(gains, words, model),
                          args.repeat, args.number)})
+    rows.append(_iteration_row(*inputs[60.0], model, power, args.repeat,
+                               args.number))
     rows.append(_session_row(grid, model, args.seed, args.repeat,
                              args.number))
     rows.append(_campaign_row(model, args.seed, args.repeat, args.number))
@@ -287,6 +313,8 @@ def main(argv=None):
                      f"{row['screen_us']:.1f} us, "
                      f"{row['pairs_per_channel']:.2f} of "
                      f"{row['k_codewords']} pairs exact")
+        if "exact_pairs" in row:
+            line += f"  ({row['exact_pairs']} exact pairs)"
         if "per_k_sweep_us" in row:
             line += f"  (sweep per K: {row['per_k_sweep_us']:.1f} us)"
         if "per_frame_us" in row:

@@ -28,8 +28,13 @@ every reduction kept per cluster, and give the same bytes as one cluster
 at a time.  Empty clusters are then re-seeded, in index order, with the
 SMF solution of the currently worst-served training channel.  Both steps
 can only raise the average training objective, so it is non-decreasing
-across iterations.  The objective and the re-seeds read each channel's dc
-on its own updated codeword.
+across iterations.
+
+Each channel's dc on its own updated codeword is computed once, by the
+UPDATE's last accepted evaluation of its cluster, with the bits an exact
+evaluation gives.  The objective and the re-seeds read it, and the next
+ASSIGN starts each channel from that known pair instead of evaluating a
+seed of its own.
 """
 
 from __future__ import annotations
@@ -59,7 +64,8 @@ _M4_BOUND_SLACK = 1e-9
 #: relative slack of ASSIGN's screen on each pair's amplitude norm; the
 #: rounding it covers is below 1e-13 for M + N up to about 1000 (_assign)
 _SCREEN_SLACK = 1e-12
-#: training channels ASSIGN handles at once.  Every temporary of a block
+#: training channels ASSIGN handles at once, and the rows whose gathered
+#: gains and codewords UPDATE holds at once.  Every temporary of a block
 #: (the screen's products, an exact batch's gathered gains and codewords,
 #: autoconvolution's N^2 products) then stays near 0.5 MB at M=4, N=8,
 #: K=64; with whole (K, C) temporaries, Lloyd training at C = 1000
@@ -248,23 +254,34 @@ def _exact_dc(gains: np.ndarray, words: np.ndarray, rows: np.ndarray,
     return dc
 
 
-def _assign(gains: np.ndarray, words, model: DiodeMomentModel
+def _assign(gains: np.ndarray, words, model: DiodeMomentModel, known=None
             ) -> tuple[np.ndarray, np.ndarray]:
     """Lloyd's ASSIGN: each channel's best codeword and its dc power.
 
     A channel's assignment reads no other channel, so the channels are
     taken in blocks of _ASSIGN_BLOCK.  In a block, _screen bounds every
-    pair's m2 from above, with one BLAS product per tone.  Each channel's
-    pair with the highest upper bound, its seed, is evaluated exactly
-    first.  The seed's dc is one of the channel's computed dc values, so
-    the best one is at least as large; a pair whose dc upper bound from
-    _dc_upper (m4 at most 1.5*N*m2^2, docs/covering_bound.md, step 1,
-    widened for the rounding of m4) falls below it can neither win nor
-    tie.  Only the pairs whose bound reaches it are evaluated exactly
-    after the seed, in batches no larger than the block; every other
-    entry of the block's (C, K) dc matrix is -inf.  At 60 dB pathloss
-    about 1.02 of 64 pairs per channel are evaluated in all, at 0 dB
-    about 22.
+    pair's m2 from above, with one BLAS product per tone.  Each channel
+    starts from one pair, its seed: the pair with the highest upper bound,
+    evaluated exactly first, or the known pair when one is given.  The
+    seed's dc is one of the channel's computed dc values, so the best one
+    is at least as large; a pair whose dc upper bound from _dc_upper (m4
+    at most 1.5*N*m2^2, docs/covering_bound.md, step 1, widened for the
+    rounding of m4) falls below it can neither win nor tie.  Only the
+    pairs whose bound reaches it are evaluated exactly after the seed, in
+    batches no larger than the block; every other entry of the block's
+    (C, K) dc matrix is -inf.  At 60 dB pathloss about 1.02 of 64 pairs
+    per channel are evaluated in all, at 0 dB about 22.
+
+    A known pair is a codeword index and the dc that _dc_and_grad
+    computed for the channel on that codeword (train_lloyd passes each
+    channel's own cluster and the UPDATE's row for it).  _dc_and_grad
+    forms the row's amplitudes with the same gathered einsum, and its m2
+    and m4 with the same kernels, so that dc has the bits an exact
+    evaluation here would give: it is one of the channel's computed dc
+    values, and the argument above holds unchanged.  The known pair need
+    not be the channel's best, nor rank first in the screen; every pair
+    whose bound reaches its dc, ties included, is still evaluated, so a
+    lower index that ties the best still wins.
 
     The screen only decides which pairs are evaluated.  BLAS sums in its
     own order, blocking and fused multiply-adds, so its amplitudes differ
@@ -288,6 +305,10 @@ def _assign(gains: np.ndarray, words, model: DiodeMomentModel
     matrix of every pair's dc bit for bit, whatever BLAS library, thread
     count or machine computed the screen.
 
+    Args:
+        known: optional (assign, dc) of shape (C,) each: every channel's
+            known pair, evaluated already.
+
     Returns:
         (assign, dc) of shape (C,): codeword indices and their dc powers.
     """
@@ -296,18 +317,24 @@ def _assign(gains: np.ndarray, words, model: DiodeMomentModel
     dc = np.empty(len(gains))
     for start in range(0, len(gains), _ASSIGN_BLOCK):
         block = slice(start, start + _ASSIGN_BLOCK)
-        assign[block], dc[block] = _assign_block(gains[block], words, model)
+        seed = None if known is None else (known[0][block], known[1][block])
+        assign[block], dc[block] = _assign_block(gains[block], words, model,
+                                                 seed)
     return assign, dc
 
 
 def _assign_block(gains: np.ndarray, words: np.ndarray,
-                  model: DiodeMomentModel) -> tuple[np.ndarray, np.ndarray]:
+                  model: DiodeMomentModel, known
+                  ) -> tuple[np.ndarray, np.ndarray]:
     """_assign on one block of channels, every array sized by the block."""
     c, _, n = gains.shape
     upper_m2 = _screen(gains, words)
     channels = np.arange(c)
-    seed = np.argmax(upper_m2, axis=0)
-    seed_dc = _exact_dc(gains, words, channels, seed, model)
+    if known is None:
+        seed = np.argmax(upper_m2, axis=0)
+        seed_dc = _exact_dc(gains, words, channels, seed, model)
+    else:
+        seed, seed_dc = known
     reach = _dc_upper(upper_m2, n, model) >= seed_dc
     reach[seed, channels] = False
     cols, rows = np.nonzero(reach)
@@ -318,15 +345,45 @@ def _assign_block(gains: np.ndarray, words: np.ndarray,
     return assign, dc[channels, assign]
 
 
-def _dc_and_grad(gains: np.ndarray, words: np.ndarray, bounds,
-                 model: DiodeMomentModel) -> tuple[np.ndarray, np.ndarray]:
-    """Per-segment mean dc and Wirtinger ascent direction.
+def _segment_rows(bounds: np.ndarray) -> np.ndarray:
+    """The gains row behind each row of the segments laid end to end."""
+    counts = bounds[:, 1] - bounds[:, 0]
+    ends = np.cumsum(counts)
+    return np.arange(counts.sum()) + np.repeat(bounds[:, 0] - (ends - counts),
+                                               counts)
+
+
+def _segment_amplitudes(gains: np.ndarray, words: np.ndarray,
+                        bounds: np.ndarray) -> np.ndarray:
+    """Effective tones of every segment's rows, laid end to end, (R, N).
 
     Segment i pairs codeword words[i] with the channels
-    gains[bounds[i][0]:bounds[i][1]].  The elementwise math runs once over
-    the rows of all segments; the reductions over channels (the mean and
-    the gradient sum) run per segment, so each segment's result equals
-    its evaluation alone to the last bit.
+    gains[bounds[i, 0]:bounds[i, 1]].  The gathered einsum forms the rows
+    _ASSIGN_BLOCK at a time and gives each row _amplitudes' bits
+    (tests/test_codebook.py pins that).
+    """
+    src = _segment_rows(bounds)
+    owner = np.repeat(np.arange(len(bounds)), bounds[:, 1] - bounds[:, 0])
+    a = np.empty((len(src), gains.shape[2]), dtype=complex)
+    for start in range(0, len(src), _ASSIGN_BLOCK):
+        block = slice(start, start + _ASSIGN_BLOCK)
+        np.einsum("cmn,cmn->cn", gains[src[block]], words[owner[block]],
+                  out=a[block])
+    return a
+
+
+def _dc_and_grad(gains: np.ndarray, words: np.ndarray, bounds,
+                 model: DiodeMomentModel, gradient: bool = True
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Per-segment mean dc, every row's dc and the Wirtinger ascent direction.
+
+    Segment i pairs codeword words[i] with the channels
+    gains[bounds[i][0]:bounds[i][1]], and the rows of all segments are
+    laid end to end.  Their amplitudes come from _segment_amplitudes, so
+    a row's dc equals _exact_dc's for its pair.  The elementwise math runs
+    once over all rows; the reductions over channels (the mean and the
+    gradient sum) run per segment, so each segment's result equals its
+    evaluation alone to the last bit.
 
     The gradient is d(mean dc)/d(conj s): with a_n = sum_m h[m,n] s[m,n],
     d m2/d conj(a_p) = a_p / 2 and
@@ -336,50 +393,59 @@ def _dc_and_grad(gains: np.ndarray, words: np.ndarray, bounds,
     and equal a per-row evaluation to the last bit.
 
     Returns:
-        (means, grads) of shapes (S,) and (S, M, N) for S segments.
+        (means, dc, grads) of shapes (S,), (R,) and (S, M, N) for S
+        segments of R rows in all; grads is None unless gradient is set.
     """
-    n = gains.shape[2]
-    rows = [0]
-    for start, stop in bounds:
-        rows.append(rows[-1] + stop - start)
-    a = np.empty((rows[-1], n), dtype=complex)
-    for i, (start, stop) in enumerate(bounds):
-        a[rows[i]:rows[i + 1]] = _amplitudes(gains[start:stop], words[i])
+    bounds = np.asarray(bounds)
+    counts = bounds[:, 1] - bounds[:, 0]
+    a = _segment_amplitudes(gains, words, bounds)
     conv = autoconvolution(a)
     m2, m4 = tone_moments(a, conv)
-    z = model.proxy(m2, m4)
     dc = model.dc(m2, m4)
+    spans = [(slice(stop - count, stop), count) for stop, count in
+             zip(np.cumsum(counts).tolist(), counts.tolist())]
+    # np.mean's sum and division without its Python-level dispatch; a
+    # reduceat or zero-padded sum would regroup numpy's pairwise sum
+    means = np.array([np.add.reduce(dc[seg]) / count
+                      for seg, count in spans])
+    if not gradient:
+        return means, dc, None
+    z = model.proxy(m2, m4)
     dm4 = m4_gradient(a, conv)
     dz = model.proxy(0.5 * a, dm4)
     ddc = (2.0 * model.alpha) * z[:, None] * dz
-    means = np.empty(len(rows) - 1)
     grads = np.empty_like(words)
-    for i, (start, stop) in enumerate(bounds):
-        seg, count = slice(rows[i], rows[i + 1]), int(stop - start)
-        # np.mean's sum and division without its Python-level dispatch; a
-        # reduceat or zero-padded sum would regroup numpy's pairwise sum
-        means[i] = np.add.reduce(dc[seg]) / count
+    for i, ((start, stop), (seg, count)) in enumerate(zip(bounds, spans)):
         grads[i] = np.einsum("cn,cmn->mn", ddc[seg],
                              np.conj(gains[start:stop])) / count
-    return means, grads
+    return means, dc, grads
 
 
 def _ascend_clusters(words: np.ndarray, gains: np.ndarray,
                      bounds: np.ndarray, model: DiodeMomentModel,
-                     power: float) -> np.ndarray:
+                     power: float) -> tuple[np.ndarray, np.ndarray]:
     """Projected gradient ascent of every segment's codeword, in lock-step.
 
     Segment i of the (C, M, N) gains is rows bounds[i, 0]:bounds[i, 1] and
-    belongs to words[i].  Each codeword climbs its own segment's mean dc
-    from the incumbent with its own step, halved while its trial does not
-    reach the current value; it stops once its gradient vanishes or a step
-    does not improve it, so no codeword ever decreases.  Returns the
-    ascended (S, M, N) codewords.
+    belongs to words[i]; the segments tile the gains in order.  Each
+    codeword climbs its own segment's mean dc from the incumbent with its
+    own step, halved while its trial does not reach the current value; it
+    stops once its gradient vanishes or a step does not improve it, so no
+    codeword ever decreases.  The last step's trials skip the gradient,
+    which nothing reads.
+
+    Returns:
+        (words, dc): the ascended (S, M, N) codewords and, shape (C,),
+        each row's dc on its segment's final codeword.  A segment that
+        never moved keeps the incumbent's rows, and an accepted trial
+        brings its own rows, also when it did not improve.
     """
     best = words.copy()
-    f_cur, grad = _dc_and_grad(gains, best, bounds, model)
+    f_cur, rows, grad = _dc_and_grad(gains, best, bounds, model)
+    counts = bounds[:, 1] - bounds[:, 0]
     active = np.ones(len(best), dtype=bool)
-    for _ in range(_INNER_STEPS):
+    for inner in range(_INNER_STEPS):
+        gradient = inner < _INNER_STEPS - 1
         step = np.zeros(len(best))
         for i in np.flatnonzero(active):
             g_norm = np.linalg.norm(grad[i])
@@ -395,19 +461,49 @@ def _ascend_clusters(words: np.ndarray, gains: np.ndarray,
                 break
             trial = _sphere(best[idx] + step[idx, None, None] * grad[idx],
                             power)
-            f_trial, g_trial = _dc_and_grad(gains, trial, bounds[idx], model)
+            f_trial, dc, g_trial = _dc_and_grad(gains, trial, bounds[idx],
+                                                model, gradient)
             ok = f_trial >= f_cur[idx]
             done = idx[ok]
             improved[done] = f_trial[ok] > f_cur[done]
             best[done] = trial[ok]
             f_cur[done] = f_trial[ok]
-            grad[done] = g_trial[ok]
+            rows[_segment_rows(bounds[done])] = dc[np.repeat(ok, counts[idx])]
+            if gradient:
+                grad[done] = g_trial[ok]
             pending[done] = False
             step[idx[~ok]] *= 0.5
         active &= improved
         if not active.any():
             break
-    return best
+    return best, rows
+
+
+def _update(gains: np.ndarray, words: np.ndarray, assign: np.ndarray,
+            model: DiodeMomentModel, power: float
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """Lloyd's UPDATE of every non-empty cluster, and each channel's dc.
+
+    All non-empty clusters ascend together on the cluster-sorted gains;
+    the stable sort keeps each cluster's channels in index order.
+
+    Returns:
+        (words, fresh): the (K, M, N) codewords, empty clusters' unchanged,
+        and, shape (C,), each channel's dc on its own updated codeword as
+        the UPDATE computed it.
+    """
+    counts = np.bincount(assign, minlength=len(words))
+    stops = np.cumsum(counts)
+    occupied = np.flatnonzero(counts)
+    order = np.argsort(assign, kind="stable")
+    ascended, rows = _ascend_clusters(
+        words[occupied], gains[order],
+        np.column_stack([stops - counts, stops])[occupied], model, power)
+    words = words.copy()
+    words[occupied] = ascended
+    fresh = np.empty(len(gains))
+    fresh[order] = rows
+    return words, fresh
 
 
 def train_lloyd(training_channels, k: int, rect_model: DiodeMomentModel,
@@ -446,7 +542,6 @@ def train_lloyd(training_channels, k: int, rect_model: DiodeMomentModel,
         raise DomainError("training requires the smooth moment model")
     gains = np.stack([ch.gains for ch in channels])
     _, m, n = gains.shape
-    grid = channels[0].grid
     for ch in channels:
         if ch.gains.shape != (m, n):
             raise DimensionError("training channels must share dimensions")
@@ -458,7 +553,8 @@ def train_lloyd(training_channels, k: int, rect_model: DiodeMomentModel,
             raise DomainError(
                 f"init codebook has {init.k_codewords} entries, expected {k}")
         power = init.power_budget
-        words = [e.weights.copy() for e in init.entries]
+        smf = SmfParams(beta=3.0, power_budget=power)
+        words = init.stacked.copy()
     else:
         if power is None:
             raise DomainError("power is required when no init codebook is given")
@@ -467,45 +563,33 @@ def train_lloyd(training_channels, k: int, rect_model: DiodeMomentModel,
         # seed with the SMF solutions of k distinct training channels
         picks = rng.choice(len(channels), size=k, replace=False)
         smf = SmfParams(beta=3.0, power_budget=power)
-        words = [smf_weights(channels[int(i)], smf).weights.copy()
-                 for i in picks]
+        words = np.stack([smf_weights(channels[int(i)], smf).weights
+                          for i in picks])
 
     assign, served = _assign(gains, words, rect_model)
-    smf = SmfParams(beta=3.0, power_budget=power)
     iterations_run = 0
     for it in range(iters):
         iterations_run = it + 1
-        # UPDATE: all non-empty clusters together on cluster-sorted gains;
-        # the stable sort keeps each cluster's channels in index order
-        counts = np.bincount(assign, minlength=k)
-        stops = np.cumsum(counts)
-        occupied = np.flatnonzero(counts)
-        ascended = _ascend_clusters(
-            np.stack([words[kk] for kk in occupied]),
-            gains[np.argsort(assign, kind="stable")],
-            np.column_stack([stops - counts, stops])[occupied],
-            rect_model, power)
-        for kk, w in zip(occupied, ascended):
-            words[kk] = w
-        # the dc of each channel's own codeword, updated; the re-seeds
-        # below touch only empty clusters, so it stays current through them
-        fresh = _exact_dc(gains, np.stack(words), np.arange(len(gains)),
-                          assign, rect_model)
-        for kk in np.flatnonzero(counts == 0):
+        words, fresh = _update(gains, words, assign, rect_model, power)
+        # the re-seeds touch only empty clusters, which no channel is
+        # assigned to, so fresh stays current through them
+        for kk in np.flatnonzero(np.bincount(assign, minlength=k) == 0):
             # the worst-served channel as seen while re-seeding in index
             # order: codewords below kk are updated, those above are not
             worst = int(np.argmin(np.where(assign < kk, fresh, served)))
-            words[kk] = smf_weights(channels[worst], smf).weights.copy()
+            words[kk] = smf_weights(channels[worst], smf).weights
         if on_iteration is not None:
             on_iteration(it, float(np.mean(fresh)))
-        new_assign, served = _assign(gains, words, rect_model)
+        # each channel's own pair is evaluated already: fresh is its dc
+        new_assign, served = _assign(gains, words, rect_model,
+                                     (assign, fresh))
         if np.array_equal(new_assign, assign):
             break
         assign = new_assign
 
     cfg = f"k={k} iters={iters} n_train={len(channels)} inner={_INNER_STEPS}"
     digest = hashlib.sha256(cfg.encode()).hexdigest()[:8]
-    entries = tuple(_entries(np.stack(words), power))
+    entries = tuple(_entries(words, power))
     return Codebook(entries=entries, nested=False,
                     provenance=f"train_lloyd {cfg} ran={iterations_run} "
                                f"cfg={digest}")

@@ -15,7 +15,7 @@ from wptsim import (Codebook, CodebookIOError, DiodeMomentModel,
                     save_codebook, stream, train_lloyd, up_weights)
 from wptsim import codebook as codebook_module
 from wptsim.codebook import (_amplitudes, _assign, _dc_and_grad, _dc_upper,
-                             _screen, _sphere)
+                             _exact_dc, _screen, _sphere, _update)
 from wptsim.waveform import autoconvolution, second_moment, tone_moments
 
 from conftest import dc_batch, make_channel
@@ -149,7 +149,7 @@ def _batch_setup(seed, c, m, n):
 
 def _one_segment(gains, w, model):
     # (mean dc, gradient) of one codeword over all of gains
-    means, grads = _dc_and_grad(gains, w[None], [(0, len(gains))], model)
+    means, _, grads = _dc_and_grad(gains, w[None], [(0, len(gains))], model)
     return means[0], grads[0]
 
 
@@ -230,7 +230,7 @@ def test_segmented_dc_and_grad_equals_each_segment_alone(m, n):
     model = DiodeMomentModel(k2=1.0, k4=1.0)
     alone = [_cluster_alone(gains[s:e], words[i], model)
              for i, (s, e) in enumerate(bounds)]
-    means, grads = _dc_and_grad(gains, words, bounds, model)
+    means, _, grads = _dc_and_grad(gains, words, bounds, model)
     for i, (mean, grad) in enumerate(alone):
         assert means[i] == mean
         assert np.array_equal(grads[i], grad)
@@ -239,10 +239,40 @@ def test_segmented_dc_and_grad_equals_each_segment_alone(m, n):
         assert one_mean == mean and np.array_equal(one_grad, grad)
     # a subset in another order, as the line search evaluates pending ones
     pick = np.array([7, 0, 5, 2])
-    means, grads = _dc_and_grad(gains, words[pick], bounds[pick], model)
+    means, _, grads = _dc_and_grad(gains, words[pick], bounds[pick], model)
     for j, i in enumerate(pick):
         assert means[j] == alone[i][0]
         assert np.array_equal(grads[j], alone[i][1])
+
+
+@pytest.mark.parametrize("m", [1, 4])
+@pytest.mark.parametrize("n", [1, 8])
+def test_update_rows_equal_each_pair_evaluated_exactly(m, n):
+    # the objective, the re-seeds and the next ASSIGN's floor read each
+    # channel's dc on its own updated codeword from the UPDATE's rows, so
+    # they must be an exact evaluation's bits.  Channel 0 is all zero and
+    # alone in codeword 2: its gradient vanishes and the segment never
+    # moves.  Channel 1 is alone in codeword 5, channel 7 is all zero in a
+    # large cluster, codeword 6 has no channel, and 300 rows cross the
+    # UPDATE's row blocks.
+    gen = stream(16, 98, m, n)
+    c, k = 300, 7
+    gains = gen.standard_normal((c, m, n)) \
+        + 1j * gen.standard_normal((c, m, n))
+    gains[[0, 7]] = 0.0
+    words = _sphere(gen.standard_normal((k, m, n))
+                    + 1j * gen.standard_normal((k, m, n)), 2.0)
+    assign = gen.choice([0, 1, 3, 4], size=c)
+    assign[:2] = (2, 5)
+    model = DiodeMomentModel(k2=1.0, k4=1.0)
+    updated, fresh = _update(gains, words, assign, model, 2.0)
+    exact = _exact_dc(gains, updated, np.arange(c), assign, model)
+    assert _same_bits(fresh, exact)
+    assert fresh[0] == 0.0 and fresh[7] == 0.0
+    assert np.array_equal(updated[[2, 6]], words[[2, 6]])
+    if m * n > 1:
+        assert not any(np.array_equal(updated[kk], words[kk])
+                       for kk in (0, 1, 3, 4, 5))
 
 
 def test_sphere_projects_each_matrix_of_a_batch():
@@ -402,6 +432,61 @@ def test_assign_equals_the_full_dc_matrix(case, monkeypatch):
         assert sum(evaluated) < kept
 
 
+def _assign_inputs(case):
+    # the gains, codewords and model of one _ASSIGN_CASES entry
+    m, n, k, c, pathloss_db, k4, twist = _ASSIGN_CASES[case]
+    grid = ToneGrid.centered(2.4e9, 10e6, n)
+    gains = np.stack([make_channel(500 + i, m, grid,
+                                   pathloss_db=pathloss_db).gains
+                      for i in range(c)])
+    if twist == "zero":
+        gains[::5] = 0.0
+    gen = stream(14, 96, m, n)
+    words = _sphere(gen.standard_normal((k, m, n))
+                    + 1j * gen.standard_normal((k, m, n)), 2.0)
+    if twist == "shadow":
+        gains[:, -1] = 0.0
+        words[0::2, -1] = 0.0
+        words[1::2] = words[0::2]
+        words[1::2, -1] = 1.0
+    return gains, words, DiodeMomentModel(k4=k4)
+
+
+@pytest.mark.parametrize("case", ["60dB", "0dB", "ties-m1n1-0dB",
+                                  "zero-rows", "shadow"])
+def test_assign_from_known_pairs_equals_the_full_dc_matrix(case, monkeypatch):
+    # train_lloyd hands ASSIGN each channel's own pair with the dc the
+    # UPDATE computed for it, in place of a seed evaluation.  A known pair
+    # off the best, or (shadow) the best's exact twin one index above it,
+    # must still give the full matrix's first-index argmax and its bits
+    gains, words, model = _assign_inputs(case)
+    c, k = len(gains), len(words)
+    channels = np.arange(c)
+    full = np.column_stack([dc_batch(gains, w, model) for w in words])
+    best = np.argmax(full, axis=1)
+    off = (best + stream(15, 96).integers(1, k, size=c)) % k
+    assert np.all(off != best)
+    knowns = {"off": off, "best": best}
+    if case == "shadow":
+        assert np.all(best % 2 == 0)
+        assert _same_bits(full[channels, best + 1], full[channels, best])
+        knowns["twin"] = best + 1
+    evaluated = []
+    real = codebook_module.fourth_moment
+    monkeypatch.setattr(codebook_module, "fourth_moment",
+                        lambda a: evaluated.append(len(a)) or real(a))
+    for name, known in knowns.items():
+        evaluated.clear()
+        assign, dc = _assign(gains, words, model,
+                             (known, full[channels, known]))
+        assert np.array_equal(assign, best), name
+        assert _same_bits(dc, full[channels, best]), name
+        if case == "60dB" and name == "best":
+            # the known pairs are not evaluated again: at 60 dB the bound
+            # leaves few other pairs
+            assert sum(evaluated) < 0.1 * c
+
+
 # ---------------------------------------------------------------------------
 # training
 
@@ -520,7 +605,9 @@ def _saved_digest(book, path):
 
 # (seed, M, N, K, channels): sha256 of the saved book and the float.hex of
 # every on_iteration objective, recorded from the one-cluster-at-a-time
-# trainer that the lock-step UPDATE replaced
+# trainer that the lock-step UPDATE replaced; the last case, at the
+# benchmark's M and N, from the trainer that evaluated every channel's
+# own pair again after the UPDATE and before each ASSIGN
 _GOLDEN_BOOKS = [
     ((0, 1, 1, 4, 40),
      "a604de723446c6d38354049817bde7be121a7bbc05b800319177300025522dd3",
@@ -543,6 +630,16 @@ _GOLDEN_BOOKS = [
       "0x1.bbbe613ba95fdp+20", "0x1.bc8f2417a08dbp+20",
       "0x1.bd464edb29c5ap+20", "0x1.bdfe62bb40cf6p+20",
       "0x1.bfe4b7036d5f7p+20", "0x1.c047a62d78fa4p+20"]),
+    ((3, 4, 8, 16, 200),
+     "67c766147c9998ccf573c19215af709cfca88affed8c2370c339c09333d792bf",
+     ["0x1.a3032d2434621p+23", "0x1.73a05e63e0e6fp+24",
+      "0x1.91d7d7df19149p+24", "0x1.adf7416eff42fp+24",
+      "0x1.e741721c0e003p+24", "0x1.f4215d4a07e6fp+24",
+      "0x1.f9ae40a4eada9p+24", "0x1.fcb638481d080p+24",
+      "0x1.005baaa685346p+25", "0x1.0b2e8bee72c40p+25",
+      "0x1.10bf426727830p+25", "0x1.116289086e051p+25",
+      "0x1.116c6e059bd0ap+25", "0x1.116ec2a3feb36p+25",
+      "0x1.11749c802c634p+25"]),
 ]
 
 

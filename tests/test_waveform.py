@@ -388,9 +388,13 @@ def test_bench_kernel_script_writes_its_table(tmp_path):
     assign = rows[17:19]
     assert [(r["layer"], r["pathloss_db"]) for r in assign] == \
         [("codebook._assign", 60.0), ("codebook._assign", 0.0)]
-    session, campaign = rows[19:21]
-    papr_rows = rows[21:]
-    assert len(rows) == 24
+    iteration, session, campaign = rows[19:22]
+    papr_rows = rows[22:]
+    assert len(rows) == 25
+    assert (iteration["layer"], iteration["m_antennas"],
+            iteration["n_tones"], iteration["k_codewords"],
+            iteration["batch"]) == ("codebook.train_iteration", 4, 8, 64, 1000)
+    assert iteration["exact_pairs"] > 0
     assert (session["layer"], session["m_antennas"], session["n_tones"],
             session["frames"], session["k_sizes"]) == \
         ("protocol.run_session", 4, 8, 3, [2, 4, 8, 16, 32, 64])
