@@ -71,7 +71,7 @@ from wptsim import (ChannelModelParams, ChannelRealization, Codebook,
                     gen_nested, papr, realize_channel, received_rf_power,
                     rng, run_session, sample_taps, smf_weights, up_weights)
 from wptsim import waveform
-from wptsim.campaign import _columns, _sweep_book
+from wptsim.campaign import _columns
 from wptsim.codebook import _amplitudes, _assign, _dc_and_grad, _sphere
 from wptsim.protocol import _dc_power, _sweep
 from wptsim.waveform import tone_moments
@@ -130,15 +130,14 @@ def _session_row(grid, model, seed, repeat, number):
     full = gen_nested(m, grid, 2.0, max(SESSION_SIZES),
                       rng.stream(seed, rng.CODEBOOK))
     books = {k: full.prefix(k) for k in SESSION_SIZES}
-    sweep_book, columns = _sweep_book(books)
     timing, link = FrameConfig(), LinkModel()
 
     def sessions(shared):
-        swept = _sweep(sweep_book, fades, model) if shared else None
+        swept = _sweep(full, fades, model) if shared else None
         for k, book in books.items():
             run_session(timing, book, fades, model, None, link,
                         rng.stream(seed, rng.SESSION, k),
-                        _columns(swept, columns[k]) if shared else None)
+                        _columns(swept, slice(0, k)) if shared else None)
 
     return {"layer": "protocol.run_session", "m_antennas": m,
             "n_tones": grid.n_tones, "frames": f,
@@ -156,9 +155,10 @@ def _campaign_row(model, seed, repeat, number):
         grid = ToneGrid.centered(2.4e9, 10e6, n)
         full = gen_nested(m, grid, power, max(SESSION_SIZES),
                           rng.stream(seed, rng.CODEBOOK, m, n))
-        up = Codebook(entries=(up_weights(m, grid, power),))
+        # UP's codeword after the book's, as run_campaign sweeps them
+        up = up_weights(m, grid, power).weights[None]
         points.append((m, grid, full,
-                       _sweep_book({max(SESSION_SIZES): full, "UP": up})))
+                       Codebook(np.concatenate([full.weights, up]), power)))
 
     def draw(m):
         return [sample_taps(params, m, rng.stream(seed, rng.TAPS, fade))
@@ -180,10 +180,9 @@ def _campaign_row(model, seed, repeat, number):
 
     def shared():
         taps = draw(max(CAMPAIGN_ANTENNAS))
-        for m, grid, _, (book, columns) in points:
-            col = columns["UP"].start
+        for m, grid, _, book in points:
             swept = _sweep(book, fades(m, grid, taps), model)
-            [(dcs[col], p_rfs[col]) for dcs, p_rfs in swept]
+            [(dcs[-1], p_rfs[-1]) for dcs, p_rfs in swept]
 
     return {"layer": "campaign.up_frames",
             "antenna_counts": list(CAMPAIGN_ANTENNAS),
@@ -255,7 +254,7 @@ def main(argv=None):
                      args.repeat, args.number)})
     k, power = 64, 2.0
     grid = ToneGrid.centered(2.4e9, 10e6, n)
-    smf = SmfParams(beta=3.0, power_budget=power)
+    smf = SmfParams(power_budget=power)
     inputs = {}
     for pathloss_db in PATHLOSS_DB:
         params = ChannelModelParams(pathloss_db=pathloss_db, seed=args.seed)

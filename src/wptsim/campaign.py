@@ -12,6 +12,10 @@ writes two artifacts:
   locations), each with its dB gain against the (UP, M=1, N=1) baseline at
   the same location (so every baseline row reads exactly 0 dB).
 
+At each (M, N) point every location is swept once over one book that
+holds each swept codeword once: every K's book is a contiguous slice of
+its columns, and UP's codeword is its last row (_books).
+
 Determinism contract: all randomness is keyed by (seed, purpose, indices)
 Philox streams, every sweep point draws from its own streams, and rows are
 sorted by the literal tuple (strategy, M, N, K, location, frame) before
@@ -66,25 +70,25 @@ class CampaignConfig:
     transmit_power_w: float = 2.0
     center_frequency_hz: float = 2.4e9
     bandwidth_hz: float = 10e6
-    n_taps: int = 8
-    tap_spacing_s: float = 100e-9
-    pdp_decay: float = 0.7
+    n_taps: int = ChannelModelParams.n_taps
+    tap_spacing_s: float = ChannelModelParams.tap_spacing_s
+    pdp_decay: float = ChannelModelParams.pdp_decay
     pathloss_db_min: float = 55.0
     pathloss_db_max: float = 70.0
     resample_per_frame: bool = True
     rectifier_model: str = "moment"     # "moment" or "table"
-    k2: float = 0.17
-    k4: float = 19.1
-    alpha: float = 1.0
+    k2: float = DiodeMomentModel.k2
+    k4: float = DiodeMomentModel.k4
+    alpha: float = DiodeMomentModel.alpha
     table_path: str = ""
     adc_enabled: bool = False
-    adc_resolution_bits: int = 12
-    adc_v_ref: float = 3.3
-    adc_noise_sigma: float = 0.0
-    adc_load_resistance: float = 5000.0
-    link_delivery_probability: float = 1.0
-    t_s: float = 0.010
-    t_frame: float = 2.0
+    adc_resolution_bits: int = AdcConfig.resolution_bits
+    adc_v_ref: float = AdcConfig.v_ref
+    adc_noise_sigma: float = AdcConfig.noise_sigma
+    adc_load_resistance: float = AdcConfig.load_resistance
+    link_delivery_probability: float = LinkModel.delivery_probability
+    t_s: float = FrameConfig.t_s
+    t_frame: float = FrameConfig.t_frame
     codebook_method: str = "nested"     # "nested", "random", or "lloyd"
     training_channels: int = 1000
     training_iters: int = 30
@@ -292,60 +296,59 @@ def _rect_model(config: CampaignConfig):
 
 
 def _books(config: CampaignConfig, rect_model, m: int,
-           grid: ToneGrid) -> dict:
-    """The (M, N) codebook for every swept K, keyed deterministically by seed.
+           grid: ToneGrid) -> tuple[Codebook | None, dict]:
+    """The (M, N) point's sweep book and each swept K's book and columns.
 
-    Lloyd books train on channels drawn from the campaign's channel family
-    at the midpoint of its pathloss range.
+    The sweep book holds every codeword the point sweeps once, so each
+    K's book is one contiguous slice of its columns: a nested family
+    sweeps its K_max book and K reads columns 0..K-1, random and Lloyd
+    books are concatenated in K order, and UP's codeword, when UP is
+    swept, is the last row.  Books are keyed deterministically by seed;
+    Lloyd books train on channels drawn from the campaign's channel
+    family at the midpoint of its pathloss range.
+
+    Returns:
+        (sweep, books): sweep is None when the point sweeps no codeword;
+        books maps each K, when LIMITED is swept, to (its Codebook, its
+        slice of the sweep book's columns).
     """
     n, power = grid.n_tones, config.transmit_power_w
-    if config.codebook_method == "nested":
-        full = gen_nested(m, grid, power, max(config.codebook_sizes),
+    sizes = config.codebook_sizes if LIMITED in config.strategies else ()
+    words, books = [], {}
+    if sizes and config.codebook_method == "nested":
+        full = gen_nested(m, grid, power, max(sizes),
                           rngmod.stream(config.seed, rngmod.CODEBOOK, m, n))
-        return {k: full.prefix(k) for k in config.codebook_sizes}
-    if config.codebook_method == "random":
-        return {k: gen_random(m, grid, power, k, rngmod.stream(
-                    config.seed, rngmod.CODEBOOK, m, n, k))
-                for k in config.codebook_sizes}
-    params = replace(
-        config.channel_template,
-        pathloss_db=0.5 * (config.pathloss_db_min + config.pathloss_db_max),
-        seed=rngmod.derive_seed(config.seed, rngmod.TRAINING, m, n))
-    training = [realize_channel(params, m, grid, frame=i)
-                for i in range(config.training_channels)]
-    return {k: train_lloyd(training, k, rect_model,
-                           iters=config.training_iters,
-                           rng=rngmod.stream(config.seed, rngmod.TRAINING,
-                                             m, n, k),
-                           power=power)
-            for k in config.codebook_sizes}
-
-
-def _sweep_book(books: dict) -> tuple[Codebook, dict]:
-    """One book of the distinct codewords of all books, and each K's columns.
-
-    Codewords are told apart by object identity and appended in order, so
-    every book's columns are one slice of the sweep book.  The prefixes of
-    a nested book share its entries, so its sweep book is the K_max book
-    and K reads columns 0..K-1; random and Lloyd books, and UP's one-entry
-    book, are concatenated.
-
-    Raises:
-        DomainError: a book's codewords are not contiguous columns.
-    """
-    entries, column, columns = [], {}, {}
-    for key, book in books.items():
-        for e in book.entries:
-            if id(e) not in column:
-                column[id(e)] = len(entries)
-                entries.append(e)
-        start = column[id(book.entries[0])]
-        if [column[id(e)] for e in book.entries] != list(
-                range(start, start + book.k_codewords)):
-            raise DomainError(f"book {key!r} is not contiguous in the "
-                              f"sweep book")
-        columns[key] = slice(start, start + book.k_codewords)
-    return Codebook(entries=tuple(entries)), columns
+        words.append(full.weights)
+        books = {k: (full.prefix(k), slice(0, k)) for k in sizes}
+    elif sizes:
+        if config.codebook_method == "random":
+            made = [gen_random(m, grid, power, k, rngmod.stream(
+                        config.seed, rngmod.CODEBOOK, m, n, k))
+                    for k in sizes]
+        else:
+            params = replace(
+                config.channel_template,
+                pathloss_db=0.5 * (config.pathloss_db_min
+                                   + config.pathloss_db_max),
+                seed=rngmod.derive_seed(config.seed, rngmod.TRAINING, m, n))
+            training = [realize_channel(params, m, grid, frame=i)
+                        for i in range(config.training_channels)]
+            made = [train_lloyd(training, k, rect_model,
+                                iters=config.training_iters,
+                                rng=rngmod.stream(config.seed,
+                                                  rngmod.TRAINING, m, n, k),
+                                power=power)
+                    for k in sizes]
+        stop = 0
+        for k, book in zip(sizes, made):
+            books[k] = (book, slice(stop, stop + k))
+            words.append(book.weights)
+            stop += k
+    if UP in config.strategies:
+        words.append(up_weights(m, grid, power).weights[None])
+    if not words:
+        return None, books
+    return Codebook(np.concatenate(words), power), books
 
 
 def _columns(swept: list, cols: slice) -> list:
@@ -421,7 +424,7 @@ def run_campaign(config: CampaignConfig, out_dir=None,
     locations = make_locations(config.n_locations, config.seed,
                                config.channel_template,
                                (config.pathloss_db_min, config.pathloss_db_max))
-    smf_params = SmfParams(beta=3.0, power_budget=config.transmit_power_w)
+    smf_params = SmfParams(power_budget=config.transmit_power_w)
     taps = [_taps(config, location) for location in locations]
     if LIMITED in config.strategies:
         # every LIMITED session shares one frame timing, link and ADC
@@ -432,31 +435,22 @@ def run_campaign(config: CampaignConfig, out_dir=None,
     for m, n in itertools.product(config.antenna_counts, config.tone_counts):
         grid = ToneGrid.centered(config.center_frequency_hz,
                                  config.bandwidth_hz, n)
-        books = (_books(config, rect_model, m, grid)
-                 if LIMITED in config.strategies else {})
-        # UP is one more codeword of the location's sweep, in a book of its
-        # own
-        swept_books = dict(books)
-        if UP in config.strategies:
-            swept_books[UP] = Codebook(entries=(
-                up_weights(m, grid, config.transmit_power_w),))
-        if swept_books:
-            sweep_book, columns = _sweep_book(swept_books)
+        sweep, books = _books(config, rect_model, m, grid)
         for loc_idx, location in enumerate(locations):
             fades = _fades(config, location, taps[loc_idx], m, grid)
-            if swept_books:
+            if sweep is not None:
                 # one sweep of every distinct codeword; a column equals
                 # that codeword's sweep in its own book to the last bit
-                swept = _sweep(sweep_book, fades, rect_model)
+                swept = _sweep(sweep, fades, rect_model)
             for strategy in config.strategies:
                 if strategy == LIMITED:
-                    for k, book in books.items():
+                    for k, (book, columns) in books.items():
                         gen = rngmod.stream(config.seed, rngmod.SESSION,
                                             _STRATEGY_IDS[LIMITED], m, n, k,
                                             loc_idx)
                         for r in run_session(timing, book, fades,
                                              rect_model, adc, link, gen,
-                                             _columns(swept, columns[k])):
+                                             _columns(swept, columns)):
                             adc_reads_signal |= any(r.measurements)
                             rows.append((LIMITED, m, n, k, location.label,
                                          r.frame_id, r.p_dc_wpt, r.p_rf_wpt,
@@ -465,8 +459,8 @@ def run_campaign(config: CampaignConfig, out_dir=None,
                                          r.energy_training, r.energy_wpt))
                     continue
                 if strategy == UP:
-                    up = columns[UP].start
-                    powers = [(dcs[up], p_rfs[up]) for dcs, p_rfs in swept]
+                    # UP's codeword is the sweep book's last row
+                    powers = [(dcs[-1], p_rfs[-1]) for dcs, p_rfs in swept]
                 else:
                     powers = []
                     for ch in fades:
@@ -510,6 +504,16 @@ def db_gain(p: float, p_ref: float) -> float:
     return 10.0 * float(np.log10(p / p_ref))
 
 
+def _means(pairs) -> dict:
+    """Each key's mean over its (key, value) pairs, summed in their order."""
+    sums: dict = {}
+    for key, value in pairs:
+        acc = sums.setdefault(key, [0.0, 0])
+        acc[0] += value
+        acc[1] += 1
+    return {key: total / count for key, (total, count) in sums.items()}
+
+
 def summarize(detail_path, out_path=None) -> list[SummaryRow]:
     """Aggregate a detail CSV into summary rows (and optionally a file).
 
@@ -541,21 +545,8 @@ def summarize(detail_path, out_path=None) -> list[SummaryRow]:
         raise SummaryError(f"{detail_path}: no data rows")
     parsed.sort(key=lambda r: (r[0], r[1], r[2], r[3], r[4], r[5]))
 
-    loc_means: dict = {}
-    for row in parsed:
-        key = row[:5]
-        acc = loc_means.setdefault(key, [0.0, 0])
-        acc[0] += row[6]
-        acc[1] += 1
-    loc_mean = {key: acc[0] / acc[1] for key, acc in loc_means.items()}
-
-    point_means: dict = {}
-    for key in sorted(loc_mean):
-        point = key[:4]
-        acc = point_means.setdefault(point, [0.0, 0])
-        acc[0] += loc_mean[key]
-        acc[1] += 1
-    point_mean = {p: acc[0] / acc[1] for p, acc in point_means.items()}
+    loc_mean = _means((row[:5], row[6]) for row in parsed)
+    point_mean = _means((key[:4], loc_mean[key]) for key in sorted(loc_mean))
 
     baseline_point = (UP, 1, 1, 0)
     if baseline_point not in point_mean:

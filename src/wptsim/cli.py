@@ -70,12 +70,16 @@ def _build_parser() -> argparse.ArgumentParser:
     train.add_argument("--channels", type=int, default=1000,
                        help="training channel realizations")
     train.add_argument("--iters", type=int, default=30)
-    train.add_argument("--taps", type=int, default=8)
-    train.add_argument("--tap-spacing-s", type=float, default=100e-9)
-    train.add_argument("--pdp-decay", type=float, default=0.7)
-    train.add_argument("--pathloss-db", type=float, default=60.0)
-    train.add_argument("--k2", type=float, default=0.17)
-    train.add_argument("--k4", type=float, default=19.1)
+    train.add_argument("--taps", type=int,
+                       default=ChannelModelParams.n_taps)
+    train.add_argument("--tap-spacing-s", type=float,
+                       default=ChannelModelParams.tap_spacing_s)
+    train.add_argument("--pdp-decay", type=float,
+                       default=ChannelModelParams.pdp_decay)
+    train.add_argument("--pathloss-db", type=float,
+                       default=ChannelModelParams.pathloss_db)
+    train.add_argument("--k2", type=float, default=DiodeMomentModel.k2)
+    train.add_argument("--k4", type=float, default=DiodeMomentModel.k4)
 
     orc = sub.add_parser("oracle",
                          help="numerical self-checks of the closed forms")

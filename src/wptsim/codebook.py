@@ -1,9 +1,10 @@
 """Codebook construction and Lloyd-style training.
 
 A codebook is an ordered set of K waveform/beamforming codewords, all on
-the same power sphere.  Nested codebooks keep the prefix property (the
-first K entries of the big book are the exported K-book) with the uniform
-power codeword pinned at entry 1, which makes best-of-K dc power
+the same power sphere, held as one read-only (K, M, N) array that is
+validated once, in one pass.  Nested codebooks keep the prefix property
+(the first K rows of the big book are the exported K-book) with the
+uniform power codeword pinned at entry 1, which makes best-of-K dc power
 non-decreasing in K for every single channel realization.
 
 train_lloyd alternates two monotone steps against a training set of channel
@@ -41,6 +42,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -75,57 +77,60 @@ _MAX_HALVINGS = 40      # step halvings a line search tries before giving up
 _INNER_STEPS = 4        # gradient-ascent steps per cluster per iteration
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Codebook:
-    """K codewords of identical dimensions, all meeting the budget exactly."""
+    """K codewords of one (M, N) shape, all on one power sphere.
 
-    entries: tuple
+    weights is the read-only (K, M, N) array of the codewords, entry k
+    being weights[k - 1]; every entry's radiated power equals power_budget
+    within a relative _POWER_REL_TOL.
+    """
+
+    weights: np.ndarray = field(repr=False)
+    power_budget: float
     nested: bool = False
     provenance: str = ""
-    #: all weights as one read-only (K, M, N) array
-    stacked: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        entries = tuple(self.entries)
-        if not entries:
+        if not self.power_budget > 0:
+            raise DomainError(f"power_budget must be > 0, got "
+                              f"{self.power_budget}")
+        words = np.array(self.weights, dtype=complex)
+        if words.ndim != 3:
+            raise DimensionError(f"codebook weights must be a (K, M, N) "
+                                 f"array, got shape {words.shape}")
+        if len(words) < 1:
             raise DomainError("a codebook needs at least one entry")
-        first = entries[0]
-        for i, e in enumerate(entries):
-            if not isinstance(e, WaveformWeights):
-                raise DomainError(f"entry {i + 1} is not a WaveformWeights")
-            if e.weights.shape != first.weights.shape:
-                raise DimensionError(
-                    f"entry {i + 1} has shape {e.weights.shape}, "
-                    f"expected {first.weights.shape}")
-            if e.power_budget != first.power_budget:
-                raise DomainError("entries must share one power budget")
-        stacked = np.stack([e.weights for e in entries])
-        stacked.flags.writeable = False
-        # each entry's transmit_power, to the bit, in one reduction
-        powers = radiated_power(stacked)
-        budget = first.power_budget
-        off = np.flatnonzero(np.abs(powers - budget) > _POWER_REL_TOL * budget)
+        # each entry's transmit_power, to the bit, in one reduction; an
+        # entry with an inf or nan weight has a power of inf or nan, which
+        # the negated test catches
+        powers = radiated_power(words)
+        budget = self.power_budget
+        off = np.flatnonzero(
+            ~(np.abs(powers - budget) <= _POWER_REL_TOL * budget))
         if off.size:
             raise DomainError(f"entry {off[0] + 1} power "
                               f"{float(powers[off[0]])!r} != budget {budget!r}")
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "stacked", stacked)
+        words.flags.writeable = False
+        object.__setattr__(self, "weights", words)
+
+    @cached_property
+    def entries(self) -> tuple:
+        """Each codeword as a WaveformWeights, for per-codeword callers."""
+        return tuple(WaveformWeights(weights=w, power_budget=self.power_budget)
+                     for w in self.weights)
 
     @property
     def k_codewords(self) -> int:
-        return len(self.entries)
+        return self.weights.shape[0]
 
     @property
     def m_antennas(self) -> int:
-        return self.entries[0].m_antennas
+        return self.weights.shape[1]
 
     @property
     def n_tones(self) -> int:
-        return self.entries[0].n_tones
-
-    @property
-    def power_budget(self) -> float:
-        return self.entries[0].power_budget
+        return self.weights.shape[2]
 
     def prefix(self, k: int) -> "Codebook":
         """The codebook formed by the first k entries (requires nested)."""
@@ -133,7 +138,7 @@ class Codebook:
             raise DomainError("prefix export requires a nested codebook")
         if not 1 <= k <= self.k_codewords:
             raise DomainError(f"k must be in [1, {self.k_codewords}], got {k}")
-        return Codebook(entries=self.entries[:k], nested=True,
+        return Codebook(self.weights[:k], self.power_budget, nested=True,
                         provenance=f"{self.provenance} prefix[{k}]")
 
 
@@ -145,21 +150,15 @@ def _sphere(weights: np.ndarray, power: float) -> np.ndarray:
     return weights * np.sqrt(power / p)
 
 
-def _entries(words: np.ndarray, power: float) -> list:
-    """Codewords of the (K, M, N) words projected onto the sphere."""
-    return [WaveformWeights(weights=w, power_budget=power)
-            for w in _sphere(words, power)]
-
-
-def _random_entries(m: int, n: int, power: float, k: int,
-                    rng: np.random.Generator) -> list:
-    """k complex-Gaussian codewords on the sphere, drawn in one call.
+def _random_words(m: int, n: int, power: float, k: int,
+                  rng: np.random.Generator) -> np.ndarray:
+    """k complex-Gaussian (M, N) codewords on the sphere, drawn in one call.
 
     Index 0 of axis 1 is the real part and index 1 the imaginary part, so
     the stream is read in the order of a per-codeword pair of (M, N) draws.
     """
     z = rng.standard_normal((k, 2, m, n))
-    return _entries(z[:, 0] + 1j * z[:, 1], power)
+    return _sphere(z[:, 0] + 1j * z[:, 1], power)
 
 
 def gen_random(m: int, grid: ToneGrid, power: float, k: int,
@@ -167,8 +166,7 @@ def gen_random(m: int, grid: ToneGrid, power: float, k: int,
     """K i.i.d. complex-Gaussian codewords rescaled onto the power sphere."""
     if k < 1:
         raise DomainError(f"k must be >= 1, got {k}")
-    entries = _random_entries(m, grid.n_tones, power, k, rng)
-    return Codebook(entries=tuple(entries), nested=False,
+    return Codebook(_random_words(m, grid.n_tones, power, k, rng), power,
                     provenance=provenance or f"gen_random k={k}")
 
 
@@ -177,9 +175,10 @@ def gen_nested(m: int, grid: ToneGrid, power: float, k_max: int,
     """Prefix-nested codebook: entry 1 is the UP codeword, the rest random."""
     if k_max < 1 or (k_max & (k_max - 1)) != 0:
         raise DomainError(f"k_max must be a power of two, got {k_max}")
-    entries = [up_weights(m, grid, power)] + _random_entries(
-        m, grid.n_tones, power, k_max - 1, rng)
-    return Codebook(entries=tuple(entries), nested=True,
+    words = np.concatenate([up_weights(m, grid, power).weights[None],
+                            _random_words(m, grid.n_tones, power, k_max - 1,
+                                          rng)])
+    return Codebook(words, power, nested=True,
                     provenance=provenance or f"gen_nested k_max={k_max}")
 
 
@@ -553,18 +552,17 @@ def train_lloyd(training_channels, k: int, rect_model: DiodeMomentModel,
             raise DomainError(
                 f"init codebook has {init.k_codewords} entries, expected {k}")
         power = init.power_budget
-        smf = SmfParams(beta=3.0, power_budget=power)
-        words = init.stacked.copy()
-    else:
-        if power is None:
-            raise DomainError("power is required when no init codebook is given")
-        if rng is None:
-            raise DomainError("rng is required when no init codebook is given")
-        # seed with the SMF solutions of k distinct training channels
-        picks = rng.choice(len(channels), size=k, replace=False)
-        smf = SmfParams(beta=3.0, power_budget=power)
-        words = np.stack([smf_weights(channels[int(i)], smf).weights
-                          for i in picks])
+    elif power is None:
+        raise DomainError("power is required when no init codebook is given")
+    elif rng is None:
+        raise DomainError("rng is required when no init codebook is given")
+    smf = SmfParams(power_budget=power)
+    # without an init book, seed with the SMF solutions of k distinct
+    # training channels
+    words = (init.weights.copy() if init is not None else
+             np.stack([smf_weights(channels[int(i)], smf).weights
+                       for i in rng.choice(len(channels), size=k,
+                                           replace=False)]))
 
     assign, served = _assign(gains, words, rect_model)
     iterations_run = 0
@@ -589,8 +587,7 @@ def train_lloyd(training_channels, k: int, rect_model: DiodeMomentModel,
 
     cfg = f"k={k} iters={iters} n_train={len(channels)} inner={_INNER_STEPS}"
     digest = hashlib.sha256(cfg.encode()).hexdigest()[:8]
-    entries = tuple(_entries(words, power))
-    return Codebook(entries=entries, nested=False,
+    return Codebook(_sphere(words, power), power,
                     provenance=f"train_lloyd {cfg} ran={iterations_run} "
                                f"cfg={digest}")
 
@@ -604,12 +601,9 @@ def save_codebook(book: Codebook, path) -> None:
     lines = [f"wptcb v1 {book.m_antennas} {book.n_tones} {book.k_codewords} "
              f"{float(book.power_budget)!r} {int(book.nested)}",
              "provenance " + " ".join(book.provenance.split())]
-    for entry in book.entries:
-        for mi in range(book.m_antennas):
-            for ni in range(book.n_tones):
-                w = entry.weights[mi, ni]
-                lines.append(f"{mi + 1} {ni + 1} "
-                             f"{float(w.real)!r} {float(w.imag)!r}")
+    for kk, mi, ni in np.ndindex(book.weights.shape):
+        w = book.weights[kk, mi, ni]
+        lines.append(f"{mi + 1} {ni + 1} {float(w.real)!r} {float(w.imag)!r}")
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -642,27 +636,21 @@ def load_codebook(path) -> Codebook:
         raise CodebookIOError(
             f"{path}: expected {expected} lines for K={k}, M={m}, N={n}; "
             f"got {len(lines)}")
-    entries = []
+    words = np.empty((k, m, n), dtype=complex)
     lineno = 2
-    for _ in range(k):
-        w = np.empty((m, n), dtype=complex)
-        for mi in range(m):
-            for ni in range(n):
-                parts = lines[lineno].split()
-                lineno += 1
-                if len(parts) != 4:
-                    raise CodebookIOError(
-                        f"{path}:{lineno}: expected 'm n real imag'")
-                try:
-                    fm, fn = int(parts[0]), int(parts[1])
-                    val = complex(float(parts[2]), float(parts[3]))
-                except ValueError as exc:
-                    raise CodebookIOError(f"{path}:{lineno}: {exc}") from exc
-                if (fm, fn) != (mi + 1, ni + 1):
-                    raise CodebookIOError(
-                        f"{path}:{lineno}: expected entry ({mi + 1}, {ni + 1}),"
-                        f" found ({fm}, {fn})")
-                w[mi, ni] = val
-        entries.append(WaveformWeights(weights=w, power_budget=power))
-    return Codebook(entries=tuple(entries), nested=nested,
-                    provenance=provenance)
+    for kk, mi, ni in np.ndindex(k, m, n):
+        parts = lines[lineno].split()
+        lineno += 1
+        if len(parts) != 4:
+            raise CodebookIOError(f"{path}:{lineno}: expected 'm n real imag'")
+        try:
+            fm, fn = int(parts[0]), int(parts[1])
+            val = complex(float(parts[2]), float(parts[3]))
+        except ValueError as exc:
+            raise CodebookIOError(f"{path}:{lineno}: {exc}") from exc
+        if (fm, fn) != (mi + 1, ni + 1):
+            raise CodebookIOError(
+                f"{path}:{lineno}: expected entry ({mi + 1}, {ni + 1}),"
+                f" found ({fm}, {fn})")
+        words[kk, mi, ni] = val
+    return Codebook(words, power, nested=nested, provenance=provenance)

@@ -141,7 +141,7 @@ def _sweep(codebook: Codebook, channels, rect_model) -> list[tuple]:
         # numpy rounds a one-element complex multiply (M=N=K=1) whose
         # operands differ in ndim without the fused multiply-add it uses
         # otherwise
-        tones = np.stack([np.sum(ch.gains[None] * codebook.stacked, axis=1)
+        tones = np.stack([np.sum(ch.gains[None] * codebook.weights, axis=1)
                           for ch in distinct.values()])
         m2, m4 = tone_moments(tones)
         rows = zip(rect_model.dc(m2, m4).tolist(), m2.tolist())

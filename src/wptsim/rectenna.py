@@ -118,12 +118,9 @@ class EfficiencyTableModel:
             raise ConfigError(
                 f"table is not rectangular: {len(seen)} points for a "
                 f"{p_axis.size}x{q_axis.size} grid")
-        eta = np.empty((p_axis.size, q_axis.size))
-        for i, p_val in enumerate(p_axis):
-            for j, q_val in enumerate(q_axis):
-                if (p_val, q_val) not in seen:
-                    raise ConfigError(f"missing table point ({p_val}, {q_val})")
-                eta[i, j] = seen[(p_val, q_val)]
+        # the keys are distinct points of the p x q grid, so as many keys
+        # as grid points fill it
+        eta = np.array([[seen[(p, q)] for q in q_axis] for p in p_axis])
         return cls(p_dbm=p_axis, papr_axis=q_axis, eta=eta)
 
     @classmethod

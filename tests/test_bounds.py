@@ -16,7 +16,7 @@ import pytest
 
 from wptsim import (ChannelModelParams, Codebook, DiodeMomentModel,
                     DomainError, EfficiencyTableModel, SmfParams, ToneGrid,
-                    WaveformWeights, dc_ceiling, dc_power_moment,
+                    dc_ceiling, dc_power_moment,
                     effective_tones, gen_nested, gen_random, smf_weights,
                     stream, tap_variances, train_lloyd)
 import wptsim.rng as rngmod
@@ -97,15 +97,13 @@ def _beam_book(k, m=4, n=8):
     k / 2^ceil(b/2) evenly spaced tones."""
     beams = 2 ** -(-(k.bit_length() - 1) // 2)
     tones = k // beams
-    entries = []
+    words = np.zeros((tones, beams, m, n), dtype=complex)
     for t in range(tones):
         for j in range(beams):
-            w = np.zeros((m, n), dtype=complex)
-            w[:, t * (n // tones)] = (np.sqrt(2.0 * POWER / m)
-                                      * np.exp(2j * np.pi * np.arange(m)
-                                               * j / beams))
-            entries.append(WaveformWeights(weights=w, power_budget=POWER))
-    return Codebook(entries=tuple(entries))
+            words[t, j, :, t * (n // tones)] = (
+                np.sqrt(2.0 * POWER / m)
+                * np.exp(2j * np.pi * np.arange(m) * j / beams))
+    return Codebook(words.reshape(k, m, n), POWER)
 
 
 @pytest.mark.parametrize("k, m", [(2, 2), (8, 4), (64, 4), (5, 3)])

@@ -600,30 +600,44 @@ def test_each_k_reads_its_rows_from_the_shared_sweep(tmp_path, method,
         assert flags == {"0", "1"}
 
 
-def test_sweep_book_gives_each_book_one_slice():
-    from wptsim import Codebook, gen_nested, gen_random, stream, up_weights
-    from wptsim.campaign import _sweep_book
+@pytest.mark.parametrize("method,columns", [
+    ("nested", {1: slice(0, 1), 2: slice(0, 2), 4: slice(0, 4)}),
+    ("random", {1: slice(0, 1), 2: slice(1, 3), 4: slice(3, 7)}),
+    ("lloyd", {1: slice(0, 1), 2: slice(1, 3), 4: slice(3, 7)}),
+], ids=["nested", "random", "lloyd"])
+def test_books_are_slices_of_the_sweep_book(method, columns):
+    from wptsim import DiodeMomentModel, up_weights
+    from wptsim.campaign import _books
+    config = CampaignConfig(strategies=("UP", "LIMITED"),
+                            codebook_sizes=(1, 2, 4), codebook_method=method,
+                            training_channels=8, training_iters=2)
     grid = ToneGrid.centered(2.4e9, 10e6, 2)
-    full = gen_nested(2, grid, 2.0, 8, stream(1, 3))
-    up = Codebook(entries=(up_weights(2, grid, 2.0),))
-    books = {k: full.prefix(k) for k in (1, 2, 8)}
-    books["UP"] = up
-    book, columns = _sweep_book(books)
-    assert columns == {1: slice(0, 1), 2: slice(0, 2), 8: slice(0, 8),
-                       "UP": slice(8, 9)}
-    assert all(a is b for a, b in zip(book.entries,
-                                      full.entries + up.entries))
-    assert book.k_codewords == 9
-    random = {k: gen_random(2, grid, 2.0, k, stream(1, 4, k)) for k in (2, 4)}
-    book, columns = _sweep_book(random)
-    assert columns == {2: slice(0, 2), 4: slice(2, 6)}
-    # codewords read out of order, or around another book's, form no slice
-    for before, reused in (
-            ({2: full.prefix(2)}, (full.entries[1], full.entries[0])),
-            (random, (random[2].entries[0], random[4].entries[0]))):
-        mixed = Codebook(entries=reused)
-        with pytest.raises(DomainError, match="'mixed' is not contiguous"):
-            _sweep_book({**before, "mixed": mixed})
+    sweep, books = _books(config, DiodeMomentModel(), 2, grid)
+    assert {k: cols for k, (_, cols) in books.items()} == columns
+    for k, (book, cols) in books.items():
+        assert book.k_codewords == k
+        assert sweep.weights[cols].tobytes() == book.weights.tobytes()
+    # UP's codeword is the last row, after every book's columns
+    assert sweep.k_codewords == max(c.stop for c in columns.values()) + 1
+    up = up_weights(2, grid, config.transmit_power_w)
+    assert sweep.weights[-1].tobytes() == up.weights.tobytes()
+    assert sweep.power_budget == config.transmit_power_w
+
+
+def test_books_sweep_only_the_swept_strategies():
+    from wptsim import DiodeMomentModel
+    from wptsim.campaign import _books
+    grid = ToneGrid.centered(2.4e9, 10e6, 2)
+    model = DiodeMomentModel()
+    assert _books(CampaignConfig(strategies=("SMF",)), model, 2, grid) == \
+        (None, {})
+    sweep, books = _books(CampaignConfig(strategies=("UP", "SMF")), model, 2,
+                          grid)
+    assert books == {} and sweep.k_codewords == 1
+    sweep, books = _books(CampaignConfig(strategies=("LIMITED",),
+                                         codebook_sizes=(2, 4)), model, 2,
+                          grid)
+    assert sweep.weights.tobytes() == books[4][0].weights.tobytes()
 
 
 @pytest.mark.parametrize("rectifier,method,strategies,resample", [

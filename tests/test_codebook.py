@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wptsim import (Codebook, CodebookIOError, DiodeMomentModel,
-                    DomainError, EfficiencyTableModel,
+from wptsim import (Codebook, CodebookIOError, DimensionError,
+                    DiodeMomentModel, DomainError, EfficiencyTableModel,
                     ToneGrid, WaveformWeights, dc_power_moment,
                     effective_tones, gen_nested, gen_random, load_codebook,
                     save_codebook, stream, train_lloyd, up_weights)
@@ -50,10 +50,13 @@ def test_gen_nested_rejects_non_power_of_two():
 
 def test_prefix_takes_leading_entries():
     grid = ToneGrid.centered(2.4e9, 10e6, 2)
-    book = gen_nested(2, grid, 1.0, 16, stream(2, 4))
+    book = gen_nested(2, grid, 1.0, 16, stream(2, 4), provenance="p")
     sub = book.prefix(4)
     assert sub.k_codewords == 4
     assert sub.nested
+    assert sub.weights.tobytes() == book.weights[:4].tobytes()
+    assert not sub.weights.flags.writeable
+    assert (sub.power_budget, sub.provenance) == (1.0, "p prefix[4]")
     for a, b in zip(sub.entries, book.entries[:4]):
         assert np.array_equal(a.weights, b.weights)
 
@@ -74,38 +77,79 @@ def test_prefix_bounds():
         book.prefix(5)
 
 
-def test_codebook_rejects_mixed_budgets():
-    grid = ToneGrid.centered(2.4e9, 10e6, 1)
-    a = up_weights(1, grid, 1.0)
-    b = up_weights(1, grid, 2.0)
-    with pytest.raises(DomainError):
-        Codebook(entries=(a, b))
+def test_codebook_rejects_a_non_3d_array():
+    with pytest.raises(DimensionError, match=r"\(K, M, N\).*\(2, 2\)"):
+        Codebook(np.ones((2, 2), dtype=complex), 1.0)
+
+
+def test_codebook_rejects_no_entries():
+    with pytest.raises(DomainError, match="at least one entry"):
+        Codebook(np.empty((0, 2, 2), dtype=complex), 1.0)
+
+
+@pytest.mark.parametrize("budget", [0.0, -1.0, np.nan])
+def test_codebook_rejects_a_budget_that_is_not_positive(budget):
+    # an all-zero book would otherwise sit on the zero-power sphere
+    with pytest.raises(DomainError, match="power_budget must be > 0"):
+        Codebook(np.zeros((1, 1, 1), dtype=complex), budget)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_codebook_rejects_non_finite_entry(bad):
+    grid = ToneGrid.centered(2.4e9, 10e6, 4)
+    words = gen_random(2, grid, 2.0, 5, stream(5, 4)).weights.copy()
+    words[2, 1, 3] = bad
+    with pytest.raises(DomainError, match=r"^entry 3 power "):
+        Codebook(words, 2.0)
 
 
 def test_codebook_rejects_off_sphere_entry():
-    # an entry whose transmit power is below the shared budget
-    w = WaveformWeights(weights=np.array([[1.0 + 0j]]), power_budget=2.0)
+    # an entry whose transmit power is below the budget
     with pytest.raises(DomainError):
-        Codebook(entries=(w,))
+        Codebook(np.array([[[1.0 + 0j]]]), 2.0)
     # all entries are checked in one reduction; the error still names one
     grid = ToneGrid.centered(2.4e9, 10e6, 4)
-    good = gen_random(2, grid, 2.0, 5, stream(5, 4)).entries
-    low = WaveformWeights(weights=0.5 * good[0].weights, power_budget=2.0)
+    words = gen_random(2, grid, 2.0, 5, stream(5, 4)).weights.copy()
+    words[3] *= 0.5
     with pytest.raises(DomainError, match=r"^entry 4 power 0\.5\d* != "
                                           r"budget 2\.0$"):
-        Codebook(entries=good[:3] + (low,) + good[3:5])
+        Codebook(words, 2.0)
+
+
+def test_codebook_copies_its_weights_read_only():
+    grid = ToneGrid.centered(2.4e9, 10e6, 3)
+    words = gen_random(2, grid, 1.5, 4, stream(6, 4)).weights.copy()
+    book = Codebook(words, 1.5)
+    assert book.weights.shape == (4, 2, 3)
+    assert book.weights is not words and words.flags.writeable
+    assert not book.weights.flags.writeable
+    assert np.array_equal(book.weights, words)
+    assert (book.k_codewords, book.m_antennas, book.n_tones) == (4, 2, 3)
+
+
+def test_codebook_entries_are_its_rows_read_only():
+    grid = ToneGrid.centered(2.4e9, 10e6, 3)
+    book = gen_random(2, grid, 1.5, 4, stream(6, 4))
+    assert len(book.entries) == 4
+    for e, w in zip(book.entries, book.weights):
+        assert isinstance(e, WaveformWeights)
+        assert e.power_budget == 1.5
+        assert np.array_equal(e.weights, w)
+        assert not e.weights.flags.writeable
+    # derived once per book
+    assert book.entries is book.entries
 
 
 @pytest.mark.parametrize("m", [1, 2, 4, 8])
 @pytest.mark.parametrize("n", [1, 3, 8, 16])
 def test_codebook_power_check_reads_each_transmit_power(m, n):
-    # the one reduction over the stacked book equals each entry's
-    # transmit_power to the bit, so the check accepts what it did per entry
+    # the one reduction over the book equals each entry's transmit_power
+    # to the bit, so the check accepts what it did per entry
     grid = ToneGrid.centered(2.4e9, 10e6, n)
     book = gen_nested(m, grid, 2.0, 64, stream(m * 100 + n, 4))
-    powers = 0.5 * np.sum(np.abs(book.stacked) ** 2, axis=(1, 2))
+    powers = 0.5 * np.sum(np.abs(book.weights) ** 2, axis=(1, 2))
     assert powers.tolist() == [e.transmit_power for e in book.entries]
-    assert not book.stacked.flags.writeable
+    assert not book.weights.flags.writeable
 
 
 def _one_draw_per_codeword(m, n, power, k, gen):
@@ -662,7 +706,7 @@ def test_train_lloyd_golden_bytes_with_reseeds(tmp_path, monkeypatch):
     # no members and are re-seeded through codebook.smf_weights
     channels = _training_channels(0, 50, 2, 4)
     base = gen_random(2, channels[0].grid, 1.0, 4, stream(0, 6))
-    init = Codebook(entries=base.entries + base.entries)
+    init = Codebook(np.concatenate([base.weights, base.weights]), 1.0)
     calls = []
     real = codebook_module.smf_weights
 

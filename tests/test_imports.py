@@ -61,3 +61,74 @@ def test_benchmark_trace_points_resolve():
                if not callable(getattr(importlib.import_module(module), attr,
                                        None))]
     assert missing == []
+
+
+def _statement_refs(tree: ast.Module) -> list[tuple]:
+    """Each top-level statement with the names it reads.
+
+    A name is read as a bare name, as an attribute (``module._name``) or
+    as an imported name (``from module import _name``).
+    """
+    refs = []
+    for stmt in tree.body:
+        names = set()
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name)
+        refs.append((stmt, names))
+    return refs
+
+
+def _defined_names(stmt: ast.stmt) -> list[str]:
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    targets = (stmt.targets if isinstance(stmt, ast.Assign) else
+               [stmt.target] if isinstance(stmt, ast.AnnAssign) else [])
+    return [t.id for t in targets if isinstance(t, ast.Name)]
+
+
+def _orphans(package: dict, others: list) -> list[str]:
+    """Top-level _private names of the package sources read nowhere else.
+
+    A name's own definitions do not count as reading it, so a helper whose
+    only caller is itself, or nothing, is an orphan.
+    """
+    refs = {module: _statement_refs(ast.parse(source))
+            for module, source in package.items()}
+    outside = set().union(*(names for source in others
+                            for _, names in _statement_refs(ast.parse(source))))
+    orphans = []
+    for module, stmts in refs.items():
+        elsewhere = outside.union(*(names for other, s in refs.items()
+                                    if other != module for _, names in s))
+        for stmt, _ in stmts:
+            for name in _defined_names(stmt):
+                private = name.startswith("_") and not name.startswith("__")
+                if private and name not in elsewhere and not any(
+                        name in names for other, names in stmts
+                        if name not in _defined_names(other)):
+                    orphans.append(f"{module}: {name}")
+    return orphans
+
+
+def test_scan_finds_an_orphan_private_name():
+    package = {"a.py": ("_USED = 1\n_LONELY = 2\n\n"
+                        "def _recursive(n):\n    return _recursive(n - 1)\n\n"
+                        "def public():\n    return _USED + _imported()\n"),
+               "b.py": "def _imported():\n    return 0\n"}
+    tests = ["from a import _attr_only\n", "import a\na._read_by_test\n"]
+    package["a.py"] += "_attr_only = 3\n_read_by_test = 4\n"
+    assert _orphans(package, tests) == ["a.py: _LONELY", "a.py: _recursive"]
+
+
+def test_every_private_name_is_read():
+    # a deletion that leaves a helper without a caller fails here
+    package = {path.name: path.read_text()
+               for path in sorted((_ROOT / "src" / "wptsim").glob("*.py"))}
+    others = [path.read_text() for folder in ("tests", "scripts")
+              for path in sorted((_ROOT / folder).glob("*.py"))]
+    assert _orphans(package, others) == []

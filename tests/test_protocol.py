@@ -146,12 +146,13 @@ def test_one_codeword_sweep_equals_effective_tones_at_m1_n1():
 
 def test_codebook_stacks_its_entries_read_only():
     _, book, _, _ = _setup(k=4)
-    stacked = book.stacked
-    assert stacked.shape == (4, 2, 2)
-    for e, w in zip(book.entries, stacked):
+    weights = book.weights
+    assert weights.shape == (4, 2, 2)
+    for e, w in zip(book.entries, weights):
         assert np.array_equal(e.weights, w)
-    assert not stacked.flags.writeable
-    assert book.stacked is stacked
+        assert not e.weights.flags.writeable
+    assert not weights.flags.writeable
+    assert book.weights is weights
 
 
 def test_run_frame_energy_accounting():
