@@ -26,9 +26,11 @@ Layer rows, on random complex amplitudes and channel gains:
   exactly outside the UPDATE.
 * ``protocol.run_session``: one location's LIMITED sessions at M=4, N=8
   over F=3 fades, for the nested books K in {2, ..., 64}, as
-  ``run_campaign`` runs them.  ``per_k_sweep_us`` lets each K's session
-  sweep its own book; ``median_us`` sweeps the K_max book once and hands
-  each K its columns.
+  ``run_campaign`` runs them on a lossless link with no ADC: with no
+  session stream.  ``per_k_sweep_us`` lets each K's session sweep its
+  own book; ``median_us`` sweeps the K_max book once and hands each K
+  its columns; ``with_streams_us`` runs the ``median_us`` sessions with
+  one ``rng.stream`` each, as a lossy link or a noisy ADC needs.
 * ``campaign.up_frames``: one location's open-loop UP frames and tap
   draws at figure-joint's (M, N) points, M in {1, 2, 4} x N in
   {1, 2, 4, 8}, over F=3 fades, next to the location's sweep of the
@@ -132,11 +134,11 @@ def _session_row(grid, model, seed, repeat, number):
     books = {k: full.prefix(k) for k in SESSION_SIZES}
     timing, link = FrameConfig(), LinkModel()
 
-    def sessions(shared):
+    def sessions(shared, streams=False):
         swept = _sweep(full, fades, model) if shared else None
         for k, book in books.items():
             run_session(timing, book, fades, model, None, link,
-                        rng.stream(seed, rng.SESSION, k),
+                        rng.stream(seed, rng.SESSION, k) if streams else None,
                         _columns(swept, slice(0, k)) if shared else None)
 
     return {"layer": "protocol.run_session", "m_antennas": m,
@@ -144,6 +146,8 @@ def _session_row(grid, model, seed, repeat, number):
             "k_sizes": list(SESSION_SIZES),
             "per_k_sweep_us": median_us(lambda: sessions(False), repeat,
                                         number),
+            "with_streams_us": median_us(lambda: sessions(True, True),
+                                         repeat, number),
             "median_us": median_us(lambda: sessions(True), repeat, number)}
 
 
@@ -315,7 +319,8 @@ def main(argv=None):
         if "exact_pairs" in row:
             line += f"  ({row['exact_pairs']} exact pairs)"
         if "per_k_sweep_us" in row:
-            line += f"  (sweep per K: {row['per_k_sweep_us']:.1f} us)"
+            line += (f"  (sweep per K: {row['per_k_sweep_us']:.1f} us; "
+                     f"with streams: {row['with_streams_us']:.1f} us)")
         if "per_frame_us" in row:
             line += f"  (UP per frame: {row['per_frame_us']:.1f} us)"
         if "build_ms" in row:

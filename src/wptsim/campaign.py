@@ -39,7 +39,7 @@ from .channel import (ChannelModelParams, ChannelRealization,
                       sample_taps)
 from .codebook import Codebook, gen_nested, gen_random, train_lloyd
 from .errors import ConfigError, DomainError, SummaryError
-from .protocol import FrameConfig, LinkModel, run_session
+from .protocol import FrameConfig, LinkModel, run_session, session_draws
 from .protocol import _dc_power, _sweep
 from .rectenna import AdcConfig, DiodeMomentModel, EfficiencyTableModel
 from .strategies import SmfParams, smf_weights, up_weights
@@ -115,20 +115,23 @@ class CampaignConfig:
             if min(self.codebook_sizes) < 1:
                 raise ConfigError(f"codebook_sizes must be >= 1, got "
                                   f"{min(self.codebook_sizes)}")
-            # FrameConfig, LinkModel and AdcConfig own their value checks;
-            # building them here makes a bad setting fail at load, not
-            # mid-run
-            try:
-                self.frame_config().t_p(max(self.codebook_sizes))
-                self.link_model()
-                self.adc_config()
-            except (ConfigError, DomainError) as exc:
-                raise ConfigError(
-                    f"invalid frame, link or adc setting: {exc}") from exc
             if self.codebook_method == "nested" and any(
                     k & (k - 1) for k in self.codebook_sizes):
                 raise ConfigError(
                     "nested codebooks require power-of-two sizes")
+        # FrameConfig, LinkModel and AdcConfig own their value checks;
+        # building them here makes a bad setting fail at load, not mid-run.
+        # Every strategy's WPT energy reads t_frame; only LIMITED sessions
+        # train and feed back.
+        try:
+            timing = self.frame_config()
+            if LIMITED in self.strategies:
+                timing.t_p(max(self.codebook_sizes))
+                self.link_model()
+                self.adc_config()
+        except (ConfigError, DomainError) as exc:
+            raise ConfigError(
+                f"invalid frame, link or adc setting: {exc}") from exc
         if self.n_locations < 1 or self.frames_per_location < 1:
             raise ConfigError("need at least one location and one frame")
         if self.rectifier_model not in ("moment", "table"):
@@ -148,7 +151,7 @@ class CampaignConfig:
                 f"{self.bandwidth_hz!r}, or a tone lies at or below 0 Hz")
 
     def frame_config(self) -> FrameConfig:
-        """The LIMITED sessions' frame timing."""
+        """The frame timing: every strategy's t_frame, LIMITED's t_s."""
         return FrameConfig(t_s=self.t_s, t_frame=self.t_frame)
 
     def link_model(self) -> LinkModel:
@@ -427,9 +430,11 @@ def run_campaign(config: CampaignConfig, out_dir=None,
     smf_params = SmfParams(power_budget=config.transmit_power_w)
     taps = [_taps(config, location) for location in locations]
     if LIMITED in config.strategies:
-        # every LIMITED session shares one frame timing, link and ADC
+        # every LIMITED session shares one frame timing, link and ADC; a
+        # session that cannot draw gets no stream
         timing = config.frame_config()
         link, adc = config.link_model(), config.adc_config()
+        draws = session_draws(link, adc)
     adc_reads_signal = False
     rows = []
     for m, n in itertools.product(config.antenna_counts, config.tone_counts):
@@ -447,7 +452,7 @@ def run_campaign(config: CampaignConfig, out_dir=None,
                     for k, (book, columns) in books.items():
                         gen = rngmod.stream(config.seed, rngmod.SESSION,
                                             _STRATEGY_IDS[LIMITED], m, n, k,
-                                            loc_idx)
+                                            loc_idx) if draws else None
                         for r in run_session(timing, book, fades,
                                              rect_model, adc, link, gen,
                                              _columns(swept, columns)):

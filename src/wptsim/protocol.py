@@ -13,6 +13,7 @@ and the report accounts each phase's energy separately.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,8 +38,10 @@ class FrameConfig:
     t_frame: float = 2.0
 
     def __post_init__(self):
-        if not self.t_s > 0:
-            raise ConfigError(f"t_s must be > 0, got {self.t_s}")
+        for name in ("t_s", "t_frame"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ConfigError(f"{name} must be > 0 and finite, got {value}")
 
     def t_p(self, k: int) -> float:
         """WPT phase length t_frame - K*t_s of a frame sweeping K codewords.
@@ -114,6 +117,18 @@ def decode_feedback(msg: FeedbackMsg, k_codewords: int) -> int:
     return index
 
 
+def session_draws(link: LinkModel, adc: AdcConfig | None) -> bool:
+    """Whether a session on this link and ADC reads its random stream.
+
+    A lossy link draws each frame's delivery and a noisy ADC each
+    reading's noise.  A session with neither may run with rng=None: its
+    feedback always arrives.  A session given a stream still draws the
+    certain link's delivery, so its noise draws keep their places.
+    """
+    return link.delivery_probability < 1 or (
+        adc is not None and adc.noise_sigma > 0)
+
+
 def _dc_power(rect_model, tones, grid) -> float:
     if isinstance(rect_model, DiodeMomentModel):
         return dc_power_moment(rect_model, tones, grid)
@@ -177,7 +192,7 @@ def run_training(codebook: Codebook, channel: ChannelRealization, rect_model,
 def run_frame(config: FrameConfig, codebook: Codebook,
               channel: ChannelRealization, rect_model,
               adc: AdcConfig | None, link: LinkModel,
-              fallback_state: int | None, rng: np.random.Generator,
+              fallback_state: int | None, rng: np.random.Generator | None,
               frame_id: int = 0, sweep: tuple | None = None) -> FrameReport:
     """One closed-loop frame on a constant channel.
 
@@ -187,13 +202,19 @@ def run_frame(config: FrameConfig, codebook: Codebook,
     Args:
         fallback_state: applied_index of the previous frame, or None on the
             first frame (then the fallback is the UP codeword, marker 0).
+        rng: the session's stream, read by the ADC noise and the link's
+            delivery draw; None when the frame cannot draw (see
+            session_draws), and then the feedback is delivered.
         sweep: the K codewords' (dc powers, RF powers) on this channel
             when the caller already holds them, as run_session does for
             all its frames.
 
     Raises:
         ConfigError: the book's K*t_s training phase fills the frame.
+        DomainError: rng is None on a lossy link or with a noisy ADC.
     """
+    if rng is None and session_draws(link, adc):
+        raise DomainError("a lossy link or a noisy ADC requires an rng")
     t_p = config.t_p(codebook.k_codewords)
     # the training energy needs the dc levels themselves, not the readings
     dcs, p_rfs = (_sweep(codebook, [channel], rect_model)[0]
@@ -201,7 +222,7 @@ def run_frame(config: FrameConfig, codebook: Codebook,
     measurements = _readings(dcs, adc, rng)
     k_star = select_codeword(measurements)
     msg = encode_feedback(k_star, codebook.k_codewords, frame_id=frame_id)
-    delivered = bool(rng.random() < link.delivery_probability)
+    delivered = rng is None or bool(rng.random() < link.delivery_probability)
     if delivered:
         applied = decode_feedback(msg, codebook.k_codewords)
     elif fallback_state is None:
@@ -227,7 +248,7 @@ def run_frame(config: FrameConfig, codebook: Codebook,
 
 def run_session(config: FrameConfig, codebook: Codebook, channels,
                 rect_model, adc: AdcConfig | None, link,
-                rng: np.random.Generator,
+                rng: np.random.Generator | None,
                 sweeps: list | None = None) -> list[FrameReport]:
     """One closed-loop frame per channel, with the fallback state threaded.
 
@@ -241,6 +262,8 @@ def run_session(config: FrameConfig, codebook: Codebook, channels,
         channels: each frame's ChannelRealization, in frame order.
         link: one LinkModel for all frames, or a list or tuple of one
             LinkModel per channel (scripted loss patterns).
+        rng: the session's stream, which every frame draws from in turn;
+            None when the session cannot draw (see session_draws).
         sweeps: each frame's sweep, as run_frame takes it, when the caller
             already holds them; run_campaign reads them from one sweep of
             all its books' codewords.

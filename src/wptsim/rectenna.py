@@ -19,6 +19,7 @@ additive Gaussian noise, uniform quantization against a reference voltage.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,12 +42,13 @@ class DiodeMomentModel:
     alpha: float = 1.0
 
     def __post_init__(self):
-        if not self.k2 > 0:
-            raise DomainError(f"k2 must be > 0, got {self.k2}")
-        if self.k4 < 0:
-            raise DomainError(f"k4 must be >= 0, got {self.k4}")
-        if not self.alpha > 0:
-            raise DomainError(f"alpha must be > 0, got {self.alpha}")
+        if not 0 < self.k2 < math.inf:
+            raise DomainError(f"k2 must be > 0 and finite, got {self.k2}")
+        if not 0 <= self.k4 < math.inf:
+            raise DomainError(f"k4 must be >= 0 and finite, got {self.k4}")
+        if not 0 < self.alpha < math.inf:
+            raise DomainError(
+                f"alpha must be > 0 and finite, got {self.alpha}")
 
     def proxy(self, m2, m4):
         """z = k2*m2 + k4*m4 elementwise; linear, so it maps derivatives too."""
@@ -158,12 +160,12 @@ class AdcConfig:
         if not 1 <= self.resolution_bits <= 24:
             raise DomainError(
                 f"resolution_bits must be in [1, 24], got {self.resolution_bits}")
-        if not self.v_ref > 0:
-            raise DomainError("v_ref must be > 0")
-        if not self.load_resistance > 0:
-            raise DomainError("load_resistance must be > 0")
-        if self.noise_sigma < 0:
-            raise DomainError("noise_sigma must be >= 0")
+        if not 0 < self.v_ref < math.inf:
+            raise DomainError("v_ref must be > 0 and finite")
+        if not 0 < self.load_resistance < math.inf:
+            raise DomainError("load_resistance must be > 0 and finite")
+        if not 0 <= self.noise_sigma < math.inf:
+            raise DomainError("noise_sigma must be >= 0 and finite")
 
 
 def dc_power_moment(model: DiodeMomentModel, tones: EffectiveTones,

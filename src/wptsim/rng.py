@@ -11,6 +11,12 @@ Concretely, the path is fed to ``numpy.random.SeedSequence(entropy=seed,
 spawn_key=path)`` and the resulting state keys a ``numpy.random.Philox``
 bit generator.  ``derive_seed`` exposes the same mixing to produce child
 64-bit seeds (used when a location needs a seed of its own).
+
+A protocol session's SESSION stream feeds its ADC noise and its
+feedback-loss draws.  A session that can draw neither (a lossless link,
+no ADC noise; ``protocol.session_draws``) is run with no stream at all.
+Given one, it would read it only in the link's always-true draw, whose
+value reaches no output, so going without moves no byte.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ PATHLOSS = 2        # per-location pathloss draws
 LOCATION_SEED = 3   # child seeds handed to locations
 CODEBOOK = 4        # random codebook entries
 TRAINING = 5        # codebook training (init selection)
-SESSION = 6         # protocol session internals (ADC noise, feedback loss)
+SESSION = 6         # protocol sessions that draw (ADC noise, feedback loss)
 ORACLE = 7          # self-check case generation
 
 

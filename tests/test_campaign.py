@@ -60,6 +60,22 @@ def test_config_rejects_a_nonpositive_dwell(tmp_path, t_s):
         load_config(path)
 
 
+@pytest.mark.parametrize("strategies", ["UP", "SMF", "UP, SMF"])
+@pytest.mark.parametrize("t_frame", ["-1", "0", "nan", "inf"])
+def test_config_checks_the_frame_length_without_limited(tmp_path, strategies,
+                                                        t_frame):
+    # UP and SMF rows write e_wpt_j = p_dc * t_frame, so the frame length
+    # is checked whether or not LIMITED is swept
+    path = tmp_path / "c.ini"
+    path.write_text(f"[campaign]\nstrategies = {strategies}\n"
+                    f"[frame]\nt_frame_s = {t_frame}\n")
+    with pytest.raises(ConfigError, match="t_frame must be > 0 and finite"):
+        load_config(path)
+    with pytest.raises(ConfigError, match="t_frame must be > 0 and finite"):
+        CampaignConfig(strategies=tuple(strategies.split(", ")),
+                       t_frame=float(t_frame))
+
+
 @pytest.mark.parametrize("method", ["nested", "random"])
 def test_config_rejects_an_empty_codebook_size(tmp_path, method):
     # 0 passes the power-of-two test, and random books skip it
@@ -478,6 +494,42 @@ def test_campaign_draws_each_channel_once(tmp_path, monkeypatch, resample):
         assert len(p_dc) == (cfg.n_locations * len(cfg.antenna_counts)
                              * len(cfg.tone_counts))
         assert all(len(values) == 1 for values in p_dc.values())
+
+
+def test_campaign_builds_a_session_stream_only_where_it_draws(tmp_path,
+                                                              monkeypatch):
+    # a LIMITED session gets a stream only when its link is lossy or its
+    # ADC noisy; a session that cannot draw writes the bytes it writes
+    # with a stream
+    from wptsim import campaign, rng
+    made = []
+    real = rng.stream
+
+    def counting(seed, *path):
+        made.append(path[0])
+        return real(seed, *path)
+
+    monkeypatch.setattr(rng, "stream", counting)
+    adc = dict(adc_enabled=True, adc_load_resistance=1e8)
+    for i, (overrides, draws) in enumerate([
+            ({}, False), (adc, False),
+            (dict(link_delivery_probability=0.5), True),
+            (dict(adc, adc_noise_sigma=1e-3), True)]):
+        made.clear()
+        cfg = _mini_config(**overrides)
+        detail, _ = run_campaign(cfg, out_dir=tmp_path / str(i))
+        sessions = (len(cfg.antenna_counts) * len(cfg.tone_counts)
+                    * len(cfg.codebook_sizes) * cfg.n_locations)
+        assert made.count(rng.SESSION) == (sessions if draws else 0)
+        if not draws:
+            with monkeypatch.context() as forced:
+                forced.setattr(campaign, "session_draws", lambda *_: True)
+                made.clear()
+                streamed, _ = run_campaign(cfg,
+                                           out_dir=tmp_path / f"{i}-streams")
+                assert made.count(rng.SESSION) == sessions
+            assert pathlib.Path(streamed).read_bytes() == \
+                pathlib.Path(detail).read_bytes()
 
 
 @pytest.mark.parametrize("n_taps", [1, 3, 8])

@@ -11,9 +11,9 @@ from wptsim import (AdcConfig, ConfigError, DiodeMomentModel, DomainError,
                     EfficiencyTableModel, FeedbackMsg, FrameConfig, LinkModel,
                     ProtocolError, ToneGrid, UP_FALLBACK, decode_feedback,
                     dc_power_moment, effective_tones, encode_feedback,
-                    gen_nested, gen_random, protocol, received_rf_power,
-                    run_frame, run_session, run_training, stream,
-                    up_weights)
+                    gen_nested, gen_random, measure_dc, protocol,
+                    received_rf_power, run_frame, run_session, run_training,
+                    stream, up_weights)
 
 from conftest import make_channel
 
@@ -33,6 +33,14 @@ def test_frame_config_rejects_training_overrun():
         FrameConfig(t_s=0.010, t_frame=2.0).t_p(200)
     with pytest.raises(ConfigError):
         FrameConfig(t_s=0.010, t_frame=2.0 - 1e-12).t_p(200)
+
+
+@pytest.mark.parametrize("field", ["t_s", "t_frame"])
+def test_frame_config_rejects_non_finite_times(field):
+    for value in (np.nan, np.inf, 0.0, -1.0):
+        with pytest.raises(ConfigError,
+                           match=f"{field} must be > 0 and finite"):
+            FrameConfig(**{field: value})
 
 
 def test_link_model_domain():
@@ -343,6 +351,70 @@ def test_session_batch_equals_frame_by_frame(m, n):
             assert len(set(batched[0].measurements)) > 1
         assert [dcs for dcs, _ in protocol._sweep(book, channels, model)] \
             == [run_training(book, ch, model) for ch in channels]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_a_session_that_cannot_draw_runs_without_a_stream(seed):
+    # a certain link with no ADC or a noiseless one reads its stream only
+    # in the always-true delivery draw, so no stream gives the same reports
+    # as any stream
+    grid, book, _, model = _setup(k=8, m=2, n=4, seed=70 + seed)
+    cfg = FrameConfig(t_s=0.010, t_frame=2.0)
+    channels = [make_channel(70 + seed, 2, grid, pathloss_db=10.0, frame=i)
+                for i in range(4)]
+    # a 0.1 ohm load keeps the readings below v_ref
+    adcs = (None, AdcConfig(load_resistance=0.1))
+    links = (LinkModel(), [LinkModel(1.0)] * 4, (LinkModel(),) * 4)
+    assert not any(protocol.session_draws(LinkModel(), adc) for adc in adcs)
+    for adc, link in itertools.product(adcs, links):
+        alone = run_session(cfg, book, channels, model, adc, link, None)
+        assert all(r.feedback_delivered for r in alone)
+        for path in range(3):
+            assert run_session(cfg, book, channels, model, adc, link,
+                               stream(seed, 6, path)) == alone
+        if isinstance(link, LinkModel):
+            assert _frame_by_frame(cfg, book, channels, model, adc, link,
+                                   None) == alone
+
+
+def test_rng_none_raises_where_a_session_draws():
+    _, book, ch, model = _setup(k=4)
+    cfg = FrameConfig(t_s=0.010, t_frame=2.0)
+    lossy, noisy = LinkModel(0.999), AdcConfig(noise_sigma=1e-3)
+    for adc, link in ((None, lossy), (None, LinkModel(0.0)),
+                      (None, [LinkModel(), lossy, LinkModel()]),
+                      (noisy, LinkModel()), (noisy, (LinkModel(),) * 3)):
+        with pytest.raises(DomainError, match="requires an rng"):
+            run_session(cfg, book, [ch] * 3, model, adc, link, None)
+    for adc, link in ((None, lossy), (noisy, LinkModel())):
+        assert protocol.session_draws(link, adc)
+        with pytest.raises(DomainError, match="requires an rng"):
+            run_frame(cfg, book, ch, model, adc, link, None, None)
+
+
+@pytest.mark.parametrize("delivery", [1.0, 0.5])
+def test_a_session_given_a_stream_draws_in_frame_order(delivery):
+    # each frame draws its K readings' noise in codeword order, then its
+    # delivery, the certain link's included; the draws are written out
+    # here from a second copy of the stream
+    grid, book, _, model = _setup(k=8, m=2, n=4)
+    cfg = FrameConfig(t_s=0.010, t_frame=2.0)
+    channels = [make_channel(64, 2, grid, pathloss_db=10.0, frame=i)
+                for i in range(8)]
+    for adc in (None, AdcConfig(load_resistance=0.1, noise_sigma=1e-3)):
+        gen, ref = stream(65, 6), stream(65, 6)
+        reports = run_session(cfg, book, channels, model, adc,
+                              LinkModel(delivery), gen)
+        for ch, report in zip(channels, reports):
+            dcs = run_training(book, ch, model)
+            if adc is not None:
+                dcs = [measure_dc(adc, p, ref)[1] for p in dcs]
+            assert report.measurements == tuple(dcs)
+            assert report.feedback_delivered == (ref.random() < delivery)
+        assert any(not r.feedback_delivered for r in reports) == \
+            (delivery < 1)
+        # and the session leaves its stream where the reference is
+        assert gen.random() == ref.random()
 
 
 def test_session_batch_equals_frame_by_frame_on_the_table_model():

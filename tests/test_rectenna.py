@@ -57,6 +57,17 @@ def test_moment_model_parameter_domain():
     DiodeMomentModel(k4=0.0)   # linear-only rectifier is legal
 
 
+@pytest.mark.parametrize("field", ["k2", "k4", "alpha"])
+def test_moment_model_rejects_non_finite_coefficients(field):
+    # nan fails every comparison and inf passes "> 0"; either would carry
+    # into every dc power the model computes
+    for value in (np.nan, np.inf, -np.inf):
+        with pytest.raises(DomainError,
+                           match=f"{field} must be .* and finite"):
+            DiodeMomentModel(**{field: value})
+    DiodeMomentModel(**{field: 1e300})
+
+
 @given(st.integers(min_value=0, max_value=10_000),
        st.floats(min_value=0.1, max_value=10.0))
 @settings(max_examples=40)
@@ -229,3 +240,16 @@ def test_adc_config_validation():
         AdcConfig(noise_sigma=-0.1)
     with pytest.raises(DomainError):
         AdcConfig(load_resistance=0.0)
+
+
+@pytest.mark.parametrize("field", ["v_ref", "noise_sigma",
+                                   "load_resistance"])
+def test_adc_config_rejects_non_finite_values(field):
+    # nan noise would read as a noiseless ADC; an infinite load or noise
+    # overflows in measure_dc, and an infinite v_ref reads code 0 as nan
+    for value in (np.nan, np.inf):
+        with pytest.raises(DomainError,
+                           match=f"{field} must be .* and finite"):
+            AdcConfig(**{field: value})
+    assert measure_dc(AdcConfig(**{field: 1e6}), 1e-6,
+                      rng=stream(0, 50))[0] >= 0

@@ -398,7 +398,7 @@ def test_bench_kernel_script_writes_its_table(tmp_path):
     assert (session["layer"], session["m_antennas"], session["n_tones"],
             session["frames"], session["k_sizes"]) == \
         ("protocol.run_session", 4, 8, 3, [2, 4, 8, 16, 32, 64])
-    assert session["per_k_sweep_us"] > 0
+    assert session["per_k_sweep_us"] > 0 and session["with_streams_us"] > 0
     assert (campaign["layer"], campaign["antenna_counts"],
             campaign["tone_counts"], campaign["frames"]) == \
         ("campaign.up_frames", [1, 2, 4], [1, 2, 4, 8], 3)
