@@ -14,7 +14,8 @@ writes two artifacts:
 
 At each (M, N) point every location is swept once over one book that
 holds each swept codeword once: every K's book is a contiguous slice of
-its columns, and UP's codeword is its last row (_books).
+its columns, and UP's codeword is its last row (_books).  The books
+come from codebooks(), which ``wptsim codebook`` writes to file.
 
 Determinism contract: all randomness is keyed by (seed, purpose, indices)
 Philox streams, every sweep point draws from its own streams, and rows are
@@ -109,6 +110,16 @@ class CampaignConfig:
             object.__setattr__(self, name, axis)
         object.__setattr__(self, "codebook_sizes",
                            tuple(sorted(set(self.codebook_sizes))))
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if self.n_locations < 1 or self.frames_per_location < 1:
+            raise ConfigError("need at least one location and one frame")
+        if self.rectifier_model not in ("moment", "table"):
+            raise ConfigError(f"unknown rectifier model {self.rectifier_model!r}")
+        if self.rectifier_model == "table" and not self.table_path:
+            raise ConfigError("table rectifier needs table_path")
+        if self.codebook_method not in ("nested", "random", "lloyd"):
+            raise ConfigError(f"unknown codebook method {self.codebook_method!r}")
         if LIMITED in self.strategies:
             if not self.codebook_sizes:
                 raise ConfigError("LIMITED strategy needs codebook_sizes")
@@ -118,28 +129,16 @@ class CampaignConfig:
             if self.codebook_method == "nested" and any(
                     k & (k - 1) for k in self.codebook_sizes):
                 raise ConfigError(
-                    "nested codebooks require power-of-two sizes")
-        # FrameConfig, LinkModel and AdcConfig own their value checks;
-        # building them here makes a bad setting fail at load, not mid-run.
-        # Every strategy's WPT energy reads t_frame; only LIMITED sessions
-        # train and feed back.
-        try:
-            timing = self.frame_config()
-            if LIMITED in self.strategies:
-                timing.t_p(max(self.codebook_sizes))
-                self.link_model()
-                self.adc_config()
-        except (ConfigError, DomainError) as exc:
-            raise ConfigError(
-                f"invalid frame, link or adc setting: {exc}") from exc
-        if self.n_locations < 1 or self.frames_per_location < 1:
-            raise ConfigError("need at least one location and one frame")
-        if self.rectifier_model not in ("moment", "table"):
-            raise ConfigError(f"unknown rectifier model {self.rectifier_model!r}")
-        if self.rectifier_model == "table" and not self.table_path:
-            raise ConfigError("table rectifier needs table_path")
-        if self.codebook_method not in ("nested", "random", "lloyd"):
-            raise ConfigError(f"unknown codebook method {self.codebook_method!r}")
+                    f"each nested codebook size must be a power of two, got "
+                    f"{self.codebook_sizes}")
+            if self.codebook_method == "lloyd" and not (
+                    self.rectifier_model == "moment"
+                    and self.training_iters >= 1
+                    and self.training_channels >= max(self.codebook_sizes)):
+                raise ConfigError(
+                    "lloyd codebooks need the moment rectifier, "
+                    "training_iters >= 1 and training_channels >= the "
+                    "largest codebook size")
         if self.pathloss_db_max < self.pathloss_db_min:
             raise ConfigError("empty pathloss range")
         # an N-tone grid's lowest tone lies B*(N-1)/(2N) below the carrier,
@@ -149,6 +148,30 @@ class CampaignConfig:
                 f"[grid] center_frequency_hz = {self.center_frequency_hz!r} "
                 f"must exceed half of [grid] bandwidth_hz = "
                 f"{self.bandwidth_hz!r}, or a tone lies at or below 0 Hz")
+        # The parts a campaign builds own their value checks; building them
+        # here makes a bad setting fail at load, not mid-run.  Every
+        # strategy's WPT energy reads t_frame; only LIMITED sessions train
+        # and feed back.
+        try:
+            if self.rectifier_model == "moment":
+                _rect_model(self)
+            for pathloss_db in (self.pathloss_db_min, self.pathloss_db_max):
+                replace(self.channel_template, pathloss_db=pathloss_db)
+            self.tone_grid(max(self.tone_counts))
+            SmfParams(power_budget=self.transmit_power_w)
+            timing = self.frame_config()
+            if LIMITED in self.strategies:
+                timing.t_p(max(self.codebook_sizes))
+                self.link_model()
+                self.adc_config()
+        except (ConfigError, DomainError) as exc:
+            raise ConfigError(f"invalid rectifier, channel, grid, power, "
+                              f"frame, link or adc setting: {exc}") from exc
+
+    def tone_grid(self, n_tones: int) -> ToneGrid:
+        """The N-tone grid centered on the carrier."""
+        return ToneGrid.centered(self.center_frequency_hz, self.bandwidth_hz,
+                                 n_tones)
 
     def frame_config(self) -> FrameConfig:
         """The frame timing: every strategy's t_frame, LIMITED's t_s."""
@@ -298,6 +321,41 @@ def _rect_model(config: CampaignConfig):
     return EfficiencyTableModel.from_csv(config.table_path)
 
 
+def codebooks(config: CampaignConfig, rect_model, m: int,
+              grid: ToneGrid) -> dict:
+    """Each of the config's codebook sizes K mapped to its M-antenna book.
+
+    A nested family is one K_max book, drawn from (seed, CODEBOOK, M, N),
+    whose first K rows are K's book; a random book draws from (seed,
+    CODEBOOK, M, N, K); a Lloyd book starts from (seed, TRAINING, M, N, K)
+    and trains on the campaign's channel family at the midpoint of its
+    pathloss range.  So K's book does not depend on the other sizes.
+    """
+    n, power, sizes = grid.n_tones, config.transmit_power_w, \
+        config.codebook_sizes
+    if config.codebook_method == "nested":
+        full = gen_nested(m, grid, power, max(sizes),
+                          rngmod.stream(config.seed, rngmod.CODEBOOK, m, n))
+        return {k: full.prefix(k) if k < full.k_codewords else full
+                for k in sizes}
+    if config.codebook_method == "random":
+        return {k: gen_random(m, grid, power, k, rngmod.stream(
+                    config.seed, rngmod.CODEBOOK, m, n, k))
+                for k in sizes}
+    params = replace(
+        config.channel_template,
+        pathloss_db=0.5 * (config.pathloss_db_min + config.pathloss_db_max),
+        seed=rngmod.derive_seed(config.seed, rngmod.TRAINING, m, n))
+    training = [realize_channel(params, m, grid, frame=i)
+                for i in range(config.training_channels)]
+    return {k: train_lloyd(training, k, rect_model,
+                           iters=config.training_iters,
+                           rng=rngmod.stream(config.seed, rngmod.TRAINING,
+                                             m, n, k),
+                           power=power)
+            for k in sizes}
+
+
 def _books(config: CampaignConfig, rect_model, m: int,
            grid: ToneGrid) -> tuple[Codebook | None, dict]:
     """The (M, N) point's sweep book and each swept K's book and columns.
@@ -306,47 +364,26 @@ def _books(config: CampaignConfig, rect_model, m: int,
     K's book is one contiguous slice of its columns: a nested family
     sweeps its K_max book and K reads columns 0..K-1, random and Lloyd
     books are concatenated in K order, and UP's codeword, when UP is
-    swept, is the last row.  Books are keyed deterministically by seed;
-    Lloyd books train on channels drawn from the campaign's channel
-    family at the midpoint of its pathloss range.
+    swept, is the last row.
 
     Returns:
         (sweep, books): sweep is None when the point sweeps no codeword;
         books maps each K, when LIMITED is swept, to (its Codebook, its
         slice of the sweep book's columns).
     """
-    n, power = grid.n_tones, config.transmit_power_w
-    sizes = config.codebook_sizes if LIMITED in config.strategies else ()
+    made = (codebooks(config, rect_model, m, grid)
+            if LIMITED in config.strategies else {})
     words, books = [], {}
-    if sizes and config.codebook_method == "nested":
-        full = gen_nested(m, grid, power, max(sizes),
-                          rngmod.stream(config.seed, rngmod.CODEBOOK, m, n))
-        words.append(full.weights)
-        books = {k: (full.prefix(k), slice(0, k)) for k in sizes}
-    elif sizes:
-        if config.codebook_method == "random":
-            made = [gen_random(m, grid, power, k, rngmod.stream(
-                        config.seed, rngmod.CODEBOOK, m, n, k))
-                    for k in sizes]
-        else:
-            params = replace(
-                config.channel_template,
-                pathloss_db=0.5 * (config.pathloss_db_min
-                                   + config.pathloss_db_max),
-                seed=rngmod.derive_seed(config.seed, rngmod.TRAINING, m, n))
-            training = [realize_channel(params, m, grid, frame=i)
-                        for i in range(config.training_channels)]
-            made = [train_lloyd(training, k, rect_model,
-                                iters=config.training_iters,
-                                rng=rngmod.stream(config.seed,
-                                                  rngmod.TRAINING, m, n, k),
-                                power=power)
-                    for k in sizes]
+    if made and config.codebook_method == "nested":
+        words.append(made[max(made)].weights)
+        books = {k: (book, slice(0, k)) for k, book in made.items()}
+    else:
         stop = 0
-        for k, book in zip(sizes, made):
+        for k, book in made.items():
             books[k] = (book, slice(stop, stop + k))
             words.append(book.weights)
             stop += k
+    power = config.transmit_power_w
     if UP in config.strategies:
         words.append(up_weights(m, grid, power).weights[None])
     if not words:
@@ -438,8 +475,7 @@ def run_campaign(config: CampaignConfig, out_dir=None,
     adc_reads_signal = False
     rows = []
     for m, n in itertools.product(config.antenna_counts, config.tone_counts):
-        grid = ToneGrid.centered(config.center_frequency_hz,
-                                 config.bandwidth_hz, n)
+        grid = config.tone_grid(n)
         sweep, books = _books(config, rect_model, m, grid)
         for loc_idx, location in enumerate(locations):
             fades = _fades(config, location, taps[loc_idx], m, grid)

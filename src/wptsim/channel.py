@@ -49,12 +49,13 @@ class ChannelModelParams:
     def __post_init__(self):
         if self.n_taps < 1:
             raise DomainError(f"n_taps must be >= 1, got {self.n_taps}")
-        if not self.tap_spacing_s > 0:
-            raise DomainError("tap_spacing_s must be > 0")
+        if not 0 < self.tap_spacing_s < np.inf:
+            raise DomainError("tap_spacing_s must be > 0 and finite")
         if not 0 < self.pdp_decay <= 1:
             raise DomainError(f"pdp_decay must be in (0, 1], got {self.pdp_decay}")
-        if self.pathloss_db < 0:
-            raise DomainError(f"pathloss_db must be >= 0, got {self.pathloss_db}")
+        if not 0 <= self.pathloss_db < np.inf:
+            raise DomainError(
+                f"pathloss_db must be >= 0 and finite, got {self.pathloss_db}")
         if not 0 <= int(self.seed) < 2 ** 64:
             raise DomainError("seed must fit in 64 unsigned bits")
 

@@ -2,7 +2,7 @@
 
 Subcommands:
     simulate  run a campaign from a config file
-    codebook  generate (gen) or train (train) a codebook file
+    codebook  write a campaign's codebook for one (M, N, K) to a file
     oracle    self-check closed-form moments against time-domain averaging
     sweep     run one of the pre-canned figure campaigns
 
@@ -13,16 +13,17 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from . import rng as rngmod
-from .campaign import figure_config, load_config, run_campaign
+from .campaign import (CampaignConfig, _rect_model, codebooks, figure_config,
+                       load_config, run_campaign)
 from .channel import (ChannelModelParams, ChannelRealization,
-                      frequency_response, realize_channel, sample_taps)
-from .codebook import gen_nested, gen_random, save_codebook, train_lloyd
+                      frequency_response, sample_taps)
+from .codebook import save_codebook
 from .errors import WptsimError
-from .rectenna import DiodeMomentModel
 from .timedomain import moments_by_averaging
 from .waveform import (ToneGrid, WaveformWeights, effective_tones,
                        radiated_power, waveform_moments)
@@ -46,40 +47,15 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--out", default=None,
                      help="output directory (overrides the config)")
 
-    cb = sub.add_parser("codebook", help="generate or train a codebook file")
-    cbsub = cb.add_subparsers(dest="codebook_command", required=True)
-
-    def grid_args(p):
-        p.add_argument("--out", required=True, help="codebook file to write")
-        p.add_argument("--antennas", type=int, default=4, metavar="M")
-        p.add_argument("--tones", type=int, default=8, metavar="N")
-        p.add_argument("--size", type=int, default=64, metavar="K")
-        p.add_argument("--power", type=float, default=2.0,
-                       help="transmit power budget in watts")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--center-frequency-hz", type=float, default=2.4e9)
-        p.add_argument("--bandwidth-hz", type=float, default=10e6)
-
-    gen = cbsub.add_parser("gen", help="random or nested random codebook")
-    grid_args(gen)
-    gen.add_argument("--method", choices=("nested", "random"),
-                     default="nested")
-
-    train = cbsub.add_parser("train", help="iteratively trained codebook")
-    grid_args(train)
-    train.add_argument("--channels", type=int, default=1000,
-                       help="training channel realizations")
-    train.add_argument("--iters", type=int, default=30)
-    train.add_argument("--taps", type=int,
-                       default=ChannelModelParams.n_taps)
-    train.add_argument("--tap-spacing-s", type=float,
-                       default=ChannelModelParams.tap_spacing_s)
-    train.add_argument("--pdp-decay", type=float,
-                       default=ChannelModelParams.pdp_decay)
-    train.add_argument("--pathloss-db", type=float,
-                       default=ChannelModelParams.pathloss_db)
-    train.add_argument("--k2", type=float, default=DiodeMomentModel.k2)
-    train.add_argument("--k4", type=float, default=DiodeMomentModel.k4)
+    cb = sub.add_parser(
+        "codebook", help="write the campaign's codebook for one (M, N, K)")
+    cb.add_argument("--out", required=True, help="codebook file to write")
+    cb.add_argument("--config", default=None,
+                    help="campaign config file (default: the built-in "
+                         "campaign defaults)")
+    cb.add_argument("--antennas", type=int, default=4, metavar="M")
+    cb.add_argument("--tones", type=int, default=8, metavar="N")
+    cb.add_argument("--size", type=int, default=64, metavar="K")
 
     orc = sub.add_parser("oracle",
                          help="numerical self-checks of the closed forms")
@@ -107,28 +83,12 @@ def _run(config, out) -> int:
 
 
 def _cmd_codebook(args) -> int:
-    grid = ToneGrid.centered(args.center_frequency_hz, args.bandwidth_hz,
-                             args.tones)
-    gen = rngmod.stream(args.seed, rngmod.CODEBOOK, args.antennas, args.tones)
-    if args.codebook_command == "gen":
-        if args.method == "nested":
-            book = gen_nested(args.antennas, grid, args.power, args.size, gen)
-        else:
-            book = gen_random(args.antennas, grid, args.power, args.size, gen)
-    else:
-        params = ChannelModelParams(
-            n_taps=args.taps, tap_spacing_s=args.tap_spacing_s,
-            pdp_decay=args.pdp_decay, pathloss_db=args.pathloss_db,
-            seed=rngmod.derive_seed(args.seed, rngmod.TRAINING,
-                                    args.antennas, args.tones))
-        channels = [realize_channel(params, args.antennas, grid, frame=i)
-                    for i in range(args.channels)]
-        model = DiodeMomentModel(k2=args.k2, k4=args.k4)
-        book = train_lloyd(channels, args.size, model, iters=args.iters,
-                           rng=rngmod.stream(args.seed, rngmod.TRAINING,
-                                             args.antennas, args.tones,
-                                             args.size),
-                           power=args.power)
+    """Write the config's (M, N, K) book; every other setting is a key."""
+    config = load_config(args.config) if args.config else CampaignConfig()
+    config = replace(config, antenna_counts=(args.antennas,),
+                     tone_counts=(args.tones,), codebook_sizes=(args.size,))
+    book = codebooks(config, _rect_model(config), args.antennas,
+                     config.tone_grid(args.tones))[args.size]
     save_codebook(book, args.out)
     print(f"wrote {args.out} (M={book.m_antennas}, N={book.n_tones}, "
           f"K={book.k_codewords})")

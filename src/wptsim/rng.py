@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import DomainError
+
 # purpose namespaces; first element of every derived path
 TAPS = 1            # channel tap draws, sub-keyed by frame index
 PATHLOSS = 2        # per-location pathloss draws
@@ -34,8 +36,10 @@ ORACLE = 7          # self-check case generation
 
 
 def _seed_sequence(seed: int, path) -> np.random.SeedSequence:
-    return np.random.SeedSequence(entropy=int(seed),
-                                  spawn_key=tuple(int(p) for p in path))
+    key = tuple(int(p) for p in (seed, *path))
+    if min(key) < 0:
+        raise DomainError(f"a seed and its path must be >= 0, got {key}")
+    return np.random.SeedSequence(entropy=key[0], spawn_key=key[1:])
 
 
 def stream(seed: int, *path: int) -> np.random.Generator:

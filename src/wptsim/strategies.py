@@ -29,8 +29,8 @@ class SmfParams:
     def __post_init__(self):
         if self.beta < 1:
             raise DomainError(f"beta must be >= 1, got {self.beta}")
-        if not self.power_budget > 0:
-            raise DomainError("power_budget must be > 0")
+        if not 0 < self.power_budget < np.inf:
+            raise DomainError("power_budget must be > 0 and finite")
 
 
 def up_weights(m_antennas: int, grid: ToneGrid, power: float) -> WaveformWeights:

@@ -62,8 +62,8 @@ class ToneGrid:
                 f"n_tones must be an integer >= 1, got {self.n_tones}")
         if not self.bandwidth_hz > 0:
             raise DomainError(f"bandwidth_hz must be > 0, got {self.bandwidth_hz}")
-        if not self.center_frequency_hz > 0:
-            raise DomainError("center_frequency_hz must be > 0")
+        if not 0 < self.center_frequency_hz < np.inf:
+            raise DomainError("center_frequency_hz must be > 0 and finite")
         n = self.n_tones
         offsets = np.arange(1, n + 1) - (n + 1) / 2.0
         w = 2.0 * np.pi * (self.center_frequency_hz

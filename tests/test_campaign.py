@@ -300,6 +300,49 @@ def test_config_rejects_a_grid_reaching_zero_hz(tmp_path, center, bandwidth):
     assert load_config(path).center_frequency_hz == 5.000001e6
 
 
+@pytest.mark.parametrize("section,key,value,message", [
+    ("campaign", "seed", "-3", "seed must be >= 0"),
+    ("rectifier", "k2", "nan", "k2 must be > 0 and finite"),
+    ("rectifier", "k4", "nan", "k4 must be >= 0 and finite"),
+    ("rectifier", "alpha", "inf", "alpha must be > 0 and finite"),
+    ("channel", "n_taps", "0", "n_taps must be >= 1"),
+    ("channel", "tap_spacing_s", "0", "tap_spacing_s must be > 0"),
+    ("channel", "pdp_decay", "2", "pdp_decay must be in"),
+    ("channel", "tap_spacing_s", "inf", "tap_spacing_s must be > 0"),
+    ("channel", "pathloss_db_min", "-10", "pathloss_db must be >= 0"),
+    ("channel", "pathloss_db_max", "nan", "pathloss_db must be >= 0"),
+    ("power", "transmit_power_w", "-1", "power_budget must be > 0"),
+    ("power", "transmit_power_w", "inf", "power_budget must be > 0"),
+    ("grid", "bandwidth_hz", "-5", "bandwidth_hz must be > 0"),
+    ("grid", "center_frequency_hz", "inf",
+     "center_frequency_hz must be > 0 and finite"),
+    ("codebook", "training_channels", "3", "lloyd codebooks need"),
+    ("codebook", "training_iters", "0", "lloyd codebooks need"),
+    ("rectifier", "model", "table\ntable_path = eta.csv",
+     "lloyd codebooks need"),
+], ids=["seed", "k2", "k4", "alpha", "n_taps", "tap_spacing", "pdp_decay",
+        "tap_spacing-inf", "pathloss", "pathloss-nan", "power", "power-inf",
+        "bandwidth", "carrier-inf", "training_channels", "training_iters",
+        "lloyd-table"])
+def test_config_checks_every_setting_at_load(tmp_path, section, key, value,
+                                             message):
+    # each of these used to load and then fail inside run_campaign, after
+    # the output directory was made
+    from wptsim.cli import main
+    path = tmp_path / "c.ini"
+    out = tmp_path / "out"
+    sections = {"campaign": {"codebook_sizes": "2, 4"},
+                "codebook": {"method": "lloyd", "training_channels": "8"}}
+    sections.setdefault(section, {})[key] = value
+    path.write_text("".join(
+        f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+        for name, keys in sections.items()))
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        load_config(path)
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 1
+    assert not out.exists()
+
+
 def test_load_config_missing_file():
     with pytest.raises(ConfigError):
         load_config("/nonexistent/config.ini")

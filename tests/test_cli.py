@@ -1,12 +1,14 @@
 """Command line behavior: exit codes, artifacts, round trips."""
 
 import hashlib
+import re
 
 import pytest
 
-from wptsim import load_codebook
+from wptsim import load_codebook, load_config
 from wptsim.cli import main
-from wptsim.campaign import DETAIL_HEADER, SUMMARY_HEADER
+from wptsim.campaign import (DETAIL_HEADER, SUMMARY_HEADER, _books,
+                             _rect_model)
 
 
 MINI = """
@@ -71,55 +73,126 @@ def test_unknown_command_exits_2():
     assert err.value.code == 2
 
 
+def _book_config(tmp_path, **sections) -> str:
+    """A config file of the given {section: {key: value}}; returns its path."""
+    cfg = tmp_path / "book.ini"
+    cfg.write_text("".join(
+        f"[{section}]\n" + "".join(f"{key} = {value}\n"
+                                    for key, value in keys.items())
+        for section, keys in sections.items()))
+    return str(cfg)
+
+
 def test_codebook_gen_and_load(tmp_path):
     out = tmp_path / "book.txt"
-    assert main(["codebook", "gen", "--out", str(out), "--antennas", "2",
-                 "--tones", "4", "--size", "8", "--seed", "3"]) == 0
+    cfg = _book_config(tmp_path, campaign={"seed": 3})
+    assert main(["codebook", "--out", str(out), "--config", cfg,
+                 "--antennas", "2", "--tones", "4", "--size", "8"]) == 0
     book = load_codebook(out)
     assert book.k_codewords == 8
     assert book.m_antennas == 2
     assert book.n_tones == 4
     assert book.nested
+    # the bytes of the former ``codebook gen --seed 3`` at the same M, N, K
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+        "6737196831cf9df7f457fcade454d3dddba0323e9dafedc9e7a216b1cebf5edb"
 
 
 def test_codebook_gen_random_method(tmp_path):
     out = tmp_path / "book.txt"
-    assert main(["codebook", "gen", "--out", str(out), "--size", "5",
-                 "--method", "random"]) == 0
+    cfg = _book_config(tmp_path, codebook={"method": "random"})
+    assert main(["codebook", "--out", str(out), "--config", cfg,
+                 "--size", "5"]) == 0
     assert not load_codebook(out).nested
 
 
 def test_codebook_gen_nested_rejects_bad_size(tmp_path, capsys):
     out = tmp_path / "book.txt"
-    assert main(["codebook", "gen", "--out", str(out), "--size", "5"]) == 1
+    assert main(["codebook", "--out", str(out), "--size", "5"]) == 1
     assert "power of two" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_codebook_gen_rejects_zero_tones(tmp_path, capsys):
     out = tmp_path / "book.txt"
-    assert main(["codebook", "gen", "--out", str(out), "--tones", "0"]) == 1
-    assert "error: n_tones must be an integer >= 1" in capsys.readouterr().err
+    assert main(["codebook", "--out", str(out), "--tones", "0"]) == 1
+    assert "error: tone_counts must be" in capsys.readouterr().err
     assert not out.exists()
+
+
+_LLOYD = {"method": "lloyd", "training_channels": 40}
 
 
 def test_codebook_train_writes_trained_book(tmp_path):
     out = tmp_path / "book.txt"
-    assert main(["codebook", "train", "--out", str(out), "--antennas", "2",
-                 "--tones", "2", "--size", "4", "--seed", "3",
-                 "--channels", "40", "--iters", "4"]) == 0
+    cfg = _book_config(tmp_path, campaign={"seed": 3, "codebook_sizes": 4},
+                       codebook=dict(_LLOYD, training_iters=4))
+    assert main(["codebook", "--out", str(out), "--config", cfg,
+                 "--antennas", "2", "--tones", "2", "--size", "4"]) == 0
     book = load_codebook(out)
     assert book.k_codewords == 4
     assert "train_lloyd" in book.provenance
 
 
 def test_codebook_train_golden_bytes(tmp_path):
-    # recorded from the inline tap-draw loop that realize_channel replaced
+    # recorded from the inline tap-draw loop that realize_channel replaced,
+    # at seed 0 on channels at 60 dB pathloss
     out = tmp_path / "book.txt"
-    assert main(["codebook", "train", "--out", str(out), "--antennas", "2",
-                 "--tones", "2", "--size", "4", "--channels", "40",
-                 "--iters", "3"]) == 0
+    cfg = _book_config(tmp_path, campaign={"seed": 0, "codebook_sizes": 4},
+                       channel={"pathloss_db_min": 60, "pathloss_db_max": 60},
+                       codebook=dict(_LLOYD, training_iters=3))
+    assert main(["codebook", "--out", str(out), "--config", cfg,
+                 "--antennas", "2", "--tones", "2", "--size", "4"]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == \
         "cc1334341eea9266dfc64e817a71994304e61e3bb305cd32169343269e4152f9"
+
+
+@pytest.mark.parametrize("method", ["nested", "random", "lloyd"])
+@pytest.mark.parametrize("k", [2, 4])
+def test_codebook_writes_the_campaigns_book(tmp_path, method, k):
+    # the file holds the book the campaign sweeps at that (M, N, K), also
+    # when the campaign lists more sizes than the one written
+    cfg = _book_config(
+        tmp_path,
+        campaign={"antenna_counts": "1, 2", "tone_counts": "1, 4",
+                  "codebook_sizes": "1, 2, 4", "seed": 7},
+        channel={"pathloss_db_min": 50, "pathloss_db_max": 66},
+        codebook={"method": method, "training_channels": 12,
+                  "training_iters": 2})
+    out = tmp_path / "book.txt"
+    assert main(["codebook", "--out", str(out), "--config", cfg,
+                 "--antennas", "2", "--tones", "4", "--size", str(k)]) == 0
+    config = load_config(cfg)
+    _, books = _books(config, _rect_model(config), 2, config.tone_grid(4))
+    assert load_codebook(out).weights.tobytes() == \
+        books[k][0].weights.tobytes()
+
+
+def test_codebook_options_are_the_book_coordinates(capsys):
+    # every other setting is a config key; a restated flag would let the
+    # file and the campaign disagree
+    with pytest.raises(SystemExit) as err:
+        main(["codebook", "--help"])
+    assert err.value.code == 0
+    options = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+    assert options == {"--help", "--out", "--config", "--antennas", "--tones",
+                       "--size"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--config", "{cfg}", "--out", "{out}"],
+    ["sweep", "figure-bf", "--seed", "-1", "--out", "{out}"],
+    ["codebook", "--config", "{cfg}", "--out", "{out}"],
+    ["oracle", "moments", "--seed", "-1", "--cases", "1"],
+], ids=["simulate", "sweep", "codebook", "oracle"])
+def test_a_negative_seed_is_an_error(tmp_path, capsys, argv):
+    cfg = tmp_path / "c.ini"
+    cfg.write_text("[campaign]\nseed = -3\n")
+    out = tmp_path / "out"
+    argv = [a.format(cfg=cfg, out=out) for a in argv]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
 
 
 def test_oracle_moments_passes(capsys):

@@ -1,8 +1,9 @@
 """Deterministic streams: the SeedSequence recipe behind stream/derive_seed."""
 
 import numpy as np
+import pytest
 
-from wptsim import derive_seed, stream
+from wptsim import DomainError, derive_seed, stream
 
 
 def test_stream_is_philox_keyed_by_seed_sequence():
@@ -15,3 +16,12 @@ def test_derive_seed_uses_the_same_seed_sequence():
     ss = np.random.SeedSequence(entropy=42, spawn_key=(3, 1))
     assert derive_seed(42, 3, 1) == int(ss.generate_state(1, np.uint64)[0])
     assert derive_seed(42, 3, 1) == 12600661634385724904
+
+
+@pytest.mark.parametrize("make", [stream, derive_seed])
+@pytest.mark.parametrize("key", [(-1,), (0, -2), (5, 3, -7)],
+                         ids=["seed", "purpose", "index"])
+def test_a_negative_seed_or_path_element_is_a_domain_error(make, key):
+    # numpy's own ValueError would escape the CLI as a traceback
+    with pytest.raises(DomainError, match="must be >= 0"):
+        make(*key)
