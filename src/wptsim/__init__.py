@@ -10,9 +10,8 @@ from .bounds import dc_ceiling
 from .campaign import (ALL_LOCATIONS, CampaignConfig, SummaryRow, db_gain,
                        figure_config, load_config, run_campaign, summarize)
 from .channel import (ChannelModelParams, ChannelRealization, Location,
-                      frequency_response, load_channel, make_locations,
-                      realize_channel, sample_taps, save_channel,
-                      tap_variances)
+                      frequency_response, make_locations, realize_channel,
+                      sample_taps, tap_variances)
 from .codebook import (Codebook, gen_nested, gen_random, load_codebook,
                        save_codebook, train_lloyd)
 from .errors import (CodebookIOError, ConfigError, DegenerateChannelError,
@@ -20,7 +19,7 @@ from .errors import (CodebookIOError, ConfigError, DegenerateChannelError,
                      SummaryError, WptsimError, ZeroWaveformError)
 from .protocol import (UP_FALLBACK, FeedbackMsg, FrameConfig, FrameReport,
                        LinkModel, decode_feedback, encode_feedback,
-                       run_frame, run_session, run_training)
+                       run_frame, run_session)
 from .rectenna import (AdcConfig, DiodeMomentModel, EfficiencyTableModel,
                        TableDiagnostics, dc_power_moment, dc_power_table,
                        measure_dc)
@@ -31,7 +30,7 @@ from .timedomain import (moments_by_averaging, received_waveform,
                          rf_power_by_averaging, sample_times)
 from .waveform import (EffectiveTones, ToneGrid, WaveformWeights,
                        effective_tones, papr, received_rf_power,
-                       synthesize_transmit_waveform, waveform_moments)
+                       waveform_moments)
 
 __version__ = "0.1.0"
 
@@ -46,12 +45,10 @@ __all__ = [
     "db_gain", "dc_ceiling", "dc_power_moment", "dc_power_table",
     "decode_feedback", "derive_seed", "effective_tones", "encode_feedback",
     "feedback_bits", "figure_config", "frequency_response", "gen_nested",
-    "gen_random", "load_channel", "load_codebook", "load_config",
-    "make_locations", "measure_dc", "moments_by_averaging", "papr",
-    "realize_channel", "received_rf_power", "received_waveform",
-    "rf_power_by_averaging", "run_campaign", "run_frame", "run_session",
-    "run_training", "sample_taps", "sample_times", "save_channel",
+    "gen_random", "load_codebook", "load_config", "make_locations",
+    "measure_dc", "moments_by_averaging", "papr", "realize_channel",
+    "received_rf_power", "received_waveform", "rf_power_by_averaging",
+    "run_campaign", "run_frame", "run_session", "sample_taps", "sample_times",
     "save_codebook", "select_codeword", "smf_weights", "stream", "summarize",
-    "synthesize_transmit_waveform", "tap_variances", "train_lloyd",
-    "up_weights", "waveform_moments",
+    "tap_variances", "train_lloyd", "up_weights", "waveform_moments",
 ]

@@ -321,8 +321,7 @@ def _rect_model(config: CampaignConfig):
     return EfficiencyTableModel.from_csv(config.table_path)
 
 
-def codebooks(config: CampaignConfig, rect_model, m: int,
-              grid: ToneGrid) -> dict:
+def codebooks(config: CampaignConfig, m: int, grid: ToneGrid) -> dict:
     """Each of the config's codebook sizes K mapped to its M-antenna book.
 
     A nested family is one K_max book, drawn from (seed, CODEBOOK, M, N),
@@ -348,7 +347,7 @@ def codebooks(config: CampaignConfig, rect_model, m: int,
         seed=rngmod.derive_seed(config.seed, rngmod.TRAINING, m, n))
     training = [realize_channel(params, m, grid, frame=i)
                 for i in range(config.training_channels)]
-    return {k: train_lloyd(training, k, rect_model,
+    return {k: train_lloyd(training, k, _rect_model(config),
                            iters=config.training_iters,
                            rng=rngmod.stream(config.seed, rngmod.TRAINING,
                                              m, n, k),
@@ -356,7 +355,7 @@ def codebooks(config: CampaignConfig, rect_model, m: int,
             for k in sizes}
 
 
-def _books(config: CampaignConfig, rect_model, m: int,
+def _books(config: CampaignConfig, m: int,
            grid: ToneGrid) -> tuple[Codebook | None, dict]:
     """The (M, N) point's sweep book and each swept K's book and columns.
 
@@ -371,7 +370,7 @@ def _books(config: CampaignConfig, rect_model, m: int,
         books maps each K, when LIMITED is swept, to (its Codebook, its
         slice of the sweep book's columns).
     """
-    made = (codebooks(config, rect_model, m, grid)
+    made = (codebooks(config, m, grid)
             if LIMITED in config.strategies else {})
     words, books = [], {}
     if made and config.codebook_method == "nested":
@@ -420,8 +419,7 @@ def _fades(config: CampaignConfig, location, taps: list, m: int,
     frame.
     """
     fades = [ChannelRealization(grid=grid, gains=frequency_response(
-                 t[:m], location.params, grid), location_label=location.label)
-             for t in taps]
+                 t[:m], location.params, grid)) for t in taps]
     if config.resample_per_frame:
         return fades
     return fades * config.frames_per_location
@@ -476,7 +474,7 @@ def run_campaign(config: CampaignConfig, out_dir=None,
     rows = []
     for m, n in itertools.product(config.antenna_counts, config.tone_counts):
         grid = config.tone_grid(n)
-        sweep, books = _books(config, rect_model, m, grid)
+        sweep, books = _books(config, m, grid)
         for loc_idx, location in enumerate(locations):
             fades = _fades(config, location, taps[loc_idx], m, grid)
             if sweep is not None:

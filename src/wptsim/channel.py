@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng as rngmod
-from .errors import ConfigError, DimensionError, DomainError
+from .errors import DimensionError, DomainError
 from .waveform import ToneGrid
 
 
@@ -69,7 +69,6 @@ class ChannelRealization:
 
     grid: ToneGrid
     gains: np.ndarray = field(repr=False)
-    location_label: str = ""
 
     def __post_init__(self):
         g = np.asarray(self.gains, dtype=complex)
@@ -129,8 +128,7 @@ def frequency_response(taps: np.ndarray, params: ChannelModelParams,
 
 
 def realize_channel(params: ChannelModelParams, m_antennas: int,
-                    grid: ToneGrid, frame: int = 0,
-                    label: str = "") -> ChannelRealization:
+                    grid: ToneGrid, frame: int = 0) -> ChannelRealization:
     """Deterministic realization for (params.seed, frame).
 
     The tap stream is Philox-keyed by (seed, TAPS, frame), so the same
@@ -140,7 +138,7 @@ def realize_channel(params: ChannelModelParams, m_antennas: int,
     gen = rngmod.stream(params.seed, rngmod.TAPS, frame)
     taps = sample_taps(params, m_antennas, gen)
     gains = frequency_response(taps, params, grid)
-    return ChannelRealization(grid=grid, gains=gains, location_label=label)
+    return ChannelRealization(grid=grid, gains=gains)
 
 
 def make_locations(count: int, base_seed: int,
@@ -168,50 +166,3 @@ def make_locations(count: int, base_seed: int,
         locations.append(Location(label=f"L{i + 1}", params=params))
     return locations
 
-
-def save_channel(channel: ChannelRealization, path) -> None:
-    """Write gains as text, one line per (m, n): ``m n real imag``.
-
-    Floats are written with repr so a round-trip is bit-exact.
-    """
-    lines = []
-    for m in range(channel.m_antennas):
-        for n in range(channel.grid.n_tones):
-            g = channel.gains[m, n]
-            lines.append(f"{m + 1} {n + 1} {float(g.real)!r} {float(g.imag)!r}")
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_channel(path, grid: ToneGrid, label: str = "") -> ChannelRealization:
-    """Read a channel written by save_channel back onto the given grid."""
-    entries = {}
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            parts = line.split()
-            if len(parts) != 4:
-                raise ConfigError(f"{path}:{lineno}: expected 'm n real imag'")
-            try:
-                m, n = int(parts[0]), int(parts[1])
-                val = complex(float(parts[2]), float(parts[3]))
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: {exc}") from exc
-            if (m, n) in entries:
-                raise ConfigError(f"{path}:{lineno}: duplicate entry ({m}, {n})")
-            entries[(m, n)] = val
-    if not entries:
-        raise ConfigError(f"{path}: empty channel file")
-    m_antennas = max(m for m, _ in entries)
-    n_tones = max(n for _, n in entries)
-    if n_tones != grid.n_tones:
-        raise DimensionError(
-            f"{path}: file has {n_tones} tones, grid has {grid.n_tones}")
-    gains = np.zeros((m_antennas, n_tones), dtype=complex)
-    for m in range(1, m_antennas + 1):
-        for n in range(1, n_tones + 1):
-            if (m, n) not in entries:
-                raise ConfigError(f"{path}: missing entry ({m}, {n})")
-            gains[m - 1, n - 1] = entries[(m, n)]
-    return ChannelRealization(grid=grid, gains=gains, location_label=label)

@@ -18,8 +18,8 @@ from dataclasses import replace
 import numpy as np
 
 from . import rng as rngmod
-from .campaign import (CampaignConfig, _rect_model, codebooks, figure_config,
-                       load_config, run_campaign)
+from .campaign import (CampaignConfig, codebooks, figure_config, load_config,
+                       run_campaign)
 from .channel import (ChannelModelParams, ChannelRealization,
                       frequency_response, sample_taps)
 from .codebook import save_codebook
@@ -87,7 +87,7 @@ def _cmd_codebook(args) -> int:
     config = load_config(args.config) if args.config else CampaignConfig()
     config = replace(config, antenna_counts=(args.antennas,),
                      tone_counts=(args.tones,), codebook_sizes=(args.size,))
-    book = codebooks(config, _rect_model(config), args.antennas,
+    book = codebooks(config, args.antennas,
                      config.tone_grid(args.tones))[args.size]
     save_codebook(book, args.out)
     print(f"wrote {args.out} (M={book.m_antennas}, N={book.n_tones}, "

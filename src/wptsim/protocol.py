@@ -71,7 +71,6 @@ class LinkModel:
 class FeedbackMsg:
     """Index report: (k* - 1) in binary, most-significant bit first."""
 
-    frame_id: int
     index_bits: str
 
 
@@ -90,14 +89,13 @@ class FrameReport:
     p_rf_wpt: float             # received RF power during the WPT phase, watts
 
 
-def encode_feedback(k_star: int, k_codewords: int,
-                    frame_id: int = 0) -> FeedbackMsg:
+def encode_feedback(k_star: int, k_codewords: int) -> FeedbackMsg:
     """Bit message for a selected index; length feedback_bits(K)."""
     if not 1 <= k_star <= k_codewords:
         raise DomainError(f"k_star {k_star} outside [1, {k_codewords}]")
     n_bits = feedback_bits(k_codewords)
     bits = format(k_star - 1, f"0{n_bits}b") if n_bits else ""
-    return FeedbackMsg(frame_id=frame_id, index_bits=bits)
+    return FeedbackMsg(index_bits=bits)
 
 
 def decode_feedback(msg: FeedbackMsg, k_codewords: int) -> int:
@@ -178,17 +176,6 @@ def _readings(dcs: list[float], adc: AdcConfig | None,
     return [measure_dc(adc, p, rng)[1] for p in dcs]
 
 
-def run_training(codebook: Codebook, channel: ChannelRealization, rect_model,
-                 adc: AdcConfig | None = None,
-                 rng: np.random.Generator | None = None) -> list[float]:
-    """Sweep the codebook on a constant channel and record the readings.
-
-    With an AdcConfig the reading is the quantized voltage from measure_dc;
-    with adc=None ("ideal" mode) it is the raw dc power in watts.
-    """
-    return _readings(_sweep(codebook, [channel], rect_model)[0][0], adc, rng)
-
-
 def run_frame(config: FrameConfig, codebook: Codebook,
               channel: ChannelRealization, rect_model,
               adc: AdcConfig | None, link: LinkModel,
@@ -221,7 +208,7 @@ def run_frame(config: FrameConfig, codebook: Codebook,
                   if sweep is None else sweep)
     measurements = _readings(dcs, adc, rng)
     k_star = select_codeword(measurements)
-    msg = encode_feedback(k_star, codebook.k_codewords, frame_id=frame_id)
+    msg = encode_feedback(k_star, codebook.k_codewords)
     delivered = rng is None or bool(rng.random() < link.delivery_probability)
     if delivered:
         applied = decode_feedback(msg, codebook.k_codewords)

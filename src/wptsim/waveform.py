@@ -86,16 +86,17 @@ class ToneGrid:
     def frequencies_hz(self) -> np.ndarray:
         return self.angular_frequencies / (2.0 * np.pi)
 
-    def is_commensurate(self, rel_tol: float = 1e-9) -> bool:
+    def is_commensurate(self) -> bool:
         """True when 2*f_c is an integer multiple of the tone spacing.
 
         Under this condition every spectral line of y(t)^2 and y(t)^4 falls
         on the delta_f lattice, so averaging over exactly one fundamental
         period is exact rather than approximate.  The defaults (2.4 GHz
-        carrier, 10 MHz band) satisfy it for every N.
+        carrier, 10 MHz band) satisfy it for every N.  The multiple is
+        matched to a relative 1e-9, which absorbs the rounding of f_c/df.
         """
         ratio = 2.0 * self.center_frequency_hz / self.delta_f
-        return abs(ratio - round(ratio)) <= rel_tol * ratio
+        return abs(ratio - round(ratio)) <= 1e-9 * ratio
 
 
 @dataclass(frozen=True)
@@ -169,34 +170,6 @@ class EffectiveTones:
     @property
     def n_tones(self) -> int:
         return self.amplitudes.size
-
-
-def synthesize_transmit_waveform(weights: WaveformWeights, grid: ToneGrid,
-                                 antenna_index: int,
-                                 time_points) -> np.ndarray:
-    """Time-domain waveform of one antenna, x_m(t) = Re{sum_n s[m,n] e^{j w_n t}}.
-
-    Args:
-        weights: transmit weight matrix.
-        grid: tone grid supplying the w_n.
-        antenna_index: 1-based antenna selector in [1, M].
-        time_points: sample instants in seconds.
-
-    Returns:
-        Real samples of x_m at the given instants.
-    """
-    if weights.n_tones != grid.n_tones:
-        raise DimensionError(
-            f"weights carry {weights.n_tones} tones, grid has {grid.n_tones}")
-    if not 1 <= antenna_index <= weights.m_antennas:
-        raise DomainError(
-            f"antenna_index {antenna_index} outside [1, {weights.m_antennas}]")
-    t = np.asarray(time_points, dtype=float)
-    if not np.all(np.isfinite(t)):
-        raise DomainError("time_points must be finite")
-    s = weights.weights[antenna_index - 1]
-    phases = np.exp(1j * np.outer(t, grid.angular_frequencies))
-    return np.real(phases @ s)
 
 
 def effective_tones(channel, weights: WaveformWeights) -> EffectiveTones:

@@ -26,6 +26,8 @@ from wptsim import (ChannelModelParams, ChannelRealization, DiodeMomentModel,
 import wptsim.rng as rngmod
 from wptsim.cli import main, oracle_moment_errors
 
+from conftest import dc_batch
+
 _SUITE_START = time.perf_counter()
 
 
@@ -158,11 +160,11 @@ def test_criterion_05_limited_feedback_vs_smf_gap():
     book = train_lloyd(train, 64, model, iters=30,
                        rng=stream(9500, rngmod.TRAINING), power=power)
     smf = SmfParams(beta=3.0, power_budget=power)
-    dc_limited = 0.0
+    gains = np.stack([ch.gains for ch in held])
+    dc_limited = float(np.sum(np.max([dc_batch(gains, w, model)
+                                      for w in book.weights], axis=0)))
     dc_smf = 0.0
     for ch in held:
-        dc_limited += max(dc_power_moment(model, effective_tones(ch, e),
-                                          grid) for e in book.entries)
         dc_smf += dc_power_moment(model,
                                   effective_tones(ch, smf_weights(ch, smf)),
                                   grid)

@@ -7,8 +7,7 @@ import pytest
 
 from wptsim import load_codebook, load_config
 from wptsim.cli import main
-from wptsim.campaign import (DETAIL_HEADER, SUMMARY_HEADER, _books,
-                             _rect_model)
+from wptsim.campaign import DETAIL_HEADER, SUMMARY_HEADER, _books
 
 
 MINI = """
@@ -163,9 +162,25 @@ def test_codebook_writes_the_campaigns_book(tmp_path, method, k):
     assert main(["codebook", "--out", str(out), "--config", cfg,
                  "--antennas", "2", "--tones", "4", "--size", str(k)]) == 0
     config = load_config(cfg)
-    _, books = _books(config, _rect_model(config), 2, config.tone_grid(4))
+    _, books = _books(config, 2, config.tone_grid(4))
     assert load_codebook(out).weights.tobytes() == \
         books[k][0].weights.tobytes()
+
+
+def test_codebook_does_not_build_a_rectifier_it_never_reads(tmp_path):
+    # a nested book never reads the rectifier, so a table file that does
+    # not exist is no error and the book is the moment config's book
+    books = []
+    for rectifier in ({"model": "table",
+                       "table_path": str(tmp_path / "missing.csv")},
+                      {"model": "moment"}):
+        out = tmp_path / f"{rectifier['model']}.txt"
+        cfg = _book_config(tmp_path, campaign={"seed": 3},
+                           rectifier=rectifier, codebook={"method": "nested"})
+        assert main(["codebook", "--out", str(out), "--config", cfg,
+                     "--antennas", "2", "--tones", "4", "--size", "8"]) == 0
+        books.append(out.read_bytes())
+    assert books[0] == books[1]
 
 
 def test_codebook_options_are_the_book_coordinates(capsys):

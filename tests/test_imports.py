@@ -132,3 +132,15 @@ def test_every_private_name_is_read():
     others = [path.read_text() for folder in ("tests", "scripts")
               for path in sorted((_ROOT / folder).glob("*.py"))]
     assert _orphans(package, others) == []
+
+
+def test_all_is_exactly_the_package_imports():
+    # a name deleted from a module but left in __all__ breaks
+    # ``from wptsim import *``; one imported but not listed is not exported
+    import wptsim
+    tree = ast.parse((_ROOT / "src" / "wptsim" / "__init__.py").read_text())
+    imported = [alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert sorted(wptsim.__all__) == sorted(imported)
+    assert [name for name in wptsim.__all__
+            if not hasattr(wptsim, name)] == []

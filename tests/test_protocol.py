@@ -12,8 +12,8 @@ from wptsim import (AdcConfig, ConfigError, DiodeMomentModel, DomainError,
                     ProtocolError, ToneGrid, UP_FALLBACK, decode_feedback,
                     dc_power_moment, effective_tones, encode_feedback,
                     gen_nested, gen_random, measure_dc, protocol,
-                    received_rf_power, run_frame, run_session, run_training,
-                    stream, up_weights)
+                    received_rf_power, run_frame, run_session, stream,
+                    up_weights)
 
 from conftest import make_channel
 
@@ -82,18 +82,18 @@ def test_encode_rejects_out_of_range():
 
 def test_decode_rejects_wrong_length():
     with pytest.raises(ProtocolError):
-        decode_feedback(FeedbackMsg(frame_id=0, index_bits="10"), 8)
+        decode_feedback(FeedbackMsg(index_bits="10"), 8)
 
 
 def test_decode_rejects_non_binary():
     with pytest.raises(ProtocolError):
-        decode_feedback(FeedbackMsg(frame_id=0, index_bits="1x0"), 8)
+        decode_feedback(FeedbackMsg(index_bits="1x0"), 8)
 
 
 def test_decode_rejects_overflow_index():
     # K=5 needs 3 bits but only indices 1..5 are valid
     with pytest.raises(ProtocolError):
-        decode_feedback(FeedbackMsg(frame_id=0, index_bits="111"), 5)
+        decode_feedback(FeedbackMsg(index_bits="111"), 5)
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +109,8 @@ def _setup(k=4, m=2, n=2, seed=20):
 
 def test_run_training_ideal_returns_raw_dc():
     grid, book, ch, model = _setup()
-    readings = run_training(book, ch, model)
+    readings = run_frame(FrameConfig(), book, ch, model, None, LinkModel(),
+                         None, None).measurements
     assert len(readings) == 4
     for e, r in zip(book.entries, readings):
         expected = dc_power_moment(model, effective_tones(ch, e), grid)
@@ -118,8 +119,8 @@ def test_run_training_ideal_returns_raw_dc():
 
 def test_run_training_adc_quantizes():
     _, book, ch, model = _setup()
-    adc = AdcConfig()
-    readings = run_training(book, ch, model, adc=adc)
+    readings = run_frame(FrameConfig(), book, ch, model, AdcConfig(),
+                         LinkModel(), None, None).measurements
     step = 3.3 / 4095
     for r in readings:
         assert r == pytest.approx(round(r / step) * step, abs=1e-12)
@@ -137,7 +138,7 @@ def test_batched_sweep_is_bit_identical_to_per_codeword_path(m, n):
         ch = make_channel(41 + n, m, grid, pathloss_db=10.0, frame=frame)
         expected = [dc_power_moment(model, effective_tones(ch, e), grid)
                     for e in book.entries]
-        assert run_training(book, ch, model) == expected
+        assert protocol._sweep(book, [ch], model)[0][0] == expected
 
 
 def test_one_codeword_sweep_equals_effective_tones_at_m1_n1():
@@ -148,7 +149,7 @@ def test_one_codeword_sweep_equals_effective_tones_at_m1_n1():
     for i in range(200):
         book = gen_random(1, grid, 1.0, 1, stream(60, 4, i))
         ch = make_channel(61 + i, 1, grid, pathloss_db=10.0)
-        assert run_training(book, ch, model)[0] == dc_power_moment(
+        assert protocol._sweep(book, [ch], model)[0][0][0] == dc_power_moment(
             model, effective_tones(ch, book.entries[0]), grid)
 
 
@@ -168,7 +169,7 @@ def test_run_frame_energy_accounting():
     cfg = FrameConfig(t_s=0.010, t_frame=2.0)
     link = LinkModel(delivery_probability=1.0)
     report = run_frame(cfg, book, ch, model, None, link, None, stream(21, 6))
-    raw = run_training(book, ch, model)
+    raw = protocol._sweep(book, [ch], model)[0][0]
     assert report.energy_training == pytest.approx(sum(raw) * 0.010,
                                                    rel=1e-12)
     assert report.energy_wpt == pytest.approx(report.p_dc_wpt * cfg.t_p(4),
@@ -207,7 +208,7 @@ def test_run_frame_evaluates_each_codeword_once(monkeypatch):
     table = EfficiencyTableModel(p_dbm=np.array([-60.0, 40.0]),
                                  papr_axis=np.array([1.0, 20.0]),
                                  eta=np.array([[0.1, 0.2], [0.3, 0.4]]))
-    dcs = run_training(book, ch, table)
+    dcs = protocol._sweep(book, [ch], table)[0][0]
     real = protocol.dc_power_table
     calls = []
 
@@ -350,7 +351,7 @@ def test_session_batch_equals_frame_by_frame(m, n):
         if book.k_codewords > 1:
             assert len(set(batched[0].measurements)) > 1
         assert [dcs for dcs, _ in protocol._sweep(book, channels, model)] \
-            == [run_training(book, ch, model) for ch in channels]
+            == [protocol._sweep(book, [ch], model)[0][0] for ch in channels]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
@@ -406,7 +407,7 @@ def test_a_session_given_a_stream_draws_in_frame_order(delivery):
         reports = run_session(cfg, book, channels, model, adc,
                               LinkModel(delivery), gen)
         for ch, report in zip(channels, reports):
-            dcs = run_training(book, ch, model)
+            dcs = protocol._sweep(book, [ch], model)[0][0]
             if adc is not None:
                 dcs = [measure_dc(adc, p, ref)[1] for p in dcs]
             assert report.measurements == tuple(dcs)

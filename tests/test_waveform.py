@@ -1,4 +1,4 @@
-"""Waveform synthesis, moments, and PAPR against independent references."""
+"""Tone grids, weights, moments, and PAPR against independent references."""
 
 import importlib.util
 import json
@@ -15,7 +15,7 @@ from wptsim import (DimensionError, DomainError, EffectiveTones, ToneGrid,
                     WaveformWeights, ZeroWaveformError,
                     effective_tones, gen_random, moments_by_averaging, papr,
                     received_rf_power, rf_power_by_averaging, stream,
-                    synthesize_transmit_waveform, waveform_moments)
+                    waveform_moments)
 from wptsim import waveform
 from wptsim.timedomain import received_waveform, sample_times
 
@@ -140,34 +140,7 @@ def test_transmit_power_is_half_norm_squared():
 
 
 # ---------------------------------------------------------------------------
-# synthesis
-
-def test_synthesis_matches_manual_cosine_sum():
-    grid = ToneGrid.centered(2.4e9, 10e6, 3)
-    gen = stream(2, 99)
-    weights = random_weights(gen, 2, 3, 1.5)
-    t = sample_times(grid, oversampling=8)[:64]
-    x = synthesize_transmit_waveform(weights, grid, antenna_index=2, time_points=t)
-    manual = np.zeros_like(t)
-    for n in range(3):
-        s = weights.weights[1, n]
-        manual += np.abs(s) * np.cos(grid.angular_frequencies[n] * t
-                                     + np.angle(s))
-    assert np.allclose(x, manual, atol=1e-12)
-
-
-def test_synthesis_antenna_index_is_one_based():
-    grid = ToneGrid.centered(2.4e9, 10e6, 1)
-    gen = stream(3, 99)
-    weights = random_weights(gen, 2, 1, 1.0)
-    t = np.zeros(1)
-    with pytest.raises(DomainError):
-        synthesize_transmit_waveform(weights, grid, antenna_index=0,
-                                     time_points=t)
-    with pytest.raises(DomainError):
-        synthesize_transmit_waveform(weights, grid, antenna_index=3,
-                                     time_points=t)
-
+# effective tones
 
 def test_effective_tones_is_channel_weight_inner_product():
     grid = ToneGrid.centered(2.4e9, 10e6, 2)
