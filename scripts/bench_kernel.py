@@ -9,7 +9,7 @@ Layer rows, on random complex amplitudes and channel gains:
   (3 frames x 64 codewords); 1000 is one Lloyd column.
 * ``codebook._dc_and_grad`` at M=4, N=8 on one segment of 1000 channels,
   the step Lloyd's UPDATE repeats: the segment's mean dc, every row's dc
-  and the gradient.
+  and the gradient.  ``peak_mb`` is the ``tracemalloc`` peak of one call.
 * ``codebook._assign``, Lloyd's pruned ASSIGN, at M=4, N=8, K=64 on 1000
   channels drawn with ``realize_channel`` at 60 dB and at 0 dB pathloss,
   against SMF codewords of 64 of those channels (as ``train_lloyd``
@@ -23,7 +23,9 @@ Layer rows, on random complex amplitudes and channel gains:
   non-empty cluster with each channel's dc on its updated codeword
   (``codebook._update``), then the ASSIGN that starts from those known
   pairs.  ``exact_pairs`` counts the pairs that iteration evaluates
-  exactly outside the UPDATE.
+  exactly outside the UPDATE; ``minor_faults`` is the minor page faults
+  per iteration, read with ``getrusage(RUSAGE_SELF)`` around the timed
+  calls.
 * ``protocol.run_session``: one location's LIMITED sessions at M=4, N=8
   over F=3 fades, for the nested books K in {2, ..., 64}, as
   ``run_campaign`` runs them on a lossless link with no ADC: with no
@@ -59,6 +61,7 @@ import argparse
 import itertools
 import json
 import platform
+import resource
 import statistics
 import sys
 import tracemalloc
@@ -119,10 +122,17 @@ def _iteration_row(gains, words, model, power, repeat, number):
         return _assign(gains, updated, model, (assign, fresh))
 
     k, m, n = words.shape
+    exact_pairs = _exact_pairs(iteration)
+    # a large temporary that glibc hands back to the kernel on free is
+    # faulted in again on the next call; the timing alone does not say so
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    median = median_us(iteration, repeat, number)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
     return {"layer": "codebook.train_iteration", "m_antennas": m,
             "n_tones": n, "k_codewords": k, "batch": len(gains),
-            "exact_pairs": _exact_pairs(iteration),
-            "median_us": median_us(iteration, repeat, number)}
+            "exact_pairs": exact_pairs,
+            "minor_faults": faults / (repeat * number),
+            "median_us": median}
 
 
 def _session_row(grid, model, seed, repeat, number):
@@ -251,8 +261,14 @@ def main(argv=None):
     words = _sphere(complex_normal(gen, (1, m, n)), 1.0)
     bounds = np.array([[0, c]])
     model = DiodeMomentModel()
+    tracemalloc.start()
+    try:
+        _dc_and_grad(gains, words, bounds, model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     rows.append({"layer": "codebook._dc_and_grad", "m_antennas": m,
-                 "n_tones": n, "batch": c,
+                 "n_tones": n, "batch": c, "peak_mb": peak / 1e6,
                  "median_us": median_us(
                      lambda: _dc_and_grad(gains, words, bounds, model),
                      args.repeat, args.number)})
@@ -316,8 +332,11 @@ def main(argv=None):
                      f"{row['screen_us']:.1f} us, "
                      f"{row['pairs_per_channel']:.2f} of "
                      f"{row['k_codewords']} pairs exact")
+        if "peak_mb" in row:
+            line += f"  (peak {row['peak_mb']:.2f} MB)"
         if "exact_pairs" in row:
-            line += f"  ({row['exact_pairs']} exact pairs)"
+            line += (f"  ({row['exact_pairs']} exact pairs, "
+                     f"{row['minor_faults']:.0f} minor faults)")
         if "per_k_sweep_us" in row:
             line += (f"  (sweep per K: {row['per_k_sweep_us']:.1f} us; "
                      f"with streams: {row['with_streams_us']:.1f} us)")

@@ -388,8 +388,9 @@ def _dc_and_grad(gains: np.ndarray, words: np.ndarray, bounds,
     d m2/d conj(a_p) = a_p / 2 and
     d m4/d conj(a_p) = (3/4) sum_q conj(a_q) c_{p+q} with c the
     autoconvolution of a; the chain rule multiplies by conj(h[m,p]).
-    autoconvolution and m4_gradient run tone-major over all rows at once
-    and equal a per-row evaluation to the last bit.
+    autoconvolution runs tone-major over all rows at once, and
+    m4_gradient over all rows one output tone at a time, as one (N, R)
+    block per tone; both equal a per-row evaluation to the last bit.
 
     Returns:
         (means, dc, grads) of shapes (S,), (R,) and (S, M, N) for S

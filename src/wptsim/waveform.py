@@ -26,7 +26,6 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DimensionError, DomainError, ZeroWaveformError
 
@@ -309,11 +308,13 @@ def m4_gradient(a: np.ndarray, conv: np.ndarray) -> np.ndarray:
     """Wirtinger derivative d m4 / d conj(a_p) of amplitudes of shape (..., N).
 
     d m4 / d conj(a_p) = (3/4) sum_q conj(a_q) c_{p+q}, with c the
-    autoconvolution of a.  Like autoconvolution the kernel is tone-major:
-    the N^2 terms conj(a_q) c_{p+q} are one elementwise multiply over the
-    batch, in that operand order, and each p sums its terms over q as
-    pairwise_sum adds, so every value equals
-    (3/4) * np.sum(conj(a) * conv[..., p:p + N], axis=-1) bit for bit.
+    autoconvolution of a.  Like autoconvolution the kernel is tone-major,
+    one output tone p at a time: p's N terms conj(a_q) c_{p+q} are one
+    (N, ...) block, a single elementwise multiply over the batch in that
+    operand order, which pairwise_sum adds over q into row p of the
+    result.  So every value equals
+    (3/4) * np.sum(conj(a) * conv[..., p:p + N], axis=-1) bit for bit, and
+    no block holds more than N terms per row.
 
     Args:
         a: complex amplitudes, the last axis over tones.
@@ -324,12 +325,13 @@ def m4_gradient(a: np.ndarray, conv: np.ndarray) -> np.ndarray:
     """
     n = a.shape[-1]
     # tones first, batch axes reversed, as in autoconvolution
+    conj_t = np.conj(np.ascontiguousarray(a.T))
     conv_t = np.ascontiguousarray(conv.T)
-    # terms[q, p] = conj(a_q) * c_{p+q}, each of the batch's shape
-    terms = np.conj(a.T)[:, None] \
-        * np.moveaxis(sliding_window_view(conv_t, n, axis=0), -1, 0)
-    return np.multiply(0.75, pairwise_sum(terms).T,
-                       out=np.empty(a.shape, dtype=complex))
+    grad = np.empty(conj_t.shape, dtype=complex)
+    for p in range(n):
+        # row q of the block is conj(a_q) * c_{p+q}
+        grad[p] = pairwise_sum(conj_t * conv_t[p:p + n])
+    return np.multiply(0.75, grad.T, out=np.empty(a.shape, dtype=complex))
 
 
 def waveform_moments(tones: EffectiveTones, grid: ToneGrid) -> tuple[float, float]:

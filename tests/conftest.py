@@ -1,9 +1,12 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from wptsim import (ChannelModelParams, ToneGrid, WaveformWeights,
-                    realize_channel)
+import wptsim.rng as rngmod
+from wptsim import (ChannelModelParams, DiodeMomentModel, ToneGrid,
+                    WaveformWeights, realize_channel, stream, train_lloyd)
 from wptsim.codebook import _amplitudes
 from wptsim.waveform import tone_moments
 
@@ -29,6 +32,23 @@ def make_channel(seed: int, m: int, grid: ToneGrid, n_taps: int = 8,
     params = ChannelModelParams(n_taps=n_taps, pathloss_db=pathloss_db,
                                 seed=seed)
     return realize_channel(params, m, grid, frame=frame)
+
+
+@pytest.fixture(scope="session")
+def lloyd_k64():
+    """The K=64 Lloyd book at M=4, N=8, trained once for the whole suite.
+
+    Criterion 5 and the ceiling test of tests/test_bounds.py both measure
+    it: 1000 training channels with seeds 300000+ at 60 dB and 8 taps,
+    stream (9500, TRAINING), 30 iterations, power 2 W.  Returns the book
+    and the seconds taken to draw its channels and train it.
+    """
+    start = time.perf_counter()
+    grid = ToneGrid.centered(2.4e9, 10e6, 8)
+    train = [make_channel(300_000 + i, 4, grid) for i in range(1000)]
+    book = train_lloyd(train, 64, DiodeMomentModel(), iters=30,
+                       rng=stream(9500, rngmod.TRAINING), power=2.0)
+    return book, time.perf_counter() - start
 
 
 def random_weights(gen: np.random.Generator, m: int, n: int,

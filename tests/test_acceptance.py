@@ -141,7 +141,7 @@ def test_criterion_04_nested_monotonicity():
     assert elapsed <= 20.0
 
 
-def test_criterion_05_limited_feedback_vs_smf_gap():
+def test_criterion_05_limited_feedback_vs_smf_gap(lloyd_k64):
     """Lloyd K=64 (M=4, N=8) within 1.5 dB of the 64-codeword ceiling.
 
     All figures are dB against the mean SMF dc on the held-out channels.
@@ -149,16 +149,16 @@ def test_criterion_05_limited_feedback_vs_smf_gap():
     codebook (docs/covering_bound.md) and lies about 1.9 dB below SMF, so
     a bound of -1.5 dB from SMF would ask for the impossible.  The test
     asserts C(64) < -1.5 dB and then gap >= C(64) - 1.5 dB; the held-out
-    gap of the trained book is about -2.50 dB.
+    gap of the trained book is about -2.50 dB.  The book is trained on
+    channels 300000+ (the suite's shared lloyd_k64 fixture), and its
+    training time counts against the budget.
     """
     start = time.perf_counter()
     grid = ToneGrid.centered(2.4e9, 10e6, 8)
     model = DiodeMomentModel()
     power = 2.0
-    train = [_random_channel(300_000 + i, 4, grid) for i in range(1000)]
+    book, train_s = lloyd_k64
     held = [_random_channel(400_000 + i, 4, grid) for i in range(500)]
-    book = train_lloyd(train, 64, model, iters=30,
-                       rng=stream(9500, rngmod.TRAINING), power=power)
     smf = SmfParams(beta=3.0, power_budget=power)
     gains = np.stack([ch.gains for ch in held])
     dc_limited = float(np.sum(np.max([dc_batch(gains, w, model)
@@ -173,7 +173,7 @@ def test_criterion_05_limited_feedback_vs_smf_gap():
                          model, power)
     ceiling_db = 10.0 * np.log10(ceiling * len(held) / dc_smf)
     threshold_db = ceiling_db - 1.5
-    elapsed = time.perf_counter() - start
+    elapsed = time.perf_counter() - start + train_s
     ok = ceiling_db < -1.5 and gap_db >= threshold_db and elapsed <= 300.0
     _report(5, ok, f"ensemble gap {gap_db:.3f} dB, ceiling C(64) "
                    f"{ceiling_db:.3f} dB (must be < -1.5 dB), allowed >= "

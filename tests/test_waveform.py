@@ -329,17 +329,34 @@ def test_autoconvolution_equals_per_diagonal_reduce(n):
 @pytest.mark.parametrize("n", range(1, 17))
 def test_m4_gradient_equals_per_tone_loop(n):
     gen = stream(n, 97)
-    for rows in (1, 7, 1000):
-        for a in (_spread(gen, (rows, n)), _signed_zeros(gen, (rows, n))):
+    for batch in [(), (1,), (7,), (1000,), (5, 64)]:
+        for a in (_spread(gen, batch + (n,)),
+                  _signed_zeros(gen, batch + (n,))):
             conv = waveform.autoconvolution(a)
             # the gradient loop before it went tone-major
             expected = np.empty_like(a)
             for p in range(n):
-                expected[:, p] = 0.75 * np.sum(np.conj(a) * conv[:, p:p + n],
-                                               axis=1)
+                expected[..., p] = 0.75 * np.sum(
+                    np.conj(a) * conv[..., p:p + n], axis=-1)
             grad = waveform.m4_gradient(a, conv)
+            assert grad.shape == a.shape
             assert grad.flags.c_contiguous
             assert grad.tobytes() == expected.tobytes()
+
+
+def test_m4_gradient_never_holds_all_terms_at_once():
+    # all N^2 terms conj(a_q) c_{p+q} of 1000 rows at N=8 take
+    # N^2 * rows * 16 B; one (N, rows) block per output tone stays below
+    n, rows = 8, 1000
+    a = _spread(stream(n, 98), (rows, n))
+    conv = waveform.autoconvolution(a)
+    tracemalloc.start()
+    try:
+        waveform.m4_gradient(a, conv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * rows * 16
 
 
 def test_bench_kernel_script_writes_its_table(tmp_path):
@@ -358,6 +375,7 @@ def test_bench_kernel_script_writes_its_table(tmp_path):
     assert [(r["n_tones"], r["batch"]) for r in rows[:16]] == \
         [(n, c) for n in (1, 2, 4, 8) for c in (1, 64, 192, 1000)]
     assert rows[16]["layer"] == "codebook._dc_and_grad"
+    assert rows[16]["peak_mb"] > 0
     assign = rows[17:19]
     assert [(r["layer"], r["pathloss_db"]) for r in assign] == \
         [("codebook._assign", 60.0), ("codebook._assign", 0.0)]
@@ -368,6 +386,7 @@ def test_bench_kernel_script_writes_its_table(tmp_path):
             iteration["n_tones"], iteration["k_codewords"],
             iteration["batch"]) == ("codebook.train_iteration", 4, 8, 64, 1000)
     assert iteration["exact_pairs"] > 0
+    assert iteration["minor_faults"] >= 0
     assert (session["layer"], session["m_antennas"], session["n_tones"],
             session["frames"], session["k_sizes"]) == \
         ("protocol.run_session", 4, 8, 3, [2, 4, 8, 16, 32, 64])
