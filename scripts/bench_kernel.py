@@ -6,7 +6,8 @@ Layer rows, on random complex amplitudes and channel gains:
 * ``waveform.tone_moments`` for N in {1, 2, 4, 8} tones and a batch of C in
   {1, 64, 192, 1000} waveforms.  C = 1 is one waveform of shape (N,), as
   ``waveform_moments`` passes it; 192 is one campaign session's sweep
-  (3 frames x 64 codewords); 1000 is one Lloyd column.
+  (3 frames x 64 codewords); 1000 is one Lloyd column.  ``peak_mb`` is
+  the ``tracemalloc`` peak of one call.
 * ``codebook._dc_and_grad`` at M=4, N=8 on one segment of 1000 channels,
   the step Lloyd's UPDATE repeats: the segment's mean dc, every row's dc
   and the gradient.  ``peak_mb`` is the ``tracemalloc`` peak of one call.
@@ -99,6 +100,16 @@ def complex_normal(gen, shape):
 def median_us(fn, repeat, number):
     runs = Timer(fn).repeat(repeat=repeat, number=number)
     return 1e6 * statistics.median(runs) / number
+
+
+def peak_mb(fn):
+    """The tracemalloc peak of one call of fn, in MB."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
 
 
 def _exact_pairs(fn):
@@ -219,17 +230,12 @@ def _papr_row(n, gen, repeat, number):
         return waveform._phasors(grid, PAPR_OVERSAMPLING)
 
     build_s = Timer(build).repeat(repeat=repeat, number=1)
-    waveform._phasors.cache_clear()
-    tracemalloc.start()
-    try:
-        e = waveform._phasors(grid, PAPR_OVERSAMPLING)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    build_peak_mb = peak_mb(build)
+    e = waveform._phasors(grid, PAPR_OVERSAMPLING)
     return {"layer": "waveform.papr", "n_tones": n,
             "oversampling": PAPR_OVERSAMPLING,
             "build_ms": 1e3 * statistics.median(build_s),
-            "build_peak_mb": peak / 1e6, "matrix_mb": e.nbytes / 1e6,
+            "build_peak_mb": build_peak_mb, "matrix_mb": e.nbytes / 1e6,
             "median_us": median_us(
                 lambda: papr(tones, grid, PAPR_OVERSAMPLING), repeat,
                 number),
@@ -254,6 +260,7 @@ def main(argv=None):
             a = complex_normal(gen, (n,) if c == 1 else (c, n))
             rows.append({"layer": "waveform.tone_moments", "n_tones": n,
                          "batch": c,
+                         "peak_mb": peak_mb(lambda: tone_moments(a)),
                          "median_us": median_us(lambda: tone_moments(a),
                                                 args.repeat, args.number)})
     m, n, c = 4, 8, 1000
@@ -261,14 +268,10 @@ def main(argv=None):
     words = _sphere(complex_normal(gen, (1, m, n)), 1.0)
     bounds = np.array([[0, c]])
     model = DiodeMomentModel()
-    tracemalloc.start()
-    try:
-        _dc_and_grad(gains, words, bounds, model)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
     rows.append({"layer": "codebook._dc_and_grad", "m_antennas": m,
-                 "n_tones": n, "batch": c, "peak_mb": peak / 1e6,
+                 "n_tones": n, "batch": c,
+                 "peak_mb": peak_mb(
+                     lambda: _dc_and_grad(gains, words, bounds, model)),
                  "median_us": median_us(
                      lambda: _dc_and_grad(gains, words, bounds, model),
                      args.repeat, args.number)})

@@ -318,7 +318,11 @@ def _fmt(x: float) -> str:
 def _rect_model(config: CampaignConfig):
     if config.rectifier_model == "moment":
         return DiodeMomentModel(k2=config.k2, k4=config.k4, alpha=config.alpha)
-    return EfficiencyTableModel.from_csv(config.table_path)
+    try:
+        return EfficiencyTableModel.from_csv(config.table_path)
+    except (OSError, UnicodeDecodeError, ConfigError) as exc:
+        raise ConfigError(f"[rectifier] table_path = {config.table_path!r}: "
+                          f"{exc}") from exc
 
 
 def codebooks(config: CampaignConfig, m: int, grid: ToneGrid) -> dict:
@@ -441,6 +445,7 @@ def run_campaign(config: CampaignConfig, out_dir=None,
 
     Raises:
         DomainError: jobs is not 1.
+        ConfigError: the rectifier's table file is missing or malformed.
         ConfigError: the ADC is on and reads 0 V for every LIMITED training
             measurement, so every frame would pick codeword 1.  No CSV is
             written then.
@@ -448,6 +453,8 @@ def run_campaign(config: CampaignConfig, out_dir=None,
     if jobs != 1:
         raise DomainError(f"run_campaign runs in one thread; jobs must be 1, "
                           f"got {jobs!r}")
+    # read the table first, so a bad one leaves no output directory behind
+    rect_model = _rect_model(config)
     out = str(out_dir) if out_dir is not None else config.output_dir
     os.makedirs(out, exist_ok=True)
     probe = os.path.join(out, ".write_probe")
@@ -458,7 +465,6 @@ def run_campaign(config: CampaignConfig, out_dir=None,
     except OSError as exc:
         raise OSError(f"output directory {out!r} is not writable: {exc}")
 
-    rect_model = _rect_model(config)
     locations = make_locations(config.n_locations, config.seed,
                                config.channel_template,
                                (config.pathloss_db_min, config.pathloss_db_max))

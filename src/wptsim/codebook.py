@@ -49,7 +49,7 @@ import numpy as np
 from .errors import CodebookIOError, DimensionError, DomainError
 from .rectenna import DiodeMomentModel
 from .strategies import SmfParams, smf_weights, up_weights
-from .waveform import (ToneGrid, WaveformWeights, autoconvolution,
+from .waveform import (ToneGrid, WaveformWeights, _sphere, autoconvolution,
                        fourth_moment, m4_gradient, radiated_power,
                        second_moment, tone_moments)
 
@@ -66,11 +66,11 @@ _M4_BOUND_SLACK = 1e-9
 #: relative slack of ASSIGN's screen on each pair's amplitude norm; the
 #: rounding it covers is below 1e-13 for M + N up to about 1000 (_assign)
 _SCREEN_SLACK = 1e-12
-#: training channels ASSIGN handles at once, and the rows whose gathered
-#: gains and codewords UPDATE holds at once.  Every temporary of a block
-#: (the screen's products, an exact batch's gathered gains and codewords,
-#: autoconvolution's N^2 products) then stays near 0.5 MB at M=4, N=8,
-#: K=64; with whole (K, C) temporaries, Lloyd training at C = 1000
+#: training channels ASSIGN handles at once, and the pairs whose gathered
+#: gains and codewords _pair_amplitudes holds at once.  Every temporary of
+#: a block (the screen's products, the gathered gains and codewords, one
+#: autoconvolution diagonal's products) then stays near 0.5 MB at M=4,
+#: N=8, K=64; with whole (K, C) temporaries, Lloyd training at C = 1000
 #: peaked about 0.5 MB higher in RSS than with blocks.
 _ASSIGN_BLOCK = 256
 _MAX_HALVINGS = 40      # step halvings a line search tries before giving up
@@ -140,14 +140,6 @@ class Codebook:
             raise DomainError(f"k must be in [1, {self.k_codewords}], got {k}")
         return Codebook(self.weights[:k], self.power_budget, nested=True,
                         provenance=f"{self.provenance} prefix[{k}]")
-
-
-def _sphere(weights: np.ndarray, power: float) -> np.ndarray:
-    """Rescale each (M, N) matrix onto the sphere (1/2)||s||^2 = power."""
-    p = radiated_power(weights)[..., None, None]
-    if np.any(p == 0):
-        raise DomainError("cannot project the zero matrix onto the power sphere")
-    return weights * np.sqrt(power / p)
 
 
 def _random_words(m: int, n: int, power: float, k: int,
@@ -236,19 +228,33 @@ def _screen(gains: np.ndarray, words: np.ndarray) -> np.ndarray:
     return r
 
 
+def _pair_amplitudes(gains: np.ndarray, words: np.ndarray, rows: np.ndarray,
+                     cols: np.ndarray) -> np.ndarray:
+    """Tones of each pair (channel rows[i], codeword cols[i]), shape (P, N).
+
+    The gathered einsum forms the pairs _ASSIGN_BLOCK at a time and gives
+    each pair the amplitude bits _amplitudes gives it
+    (tests/test_codebook.py pins that).
+    """
+    a = np.empty((len(rows), gains.shape[2]), dtype=complex)
+    for start in range(0, len(rows), _ASSIGN_BLOCK):
+        block = slice(start, start + _ASSIGN_BLOCK)
+        np.einsum("cmn,cmn->cn", gains[rows[block]], words[cols[block]],
+                  out=a[block])
+    return a
+
+
 def _exact_dc(gains: np.ndarray, words: np.ndarray, rows: np.ndarray,
               cols: np.ndarray, model: DiodeMomentModel) -> np.ndarray:
     """dc of each pair (channel rows[i], codeword cols[i]), shape (P,).
 
     The pairs are evaluated in batches of as many pairs as gains has
-    channels.  The gathered einsum gives each pair the amplitude bits
-    _amplitudes gives it (tests/test_codebook.py pins that), and a row's
-    m2 and m4 do not depend on its batch.
+    channels; a row's amplitudes, m2 and m4 do not depend on its batch.
     """
     dc = np.empty(rows.size)
     for start in range(0, rows.size, len(gains)):
         batch = slice(start, start + len(gains))
-        a = np.einsum("cmn,cmn->cn", gains[rows[batch]], words[cols[batch]])
+        a = _pair_amplitudes(gains, words, rows[batch], cols[batch])
         dc[batch] = model.dc(second_moment(a), fourth_moment(a))
     return dc
 
@@ -352,25 +358,6 @@ def _segment_rows(bounds: np.ndarray) -> np.ndarray:
                                                counts)
 
 
-def _segment_amplitudes(gains: np.ndarray, words: np.ndarray,
-                        bounds: np.ndarray) -> np.ndarray:
-    """Effective tones of every segment's rows, laid end to end, (R, N).
-
-    Segment i pairs codeword words[i] with the channels
-    gains[bounds[i, 0]:bounds[i, 1]].  The gathered einsum forms the rows
-    _ASSIGN_BLOCK at a time and gives each row _amplitudes' bits
-    (tests/test_codebook.py pins that).
-    """
-    src = _segment_rows(bounds)
-    owner = np.repeat(np.arange(len(bounds)), bounds[:, 1] - bounds[:, 0])
-    a = np.empty((len(src), gains.shape[2]), dtype=complex)
-    for start in range(0, len(src), _ASSIGN_BLOCK):
-        block = slice(start, start + _ASSIGN_BLOCK)
-        np.einsum("cmn,cmn->cn", gains[src[block]], words[owner[block]],
-                  out=a[block])
-    return a
-
-
 def _dc_and_grad(gains: np.ndarray, words: np.ndarray, bounds,
                  model: DiodeMomentModel, gradient: bool = True
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
@@ -378,8 +365,8 @@ def _dc_and_grad(gains: np.ndarray, words: np.ndarray, bounds,
 
     Segment i pairs codeword words[i] with the channels
     gains[bounds[i][0]:bounds[i][1]], and the rows of all segments are
-    laid end to end.  Their amplitudes come from _segment_amplitudes, so
-    a row's dc equals _exact_dc's for its pair.  The elementwise math runs
+    laid end to end.  Their amplitudes come from _pair_amplitudes, so a
+    row's dc equals _exact_dc's for its pair.  The elementwise math runs
     once over all rows; the reductions over channels (the mean and the
     gradient sum) run per segment, so each segment's result equals its
     evaluation alone to the last bit.
@@ -398,7 +385,8 @@ def _dc_and_grad(gains: np.ndarray, words: np.ndarray, bounds,
     """
     bounds = np.asarray(bounds)
     counts = bounds[:, 1] - bounds[:, 0]
-    a = _segment_amplitudes(gains, words, bounds)
+    a = _pair_amplitudes(gains, words, _segment_rows(bounds),
+                         np.repeat(np.arange(len(bounds)), counts))
     conv = autoconvolution(a)
     m2, m4 = tone_moments(a, conv)
     dc = model.dc(m2, m4)

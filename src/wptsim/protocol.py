@@ -24,7 +24,8 @@ from .errors import ConfigError, DimensionError, DomainError, ProtocolError
 from .rectenna import (AdcConfig, DiodeMomentModel, dc_power_moment,
                        dc_power_table, measure_dc)
 from .strategies import feedback_bits, select_codeword, up_weights
-from .waveform import effective_tones, received_rf_power, tone_moments
+from .waveform import (EffectiveTones, effective_tones, received_rf_power,
+                       second_moment, tone_moments)
 
 #: applied_index value meaning "open-loop uniform power fallback"
 UP_FALLBACK = 0
@@ -136,9 +137,11 @@ def _dc_power(rect_model, tones, grid) -> float:
 def _sweep(codebook: Codebook, channels, rect_model) -> list[tuple]:
     """Every codeword's (dc powers, RF powers) on each channel, as lists.
 
-    Each distinct channel object is swept once, on the moment model all in
-    one moment call, whose m2 is the RF power.  A row does not depend on
-    the rows or codewords beside it, so a codeword's column of a larger
+    Each distinct channel object is swept once: its (K, N) tones are
+    formed in one multiply, and their m2 is the RF power.  The moment
+    model takes every channel's dc in one moment call, the table model
+    one dc_power_table call per codeword.  A row does not depend on the
+    rows or codewords beside it, so a codeword's column of a larger
     book's sweep equals its own book's sweep to the last bit.
     """
     distinct = {id(ch): ch for ch in channels}
@@ -148,23 +151,19 @@ def _sweep(codebook: Codebook, channels, rect_model) -> list[tuple]:
             raise DimensionError(
                 f"codebook ({codebook.m_antennas}, {codebook.n_tones}) vs "
                 f"channel ({channel.m_antennas}, {channel.grid.n_tones})")
+    # each channel's (K, N) tones are formed alone, as in its own sweep,
+    # and from operands of equal ndim, as effective_tones forms them:
+    # numpy rounds a one-element complex multiply (M=N=K=1) whose operands
+    # differ in ndim without the fused multiply-add it uses otherwise
+    tones = [np.sum(ch.gains[None] * codebook.weights, axis=1)
+             for ch in distinct.values()]
     if isinstance(rect_model, DiodeMomentModel):
-        # each channel's (K, N) tones are formed alone, as in its own sweep,
-        # and from operands of equal ndim, as effective_tones forms them:
-        # numpy rounds a one-element complex multiply (M=N=K=1) whose
-        # operands differ in ndim without the fused multiply-add it uses
-        # otherwise
-        tones = np.stack([np.sum(ch.gains[None] * codebook.weights, axis=1)
-                          for ch in distinct.values()])
-        m2, m4 = tone_moments(tones)
+        m2, m4 = tone_moments(np.stack(tones))
         rows = zip(rect_model.dc(m2, m4).tolist(), m2.tolist())
     else:
-        rows = []
-        for ch in distinct.values():
-            tones = [effective_tones(ch, e) for e in codebook.entries]
-            rows.append(([dc_power_table(rect_model, t, ch.grid)
-                          for t in tones],
-                         [received_rf_power(t) for t in tones]))
+        rows = [([dc_power_table(rect_model, EffectiveTones(row), ch.grid)
+                  for row in ch_tones], second_moment(ch_tones).tolist())
+                for ch, ch_tones in zip(distinct.values(), tones)]
     swept = dict(zip(distinct, rows))
     return [swept[id(ch)] for ch in channels]
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .channel import ChannelRealization
 from .errors import DegenerateChannelError, DomainError
-from .waveform import ToneGrid, WaveformWeights, radiated_power
+from .waveform import ToneGrid, WaveformWeights, _sphere
 
 
 @dataclass(frozen=True)
@@ -61,9 +61,9 @@ def smf_weights(channel: ChannelRealization, params: SmfParams) -> WaveformWeigh
     scale = np.zeros_like(norms)
     alive = norms > 0
     scale[alive] = c * norms[alive] ** (params.beta - 1.0)
-    s = np.conj(h) * scale[None, :]
-    # remove the last few ulps of constraint slack so equality holds exactly
-    s = s * np.sqrt(params.power_budget / radiated_power(s))
+    # the rescale removes the last few ulps of constraint slack, so
+    # equality holds exactly
+    s = _sphere(np.conj(h) * scale[None, :], params.power_budget)
     return WaveformWeights(weights=s, power_budget=params.power_budget)
 
 

@@ -151,6 +151,15 @@ def radiated_power(s: np.ndarray) -> np.ndarray:
     return 0.5 * np.add.reduce(np.abs(s) ** 2, axis=(-2, -1))
 
 
+def _sphere(weights: np.ndarray, power: float) -> np.ndarray:
+    """Rescale each (M, N) matrix onto the sphere (1/2)||s||^2 = power."""
+    p = radiated_power(weights)
+    # the reduction np.any runs, without its Python dispatch
+    if (p == 0).any():
+        raise DomainError("cannot project the zero matrix onto the power sphere")
+    return weights * np.sqrt(power / p)[..., None, None]
+
+
 @dataclass(frozen=True)
 class EffectiveTones:
     """Per-tone complex amplitudes a_n of the waveform seen by the receiver."""
@@ -201,28 +210,23 @@ def pairwise_sum(terms: np.ndarray) -> np.ndarray:
     Args:
         terms: complex array of shape (L, ...), L >= 1, summed over axis 0.
     """
-    return _pairwise(terms) + 0.0
-
-
-def _pairwise(terms):
     n = len(terms)
-    if n < 4:
-        s = terms[0]
-        for i in range(1, n):
-            s = s + terms[i]
-        return s
     if n > 64:
+        # neither half is -0.0, so neither is their sum
         half = (n - n % 8) // 2
-        return _pairwise(terms[:half]) + _pairwise(terms[half:])
-    stop = n - n % 4
-    lanes = terms[0:4]
-    for i in range(4, stop, 4):
-        lanes = lanes + terms[i:i + 4]
-    lanes = lanes[0::2] + lanes[1::2]
-    s = lanes[0] + lanes[1]
+        return pairwise_sum(terms[:half]) + pairwise_sum(terms[half:])
+    if n < 4:
+        s, stop = terms[0], 1
+    else:
+        stop = n - n % 4
+        lanes = terms[0:4]
+        for i in range(4, stop, 4):
+            lanes = lanes + terms[i:i + 4]
+        lanes = lanes[0::2] + lanes[1::2]
+        s = lanes[0] + lanes[1]
     for i in range(stop, n):
         s = s + terms[i]
-    return s
+    return s + 0.0
 
 
 def autoconvolution(a: np.ndarray) -> np.ndarray:
@@ -230,11 +234,12 @@ def autoconvolution(a: np.ndarray) -> np.ndarray:
 
     Amplitudes of shape (..., N) give a C-ordered array of shape
     (..., 2N-1).  The kernel is tone-major: the amplitudes are copied to a
-    contiguous (N, ...) array, every product a_n1 a_n2 is one elementwise
-    multiply over the whole batch, and each diagonal k is summed over n1
-    in increasing order as pairwise_sum adds.  It equals a per-diagonal
-    np.add.reduce over the last axis bit for bit, so a batch row and the
-    same amplitudes evaluated alone agree to the last bit.  Other
+    contiguous (N, ...) array, and each diagonal k is formed on its own,
+    its terms a_n1 a_{k-n1} one elementwise multiply over the whole batch,
+    summed over n1 in increasing order by pairwise_sum.  So no more than N
+    products per row are held at once, and the result equals a
+    per-diagonal np.add.reduce over the last axis bit for bit: a batch row
+    and the same amplitudes evaluated alone agree to the last bit.  Other
     formulations (np.convolve, an FFT, a zero-padded gather) round
     differently, and a last-bit change can move a codeword selection.
     The result must stay C-ordered: tone_moments sums |c_k|^2 along the
@@ -244,20 +249,16 @@ def autoconvolution(a: np.ndarray) -> np.ndarray:
     # in reverse, and the closing .T puts them back in place
     at = np.ascontiguousarray(a.T)
     n = at.shape[0]
-    # term i of diagonal k is at[i] * at[k - i], in that operand order:
-    # numpy's complex multiply is not commutative to the bit (a*b and b*a
-    # differ in the last bit for about a third of random pairs on AVX-512).
-    # In the flattened (N*N, ...) products, diagonal k is the rows
-    # k + i*(N-1) for i0 <= i <= i1.
-    prods = (at[:, None] * at[None, :]).reshape((n * n,) + at.shape[1:])
-    step = max(n - 1, 1)
     conv = np.empty((2 * n - 1,) + at.shape[1:], dtype=complex)
     for k in range(2 * n - 1):
         i0 = max(0, k - n + 1)
         i1 = min(k, n - 1)
-        conv[k] = _pairwise(prods[k + i0 * step:k + i1 * step + 1:step])
-    # adding the reduction's identity +0.0 is also the copy back to C order
-    return np.add(conv.T, 0.0, out=np.empty(conv.T.shape, dtype=complex))
+        # term i of diagonal k is at[i] * at[k - i], in that operand
+        # order: numpy's complex multiply is not commutative to the bit
+        # (a*b and b*a differ in the last bit for about a third of random
+        # pairs on AVX-512)
+        conv[k] = pairwise_sum(at[i0:i1 + 1] * at[k - i1:k - i0 + 1][::-1])
+    return np.ascontiguousarray(conv.T)
 
 
 def tone_moments(a: np.ndarray, conv: np.ndarray | None = None

@@ -53,6 +53,23 @@ def test_simulate_missing_config_exits_1(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("table", [None, "p_dbm,eta\n"],
+                         ids=["missing", "malformed"])
+def test_simulate_bad_table_exits_1_before_making_its_output(
+        tmp_path, capsys, table):
+    path = tmp_path / "eta.csv"
+    if table is not None:
+        path.write_text(table)
+    cfg = tmp_path / "c.ini"
+    out = tmp_path / "results"
+    cfg.write_text(MINI.format(out=out)
+                   + f"\n[rectifier]\nmodel = table\ntable_path = {path}\n")
+    assert main(["simulate", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "[rectifier] table_path" in err
+    assert not out.exists()
+
+
 def test_simulate_bad_config_exits_1(tmp_path, capsys):
     cfg = tmp_path / "c.ini"
     cfg.write_text("[campaign]\nstrategies = WARP\n")

@@ -107,6 +107,11 @@ def _setup(k=4, m=2, n=2, seed=20):
     return grid, book, ch, model
 
 
+_TABLE = EfficiencyTableModel(p_dbm=np.array([-60.0, 40.0]),
+                              papr_axis=np.array([1.0, 20.0]),
+                              eta=np.array([[0.1, 0.2], [0.3, 0.4]]))
+
+
 def test_run_training_ideal_returns_raw_dc():
     grid, book, ch, model = _setup()
     readings = run_frame(FrameConfig(), book, ch, model, None, LinkModel(),
@@ -205,10 +210,7 @@ def test_run_frame_evaluates_each_codeword_once(monkeypatch):
     # the applied codeword's dc comes from the sweep; only the UP fallback
     # of a first frame with lost feedback costs one more evaluation
     _, book, ch, _ = _setup(k=4)
-    table = EfficiencyTableModel(p_dbm=np.array([-60.0, 40.0]),
-                                 papr_axis=np.array([1.0, 20.0]),
-                                 eta=np.array([[0.1, 0.2], [0.3, 0.4]]))
-    dcs = protocol._sweep(book, [ch], table)[0][0]
+    dcs = protocol._sweep(book, [ch], _TABLE)[0][0]
     real = protocol.dc_power_table
     calls = []
 
@@ -222,7 +224,7 @@ def test_run_frame_evaluates_each_codeword_once(monkeypatch):
                                     (LinkModel(0.0), 3, 4),
                                     (LinkModel(0.0), None, 5)):
         calls.clear()
-        report = run_frame(cfg, book, ch, table, None, link, fallback,
+        report = run_frame(cfg, book, ch, _TABLE, None, link, fallback,
                            stream(27, 6))
         assert len(calls) == k_evals
         if report.applied_index != UP_FALLBACK:
@@ -421,16 +423,12 @@ def test_a_session_given_a_stream_draws_in_frame_order(delivery):
 def test_session_batch_equals_frame_by_frame_on_the_table_model():
     grid, book, _, _ = _setup(k=8, m=2, n=4)
     cfg = FrameConfig(t_s=0.010, t_frame=2.0)
-    table = EfficiencyTableModel(p_dbm=np.array([-60.0, 40.0]),
-                                 papr_axis=np.array([1.0, 20.0]),
-                                 eta=np.array([[0.1, 0.2], [0.3, 0.4]]))
-
     fading = [make_channel(54, 2, grid, pathloss_db=10.0, frame=i)
               for i in range(6)]
     lossy = LinkModel(delivery_probability=0.5)
-    batched = run_session(cfg, book, fading, table, None, lossy,
+    batched = run_session(cfg, book, fading, _TABLE, None, lossy,
                           stream(55, 6))
-    assert batched == _frame_by_frame(cfg, book, fading, table, None, lossy,
+    assert batched == _frame_by_frame(cfg, book, fading, _TABLE, None, lossy,
                                       stream(55, 6))
 
 
@@ -439,9 +437,6 @@ def test_session_sweeps_each_distinct_channel_once(monkeypatch):
     # sweeps it once and hands every frame its row
     grid, book, _, _ = _setup(k=8, m=2, n=4)
     cfg = FrameConfig(t_s=0.010, t_frame=2.0)
-    table = EfficiencyTableModel(p_dbm=np.array([-60.0, 40.0]),
-                                 papr_axis=np.array([1.0, 20.0]),
-                                 eta=np.array([[0.1, 0.2], [0.3, 0.4]]))
     a, b = (make_channel(56 + i, 2, grid, pathloss_db=10.0) for i in range(2))
     # (each frame's channel, distinct channels among the 6 frames)
     sources = (([a] * 6, 1), ([a, b] * 3, 2))
@@ -454,7 +449,7 @@ def test_session_sweeps_each_distinct_channel_once(monkeypatch):
     monkeypatch.setattr(protocol, "dc_power_table", lambda *args: (
         evals.append(1) or real_table(*args)))
     for (channels, distinct), model in itertools.product(
-            sources, (DiodeMomentModel(), table)):
+            sources, (DiodeMomentModel(), _TABLE)):
         evals.clear()
         run_session(cfg, book, channels, model, None, LinkModel(1.0),
                     stream(57, 6))
@@ -469,31 +464,32 @@ def test_session_sweeps_each_distinct_channel_once(monkeypatch):
 @pytest.mark.parametrize("m", [1, 2, 4])
 @pytest.mark.parametrize("n", [1, 2, 4, 8])
 def test_sweep_rf_power_is_received_rf_power(m, n):
-    # a frame reads the applied codeword's RF power from the sweep's m2,
-    # which must equal the power of the codeword's own effective tones
+    # a frame reads the applied codeword's dc and RF power from the sweep,
+    # which on either rectifier must equal those of the codeword's own
+    # effective tones
     grid = ToneGrid.centered(2.4e9, 10e6, n)
     book = gen_nested(m, grid, 2.0, 64, stream(60 + m, 4, n))
     channels = [make_channel(61, m, grid, frame=i) for i in range(30)]
-    swept = protocol._sweep(book, channels, DiodeMomentModel())
-    for ch, (_, p_rfs) in zip(channels, swept):
-        assert p_rfs == [received_rf_power(effective_tones(ch, e))
-                         for e in book.entries]
+    for model in (DiodeMomentModel(), _TABLE):
+        swept = protocol._sweep(book, channels, model)
+        for ch, (dcs, p_rfs) in zip(channels, swept):
+            tones = [effective_tones(ch, e) for e in book.entries]
+            assert dcs == [protocol._dc_power(model, t, grid) for t in tones]
+            assert p_rfs == [received_rf_power(t) for t in tones]
 
 
 def test_session_forms_tones_only_in_its_sweep(monkeypatch):
-    # with every feedback delivered, no frame needs the UP fallback, so
-    # every effective_tones call comes from the table sweep: one per
-    # (channel, codeword).  Lost feedback on a first frame falls back to
-    # UP, which forms its tones outside the sweep.
+    # the table sweep forms each channel's tones in one batch and rates
+    # every (channel, codeword) with one dc_power_table call.  With every
+    # feedback delivered no frame needs the UP fallback; lost feedback on
+    # a first frame falls back to UP, which forms its tones and rates
+    # them outside the sweep, once per frame.
     grid, book, _, _ = _setup(k=8, m=2, n=4)
     cfg = FrameConfig(t_s=0.010, t_frame=2.0)
-    table = EfficiencyTableModel(p_dbm=np.array([-60.0, 40.0]),
-                                 papr_axis=np.array([1.0, 20.0]),
-                                 eta=np.array([[0.1, 0.2], [0.3, 0.4]]))
     fades = [make_channel(62, 2, grid, pathloss_db=10.0, frame=i)
              for i in range(3)]
     depth, calls = [], []
-    real_sweep, real_tones = protocol._sweep, protocol.effective_tones
+    real_sweep = protocol._sweep
 
     def sweep(*args):
         depth.append(1)
@@ -502,18 +498,25 @@ def test_session_forms_tones_only_in_its_sweep(monkeypatch):
         finally:
             depth.pop()
 
-    def tones(channel, weights):
-        calls.append(bool(depth))
-        return real_tones(channel, weights)
+    def counted(name):
+        real = getattr(protocol, name)
+
+        def call(*args, **kwargs):
+            calls.append((name, bool(depth)))
+            return real(*args, **kwargs)
+        return call
 
     monkeypatch.setattr(protocol, "_sweep", sweep)
-    monkeypatch.setattr(protocol, "effective_tones", tones)
+    for name in ("effective_tones", "dc_power_table"):
+        monkeypatch.setattr(protocol, name, counted(name))
     for delivery, outside in ((1.0, 0), (0.0, 3)):
         calls.clear()
-        reports = run_session(cfg, book, fades, table, None,
+        reports = run_session(cfg, book, fades, _TABLE, None,
                               LinkModel(delivery), stream(63, 6))
-        assert calls.count(True) == 3 * 8
-        assert calls.count(False) == outside
+        assert calls.count(("dc_power_table", True)) == 3 * 8
+        assert calls.count(("effective_tones", True)) == 0
+        assert calls.count(("effective_tones", False)) == outside
+        assert calls.count(("dc_power_table", False)) == outside
         assert sum(r.applied_index == UP_FALLBACK for r in reports) == outside
 
 

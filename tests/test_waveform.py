@@ -344,6 +344,20 @@ def test_m4_gradient_equals_per_tone_loop(n):
             assert grad.tobytes() == expected.tobytes()
 
 
+def test_autoconvolution_never_holds_all_products_at_once():
+    # all N^2 products a_n1 a_n2 of 1000 rows at N=8 take N^2 * rows * 16 B;
+    # one diagonal's products at a time stay below
+    n, rows = 8, 1000
+    a = _spread(stream(n, 99), (rows, n))
+    tracemalloc.start()
+    try:
+        waveform.autoconvolution(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * rows * 16
+
+
 def test_m4_gradient_never_holds_all_terms_at_once():
     # all N^2 terms conj(a_q) c_{p+q} of 1000 rows at N=8 take
     # N^2 * rows * 16 B; one (N, rows) block per output tone stays below
@@ -374,6 +388,9 @@ def test_bench_kernel_script_writes_its_table(tmp_path):
     rows = report["rows"]
     assert [(r["n_tones"], r["batch"]) for r in rows[:16]] == \
         [(n, c) for n in (1, 2, 4, 8) for c in (1, 64, 192, 1000)]
+    assert all(r["peak_mb"] > 0 for r in rows[:16])
+    # N=8 at C=1000 holds one diagonal's products, not all N^2 of them
+    assert rows[15]["peak_mb"] < 8 * 8 * 1000 * 16 / 1e6
     assert rows[16]["layer"] == "codebook._dc_and_grad"
     assert rows[16]["peak_mb"] > 0
     assign = rows[17:19]
