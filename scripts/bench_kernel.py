@@ -41,6 +41,9 @@ Layer rows, on random complex amplitudes and channel gains:
   taps at every (M, N) and evaluates UP frame by frame; ``median_us``
   draws each fade's taps once at the largest M and reads UP from a
   column of the shared sweep, as ``run_campaign`` does.
+* ``campaign.summarize`` on the 4,320 rows that figure-joint's campaign,
+  at its default seed, hands it, writing the summary CSV as
+  ``run_campaign`` does; ``batch`` is the row count.
 * ``waveform.papr`` for N in {1, 8, 16} tones at oversampling 32, on
   random amplitudes: ``median_us`` is one ``papr`` call on the cached
   phasor matrix, ``table_us`` one ``rectenna.dc_power_table`` call on a
@@ -61,10 +64,12 @@ Usage: python3 scripts/bench_kernel.py [--out BENCH_kernel.json]
 import argparse
 import itertools
 import json
+import os
 import platform
 import resource
 import statistics
 import sys
+import tempfile
 import tracemalloc
 from timeit import Timer
 
@@ -76,7 +81,7 @@ from wptsim import (ChannelModelParams, ChannelRealization, Codebook,
                     dc_power_table, effective_tones, frequency_response,
                     gen_nested, papr, realize_channel, received_rf_power,
                     rng, run_session, sample_taps, smf_weights, up_weights)
-from wptsim import waveform
+from wptsim import campaign, waveform
 from wptsim.campaign import _columns
 from wptsim.codebook import _amplitudes, _assign, _dc_and_grad, _sphere
 from wptsim.protocol import _dc_power, _sweep
@@ -216,6 +221,25 @@ def _campaign_row(model, seed, repeat, number):
             "median_us": median_us(shared, repeat, number)}
 
 
+def _summarize_row(repeat, number):
+    # catch the rows the campaign hands summarize
+    caught = []
+    real = campaign.summarize
+    campaign.summarize = lambda rows, out_path=None: \
+        caught.append(rows) or real(rows, out_path)
+    with tempfile.TemporaryDirectory() as out:
+        try:
+            campaign.run_campaign(campaign.figure_config("figure-joint"),
+                                  out_dir=out)
+        finally:
+            campaign.summarize = real
+        rows, = caught
+        path = os.path.join(out, "summary.csv")
+        return {"layer": "campaign.summarize", "batch": len(rows),
+                "median_us": median_us(lambda: real(rows, path), repeat,
+                                       number)}
+
+
 def _papr_row(n, gen, repeat, number):
     grid = ToneGrid.centered(2.4e9, 10e6, n)
     # amplitudes near -30 dBm received, inside the table's power axis
@@ -313,6 +337,7 @@ def main(argv=None):
     rows.append(_session_row(grid, model, args.seed, args.repeat,
                              args.number))
     rows.append(_campaign_row(model, args.seed, args.repeat, args.number))
+    rows.append(_summarize_row(args.repeat, args.number))
     rows.extend(_papr_row(n, gen, args.repeat, args.number)
                 for n in PAPR_TONES)
 

@@ -275,11 +275,12 @@ def load_config(path) -> CampaignConfig:
 
     Keys left out keep the CampaignConfig default.
     """
-    if not os.path.exists(path):
-        raise ConfigError(f"config file not found: {path}")
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
-        parser.read(path)
+        with open(path, encoding="utf-8") as fh:
+            parser.read_file(fh)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     # configparser hides [DEFAULT] from sections() and copies its keys into
@@ -313,6 +314,11 @@ def load_config(path) -> CampaignConfig:
 
 def _fmt(x: float) -> str:
     return format(float(x), ".6g")
+
+
+def _row_key(row):
+    """A detail row's sort key: (strategy, M, N, K, location, frame)."""
+    return row[:6]
 
 
 def _rect_model(config: CampaignConfig):
@@ -523,19 +529,23 @@ def run_campaign(config: CampaignConfig, out_dir=None,
             f"{config.adc_resolution_bits}-bit ADC (v_ref {config.adc_v_ref} "
             f"V, load {config.adc_load_resistance} ohm) resolves none of the "
             f"harvested dc levels, so every frame would select codeword 1")
-    rows.sort(key=lambda r: (r[0], r[1], r[2], r[3], r[4], r[5]))
+    rows.sort(key=_row_key)
 
     detail_path = os.path.join(out, "detail.csv")
+    dc_rows = []
     with open(detail_path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(DETAIL_HEADER + "\n")
         for r in rows:
+            p_dc = _fmt(r[6])
+            # the summary averages the dc power as written, rounded
+            dc_rows.append(r[:6] + (float(p_dc),))
             fh.write(",".join([r[0], str(r[1]), str(r[2]), str(r[3]), r[4],
-                               str(r[5]), _fmt(r[6]), _fmt(r[7]), str(r[8]),
+                               str(r[5]), p_dc, _fmt(r[7]), str(r[8]),
                                str(r[9]), str(r[10]), _fmt(r[11]),
                                _fmt(r[12])]) + "\n")
 
     summary_path = os.path.join(out, "summary.csv")
-    summarize(detail_path, summary_path)
+    summarize(dc_rows, summary_path)
     return detail_path, summary_path
 
 
@@ -559,8 +569,12 @@ def _means(pairs) -> dict:
     return {key: total / count for key, (total, count) in sums.items()}
 
 
-def summarize(detail_path, out_path=None) -> list[SummaryRow]:
-    """Aggregate a detail CSV into summary rows (and optionally a file).
+def summarize(rows, out_path=None) -> list[SummaryRow]:
+    """Aggregate detail rows into summary rows (and optionally a file).
+
+    Each row is (strategy, M, N, K, location, frame, p_dc_w), as in the
+    detail CSV; run_campaign passes p_dc_w rounded as written there, so a
+    summary can be recomputed from its detail file alone.
 
     Per (strategy, M, N, K, location): mean dc power over frames.  Per
     (strategy, M, N, K): the ALL row, mean of the location means.  Gains
@@ -568,29 +582,13 @@ def summarize(detail_path, out_path=None) -> list[SummaryRow]:
     ALL baseline for ALL rows), so baseline rows are exactly 0 dB.  Rows
     are sorted lexicographically; means are accumulated in sorted row
     order, making the output independent of input row order.
-    """
-    with open(detail_path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != DETAIL_HEADER:
-        raise SummaryError(f"{detail_path}: missing or wrong detail header")
-    parsed = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != 13:
-            raise SummaryError(f"{detail_path}:{lineno}: expected 13 fields")
-        try:
-            parsed.append((parts[0], int(parts[1]), int(parts[2]),
-                           int(parts[3]), parts[4], int(parts[5]),
-                           float(parts[6])))
-        except ValueError as exc:
-            raise SummaryError(f"{detail_path}:{lineno}: {exc}") from exc
-    if not parsed:
-        raise SummaryError(f"{detail_path}: no data rows")
-    parsed.sort(key=lambda r: (r[0], r[1], r[2], r[3], r[4], r[5]))
 
-    loc_mean = _means((row[:5], row[6]) for row in parsed)
+    Raises:
+        SummaryError: the (UP, M=1, N=1) baseline is missing, for the
+            point or for a location.
+    """
+    rows = sorted(rows, key=_row_key)
+    loc_mean = _means((row[:5], row[6]) for row in rows)
     point_mean = _means((key[:4], loc_mean[key]) for key in sorted(loc_mean))
 
     baseline_point = (UP, 1, 1, 0)
@@ -598,7 +596,7 @@ def summarize(detail_path, out_path=None) -> list[SummaryRow]:
         raise SummaryError(
             "missing baseline rows (strategy=UP, M=1, N=1, K=0)")
 
-    rows = []
+    summary = []
     for key in sorted(loc_mean):
         strategy, m, n, k, location = key
         base_key = baseline_point + (location,)
@@ -606,25 +604,26 @@ def summarize(detail_path, out_path=None) -> list[SummaryRow]:
             raise SummaryError(
                 f"missing baseline row (strategy=UP, M=1, N=1, K=0, "
                 f"location={location})")
-        rows.append(SummaryRow(strategy, m, n, k, location, loc_mean[key],
-                               db_gain(loc_mean[key], loc_mean[base_key])))
+        summary.append(SummaryRow(strategy, m, n, k, location,
+                                  loc_mean[key],
+                                  db_gain(loc_mean[key], loc_mean[base_key])))
     for point in sorted(point_mean):
         strategy, m, n, k = point
-        rows.append(SummaryRow(strategy, m, n, k, ALL_LOCATIONS,
-                               point_mean[point],
-                               db_gain(point_mean[point],
-                                       point_mean[baseline_point])))
-    rows.sort(key=lambda r: (r.strategy, r.m_antennas, r.n_tones,
-                             r.k_codewords, r.location))
+        summary.append(SummaryRow(strategy, m, n, k, ALL_LOCATIONS,
+                                  point_mean[point],
+                                  db_gain(point_mean[point],
+                                          point_mean[baseline_point])))
+    summary.sort(key=lambda r: (r.strategy, r.m_antennas, r.n_tones,
+                                r.k_codewords, r.location))
 
     if out_path is not None:
         with open(out_path, "w", encoding="ascii", newline="\n") as fh:
             fh.write(SUMMARY_HEADER + "\n")
-            for r in rows:
+            for r in summary:
                 fh.write(f"{r.strategy},{r.m_antennas},{r.n_tones},"
                          f"{r.k_codewords},{r.location},{_fmt(r.p_dc_mean_w)},"
                          f"{r.gain_db:.4f}\n")
-    return rows
+    return summary
 
 
 # ---------------------------------------------------------------------------

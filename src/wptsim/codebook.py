@@ -599,8 +599,11 @@ def save_codebook(book: Codebook, path) -> None:
 
 def load_codebook(path) -> Codebook:
     """Read a codebook written by save_codebook; strict, line-diagnosed."""
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise CodebookIOError(f"{path}: not an ASCII file: {exc}") from exc
     if not lines:
         raise CodebookIOError(f"{path}: empty file")
     header = lines[0].split()

@@ -425,9 +425,16 @@ def test_summary_gain_format(mini_run):
         assert re.match(r"^-?\d+\.\d{4}$", gain), gain
 
 
-def test_summary_all_rows_follow_location_means(mini_run):
+def test_summary_all_rows_follow_location_means(mini_run, tmp_path):
     _, detail, summary = mini_run
-    rows = summarize(detail)
+    # the summary is recomputed from the detail file alone
+    detail_rows = [(s, int(m), int(n), int(k), loc, int(frame), float(p_dc))
+                   for s, m, n, k, loc, frame, p_dc, *_ in (
+                       line.split(",")
+                       for line in open(detail).read().splitlines()[1:])]
+    rows = summarize(detail_rows, tmp_path / "summary.csv")
+    assert (tmp_path / "summary.csv").read_bytes() == \
+        open(summary, "rb").read()
     by_key = {(r.strategy, r.m_antennas, r.n_tones, r.k_codewords,
                r.location): r for r in rows}
     points = {(r.strategy, r.m_antennas, r.n_tones, r.k_codewords)
@@ -782,100 +789,65 @@ def test_up_rows_read_from_the_sweep_equal_frame_by_frame(
 # ---------------------------------------------------------------------------
 # summarize as a standalone aggregation
 
-def _write_detail(path, rows):
-    with open(path, "w") as fh:
-        fh.write(DETAIL_HEADER + "\n")
-        for r in rows:
-            fh.write(",".join(str(x) for x in r) + "\n")
-
-
-def _row(strategy, m, n, k, loc, frame, p_dc):
-    return (strategy, m, n, k, loc, frame, f"{p_dc:.6g}", "0", "0", "0", "1",
-            "0", "0")
-
-
-def test_summarize_single_row_passthrough(tmp_path):
-    path = tmp_path / "d.csv"
-    _write_detail(path, [_row("UP", 1, 1, 0, "L1", 0, 2.5)])
-    rows = summarize(path)
+def test_summarize_single_row_passthrough():
+    rows = summarize([("UP", 1, 1, 0, "L1", 0, 2.5)])
     values = {(r.location): r.p_dc_mean_w for r in rows}
     assert values["L1"] == pytest.approx(2.5, rel=1e-9)
     assert values[ALL_LOCATIONS] == pytest.approx(2.5, rel=1e-9)
     assert all(r.gain_db == 0.0 for r in rows)
 
 
-def test_summarize_mean_of_location_means(tmp_path):
-    path = tmp_path / "d.csv"
-    _write_detail(path, [_row("UP", 1, 1, 0, "L1", 0, 1.0),
-                         _row("UP", 1, 1, 0, "L2", 0, 3.0)])
-    rows = summarize(path)
+def test_summarize_mean_of_location_means():
+    rows = summarize([("UP", 1, 1, 0, "L1", 0, 1.0),
+                      ("UP", 1, 1, 0, "L2", 0, 3.0)])
     agg = [r for r in rows if r.location == ALL_LOCATIONS][0]
     assert agg.p_dc_mean_w == pytest.approx(2.0, rel=1e-12)
 
 
-def test_summarize_mean_over_frames_then_locations(tmp_path):
-    path = tmp_path / "d.csv"
+def test_summarize_mean_over_frames_then_locations():
     # L1 frames average to 2, L2 single frame is 8: aggregate (2+8)/2 = 5,
     # not the frame-weighted 11/3
-    _write_detail(path, [_row("UP", 1, 1, 0, "L1", 0, 1.0),
-                         _row("UP", 1, 1, 0, "L1", 1, 3.0),
-                         _row("UP", 1, 1, 0, "L2", 0, 8.0)])
-    rows = summarize(path)
+    rows = summarize([("UP", 1, 1, 0, "L1", 0, 1.0),
+                      ("UP", 1, 1, 0, "L1", 1, 3.0),
+                      ("UP", 1, 1, 0, "L2", 0, 8.0)])
     agg = [r for r in rows if r.location == ALL_LOCATIONS][0]
     assert agg.p_dc_mean_w == pytest.approx(5.0, rel=1e-12)
 
 
-def test_summarize_gain_against_same_location_baseline(tmp_path):
-    path = tmp_path / "d.csv"
-    _write_detail(path, [_row("UP", 1, 1, 0, "L1", 0, 1.0),
-                         _row("SMF", 1, 1, 0, "L1", 0, 10.0)])
-    rows = summarize(path)
+def test_summarize_gain_against_same_location_baseline():
+    rows = summarize([("UP", 1, 1, 0, "L1", 0, 1.0),
+                      ("SMF", 1, 1, 0, "L1", 0, 10.0)])
     smf = [r for r in rows if r.strategy == "SMF" and r.location == "L1"][0]
     assert smf.gain_db == pytest.approx(10.0, rel=1e-9)
 
 
 def test_summarize_order_invariance(tmp_path):
-    rows = [_row("UP", 1, 1, 0, "L1", 0, 1.0),
-            _row("UP", 1, 1, 0, "L2", 0, 2.0),
-            _row("SMF", 1, 1, 0, "L1", 0, 4.0),
-            _row("SMF", 1, 1, 0, "L2", 0, 3.0),
-            _row("SMF", 1, 1, 0, "L1", 1, 6.0)]
-    outputs = set()
+    rows = [("UP", 1, 1, 0, "L1", 0, 1.0),
+            ("UP", 1, 1, 0, "L2", 0, 2.0),
+            ("SMF", 1, 1, 0, "L1", 0, 4.0),
+            ("SMF", 1, 1, 0, "L2", 0, 3.0),
+            ("SMF", 1, 1, 0, "L1", 1, 6.0),
+            # 4 + 6 + 0.001 rounds differently in another order, which the
+            # file's 6 digits hide but the returned means keep
+            ("SMF", 1, 1, 0, "L1", 2, 0.001)]
+    outputs, summaries = set(), set()
     for perm in itertools.permutations(rows):
-        path = tmp_path / "d.csv"
-        _write_detail(path, perm)
         out = tmp_path / "s.csv"
-        summarize(path, out)
+        summaries.add(tuple(summarize(perm, out)))
         outputs.add(out.read_bytes())
     assert len(outputs) == 1
+    assert len(summaries) == 1
 
 
-def test_summarize_missing_baseline_names_row(tmp_path):
-    path = tmp_path / "d.csv"
-    _write_detail(path, [_row("SMF", 1, 1, 0, "L1", 0, 1.0)])
+def test_summarize_missing_baseline_names_row():
     with pytest.raises(SummaryError, match="UP"):
-        summarize(path)
+        summarize([("SMF", 1, 1, 0, "L1", 0, 1.0)])
 
 
-def test_summarize_missing_baseline_location(tmp_path):
-    path = tmp_path / "d.csv"
-    _write_detail(path, [_row("UP", 1, 1, 0, "L1", 0, 1.0),
-                         _row("SMF", 1, 1, 0, "L2", 0, 1.0)])
+def test_summarize_missing_baseline_location():
     with pytest.raises(SummaryError, match="L2"):
-        summarize(path)
-
-
-def test_summarize_rejects_malformed_detail(tmp_path):
-    path = tmp_path / "d.csv"
-    path.write_text("wrong,header\n")
-    with pytest.raises(SummaryError):
-        summarize(path)
-    path.write_text(DETAIL_HEADER + "\n")
-    with pytest.raises(SummaryError):
-        summarize(path)
-    path.write_text(DETAIL_HEADER + "\nUP,1,1,0,L1,0,abc,0,0,0,1,0,0\n")
-    with pytest.raises(SummaryError):
-        summarize(path)
+        summarize([("UP", 1, 1, 0, "L1", 0, 1.0),
+                   ("SMF", 1, 1, 0, "L2", 0, 1.0)])
 
 
 # ---------------------------------------------------------------------------

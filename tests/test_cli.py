@@ -48,9 +48,21 @@ def test_simulate_out_overrides_config(tmp_path):
     assert not (tmp_path / "ignored").exists()
 
 
-def test_simulate_missing_config_exits_1(tmp_path, capsys):
-    assert main(["simulate", "--config", str(tmp_path / "none.ini")]) == 1
-    assert "error:" in capsys.readouterr().err
+@pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
+def test_simulate_missing_config_exits_1(tmp_path, capsys, monkeypatch,
+                                         kind):
+    # a config that cannot be read runs nothing, not the default campaign
+    # into ./out
+    monkeypatch.chdir(tmp_path)
+    path, out = tmp_path / "c.ini", tmp_path / "results"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "not-utf8":
+        path.write_bytes(MINI.format(out=out).encode() + b"# \xe9\n")
+    assert main(["simulate", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err
+    assert not out.exists() and not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("table", [None, "p_dbm,eta\n"],

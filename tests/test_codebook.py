@@ -794,6 +794,13 @@ def test_load_rejects_out_of_order_entries(tmp_path):
         load_codebook(path)
 
 
+def test_load_rejects_a_file_that_is_not_ascii(tmp_path):
+    path = tmp_path / "book.txt"
+    path.write_bytes(b"wptcb v1 1 1 1 1.0 0\nprovenance \xe9\n1 1 1.0 0.0\n")
+    with pytest.raises(CodebookIOError, match=re.escape(f"{path}:")):
+        load_codebook(path)
+
+
 @pytest.mark.parametrize("m, n, k", [(2, 2, 0), (0, 2, 2), (2, 0, 2)])
 def test_load_names_the_file_for_an_empty_header(tmp_path, m, n, k):
     # every entry line is missing, so the line count matches the header;

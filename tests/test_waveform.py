@@ -396,9 +396,9 @@ def test_bench_kernel_script_writes_its_table(tmp_path):
     assign = rows[17:19]
     assert [(r["layer"], r["pathloss_db"]) for r in assign] == \
         [("codebook._assign", 60.0), ("codebook._assign", 0.0)]
-    iteration, session, campaign = rows[19:22]
-    papr_rows = rows[22:]
-    assert len(rows) == 25
+    iteration, session, campaign, summary = rows[19:23]
+    papr_rows = rows[23:]
+    assert len(rows) == 26
     assert (iteration["layer"], iteration["m_antennas"],
             iteration["n_tones"], iteration["k_codewords"],
             iteration["batch"]) == ("codebook.train_iteration", 4, 8, 64, 1000)
@@ -412,6 +412,10 @@ def test_bench_kernel_script_writes_its_table(tmp_path):
             campaign["tone_counts"], campaign["frames"]) == \
         ("campaign.up_frames", [1, 2, 4], [1, 2, 4, 8], 3)
     assert campaign["per_frame_us"] > 0
+    # figure-joint's rows: 3 x 4 (M, N) points x (UP, SMF and 6 codebook
+    # sizes) x 15 locations x 3 frames
+    assert (summary["layer"], summary["batch"]) == \
+        ("campaign.summarize", 4320)
     assert [(r["layer"], r["n_tones"], r["oversampling"])
             for r in papr_rows] == [("waveform.papr", n, 32)
                                     for n in (1, 8, 16)]
