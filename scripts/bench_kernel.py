@@ -34,13 +34,8 @@ Layer rows, on random complex amplitudes and channel gains:
   own book; ``median_us`` sweeps the K_max book once and hands each K
   its columns; ``with_streams_us`` runs the ``median_us`` sessions with
   one ``rng.stream`` each, as a lossy link or a noisy ADC needs.
-* ``campaign.up_frames``: one location's open-loop UP frames and tap
-  draws at figure-joint's (M, N) points, M in {1, 2, 4} x N in
-  {1, 2, 4, 8}, over F=3 fades, next to the location's sweep of the
-  K_max=64 nested book that both ways run.  ``per_frame_us`` draws the
-  taps at every (M, N) and evaluates UP frame by frame; ``median_us``
-  draws each fade's taps once at the largest M and reads UP from a
-  column of the shared sweep, as ``run_campaign`` does.
+* ``channel.realize_channel`` at M=4, N=8: one channel's tap stream,
+  tap draw and frequency response, as Lloyd's training set is drawn.
 * ``campaign.summarize`` on the 4,320 rows that figure-joint's campaign,
   at its default seed, hands it, writing the summary CSV as
   ``run_campaign`` does; ``batch`` is the row count.
@@ -62,7 +57,6 @@ Usage: python3 scripts/bench_kernel.py [--out BENCH_kernel.json]
 """
 
 import argparse
-import itertools
 import json
 import os
 import platform
@@ -75,16 +69,14 @@ from timeit import Timer
 
 import numpy as np
 
-from wptsim import (ChannelModelParams, ChannelRealization, Codebook,
-                    DiodeMomentModel, EffectiveTones, EfficiencyTableModel,
-                    FrameConfig, LinkModel, SmfParams, ToneGrid, codebook,
-                    dc_power_table, effective_tones, frequency_response,
-                    gen_nested, papr, realize_channel, received_rf_power,
-                    rng, run_session, sample_taps, smf_weights, up_weights)
+from wptsim import (ChannelModelParams, DiodeMomentModel, EffectiveTones,
+                    EfficiencyTableModel, FrameConfig, LinkModel, SmfParams,
+                    ToneGrid, codebook, dc_power_table, gen_nested, papr,
+                    realize_channel, rng, run_session, smf_weights)
 from wptsim import campaign, waveform
 from wptsim.campaign import _columns
 from wptsim.codebook import _amplitudes, _assign, _dc_and_grad, _sphere
-from wptsim.protocol import _dc_power, _sweep
+from wptsim.protocol import _sweep
 from wptsim.waveform import tone_moments
 
 TONES = (1, 2, 4, 8)
@@ -92,8 +84,6 @@ BATCHES = (1, 64, 192, 1000)
 PATHLOSS_DB = (60.0, 0.0)
 SESSION_SIZES = (2, 4, 8, 16, 32, 64)
 SESSION_FRAMES = 3
-CAMPAIGN_ANTENNAS = (1, 2, 4)
-CAMPAIGN_TONES = (1, 2, 4, 8)
 PAPR_TONES = (1, 8, 16)
 PAPR_OVERSAMPLING = 32
 
@@ -177,48 +167,12 @@ def _session_row(grid, model, seed, repeat, number):
             "median_us": median_us(lambda: sessions(True), repeat, number)}
 
 
-def _campaign_row(model, seed, repeat, number):
-    f, power = SESSION_FRAMES, 2.0
-    params = ChannelModelParams(seed=seed)
-    points = []
-    for m, n in itertools.product(CAMPAIGN_ANTENNAS, CAMPAIGN_TONES):
-        grid = ToneGrid.centered(2.4e9, 10e6, n)
-        full = gen_nested(m, grid, power, max(SESSION_SIZES),
-                          rng.stream(seed, rng.CODEBOOK, m, n))
-        # UP's codeword after the book's, as run_campaign sweeps them
-        up = up_weights(m, grid, power).weights[None]
-        points.append((m, grid, full,
-                       Codebook(np.concatenate([full.weights, up]), power)))
-
-    def draw(m):
-        return [sample_taps(params, m, rng.stream(seed, rng.TAPS, fade))
-                for fade in range(f)]
-
-    def fades(m, grid, taps):
-        return [ChannelRealization(
-                    grid=grid, gains=frequency_response(t[:m], params, grid))
-                for t in taps]
-
-    def per_frame():
-        for m, grid, full, _ in points:
-            channels = fades(m, grid, draw(m))
-            _sweep(full, channels, model)
-            for ch in channels:
-                tones = effective_tones(ch, up_weights(m, grid, power))
-                _dc_power(model, tones, grid)
-                received_rf_power(tones)
-
-    def shared():
-        taps = draw(max(CAMPAIGN_ANTENNAS))
-        for m, grid, _, book in points:
-            swept = _sweep(book, fades(m, grid, taps), model)
-            [(dcs[-1], p_rfs[-1]) for dcs, p_rfs in swept]
-
-    return {"layer": "campaign.up_frames",
-            "antenna_counts": list(CAMPAIGN_ANTENNAS),
-            "tone_counts": list(CAMPAIGN_TONES), "frames": f,
-            "per_frame_us": median_us(per_frame, repeat, number),
-            "median_us": median_us(shared, repeat, number)}
+def _channel_row(grid, seed, repeat, number):
+    params, m = ChannelModelParams(seed=seed), 4
+    return {"layer": "channel.realize_channel", "m_antennas": m,
+            "n_tones": grid.n_tones,
+            "median_us": median_us(lambda: realize_channel(params, m, grid),
+                                   repeat, number)}
 
 
 def _summarize_row(repeat, number):
@@ -336,7 +290,7 @@ def main(argv=None):
                                args.number))
     rows.append(_session_row(grid, model, args.seed, args.repeat,
                              args.number))
-    rows.append(_campaign_row(model, args.seed, args.repeat, args.number))
+    rows.append(_channel_row(grid, args.seed, args.repeat, args.number))
     rows.append(_summarize_row(args.repeat, args.number))
     rows.extend(_papr_row(n, gen, args.repeat, args.number)
                 for n in PAPR_TONES)
@@ -368,8 +322,6 @@ def main(argv=None):
         if "per_k_sweep_us" in row:
             line += (f"  (sweep per K: {row['per_k_sweep_us']:.1f} us; "
                      f"with streams: {row['with_streams_us']:.1f} us)")
-        if "per_frame_us" in row:
-            line += f"  (UP per frame: {row['per_frame_us']:.1f} us)"
         if "build_ms" in row:
             line += (f"  (build {row['build_ms']:.2f} ms, peak "
                      f"{row['build_peak_mb']:.2f} of {row['matrix_mb']:.2f}"

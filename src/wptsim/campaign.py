@@ -451,6 +451,7 @@ def run_campaign(config: CampaignConfig, out_dir=None,
 
     Raises:
         DomainError: jobs is not 1.
+        ConfigError: the sweep lacks the summary's (UP, M=1, N=1) baseline.
         ConfigError: the rectifier's table file is missing or malformed.
         ConfigError: the ADC is on and reads 0 V for every LIMITED training
             measurement, so every frame would pick codeword 1.  No CSV is
@@ -459,6 +460,10 @@ def run_campaign(config: CampaignConfig, out_dir=None,
     if jobs != 1:
         raise DomainError(f"run_campaign runs in one thread; jobs must be 1, "
                           f"got {jobs!r}")
+    if (UP not in config.strategies or 1 not in config.antenna_counts
+            or 1 not in config.tone_counts):
+        raise ConfigError("the campaign must sweep the gain baseline: "
+                          "strategy UP, antenna count 1 and tone count 1")
     # read the table first, so a bad one leaves no output directory behind
     rect_model = _rect_model(config)
     out = str(out_dir) if out_dir is not None else config.output_dir

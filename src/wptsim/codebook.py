@@ -318,36 +318,28 @@ def _assign(gains: np.ndarray, words, model: DiodeMomentModel, known=None
         (assign, dc) of shape (C,): codeword indices and their dc powers.
     """
     words = np.asarray(words)
+    n = gains.shape[2]
     assign = np.empty(len(gains), dtype=np.intp)
     dc = np.empty(len(gains))
     for start in range(0, len(gains), _ASSIGN_BLOCK):
         block = slice(start, start + _ASSIGN_BLOCK)
-        seed = None if known is None else (known[0][block], known[1][block])
-        assign[block], dc[block] = _assign_block(gains[block], words, model,
-                                                 seed)
+        g = gains[block]
+        upper_m2 = _screen(g, words)
+        channels = np.arange(len(g))
+        if known is None:
+            seed = np.argmax(upper_m2, axis=0)
+            seed_dc = _exact_dc(g, words, channels, seed, model)
+        else:
+            seed, seed_dc = known[0][block], known[1][block]
+        reach = _dc_upper(upper_m2, n, model) >= seed_dc
+        reach[seed, channels] = False
+        cols, rows = np.nonzero(reach)
+        pairs = np.full((len(g), len(words)), -np.inf)
+        pairs[channels, seed] = seed_dc
+        pairs[rows, cols] = _exact_dc(g, words, rows, cols, model)
+        assign[block] = np.argmax(pairs, axis=1)
+        dc[block] = pairs[channels, assign[block]]
     return assign, dc
-
-
-def _assign_block(gains: np.ndarray, words: np.ndarray,
-                  model: DiodeMomentModel, known
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """_assign on one block of channels, every array sized by the block."""
-    c, _, n = gains.shape
-    upper_m2 = _screen(gains, words)
-    channels = np.arange(c)
-    if known is None:
-        seed = np.argmax(upper_m2, axis=0)
-        seed_dc = _exact_dc(gains, words, channels, seed, model)
-    else:
-        seed, seed_dc = known
-    reach = _dc_upper(upper_m2, n, model) >= seed_dc
-    reach[seed, channels] = False
-    cols, rows = np.nonzero(reach)
-    dc = np.full((c, len(words)), -np.inf)
-    dc[channels, seed] = seed_dc
-    dc[rows, cols] = _exact_dc(gains, words, rows, cols, model)
-    assign = np.argmax(dc, axis=1)
-    return assign, dc[channels, assign]
 
 
 def _segment_rows(bounds: np.ndarray) -> np.ndarray:
@@ -409,28 +401,36 @@ def _dc_and_grad(gains: np.ndarray, words: np.ndarray, bounds,
     return means, dc, grads
 
 
-def _ascend_clusters(words: np.ndarray, gains: np.ndarray,
-                     bounds: np.ndarray, model: DiodeMomentModel,
-                     power: float) -> tuple[np.ndarray, np.ndarray]:
-    """Projected gradient ascent of every segment's codeword, in lock-step.
+def _update(gains: np.ndarray, words: np.ndarray, assign: np.ndarray,
+            model: DiodeMomentModel, power: float
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """Lloyd's UPDATE of every non-empty cluster, and each channel's dc.
 
-    Segment i of the (C, M, N) gains is rows bounds[i, 0]:bounds[i, 1] and
-    belongs to words[i]; the segments tile the gains in order.  Each
-    codeword climbs its own segment's mean dc from the incumbent with its
-    own step, halved while its trial does not reach the current value; it
-    stops once its gradient vanishes or a step does not improve it, so no
-    codeword ever decreases.  The last step's trials skip the gradient,
-    which nothing reads.
+    All non-empty clusters ascend together, by projected gradient ascent
+    in lock-step, on the cluster-sorted gains; the stable sort keeps each
+    cluster's channels in index order, so every cluster is one segment of
+    the sorted rows.  Each codeword climbs its own cluster's mean dc from
+    the incumbent with its own step, halved while its trial does not
+    reach the current value; it stops once its gradient vanishes or a
+    step does not improve it, so no codeword ever decreases.  The last
+    step's trials skip the gradient, which nothing reads.
 
     Returns:
-        (words, dc): the ascended (S, M, N) codewords and, shape (C,),
-        each row's dc on its segment's final codeword.  A segment that
-        never moved keeps the incumbent's rows, and an accepted trial
-        brings its own rows, also when it did not improve.
+        (words, fresh): the (K, M, N) codewords, empty clusters' unchanged,
+        and, shape (C,), each channel's dc on its own updated codeword as
+        the UPDATE computed it.  A cluster that never moved keeps the
+        incumbent's dc, and an accepted trial brings its own, also when it
+        did not improve.
     """
-    best = words.copy()
-    f_cur, rows, grad = _dc_and_grad(gains, best, bounds, model)
-    counts = bounds[:, 1] - bounds[:, 0]
+    counts = np.bincount(assign, minlength=len(words))
+    stops = np.cumsum(counts)
+    occupied = np.flatnonzero(counts)
+    order = np.argsort(assign, kind="stable")
+    ordered = gains[order]
+    bounds = np.column_stack([stops - counts, stops])[occupied]
+    counts = counts[occupied]
+    best = words[occupied]
+    f_cur, rows, grad = _dc_and_grad(ordered, best, bounds, model)
     active = np.ones(len(best), dtype=bool)
     for inner in range(_INNER_STEPS):
         gradient = inner < _INNER_STEPS - 1
@@ -449,7 +449,7 @@ def _ascend_clusters(words: np.ndarray, gains: np.ndarray,
                 break
             trial = _sphere(best[idx] + step[idx, None, None] * grad[idx],
                             power)
-            f_trial, dc, g_trial = _dc_and_grad(gains, trial, bounds[idx],
+            f_trial, dc, g_trial = _dc_and_grad(ordered, trial, bounds[idx],
                                                 model, gradient)
             ok = f_trial >= f_cur[idx]
             done = idx[ok]
@@ -464,31 +464,8 @@ def _ascend_clusters(words: np.ndarray, gains: np.ndarray,
         active &= improved
         if not active.any():
             break
-    return best, rows
-
-
-def _update(gains: np.ndarray, words: np.ndarray, assign: np.ndarray,
-            model: DiodeMomentModel, power: float
-            ) -> tuple[np.ndarray, np.ndarray]:
-    """Lloyd's UPDATE of every non-empty cluster, and each channel's dc.
-
-    All non-empty clusters ascend together on the cluster-sorted gains;
-    the stable sort keeps each cluster's channels in index order.
-
-    Returns:
-        (words, fresh): the (K, M, N) codewords, empty clusters' unchanged,
-        and, shape (C,), each channel's dc on its own updated codeword as
-        the UPDATE computed it.
-    """
-    counts = np.bincount(assign, minlength=len(words))
-    stops = np.cumsum(counts)
-    occupied = np.flatnonzero(counts)
-    order = np.argsort(assign, kind="stable")
-    ascended, rows = _ascend_clusters(
-        words[occupied], gains[order],
-        np.column_stack([stops - counts, stops])[occupied], model, power)
     words = words.copy()
-    words[occupied] = ascended
+    words[occupied] = best
     fresh = np.empty(len(gains))
     fresh[order] = rows
     return words, fresh
@@ -528,11 +505,10 @@ def train_lloyd(training_channels, k: int, rect_model: DiodeMomentModel,
         raise DomainError(f"iters must be >= 1, got {iters}")
     if not isinstance(rect_model, DiodeMomentModel):
         raise DomainError("training requires the smooth moment model")
+    m, n = channels[0].gains.shape
+    if any(ch.gains.shape != (m, n) for ch in channels):
+        raise DimensionError("training channels must share dimensions")
     gains = np.stack([ch.gains for ch in channels])
-    _, m, n = gains.shape
-    for ch in channels:
-        if ch.gains.shape != (m, n):
-            raise DimensionError("training channels must share dimensions")
 
     if init is not None:
         if (init.m_antennas, init.n_tones) != (m, n):

@@ -80,6 +80,8 @@ class EfficiencyTableModel:
         e = np.asarray(self.eta, dtype=float)
         if p.ndim != 1 or q.ndim != 1 or p.size < 2 or q.size < 2:
             raise ConfigError("efficiency table needs at least a 2x2 grid")
+        if not np.isfinite(np.concatenate([p, q])).all():
+            raise ConfigError("table axes must be finite")
         if np.any(np.diff(p) <= 0) or np.any(np.diff(q) <= 0):
             raise ConfigError("table axes must be strictly increasing")
         if e.shape != (p.size, q.size):

@@ -59,8 +59,9 @@ class ToneGrid:
         if self.n_tones < 1 or self.n_tones != int(self.n_tones):
             raise DomainError(
                 f"n_tones must be an integer >= 1, got {self.n_tones}")
-        if not self.bandwidth_hz > 0:
-            raise DomainError(f"bandwidth_hz must be > 0, got {self.bandwidth_hz}")
+        if not 0 < self.bandwidth_hz < np.inf:
+            raise DomainError(
+                f"bandwidth_hz must be > 0 and finite, got {self.bandwidth_hz}")
         if not 0 < self.center_frequency_hz < np.inf:
             raise DomainError("center_frequency_hz must be > 0 and finite")
         n = self.n_tones

@@ -82,6 +82,23 @@ def test_simulate_bad_table_exits_1_before_making_its_output(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("line,replacement", [
+    ("strategies = UP, SMF, LIMITED", "strategies = SMF"),
+    ("antenna_counts = 1, 2", "antenna_counts = 2"),
+    ("tone_counts = 1", "tone_counts = 2"),
+], ids=["no-up", "no-m1", "no-n1"])
+def test_simulate_without_the_baseline_exits_1_before_running(
+        tmp_path, capsys, line, replacement):
+    # the summary's gains need the (UP, M=1, N=1) rows
+    cfg = tmp_path / "c.ini"
+    out = tmp_path / "results"
+    cfg.write_text(MINI.format(out=out).replace(line, replacement))
+    assert main(["simulate", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "baseline" in err
+    assert not out.exists()
+
+
 def test_simulate_bad_config_exits_1(tmp_path, capsys):
     cfg = tmp_path / "c.ini"
     cfg.write_text("[campaign]\nstrategies = WARP\n")

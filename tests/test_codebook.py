@@ -631,6 +631,9 @@ def test_train_lloyd_argument_errors():
     init = gen_random(2, grid, 1.0, 8, stream(7, 6))
     with pytest.raises(DomainError):
         train_lloyd(channels, 4, model, init=init)   # K mismatch
+    mixed = channels[:5] + _training_channels(7, 1, 2, 4)
+    with pytest.raises(DimensionError, match="share dimensions"):
+        train_lloyd(mixed, 4, model, rng=stream(7, 5), power=1.0)
 
 
 def test_train_lloyd_provenance_mentions_setup():

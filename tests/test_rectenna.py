@@ -107,6 +107,14 @@ def test_table_validation():
         EfficiencyTableModel(p_dbm=np.array([0.0, 1.0]),
                              papr_axis=np.array([1.0, 2.0]),
                              eta=np.full((2, 2), 1.5))
+    # an infinite power node would read every query above -30 dBm at -30 dBm
+    for p_dbm, papr in [([-30.0, np.inf], [1.0, 2.0]),
+                        ([-30.0, 0.0], [1.0, np.inf]),
+                        ([-np.inf, 0.0], [1.0, 2.0])]:
+        with pytest.raises(ConfigError, match="finite"):
+            EfficiencyTableModel(p_dbm=np.array(p_dbm),
+                                 papr_axis=np.array(papr),
+                                 eta=np.full((2, 2), 0.1))
 
 
 def test_from_rows_rejects_duplicates():

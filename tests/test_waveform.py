@@ -57,7 +57,7 @@ def test_grid_computes_its_frequencies(center, bandwidth, n):
 
 @pytest.mark.parametrize("n,center,bandwidth", [
     (0, 2.4e9, 10e6), (-1, 2.4e9, 10e6), (2.5, 2.4e9, 10e6),
-    (4, 0.0, 10e6), (4, 2.4e9, 0.0)])
+    (4, 0.0, 10e6), (4, 2.4e9, 0.0), (4, 2.4e9, np.inf)])
 def test_grid_rejects_bad_arguments(n, center, bandwidth):
     with pytest.raises(DomainError):
         ToneGrid(n, center, bandwidth)
@@ -396,7 +396,7 @@ def test_bench_kernel_script_writes_its_table(tmp_path):
     assign = rows[17:19]
     assert [(r["layer"], r["pathloss_db"]) for r in assign] == \
         [("codebook._assign", 60.0), ("codebook._assign", 0.0)]
-    iteration, session, campaign, summary = rows[19:23]
+    iteration, session, channel, summary = rows[19:23]
     papr_rows = rows[23:]
     assert len(rows) == 26
     assert (iteration["layer"], iteration["m_antennas"],
@@ -408,10 +408,8 @@ def test_bench_kernel_script_writes_its_table(tmp_path):
             session["frames"], session["k_sizes"]) == \
         ("protocol.run_session", 4, 8, 3, [2, 4, 8, 16, 32, 64])
     assert session["per_k_sweep_us"] > 0 and session["with_streams_us"] > 0
-    assert (campaign["layer"], campaign["antenna_counts"],
-            campaign["tone_counts"], campaign["frames"]) == \
-        ("campaign.up_frames", [1, 2, 4], [1, 2, 4, 8], 3)
-    assert campaign["per_frame_us"] > 0
+    assert (channel["layer"], channel["m_antennas"], channel["n_tones"]) == \
+        ("channel.realize_channel", 4, 8)
     # figure-joint's rows: 3 x 4 (M, N) points x (UP, SMF and 6 codebook
     # sizes) x 15 locations x 3 frames
     assert (summary["layer"], summary["batch"]) == \
