@@ -20,8 +20,9 @@ import sys
 import numpy as np
 
 from wptsim import (ChannelModelParams, DiodeMomentModel, SmfParams, ToneGrid,
-                    dc_ceiling, dc_power_moment, effective_tones,
-                    realize_channel, smf_weights, stream, train_lloyd)
+                    dc_ceiling, realize_channel, smf_weights, stream,
+                    train_lloyd)
+from wptsim.waveform import tone_moments
 import wptsim.rng as rngmod
 
 
@@ -51,18 +52,22 @@ def main(argv=None):
 
     smf = SmfParams(beta=3.0, power_budget=power)
 
-    def smf_dc(channels):
-        return np.mean([dc_power_moment(
-            model, effective_tones(c, smf_weights(c, smf)), grid)
-            for c in channels])
+    def dc(gains, weights):
+        """dc power of (..., M, N) weights on (..., M, N) gains."""
+        return model.dc(*tone_moments(np.sum(gains * weights, axis=-2)))
 
-    def best_dc(channels, book):
-        return np.mean([max(dc_power_moment(model, effective_tones(c, e),
-                                            grid) for e in book.entries)
-                        for c in channels])
+    def smf_dc(channels, gains):
+        weights = np.stack([smf_weights(c, smf).weights for c in channels])
+        return np.mean(dc(gains, weights))
 
-    dc_smf = smf_dc(held)
-    dc_smf_train = smf_dc(train)
+    def best_dc(gains, book):
+        # (channels, codewords, M, N): each channel's best codeword
+        return np.mean(dc(gains[:, None], book.weights).max(axis=1))
+
+    held_gains, train_gains = (np.stack([c.gains for c in channels])
+                               for channels in (held, train))
+    dc_smf = smf_dc(held, held_gains)
+    dc_smf_train = smf_dc(train, train_gains)
     family = ChannelModelParams(pathloss_db=60.0)
     print(f"M={args.antennas} N={args.tones}, {args.train} training / "
           f"{args.held} held-out channels; gaps in dB against SMF")
@@ -71,8 +76,9 @@ def main(argv=None):
         book = train_lloyd(train, k, model, iters=args.iters,
                            rng=stream(args.seed, rngmod.TRAINING, k),
                            power=power)
-        gap = 10.0 * np.log10(best_dc(held, book) / dc_smf)
-        train_gap = 10.0 * np.log10(best_dc(train, book) / dc_smf_train)
+        gap = 10.0 * np.log10(best_dc(held_gains, book) / dc_smf)
+        train_gap = 10.0 * np.log10(best_dc(train_gains, book)
+                                    / dc_smf_train)
         ceiling = dc_ceiling(family, args.antennas, grid, k, model, power)
         print(f"  K={k:>2} ({(k - 1).bit_length()} bits): "
               f"held-out {gap:+7.3f}  training {train_gap:+7.3f}  "

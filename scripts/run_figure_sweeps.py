@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
-"""Run the three standard sweeps and print the ALL-location gain tables.
+"""Run the standard sweeps and print the ALL-location gain tables.
 
-Writes out/figure-bf, out/figure-wf, out/figure-joint (detail.csv and
-summary.csv each).  The printed tables are the ALL rows only; per-location
-rows stay in the CSVs.
+Writes out/<name>/detail.csv and summary.csv for each sweep in
+wptsim.FIGURES (figure-bf, figure-wf, figure-joint).  The printed tables
+are the ALL rows only; per-location rows stay in the CSVs.
 
 Usage: python3 scripts/run_figure_sweeps.py [--seed S]
 """
@@ -12,7 +12,7 @@ import argparse
 import csv
 import sys
 
-from wptsim import ALL_LOCATIONS, figure_config, run_campaign
+from wptsim import ALL_LOCATIONS, FIGURES, figure_config, run_campaign
 
 
 def print_all_rows(summary_path):
@@ -29,7 +29,7 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--seed", type=int, default=None)
     args = ap.parse_args(argv)
-    for name in ("figure-bf", "figure-wf", "figure-joint"):
+    for name in FIGURES:
         config = figure_config(name, seed=args.seed)
         detail, summary = run_campaign(config)
         print(f"{name}: wrote {detail} and {summary}")

@@ -7,8 +7,9 @@ campaign harness with byte-reproducible CSV output.
 """
 
 from .bounds import dc_ceiling
-from .campaign import (ALL_LOCATIONS, CampaignConfig, SummaryRow, db_gain,
-                       figure_config, load_config, run_campaign, summarize)
+from .campaign import (ALL_LOCATIONS, FIGURES, CampaignConfig, SummaryRow,
+                       db_gain, figure_config, load_config, run_campaign,
+                       summarize)
 from .channel import (ChannelModelParams, ChannelRealization, Location,
                       frequency_response, make_locations, realize_channel,
                       sample_taps, tap_variances)
@@ -17,17 +18,16 @@ from .codebook import (Codebook, gen_nested, gen_random, load_codebook,
 from .errors import (CodebookIOError, ConfigError, DegenerateChannelError,
                      DimensionError, DomainError, ProtocolError,
                      SummaryError, WptsimError, ZeroWaveformError)
-from .protocol import (UP_FALLBACK, FeedbackMsg, FrameConfig, FrameReport,
-                       LinkModel, decode_feedback, encode_feedback,
-                       run_frame, run_session)
+from .protocol import (UP_FALLBACK, FrameConfig, FrameReport, LinkModel,
+                       decode_feedback, encode_feedback, run_frame,
+                       run_session)
 from .rectenna import (AdcConfig, DiodeMomentModel, EfficiencyTableModel,
                        TableDiagnostics, dc_power_moment, dc_power_table,
                        measure_dc)
 from .rng import derive_seed, stream
 from .strategies import (SmfParams, feedback_bits, select_codeword,
                          smf_weights, up_weights)
-from .timedomain import (moments_by_averaging, received_waveform,
-                         rf_power_by_averaging, sample_times)
+from .timedomain import moments_by_averaging, received_waveform, sample_times
 from .waveform import (EffectiveTones, ToneGrid, WaveformWeights,
                        effective_tones, papr, received_rf_power,
                        waveform_moments)
@@ -38,7 +38,7 @@ __all__ = [
     "ALL_LOCATIONS", "AdcConfig", "CampaignConfig", "ChannelModelParams",
     "ChannelRealization", "Codebook", "CodebookIOError", "ConfigError",
     "DegenerateChannelError", "DiodeMomentModel", "DimensionError",
-    "DomainError", "EffectiveTones", "EfficiencyTableModel", "FeedbackMsg",
+    "DomainError", "EffectiveTones", "EfficiencyTableModel", "FIGURES",
     "FrameConfig", "FrameReport", "LinkModel", "Location", "ProtocolError",
     "SmfParams", "SummaryError", "SummaryRow", "TableDiagnostics", "ToneGrid",
     "UP_FALLBACK", "WaveformWeights", "WptsimError", "ZeroWaveformError",
@@ -47,8 +47,8 @@ __all__ = [
     "feedback_bits", "figure_config", "frequency_response", "gen_nested",
     "gen_random", "load_codebook", "load_config", "make_locations",
     "measure_dc", "moments_by_averaging", "papr", "realize_channel",
-    "received_rf_power", "received_waveform", "rf_power_by_averaging",
-    "run_campaign", "run_frame", "run_session", "sample_taps", "sample_times",
-    "save_codebook", "select_codeword", "smf_weights", "stream", "summarize",
-    "tap_variances", "train_lloyd", "up_weights", "waveform_moments",
+    "received_rf_power", "received_waveform", "run_campaign", "run_frame",
+    "run_session", "sample_taps", "sample_times", "save_codebook",
+    "select_codeword", "smf_weights", "stream", "summarize", "tap_variances",
+    "train_lloyd", "up_weights", "waveform_moments",
 ]

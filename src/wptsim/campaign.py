@@ -366,19 +366,18 @@ def codebooks(config: CampaignConfig, m: int, grid: ToneGrid) -> dict:
 
 
 def _books(config: CampaignConfig, m: int,
-           grid: ToneGrid) -> tuple[Codebook | None, dict]:
+           grid: ToneGrid) -> tuple[Codebook, dict]:
     """The (M, N) point's sweep book and each swept K's book and columns.
 
     The sweep book holds every codeword the point sweeps once, so each
     K's book is one contiguous slice of its columns: a nested family
     sweeps its K_max book and K reads columns 0..K-1, random and Lloyd
-    books are concatenated in K order, and UP's codeword, when UP is
-    swept, is the last row.
+    books are concatenated in K order, and UP's codeword, which every
+    campaign sweeps for its gain baseline, is the last row.
 
     Returns:
-        (sweep, books): sweep is None when the point sweeps no codeword;
-        books maps each K, when LIMITED is swept, to (its Codebook, its
-        slice of the sweep book's columns).
+        (sweep, books): books maps each K, when LIMITED is swept, to (its
+        Codebook, its slice of the sweep book's columns).
     """
     made = (codebooks(config, m, grid)
             if LIMITED in config.strategies else {})
@@ -393,10 +392,7 @@ def _books(config: CampaignConfig, m: int,
             words.append(book.weights)
             stop += k
     power = config.transmit_power_w
-    if UP in config.strategies:
-        words.append(up_weights(m, grid, power).weights[None])
-    if not words:
-        return None, books
+    words.append(up_weights(m, grid, power).weights[None])
     return Codebook(np.concatenate(words), power), books
 
 
@@ -494,10 +490,9 @@ def run_campaign(config: CampaignConfig, out_dir=None,
         sweep, books = _books(config, m, grid)
         for loc_idx, location in enumerate(locations):
             fades = _fades(config, location, taps[loc_idx], m, grid)
-            if sweep is not None:
-                # one sweep of every distinct codeword; a column equals
-                # that codeword's sweep in its own book to the last bit
-                swept = _sweep(sweep, fades, rect_model)
+            # one sweep of every distinct codeword; a column equals that
+            # codeword's sweep in its own book to the last bit
+            swept = _sweep(sweep, fades, rect_model)
             for strategy in config.strategies:
                 if strategy == LIMITED:
                     for k, (book, columns) in books.items():
@@ -634,8 +629,16 @@ def summarize(rows, out_path=None) -> list[SummaryRow]:
 # ---------------------------------------------------------------------------
 # pre-canned sweeps
 
+#: each pre-canned sweep's (antenna counts, tone counts)
+FIGURES = {
+    "figure-bf": ((1, 2, 4), (1,)),
+    "figure-wf": ((1,), (1, 2, 4, 8)),
+    "figure-joint": ((1, 2, 4), (1, 2, 4, 8)),
+}
+
+
 def figure_config(name: str, seed: int | None = None) -> CampaignConfig:
-    """Pre-canned campaign configs for the three standard sweeps.
+    """Pre-canned campaign config for one of the sweeps in FIGURES.
 
     figure-bf: dc power vs antenna count (M in {1,2,4}, N=1).
     figure-wf: dc power vs tone count (M=1, N in {1,2,4,8}).
@@ -646,15 +649,10 @@ def figure_config(name: str, seed: int | None = None) -> CampaignConfig:
     assumption, not a measured geometry) and nested codebooks swept over
     K in {2,...,64}.
     """
-    axes = {
-        "figure-bf": ((1, 2, 4), (1,)),
-        "figure-wf": ((1,), (1, 2, 4, 8)),
-        "figure-joint": ((1, 2, 4), (1, 2, 4, 8)),
-    }
-    if name not in axes:
+    if name not in FIGURES:
         raise ConfigError(f"unknown sweep {name!r}; "
-                          f"expected one of {sorted(axes)}")
-    antennas, tones = axes[name]
+                          f"expected one of {sorted(FIGURES)}")
+    antennas, tones = FIGURES[name]
     kwargs = {}
     if seed is not None:
         kwargs["seed"] = seed

@@ -47,8 +47,11 @@ class ChannelModelParams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_taps < 1:
-            raise DomainError(f"n_taps must be >= 1, got {self.n_taps}")
+        # a non-finite value fails each range test before int() sees it
+        if not (1 <= self.n_taps < np.inf
+                and self.n_taps == int(self.n_taps)):
+            raise DomainError(
+                f"n_taps must be >= 1 and an integer, got {self.n_taps}")
         if not 0 < self.tap_spacing_s < np.inf:
             raise DomainError("tap_spacing_s must be > 0 and finite")
         if not 0 < self.pdp_decay <= 1:
@@ -56,8 +59,10 @@ class ChannelModelParams:
         if not 0 <= self.pathloss_db < np.inf:
             raise DomainError(
                 f"pathloss_db must be >= 0 and finite, got {self.pathloss_db}")
-        if not 0 <= int(self.seed) < 2 ** 64:
-            raise DomainError("seed must fit in 64 unsigned bits")
+        if not (0 <= self.seed < np.inf
+                and self.seed == int(self.seed) < 2 ** 64):
+            raise DomainError(
+                f"seed must be an integer in [0, 2**64), got {self.seed}")
 
 
 @dataclass(frozen=True)

@@ -69,13 +69,6 @@ class LinkModel:
 
 
 @dataclass(frozen=True)
-class FeedbackMsg:
-    """Index report: (k* - 1) in binary, most-significant bit first."""
-
-    index_bits: str
-
-
-@dataclass(frozen=True)
 class FrameReport:
     """Everything observable about one frame."""
 
@@ -90,27 +83,25 @@ class FrameReport:
     p_rf_wpt: float             # received RF power during the WPT phase, watts
 
 
-def encode_feedback(k_star: int, k_codewords: int) -> FeedbackMsg:
-    """Bit message for a selected index; length feedback_bits(K)."""
+def encode_feedback(k_star: int, k_codewords: int) -> str:
+    """Index report: (k* - 1) in feedback_bits(K) binary digits, MSB first."""
     if not 1 <= k_star <= k_codewords:
         raise DomainError(f"k_star {k_star} outside [1, {k_codewords}]")
     n_bits = feedback_bits(k_codewords)
-    bits = format(k_star - 1, f"0{n_bits}b") if n_bits else ""
-    return FeedbackMsg(index_bits=bits)
+    return format(k_star - 1, f"0{n_bits}b") if n_bits else ""
 
 
-def decode_feedback(msg: FeedbackMsg, k_codewords: int) -> int:
+def decode_feedback(bits: str, k_codewords: int) -> int:
     """Recover the 1-based index; wrong bit length is a protocol error."""
     n_bits = feedback_bits(k_codewords)
-    if len(msg.index_bits) != n_bits:
+    if len(bits) != n_bits:
         raise ProtocolError(
-            f"expected {n_bits} bits for K={k_codewords}, "
-            f"got {len(msg.index_bits)}")
+            f"expected {n_bits} bits for K={k_codewords}, got {len(bits)}")
     if n_bits == 0:
         return 1
-    if any(b not in "01" for b in msg.index_bits):
-        raise ProtocolError(f"non-binary feedback payload {msg.index_bits!r}")
-    index = int(msg.index_bits, 2) + 1
+    if any(b not in "01" for b in bits):
+        raise ProtocolError(f"non-binary feedback payload {bits!r}")
+    index = int(bits, 2) + 1
     if index > k_codewords:
         raise ProtocolError(f"decoded index {index} outside [1, {k_codewords}]")
     return index
@@ -207,10 +198,10 @@ def run_frame(config: FrameConfig, codebook: Codebook,
                   if sweep is None else sweep)
     measurements = _readings(dcs, adc, rng)
     k_star = select_codeword(measurements)
-    msg = encode_feedback(k_star, codebook.k_codewords)
+    bits = encode_feedback(k_star, codebook.k_codewords)
     delivered = rng is None or bool(rng.random() < link.delivery_probability)
     if delivered:
-        applied = decode_feedback(msg, codebook.k_codewords)
+        applied = decode_feedback(bits, codebook.k_codewords)
     elif fallback_state is None:
         applied = UP_FALLBACK
     else:
@@ -223,7 +214,12 @@ def run_frame(config: FrameConfig, codebook: Codebook,
         p_rf = received_rf_power(tones)
     else:
         p_dc, p_rf = dcs[applied - 1], p_rfs[applied - 1]
-    e_train = float(sum(dcs)) * config.t_s
+    # summed left to right: from Python 3.12 the builtin sum compensates
+    # float rounding, so it would give other bits than 3.10 and 3.11
+    e_train = 0.0
+    for dc in dcs:
+        e_train += dc
+    e_train *= config.t_s
     e_wpt = p_dc * t_p
     return FrameReport(frame_id=frame_id, measurements=tuple(measurements),
                        selected_index=k_star, applied_index=applied,

@@ -27,8 +27,8 @@ class SmfParams:
     power_budget: float = 1.0
 
     def __post_init__(self):
-        if self.beta < 1:
-            raise DomainError(f"beta must be >= 1, got {self.beta}")
+        if not 1 <= self.beta < np.inf:
+            raise DomainError(f"beta must be >= 1 and finite, got {self.beta}")
         if not 0 < self.power_budget < np.inf:
             raise DomainError("power_budget must be > 0 and finite")
 

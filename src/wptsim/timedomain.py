@@ -21,20 +21,19 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError
-from .waveform import EffectiveTones, ToneGrid, sample_times
+from .waveform import ToneGrid, sample_times
 
 
-def received_waveform(tones: EffectiveTones, grid: ToneGrid,
+def received_waveform(a: np.ndarray, grid: ToneGrid,
                       time_points) -> np.ndarray:
-    """y(t) = Re{sum_n a_n e^{j w_n t}} sampled at the given instants."""
+    """y(t) = Re{sum_n a_n e^{j w_n t}} of (N,) amplitudes at the instants."""
     t = np.asarray(time_points, dtype=float)
-    return np.real(np.exp(1j * np.outer(t, grid.angular_frequencies))
-                   @ tones.amplitudes)
+    return np.real(np.exp(1j * np.outer(t, grid.angular_frequencies)) @ a)
 
 
-def moments_by_averaging(tones: EffectiveTones, grid: ToneGrid,
+def moments_by_averaging(a: np.ndarray, grid: ToneGrid,
                          oversampling: int = 32) -> tuple[float, float]:
-    """(mean of y^2, mean of y^4) over one fundamental period.
+    """(mean of y^2, mean of y^4) of (N,) amplitudes over one period.
 
     These equal the closed-form m2 and m4 exactly on commensurate grids.
     """
@@ -43,11 +42,5 @@ def moments_by_averaging(tones: EffectiveTones, grid: ToneGrid,
             "time averaging over 1/delta_f is only exact when 2*f_c is an "
             "integer multiple of delta_f; refusing an incommensurate grid")
     t = sample_times(grid, oversampling)
-    y = received_waveform(tones, grid, t)
+    y = received_waveform(a, grid, t)
     return float(np.mean(y ** 2)), float(np.mean(y ** 4))
-
-
-def rf_power_by_averaging(tones: EffectiveTones, grid: ToneGrid,
-                          oversampling: int = 16) -> float:
-    """Time-average of y^2 over one period; cross-check for received_rf_power."""
-    return moments_by_averaging(tones, grid, oversampling)[0]

@@ -56,7 +56,9 @@ class ToneGrid:
                                             compare=False)
 
     def __post_init__(self):
-        if self.n_tones < 1 or self.n_tones != int(self.n_tones):
+        # a non-finite count fails the range test before int() sees it
+        if not (1 <= self.n_tones < np.inf
+                and self.n_tones == int(self.n_tones)):
             raise DomainError(
                 f"n_tones must be an integer >= 1, got {self.n_tones}")
         if not 0 < self.bandwidth_hz < np.inf:
@@ -81,10 +83,6 @@ class ToneGrid:
     def delta_f(self) -> float:
         """Tone spacing B/N in Hz; 1/delta_f is the fundamental period."""
         return self.bandwidth_hz / self.n_tones
-
-    @property
-    def frequencies_hz(self) -> np.ndarray:
-        return self.angular_frequencies / (2.0 * np.pi)
 
     def is_commensurate(self) -> bool:
         """True when 2*f_c is an integer multiple of the tone spacing.

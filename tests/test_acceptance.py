@@ -12,6 +12,8 @@ ceiling C(64) proven in docs/covering_bound.md shows.  The test asserts
 that premise and measures the trained book from C(64) instead.
 """
 
+import functools
+import operator
 import time
 
 import numpy as np
@@ -247,9 +249,11 @@ def test_criterion_08_protocol_accounting():
     ch = _random_channel(500_000, 2, grid)
     reports = run_session(cfg, book, [ch] * 5, DiodeMomentModel(), None,
                           LinkModel(), stream(9800, rngmod.SESSION))
-    # ideal mode: the readings are the swept dc levels themselves
+    # ideal mode: the readings are the swept dc levels themselves, summed
+    # left to right (the builtin sum compensates rounding from Python 3.12)
     energy_exact = all(
-        r.energy_training == float(sum(r.measurements)) * cfg.t_s
+        r.energy_training
+        == functools.reduce(operator.add, r.measurements, 0.0) * cfg.t_s
         and r.energy_wpt == r.p_dc_wpt * cfg.t_p(8) for r in reports)
     rejected = False
     try:
@@ -260,7 +264,7 @@ def test_criterion_08_protocol_accounting():
     for k in (1, 2, 4, 8, 16, 32, 64):
         want = 0 if k == 1 else int(np.ceil(np.log2(k)))
         payload_ok &= feedback_bits(k) == want
-        payload_ok &= len(encode_feedback(1, k).index_bits) == want
+        payload_ok &= len(encode_feedback(1, k)) == want
     ok = split_exact and energy_exact and rejected and payload_ok
     _report(8, ok, f"t_p == 1.92 exactly: {split_exact}, phase energies "
                    f"exact on {len(reports)} frames: {energy_exact}, "

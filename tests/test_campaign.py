@@ -726,14 +726,16 @@ def test_books_are_slices_of_the_sweep_book(method, columns):
 
 
 def test_books_sweep_only_the_swept_strategies():
+    # every campaign sweeps UP's codeword, its gain baseline, as the last
+    # row; codebook rows come only with LIMITED
     from wptsim.campaign import _books
     grid = ToneGrid.centered(2.4e9, 10e6, 2)
-    assert _books(CampaignConfig(strategies=("SMF",)), 2, grid) == (None, {})
     sweep, books = _books(CampaignConfig(strategies=("UP", "SMF")), 2, grid)
     assert books == {} and sweep.k_codewords == 1
     sweep, books = _books(CampaignConfig(strategies=("LIMITED",),
                                          codebook_sizes=(2, 4)), 2, grid)
-    assert sweep.weights.tobytes() == books[4][0].weights.tobytes()
+    assert sweep.weights[:4].tobytes() == books[4][0].weights.tobytes()
+    assert sweep.k_codewords == 5
 
 
 @pytest.mark.parametrize("rectifier,method,strategies,resample", [

@@ -120,6 +120,13 @@ def test_param_validation():
         ChannelModelParams(pathloss_db=-1.0, seed=0)
     with pytest.raises(DomainError):
         ChannelModelParams(tap_spacing_s=0.0, seed=0)
+    # a fractional or non-finite tap count or seed used to pass, or to
+    # escape as a bare TypeError, ValueError or OverflowError
+    for bad in ({"n_taps": 2.5}, {"n_taps": np.inf}, {"n_taps": np.nan},
+                {"seed": 2.5}, {"seed": np.nan}, {"seed": np.inf},
+                {"seed": 2 ** 64}):
+        with pytest.raises(DomainError):
+            ChannelModelParams(**bad)
 
 
 def test_make_locations_labels_and_range():

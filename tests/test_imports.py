@@ -1,4 +1,5 @@
-"""Every top-level import is used, and every benchmark trace point exists."""
+"""Every top-level import is used, every benchmark trace point exists, and
+the per-object waveform layer is read only where the benchmark traces it."""
 
 import ast
 import importlib
@@ -144,3 +145,41 @@ def test_all_is_exactly_the_package_imports():
     assert sorted(wptsim.__all__) == sorted(imported)
     assert [name for name in wptsim.__all__
             if not hasattr(wptsim, name)] == []
+
+
+#: the single-waveform layer, read as a name or an attribute
+#: (``book.entries``); what is left of it serves the benchmark's trace points
+_PER_OBJECT = {"EffectiveTones", "WaveformWeights", "effective_tones",
+               "waveform_moments", "received_rf_power", "dc_power_moment",
+               "entries"}
+#: the modules that define it or whose calls perfbench/spans.py wraps, and
+#: the script that times papr and dc_power_table on it
+_PER_OBJECT_READERS = {f"src/wptsim/{name}.py" for name in (
+    "waveform", "rectenna", "strategies", "codebook", "protocol",
+    "campaign")} | {"scripts/bench_kernel.py"}
+
+
+def _per_object_reads(source: str) -> list[str]:
+    return sorted(_PER_OBJECT & set().union(*(
+        names for _, names in _statement_refs(ast.parse(source)))))
+
+
+def test_scan_finds_a_per_object_read():
+    source = ("from wptsim import effective_tones, tone_moments\n"
+              "def best(book):\n    return max(book.entries)\n"
+              "a = tone_moments(1)\n")
+    assert _per_object_reads(source) == ["effective_tones", "entries"]
+    assert _per_object_reads("a = tone_moments(1)\n") == []
+
+
+def test_per_object_layer_is_read_only_at_the_trace_points():
+    # oracles, the CLI and the scripts run on amplitude arrays; once the
+    # benchmark stops tracing the layer it can go without another port
+    reads = {}
+    for path in _MODULES:
+        rel = path.relative_to(_ROOT).as_posix()
+        if not rel.startswith("tests/") and rel not in _PER_OBJECT_READERS:
+            found = _per_object_reads(path.read_text())
+            if found:
+                reads[rel] = found
+    assert reads == {}

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wptsim import (AdcConfig, ConfigError, DiodeMomentModel, DomainError,
-                    EfficiencyTableModel, FeedbackMsg, FrameConfig, LinkModel,
+                    EfficiencyTableModel, FrameConfig, LinkModel,
                     ProtocolError, ToneGrid, UP_FALLBACK, decode_feedback,
                     dc_power_moment, effective_tones, encode_feedback,
                     gen_nested, gen_random, measure_dc, protocol,
@@ -58,19 +58,19 @@ def test_link_model_domain():
 def test_feedback_round_trip_all_indices(log2k):
     k = 2 ** log2k
     for k_star in range(1, k + 1):
-        msg = encode_feedback(k_star, k)
-        assert len(msg.index_bits) == log2k
-        assert decode_feedback(msg, k) == k_star
+        bits = encode_feedback(k_star, k)
+        assert len(bits) == log2k
+        assert decode_feedback(bits, k) == k_star
 
 
 def test_feedback_k1_empty_payload():
-    msg = encode_feedback(1, 1)
-    assert msg.index_bits == ""
-    assert decode_feedback(msg, 1) == 1
+    bits = encode_feedback(1, 1)
+    assert bits == ""
+    assert decode_feedback(bits, 1) == 1
 
 
 def test_feedback_msb_first():
-    assert encode_feedback(5, 8).index_bits == "100"   # index 4 as 3 bits
+    assert encode_feedback(5, 8) == "100"   # index 4 as 3 bits
 
 
 def test_encode_rejects_out_of_range():
@@ -82,18 +82,18 @@ def test_encode_rejects_out_of_range():
 
 def test_decode_rejects_wrong_length():
     with pytest.raises(ProtocolError):
-        decode_feedback(FeedbackMsg(index_bits="10"), 8)
+        decode_feedback("10", 8)
 
 
 def test_decode_rejects_non_binary():
     with pytest.raises(ProtocolError):
-        decode_feedback(FeedbackMsg(index_bits="1x0"), 8)
+        decode_feedback("1x0", 8)
 
 
 def test_decode_rejects_overflow_index():
     # K=5 needs 3 bits but only indices 1..5 are valid
     with pytest.raises(ProtocolError):
-        decode_feedback(FeedbackMsg(index_bits="111"), 5)
+        decode_feedback("111", 5)
 
 
 # ---------------------------------------------------------------------------

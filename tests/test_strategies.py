@@ -115,6 +115,10 @@ def test_smf_params_domain():
         SmfParams(beta=0.5, power_budget=1.0)
     with pytest.raises(DomainError):
         SmfParams(beta=3.0, power_budget=0.0)
+    # a non-finite beta used to pass here and fail in smf_weights
+    for beta in (np.nan, np.inf):
+        with pytest.raises(DomainError):
+            SmfParams(beta=beta, power_budget=1.0)
 
 
 # ---------------------------------------------------------------------------

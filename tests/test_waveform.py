@@ -14,8 +14,7 @@ from hypothesis import strategies as st
 from wptsim import (DimensionError, DomainError, EffectiveTones, ToneGrid,
                     WaveformWeights, ZeroWaveformError,
                     effective_tones, gen_random, moments_by_averaging, papr,
-                    received_rf_power, rf_power_by_averaging, stream,
-                    waveform_moments)
+                    received_rf_power, stream, waveform_moments)
 from wptsim import waveform
 from wptsim.timedomain import received_waveform, sample_times
 
@@ -27,7 +26,7 @@ from conftest import make_channel, random_weights
 
 def test_centered_grid_tone_spacing():
     grid = ToneGrid.centered(2.4e9, 10e6, 8)
-    f = grid.frequencies_hz
+    f = grid.angular_frequencies / (2.0 * np.pi)
     assert len(f) == 8
     assert np.allclose(np.diff(f), 10e6 / 8)
     # tones straddle the carrier symmetrically
@@ -36,7 +35,8 @@ def test_centered_grid_tone_spacing():
 
 def test_single_tone_grid_sits_on_carrier():
     grid = ToneGrid.centered(2.4e9, 10e6, 1)
-    assert grid.frequencies_hz[0] == pytest.approx(2.4e9, rel=1e-15)
+    assert grid.angular_frequencies[0] / (2.0 * np.pi) == pytest.approx(
+        2.4e9, rel=1e-15)
 
 
 def test_grid_delta_f():
@@ -57,7 +57,8 @@ def test_grid_computes_its_frequencies(center, bandwidth, n):
 
 @pytest.mark.parametrize("n,center,bandwidth", [
     (0, 2.4e9, 10e6), (-1, 2.4e9, 10e6), (2.5, 2.4e9, 10e6),
-    (4, 0.0, 10e6), (4, 2.4e9, 0.0), (4, 2.4e9, np.inf)])
+    (4, 0.0, 10e6), (4, 2.4e9, 0.0), (4, 2.4e9, np.inf),
+    (np.inf, 2.4e9, 10e6), (np.nan, 2.4e9, 10e6)])
 def test_grid_rejects_bad_arguments(n, center, bandwidth):
     with pytest.raises(DomainError):
         ToneGrid(n, center, bandwidth)
@@ -226,7 +227,7 @@ def test_moments_match_time_domain_average(seed, n, m):
     gen = stream(seed, 8)
     tones = effective_tones(ch, random_weights(gen, m, n, 2.0))
     m2, m4 = waveform_moments(tones, grid)
-    ref2, ref4 = moments_by_averaging(tones, grid)
+    ref2, ref4 = moments_by_averaging(tones.amplitudes, grid)
     assert m2 == pytest.approx(ref2, rel=1e-9)
     assert m4 == pytest.approx(ref4, rel=1e-9)
 
@@ -237,21 +238,20 @@ def test_rf_power_matches_time_domain_average():
     gen = stream(11, 8)
     tones = effective_tones(ch, random_weights(gen, 2, 4, 1.0))
     assert received_rf_power(tones) == pytest.approx(
-        rf_power_by_averaging(tones, grid), rel=1e-9)
+        moments_by_averaging(tones.amplitudes, grid, 16)[0], rel=1e-9)
 
 
 def test_time_domain_refuses_incommensurate_grid():
     grid = ToneGrid.centered(2.4e9 + 137.0, 10e6, 2)
-    tones = _tones([1.0, 1.0])
     with pytest.raises(DomainError):
-        moments_by_averaging(tones, grid)
+        moments_by_averaging(np.array([1.0, 1.0], dtype=complex), grid)
 
 
 def test_received_waveform_is_real_cosine_sum():
     grid = ToneGrid.centered(2.4e9, 10e6, 2)
     tones = _tones([1.0 + 0.5j, 0.25j])
     t = sample_times(grid, oversampling=8)[:16]
-    y = received_waveform(tones, grid, t)
+    y = received_waveform(tones.amplitudes, grid, t)
     manual = sum(np.abs(a) * np.cos(w * t + np.angle(a))
                  for a, w in zip(tones.amplitudes, grid.angular_frequencies))
     assert np.allclose(y, manual, atol=1e-12)
@@ -483,7 +483,7 @@ def test_papr_equals_sampled_oracle_ratio_bit_for_bit(n, oversampling):
     gen = stream(31, 10, n, oversampling)
     for _ in range(5):
         tones = _tones(gen.normal(size=n) + 1j * gen.normal(size=n))
-        y = received_waveform(tones, grid, t)
+        y = received_waveform(tones.amplitudes, grid, t)
         expected = float(np.max(y ** 2) / np.mean(y ** 2))
         assert papr(tones, grid, oversampling) == expected
         assert papr(tones, grid, oversampling) == expected
