@@ -29,7 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from .channel import ChannelModelParams, tap_variances
-from .errors import DomainError
+from .errors import DomainError, check_count, check_positive
 from .rectenna import DiodeMomentModel
 from .waveform import ToneGrid
 
@@ -95,12 +95,9 @@ def dc_ceiling(params: ChannelModelParams, m_antennas: int, grid: ToneGrid,
         model: moment rectifier the dc power is measured with.
         power: codeword power budget P > 0, watts.
     """
-    if k < 1:
-        raise DomainError(f"k must be >= 1, got {k}")
-    if m_antennas < 1:
-        raise DomainError(f"m_antennas must be >= 1, got {m_antennas}")
-    if not power > 0:
-        raise DomainError(f"power must be > 0, got {power}")
+    k = check_count("k", k)
+    m_antennas = check_count("m_antennas", m_antennas)
+    check_positive("power", power)
     if not isinstance(model, DiodeMomentModel):
         raise DomainError("the ceiling is proven for the moment model only")
     n = grid.n_tones

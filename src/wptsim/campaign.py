@@ -39,7 +39,7 @@ from .channel import (ChannelModelParams, ChannelRealization,
                       frequency_response, make_locations, realize_channel,
                       sample_taps)
 from .codebook import Codebook, gen_nested, gen_random, train_lloyd
-from .errors import ConfigError, DomainError, SummaryError
+from .errors import ConfigError, DomainError, SummaryError, check_count
 from .protocol import FrameConfig, LinkModel, run_session, session_draws
 from .protocol import _dc_power, _sweep
 from .rectenna import AdcConfig, DiodeMomentModel, EfficiencyTableModel
@@ -103,17 +103,20 @@ class CampaignConfig:
         for s in self.strategies:
             if s not in _STRATEGY_IDS:
                 raise ConfigError(f"unknown strategy {s!r}")
-        for name in ("antenna_counts", "tone_counts"):
-            axis = tuple(sorted(set(getattr(self, name))))
-            if not axis or any(v < 1 for v in axis):
-                raise ConfigError(f"{name} must be a non-empty set of ints >= 1")
-            object.__setattr__(self, name, axis)
-        object.__setattr__(self, "codebook_sizes",
-                           tuple(sorted(set(self.codebook_sizes))))
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.n_locations < 1 or self.frames_per_location < 1:
-            raise ConfigError("need at least one location and one frame")
+        # each count field normalized to an int, each axis to a sorted set
+        try:
+            for name in ("antenna_counts", "tone_counts", "codebook_sizes"):
+                object.__setattr__(self, name, tuple(sorted(
+                    {check_count(name, v) for v in getattr(self, name)})))
+            for name, low in (("n_locations", 1), ("frames_per_location", 1),
+                              ("seed", 0), ("training_channels", 0),
+                              ("training_iters", 0)):
+                object.__setattr__(self, name,
+                                   check_count(name, getattr(self, name), low))
+        except DomainError as exc:
+            raise ConfigError(str(exc)) from exc
+        if not (self.antenna_counts and self.tone_counts):
+            raise ConfigError("antenna_counts or tone_counts axis is empty")
         if self.rectifier_model not in ("moment", "table"):
             raise ConfigError(f"unknown rectifier model {self.rectifier_model!r}")
         if self.rectifier_model == "table" and not self.table_path:
@@ -123,9 +126,6 @@ class CampaignConfig:
         if LIMITED in self.strategies:
             if not self.codebook_sizes:
                 raise ConfigError("LIMITED strategy needs codebook_sizes")
-            if min(self.codebook_sizes) < 1:
-                raise ConfigError(f"codebook_sizes must be >= 1, got "
-                                  f"{min(self.codebook_sizes)}")
             if self.codebook_method == "nested" and any(
                     k & (k - 1) for k in self.codebook_sizes):
                 raise ConfigError(

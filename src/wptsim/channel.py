@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng as rngmod
-from .errors import DimensionError, DomainError
+from .errors import (DimensionError, DomainError, check_count,
+                     check_positive)
 from .waveform import ToneGrid
 
 
@@ -47,22 +48,15 @@ class ChannelModelParams:
     seed: int = 0
 
     def __post_init__(self):
-        # a non-finite value fails each range test before int() sees it
-        if not (1 <= self.n_taps < np.inf
-                and self.n_taps == int(self.n_taps)):
-            raise DomainError(
-                f"n_taps must be >= 1 and an integer, got {self.n_taps}")
-        if not 0 < self.tap_spacing_s < np.inf:
-            raise DomainError("tap_spacing_s must be > 0 and finite")
+        object.__setattr__(self, "n_taps", check_count("n_taps", self.n_taps))
+        check_positive("tap_spacing_s", self.tap_spacing_s)
         if not 0 < self.pdp_decay <= 1:
             raise DomainError(f"pdp_decay must be in (0, 1], got {self.pdp_decay}")
         if not 0 <= self.pathloss_db < np.inf:
             raise DomainError(
                 f"pathloss_db must be >= 0 and finite, got {self.pathloss_db}")
-        if not (0 <= self.seed < np.inf
-                and self.seed == int(self.seed) < 2 ** 64):
-            raise DomainError(
-                f"seed must be an integer in [0, 2**64), got {self.seed}")
+        object.__setattr__(self, "seed",
+                           check_count("seed", self.seed, 0, 2 ** 64 - 1))
 
 
 @dataclass(frozen=True)
@@ -113,8 +107,7 @@ def sample_taps(params: ChannelModelParams, m_antennas: int,
     rows of a larger array equal a smaller array's draw from the same
     stream and per-antenna fades stay comparable across antenna counts.
     """
-    if m_antennas < 1:
-        raise DomainError(f"m_antennas must be >= 1, got {m_antennas}")
+    m_antennas = check_count("m_antennas", m_antennas)
     std = np.sqrt(tap_variances(params) / 2.0)
     block = rng.standard_normal((m_antennas, 2 * params.n_taps))
     return (block[:, :params.n_taps] + 1j * block[:, params.n_taps:]) * std
@@ -156,10 +149,9 @@ def make_locations(count: int, base_seed: int,
     derive_seed(base_seed, LOCATION_SEED, i).  Both derivations are pure
     functions of base_seed, so a campaign's geometry is reproducible.
     """
-    if count < 1:
-        raise DomainError(f"count must be >= 1, got {count}")
+    count = check_count("count", count)
     lo, hi = pathloss_range_db
-    if hi < lo:
+    if not lo <= hi:
         raise DomainError(f"empty pathloss range [{lo}, {hi}]")
     gen = rngmod.stream(base_seed, rngmod.PATHLOSS)
     losses = gen.uniform(lo, hi, count)

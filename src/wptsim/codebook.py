@@ -46,7 +46,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import CodebookIOError, DimensionError, DomainError
+from .errors import (CodebookIOError, DimensionError, DomainError,
+                     check_count, check_positive)
 from .rectenna import DiodeMomentModel
 from .strategies import SmfParams, smf_weights, up_weights
 from .waveform import (ToneGrid, WaveformWeights, _sphere, autoconvolution,
@@ -92,9 +93,7 @@ class Codebook:
     provenance: str = ""
 
     def __post_init__(self):
-        if not self.power_budget > 0:
-            raise DomainError(f"power_budget must be > 0, got "
-                              f"{self.power_budget}")
+        check_positive("power_budget", self.power_budget)
         words = np.array(self.weights, dtype=complex)
         if words.ndim != 3:
             raise DimensionError(f"codebook weights must be a (K, M, N) "
@@ -136,8 +135,7 @@ class Codebook:
         """The codebook formed by the first k entries (requires nested)."""
         if not self.nested:
             raise DomainError("prefix export requires a nested codebook")
-        if not 1 <= k <= self.k_codewords:
-            raise DomainError(f"k must be in [1, {self.k_codewords}], got {k}")
+        k = check_count("k", k, 1, self.k_codewords)
         return Codebook(self.weights[:k], self.power_budget, nested=True,
                         provenance=f"{self.provenance} prefix[{k}]")
 
@@ -154,24 +152,24 @@ def _random_words(m: int, n: int, power: float, k: int,
 
 
 def gen_random(m: int, grid: ToneGrid, power: float, k: int,
-               rng: np.random.Generator, provenance: str = "") -> Codebook:
+               rng: np.random.Generator) -> Codebook:
     """K i.i.d. complex-Gaussian codewords rescaled onto the power sphere."""
-    if k < 1:
-        raise DomainError(f"k must be >= 1, got {k}")
-    return Codebook(_random_words(m, grid.n_tones, power, k, rng), power,
-                    provenance=provenance or f"gen_random k={k}")
+    k = check_count("k", k)
+    words = _random_words(check_count("m", m), grid.n_tones, power, k, rng)
+    return Codebook(words, power, provenance=f"gen_random k={k}")
 
 
 def gen_nested(m: int, grid: ToneGrid, power: float, k_max: int,
-               rng: np.random.Generator, provenance: str = "") -> Codebook:
+               rng: np.random.Generator) -> Codebook:
     """Prefix-nested codebook: entry 1 is the UP codeword, the rest random."""
-    if k_max < 1 or (k_max & (k_max - 1)) != 0:
+    k_max = check_count("k_max", k_max)
+    if k_max & (k_max - 1):
         raise DomainError(f"k_max must be a power of two, got {k_max}")
     words = np.concatenate([up_weights(m, grid, power).weights[None],
                             _random_words(m, grid.n_tones, power, k_max - 1,
                                           rng)])
     return Codebook(words, power, nested=True,
-                    provenance=provenance or f"gen_nested k_max={k_max}")
+                    provenance=f"gen_nested k_max={k_max}")
 
 
 # ---------------------------------------------------------------------------
@@ -496,13 +494,11 @@ def train_lloyd(training_channels, k: int, rect_model: DiodeMomentModel,
         Trained codebook (not nested).
     """
     channels = list(training_channels)
-    if k < 1:
-        raise DomainError(f"k must be >= 1, got {k}")
+    k = check_count("k", k)
     if len(channels) < k:
         raise DomainError(
             f"training set of {len(channels)} is smaller than k={k}")
-    if iters < 1:
-        raise DomainError(f"iters must be >= 1, got {iters}")
+    iters = check_count("iters", iters)
     if not isinstance(rect_model, DiodeMomentModel):
         raise DomainError("training requires the smooth moment model")
     m, n = channels[0].gains.shape
@@ -591,6 +587,8 @@ def load_codebook(path) -> Codebook:
         m, n, k = int(header[2]), int(header[3]), int(header[4])
         power = float(header[5])
         nested = bool(int(header[6]))
+        # a DomainError is a ValueError, so it names the header line too
+        check_positive("power", power)
     except ValueError as exc:
         raise CodebookIOError(f"{path}:1: {exc}") from exc
     if min(m, n, k) < 1:

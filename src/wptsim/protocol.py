@@ -20,7 +20,8 @@ import numpy as np
 
 from .codebook import Codebook
 from .channel import ChannelRealization
-from .errors import ConfigError, DimensionError, DomainError, ProtocolError
+from .errors import (ConfigError, DimensionError, DomainError, ProtocolError,
+                     check_count)
 from .rectenna import (AdcConfig, DiodeMomentModel, dc_power_moment,
                        dc_power_table, measure_dc)
 from .strategies import feedback_bits, select_codeword, up_weights
@@ -85,9 +86,8 @@ class FrameReport:
 
 def encode_feedback(k_star: int, k_codewords: int) -> str:
     """Index report: (k* - 1) in feedback_bits(K) binary digits, MSB first."""
-    if not 1 <= k_star <= k_codewords:
-        raise DomainError(f"k_star {k_star} outside [1, {k_codewords}]")
     n_bits = feedback_bits(k_codewords)
+    k_star = check_count("k_star", k_star, 1, k_codewords)
     return format(k_star - 1, f"0{n_bits}b") if n_bits else ""
 
 

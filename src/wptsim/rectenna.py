@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, check_count, check_positive
 from .waveform import (EffectiveTones, ToneGrid, papr, received_rf_power,
                        waveform_moments)
 
@@ -42,13 +42,10 @@ class DiodeMomentModel:
     alpha: float = 1.0
 
     def __post_init__(self):
-        if not 0 < self.k2 < math.inf:
-            raise DomainError(f"k2 must be > 0 and finite, got {self.k2}")
+        check_positive("k2", self.k2)
         if not 0 <= self.k4 < math.inf:
             raise DomainError(f"k4 must be >= 0 and finite, got {self.k4}")
-        if not 0 < self.alpha < math.inf:
-            raise DomainError(
-                f"alpha must be > 0 and finite, got {self.alpha}")
+        check_positive("alpha", self.alpha)
 
     def proxy(self, m2, m4):
         """z = k2*m2 + k4*m4 elementwise; linear, so it maps derivatives too."""
@@ -159,13 +156,10 @@ class AdcConfig:
     load_resistance: float = 5000.0
 
     def __post_init__(self):
-        if not 1 <= self.resolution_bits <= 24:
-            raise DomainError(
-                f"resolution_bits must be in [1, 24], got {self.resolution_bits}")
-        if not 0 < self.v_ref < math.inf:
-            raise DomainError("v_ref must be > 0 and finite")
-        if not 0 < self.load_resistance < math.inf:
-            raise DomainError("load_resistance must be > 0 and finite")
+        object.__setattr__(self, "resolution_bits", check_count(
+            "resolution_bits", self.resolution_bits, 1, 24))
+        check_positive("v_ref", self.v_ref)
+        check_positive("load_resistance", self.load_resistance)
         if not 0 <= self.noise_sigma < math.inf:
             raise DomainError("noise_sigma must be >= 0 and finite")
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import check_count
 
 # purpose namespaces; first element of every derived path
 TAPS = 1            # channel tap draws, sub-keyed by frame index
@@ -36,9 +36,7 @@ ORACLE = 7          # self-check case generation
 
 
 def _seed_sequence(seed: int, path) -> np.random.SeedSequence:
-    key = tuple(int(p) for p in (seed, *path))
-    if min(key) < 0:
-        raise DomainError(f"a seed and its path must be >= 0, got {key}")
+    key = [check_count("a seed or path element", p, 0) for p in (seed, *path)]
     return np.random.SeedSequence(entropy=key[0], spawn_key=key[1:])
 
 

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelRealization
-from .errors import DegenerateChannelError, DomainError
+from .errors import (DegenerateChannelError, DomainError, check_count,
+                     check_positive)
 from .waveform import ToneGrid, WaveformWeights, _sphere
 
 
@@ -29,16 +30,13 @@ class SmfParams:
     def __post_init__(self):
         if not 1 <= self.beta < np.inf:
             raise DomainError(f"beta must be >= 1 and finite, got {self.beta}")
-        if not 0 < self.power_budget < np.inf:
-            raise DomainError("power_budget must be > 0 and finite")
+        check_positive("power_budget", self.power_budget)
 
 
 def up_weights(m_antennas: int, grid: ToneGrid, power: float) -> WaveformWeights:
     """Open-loop uniform allocation: every weight sqrt(2P/(M*N)), real."""
-    if m_antennas < 1:
-        raise DomainError(f"m_antennas must be >= 1, got {m_antennas}")
-    if not power > 0:
-        raise DomainError(f"power must be > 0, got {power}")
+    m_antennas = check_count("m_antennas", m_antennas)
+    check_positive("power", power)
     n = grid.n_tones
     w = np.full((m_antennas, n), np.sqrt(2.0 * power / (m_antennas * n)),
                 dtype=complex)
@@ -77,6 +75,4 @@ def select_codeword(measurements) -> int:
 
 def feedback_bits(k_codewords: int) -> int:
     """Bits needed to feed back a codeword index: ceil(log2 K), 0 for K=1."""
-    if k_codewords < 1:
-        raise DomainError(f"k_codewords must be >= 1, got {k_codewords}")
-    return (k_codewords - 1).bit_length()
+    return (check_count("k_codewords", k_codewords) - 1).bit_length()

@@ -27,7 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, ZeroWaveformError
+from .errors import (DimensionError, DomainError, ZeroWaveformError,
+                     check_count, check_positive)
 
 _REL_TOL = 1e-9
 
@@ -56,17 +57,10 @@ class ToneGrid:
                                             compare=False)
 
     def __post_init__(self):
-        # a non-finite count fails the range test before int() sees it
-        if not (1 <= self.n_tones < np.inf
-                and self.n_tones == int(self.n_tones)):
-            raise DomainError(
-                f"n_tones must be an integer >= 1, got {self.n_tones}")
-        if not 0 < self.bandwidth_hz < np.inf:
-            raise DomainError(
-                f"bandwidth_hz must be > 0 and finite, got {self.bandwidth_hz}")
-        if not 0 < self.center_frequency_hz < np.inf:
-            raise DomainError("center_frequency_hz must be > 0 and finite")
-        n = self.n_tones
+        n = check_count("n_tones", self.n_tones)
+        object.__setattr__(self, "n_tones", n)
+        check_positive("bandwidth_hz", self.bandwidth_hz)
+        check_positive("center_frequency_hz", self.center_frequency_hz)
         offsets = np.arange(1, n + 1) - (n + 1) / 2.0
         w = 2.0 * np.pi * (self.center_frequency_hz
                            + offsets * (self.bandwidth_hz / n))
@@ -109,8 +103,7 @@ class WaveformWeights:
     power_budget: float
 
     def __post_init__(self):
-        if not self.power_budget > 0:
-            raise DomainError(f"power_budget must be > 0, got {self.power_budget}")
+        check_positive("power_budget", self.power_budget)
         s = np.asarray(self.weights, dtype=complex)
         if s.ndim != 2 or s.size < 1:
             raise DimensionError(
@@ -360,8 +353,7 @@ def sample_times(grid: ToneGrid, oversampling: int = 32) -> np.ndarray:
     samples per cycle of the highest tone, which for oversampling >= 8
     safely exceeds the 4*f_max/delta_f harmonics of y^4.
     """
-    if oversampling < 8:
-        raise DomainError(f"oversampling must be >= 8, got {oversampling}")
+    oversampling = check_count("oversampling", oversampling, 8)
     f_max = grid.angular_frequencies[-1] / (2.0 * np.pi)
     n = int(oversampling * np.ceil(f_max / grid.delta_f))
     period = 1.0 / grid.delta_f

@@ -147,6 +147,15 @@ def test_make_locations_deterministic():
            [(x.label, x.params.seed, x.params.pathloss_db) for x in b]
 
 
+@pytest.mark.parametrize("span", [(70.0, 55.0), (np.nan, 70.0),
+                                  (55.0, np.nan)],
+                         ids=["reversed", "nan-low", "nan-high"])
+def test_make_locations_rejects_an_empty_or_nan_pathloss_range(span):
+    # a nan bound used to escape the uniform draw as an OverflowError
+    with pytest.raises(DomainError, match="empty pathloss range"):
+        make_locations(2, 0, ChannelModelParams(), span)
+
+
 def test_channel_realization_rejects_a_channel_with_no_antennas():
     grid = ToneGrid.centered(2.4e9, 10e6, 4)
     with pytest.raises(DimensionError):

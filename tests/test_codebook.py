@@ -1,5 +1,6 @@
 """Codebook generation, training, gradients, and the file format."""
 
+import dataclasses
 import hashlib
 import re
 
@@ -50,7 +51,8 @@ def test_gen_nested_rejects_non_power_of_two():
 
 def test_prefix_takes_leading_entries():
     grid = ToneGrid.centered(2.4e9, 10e6, 2)
-    book = gen_nested(2, grid, 1.0, 16, stream(2, 4), provenance="p")
+    book = dataclasses.replace(gen_nested(2, grid, 1.0, 16, stream(2, 4)),
+                               provenance="p")
     sub = book.prefix(4)
     assert sub.k_codewords == 4
     assert sub.nested
@@ -759,8 +761,8 @@ def test_save_load_is_byte_stable(tmp_path):
 
 def test_save_collapses_provenance_newlines(tmp_path):
     grid = ToneGrid.centered(2.4e9, 10e6, 1)
-    book = gen_random(1, grid, 1.0, 2, stream(11, 4),
-                      provenance="line one\nline two")
+    book = dataclasses.replace(gen_random(1, grid, 1.0, 2, stream(11, 4)),
+                               provenance="line one\nline two")
     path = tmp_path / "book.txt"
     save_codebook(book, path)
     back = load_codebook(path)
@@ -801,6 +803,16 @@ def test_load_rejects_a_file_that_is_not_ascii(tmp_path):
     path = tmp_path / "book.txt"
     path.write_bytes(b"wptcb v1 1 1 1 1.0 0\nprovenance \xe9\n1 1 1.0 0.0\n")
     with pytest.raises(CodebookIOError, match=re.escape(f"{path}:")):
+        load_codebook(path)
+
+
+@pytest.mark.parametrize("power", ["inf", "0.0", "nan", "-2.0"])
+def test_load_names_the_file_for_a_header_power_that_is_not_positive(
+        tmp_path, power):
+    # a budget of inf would otherwise load this entry of |s|^2 = 25
+    path = tmp_path / "book.txt"
+    path.write_text(f"wptcb v1 1 1 1 {power} 0\nprovenance x\n1 1 5.0 0.0\n")
+    with pytest.raises(CodebookIOError, match=re.escape(f"{path}:1:")):
         load_codebook(path)
 
 

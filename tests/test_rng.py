@@ -1,5 +1,7 @@
 """Deterministic streams: the SeedSequence recipe behind stream/derive_seed."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -19,9 +21,12 @@ def test_derive_seed_uses_the_same_seed_sequence():
 
 
 @pytest.mark.parametrize("make", [stream, derive_seed])
-@pytest.mark.parametrize("key", [(-1,), (0, -2), (5, 3, -7)],
-                         ids=["seed", "purpose", "index"])
+@pytest.mark.parametrize("key", [(-1,), (0, -2), (5, 3, -7), (1, 2.7),
+                                 (2.5,), (math.nan,)],
+                         ids=["seed", "purpose", "index", "fraction",
+                              "fractional-seed", "nan-seed"])
 def test_a_negative_seed_or_path_element_is_a_domain_error(make, key):
-    # numpy's own ValueError would escape the CLI as a traceback
+    # numpy's own ValueError would escape the CLI as a traceback, and a
+    # fraction truncated by int() would replay another stream's draws
     with pytest.raises(DomainError, match="must be >= 0"):
         make(*key)
