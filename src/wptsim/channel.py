@@ -153,6 +153,10 @@ def make_locations(count: int, base_seed: int,
     lo, hi = pathloss_range_db
     if not lo <= hi:
         raise DomainError(f"empty pathloss range [{lo}, {hi}]")
+    # each bound passes the parameters' own pathloss rule before the
+    # draw, which would fail on an infinite one with a bare OverflowError
+    for pathloss_db in (lo, hi):
+        dataclasses.replace(params_template, pathloss_db=pathloss_db)
     gen = rngmod.stream(base_seed, rngmod.PATHLOSS)
     losses = gen.uniform(lo, hi, count)
     locations = []

@@ -100,7 +100,7 @@ class Codebook:
                                  f"array, got shape {words.shape}")
         if len(words) < 1:
             raise DomainError("a codebook needs at least one entry")
-        # each entry's transmit_power, to the bit, in one reduction; an
+        # each entry's radiated_power, to the bit, in one reduction; an
         # entry with an inf or nan weight has a power of inf or nan, which
         # the negated test catches
         powers = radiated_power(words)
@@ -470,8 +470,7 @@ def _update(gains: np.ndarray, words: np.ndarray, assign: np.ndarray,
 
 
 def train_lloyd(training_channels, k: int, rect_model: DiodeMomentModel,
-                iters: int = 30, rng: np.random.Generator | None = None,
-                init: Codebook | None = None, power: float | None = None,
+                iters: int = 30, *, rng: np.random.Generator, power: float,
                 on_iteration=None) -> Codebook:
     """Alternating assign/ascend codebook training on the moment model.
 
@@ -480,10 +479,9 @@ def train_lloyd(training_channels, k: int, rect_model: DiodeMomentModel,
         k: codebook size.
         rect_model: smooth moment rectifier the objective is built on.
         iters: maximum alternations; stops early if the assignment is stable.
-        rng: picks the initial codewords when no init codebook is given.
-        init: optional starting codebook (e.g. an SMF solution to refine);
-            its power budget is reused.
-        power: codeword power budget, required when init is None.
+        rng: picks the k distinct training channels whose SMF solutions
+            are the initial codewords.
+        power: codeword power budget.
         on_iteration: optional callback (iteration, mean training dc power),
             called once per iteration with a non-decreasing value.  The
             value is the in-sample objective on the training channels the
@@ -501,29 +499,15 @@ def train_lloyd(training_channels, k: int, rect_model: DiodeMomentModel,
     iters = check_count("iters", iters)
     if not isinstance(rect_model, DiodeMomentModel):
         raise DomainError("training requires the smooth moment model")
-    m, n = channels[0].gains.shape
-    if any(ch.gains.shape != (m, n) for ch in channels):
+    if any(ch.gains.shape != channels[0].gains.shape for ch in channels):
         raise DimensionError("training channels must share dimensions")
     gains = np.stack([ch.gains for ch in channels])
 
-    if init is not None:
-        if (init.m_antennas, init.n_tones) != (m, n):
-            raise DimensionError("init codebook does not match the channels")
-        if init.k_codewords != k:
-            raise DomainError(
-                f"init codebook has {init.k_codewords} entries, expected {k}")
-        power = init.power_budget
-    elif power is None:
-        raise DomainError("power is required when no init codebook is given")
-    elif rng is None:
-        raise DomainError("rng is required when no init codebook is given")
     smf = SmfParams(power_budget=power)
-    # without an init book, seed with the SMF solutions of k distinct
-    # training channels
-    words = (init.weights.copy() if init is not None else
-             np.stack([smf_weights(channels[int(i)], smf).weights
-                       for i in rng.choice(len(channels), size=k,
-                                           replace=False)]))
+    # seed with the SMF solutions of k distinct training channels
+    words = np.stack([smf_weights(channels[int(i)], smf).weights
+                      for i in rng.choice(len(channels), size=k,
+                                          replace=False)])
 
     assign, served = _assign(gains, words, rect_model)
     iterations_run = 0

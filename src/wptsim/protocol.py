@@ -49,8 +49,10 @@ class FrameConfig:
         """WPT phase length t_frame - K*t_s of a frame sweeping K codewords.
 
         Raises:
+            DomainError: K is not a whole number >= 1.
             ConfigError: the K*t_s training phase fills the frame.
         """
+        k = check_count("k", k)
         if not k * self.t_s < self.t_frame:
             raise ConfigError(
                 f"training K*t_s = {k * self.t_s} must be "
@@ -229,7 +231,7 @@ def run_frame(config: FrameConfig, codebook: Codebook,
 
 
 def run_session(config: FrameConfig, codebook: Codebook, channels,
-                rect_model, adc: AdcConfig | None, link,
+                rect_model, adc: AdcConfig | None, link: LinkModel,
                 rng: np.random.Generator | None,
                 sweeps: list | None = None) -> list[FrameReport]:
     """One closed-loop frame per channel, with the fallback state threaded.
@@ -242,8 +244,7 @@ def run_session(config: FrameConfig, codebook: Codebook, channels,
 
     Args:
         channels: each frame's ChannelRealization, in frame order.
-        link: one LinkModel for all frames, or a list or tuple of one
-            LinkModel per channel (scripted loss patterns).
+        link: the feedback link every frame reports over.
         rng: the session's stream, which every frame draws from in turn;
             None when the session cannot draw (see session_draws).
         sweeps: each frame's sweep, as run_frame takes it, when the caller
@@ -252,19 +253,14 @@ def run_session(config: FrameConfig, codebook: Codebook, channels,
     """
     if not channels:
         raise DomainError("a session needs at least one channel")
-    n_frames = len(channels)
-    if isinstance(link, (list, tuple)) and len(link) != n_frames:
-        raise DomainError(
-            f"{len(link)} scripted links for {n_frames} frames")
-    if sweeps is not None and len(sweeps) != n_frames:
-        raise DomainError(f"{len(sweeps)} sweeps for {n_frames} frames")
     if sweeps is None:
         sweeps = _sweep(codebook, channels, rect_model)
+    elif len(sweeps) != len(channels):
+        raise DomainError(f"{len(sweeps)} sweeps for {len(channels)} frames")
     reports = []
     fallback: int | None = None
     for i, ch in enumerate(channels):
-        frame_link = link[i] if isinstance(link, (list, tuple)) else link
-        report = run_frame(config, codebook, ch, rect_model, adc, frame_link,
+        report = run_frame(config, codebook, ch, rect_model, adc, link,
                            fallback_state=fallback, rng=rng, frame_id=i,
                            sweep=sweeps[i])
         reports.append(report)

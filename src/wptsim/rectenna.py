@@ -4,10 +4,12 @@ Two interchangeable nonlinearities map the received multi-sine to dc power:
 
 * DiodeMomentModel - truncated diode small-signal expansion.  The dc proxy
   is z = k2*m2 + k4*m4 built from the waveform's second and fourth moments,
-  and P_DC = alpha * z^2.  The fourth-order term is what rewards high-PAPR
-  multi-sine waveforms.  The default coefficients are placeholders, not
-  measurements; any strictly increasing recalibration of the map leaves
-  every codeword selection unchanged.
+  and P_DC = alpha * z^2.  At the default coefficients the fourth-order
+  term k4*m4 is at most about 1.4% of the proxy on figure-joint, so the
+  multi-sine gains there come almost entirely from frequency selection.
+  The default coefficients are placeholders, not measurements; any
+  strictly increasing recalibration of the map leaves every codeword
+  selection unchanged.
 
 * EfficiencyTableModel - user-supplied RF-to-dc efficiency sampled on a
   rectangular (input power dBm, PAPR) grid, interpolated bilinearly, for
@@ -233,8 +235,9 @@ def measure_dc(adc: AdcConfig, p_dc: float,
     Returns:
         (code, quantized voltage in volts).
     """
-    if p_dc < 0:
-        raise DomainError(f"p_dc must be >= 0, got {p_dc}")
+    # nan and inf would otherwise fail in int() below with a bare error
+    if not 0 <= p_dc < math.inf:
+        raise DomainError(f"p_dc must be >= 0 and finite, got {p_dc}")
     v = float(np.sqrt(p_dc * adc.load_resistance))
     if adc.noise_sigma > 0:
         if rng is None:

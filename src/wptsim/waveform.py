@@ -118,26 +118,13 @@ class WaveformWeights:
         s.flags.writeable = False
         object.__setattr__(self, "weights", s)
 
-    @property
-    def m_antennas(self) -> int:
-        return self.weights.shape[0]
-
-    @property
-    def n_tones(self) -> int:
-        return self.weights.shape[1]
-
-    @property
-    def transmit_power(self) -> float:
-        """Radiated power (1/2) sum |s|^2 in watts."""
-        return float(radiated_power(self.weights))
-
 
 def radiated_power(s: np.ndarray) -> np.ndarray:
     """(1/2) sum |s[m, n]|^2 of weights of shape (..., M, N), in watts.
 
     Every power check and rescaling of transmit weights reads it, so a
-    book's one-reduction check and each entry's transmit_power agree to
-    the bit.
+    book's one-reduction check and the check of each entry alone agree
+    to the bit.
     """
     # np.add.reduce is np.sum without its Python-level dispatch
     return 0.5 * np.add.reduce(np.abs(s) ** 2, axis=(-2, -1))

@@ -22,10 +22,11 @@ from wptsim import (ChannelModelParams, ChannelRealization, DiodeMomentModel,
                     ConfigError, FrameConfig, LinkModel, SmfParams, ToneGrid,
                     dc_ceiling, dc_power_moment, effective_tones,
                     encode_feedback, feedback_bits, frequency_response,
-                    gen_nested, gen_random, realize_channel, run_session,
-                    sample_taps, smf_weights, stream, train_lloyd, up_weights,
-                    received_rf_power)
+                    gen_nested, gen_random, realize_channel, run_frame,
+                    run_session, sample_taps, smf_weights, stream,
+                    train_lloyd, up_weights, received_rf_power)
 import wptsim.rng as rngmod
+from wptsim.waveform import radiated_power
 from wptsim.cli import main, oracle_moment_errors
 
 from conftest import dc_batch
@@ -70,7 +71,7 @@ def test_criterion_02_power_constraint():
         ch = _random_channel(case, m, grid)
         for w in (up_weights(m, grid, power),
                   smf_weights(ch, SmfParams(beta=beta, power_budget=power))):
-            worst = max(worst, abs(w.transmit_power - power) / power)
+            worst = max(worst, abs(radiated_power(w.weights) - power) / power)
     grid = ToneGrid.centered(2.4e9, 10e6, 4)
     books = [gen_random(2, grid, 1.3, 16, stream(9201, rngmod.CODEBOOK)),
              gen_nested(2, grid, 2.0, 16, stream(9202, rngmod.CODEBOOK))]
@@ -79,8 +80,7 @@ def test_criterion_02_power_constraint():
                              rng=stream(9203, rngmod.TRAINING), power=1.7))
     for book in books:
         for e in book.entries:
-            worst = max(worst,
-                        abs(e.transmit_power - e.power_budget)
+            worst = max(worst, abs(radiated_power(e.weights) - e.power_budget)
                         / e.power_budget)
     elapsed = time.perf_counter() - start
     ok = worst < 1e-9 and elapsed <= 10.0
@@ -294,11 +294,14 @@ def test_criterion_09_fallback_behavior():
     uniform_power = all(abs(r.p_dc_wpt - p_up) <= 1e-15 * p_up
                         for r in reports)
 
-    scripted = [LinkModel(delivery_probability=1.0),
-                LinkModel(delivery_probability=0.0),
-                LinkModel(delivery_probability=0.0)]
-    chain = run_session(cfg, book, [ch] * 3, model, None, scripted,
-                        stream(9901, rngmod.SESSION))
+    # delivered on frame 0, lost on frames 1 and 2; each frame falls back
+    # to the index the frame before it applied
+    gen, chain, applied = stream(9901, rngmod.SESSION), [], None
+    for frame, delivery in enumerate((1.0, 0.0, 0.0)):
+        chain.append(run_frame(cfg, book, ch, model, None,
+                               LinkModel(delivery_probability=delivery),
+                               applied, gen, frame_id=frame))
+        applied = chain[-1].applied_index
     carried = (chain[0].applied_index == chain[0].selected_index >= 1
                and chain[1].applied_index == chain[0].applied_index
                and chain[2].applied_index == chain[1].applied_index)

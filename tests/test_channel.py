@@ -147,12 +147,16 @@ def test_make_locations_deterministic():
            [(x.label, x.params.seed, x.params.pathloss_db) for x in b]
 
 
-@pytest.mark.parametrize("span", [(70.0, 55.0), (np.nan, 70.0),
-                                  (55.0, np.nan)],
-                         ids=["reversed", "nan-low", "nan-high"])
-def test_make_locations_rejects_an_empty_or_nan_pathloss_range(span):
-    # a nan bound used to escape the uniform draw as an OverflowError
-    with pytest.raises(DomainError, match="empty pathloss range"):
+@pytest.mark.parametrize("span, message", [
+    ((70.0, 55.0), "empty pathloss range"),
+    ((np.nan, 70.0), "empty pathloss range"),
+    ((55.0, np.nan), "empty pathloss range"),
+    ((0.0, np.inf), "pathloss_db must be >= 0 and finite")],
+    ids=["reversed", "nan-low", "nan-high", "inf-high"])
+def test_make_locations_rejects_an_empty_or_nan_pathloss_range(span, message):
+    # a nan or inf bound would otherwise reach the uniform draw, which
+    # raises numpy's OverflowError
+    with pytest.raises(DomainError, match=message):
         make_locations(2, 0, ChannelModelParams(), span)
 
 

@@ -17,7 +17,8 @@ from wptsim import (Codebook, CodebookIOError, DimensionError,
 from wptsim import codebook as codebook_module
 from wptsim.codebook import (_amplitudes, _assign, _dc_and_grad, _dc_upper,
                              _exact_dc, _screen, _sphere, _update)
-from wptsim.waveform import autoconvolution, second_moment, tone_moments
+from wptsim.waveform import (autoconvolution, radiated_power, second_moment,
+                             tone_moments)
 
 from conftest import dc_batch, make_channel
 
@@ -32,7 +33,7 @@ def test_gen_random_shapes_and_power():
     assert not book.nested
     assert book.m_antennas == 2 and book.n_tones == 4
     for e in book.entries:
-        assert e.transmit_power == pytest.approx(1.5, rel=1e-12)
+        assert radiated_power(e.weights) == pytest.approx(1.5, rel=1e-12)
 
 
 def test_gen_nested_first_entry_is_uniform():
@@ -144,13 +145,14 @@ def test_codebook_entries_are_its_rows_read_only():
 
 @pytest.mark.parametrize("m", [1, 2, 4, 8])
 @pytest.mark.parametrize("n", [1, 3, 8, 16])
-def test_codebook_power_check_reads_each_transmit_power(m, n):
-    # the one reduction over the book equals each entry's transmit_power
+def test_codebook_power_check_reads_each_radiated_power(m, n):
+    # the one reduction over the book equals each entry's radiated_power
     # to the bit, so the check accepts what it did per entry
     grid = ToneGrid.centered(2.4e9, 10e6, n)
     book = gen_nested(m, grid, 2.0, 64, stream(m * 100 + n, 4))
     powers = 0.5 * np.sum(np.abs(book.weights) ** 2, axis=(1, 2))
-    assert powers.tolist() == [e.transmit_power for e in book.entries]
+    assert powers.tolist() == [radiated_power(e.weights)
+                               for e in book.entries]
     assert not book.weights.flags.writeable
 
 
@@ -585,23 +587,7 @@ def test_train_lloyd_entries_meet_budget():
     book = train_lloyd(channels, 4, model, iters=6, rng=stream(4, 5),
                        power=2.5)
     for e in book.entries:
-        assert e.transmit_power == pytest.approx(2.5, rel=1e-12)
-
-
-def test_train_lloyd_accepts_init_codebook():
-    channels = _training_channels(5, 30, 2, 2)
-    model = DiodeMomentModel()
-    grid = channels[0].grid
-    init = gen_random(2, grid, 1.25, 4, stream(5, 6))
-    book = train_lloyd(channels, 4, model, iters=6, init=init)
-    assert book.power_budget == pytest.approx(1.25, rel=1e-15)
-
-    def mean_best(b):
-        return float(np.mean([
-            max(dc_power_moment(model, effective_tones(ch, e), grid)
-                for e in b.entries) for ch in channels]))
-
-    assert mean_best(book) >= mean_best(init) * (1 - 1e-12)
+        assert radiated_power(e.weights) == pytest.approx(2.5, rel=1e-12)
 
 
 def test_train_lloyd_handles_duplicate_channels():
@@ -618,21 +604,20 @@ def test_train_lloyd_handles_duplicate_channels():
 def test_train_lloyd_argument_errors():
     channels = _training_channels(7, 10, 2, 2)
     model = DiodeMomentModel()
-    grid = channels[0].grid
     with pytest.raises(DomainError):
         train_lloyd(channels, 12, model, rng=stream(7, 5), power=1.0)
-    with pytest.raises(DomainError):
-        train_lloyd(channels, 4, model)       # neither init nor power+rng
-    with pytest.raises(DomainError):
-        train_lloyd(channels, 4, model, power=1.0)   # missing rng
+    # rng and power are required and keyword-only
+    with pytest.raises(TypeError):
+        train_lloyd(channels, 4, model)
+    with pytest.raises(TypeError):
+        train_lloyd(channels, 4, model, power=1.0)
+    with pytest.raises(TypeError):
+        train_lloyd(channels, 4, model, 30, stream(7, 5), 1.0)
     table = EfficiencyTableModel(p_dbm=np.array([-20.0, 0.0]),
                                  papr_axis=np.array([1.0, 3.0]),
                                  eta=np.full((2, 2), 0.2))
     with pytest.raises(DomainError):
         train_lloyd(channels, 4, table, rng=stream(7, 5), power=1.0)
-    init = gen_random(2, grid, 1.0, 8, stream(7, 6))
-    with pytest.raises(DomainError):
-        train_lloyd(channels, 4, model, init=init)   # K mismatch
     mixed = channels[:5] + _training_channels(7, 1, 2, 4)
     with pytest.raises(DimensionError, match="share dimensions"):
         train_lloyd(mixed, 4, model, rng=stream(7, 5), power=1.0)
@@ -707,11 +692,12 @@ def test_train_lloyd_golden_bytes(tmp_path, setup, digest, objectives):
 
 
 def test_train_lloyd_golden_bytes_with_reseeds(tmp_path, monkeypatch):
-    # codewords 5-8 duplicate 1-4; ties go to the lowest index, so 5-8 get
-    # no members and are re-seeded through codebook.smf_weights
-    channels = _training_channels(0, 50, 2, 4)
-    base = gen_random(2, channels[0].grid, 1.0, 4, stream(0, 6))
-    init = Codebook(np.concatenate([base.weights, base.weights]), 1.0)
+    # 30 of the 50 training channels are one channel, so the K = 8 starting
+    # channels repeat it and their codewords coincide; ties go to the
+    # lowest index, so the copies get no members and are re-seeded through
+    # codebook.smf_weights
+    distinct = _training_channels(0, 20, 2, 4)
+    channels = distinct + [distinct[0]] * 30
     calls = []
     real = codebook_module.smf_weights
 
@@ -721,16 +707,16 @@ def test_train_lloyd_golden_bytes_with_reseeds(tmp_path, monkeypatch):
 
     monkeypatch.setattr(codebook_module, "smf_weights", spy)
     trace = []
-    book = train_lloyd(channels, 8, DiodeMomentModel(), iters=10, init=init,
+    book = train_lloyd(channels, 8, DiodeMomentModel(), iters=10,
+                       rng=stream(0, 5), power=1.0,
                        on_iteration=lambda it, obj: trace.append(obj.hex()))
-    assert len(calls) == 10
-    assert trace == ["0x1.5fb8eb1a3d91cp+16", "0x1.2359514118be5p+17",
-                     "0x1.679ac47dce2adp+17", "0x1.7c577f7465905p+17",
-                     "0x1.8d3d3ae9c68e1p+17", "0x1.8fc5a2a9557eep+17",
-                     "0x1.90368a9736889p+17", "0x1.9053a0d22d2b6p+17",
-                     "0x1.90aafe3106157p+17", "0x1.90c6d7ded247cp+17"]
+    # K starting codewords, then one call per re-seed
+    assert len(calls) == 30 > book.k_codewords
+    assert trace == ["0x1.1d7dd341aa0c5p+18", "0x1.2bba74527e24cp+18",
+                     "0x1.3c192afac010bp+18", "0x1.407dd62f48be8p+18",
+                     "0x1.464cbcc511134p+18", "0x1.498a47d79f506p+18"]
     assert _saved_digest(book, tmp_path / "book.cb") == \
-        "d7e236a77be94e9a3db313a3ca32c6713a6516ce278667ada3cc108358cb2b2a"
+        "57a2a38c2cbd7c77ba6efe6d4a5ec3df9514bd82f870167d584c26d4a7f9333c"
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,8 @@ import pytest
 
 from wptsim import (AdcConfig, CampaignConfig, ChannelModelParams, Codebook,
                     ConfigError, DiodeMomentModel, DomainError,
-                    EffectiveTones, SmfParams, ToneGrid, WaveformWeights,
-                    dc_ceiling, decode_feedback, derive_seed,
+                    EffectiveTones, FrameConfig, SmfParams, ToneGrid,
+                    WaveformWeights, dc_ceiling, decode_feedback, derive_seed,
                     encode_feedback, feedback_bits, gen_nested, gen_random,
                     make_locations, moments_by_averaging, papr,
                     realize_channel, sample_taps, sample_times, stream,
@@ -56,6 +56,7 @@ COUNTS = [
     ("encode_feedback.k_star", lambda v: encode_feedback(v, 4), 5),
     ("encode_feedback.k_codewords", lambda v: encode_feedback(1, v), 0),
     ("decode_feedback.k_codewords", lambda v: decode_feedback("", v), 0),
+    ("FrameConfig.t_p.k", FrameConfig().t_p, 0),
     ("AdcConfig.resolution_bits", lambda v: AdcConfig(resolution_bits=v),
      25),
     ("Codebook.prefix.k", BOOK.prefix, 5),

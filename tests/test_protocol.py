@@ -253,20 +253,25 @@ def test_run_frame_rejects_a_book_whose_training_fills_the_frame():
 
 
 def test_run_session_threads_fallback_state():
-    # scripted link: deliver on frame 0, lose afterwards; the applied index
-    # carried into later frames must be frame 0's decoded selection
-    _, book, ch, model = _setup()
+    # a delivered frame applies its decoded selection; a lost one carries
+    # the previous frame's applied index, or UP on the first frame
+    grid, book, _, model = _setup()
     cfg = FrameConfig(t_s=0.010, t_frame=2.0)
-    links = [LinkModel(delivery_probability=1.0),
-             LinkModel(delivery_probability=0.0),
-             LinkModel(delivery_probability=0.0)]
-    reports = run_session(cfg, book, [ch] * 3, model, None, links,
-                          stream(27, 6))
-    assert reports[0].feedback_delivered
-    first_applied = reports[0].applied_index
-    assert first_applied >= 1
-    assert reports[1].applied_index == first_applied
-    assert reports[2].applied_index == first_applied
+    channels = [make_channel(27, 2, grid, pathloss_db=10.0, frame=i)
+                for i in range(8)]
+    reports = run_session(cfg, book, channels, model, None,
+                          LinkModel(delivery_probability=0.5), stream(27, 6))
+    previous = UP_FALLBACK
+    for report in reports:
+        if report.feedback_delivered:
+            assert report.applied_index == report.selected_index >= 1
+        else:
+            assert report.applied_index == previous
+        previous = report.applied_index
+    # a selection carried across a lost frame that selected another one
+    assert any(a.feedback_delivered and not b.feedback_delivered
+               and b.selected_index != a.applied_index
+               for a, b in zip(reports, reports[1:]))
 
 
 def test_run_session_all_lost_stays_uniform():
@@ -285,8 +290,7 @@ def test_run_session_rejects_zero_frames():
         run_session(cfg, book, [], model, None, LinkModel(), stream(30, 6))
 
 
-def test_run_session_rejects_scripted_links_of_the_wrong_length(
-        monkeypatch):
+def test_run_session_rejects_sweeps_of_the_wrong_length(monkeypatch):
     grid, book, _, model = _setup()
     cfg = FrameConfig(t_s=0.010, t_frame=2.0)
     channels = [make_channel(40 + i, 2, grid, pathloss_db=10.0)
@@ -294,19 +298,11 @@ def test_run_session_rejects_scripted_links_of_the_wrong_length(
     swept = []
     monkeypatch.setattr(protocol, "_sweep",
                         lambda *args: swept.append(args))
-    for n_links in (2, 5):
-        links = [LinkModel()] * n_links
-        with pytest.raises(DomainError):
-            run_session(cfg, book, channels, model, None, links,
-                        stream(33, 6))
-        with pytest.raises(DomainError):
-            run_session(cfg, book, channels, model, None, tuple(links),
-                        stream(33, 6))
-        # precomputed sweeps are checked the same way
-        sweep = ([0.0] * 4, [0.0] * 4)
+    sweep = ([0.0] * 4, [0.0] * 4)
+    for n_sweeps in (2, 5):
         with pytest.raises(DomainError):
             run_session(cfg, book, channels, model, None, LinkModel(),
-                        stream(33, 6), [sweep] * n_links)
+                        stream(33, 6), [sweep] * n_sweeps)
     assert swept == []
 
 
@@ -367,17 +363,16 @@ def test_a_session_that_cannot_draw_runs_without_a_stream(seed):
                 for i in range(4)]
     # a 0.1 ohm load keeps the readings below v_ref
     adcs = (None, AdcConfig(load_resistance=0.1))
-    links = (LinkModel(), [LinkModel(1.0)] * 4, (LinkModel(),) * 4)
-    assert not any(protocol.session_draws(LinkModel(), adc) for adc in adcs)
-    for adc, link in itertools.product(adcs, links):
+    link = LinkModel()
+    assert not any(protocol.session_draws(link, adc) for adc in adcs)
+    for adc in adcs:
         alone = run_session(cfg, book, channels, model, adc, link, None)
         assert all(r.feedback_delivered for r in alone)
         for path in range(3):
             assert run_session(cfg, book, channels, model, adc, link,
                                stream(seed, 6, path)) == alone
-        if isinstance(link, LinkModel):
-            assert _frame_by_frame(cfg, book, channels, model, adc, link,
-                                   None) == alone
+        assert _frame_by_frame(cfg, book, channels, model, adc, link,
+                               None) == alone
 
 
 def test_rng_none_raises_where_a_session_draws():
@@ -385,8 +380,7 @@ def test_rng_none_raises_where_a_session_draws():
     cfg = FrameConfig(t_s=0.010, t_frame=2.0)
     lossy, noisy = LinkModel(0.999), AdcConfig(noise_sigma=1e-3)
     for adc, link in ((None, lossy), (None, LinkModel(0.0)),
-                      (None, [LinkModel(), lossy, LinkModel()]),
-                      (noisy, LinkModel()), (noisy, (LinkModel(),) * 3)):
+                      (noisy, LinkModel())):
         with pytest.raises(DomainError, match="requires an rng"):
             run_session(cfg, book, [ch] * 3, model, adc, link, None)
     for adc, link in ((None, lossy), (noisy, LinkModel())):

@@ -225,8 +225,10 @@ def test_measure_dc_monotone_in_power():
 
 
 def test_measure_dc_rejects_negative_power():
-    with pytest.raises(DomainError):
-        measure_dc(AdcConfig(), -1e-9)
+    # nan and inf would otherwise fail in int() with a bare Python error
+    for p_dc in (-1e-9, np.nan, np.inf):
+        with pytest.raises(DomainError):
+            measure_dc(AdcConfig(), p_dc)
 
 
 def test_measure_dc_noise_requires_rng():

@@ -16,6 +16,7 @@ from wptsim import (DimensionError, DomainError, EffectiveTones, ToneGrid,
                     effective_tones, gen_random, moments_by_averaging, papr,
                     received_rf_power, stream, waveform_moments)
 from wptsim import waveform
+from wptsim.waveform import radiated_power
 from wptsim.timedomain import received_waveform, sample_times
 
 from conftest import make_channel, random_weights
@@ -90,7 +91,7 @@ def test_weights_reject_shape_mismatch():
         with pytest.raises(DimensionError):
             WaveformWeights(weights=bad, power_budget=1.0)
     w = WaveformWeights(weights=np.zeros((2, 3)), power_budget=1.0)
-    assert (w.m_antennas, w.n_tones) == (2, 3)
+    assert w.weights.shape == (2, 3)
 
 
 def _checked_before(s, budget):
@@ -133,10 +134,10 @@ def test_weights_checks_pass_and_fail_as_before():
     assert outcomes == {True, False}
 
 
-def test_transmit_power_is_half_norm_squared():
+def test_radiated_power_is_half_norm_squared():
     gen = stream(1, 99)
     w = random_weights(gen, 3, 4, 2.0)
-    assert w.transmit_power == pytest.approx(
+    assert radiated_power(w.weights) == pytest.approx(
         0.5 * np.sum(np.abs(w.weights) ** 2), rel=1e-15)
 
 
