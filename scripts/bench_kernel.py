@@ -74,7 +74,6 @@ from wptsim import (ChannelModelParams, DiodeMomentModel, EffectiveTones,
                     ToneGrid, codebook, dc_power_table, gen_nested, papr,
                     realize_channel, rng, run_session, smf_weights)
 from wptsim import campaign, waveform
-from wptsim.campaign import _columns
 from wptsim.codebook import _amplitudes, _assign, _dc_and_grad, _sphere
 from wptsim.protocol import _sweep
 from wptsim.waveform import tone_moments
@@ -155,7 +154,8 @@ def _session_row(grid, model, seed, repeat, number):
         for k, book in books.items():
             run_session(timing, book, fades, model, None, link,
                         rng.stream(seed, rng.SESSION, k) if streams else None,
-                        _columns(swept, slice(0, k)) if shared else None)
+                        [(dcs[:k], p_rfs[:k]) for dcs, p_rfs in swept]
+                        if shared else None)
 
     return {"layer": "protocol.run_session", "m_antennas": m,
             "n_tones": grid.n_tones, "frames": f,

@@ -20,8 +20,8 @@ import sys
 import numpy as np
 
 from wptsim import (ChannelModelParams, DiodeMomentModel, SmfParams, ToneGrid,
-                    dc_ceiling, realize_channel, smf_weights, stream,
-                    train_lloyd)
+                    dc_ceiling, feedback_bits, realize_channel, smf_weights,
+                    stream, train_lloyd)
 from wptsim.waveform import tone_moments
 import wptsim.rng as rngmod
 
@@ -80,7 +80,7 @@ def main(argv=None):
         train_gap = 10.0 * np.log10(best_dc(train_gains, book)
                                     / dc_smf_train)
         ceiling = dc_ceiling(family, args.antennas, grid, k, model, power)
-        print(f"  K={k:>2} ({(k - 1).bit_length()} bits): "
+        print(f"  K={k:>2} ({feedback_bits(k)} bits): "
               f"held-out {gap:+7.3f}  training {train_gap:+7.3f}  "
               f"ceiling C(K) {10.0 * np.log10(ceiling / dc_smf):+7.3f}")
     return 0

@@ -96,8 +96,6 @@ class CampaignConfig:
     output_dir: str = "out"
 
     def __post_init__(self):
-        if not self.strategies:
-            raise ConfigError("strategies axis is empty")
         object.__setattr__(self, "strategies",
                            tuple(sorted(set(self.strategies))))
         for s in self.strategies:
@@ -115,8 +113,9 @@ class CampaignConfig:
                                    check_count(name, getattr(self, name), low))
         except DomainError as exc:
             raise ConfigError(str(exc)) from exc
-        if not (self.antenna_counts and self.tone_counts):
-            raise ConfigError("antenna_counts or tone_counts axis is empty")
+        if not (self.strategies and self.antenna_counts and self.tone_counts):
+            raise ConfigError(
+                "strategies, antenna_counts or tone_counts axis is empty")
         if self.rectifier_model not in ("moment", "table"):
             raise ConfigError(f"unknown rectifier model {self.rectifier_model!r}")
         if self.rectifier_model == "table" and not self.table_path:
@@ -140,7 +139,8 @@ class CampaignConfig:
                     "training_iters >= 1 and training_channels >= the "
                     "largest codebook size")
         if self.pathloss_db_max < self.pathloss_db_min:
-            raise ConfigError("empty pathloss range")
+            raise ConfigError(f"pathloss_db_max {self.pathloss_db_max} < "
+                              f"pathloss_db_min {self.pathloss_db_min}")
         # an N-tone grid's lowest tone lies B*(N-1)/(2N) below the carrier,
         # which nears B/2 as N grows
         if not self.center_frequency_hz > self.bandwidth_hz / 2:
@@ -223,16 +223,8 @@ def _int_list(raw):
     return tuple(int(x) for x in _str_list(raw))
 
 
-def _boolean(raw):
-    lowered = raw.strip().lower()
-    if lowered in ("true", "1", "yes", "on"):
-        return True
-    if lowered in ("false", "0", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {raw!r}")
-
-
-#: every config file key: (section, key) -> (CampaignConfig field, parser)
+#: every config file key: (section, key) -> (CampaignConfig field, parser);
+#: a bool field parses by configparser's getboolean
 _KEYS = {
     ("campaign", "strategies"): ("strategies", _str_list),
     ("campaign", "antenna_counts"): ("antenna_counts", _int_list),
@@ -249,13 +241,13 @@ _KEYS = {
     ("channel", "n_locations"): ("n_locations", int),
     ("channel", "pathloss_db_min"): ("pathloss_db_min", float),
     ("channel", "pathloss_db_max"): ("pathloss_db_max", float),
-    ("channel", "resample_per_frame"): ("resample_per_frame", _boolean),
+    ("channel", "resample_per_frame"): ("resample_per_frame", bool),
     ("rectifier", "model"): ("rectifier_model", str.strip),
     ("rectifier", "k2"): ("k2", float),
     ("rectifier", "k4"): ("k4", float),
     ("rectifier", "alpha"): ("alpha", float),
     ("rectifier", "table_path"): ("table_path", str.strip),
-    ("adc", "enabled"): ("adc_enabled", _boolean),
+    ("adc", "enabled"): ("adc_enabled", bool),
     ("adc", "resolution_bits"): ("adc_resolution_bits", int),
     ("adc", "v_ref_v"): ("adc_v_ref", float),
     ("adc", "noise_sigma_v"): ("adc_noise_sigma", float),
@@ -298,15 +290,13 @@ def load_config(path) -> CampaignConfig:
                     f"{path}: unknown key {key!r} in section [{section}]")
             field, parse = _KEYS[(section, key)]
             try:
-                kwargs[field] = parse(raw)
+                kwargs[field] = (parser.getboolean(section, key)
+                                 if parse is bool else parse(raw))
             except ValueError as exc:
                 raise ConfigError(
                     f"{path}: bad value for [{section}] {key} = {raw!r}: "
                     f"{exc}") from exc
-    try:
-        return CampaignConfig(**kwargs)
-    except DomainError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+    return CampaignConfig(**kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -396,11 +386,6 @@ def _books(config: CampaignConfig, m: int,
     return Codebook(np.concatenate(words), power), books
 
 
-def _columns(swept: list, cols: slice) -> list:
-    """Each frame's sweep of one book, read from the sweep book's sweep."""
-    return [(dcs[cols], p_rfs[cols]) for dcs, p_rfs in swept]
-
-
 def _taps(config: CampaignConfig, location) -> list:
     """A location's tap draws at the largest antenna count, one per fade.
 
@@ -452,6 +437,8 @@ def run_campaign(config: CampaignConfig, out_dir=None,
         ConfigError: the ADC is on and reads 0 V for every LIMITED training
             measurement, so every frame would pick codeword 1.  No CSV is
             written then.
+        SummaryError: a location's mean dc power, or its baseline's, is
+            0 W, so it has no dB gain.  No CSV is written then.
     """
     if jobs != 1:
         raise DomainError(f"run_campaign runs in one thread; jobs must be 1, "
@@ -499,12 +486,14 @@ def run_campaign(config: CampaignConfig, out_dir=None,
                         gen = rngmod.stream(config.seed, rngmod.SESSION,
                                             _STRATEGY_IDS[LIMITED], m, n, k,
                                             loc_idx) if draws else None
-                        for r in run_session(timing, book, fades,
-                                             rect_model, adc, link, gen,
-                                             _columns(swept, columns)):
+                        reports = run_session(
+                            timing, book, fades, rect_model, adc, link, gen,
+                            [(dcs[columns], p_rfs[columns])
+                             for dcs, p_rfs in swept])
+                        for frame, r in enumerate(reports):
                             adc_reads_signal |= any(r.measurements)
                             rows.append((LIMITED, m, n, k, location.label,
-                                         r.frame_id, r.p_dc_wpt, r.p_rf_wpt,
+                                         frame, r.p_dc_wpt, r.p_rf_wpt,
                                          r.selected_index, r.applied_index,
                                          int(r.feedback_delivered),
                                          r.energy_training, r.energy_wpt))
@@ -531,21 +520,20 @@ def run_campaign(config: CampaignConfig, out_dir=None,
             f"harvested dc levels, so every frame would select codeword 1")
     rows.sort(key=_row_key)
 
+    # the summary averages the dc power as written, rounded; it is taken
+    # before either file is written, so a summary that fails leaves neither
+    p_dcs = [_fmt(r[6]) for r in rows]
+    summary_path = os.path.join(out, "summary.csv")
+    summarize([r[:6] + (float(p_dc),) for r, p_dc in zip(rows, p_dcs)],
+              summary_path)
     detail_path = os.path.join(out, "detail.csv")
-    dc_rows = []
     with open(detail_path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(DETAIL_HEADER + "\n")
-        for r in rows:
-            p_dc = _fmt(r[6])
-            # the summary averages the dc power as written, rounded
-            dc_rows.append(r[:6] + (float(p_dc),))
+        for r, p_dc in zip(rows, p_dcs):
             fh.write(",".join([r[0], str(r[1]), str(r[2]), str(r[3]), r[4],
                                str(r[5]), p_dc, _fmt(r[7]), str(r[8]),
                                str(r[9]), str(r[10]), _fmt(r[11]),
                                _fmt(r[12])]) + "\n")
-
-    summary_path = os.path.join(out, "summary.csv")
-    summarize(dc_rows, summary_path)
     return detail_path, summary_path
 
 
@@ -586,6 +574,8 @@ def summarize(rows, out_path=None) -> list[SummaryRow]:
     Raises:
         SummaryError: the (UP, M=1, N=1) baseline is missing, for the
             point or for a location.
+        SummaryError: a location's mean dc power, or its baseline's, is 0 W
+            (no ALL row can fail once every location row passes).
     """
     rows = sorted(rows, key=_row_key)
     loc_mean = _means((row[:5], row[6]) for row in rows)
@@ -604,6 +594,11 @@ def summarize(rows, out_path=None) -> list[SummaryRow]:
             raise SummaryError(
                 f"missing baseline row (strategy=UP, M=1, N=1, K=0, "
                 f"location={location})")
+        if not (loc_mean[key] > 0 and loc_mean[base_key] > 0):
+            raise SummaryError(
+                f"no dB gain for (strategy={strategy}, M={m}, N={n}, K={k}, "
+                f"location={location}): mean dc {loc_mean[key]} W, baseline "
+                f"{loc_mean[base_key]} W")
         summary.append(SummaryRow(strategy, m, n, k, location,
                                   loc_mean[key],
                                   db_gain(loc_mean[key], loc_mean[base_key])))

@@ -510,9 +510,7 @@ def train_lloyd(training_channels, k: int, rect_model: DiodeMomentModel,
                                           replace=False)])
 
     assign, served = _assign(gains, words, rect_model)
-    iterations_run = 0
     for it in range(iters):
-        iterations_run = it + 1
         words, fresh = _update(gains, words, assign, rect_model, power)
         # the re-seeds touch only empty clusters, which no channel is
         # assigned to, so fresh stays current through them
@@ -533,7 +531,7 @@ def train_lloyd(training_channels, k: int, rect_model: DiodeMomentModel,
     cfg = f"k={k} iters={iters} n_train={len(channels)} inner={_INNER_STEPS}"
     digest = hashlib.sha256(cfg.encode()).hexdigest()[:8]
     return Codebook(_sphere(words, power), power,
-                    provenance=f"train_lloyd {cfg} ran={iterations_run} "
+                    provenance=f"train_lloyd {cfg} ran={it + 1} "
                                f"cfg={digest}")
 
 

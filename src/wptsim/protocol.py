@@ -73,9 +73,8 @@ class LinkModel:
 
 @dataclass(frozen=True)
 class FrameReport:
-    """Everything observable about one frame."""
+    """One frame's observables; a session's reports are in frame order."""
 
-    frame_id: int
     measurements: tuple
     selected_index: int
     applied_index: int          # 1..K, or UP_FALLBACK (0)
@@ -161,22 +160,16 @@ def _sweep(codebook: Codebook, channels, rect_model) -> list[tuple]:
     return [swept[id(ch)] for ch in channels]
 
 
-def _readings(dcs: list[float], adc: AdcConfig | None,
-              rng: np.random.Generator | None) -> list[float]:
-    if adc is None:
-        return list(dcs)
-    return [measure_dc(adc, p, rng)[1] for p in dcs]
-
-
 def run_frame(config: FrameConfig, codebook: Codebook,
               channel: ChannelRealization, rect_model,
               adc: AdcConfig | None, link: LinkModel,
               fallback_state: int | None, rng: np.random.Generator | None,
-              frame_id: int = 0, sweep: tuple | None = None) -> FrameReport:
+              sweep: tuple | None = None) -> FrameReport:
     """One closed-loop frame on a constant channel.
 
     The frame trains for K*t_s, K the codebook's size, and transmits for
-    the rest of config.t_frame.
+    the rest of config.t_frame.  The report's measurements are the ADC
+    readings, or without an ADC the sweep's dc powers themselves.
 
     Args:
         fallback_state: applied_index of the previous frame, or None on the
@@ -198,7 +191,8 @@ def run_frame(config: FrameConfig, codebook: Codebook,
     # the training energy needs the dc levels themselves, not the readings
     dcs, p_rfs = (_sweep(codebook, [channel], rect_model)[0]
                   if sweep is None else sweep)
-    measurements = _readings(dcs, adc, rng)
+    measurements = (dcs if adc is None
+                    else [measure_dc(adc, p, rng)[1] for p in dcs])
     k_star = select_codeword(measurements)
     bits = encode_feedback(k_star, codebook.k_codewords)
     delivered = rng is None or bool(rng.random() < link.delivery_probability)
@@ -223,7 +217,7 @@ def run_frame(config: FrameConfig, codebook: Codebook,
         e_train += dc
     e_train *= config.t_s
     e_wpt = p_dc * t_p
-    return FrameReport(frame_id=frame_id, measurements=tuple(measurements),
+    return FrameReport(measurements=tuple(measurements),
                        selected_index=k_star, applied_index=applied,
                        feedback_delivered=delivered,
                        energy_training=e_train, energy_wpt=e_wpt,
@@ -261,8 +255,7 @@ def run_session(config: FrameConfig, codebook: Codebook, channels,
     fallback: int | None = None
     for i, ch in enumerate(channels):
         report = run_frame(config, codebook, ch, rect_model, adc, link,
-                           fallback_state=fallback, rng=rng, frame_id=i,
-                           sweep=sweeps[i])
+                           fallback_state=fallback, rng=rng, sweep=sweeps[i])
         reports.append(report)
         fallback = report.applied_index
     return reports

@@ -64,6 +64,8 @@ class ToneGrid:
         offsets = np.arange(1, n + 1) - (n + 1) / 2.0
         w = 2.0 * np.pi * (self.center_frequency_hz
                            + offsets * (self.bandwidth_hz / n))
+        if not w[0] > 0:
+            raise DomainError(f"lowest tone at {w[0] / 2 / np.pi} Hz, not > 0")
         w.flags.writeable = False
         object.__setattr__(self, "angular_frequencies", w)
 
@@ -355,12 +357,9 @@ def _phasors(grid: ToneGrid, oversampling: int) -> np.ndarray:
     # and compares on its three fields, which fix its frequencies
     t = sample_times(grid, oversampling)
     # one matrix, written in place, bit for bit np.exp(1j * np.outer(t, w))
-    # without its two full-size temporaries.  1j * x has imaginary part
-    # x + 0.0, which turns the -0.0 of t=0 times a tone below 0 Hz into
-    # +0.0; its real part is a signed zero, and exp(+-0 + jx) is one value
+    # without its two full-size temporaries
     e = np.zeros((t.size, grid.n_tones), dtype=complex)
     np.multiply(t[:, None], grid.angular_frequencies, out=e.imag)
-    e.imag += 0.0
     np.exp(e, out=e)
     e.flags.writeable = False
     return e

@@ -297,10 +297,10 @@ def test_criterion_09_fallback_behavior():
     # delivered on frame 0, lost on frames 1 and 2; each frame falls back
     # to the index the frame before it applied
     gen, chain, applied = stream(9901, rngmod.SESSION), [], None
-    for frame, delivery in enumerate((1.0, 0.0, 0.0)):
+    for delivery in (1.0, 0.0, 0.0):
         chain.append(run_frame(cfg, book, ch, model, None,
                                LinkModel(delivery_probability=delivery),
-                               applied, gen, frame_id=frame))
+                               applied, gen))
         applied = chain[-1].applied_index
     carried = (chain[0].applied_index == chain[0].selected_index >= 1
                and chain[1].applied_index == chain[0].applied_index

@@ -38,6 +38,9 @@ def test_config_rejects_empty_axes():
         _mini_config(antenna_counts=())
     with pytest.raises(ConfigError):
         _mini_config(tone_counts=(0,))
+    with pytest.raises(ConfigError, match="strategies, antenna_counts or "
+                                          "tone_counts axis is empty"):
+        _mini_config(strategies=())
 
 
 def test_config_rejects_limited_without_codebooks():
@@ -228,6 +231,28 @@ def test_load_config_rejects_default_section(tmp_path, text):
         load_config(path)
 
 
+@pytest.mark.parametrize("text", [
+    "seed = 5\n",
+    "[campaign]\nseed = 5\nseed = 6\n",
+], ids=["no-section-header", "duplicate-key"])
+def test_load_config_names_the_file_of_a_malformed_ini(tmp_path, text):
+    path = tmp_path / "c.ini"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=re.escape(f"{path}: ")):
+        load_config(path)
+
+
+@pytest.mark.parametrize("raw,value", [
+    ("1", True), ("YES", True), ("On", True), ("true", True),
+    ("0", False), ("no", False), ("OFF", False), ("False", False)])
+def test_load_config_reads_configparsers_booleans(tmp_path, raw, value):
+    path = tmp_path / "c.ini"
+    path.write_text(f"[channel]\nresample_per_frame = {raw}\n"
+                    f"[adc]\nenabled = {raw}\n")
+    cfg = load_config(path)
+    assert cfg.resample_per_frame is value and cfg.adc_enabled is value
+
+
 def test_load_config_rejects_unknown_key(tmp_path):
     path = tmp_path / "c.ini"
     path.write_text("[campaign]\nwarp_speed = 9\n")
@@ -320,10 +345,16 @@ def test_config_rejects_a_grid_reaching_zero_hz(tmp_path, center, bandwidth):
     ("codebook", "training_iters", "0", "lloyd codebooks need"),
     ("rectifier", "model", "table\ntable_path = eta.csv",
      "lloyd codebooks need"),
+    ("codebook", "method", "kmeans", "unknown codebook method 'kmeans'"),
+    ("channel", "pathloss_db_max", "50",
+     "pathloss_db_max 50.0 < pathloss_db_min 55.0"),
+    ("adc", "enabled", "maybe",
+     "bad value for [adc] enabled = 'maybe': Not a boolean: maybe"),
 ], ids=["seed", "k2", "k4", "alpha", "n_taps", "tap_spacing", "pdp_decay",
         "tap_spacing-inf", "pathloss", "pathloss-nan", "power", "power-inf",
         "bandwidth", "carrier-inf", "training_channels", "training_iters",
-        "lloyd-table"])
+        "lloyd-table", "codebook-method", "pathloss-reversed",
+        "adc-enabled"])
 def test_config_checks_every_setting_at_load(tmp_path, section, key, value,
                                              message):
     # each of these used to load and then fail inside run_campaign, after
@@ -850,6 +881,23 @@ def test_summarize_missing_baseline_location():
     with pytest.raises(SummaryError, match="L2"):
         summarize([("UP", 1, 1, 0, "L1", 0, 1.0),
                    ("SMF", 1, 1, 0, "L2", 0, 1.0)])
+
+
+@pytest.mark.parametrize("rows,point", [
+    ([("UP", 1, 1, 0, "L1", 0, 1.0), ("SMF", 2, 1, 0, "L1", 0, 0.0),
+      ("SMF", 2, 1, 0, "L1", 1, 0.0)],
+     r"strategy=SMF, M=2, N=1, K=0, location=L1\): mean dc 0\.0 W, "
+     r"baseline 1\.0 W"),
+    ([("UP", 1, 1, 0, "L1", 0, 1.0), ("UP", 1, 1, 0, "L2", 0, 0.0),
+      ("SMF", 2, 1, 0, "L2", 0, 3.0)],
+     r"strategy=SMF, M=2, N=1, K=0, location=L2\): mean dc 3\.0 W, "
+     r"baseline 0\.0 W"),
+], ids=["zero-mean", "zero-baseline"])
+def test_summarize_names_a_location_without_a_gain(tmp_path, rows, point):
+    out = tmp_path / "summary.csv"
+    with pytest.raises(SummaryError, match=point):
+        summarize(rows, out)
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -160,6 +160,23 @@ def test_make_locations_rejects_an_empty_or_nan_pathloss_range(span, message):
         make_locations(2, 0, ChannelModelParams(), span)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_channel_realization_rejects_non_finite_gains(bad):
+    grid = ToneGrid.centered(2.4e9, 10e6, 4)
+    gains = np.ones((2, 4), dtype=complex)
+    gains[1, 2] = bad
+    with pytest.raises(DomainError, match="gains must be finite"):
+        ChannelRealization(grid=grid, gains=gains)
+
+
+@pytest.mark.parametrize("shape", [(3,), (2, 2), (1, 2, 3)])
+def test_frequency_response_rejects_a_taps_shape(shape):
+    params = ChannelModelParams(n_taps=3)
+    grid = ToneGrid.centered(2.4e9, 10e6, 4)
+    with pytest.raises(DimensionError, match=r"taps shape .* n_taps=3"):
+        frequency_response(np.ones(shape), params, grid)
+
+
 def test_channel_realization_rejects_a_channel_with_no_antennas():
     grid = ToneGrid.centered(2.4e9, 10e6, 4)
     with pytest.raises(DimensionError):

@@ -1,7 +1,11 @@
 """Command line behavior: exit codes, artifacts, round trips."""
 
 import hashlib
+import os
+import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -97,6 +101,39 @@ def test_simulate_without_the_baseline_exits_1_before_running(
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "baseline" in err
     assert not out.exists()
+
+
+#: a measured-style table whose efficiency is 0 below -40 dBm
+ZERO_BELOW = """p_dbm,papr,eta
+-300,1,0
+-300,20,0
+-40,1,0
+-40,20,0
+-20,1,0.3
+-20,20,0.3
+30,1,0.6
+30,20,0.6
+"""
+
+
+def test_simulate_zero_dc_location_exits_1_writing_no_csv(tmp_path, capsys):
+    # a location that harvests 0 W has no dB gain; the summary names it
+    # before either file is written
+    table = tmp_path / "eta.csv"
+    table.write_text(ZERO_BELOW)
+    cfg = tmp_path / "c.ini"
+    out = tmp_path / "results"
+    cfg.write_text(
+        "[campaign]\nstrategies = UP, SMF, LIMITED\nantenna_counts = 1, 2\n"
+        "tone_counts = 1, 2\ncodebook_sizes = 2, 4\n"
+        "frames_per_location = 2\n[channel]\nn_locations = 4\n"
+        "pathloss_db_min = 60\npathloss_db_max = 75\n"
+        f"[rectifier]\nmodel = table\ntable_path = {table}\n")
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: no dB gain for (strategy=")
+    assert re.search(r"location=L\d+\)", err)
+    assert list(out.glob("*.csv")) == []
 
 
 def test_simulate_bad_config_exits_1(tmp_path, capsys):
@@ -261,6 +298,18 @@ def test_oracle_moments_passes(capsys):
     out = capsys.readouterr().out
     assert out.startswith("PASS")
     assert "max relative error" in out
+
+
+def test_module_entry_runs_the_cli():
+    # python3 -m wptsim, as README runs it, reaches main through __main__
+    src = str(pathlib.Path(__file__).parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "wptsim", "oracle", "moments", "--cases", "2"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("PASS")
 
 
 @pytest.mark.parametrize("cases", ["0", "-1"])

@@ -802,6 +802,26 @@ def test_load_names_the_file_for_a_header_power_that_is_not_positive(
         load_codebook(path)
 
 
+@pytest.mark.parametrize("text,where,message", [
+    ("", "", "empty file"),
+    ("wptcb v2 1 1 1 1.0 0\nprovenance x\n1 1 1.0 0.0\n", ":1",
+     "unsupported version 'v2'"),
+    ("wptcb v1 1 1 1 1.0 0\norigin x\n1 1 1.0 0.0\n", ":2",
+     "missing provenance line"),
+    ("wptcb v1 1 1 1 1.0 0\nprovenance x\n1 1 1.0\n", ":3",
+     "expected 'm n real imag'"),
+    ("wptcb v1 1 1 1 1.0 0\nprovenance x\n1 1 one 0.0\n", ":3",
+     "could not convert"),
+], ids=["empty", "version", "provenance", "fields", "number"])
+def test_load_names_the_line_of_a_malformed_file(tmp_path, text, where,
+                                                 message):
+    path = tmp_path / "book.txt"
+    path.write_text(text)
+    with pytest.raises(CodebookIOError,
+                       match=re.escape(f"{path}{where}: {message}")):
+        load_codebook(path)
+
+
 @pytest.mark.parametrize("m, n, k", [(2, 2, 0), (0, 2, 2), (2, 0, 2)])
 def test_load_names_the_file_for_an_empty_header(tmp_path, m, n, k):
     # every entry line is missing, so the line count matches the header;

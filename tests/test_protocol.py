@@ -1,14 +1,15 @@
 """Frame protocol: timing, feedback encoding, fallback, energy accounting."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wptsim import (AdcConfig, ConfigError, DiodeMomentModel, DomainError,
-                    EfficiencyTableModel, FrameConfig, LinkModel,
+from wptsim import (AdcConfig, ConfigError, DimensionError, DiodeMomentModel,
+                    DomainError, EfficiencyTableModel, FrameConfig, LinkModel,
                     ProtocolError, ToneGrid, UP_FALLBACK, decode_feedback,
                     dc_power_moment, effective_tones, encode_feedback,
                     gen_nested, gen_random, measure_dc, protocol,
@@ -306,13 +307,24 @@ def test_run_session_rejects_sweeps_of_the_wrong_length(monkeypatch):
     assert swept == []
 
 
+@pytest.mark.parametrize("m,n", [(1, 2), (2, 3)])
+def test_session_rejects_a_book_off_the_channels_shape(m, n):
+    grid = ToneGrid.centered(2.4e9, 10e6, 2)
+    book = gen_nested(2, ToneGrid.centered(2.4e9, 10e6, n), 1.0, 2,
+                      stream(34, 4))
+    channels = [make_channel(34, m, grid)]
+    with pytest.raises(DimensionError, match=re.escape(
+            f"codebook (2, {n}) vs channel ({m}, 2)")):
+        run_session(FrameConfig(), book, channels, DiodeMomentModel(), None,
+                    LinkModel(), None)
+
+
 def _frame_by_frame(cfg, book, channels, model, adc, link, gen):
     # run_session written out as it was before its batched sweep: one
     # run_frame per frame, each sweeping its own channel
     reports, fallback = [], None
-    for i, ch in enumerate(channels):
-        report = run_frame(cfg, book, ch, model, adc, link, fallback, gen,
-                           frame_id=i)
+    for ch in channels:
+        report = run_frame(cfg, book, ch, model, adc, link, fallback, gen)
         reports.append(report)
         fallback = report.applied_index
     return reports

@@ -1,5 +1,7 @@
 """Rectifier output models and the measurement/quantization path."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -107,6 +109,10 @@ def test_table_validation():
         EfficiencyTableModel(p_dbm=np.array([0.0, 1.0]),
                              papr_axis=np.array([1.0, 2.0]),
                              eta=np.full((2, 2), 1.5))
+    with pytest.raises(ConfigError, match=r"eta shape \(2, 3\) != \(2, 2\)"):
+        EfficiencyTableModel(p_dbm=np.array([0.0, 1.0]),
+                             papr_axis=np.array([1.0, 2.0]),
+                             eta=np.full((2, 3), 0.1))
     # an infinite power node would read every query above -30 dBm at -30 dBm
     for p_dbm, papr in [([-30.0, np.inf], [1.0, 2.0]),
                         ([-30.0, 0.0], [1.0, np.inf]),
@@ -148,6 +154,28 @@ def test_from_csv_rejects_wrong_header(tmp_path):
     path = tmp_path / "table.csv"
     path.write_text("power,papr,eta\n-20,2,0.1\n")
     with pytest.raises(ConfigError):
+        EfficiencyTableModel.from_csv(path)
+
+
+def test_from_csv_skips_blank_lines(tmp_path):
+    path = tmp_path / "table.csv"
+    path.write_text("p_dbm,papr,eta\n-20,2,0.1\n\n-20,4,0.2\n  \n"
+                    "0,2,0.3\n0,4,0.4\n\n")
+    model = EfficiencyTableModel.from_csv(path)
+    assert np.array_equal(model.eta, [[0.1, 0.2], [0.3, 0.4]])
+
+
+@pytest.mark.parametrize("body,message", [
+    ("", "empty efficiency table"),
+    # the blank line 2 is skipped but counted
+    ("\n-20,2,0.1\n-20,4\n", ":4: expected 3 fields"),
+    ("-20,2,low\n", ":2: could not convert"),
+], ids=["empty", "fields", "number"])
+def test_from_csv_names_the_line_of_a_bad_table(tmp_path, body, message):
+    path = tmp_path / "table.csv"
+    path.write_text("p_dbm,papr,eta\n" + body)
+    with pytest.raises(ConfigError, match=re.escape(
+            message if body == "" else f"{path}{message}")):
         EfficiencyTableModel.from_csv(path)
 
 

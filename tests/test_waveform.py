@@ -59,7 +59,9 @@ def test_grid_computes_its_frequencies(center, bandwidth, n):
 @pytest.mark.parametrize("n,center,bandwidth", [
     (0, 2.4e9, 10e6), (-1, 2.4e9, 10e6), (2.5, 2.4e9, 10e6),
     (4, 0.0, 10e6), (4, 2.4e9, 0.0), (4, 2.4e9, np.inf),
-    (np.inf, 2.4e9, 10e6), (np.nan, 2.4e9, 10e6)])
+    (np.inf, 2.4e9, 10e6), (np.nan, 2.4e9, 10e6),
+    # the lowest tone at -3.375 MHz, and at exactly 0 Hz
+    (8, 1e6, 10e6), (2, 2.5e6, 10e6)])
 def test_grid_rejects_bad_arguments(n, center, bandwidth):
     with pytest.raises(DomainError):
         ToneGrid(n, center, bandwidth)
@@ -153,6 +155,27 @@ def test_effective_tones_is_channel_weight_inner_product():
     manual = np.array([np.sum(ch.gains[:, n] * weights.weights[:, n])
                        for n in range(2)])
     assert np.allclose(tones.amplitudes, manual, rtol=1e-15)
+
+
+@pytest.mark.parametrize("amplitudes,error,message", [
+    (np.ones((2, 2)), DimensionError, "non-empty 1-D"),
+    (np.ones(0), DimensionError, "non-empty 1-D"),
+    (np.array([1.0, np.nan]), DomainError, "amplitudes must be finite"),
+    (np.array([1.0, complex(0.0, np.inf)]), DomainError,
+     "amplitudes must be finite"),
+], ids=["2-D", "empty", "nan", "inf"])
+def test_effective_tones_rejects_bad_amplitudes(amplitudes, error, message):
+    with pytest.raises(error, match=message):
+        EffectiveTones(amplitudes)
+
+
+@pytest.mark.parametrize("kernel", [waveform_moments, papr],
+                         ids=["waveform_moments", "papr"])
+def test_kernels_reject_a_tone_count_off_the_grid(kernel):
+    grid = ToneGrid.centered(2.4e9, 10e6, 2)
+    with pytest.raises(DimensionError,
+                       match="tones carry 3 amplitudes, grid has 2"):
+        kernel(EffectiveTones(np.ones(3)), grid)
 
 
 def test_effective_tones_shape_mismatch():
@@ -518,12 +541,12 @@ def test_cached_phasors_are_read_only():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 16])
 @pytest.mark.parametrize("oversampling", [8, 32])
-@pytest.mark.parametrize("center_hz", [2.4e9, 1e6])
+@pytest.mark.parametrize("center_hz", [2.4e9, 6e6])
 def test_phasors_equal_one_shot_exp_by_bytes(n, oversampling, center_hz):
     # the matrix is written in place; it must carry the bytes of the
     # one-shot exp(1j * outer(t, w)), built and read from the cache.  At
-    # 1 MHz the grid's lower tones sit below 0 Hz, so phases are negative
-    # and t=0 gives -0.0
+    # 6 MHz the phases are small, and every tone up to N=16 lies above
+    # 0 Hz (the lowest at 1.3125 MHz), as ToneGrid requires
     grid = ToneGrid.centered(center_hz, 10e6, n)
     expected = np.exp(1j * np.outer(sample_times(grid, oversampling),
                                     grid.angular_frequencies))
