@@ -39,6 +39,12 @@ Layer rows, on random complex amplitudes and channel gains:
 * ``campaign.summarize`` on the 4,320 rows that figure-joint's campaign,
   at its default seed, hands it, writing the summary CSV as
   ``run_campaign`` does; ``batch`` is the row count.
+* ``strategies.smf_weights``: SMF's evaluation at figure-joint's M=4,
+  N=8 point on its default seed's 45 channels (15 locations x 3 fades):
+  the weights, the received tones, the moment rectifier's dc and the RF
+  power.  ``median_us`` rates the 45 channels as one stack, one call of
+  each function, as ``run_campaign`` does; ``per_channel_us`` calls each
+  function once per channel.
 * ``waveform.papr`` for N in {1, 8, 16} tones at oversampling 32, on
   random amplitudes: ``median_us`` is one ``papr`` call on the cached
   phasor matrix, ``table_us`` one ``rectenna.dc_power_table`` call on a
@@ -69,13 +75,15 @@ from timeit import Timer
 
 import numpy as np
 
-from wptsim import (ChannelModelParams, DiodeMomentModel, EffectiveTones,
-                    EfficiencyTableModel, FrameConfig, LinkModel, SmfParams,
-                    ToneGrid, codebook, dc_power_table, gen_nested, papr,
-                    realize_channel, rng, run_session, smf_weights)
+from wptsim import (ChannelModelParams, ChannelRealization, DiodeMomentModel,
+                    EffectiveTones, EfficiencyTableModel, FrameConfig,
+                    LinkModel, SmfParams, ToneGrid, codebook, dc_power_table,
+                    effective_tones, gen_nested, make_locations, papr,
+                    realize_channel, received_rf_power, rng, run_session,
+                    smf_weights)
 from wptsim import campaign, waveform
 from wptsim.codebook import _amplitudes, _assign, _dc_and_grad, _sphere
-from wptsim.protocol import _sweep
+from wptsim.protocol import _dc_power, _sweep
 from wptsim.waveform import tone_moments
 
 TONES = (1, 2, 4, 8)
@@ -194,6 +202,29 @@ def _summarize_row(repeat, number):
                                        number)}
 
 
+def _smf_row(model, repeat, number):
+    config = campaign.figure_config("figure-joint")
+    m, grid = 4, config.tone_grid(8)
+    locations = make_locations(
+        config.n_locations, config.seed, config.channel_template,
+        (config.pathloss_db_min, config.pathloss_db_max))
+    fades = [ch for location in locations for ch in campaign._fades(
+        config, location, campaign._taps(config, location), m, grid)]
+    stack = ChannelRealization(grid=grid,
+                               gains=np.stack([ch.gains for ch in fades]))
+    smf = SmfParams(power_budget=config.transmit_power_w)
+
+    def rate(channel):
+        tones = effective_tones(channel, smf_weights(channel, smf))
+        return _dc_power(model, tones, grid), received_rf_power(tones)
+
+    return {"layer": "strategies.smf_weights", "m_antennas": m,
+            "n_tones": grid.n_tones, "batch": len(fades),
+            "per_channel_us": median_us(lambda: [rate(ch) for ch in fades],
+                                        repeat, number),
+            "median_us": median_us(lambda: rate(stack), repeat, number)}
+
+
 def _papr_row(n, gen, repeat, number):
     grid = ToneGrid.centered(2.4e9, 10e6, n)
     # amplitudes near -30 dBm received, inside the table's power axis
@@ -292,6 +323,7 @@ def main(argv=None):
                              args.number))
     rows.append(_channel_row(grid, args.seed, args.repeat, args.number))
     rows.append(_summarize_row(args.repeat, args.number))
+    rows.append(_smf_row(model, args.repeat, args.number))
     rows.extend(_papr_row(n, gen, args.repeat, args.number)
                 for n in PAPR_TONES)
 
@@ -319,6 +351,8 @@ def main(argv=None):
         if "exact_pairs" in row:
             line += (f"  ({row['exact_pairs']} exact pairs, "
                      f"{row['minor_faults']:.0f} minor faults)")
+        if "per_channel_us" in row:
+            line += f"  (per channel: {row['per_channel_us']:.1f} us)"
         if "per_k_sweep_us" in row:
             line += (f"  (sweep per K: {row['per_k_sweep_us']:.1f} us; "
                      f"with streams: {row['with_streams_us']:.1f} us)")

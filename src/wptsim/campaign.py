@@ -15,7 +15,10 @@ writes two artifacts:
 At each (M, N) point every location is swept once over one book that
 holds each swept codeword once: every K's book is a contiguous slice of
 its columns, and UP's codeword is its last row (_books).  The books
-come from codebooks(), which ``wptsim codebook`` writes to file.
+come from codebooks(), which ``wptsim codebook`` writes to file.  SMF is
+rated once per point, on one stack of every location's fades: one call
+each of smf_weights, effective_tones, the rectifier and
+received_rf_power, each row equal to its channel's own call to the bit.
 
 Determinism contract: all randomness is keyed by (seed, purpose, indices)
 Philox streams, every sweep point draws from its own streams, and rows are
@@ -28,6 +31,7 @@ decimals.
 from __future__ import annotations
 
 import configparser
+import contextlib
 import itertools
 import os
 from dataclasses import dataclass, replace
@@ -265,7 +269,8 @@ _KEYS = {
 def load_config(path) -> CampaignConfig:
     """Parse the sectioned key-value config file into a CampaignConfig.
 
-    Keys left out keep the CampaignConfig default.
+    Keys left out keep the CampaignConfig default.  Every ConfigError
+    names the file: a value its parser or CampaignConfig rejects alike.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
@@ -296,7 +301,10 @@ def load_config(path) -> CampaignConfig:
                 raise ConfigError(
                     f"{path}: bad value for [{section}] {key} = {raw!r}: "
                     f"{exc}") from exc
-    return CampaignConfig(**kwargs)
+    try:
+        return CampaignConfig(**kwargs)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -416,49 +424,27 @@ def _fades(config: CampaignConfig, location, taps: list, m: int,
     return fades * config.frames_per_location
 
 
-def run_campaign(config: CampaignConfig, out_dir=None,
-                 jobs: int = 1) -> tuple[str, str]:
-    """Execute the campaign and write detail.csv and summary.csv.
-
-    Args:
-        config: campaign description.
-        out_dir: output directory; defaults to config.output_dir.
-        jobs: must be 1.  The campaign runs in the calling thread; the
-            keyword stays only until the benchmark in
-            ``perfbench/workloads.py`` stops passing ``jobs=1``.
+def _make_dirs(out: str) -> list:
+    """Create the directory out and its missing parents.
 
     Returns:
-        (detail_path, summary_path).
+        The directories this call created, deepest first.
+    """
+    made, path = [], os.path.abspath(out)
+    while not os.path.exists(path):
+        made.append(path)
+        path = os.path.dirname(path)
+    os.makedirs(out, exist_ok=True)
+    return made
+
+
+def _detail_rows(config: CampaignConfig, rect_model) -> list:
+    """Every detail row of the campaign as a tuple, sorted by _row_key.
 
     Raises:
-        DomainError: jobs is not 1.
-        ConfigError: the sweep lacks the summary's (UP, M=1, N=1) baseline.
-        ConfigError: the rectifier's table file is missing or malformed.
         ConfigError: the ADC is on and reads 0 V for every LIMITED training
-            measurement, so every frame would pick codeword 1.  No CSV is
-            written then.
-        SummaryError: a location's mean dc power, or its baseline's, is
-            0 W, so it has no dB gain.  No CSV is written then.
+            measurement.
     """
-    if jobs != 1:
-        raise DomainError(f"run_campaign runs in one thread; jobs must be 1, "
-                          f"got {jobs!r}")
-    if (UP not in config.strategies or 1 not in config.antenna_counts
-            or 1 not in config.tone_counts):
-        raise ConfigError("the campaign must sweep the gain baseline: "
-                          "strategy UP, antenna count 1 and tone count 1")
-    # read the table first, so a bad one leaves no output directory behind
-    rect_model = _rect_model(config)
-    out = str(out_dir) if out_dir is not None else config.output_dir
-    os.makedirs(out, exist_ok=True)
-    probe = os.path.join(out, ".write_probe")
-    try:
-        with open(probe, "w") as fh:
-            fh.write("ok")
-        os.remove(probe)
-    except OSError as exc:
-        raise OSError(f"output directory {out!r} is not writable: {exc}")
-
     locations = make_locations(config.n_locations, config.seed,
                                config.channel_template,
                                (config.pathloss_db_min, config.pathloss_db_max))
@@ -475,8 +461,18 @@ def run_campaign(config: CampaignConfig, out_dir=None,
     for m, n in itertools.product(config.antenna_counts, config.tone_counts):
         grid = config.tone_grid(n)
         sweep, books = _books(config, m, grid)
-        for loc_idx, location in enumerate(locations):
-            fades = _fades(config, location, taps[loc_idx], m, grid)
+        point_fades = [_fades(config, location, taps[loc_idx], m, grid)
+                       for loc_idx, location in enumerate(locations)]
+        if SMF in config.strategies:
+            # every location's frames in one stack; a row equals that
+            # channel's own SMF evaluation to the last bit
+            stack = ChannelRealization(grid=grid, gains=np.stack(
+                [ch.gains for fades in point_fades for ch in fades]))
+            tones = effective_tones(stack, smf_weights(stack, smf_params))
+            smf_powers = list(zip(_dc_power(rect_model, tones, grid).tolist(),
+                                  received_rf_power(tones).tolist()))
+        for loc_idx, (location, fades) in enumerate(zip(locations,
+                                                        point_fades)):
             # one sweep of every distinct codeword; a column equals that
             # codeword's sweep in its own book to the last bit
             swept = _sweep(sweep, fades, rect_model)
@@ -502,11 +498,9 @@ def run_campaign(config: CampaignConfig, out_dir=None,
                     # UP's codeword is the sweep book's last row
                     powers = [(dcs[-1], p_rfs[-1]) for dcs, p_rfs in swept]
                 else:
-                    powers = []
-                    for ch in fades:
-                        tones = effective_tones(ch, smf_weights(ch, smf_params))
-                        powers.append((_dc_power(rect_model, tones, grid),
-                                       received_rf_power(tones)))
+                    first = loc_idx * config.frames_per_location
+                    powers = smf_powers[
+                        first:first + config.frames_per_location]
                 for frame, (p_dc, p_rf) in enumerate(powers):
                     rows.append((strategy, m, n, 0, location.label, frame,
                                  p_dc, p_rf, 0, 0, 1, 0.0,
@@ -519,13 +513,68 @@ def run_campaign(config: CampaignConfig, out_dir=None,
             f"V, load {config.adc_load_resistance} ohm) resolves none of the "
             f"harvested dc levels, so every frame would select codeword 1")
     rows.sort(key=_row_key)
+    return rows
 
-    # the summary averages the dc power as written, rounded; it is taken
-    # before either file is written, so a summary that fails leaves neither
-    p_dcs = [_fmt(r[6]) for r in rows]
-    summary_path = os.path.join(out, "summary.csv")
-    summarize([r[:6] + (float(p_dc),) for r, p_dc in zip(rows, p_dcs)],
-              summary_path)
+
+def run_campaign(config: CampaignConfig, out_dir=None,
+                 jobs: int = 1) -> tuple[str, str]:
+    """Execute the campaign and write detail.csv and summary.csv.
+
+    A run that fails before it writes a CSV, for one of the errors below
+    or another, removes the output directories it created.
+
+    Args:
+        config: campaign description.
+        out_dir: output directory; defaults to config.output_dir.
+        jobs: must be 1.  The campaign runs in the calling thread; the
+            keyword stays only until the benchmark in
+            ``perfbench/workloads.py`` stops passing ``jobs=1``.
+
+    Returns:
+        (detail_path, summary_path).
+
+    Raises:
+        DomainError: jobs is not 1.
+        ConfigError: the sweep lacks the summary's (UP, M=1, N=1) baseline.
+        ConfigError: the rectifier's table file is missing or malformed.
+        ConfigError: the ADC is on and reads 0 V for every LIMITED training
+            measurement, so every frame would pick codeword 1.
+        SummaryError: a location's mean dc power, or its baseline's, is
+            0 W, so it has no dB gain.
+    """
+    if jobs != 1:
+        raise DomainError(f"run_campaign runs in one thread; jobs must be 1, "
+                          f"got {jobs!r}")
+    if (UP not in config.strategies or 1 not in config.antenna_counts
+            or 1 not in config.tone_counts):
+        raise ConfigError("the campaign must sweep the gain baseline: "
+                          "strategy UP, antenna count 1 and tone count 1")
+    # read the table first, so a bad one leaves no output directory behind
+    rect_model = _rect_model(config)
+    out = str(out_dir) if out_dir is not None else config.output_dir
+    made = _make_dirs(out)
+    probe = os.path.join(out, ".write_probe")
+    try:
+        with open(probe, "w") as fh:
+            fh.write("ok")
+        os.remove(probe)
+    except OSError as exc:
+        raise OSError(f"output directory {out!r} is not writable: {exc}")
+    try:
+        rows = _detail_rows(config, rect_model)
+        # the summary averages the dc power as written, rounded; it is
+        # taken before either file is written, so a summary that fails
+        # leaves neither
+        p_dcs = [_fmt(r[6]) for r in rows]
+        summary_path = os.path.join(out, "summary.csv")
+        summarize([r[:6] + (float(p_dc),) for r, p_dc in zip(rows, p_dcs)],
+                  summary_path)
+    except BaseException:
+        # a run that writes no CSV leaves no directory of its own behind
+        for path in made:
+            with contextlib.suppress(OSError):
+                os.rmdir(path)
+        raise
     detail_path = os.path.join(out, "detail.csv")
     with open(detail_path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(DETAIL_HEADER + "\n")

@@ -63,7 +63,9 @@ class ChannelModelParams:
 class ChannelRealization:
     """One draw of per-tone complex gains for an M-antenna link.
 
-    gains is an (M, N) matrix over the grid's N tones.
+    gains is an (M, N) matrix over the grid's N tones, or a stack of them
+    of shape (..., M, N) on that one grid, which smf_weights and
+    effective_tones rate in one call.
     """
 
     grid: ToneGrid
@@ -71,9 +73,9 @@ class ChannelRealization:
 
     def __post_init__(self):
         g = np.asarray(self.gains, dtype=complex)
-        if g.ndim != 2 or g.shape[0] < 1 or g.shape[1] != self.grid.n_tones:
+        if g.ndim < 2 or g.size < 1 or g.shape[-1] != self.grid.n_tones:
             raise DimensionError(
-                f"gains shape {g.shape} != (M >= 1, {self.grid.n_tones})")
+                f"gains shape {g.shape} != (..., M >= 1, {self.grid.n_tones})")
         if not np.all(np.isfinite(g.view(float))):
             raise DomainError("gains must be finite")
         g.flags.writeable = False
@@ -81,7 +83,7 @@ class ChannelRealization:
 
     @property
     def m_antennas(self) -> int:
-        return self.gains.shape[0]
+        return self.gains.shape[-2]
 
 
 @dataclass(frozen=True)

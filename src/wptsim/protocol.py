@@ -120,10 +120,26 @@ def session_draws(link: LinkModel, adc: AdcConfig | None) -> bool:
         adc is not None and adc.noise_sigma > 0)
 
 
-def _dc_power(rect_model, tones, grid) -> float:
+def _dc_power(rect_model, tones: EffectiveTones, grid):
+    """dc power of one waveform, or an array of them for a stack of tones.
+
+    The moment model rates a stack in one call, the table model one
+    dc_power_table call per waveform.
+    """
     if isinstance(rect_model, DiodeMomentModel):
         return dc_power_moment(rect_model, tones, grid)
+    if tones.amplitudes.ndim > 1:
+        return np.array([_dc_power(rect_model, EffectiveTones(row), grid)
+                         for row in tones.amplitudes])
     return dc_power_table(rect_model, tones, grid)
+
+
+def _check_fits(codebook: Codebook, channel: ChannelRealization) -> None:
+    """Raise unless channel is one (M, N) matrix of the book's M and N."""
+    if channel.gains.shape != (codebook.m_antennas, codebook.n_tones):
+        raise DimensionError(
+            f"codebook ({codebook.m_antennas}, {codebook.n_tones}) vs "
+            f"channel {channel.gains.shape}")
 
 
 def _sweep(codebook: Codebook, channels, rect_model) -> list[tuple]:
@@ -138,11 +154,7 @@ def _sweep(codebook: Codebook, channels, rect_model) -> list[tuple]:
     """
     distinct = {id(ch): ch for ch in channels}
     for channel in distinct.values():
-        if (codebook.m_antennas, codebook.n_tones) != \
-                (channel.m_antennas, channel.grid.n_tones):
-            raise DimensionError(
-                f"codebook ({codebook.m_antennas}, {codebook.n_tones}) vs "
-                f"channel ({channel.m_antennas}, {channel.grid.n_tones})")
+        _check_fits(codebook, channel)
     # each channel's (K, N) tones are formed alone, as in its own sweep,
     # and from operands of equal ndim, as effective_tones forms them:
     # numpy rounds a one-element complex multiply (M=N=K=1) whose operands
@@ -187,6 +199,7 @@ def run_frame(config: FrameConfig, codebook: Codebook,
     """
     if rng is None and session_draws(link, adc):
         raise DomainError("a lossy link or a noisy ADC requires an rng")
+    _check_fits(codebook, channel)
     t_p = config.t_p(codebook.k_codewords)
     # the training energy needs the dc levels themselves, not the readings
     dcs, p_rfs = (_sweep(codebook, [channel], rect_model)[0]

@@ -26,7 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, check_count, check_positive
+from .errors import (ConfigError, DimensionError, DomainError, check_count,
+                     check_positive)
 from .waveform import (EffectiveTones, ToneGrid, papr, received_rf_power,
                        waveform_moments)
 
@@ -167,8 +168,11 @@ class AdcConfig:
 
 
 def dc_power_moment(model: DiodeMomentModel, tones: EffectiveTones,
-                    grid: ToneGrid) -> float:
-    """dc output of the moment nonlinearity, alpha*(k2*m2 + k4*m4)^2 watts."""
+                    grid: ToneGrid) -> np.ndarray:
+    """dc output of the moment nonlinearity, alpha*(k2*m2 + k4*m4)^2 watts.
+
+    One value per waveform of tones: a numpy float64 scalar for one.
+    """
     return model.dc(*waveform_moments(tones, grid))
 
 
@@ -207,7 +211,11 @@ def dc_power_table(model: EfficiencyTableModel, tones: EffectiveTones,
     Queries outside the table clamp to its boundary; when a diag object is
     supplied the corresponding clamped flags are set.  A zero waveform
     yields 0.0 without consulting the table (its PAPR is undefined).
+    tones must be one waveform; protocol rates a stack one row a call.
     """
+    if tones.amplitudes.ndim != 1:
+        raise DimensionError(f"dc_power_table rates one waveform, got a "
+                             f"stack of shape {tones.amplitudes.shape}")
     p_rf = received_rf_power(tones)
     if p_rf == 0.0:
         return 0.0

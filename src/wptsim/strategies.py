@@ -48,20 +48,24 @@ def smf_weights(channel: ChannelRealization, params: SmfParams) -> WaveformWeigh
 
     The scale c = sqrt(2P / sum_n ||h_n||^(2*beta)) meets the power budget
     with equality.  Tones with zero channel norm get zero weight; a channel
-    that is zero on every tone has no matched direction and raises.
+    that is zero on every tone has no matched direction and raises.  A
+    stack of channels (..., M, N) gets a stack of weights, each matrix's
+    norms and scale its own, and each equal to its channel's own call to
+    the bit: the norms add a matrix's M terms in the order one channel
+    alone adds them, and every product has operands of equal ndim.
     """
     h = channel.gains
-    norms = np.linalg.norm(h, axis=0)
-    if not np.any(norms > 0):
-        raise DegenerateChannelError("channel is zero on every tone")
-    c = np.sqrt(2.0 * params.power_budget / np.sum(norms ** (2.0 * params.beta)))
-    # s_n = c * ||h_n||^(beta-1) * conj(h_n), with 0 weight on dead tones
-    scale = np.zeros_like(norms)
+    norms = np.linalg.norm(h, axis=-2)
     alive = norms > 0
-    scale[alive] = c * norms[alive] ** (params.beta - 1.0)
+    if not alive.any(axis=-1).all():
+        raise DegenerateChannelError("channel is zero on every tone")
+    c = np.sqrt(2.0 * params.power_budget
+                / np.sum(norms ** (2.0 * params.beta), axis=-1))
+    # s_n = c * ||h_n||^(beta-1) * conj(h_n), with 0 weight on dead tones
+    scale = np.where(alive, c[..., None] * norms ** (params.beta - 1.0), 0.0)
     # the rescale removes the last few ulps of constraint slack, so
     # equality holds exactly
-    s = _sphere(np.conj(h) * scale[None, :], params.power_budget)
+    s = _sphere(np.conj(h) * scale[..., None, :], params.power_budget)
     return WaveformWeights(weights=s, power_budget=params.power_budget)
 
 

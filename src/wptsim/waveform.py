@@ -97,8 +97,9 @@ class ToneGrid:
 class WaveformWeights:
     """Per-antenna, per-tone complex transmit weights under a power budget.
 
-    weights is an (M, N) matrix; its radiated power radiated_power(weights)
-    must not exceed power_budget (strategies allocate it with equality).
+    weights is an (M, N) matrix, or a stack of them of shape (..., M, N);
+    the radiated power radiated_power(weights) of each matrix must not
+    exceed power_budget (strategies allocate it with equality).
     """
 
     weights: np.ndarray = field(repr=False)
@@ -107,16 +108,16 @@ class WaveformWeights:
     def __post_init__(self):
         check_positive("power_budget", self.power_budget)
         s = np.asarray(self.weights, dtype=complex)
-        if s.ndim != 2 or s.size < 1:
-            raise DimensionError(
-                f"weights must be a non-empty 2-D array, got shape {s.shape}")
+        if s.ndim < 2 or s.size < 1:
+            raise DimensionError(f"weights must be a non-empty array of "
+                                 f"(M, N) matrices, got shape {s.shape}")
         # the reduction np.all runs, without its Python dispatch
         if not np.isfinite(s.view(float)).all():
             raise DomainError("weights must be finite")
-        p = float(radiated_power(s))
+        p = np.max(radiated_power(s))
         if p > self.power_budget * (1.0 + _REL_TOL):
-            raise DomainError(
-                f"radiated power {p!r} exceeds budget {self.power_budget!r}")
+            raise DomainError(f"radiated power {float(p)!r} exceeds budget "
+                              f"{self.power_budget!r}")
         s.flags.writeable = False
         object.__setattr__(self, "weights", s)
 
@@ -143,14 +144,18 @@ def _sphere(weights: np.ndarray, power: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EffectiveTones:
-    """Per-tone complex amplitudes a_n of the waveform seen by the receiver."""
+    """Per-tone complex amplitudes a_n of the waveform seen by the receiver.
+
+    amplitudes has shape (N,), or (..., N) for a stack of waveforms.
+    """
 
     amplitudes: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         a = np.asarray(self.amplitudes, dtype=complex)
-        if a.ndim != 1 or a.size < 1:
-            raise DimensionError("amplitudes must be a non-empty 1-D array")
+        if a.ndim < 1 or a.size < 1:
+            raise DimensionError(
+                "amplitudes must be a non-empty 1-D array or a stack of them")
         if not np.all(np.isfinite(a.view(float))):
             raise DomainError("amplitudes must be finite")
         a.flags.writeable = False
@@ -158,21 +163,30 @@ class EffectiveTones:
 
     @property
     def n_tones(self) -> int:
-        return self.amplitudes.size
+        return self.amplitudes.shape[-1]
 
 
 def effective_tones(channel, weights: WaveformWeights) -> EffectiveTones:
-    """Combine channel gains and weights into received per-tone amplitudes."""
+    """Combine channel gains and weights into received per-tone amplitudes.
+
+    Gains and weights of one shape (..., M, N) give amplitudes (..., N).
+    The operands have equal ndim and a row's M terms add in the order one
+    channel alone adds them, so a stack's row equals that channel's own
+    call to the bit.
+    """
     gains = channel.gains
     if gains.shape != weights.weights.shape:
         raise DimensionError(
             f"channel gains {gains.shape} vs weights {weights.weights.shape}")
-    return EffectiveTones(amplitudes=np.sum(gains * weights.weights, axis=0))
+    return EffectiveTones(amplitudes=np.sum(gains * weights.weights, axis=-2))
 
 
-def received_rf_power(tones: EffectiveTones) -> float:
-    """RF power of the received multi-sine, (1/2) sum |a_n|^2 = m2, watts."""
-    return float(second_moment(tones.amplitudes))
+def received_rf_power(tones: EffectiveTones) -> np.ndarray:
+    """RF power (1/2) sum |a_n|^2 = m2 of each received multi-sine, watts.
+
+    One waveform gives a numpy float64 scalar, a stack an array.
+    """
+    return second_moment(tones.amplitudes)
 
 
 def pairwise_sum(terms: np.ndarray) -> np.ndarray:
@@ -316,23 +330,24 @@ def m4_gradient(a: np.ndarray, conv: np.ndarray) -> np.ndarray:
     return np.multiply(0.75, grad.T, out=np.empty(a.shape, dtype=complex))
 
 
-def waveform_moments(tones: EffectiveTones, grid: ToneGrid) -> tuple[float, float]:
-    """Second and fourth moments of one received waveform; see tone_moments.
+def waveform_moments(tones: EffectiveTones, grid: ToneGrid
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """Second and fourth moments of received waveforms; see tone_moments.
 
     Args:
-        tones: received per-tone amplitudes.
+        tones: received per-tone amplitudes, one waveform or a stack.
         grid: tone grid; only used to check the amplitudes match its size
             (uniform spacing, which the closed forms rely on, is a ToneGrid
             construction invariant).
 
     Returns:
-        (m2, m4) in W and W^2 respectively.
+        (m2, m4) in W and W^2 respectively, of shape
+        tones.amplitudes.shape[:-1]: numpy float64 scalars for one waveform.
     """
     if tones.n_tones != grid.n_tones:
         raise DimensionError(
             f"tones carry {tones.n_tones} amplitudes, grid has {grid.n_tones}")
-    m2, m4 = tone_moments(tones.amplitudes)
-    return float(m2), float(m4)
+    return tone_moments(tones.amplitudes)
 
 
 def sample_times(grid: ToneGrid, oversampling: int = 32) -> np.ndarray:
@@ -384,6 +399,9 @@ def papr(tones: EffectiveTones, grid: ToneGrid, oversampling: int = 32) -> float
     if tones.n_tones != grid.n_tones:
         raise DimensionError(
             f"tones carry {tones.n_tones} amplitudes, grid has {grid.n_tones}")
+    if tones.amplitudes.ndim != 1:
+        raise DimensionError(f"papr rates one waveform, got a stack of "
+                             f"shape {tones.amplitudes.shape}")
     e = _phasors(grid, oversampling)
     a = tones.amplitudes
     if not np.any(np.abs(a) > 0):

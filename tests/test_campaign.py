@@ -368,8 +368,10 @@ def test_config_checks_every_setting_at_load(tmp_path, section, key, value,
     path.write_text("".join(
         f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
         for name, keys in sections.items()))
-    with pytest.raises(ConfigError, match=re.escape(message)):
+    with pytest.raises(ConfigError, match=re.escape(message)) as info:
         load_config(path)
+    # the parsers' rejections and CampaignConfig's alike name the file
+    assert str(info.value).startswith(f"{path}: ")
     assert main(["simulate", "--config", str(path), "--out", str(out)]) == 1
     assert not out.exists()
 
@@ -814,8 +816,54 @@ def test_up_rows_read_from_the_sweep_equal_frame_by_frame(
                                                    cfg.transmit_power_w))
             p_dc = _dc_power(rect_model, tones, grid)
             expected[(str(m), str(n), "0", location.label, str(frame))] = [
-                repr(float(p_dc)), repr(received_rf_power(tones)), "0", "0",
-                "1", "0.0", repr(float(p_dc * cfg.t_frame))]
+                repr(float(p_dc)), repr(float(received_rf_power(tones))),
+                "0", "0", "1", "0.0", repr(float(p_dc * cfg.t_frame))]
+    assert rows == expected
+
+
+@pytest.mark.parametrize("rectifier", ["moment", "table"])
+@pytest.mark.parametrize("seed", [20260818, 7])
+def test_smf_rows_of_a_stacked_point_equal_the_per_channel_calls(
+        tmp_path, monkeypatch, rectifier, seed):
+    # run_campaign rates SMF on one (locations x frames, M, N) stack per
+    # point; every row must carry the bits of its channel's own
+    # smf_weights, effective_tones, rectifier and received_rf_power, at
+    # every (M, N) of figure-joint, M=N=1 included
+    from wptsim import (SmfParams, campaign, effective_tones,
+                        received_rf_power, smf_weights)
+    from wptsim.protocol import _dc_power
+    monkeypatch.setattr(campaign, "_fmt", lambda x: repr(float(x)))
+    stacks = []
+    monkeypatch.setattr(campaign, "smf_weights", lambda channel, params: (
+        stacks.append(channel.gains.shape), smf_weights(channel, params))[1])
+    _write_table(tmp_path / "eta.csv")
+    cfg = dataclasses.replace(
+        figure_config("figure-joint", seed=seed), strategies=("UP", "SMF"),
+        rectifier_model=rectifier, table_path=str(tmp_path / "eta.csv"))
+    detail, _ = run_campaign(cfg, out_dir=tmp_path / "out")
+    channels = cfg.n_locations * cfg.frames_per_location
+    assert stacks == [(channels, m, n) for m, n in itertools.product(
+        cfg.antenna_counts, cfg.tone_counts)]
+    rows = {tuple(parts[1:6]): parts[6:8]
+            for parts in (line.split(",")
+                          for line in open(detail).read().splitlines()[1:])
+            if parts[0] == "SMF"}
+    rect_model = campaign._rect_model(cfg)
+    smf = SmfParams(power_budget=cfg.transmit_power_w)
+    locations = make_locations(cfg.n_locations, cfg.seed,
+                               cfg.channel_template,
+                               (cfg.pathloss_db_min, cfg.pathloss_db_max))
+    expected = {}
+    for m, n in itertools.product(cfg.antenna_counts, cfg.tone_counts):
+        grid = cfg.tone_grid(n)
+        for location, frame in itertools.product(
+                locations, range(cfg.frames_per_location)):
+            ch = realize_channel(location.params, m, grid, frame=frame)
+            tones = effective_tones(ch, smf_weights(ch, smf))
+            expected[(str(m), str(n), "0", location.label, str(frame))] = [
+                repr(float(_dc_power(rect_model, tones, grid))),
+                repr(float(received_rf_power(tones)))]
+    assert len(rows) == len(expected) == 12 * channels
     assert rows == expected
 
 

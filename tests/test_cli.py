@@ -136,6 +136,38 @@ def test_simulate_zero_dc_location_exits_1_writing_no_csv(tmp_path, capsys):
     assert list(out.glob("*.csv")) == []
 
 
+@pytest.mark.parametrize("failure", ["adc", "summary"])
+def test_a_failed_run_removes_the_directories_it_made(tmp_path, capsys,
+                                                      failure):
+    # a run that fails before its first CSV leaves no empty output
+    # directory behind, its new parents included; one that was there
+    # before it stays
+    table = tmp_path / "eta.csv"
+    table.write_text(ZERO_BELOW)
+    cfg = tmp_path / "c.ini"
+    if failure == "adc":
+        cfg.write_text("[campaign]\nantenna_counts = 1\ntone_counts = 1\n"
+                       "codebook_sizes = 2\n[channel]\nn_locations = 2\n"
+                       "[adc]\nenabled = true\n")
+        message = "error: every LIMITED training reading is 0 V"
+    else:
+        cfg.write_text(
+            "[campaign]\nstrategies = UP, SMF\nantenna_counts = 1, 2\n"
+            "tone_counts = 1\n[channel]\nn_locations = 4\n"
+            "pathloss_db_min = 60\npathloss_db_max = 75\n"
+            f"[rectifier]\nmodel = table\ntable_path = {table}\n")
+        message = "error: no dB gain for (strategy="
+    out = tmp_path / "new" / "results"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(message)
+    assert not (tmp_path / "new").exists()
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    assert main(["simulate", "--config", str(cfg), "--out", str(kept)]) == 1
+    assert capsys.readouterr().err.startswith(message)
+    assert kept.is_dir() and list(kept.iterdir()) == []
+
+
 def test_simulate_bad_config_exits_1(tmp_path, capsys):
     cfg = tmp_path / "c.ini"
     cfg.write_text("[campaign]\nstrategies = WARP\n")

@@ -9,11 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wptsim import (Codebook, CodebookIOError, DimensionError,
-                    DiodeMomentModel, DomainError, EfficiencyTableModel,
-                    ToneGrid, WaveformWeights, dc_power_moment,
-                    effective_tones, gen_nested, gen_random, load_codebook,
-                    save_codebook, stream, train_lloyd, up_weights)
+from wptsim import (ChannelRealization, Codebook, CodebookIOError,
+                    DimensionError, DiodeMomentModel, DomainError,
+                    EfficiencyTableModel, ToneGrid, WaveformWeights,
+                    dc_power_moment, effective_tones, gen_nested, gen_random,
+                    load_codebook, save_codebook, stream, train_lloyd,
+                    up_weights)
 from wptsim import codebook as codebook_module
 from wptsim.codebook import (_amplitudes, _assign, _dc_and_grad, _dc_upper,
                              _exact_dc, _screen, _sphere, _update)
@@ -621,6 +622,11 @@ def test_train_lloyd_argument_errors():
     mixed = channels[:5] + _training_channels(7, 1, 2, 4)
     with pytest.raises(DimensionError, match="share dimensions"):
         train_lloyd(mixed, 4, model, rng=stream(7, 5), power=1.0)
+    # a stack of channels in one realization is not a training set
+    stacked = [ChannelRealization(grid=ch.grid, gains=np.stack(
+        [ch.gains, ch.gains])) for ch in channels]
+    with pytest.raises(DimensionError, match=r"\(M, N\) matrices"):
+        train_lloyd(stacked, 4, model, rng=stream(7, 5), power=1.0)
 
 
 def test_train_lloyd_provenance_mentions_setup():

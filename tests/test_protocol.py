@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wptsim import (AdcConfig, ConfigError, DimensionError, DiodeMomentModel,
-                    DomainError, EfficiencyTableModel, FrameConfig, LinkModel,
+from wptsim import (AdcConfig, ChannelRealization, ConfigError,
+                    DimensionError, DiodeMomentModel, DomainError,
+                    EfficiencyTableModel, FrameConfig, LinkModel,
                     ProtocolError, ToneGrid, UP_FALLBACK, decode_feedback,
                     dc_power_moment, effective_tones, encode_feedback,
                     gen_nested, gen_random, measure_dc, protocol,
@@ -317,6 +318,31 @@ def test_session_rejects_a_book_off_the_channels_shape(m, n):
             f"codebook (2, {n}) vs channel ({m}, 2)")):
         run_session(FrameConfig(), book, channels, DiodeMomentModel(), None,
                     LinkModel(), None)
+
+
+def test_a_stacked_channel_is_rejected_not_broadcast():
+    # gains of shape (F, M, N) would broadcast against the (K, M, N) book;
+    # the sweep, a frame and a session each take one (M, N) channel
+    grid = ToneGrid.centered(2.4e9, 10e6, 2)
+    book = gen_nested(2, grid, 1.0, 2, stream(35, 4))
+    stack = ChannelRealization(grid=grid, gains=np.stack(
+        [make_channel(35 + i, 2, grid).gains for i in range(2)]))
+    message = re.escape("codebook (2, 2) vs channel (2, 2, 2)")
+    with pytest.raises(DimensionError, match=message):
+        protocol._sweep(book, [stack], DiodeMomentModel())
+    sweep = ([1.0, 2.0], [1.0, 2.0])
+    for call in (
+            lambda: run_frame(FrameConfig(), book, stack, DiodeMomentModel(),
+                              None, LinkModel(), None, None),
+            lambda: run_frame(FrameConfig(), book, stack, DiodeMomentModel(),
+                              None, LinkModel(), None, None, sweep=sweep),
+            lambda: run_session(FrameConfig(), book, [stack],
+                                DiodeMomentModel(), None, LinkModel(), None),
+            lambda: run_session(FrameConfig(), book, [stack],
+                                DiodeMomentModel(), None, LinkModel(), None,
+                                [sweep])):
+        with pytest.raises(DimensionError, match=message):
+            call()
 
 
 def _frame_by_frame(cfg, book, channels, model, adc, link, gen):

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wptsim import (AdcConfig, ConfigError, DiodeMomentModel, DomainError,
-                    EfficiencyTableModel, EffectiveTones, TableDiagnostics,
-                    ToneGrid, dc_power_moment, dc_power_table, measure_dc,
-                    stream, waveform_moments)
+from wptsim import (AdcConfig, ConfigError, DimensionError, DiodeMomentModel,
+                    DomainError, EfficiencyTableModel, EffectiveTones,
+                    TableDiagnostics, ToneGrid, dc_power_moment,
+                    dc_power_table, measure_dc, papr, stream,
+                    waveform_moments)
 
 
 def _tones(amps) -> EffectiveTones:
@@ -94,6 +95,20 @@ def _simple_table() -> EfficiencyTableModel:
         p_dbm=np.array([-20.0, 0.0]),
         papr_axis=np.array([1.0, 3.0]),
         eta=np.array([[0.1, 0.2], [0.3, 0.4]]))
+
+
+def test_table_and_papr_rate_one_waveform_not_a_stack():
+    # a stack of waveforms has one RF power per row; the table rectifier
+    # and papr take one at a time, and the moment model all at once
+    grid = ToneGrid.centered(2.4e9, 10e6, 2)
+    stack = _tones(0.1 * np.ones((2, 2)))
+    with pytest.raises(DimensionError, match="dc_power_table rates one"):
+        dc_power_table(_simple_table(), stack, grid)
+    with pytest.raises(DimensionError, match="papr rates one"):
+        papr(stack, grid)
+    model = DiodeMomentModel()
+    assert dc_power_moment(model, stack, grid).tolist() == \
+        [dc_power_moment(model, _tones(row), grid) for row in stack.amplitudes]
 
 
 def test_table_validation():

@@ -111,6 +111,22 @@ def test_smf_all_zero_channel_rejected():
         smf_weights(ch, SmfParams(beta=3.0, power_budget=1.0))
 
 
+@pytest.mark.parametrize("dead", [0, 2])
+def test_smf_stack_with_an_all_zero_channel_rejected(dead):
+    # one all-zero matrix fails the whole stack, wherever it sits; a dead
+    # tone in another matrix does not
+    grid = ToneGrid.centered(2.4e9, 10e6, 2)
+    gains = np.stack([make_channel(45 + i, 2, grid).gains for i in range(3)])
+    gains[1, :, 0] = 0.0
+    smf = SmfParams(beta=3.0, power_budget=1.0)
+    w = smf_weights(ChannelRealization(grid=grid, gains=gains), smf)
+    assert w.weights.shape == (3, 2, 2) and np.all(w.weights[1, :, 0] == 0)
+    gains = gains.copy()
+    gains[dead] = 0.0
+    with pytest.raises(DegenerateChannelError):
+        smf_weights(ChannelRealization(grid=grid, gains=gains), smf)
+
+
 def test_smf_params_domain():
     with pytest.raises(DomainError):
         SmfParams(beta=0.5, power_budget=1.0)

@@ -88,12 +88,19 @@ def test_weights_reject_over_budget():
 
 
 def test_weights_reject_shape_mismatch():
-    for bad in (np.zeros(3, dtype=complex), np.zeros((1, 2, 3)),
+    for bad in (np.zeros(3, dtype=complex), np.zeros((2, 0, 3)),
                 np.zeros((0, 2))):
         with pytest.raises(DimensionError):
             WaveformWeights(weights=bad, power_budget=1.0)
     w = WaveformWeights(weights=np.zeros((2, 3)), power_budget=1.0)
     assert w.weights.shape == (2, 3)
+    # a stack of (M, N) matrices is checked matrix by matrix
+    w = WaveformWeights(weights=np.zeros((1, 2, 3)), power_budget=1.0)
+    assert w.weights.shape == (1, 2, 3)
+    over = np.zeros((2, 1, 1), dtype=complex)
+    over[1] = 2.0
+    with pytest.raises(DomainError, match="radiated power 2.0 exceeds"):
+        WaveformWeights(weights=over, power_budget=1.0)
 
 
 def _checked_before(s, budget):
@@ -158,12 +165,15 @@ def test_effective_tones_is_channel_weight_inner_product():
 
 
 @pytest.mark.parametrize("amplitudes,error,message", [
-    (np.ones((2, 2)), DimensionError, "non-empty 1-D"),
+    (np.array(1.0), DimensionError, "non-empty 1-D"),
     (np.ones(0), DimensionError, "non-empty 1-D"),
+    (np.ones((2, 0)), DimensionError, "non-empty 1-D"),
     (np.array([1.0, np.nan]), DomainError, "amplitudes must be finite"),
     (np.array([1.0, complex(0.0, np.inf)]), DomainError,
      "amplitudes must be finite"),
-], ids=["2-D", "empty", "nan", "inf"])
+    (np.array([[1.0], [complex(0.0, np.inf)]]), DomainError,
+     "amplitudes must be finite"),
+], ids=["0-D", "empty", "empty-stack", "nan", "inf", "inf-in-stack"])
 def test_effective_tones_rejects_bad_amplitudes(amplitudes, error, message):
     with pytest.raises(error, match=message):
         EffectiveTones(amplitudes)
@@ -420,9 +430,9 @@ def test_bench_kernel_script_writes_its_table(tmp_path):
     assign = rows[17:19]
     assert [(r["layer"], r["pathloss_db"]) for r in assign] == \
         [("codebook._assign", 60.0), ("codebook._assign", 0.0)]
-    iteration, session, channel, summary = rows[19:23]
-    papr_rows = rows[23:]
-    assert len(rows) == 26
+    iteration, session, channel, summary, smf = rows[19:24]
+    papr_rows = rows[24:]
+    assert len(rows) == 27
     assert (iteration["layer"], iteration["m_antennas"],
             iteration["n_tones"], iteration["k_codewords"],
             iteration["batch"]) == ("codebook.train_iteration", 4, 8, 64, 1000)
@@ -438,6 +448,10 @@ def test_bench_kernel_script_writes_its_table(tmp_path):
     # sizes) x 15 locations x 3 frames
     assert (summary["layer"], summary["batch"]) == \
         ("campaign.summarize", 4320)
+    # one figure-joint point: 15 locations x 3 fades
+    assert (smf["layer"], smf["m_antennas"], smf["n_tones"],
+            smf["batch"]) == ("strategies.smf_weights", 4, 8, 45)
+    assert smf["per_channel_us"] > 0
     assert [(r["layer"], r["n_tones"], r["oversampling"])
             for r in papr_rows] == [("waveform.papr", n, 32)
                                     for n in (1, 8, 16)]
