@@ -27,13 +27,15 @@ Layer rows, on random complex amplitudes and channel gains:
   exactly outside the UPDATE; ``minor_faults`` is the minor page faults
   per iteration, read with ``getrusage(RUSAGE_SELF)`` around the timed
   calls.
-* ``protocol.run_session``: one location's LIMITED sessions at M=4, N=8
-  over F=3 fades, for the nested books K in {2, ..., 64}, as
-  ``run_campaign`` runs them on a lossless link with no ADC: with no
-  session stream.  ``per_k_sweep_us`` lets each K's session sweep its
-  own book; ``median_us`` sweeps the K_max book once and hands each K
-  its columns; ``with_streams_us`` runs the ``median_us`` sessions with
-  one ``rng.stream`` each, as a lossy link or a noisy ADC needs.
+* ``protocol.run_session``: the LIMITED sessions of figure-joint's M=4,
+  N=8 point on its default seed's channels (15 locations x 3 fades),
+  for the nested books K in {2, ..., 64}, as ``run_campaign`` runs them
+  on a lossless link with no ADC: one batched call per K over every
+  location's session, with no session stream.  ``per_k_sweep_us`` lets
+  each K's call sweep its own book; ``median_us`` sweeps the K_max book
+  once per location and hands each K its columns; ``with_streams_us``
+  runs the ``median_us`` calls with one ``rng.stream`` per session, as
+  a lossy link or a noisy ADC needs.
 * ``channel.realize_channel`` at M=4, N=8: one channel's tap stream,
   tap draw and frequency response, as Lloyd's training set is drawn.
 * ``campaign.summarize`` on the 4,320 rows that figure-joint's campaign,
@@ -83,14 +85,13 @@ from wptsim import (ChannelModelParams, ChannelRealization, DiodeMomentModel,
                     smf_weights)
 from wptsim import campaign, waveform
 from wptsim.codebook import _amplitudes, _assign, _dc_and_grad, _sphere
-from wptsim.protocol import _dc_power, _sweep
+from wptsim.protocol import _dc_power
 from wptsim.waveform import tone_moments
 
 TONES = (1, 2, 4, 8)
 BATCHES = (1, 64, 192, 1000)
 PATHLOSS_DB = (60.0, 0.0)
 SESSION_SIZES = (2, 4, 8, 16, 32, 64)
-SESSION_FRAMES = 3
 PAPR_TONES = (1, 8, 16)
 PAPR_OVERSAMPLING = 32
 
@@ -148,26 +149,38 @@ def _iteration_row(gains, words, model, power, repeat, number):
             "median_us": median}
 
 
-def _session_row(grid, model, seed, repeat, number):
-    m, f = 4, SESSION_FRAMES
-    fades = [realize_channel(ChannelModelParams(seed=seed), m, grid,
-                             frame=i) for i in range(f)]
+def _point_fades(m, n):
+    """figure-joint's (M, N) point: its grid and each location's fades."""
+    config = campaign.figure_config("figure-joint")
+    grid = config.tone_grid(n)
+    locations = make_locations(
+        config.n_locations, config.seed, config.channel_template,
+        (config.pathloss_db_min, config.pathloss_db_max))
+    return grid, [campaign._fades(config, location,
+                                  campaign._taps(config, location), m, grid)
+                  for location in locations]
+
+
+def _session_row(model, seed, repeat, number):
+    m = 4
+    grid, fades = _point_fades(m, 8)
     full = gen_nested(m, grid, 2.0, max(SESSION_SIZES),
                       rng.stream(seed, rng.CODEBOOK))
     books = {k: full.prefix(k) for k in SESSION_SIZES}
     timing, link = FrameConfig(), LinkModel()
 
     def sessions(shared, streams=False):
-        swept = _sweep(full, fades, model) if shared else None
+        if shared:
+            dcs, p_rfs = campaign._point_sweep(full, fades, model)
         for k, book in books.items():
             run_session(timing, book, fades, model, None, link,
-                        rng.stream(seed, rng.SESSION, k) if streams else None,
-                        [(dcs[:k], p_rfs[:k]) for dcs, p_rfs in swept]
-                        if shared else None)
+                        [rng.stream(seed, rng.SESSION, k, s) if streams
+                         else None for s in range(len(fades))],
+                        (dcs[..., :k], p_rfs[..., :k]) if shared else None)
 
     return {"layer": "protocol.run_session", "m_antennas": m,
-            "n_tones": grid.n_tones, "frames": f,
-            "k_sizes": list(SESSION_SIZES),
+            "n_tones": grid.n_tones, "sessions": len(fades),
+            "frames": len(fades[0]), "k_sizes": list(SESSION_SIZES),
             "per_k_sweep_us": median_us(lambda: sessions(False), repeat,
                                         number),
             "with_streams_us": median_us(lambda: sessions(True, True),
@@ -203,16 +216,13 @@ def _summarize_row(repeat, number):
 
 
 def _smf_row(model, repeat, number):
-    config = campaign.figure_config("figure-joint")
-    m, grid = 4, config.tone_grid(8)
-    locations = make_locations(
-        config.n_locations, config.seed, config.channel_template,
-        (config.pathloss_db_min, config.pathloss_db_max))
-    fades = [ch for location in locations for ch in campaign._fades(
-        config, location, campaign._taps(config, location), m, grid)]
+    m = 4
+    grid, point_fades = _point_fades(m, 8)
+    fades = [ch for frames in point_fades for ch in frames]
     stack = ChannelRealization(grid=grid,
                                gains=np.stack([ch.gains for ch in fades]))
-    smf = SmfParams(power_budget=config.transmit_power_w)
+    smf = SmfParams(power_budget=campaign.figure_config(
+        "figure-joint").transmit_power_w)
 
     def rate(channel):
         tones = effective_tones(channel, smf_weights(channel, smf))
@@ -319,8 +329,7 @@ def main(argv=None):
                          args.repeat, args.number)})
     rows.append(_iteration_row(*inputs[60.0], model, power, args.repeat,
                                args.number))
-    rows.append(_session_row(grid, model, args.seed, args.repeat,
-                             args.number))
+    rows.append(_session_row(model, args.seed, args.repeat, args.number))
     rows.append(_channel_row(grid, args.seed, args.repeat, args.number))
     rows.append(_summarize_row(args.repeat, args.number))
     rows.append(_smf_row(model, args.repeat, args.number))

@@ -19,8 +19,8 @@ from .errors import (CodebookIOError, ConfigError, DegenerateChannelError,
                      DimensionError, DomainError, ProtocolError,
                      SummaryError, WptsimError, ZeroWaveformError)
 from .protocol import (UP_FALLBACK, FrameConfig, FrameReport, LinkModel,
-                       decode_feedback, encode_feedback, run_frame,
-                       run_session)
+                       SessionReport, decode_feedback, encode_feedback,
+                       run_frame, run_session)
 from .rectenna import (AdcConfig, DiodeMomentModel, EfficiencyTableModel,
                        TableDiagnostics, dc_power_moment, dc_power_table,
                        measure_dc)
@@ -40,8 +40,9 @@ __all__ = [
     "DegenerateChannelError", "DiodeMomentModel", "DimensionError",
     "DomainError", "EffectiveTones", "EfficiencyTableModel", "FIGURES",
     "FrameConfig", "FrameReport", "LinkModel", "Location", "ProtocolError",
-    "SmfParams", "SummaryError", "SummaryRow", "TableDiagnostics", "ToneGrid",
-    "UP_FALLBACK", "WaveformWeights", "WptsimError", "ZeroWaveformError",
+    "SessionReport", "SmfParams", "SummaryError", "SummaryRow",
+    "TableDiagnostics", "ToneGrid", "UP_FALLBACK", "WaveformWeights",
+    "WptsimError", "ZeroWaveformError",
     "db_gain", "dc_ceiling", "dc_power_moment", "dc_power_table",
     "decode_feedback", "derive_seed", "effective_tones", "encode_feedback",
     "feedback_bits", "figure_config", "frequency_response", "gen_nested",

@@ -19,6 +19,9 @@ come from codebooks(), which ``wptsim codebook`` writes to file.  SMF is
 rated once per point, on one stack of every location's fades: one call
 each of smf_weights, effective_tones, the rectifier and
 received_rf_power, each row equal to its channel's own call to the bit.
+LIMITED runs one run_session call per (M, N, K) point, whose batch axis
+is the locations' sessions, each on its own stream; its reports equal
+those of every session run on its own.
 
 Determinism contract: all randomness is keyed by (seed, purpose, indices)
 Philox streams, every sweep point draws from its own streams, and rows are
@@ -424,6 +427,16 @@ def _fades(config: CampaignConfig, location, taps: list, m: int,
     return fades * config.frames_per_location
 
 
+def _point_sweep(book: Codebook, point_fades: list, rect_model) -> tuple:
+    """Every location's sweep of book: two (locations, frames, K) arrays.
+
+    Each location is swept on its own, so the sweep's temporaries stay
+    the size of one location's.
+    """
+    return tuple(np.stack(powers) for powers in zip(
+        *(_sweep(book, fades, rect_model) for fades in point_fades)))
+
+
 def _make_dirs(out: str) -> list:
     """Create the directory out and its missing parents.
 
@@ -450,6 +463,7 @@ def _detail_rows(config: CampaignConfig, rect_model) -> list:
                                (config.pathloss_db_min, config.pathloss_db_max))
     smf_params = SmfParams(power_budget=config.transmit_power_w)
     taps = [_taps(config, location) for location in locations]
+    labels = [location.label for location in locations]
     if LIMITED in config.strategies:
         # every LIMITED session shares one frame timing, link and ADC; a
         # session that cannot draw gets no stream
@@ -463,48 +477,43 @@ def _detail_rows(config: CampaignConfig, rect_model) -> list:
         sweep, books = _books(config, m, grid)
         point_fades = [_fades(config, location, taps[loc_idx], m, grid)
                        for loc_idx, location in enumerate(locations)]
+        # a column equals that codeword's sweep in its own book to the
+        # last bit
+        dcs, p_rfs = _point_sweep(sweep, point_fades, rect_model)
+        # UP's codeword is the sweep book's last row
+        fixed = {UP: (dcs[..., -1], p_rfs[..., -1])}
         if SMF in config.strategies:
             # every location's frames in one stack; a row equals that
             # channel's own SMF evaluation to the last bit
             stack = ChannelRealization(grid=grid, gains=np.stack(
                 [ch.gains for fades in point_fades for ch in fades]))
             tones = effective_tones(stack, smf_weights(stack, smf_params))
-            smf_powers = list(zip(_dc_power(rect_model, tones, grid).tolist(),
-                                  received_rf_power(tones).tolist()))
-        for loc_idx, (location, fades) in enumerate(zip(locations,
-                                                        point_fades)):
-            # one sweep of every distinct codeword; a column equals that
-            # codeword's sweep in its own book to the last bit
-            swept = _sweep(sweep, fades, rect_model)
-            for strategy in config.strategies:
-                if strategy == LIMITED:
-                    for k, (book, columns) in books.items():
-                        gen = rngmod.stream(config.seed, rngmod.SESSION,
-                                            _STRATEGY_IDS[LIMITED], m, n, k,
-                                            loc_idx) if draws else None
-                        reports = run_session(
-                            timing, book, fades, rect_model, adc, link, gen,
-                            [(dcs[columns], p_rfs[columns])
-                             for dcs, p_rfs in swept])
-                        for frame, r in enumerate(reports):
-                            adc_reads_signal |= any(r.measurements)
-                            rows.append((LIMITED, m, n, k, location.label,
-                                         frame, r.p_dc_wpt, r.p_rf_wpt,
-                                         r.selected_index, r.applied_index,
-                                         int(r.feedback_delivered),
-                                         r.energy_training, r.energy_wpt))
-                    continue
-                if strategy == UP:
-                    # UP's codeword is the sweep book's last row
-                    powers = [(dcs[-1], p_rfs[-1]) for dcs, p_rfs in swept]
-                else:
-                    first = loc_idx * config.frames_per_location
-                    powers = smf_powers[
-                        first:first + config.frames_per_location]
-                for frame, (p_dc, p_rf) in enumerate(powers):
-                    rows.append((strategy, m, n, 0, location.label, frame,
-                                 p_dc, p_rf, 0, 0, 1, 0.0,
-                                 p_dc * config.t_frame))
+            fixed[SMF] = tuple(x.reshape(dcs.shape[:2]) for x in (
+                _dc_power(rect_model, tones, grid), received_rf_power(tones)))
+        for strategy, (p_dc, p_rf) in fixed.items():
+            for label, loc_dc, loc_rf in zip(labels, p_dc.tolist(),
+                                             p_rf.tolist()):
+                rows.extend((strategy, m, n, 0, label, frame, dc, rf, 0, 0,
+                             1, 0.0, dc * config.t_frame)
+                            for frame, (dc, rf) in enumerate(zip(loc_dc,
+                                                                 loc_rf)))
+        for k, (book, columns) in books.items():
+            # every location's session of the point in one batch, each
+            # on its own stream
+            gens = [rngmod.stream(config.seed, rngmod.SESSION,
+                                  _STRATEGY_IDS[LIMITED], m, n, k, loc_idx)
+                    if draws else None for loc_idx in range(len(locations))]
+            report = run_session(timing, book, point_fades, rect_model, adc,
+                                 link, gens,
+                                 (dcs[..., columns], p_rfs[..., columns]))
+            adc_reads_signal |= bool(report.measurements.any())
+            per_location = zip(*(field.tolist() for field in (
+                report.p_dc_wpt, report.p_rf_wpt, report.selected_index,
+                report.applied_index, report.feedback_delivered.astype(int),
+                report.energy_training, report.energy_wpt)))
+            for label, fields in zip(labels, per_location):
+                rows.extend((LIMITED, m, n, k, label, frame) + values
+                            for frame, values in enumerate(zip(*fields)))
     if config.adc_enabled and LIMITED in config.strategies \
             and not adc_reads_signal:
         raise ConfigError(

@@ -72,7 +72,8 @@ class ChannelRealization:
     gains: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        g = np.asarray(self.gains, dtype=complex)
+        # a view, so freezing it leaves the caller's array writeable
+        g = np.asarray(self.gains, dtype=complex).view()
         if g.ndim < 2 or g.size < 1 or g.shape[-1] != self.grid.n_tones:
             raise DimensionError(
                 f"gains shape {g.shape} != (..., M >= 1, {self.grid.n_tones})")

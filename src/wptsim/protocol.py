@@ -9,6 +9,13 @@ selected codeword if the feedback arrived, otherwise with a fallback: the
 previous frame's applied codeword, or the uniform-power codeword on the
 first frame (marker index 0).  The receiver harvests during both phases
 and the report accounts each phase's energy separately.
+
+run_session is the one session path.  It takes S sessions of F frames at
+once (run_campaign passes every location's session of one (M, N, K)
+point) and computes them as (S, F) arrays: the sessions are the batch
+axis, the frames the axis the fallback is threaded along.  Each session
+keeps its own stream and draws from it frame by frame, in the order one
+frame alone would.  run_frame is its one-session, one-frame case.
 """
 
 from __future__ import annotations
@@ -73,7 +80,7 @@ class LinkModel:
 
 @dataclass(frozen=True)
 class FrameReport:
-    """One frame's observables; a session's reports are in frame order."""
+    """One frame's observables, as run_frame and SessionReport.frame give."""
 
     measurements: tuple
     selected_index: int
@@ -134,42 +141,75 @@ def _dc_power(rect_model, tones: EffectiveTones, grid):
     return dc_power_table(rect_model, tones, grid)
 
 
-def _check_fits(codebook: Codebook, channel: ChannelRealization) -> None:
-    """Raise unless channel is one (M, N) matrix of the book's M and N."""
-    if channel.gains.shape != (codebook.m_antennas, codebook.n_tones):
-        raise DimensionError(
-            f"codebook ({codebook.m_antennas}, {codebook.n_tones}) vs "
-            f"channel {channel.gains.shape}")
+def _check_fits(codebook: Codebook, channels) -> None:
+    """Raise unless each channel is one (M, N) matrix of the book's M and N."""
+    want = (codebook.m_antennas, codebook.n_tones)
+    for ch in channels:
+        if ch.gains.shape != want:
+            raise DimensionError(
+                f"codebook {want} vs channel {ch.gains.shape}")
 
 
-def _sweep(codebook: Codebook, channels, rect_model) -> list[tuple]:
-    """Every codeword's (dc powers, RF powers) on each channel, as lists.
+def _sweep(codebook: Codebook, channels, rect_model) -> tuple:
+    """Every codeword's dc and RF powers on each channel: two (C, K) arrays.
 
-    Each distinct channel object is swept once: its (K, N) tones are
-    formed in one multiply, and their m2 is the RF power.  The moment
-    model takes every channel's dc in one moment call, the table model
-    one dc_power_table call per codeword.  A row does not depend on the
-    rows or codewords beside it, so a codeword's column of a larger
-    book's sweep equals its own book's sweep to the last bit.
+    Row c holds the K codewords' powers on channels[c].  Each distinct
+    channel object is swept once: its (K, N) tones are formed in one
+    multiply, and their m2 is the RF power.  The moment model takes every
+    channel's dc in one moment call, the table model one dc_power_table
+    call per codeword.  A row does not depend on the rows or codewords
+    beside it, so a codeword's column of a larger book's sweep equals its
+    own book's sweep to the last bit.
     """
     distinct = {id(ch): ch for ch in channels}
-    for channel in distinct.values():
-        _check_fits(codebook, channel)
+    _check_fits(codebook, distinct.values())
     # each channel's (K, N) tones are formed alone, as in its own sweep,
     # and from operands of equal ndim, as effective_tones forms them:
     # numpy rounds a one-element complex multiply (M=N=K=1) whose operands
     # differ in ndim without the fused multiply-add it uses otherwise
-    tones = [np.sum(ch.gains[None] * codebook.weights, axis=1)
-             for ch in distinct.values()]
+    tones = np.stack([np.sum(ch.gains[None] * codebook.weights, axis=1)
+                      for ch in distinct.values()])
     if isinstance(rect_model, DiodeMomentModel):
-        m2, m4 = tone_moments(np.stack(tones))
-        rows = zip(rect_model.dc(m2, m4).tolist(), m2.tolist())
+        m2, m4 = tone_moments(tones)
+        dcs = rect_model.dc(m2, m4)
     else:
-        rows = [([dc_power_table(rect_model, EffectiveTones(row), ch.grid)
-                  for row in ch_tones], second_moment(ch_tones).tolist())
-                for ch, ch_tones in zip(distinct.values(), tones)]
-    swept = dict(zip(distinct, rows))
-    return [swept[id(ch)] for ch in channels]
+        m2 = second_moment(tones)
+        dcs = np.array([[dc_power_table(rect_model, EffectiveTones(row),
+                                        ch.grid) for row in ch_tones]
+                        for ch, ch_tones in zip(distinct.values(), tones)])
+    rows = {key: i for i, key in enumerate(distinct)}
+    index = [rows[id(ch)] for ch in channels]
+    return dcs[index], m2[index]
+
+
+@dataclass(frozen=True, eq=False)
+class SessionReport:
+    """S sessions of F frames as arrays; frame f of session s is [s, f].
+
+    Every field is an (S, F) array, save measurements, which holds each
+    frame's K readings in an (S, F, K) array.
+    """
+
+    measurements: np.ndarray
+    selected_index: np.ndarray
+    applied_index: np.ndarray       # 1..K, or UP_FALLBACK (0)
+    feedback_delivered: np.ndarray
+    energy_training: np.ndarray
+    energy_wpt: np.ndarray
+    p_dc_wpt: np.ndarray
+    p_rf_wpt: np.ndarray
+
+    def frame(self, s: int, f: int) -> FrameReport:
+        """Frame f of session s, as Python scalars and a readings tuple."""
+        return FrameReport(
+            measurements=tuple(self.measurements[s, f].tolist()),
+            selected_index=int(self.selected_index[s, f]),
+            applied_index=int(self.applied_index[s, f]),
+            feedback_delivered=bool(self.feedback_delivered[s, f]),
+            energy_training=float(self.energy_training[s, f]),
+            energy_wpt=float(self.energy_wpt[s, f]),
+            p_dc_wpt=float(self.p_dc_wpt[s, f]),
+            p_rf_wpt=float(self.p_rf_wpt[s, f]))
 
 
 def run_frame(config: FrameConfig, codebook: Codebook,
@@ -177,98 +217,119 @@ def run_frame(config: FrameConfig, codebook: Codebook,
               adc: AdcConfig | None, link: LinkModel,
               fallback_state: int | None, rng: np.random.Generator | None,
               sweep: tuple | None = None) -> FrameReport:
-    """One closed-loop frame on a constant channel.
-
-    The frame trains for K*t_s, K the codebook's size, and transmits for
-    the rest of config.t_frame.  The report's measurements are the ADC
-    readings, or without an ADC the sweep's dc powers themselves.
+    """One closed-loop frame on a constant channel: run_session's S=F=1 case.
 
     Args:
         fallback_state: applied_index of the previous frame, or None on the
             first frame (then the fallback is the UP codeword, marker 0).
-        rng: the session's stream, read by the ADC noise and the link's
-            delivery draw; None when the frame cannot draw (see
-            session_draws), and then the feedback is delivered.
+        rng: the frame's stream, or None when it cannot draw (see
+            session_draws).
         sweep: the K codewords' (dc powers, RF powers) on this channel
-            when the caller already holds them, as run_session does for
-            all its frames.
+            when the caller already holds them.
 
     Raises:
         ConfigError: the book's K*t_s training phase fills the frame.
         DomainError: rng is None on a lossy link or with a noisy ADC.
     """
-    if rng is None and session_draws(link, adc):
-        raise DomainError("a lossy link or a noisy ADC requires an rng")
-    _check_fits(codebook, channel)
-    t_p = config.t_p(codebook.k_codewords)
-    # the training energy needs the dc levels themselves, not the readings
-    dcs, p_rfs = (_sweep(codebook, [channel], rect_model)[0]
-                  if sweep is None else sweep)
-    measurements = (dcs if adc is None
-                    else [measure_dc(adc, p, rng)[1] for p in dcs])
-    k_star = select_codeword(measurements)
-    bits = encode_feedback(k_star, codebook.k_codewords)
-    delivered = rng is None or bool(rng.random() < link.delivery_probability)
-    if delivered:
-        applied = decode_feedback(bits, codebook.k_codewords)
-    elif fallback_state is None:
-        applied = UP_FALLBACK
-    else:
-        applied = fallback_state
-    # a codeword's powers come from the sweep; only the UP fallback is new
-    if applied == UP_FALLBACK:
-        tones = effective_tones(channel, up_weights(
-            codebook.m_antennas, channel.grid, codebook.power_budget))
-        p_dc = _dc_power(rect_model, tones, channel.grid)
-        p_rf = received_rf_power(tones)
-    else:
-        p_dc, p_rf = dcs[applied - 1], p_rfs[applied - 1]
-    # summed left to right: from Python 3.12 the builtin sum compensates
-    # float rounding, so it would give other bits than 3.10 and 3.11
-    e_train = 0.0
-    for dc in dcs:
-        e_train += dc
-    e_train *= config.t_s
-    e_wpt = p_dc * t_p
-    return FrameReport(measurements=tuple(measurements),
-                       selected_index=k_star, applied_index=applied,
-                       feedback_delivered=delivered,
-                       energy_training=e_train, energy_wpt=e_wpt,
-                       p_dc_wpt=p_dc, p_rf_wpt=p_rf)
+    if sweep is not None:
+        sweep = tuple(np.asarray(x, dtype=float)[None, None] for x in sweep)
+    return run_session(config, codebook, [[channel]], rect_model, adc, link,
+                       [rng], sweep, fallback_state).frame(0, 0)
 
 
 def run_session(config: FrameConfig, codebook: Codebook, channels,
-                rect_model, adc: AdcConfig | None, link: LinkModel,
-                rng: np.random.Generator | None,
-                sweeps: list | None = None) -> list[FrameReport]:
-    """One closed-loop frame per channel, with the fallback state threaded.
+                rect_model, adc: AdcConfig | None, link: LinkModel, rngs,
+                sweeps: tuple | None = None,
+                fallback_state: int | None = None) -> SessionReport:
+    """S closed-loop sessions of F frames, each threading its fallback.
 
-    The session sweeps the codebook once on each distinct channel object
-    (under block fading one object serves every frame), all in one batch,
-    and hands each frame its channel's row; a row equals the frame's own
-    sweep to the last bit, so the reports equal those of run_frame called
-    frame by frame.
+    Each frame trains for K*t_s, K the codebook's size, and transmits for
+    the rest of config.t_frame.  Its measurements are the ADC readings,
+    or without an ADC the sweep's dc powers themselves.  A session's
+    frames are computed as arrays: selection is one select_codeword call
+    over the last axis, a frame's applied index is the selection of the
+    session's last delivered frame (np.maximum.accumulate over frame
+    indices), and the training energy is np.cumsum of the K dc levels,
+    which adds left to right (from Python 3.12 the builtin sum
+    compensates float rounding, so it would give other bits than 3.10
+    and 3.11).  Only the random draws run frame by frame: each session
+    reads its own stream, per frame one ADC reading per codeword (through
+    measure_dc, in codeword order) and then one delivery draw.  A frame
+    that falls back to the UP codeword rates it on its own channel; every
+    other power comes from the sweep.  So each session's reports equal
+    those of run_frame called frame by frame on its stream.
 
     Args:
-        channels: each frame's ChannelRealization, in frame order.
+        channels: each session's F ChannelRealizations, in frame order;
+            every session has the same F.
         link: the feedback link every frame reports over.
-        rng: the session's stream, which every frame draws from in turn;
-            None when the session cannot draw (see session_draws).
-        sweeps: each frame's sweep, as run_frame takes it, when the caller
-            already holds them; run_campaign reads them from one sweep of
-            all its books' codewords.
+        rngs: each session's stream, or None for a session that cannot
+            draw (see session_draws); its feedback always arrives.
+        sweeps: the (dc powers, RF powers) of every frame's K codewords,
+            two (S, F, K) arrays, when the caller already holds them;
+            otherwise the session sweeps each distinct channel object
+            once (under block fading one object serves every frame).
+        fallback_state: the applied_index before each session's first
+            frame, or None for the UP codeword (marker 0).
+
+    Raises:
+        ConfigError: the book's K*t_s training phase fills the frame.
+        DomainError: no session or no frame, sessions of unequal length,
+            one rng per session missing, sweeps of another shape, or a
+            session without an rng on a lossy link or with a noisy ADC.
     """
-    if not channels:
+    n_frames = {len(frames) for frames in channels}
+    if not channels or 0 in n_frames:
         raise DomainError("a session needs at least one channel")
+    if len(n_frames) > 1:
+        raise DomainError(f"sessions of unequal length {sorted(n_frames)}")
+    if len(rngs) != len(channels):
+        raise DomainError(f"{len(rngs)} rngs for {len(channels)} sessions")
+    if None in rngs and session_draws(link, adc):
+        raise DomainError("a lossy link or a noisy ADC requires an rng")
+    flat = [ch for frames in channels for ch in frames]
+    _check_fits(codebook, flat)
+    k = codebook.k_codewords
+    t_p = config.t_p(k)
+    shape = (len(channels), n_frames.pop(), k)
     if sweeps is None:
-        sweeps = _sweep(codebook, channels, rect_model)
-    elif len(sweeps) != len(channels):
-        raise DomainError(f"{len(sweeps)} sweeps for {len(channels)} frames")
-    reports = []
-    fallback: int | None = None
-    for i, ch in enumerate(channels):
-        report = run_frame(config, codebook, ch, rect_model, adc, link,
-                           fallback_state=fallback, rng=rng, sweep=sweeps[i])
-        reports.append(report)
-        fallback = report.applied_index
-    return reports
+        sweeps = _sweep(codebook, flat, rect_model)
+    elif any(np.shape(x) != shape for x in sweeps):
+        raise DomainError(f"sweeps of shape {[np.shape(x) for x in sweeps]} "
+                          f"for {shape[0]} sessions of {shape[1]} frames "
+                          f"and {k} codewords")
+    dcs, p_rfs = (np.reshape(x, shape) for x in sweeps)
+    delivered = np.ones(shape[:2], dtype=bool)
+    readings = dcs if adc is None else np.empty(shape)
+    for s, rng in enumerate(rngs):
+        if adc is not None:
+            for f, frame_dcs in enumerate(dcs[s].tolist()):
+                readings[s, f] = [measure_dc(adc, p, rng)[1]
+                                  for p in frame_dcs]
+                if rng is not None:
+                    delivered[s, f] = rng.random() < link.delivery_probability
+        elif rng is not None:
+            delivered[s] = rng.random(shape[1]) < link.delivery_probability
+    selected = select_codeword(readings)
+    # each frame applies the selection of its session's last delivered
+    # frame, or the fallback state before any delivery
+    last = np.maximum.accumulate(
+        np.where(delivered, np.arange(shape[1]), -1), axis=1)
+    applied = np.where(last >= 0, np.take_along_axis(
+        selected, np.maximum(last, 0), axis=1),
+        UP_FALLBACK if fallback_state is None else fallback_state)
+    column = np.maximum(applied - 1, 0)[..., None]
+    p_dc = np.take_along_axis(dcs, column, axis=-1)[..., 0]
+    p_rf = np.take_along_axis(p_rfs, column, axis=-1)[..., 0]
+    # a codeword's powers come from the sweep; only the UP fallback is new
+    for s, f in zip(*np.nonzero(applied == UP_FALLBACK)):
+        channel = channels[s][f]
+        tones = effective_tones(channel, up_weights(
+            codebook.m_antennas, channel.grid, codebook.power_budget))
+        p_dc[s, f] = _dc_power(rect_model, tones, channel.grid)
+        p_rf[s, f] = received_rf_power(tones)
+    return SessionReport(
+        measurements=readings, selected_index=selected,
+        applied_index=applied, feedback_delivered=delivered,
+        energy_training=np.cumsum(dcs, axis=-1)[..., -1] * config.t_s,
+        energy_wpt=p_dc * t_p, p_dc_wpt=p_dc, p_rf_wpt=p_rf)

@@ -75,9 +75,10 @@ class EfficiencyTableModel:
     eta: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        p = np.asarray(self.p_dbm, dtype=float)
-        q = np.asarray(self.papr_axis, dtype=float)
-        e = np.asarray(self.eta, dtype=float)
+        # views, so freezing them leaves the caller's arrays writeable
+        p = np.asarray(self.p_dbm, dtype=float).view()
+        q = np.asarray(self.papr_axis, dtype=float).view()
+        e = np.asarray(self.eta, dtype=float).view()
         if p.ndim != 1 or q.ndim != 1 or p.size < 2 or q.size < 2:
             raise ConfigError("efficiency table needs at least a 2x2 grid")
         if not np.isfinite(np.concatenate([p, q])).all():

@@ -5,7 +5,7 @@ needs no channel knowledge.  SMF matches the per-tone channel direction and
 scales tone magnitudes by ||h_n||^beta, so larger beta concentrates power on
 the strong tones; with a single tone it reduces to maximum ratio
 transmission regardless of beta.  Codeword selection is a plain argmax over
-dc readings with a lowest-index tie-break.
+each row of dc readings with a lowest-index tie-break.
 """
 
 from __future__ import annotations
@@ -69,12 +69,16 @@ def smf_weights(channel: ChannelRealization, params: SmfParams) -> WaveformWeigh
     return WaveformWeights(weights=s, power_budget=params.power_budget)
 
 
-def select_codeword(measurements) -> int:
-    """1-based index of the largest reading; ties go to the lowest index."""
+def select_codeword(measurements):
+    """1-based index of the largest reading of each row of shape (..., K).
+
+    Ties go to the lowest index.  K readings give one index; a stack of
+    rows gives an integer array of the stack's shape.
+    """
     arr = np.asarray(measurements, dtype=float)
-    if arr.ndim != 1 or arr.size < 1:
-        raise DomainError("measurements must be a non-empty 1-D sequence")
-    return int(np.argmax(arr)) + 1
+    if arr.ndim < 1 or arr.shape[-1] < 1:
+        raise DomainError("measurements must be rows of at least one reading")
+    return np.argmax(arr, axis=-1) + 1
 
 
 def feedback_bits(k_codewords: int) -> int:

@@ -107,7 +107,8 @@ class WaveformWeights:
 
     def __post_init__(self):
         check_positive("power_budget", self.power_budget)
-        s = np.asarray(self.weights, dtype=complex)
+        # a view, so freezing it leaves the caller's array writeable
+        s = np.asarray(self.weights, dtype=complex).view()
         if s.ndim < 2 or s.size < 1:
             raise DimensionError(f"weights must be a non-empty array of "
                                  f"(M, N) matrices, got shape {s.shape}")
@@ -152,7 +153,8 @@ class EffectiveTones:
     amplitudes: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        a = np.asarray(self.amplitudes, dtype=complex)
+        # a view, so freezing it leaves the caller's array writeable
+        a = np.asarray(self.amplitudes, dtype=complex).view()
         if a.ndim < 1 or a.size < 1:
             raise DimensionError(
                 "amplitudes must be a non-empty 1-D array or a stack of them")

@@ -1,5 +1,6 @@
 """Campaign harness: config parsing, CSV contracts, aggregation, determinism."""
 
+import copy
 import dataclasses
 import hashlib
 import itertools
@@ -667,6 +668,72 @@ def test_adc_reading_above_zero_writes_csvs(tmp_path):
                 if line.startswith("LIMITED,")}
     assert selected - {"1"}
     assert open(summary).read().startswith(SUMMARY_HEADER)
+
+
+def _captured_sessions(monkeypatch) -> list:
+    # every run_session call of a campaign: its arguments, copies of its
+    # streams as they stood before the call, and its report
+    from wptsim import campaign
+    calls, real = [], campaign.run_session
+
+    def capture(*args):
+        before = [copy.deepcopy(gen) for gen in args[6]]
+        report = real(*args)
+        calls.append((args, before, report))
+        return report
+
+    monkeypatch.setattr(campaign, "run_session", capture)
+    return calls
+
+
+def _frame_events(reports) -> tuple:
+    # (frames, frames whose top reading is tied, frames whose feedback
+    # was lost), as the benchmark's tracer counted them per frame
+    frames = tied = lost = 0
+    for r in reports:
+        top = r.measurements == r.measurements.max(axis=-1, keepdims=True)
+        frames += r.applied_index.size
+        tied += int(np.count_nonzero(top.sum(axis=-1) > 1))
+        lost += int(np.count_nonzero(~r.feedback_delivered))
+    return frames, tied, lost
+
+
+def test_figure_joint_frame_events(tmp_path, monkeypatch):
+    # one session call per (M, N, K) point, each over the 15 locations'
+    # sessions of 3 frames; the counts are those the tracer read from the
+    # 3240 per-frame calls before sessions ran as one batch per point
+    calls = _captured_sessions(monkeypatch)
+    run_campaign(figure_config("figure-joint"), out_dir=tmp_path)
+    assert len(calls) == 3 * 4 * 6
+    assert all(r.applied_index.shape == (15, 3) for _, _, r in calls)
+    assert _frame_events([r for _, _, r in calls]) == (3240, 186, 0)
+
+
+def test_lossy_adc_campaign_loses_the_frames_its_streams_draw(
+        tmp_path, monkeypatch):
+    # each frame draws one noise value per reading and then its delivery
+    # from its session's stream; replaying copies of the streams gives
+    # every frame's delivery and the detail file's count of lost frames
+    cfg = _mini_config(adc_enabled=True, adc_load_resistance=1e8,
+                       adc_noise_sigma=1e-3, link_delivery_probability=0.6,
+                       n_locations=3, frames_per_location=4)
+    calls = _captured_sessions(monkeypatch)
+    detail, _ = run_campaign(cfg, out_dir=tmp_path)
+    lost = 0
+    for args, before, report in calls:
+        k = args[1].k_codewords
+        for gen, delivered in zip(before, report.feedback_delivered):
+            for frame_delivered in delivered:
+                for _ in range(k):
+                    gen.standard_normal()
+                assert frame_delivered == (gen.random() < 0.6)
+                lost += not frame_delivered
+    frames, _, events_lost = _frame_events([r for _, _, r in calls])
+    assert frames == 2 * 2 * 2 * 3 * 4
+    assert 0 < events_lost == lost < frames
+    rows = [line.split(",") for line in open(detail).read().splitlines()
+            if line.startswith("LIMITED,")]
+    assert sum(row[10] == "0" for row in rows) == lost
 
 
 def test_seed_changes_output(tmp_path):

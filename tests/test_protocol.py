@@ -10,12 +10,12 @@ from hypothesis import strategies as st
 
 from wptsim import (AdcConfig, ChannelRealization, ConfigError,
                     DimensionError, DiodeMomentModel, DomainError,
-                    EfficiencyTableModel, FrameConfig, LinkModel,
-                    ProtocolError, ToneGrid, UP_FALLBACK, decode_feedback,
-                    dc_power_moment, effective_tones, encode_feedback,
-                    gen_nested, gen_random, measure_dc, protocol,
-                    received_rf_power, run_frame, run_session, stream,
-                    up_weights)
+                    EfficiencyTableModel, FrameConfig, FrameReport,
+                    LinkModel, ProtocolError, ToneGrid, UP_FALLBACK,
+                    decode_feedback, dc_power_moment, effective_tones,
+                    encode_feedback, gen_nested, gen_random, measure_dc,
+                    protocol, received_rf_power, run_frame, run_session,
+                    stream, up_weights)
 
 from conftest import make_channel
 
@@ -145,7 +145,7 @@ def test_batched_sweep_is_bit_identical_to_per_codeword_path(m, n):
         ch = make_channel(41 + n, m, grid, pathloss_db=10.0, frame=frame)
         expected = [dc_power_moment(model, effective_tones(ch, e), grid)
                     for e in book.entries]
-        assert protocol._sweep(book, [ch], model)[0][0] == expected
+        assert protocol._sweep(book, [ch], model)[0][0].tolist() == expected
 
 
 def test_one_codeword_sweep_equals_effective_tones_at_m1_n1():
@@ -254,6 +254,17 @@ def test_run_frame_rejects_a_book_whose_training_fills_the_frame():
     assert report.energy_wpt == report.p_dc_wpt * 1.0
 
 
+def _frames(report, s=0):
+    # session s of a SessionReport as its FrameReports, in frame order
+    return [report.frame(s, f) for f in range(report.applied_index.shape[1])]
+
+
+def _session(cfg, book, channels, model, adc, link, gen):
+    # one session's reports from a batch of one
+    return _frames(run_session(cfg, book, [channels], model, adc, link,
+                               [gen]))
+
+
 def test_run_session_threads_fallback_state():
     # a delivered frame applies its decoded selection; a lost one carries
     # the previous frame's applied index, or UP on the first frame
@@ -261,8 +272,8 @@ def test_run_session_threads_fallback_state():
     cfg = FrameConfig(t_s=0.010, t_frame=2.0)
     channels = [make_channel(27, 2, grid, pathloss_db=10.0, frame=i)
                 for i in range(8)]
-    reports = run_session(cfg, book, channels, model, None,
-                          LinkModel(delivery_probability=0.5), stream(27, 6))
+    reports = _session(cfg, book, channels, model, None,
+                       LinkModel(delivery_probability=0.5), stream(27, 6))
     previous = UP_FALLBACK
     for report in reports:
         if report.feedback_delivered:
@@ -280,16 +291,27 @@ def test_run_session_all_lost_stays_uniform():
     _, book, ch, model = _setup()
     cfg = FrameConfig(t_s=0.010, t_frame=2.0)
     lost = LinkModel(delivery_probability=0.0)
-    reports = run_session(cfg, book, [ch] * 4, model, None, lost,
-                          stream(28, 6))
+    reports = _session(cfg, book, [ch] * 4, model, None, lost, stream(28, 6))
     assert [r.applied_index for r in reports] == [UP_FALLBACK] * 4
 
 
 def test_run_session_rejects_zero_frames():
     _, book, _, model = _setup()
     cfg = FrameConfig(t_s=0.010, t_frame=2.0)
-    with pytest.raises(DomainError):
-        run_session(cfg, book, [], model, None, LinkModel(), stream(30, 6))
+    for channels, gens in (([], []), ([[]], [stream(30, 6)])):
+        with pytest.raises(DomainError, match="at least one channel"):
+            run_session(cfg, book, channels, model, None, LinkModel(), gens)
+
+
+def test_run_session_rejects_ragged_sessions_and_missing_rngs():
+    grid, book, ch, model = _setup()
+    cfg = FrameConfig(t_s=0.010, t_frame=2.0)
+    with pytest.raises(DomainError, match=re.escape("unequal length [2, 3]")):
+        run_session(cfg, book, [[ch] * 3, [ch] * 2], model, None,
+                    LinkModel(), [None, None])
+    with pytest.raises(DomainError, match="1 rngs for 2 sessions"):
+        run_session(cfg, book, [[ch] * 3] * 2, model, None, LinkModel(),
+                    [None])
 
 
 def test_run_session_rejects_sweeps_of_the_wrong_length(monkeypatch):
@@ -300,11 +322,14 @@ def test_run_session_rejects_sweeps_of_the_wrong_length(monkeypatch):
     swept = []
     monkeypatch.setattr(protocol, "_sweep",
                         lambda *args: swept.append(args))
-    sweep = ([0.0] * 4, [0.0] * 4)
-    for n_sweeps in (2, 5):
-        with pytest.raises(DomainError):
-            run_session(cfg, book, channels, model, None, LinkModel(),
-                        stream(33, 6), [sweep] * n_sweeps)
+    # (sessions, frames, codewords) of 1 session of 3 frames and K = 4
+    for shape in ((1, 2, 4), (1, 5, 4), (2, 3, 4), (1, 3, 3), (3, 4)):
+        with pytest.raises(DomainError, match="sweeps of shape"):
+            run_session(cfg, book, [channels], model, None, LinkModel(),
+                        [stream(33, 6)], (np.zeros(shape), np.zeros(shape)))
+    with pytest.raises(DomainError, match="sweeps of shape"):
+        run_session(cfg, book, [channels], model, None, LinkModel(),
+                    [stream(33, 6)], (np.zeros((1, 3, 4)), np.zeros(4)))
     assert swept == []
 
 
@@ -316,8 +341,8 @@ def test_session_rejects_a_book_off_the_channels_shape(m, n):
     channels = [make_channel(34, m, grid)]
     with pytest.raises(DimensionError, match=re.escape(
             f"codebook (2, {n}) vs channel ({m}, 2)")):
-        run_session(FrameConfig(), book, channels, DiodeMomentModel(), None,
-                    LinkModel(), None)
+        run_session(FrameConfig(), book, [channels], DiodeMomentModel(),
+                    None, LinkModel(), [None])
 
 
 def test_a_stacked_channel_is_rejected_not_broadcast():
@@ -331,16 +356,18 @@ def test_a_stacked_channel_is_rejected_not_broadcast():
     with pytest.raises(DimensionError, match=message):
         protocol._sweep(book, [stack], DiodeMomentModel())
     sweep = ([1.0, 2.0], [1.0, 2.0])
+    sweeps = (np.array([[[1.0, 2.0]]]), np.array([[[1.0, 2.0]]]))
     for call in (
             lambda: run_frame(FrameConfig(), book, stack, DiodeMomentModel(),
                               None, LinkModel(), None, None),
             lambda: run_frame(FrameConfig(), book, stack, DiodeMomentModel(),
                               None, LinkModel(), None, None, sweep=sweep),
-            lambda: run_session(FrameConfig(), book, [stack],
-                                DiodeMomentModel(), None, LinkModel(), None),
-            lambda: run_session(FrameConfig(), book, [stack],
-                                DiodeMomentModel(), None, LinkModel(), None,
-                                [sweep])):
+            lambda: run_session(FrameConfig(), book, [[stack]],
+                                DiodeMomentModel(), None, LinkModel(),
+                                [None]),
+            lambda: run_session(FrameConfig(), book, [[stack]],
+                                DiodeMomentModel(), None, LinkModel(),
+                                [None], sweeps)):
         with pytest.raises(DimensionError, match=message):
             call()
 
@@ -378,16 +405,17 @@ def test_session_batch_equals_frame_by_frame(m, n):
     adcs = (None, AdcConfig(load_resistance=0.1, noise_sigma=1e-3))
     for book, channels, adc in itertools.product(books, (fixed, fading),
                                                  adcs):
-        batched = run_session(cfg, book, channels, model, adc, lossy,
-                              stream(53, 6, m, n))
+        batched = _session(cfg, book, channels, model, adc, lossy,
+                           stream(53, 6, m, n))
         alone = _frame_by_frame(cfg, book, channels, model, adc, lossy,
                                 stream(53, 6, m, n))
         assert batched == alone
         assert any(not r.feedback_delivered for r in batched)
         if book.k_codewords > 1:
             assert len(set(batched[0].measurements)) > 1
-        assert [dcs for dcs, _ in protocol._sweep(book, channels, model)] \
-            == [protocol._sweep(book, [ch], model)[0][0] for ch in channels]
+        assert protocol._sweep(book, channels, model)[0].tolist() \
+            == [protocol._sweep(book, [ch], model)[0][0].tolist()
+                for ch in channels]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
@@ -404,11 +432,11 @@ def test_a_session_that_cannot_draw_runs_without_a_stream(seed):
     link = LinkModel()
     assert not any(protocol.session_draws(link, adc) for adc in adcs)
     for adc in adcs:
-        alone = run_session(cfg, book, channels, model, adc, link, None)
+        alone = _session(cfg, book, channels, model, adc, link, None)
         assert all(r.feedback_delivered for r in alone)
         for path in range(3):
-            assert run_session(cfg, book, channels, model, adc, link,
-                               stream(seed, 6, path)) == alone
+            assert _session(cfg, book, channels, model, adc, link,
+                            stream(seed, 6, path)) == alone
         assert _frame_by_frame(cfg, book, channels, model, adc, link,
                                None) == alone
 
@@ -420,7 +448,11 @@ def test_rng_none_raises_where_a_session_draws():
     for adc, link in ((None, lossy), (None, LinkModel(0.0)),
                       (noisy, LinkModel())):
         with pytest.raises(DomainError, match="requires an rng"):
-            run_session(cfg, book, [ch] * 3, model, adc, link, None)
+            run_session(cfg, book, [[ch] * 3], model, adc, link, [None])
+        # one session without a stream is enough
+        with pytest.raises(DomainError, match="requires an rng"):
+            run_session(cfg, book, [[ch] * 3] * 2, model, adc, link,
+                        [stream(29, 6), None])
     for adc, link in ((None, lossy), (noisy, LinkModel())):
         assert protocol.session_draws(link, adc)
         with pytest.raises(DomainError, match="requires an rng"):
@@ -438,10 +470,10 @@ def test_a_session_given_a_stream_draws_in_frame_order(delivery):
                 for i in range(8)]
     for adc in (None, AdcConfig(load_resistance=0.1, noise_sigma=1e-3)):
         gen, ref = stream(65, 6), stream(65, 6)
-        reports = run_session(cfg, book, channels, model, adc,
-                              LinkModel(delivery), gen)
+        reports = _session(cfg, book, channels, model, adc,
+                           LinkModel(delivery), gen)
         for ch, report in zip(channels, reports):
-            dcs = protocol._sweep(book, [ch], model)[0][0]
+            dcs = protocol._sweep(book, [ch], model)[0][0].tolist()
             if adc is not None:
                 dcs = [measure_dc(adc, p, ref)[1] for p in dcs]
             assert report.measurements == tuple(dcs)
@@ -458,10 +490,91 @@ def test_session_batch_equals_frame_by_frame_on_the_table_model():
     fading = [make_channel(54, 2, grid, pathloss_db=10.0, frame=i)
               for i in range(6)]
     lossy = LinkModel(delivery_probability=0.5)
-    batched = run_session(cfg, book, fading, _TABLE, None, lossy,
-                          stream(55, 6))
+    batched = _session(cfg, book, fading, _TABLE, None, lossy, stream(55, 6))
     assert batched == _frame_by_frame(cfg, book, fading, _TABLE, None, lossy,
                                       stream(55, 6))
+
+
+def _loop_frames(cfg, book, channels, model, adc, link, gen):
+    # a session as frames of Python scalars, the way a frame was computed
+    # before sessions ran as arrays: argmax over the readings, the index
+    # fed back as bits, the training dc added left to right
+    k, reports, applied = book.k_codewords, [], UP_FALLBACK
+    for ch in channels:
+        dcs, p_rfs = (x[0].tolist()
+                      for x in protocol._sweep(book, [ch], model))
+        readings = (dcs if adc is None
+                    else [measure_dc(adc, p, gen)[1] for p in dcs])
+        selected = readings.index(max(readings)) + 1
+        delivered = gen is None or gen.random() < link.delivery_probability
+        if delivered:
+            applied = decode_feedback(encode_feedback(selected, k), k)
+        if applied == UP_FALLBACK:
+            tones = effective_tones(ch, up_weights(
+                book.m_antennas, ch.grid, book.power_budget))
+            p_dc = protocol._dc_power(model, tones, ch.grid)
+            p_rf = received_rf_power(tones)
+        else:
+            p_dc, p_rf = dcs[applied - 1], p_rfs[applied - 1]
+        e_train = 0.0
+        for dc in dcs:
+            e_train += dc
+        reports.append(FrameReport(tuple(readings), selected, applied,
+                                   delivered, e_train * cfg.t_s,
+                                   p_dc * cfg.t_p(k), p_dc, p_rf))
+    return reports
+
+
+@pytest.mark.parametrize("model", [DiodeMomentModel(), _TABLE],
+                         ids=["moment", "table"])
+@pytest.mark.parametrize("fading", ["block", "per-frame"])
+def test_a_batch_of_sessions_equals_each_session_frame_by_frame(model,
+                                                                 fading):
+    # S = 4 sessions of F = 5 frames in one call equal each session run
+    # as a chain of run_frame calls and as the scalar loop above, and
+    # leave every stream where those runs leave it
+    grid, book, _, _ = _setup(k=8, m=2, n=4)
+    cfg = FrameConfig(t_s=0.010, t_frame=2.0)
+    n_sessions, n_frames = 4, 5
+    if fading == "block":
+        channels = [[make_channel(80 + s, 2, grid, pathloss_db=10.0)]
+                    * n_frames for s in range(n_sessions)]
+        # one channel object shared by two sessions is swept once
+        channels[3] = channels[0]
+    else:
+        channels = [[make_channel(80 + s, 2, grid, pathloss_db=10.0,
+                                  frame=f) for f in range(n_frames)]
+                    for s in range(n_sessions)]
+    # a 0.1 ohm load keeps the readings below v_ref
+    noisy = AdcConfig(load_resistance=0.1, noise_sigma=1e-3)
+    # (link, ADC, the sessions given a stream): a session that cannot
+    # draw runs with or without one
+    cases = ((LinkModel(0.5), None, {0, 1, 2, 3}),
+             (LinkModel(0.5), noisy, {0, 1, 2, 3}),
+             (LinkModel(), noisy, {0, 1, 2, 3}),
+             (LinkModel(), AdcConfig(load_resistance=0.1), {0, 2}),
+             (LinkModel(), None, {1, 3}))
+    for case, (link, adc, drawn) in enumerate(cases):
+        batch, chain, loop = ([stream(90, case, s) if s in drawn else None
+                               for s in range(n_sessions)] for _ in range(3))
+        report = run_session(cfg, book, channels, model, adc, link, batch)
+        assert report.applied_index.shape == (n_sessions, n_frames)
+        assert report.measurements.shape == (n_sessions, n_frames, 8)
+        for s in range(n_sessions):
+            alone = _frame_by_frame(cfg, book, channels[s], model, adc, link,
+                                    chain[s])
+            assert _frames(report, s) == alone
+            assert _loop_frames(cfg, book, channels[s], model, adc, link,
+                                loop[s]) == alone
+            if s in drawn:
+                assert batch[s].random() == chain[s].random() \
+                    == loop[s].random()
+        lost = ~report.feedback_delivered
+        assert lost.any() == (link.delivery_probability < 1)
+        if link.delivery_probability < 1:
+            # some frame falls back to UP and some to a carried selection
+            assert (report.applied_index[lost] == UP_FALLBACK).any()
+            assert (report.applied_index[lost] != UP_FALLBACK).any()
 
 
 def test_session_sweeps_each_distinct_channel_once(monkeypatch):
@@ -483,12 +596,12 @@ def test_session_sweeps_each_distinct_channel_once(monkeypatch):
     for (channels, distinct), model in itertools.product(
             sources, (DiodeMomentModel(), _TABLE)):
         evals.clear()
-        run_session(cfg, book, channels, model, None, LinkModel(1.0),
-                    stream(57, 6))
+        _session(cfg, book, channels, model, None, LinkModel(1.0),
+                 stream(57, 6))
         assert sum(evals) == distinct * 8
         lossy = LinkModel(delivery_probability=0.5)
-        assert run_session(cfg, book, channels, model, None, lossy,
-                           stream(58, 6)) == \
+        assert _session(cfg, book, channels, model, None, lossy,
+                        stream(58, 6)) == \
             _frame_by_frame(cfg, book, channels, model, None, lossy,
                             stream(58, 6))
 
@@ -504,10 +617,11 @@ def test_sweep_rf_power_is_received_rf_power(m, n):
     channels = [make_channel(61, m, grid, frame=i) for i in range(30)]
     for model in (DiodeMomentModel(), _TABLE):
         swept = protocol._sweep(book, channels, model)
-        for ch, (dcs, p_rfs) in zip(channels, swept):
+        for ch, dcs, p_rfs in zip(channels, *swept):
             tones = [effective_tones(ch, e) for e in book.entries]
-            assert dcs == [protocol._dc_power(model, t, grid) for t in tones]
-            assert p_rfs == [received_rf_power(t) for t in tones]
+            assert dcs.tolist() == [protocol._dc_power(model, t, grid)
+                                    for t in tones]
+            assert p_rfs.tolist() == [received_rf_power(t) for t in tones]
 
 
 def test_session_forms_tones_only_in_its_sweep(monkeypatch):
@@ -543,8 +657,8 @@ def test_session_forms_tones_only_in_its_sweep(monkeypatch):
         monkeypatch.setattr(protocol, name, counted(name))
     for delivery, outside in ((1.0, 0), (0.0, 3)):
         calls.clear()
-        reports = run_session(cfg, book, fades, _TABLE, None,
-                              LinkModel(delivery), stream(63, 6))
+        reports = _session(cfg, book, fades, _TABLE, None,
+                           LinkModel(delivery), stream(63, 6))
         assert calls.count(("dc_power_table", True)) == 3 * 8
         assert calls.count(("effective_tones", True)) == 0
         assert calls.count(("effective_tones", False)) == outside

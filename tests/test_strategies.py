@@ -154,6 +154,25 @@ def test_select_codeword_tie_breaks_low():
 def test_select_codeword_empty_rejected():
     with pytest.raises(DomainError):
         select_codeword([])
+    for empty in (np.zeros((3, 0)), np.zeros((2, 3, 0)), np.float64(1.0)):
+        with pytest.raises(DomainError):
+            select_codeword(empty)
+
+
+def test_select_codeword_picks_each_rows_winner():
+    # readings of shape (..., K): each row's winner is the 1-D call's,
+    # exact ties included; small integer readings tie often
+    readings = np.random.default_rng(8).integers(0, 3, (5, 7, 4)) * 0.25
+    winners = select_codeword(readings)
+    assert winners.shape == (5, 7)
+    tied = 0
+    for index in np.ndindex(5, 7):
+        row = readings[index].tolist()
+        assert winners[index] == select_codeword(row) \
+            == row.index(max(row)) + 1
+        tied += row.count(max(row)) > 1
+    assert tied > 5
+    assert select_codeword([[0.5, 0.5], [0.1, 0.7]]).tolist() == [1, 2]
 
 
 def test_feedback_bits_table():

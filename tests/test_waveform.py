@@ -11,9 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wptsim import (DimensionError, DomainError, EffectiveTones, ToneGrid,
-                    WaveformWeights, ZeroWaveformError,
-                    effective_tones, gen_random, moments_by_averaging, papr,
+from wptsim import (ChannelRealization, DimensionError, DomainError,
+                    EffectiveTones, EfficiencyTableModel, ToneGrid,
+                    WaveformWeights, ZeroWaveformError, effective_tones, gen_random, moments_by_averaging, papr,
                     received_rf_power, stream, waveform_moments)
 from wptsim import waveform
 from wptsim.waveform import radiated_power
@@ -80,6 +80,28 @@ def test_incommensurate_grid_detected():
 
 # ---------------------------------------------------------------------------
 # weights container
+
+@pytest.mark.parametrize("make,field,dtype", [
+    (lambda a: ChannelRealization(grid=ToneGrid.centered(2.4e9, 10e6, 2),
+                                  gains=a), "gains", complex),
+    (lambda a: WaveformWeights(weights=a, power_budget=10.0), "weights",
+     complex),
+    (EffectiveTones, "amplitudes", complex),
+    (lambda a: EfficiencyTableModel(p_dbm=np.array([-60.0, 0.0]),
+                                    papr_axis=np.array([1.0, 8.0]), eta=a),
+     "eta", float)], ids=["channel", "weights", "tones", "table"])
+def test_an_object_freezes_its_array_not_the_callers(make, field, dtype):
+    # an array already of the object's dtype is not copied; the object
+    # freezes a view of it, and the caller's array stays writeable
+    given = np.full((2, 2), 0.5, dtype=dtype)
+    held = getattr(make(given), field)
+    assert np.shares_memory(held, given)
+    assert given.flags.writeable
+    assert not held.flags.writeable
+    given[0, 0] = 0.25
+    with pytest.raises(ValueError, match="read-only"):
+        held[0, 0] = 0.25
+
 
 def test_weights_reject_over_budget():
     w = np.full((1, 1), 2.0, dtype=complex)   # (1/2)*4 = 2 > 1
@@ -438,9 +460,10 @@ def test_bench_kernel_script_writes_its_table(tmp_path):
             iteration["batch"]) == ("codebook.train_iteration", 4, 8, 64, 1000)
     assert iteration["exact_pairs"] > 0
     assert iteration["minor_faults"] >= 0
+    # one figure-joint point's sessions: 15 locations x 3 fades
     assert (session["layer"], session["m_antennas"], session["n_tones"],
-            session["frames"], session["k_sizes"]) == \
-        ("protocol.run_session", 4, 8, 3, [2, 4, 8, 16, 32, 64])
+            session["sessions"], session["frames"], session["k_sizes"]) == \
+        ("protocol.run_session", 4, 8, 15, 3, [2, 4, 8, 16, 32, 64])
     assert session["per_k_sweep_us"] > 0 and session["with_streams_us"] > 0
     assert (channel["layer"], channel["m_antennas"], channel["n_tones"]) == \
         ("channel.realize_channel", 4, 8)
