@@ -215,8 +215,8 @@ class SessionReport:
 def run_frame(config: FrameConfig, codebook: Codebook,
               channel: ChannelRealization, rect_model,
               adc: AdcConfig | None, link: LinkModel,
-              fallback_state: int | None, rng: np.random.Generator | None,
-              sweep: tuple | None = None) -> FrameReport:
+              fallback_state: int | None,
+              rng: np.random.Generator | None) -> FrameReport:
     """One closed-loop frame on a constant channel: run_session's S=F=1 case.
 
     Args:
@@ -224,17 +224,13 @@ def run_frame(config: FrameConfig, codebook: Codebook,
             first frame (then the fallback is the UP codeword, marker 0).
         rng: the frame's stream, or None when it cannot draw (see
             session_draws).
-        sweep: the K codewords' (dc powers, RF powers) on this channel
-            when the caller already holds them.
 
     Raises:
         ConfigError: the book's K*t_s training phase fills the frame.
         DomainError: rng is None on a lossy link or with a noisy ADC.
     """
-    if sweep is not None:
-        sweep = tuple(np.asarray(x, dtype=float)[None, None] for x in sweep)
     return run_session(config, codebook, [[channel]], rect_model, adc, link,
-                       [rng], sweep, fallback_state).frame(0, 0)
+                       [rng], fallback_state=fallback_state).frame(0, 0)
 
 
 def run_session(config: FrameConfig, codebook: Codebook, channels,

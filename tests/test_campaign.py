@@ -3,9 +3,11 @@
 import copy
 import dataclasses
 import hashlib
+import importlib.util
 import itertools
 import pathlib
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -686,16 +688,26 @@ def _captured_sessions(monkeypatch) -> list:
     return calls
 
 
-def _frame_events(reports) -> tuple:
-    # (frames, frames whose top reading is tied, frames whose feedback
-    # was lost), as the benchmark's tracer counted them per frame
-    frames = tied = lost = 0
-    for r in reports:
-        top = r.measurements == r.measurements.max(axis=-1, keepdims=True)
-        frames += r.applied_index.size
+def _frame_events(calls) -> tuple:
+    # (frames, codeword evaluations, distinct (channel, codeword) pairs
+    # among them, frames whose top reading is tied, frames whose feedback
+    # was lost) over captured session calls, counted as the benchmark's
+    # tracer counts them per frame: a channel and a codeword are keyed by
+    # their bytes
+    frames = evals = tied = lost = 0
+    pairs = set()
+    for args, _, report in calls:
+        entries = [hash(e.weights.tobytes()) for e in args[1].entries]
+        for ch in itertools.chain.from_iterable(args[2]):
+            key = hash(ch.gains.tobytes())
+            pairs.update((key, entry) for entry in entries)
+        readings = report.measurements
+        top = readings == readings.max(axis=-1, keepdims=True)
+        frames += report.applied_index.size
+        evals += readings.size
         tied += int(np.count_nonzero(top.sum(axis=-1) > 1))
-        lost += int(np.count_nonzero(~r.feedback_delivered))
-    return frames, tied, lost
+        lost += int(np.count_nonzero(~report.feedback_delivered))
+    return frames, evals, len(pairs), tied, lost
 
 
 def test_figure_joint_frame_events(tmp_path, monkeypatch):
@@ -706,7 +718,23 @@ def test_figure_joint_frame_events(tmp_path, monkeypatch):
     run_campaign(figure_config("figure-joint"), out_dir=tmp_path)
     assert len(calls) == 3 * 4 * 6
     assert all(r.applied_index.shape == (15, 3) for _, _, r in calls)
-    assert _frame_events([r for _, _, r in calls]) == (3240, 186, 0)
+    assert _frame_events(calls) == (3240, 68040, 34560, 186, 0)
+
+
+def test_benchmark_table_campaign_frame_events(tmp_path, monkeypatch):
+    # the benchmark's campaign-table workload at its default seed: a
+    # seed-drawn efficiency table, a noisy ADC and a lossy link; the counts
+    # are those the tracer read from its 32 per-frame calls
+    path = pathlib.Path(__file__).parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up in sys.modules
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    calls = _captured_sessions(monkeypatch)
+    workloads.prepare("campaign-table", 20260818, str(tmp_path)).main()
+    assert len(calls) == 2 * 2 * 2
+    assert _frame_events(calls) == (32, 96, 64, 9, 8)
 
 
 def test_lossy_adc_campaign_loses_the_frames_its_streams_draw(
@@ -728,7 +756,7 @@ def test_lossy_adc_campaign_loses_the_frames_its_streams_draw(
                     gen.standard_normal()
                 assert frame_delivered == (gen.random() < 0.6)
                 lost += not frame_delivered
-    frames, _, events_lost = _frame_events([r for _, _, r in calls])
+    frames, _, _, _, events_lost = _frame_events(calls)
     assert frames == 2 * 2 * 2 * 3 * 4
     assert 0 < events_lost == lost < frames
     rows = [line.split(",") for line in open(detail).read().splitlines()

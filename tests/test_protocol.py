@@ -355,13 +355,10 @@ def test_a_stacked_channel_is_rejected_not_broadcast():
     message = re.escape("codebook (2, 2) vs channel (2, 2, 2)")
     with pytest.raises(DimensionError, match=message):
         protocol._sweep(book, [stack], DiodeMomentModel())
-    sweep = ([1.0, 2.0], [1.0, 2.0])
     sweeps = (np.array([[[1.0, 2.0]]]), np.array([[[1.0, 2.0]]]))
     for call in (
             lambda: run_frame(FrameConfig(), book, stack, DiodeMomentModel(),
                               None, LinkModel(), None, None),
-            lambda: run_frame(FrameConfig(), book, stack, DiodeMomentModel(),
-                              None, LinkModel(), None, None, sweep=sweep),
             lambda: run_session(FrameConfig(), book, [[stack]],
                                 DiodeMomentModel(), None, LinkModel(),
                                 [None]),
@@ -373,8 +370,10 @@ def test_a_stacked_channel_is_rejected_not_broadcast():
 
 
 def _frame_by_frame(cfg, book, channels, model, adc, link, gen):
-    # run_session written out as it was before its batched sweep: one
-    # run_frame per frame, each sweeping its own channel
+    # a session as a chain of run_frame calls, each frame sweeping its own
+    # channel and handing its applied index to the next; run_frame is
+    # run_session's one-frame case, so _loop_frames below is the reference
+    # that shares none of its code
     reports, fallback = [], None
     for ch in channels:
         report = run_frame(cfg, book, ch, model, adc, link, fallback, gen)
@@ -410,6 +409,8 @@ def test_session_batch_equals_frame_by_frame(m, n):
         alone = _frame_by_frame(cfg, book, channels, model, adc, lossy,
                                 stream(53, 6, m, n))
         assert batched == alone
+        assert _loop_frames(cfg, book, channels, model, adc, lossy,
+                            stream(53, 6, m, n)) == alone
         assert any(not r.feedback_delivered for r in batched)
         if book.k_codewords > 1:
             assert len(set(batched[0].measurements)) > 1
@@ -439,6 +440,8 @@ def test_a_session_that_cannot_draw_runs_without_a_stream(seed):
                             stream(seed, 6, path)) == alone
         assert _frame_by_frame(cfg, book, channels, model, adc, link,
                                None) == alone
+        assert _loop_frames(cfg, book, channels, model, adc, link,
+                            None) == alone
 
 
 def test_rng_none_raises_where_a_session_draws():
@@ -493,6 +496,8 @@ def test_session_batch_equals_frame_by_frame_on_the_table_model():
     batched = _session(cfg, book, fading, _TABLE, None, lossy, stream(55, 6))
     assert batched == _frame_by_frame(cfg, book, fading, _TABLE, None, lossy,
                                       stream(55, 6))
+    assert batched == _loop_frames(cfg, book, fading, _TABLE, None, lossy,
+                                   stream(55, 6))
 
 
 def _loop_frames(cfg, book, channels, model, adc, link, gen):
@@ -600,10 +605,12 @@ def test_session_sweeps_each_distinct_channel_once(monkeypatch):
                  stream(57, 6))
         assert sum(evals) == distinct * 8
         lossy = LinkModel(delivery_probability=0.5)
-        assert _session(cfg, book, channels, model, None, lossy,
-                        stream(58, 6)) == \
-            _frame_by_frame(cfg, book, channels, model, None, lossy,
-                            stream(58, 6))
+        batched = _session(cfg, book, channels, model, None, lossy,
+                           stream(58, 6))
+        assert batched == _frame_by_frame(cfg, book, channels, model, None,
+                                          lossy, stream(58, 6))
+        assert batched == _loop_frames(cfg, book, channels, model, None,
+                                       lossy, stream(58, 6))
 
 
 @pytest.mark.parametrize("m", [1, 2, 4])

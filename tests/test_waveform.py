@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 from wptsim import (ChannelRealization, DimensionError, DomainError,
                     EffectiveTones, EfficiencyTableModel, ToneGrid,
-                    WaveformWeights, ZeroWaveformError, effective_tones, gen_random, moments_by_averaging, papr,
+                    WaveformWeights, ZeroWaveformError, effective_tones,
+                    gen_random, moments_by_averaging, papr,
                     received_rf_power, stream, waveform_moments)
 from wptsim import waveform
 from wptsim.waveform import radiated_power
