@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng as rngmod
-from .errors import (DimensionError, DomainError, check_count,
-                     check_positive)
+from .errors import (DomainError, check_array, check_count,
+                     check_positive, check_shape)
 from .waveform import ToneGrid
 
 
@@ -72,15 +72,8 @@ class ChannelRealization:
     gains: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        # a view, so freezing it leaves the caller's array writeable
-        g = np.asarray(self.gains, dtype=complex).view()
-        if g.ndim < 2 or g.size < 1 or g.shape[-1] != self.grid.n_tones:
-            raise DimensionError(
-                f"gains shape {g.shape} != (..., M >= 1, {self.grid.n_tones})")
-        if not np.all(np.isfinite(g.view(float))):
-            raise DomainError("gains must be finite")
-        g.flags.writeable = False
-        object.__setattr__(self, "gains", g)
+        object.__setattr__(self, "gains", check_array(
+            "gains", self.gains, (..., None, self.grid.n_tones)))
 
     @property
     def m_antennas(self) -> int:
@@ -119,10 +112,9 @@ def sample_taps(params: ChannelModelParams, m_antennas: int,
 def frequency_response(taps: np.ndarray, params: ChannelModelParams,
                        grid: ToneGrid) -> np.ndarray:
     """Per-tone gains h[m, n] = sum_l taps[m, l] e^{-j w_n l tap_spacing}."""
+    # non-finite taps give non-finite gains, which ChannelRealization rejects
     taps = np.asarray(taps, dtype=complex)
-    if taps.ndim != 2 or taps.shape[1] != params.n_taps:
-        raise DimensionError(
-            f"taps shape {taps.shape} incompatible with n_taps={params.n_taps}")
+    check_shape("taps", taps.shape, (None, params.n_taps))
     delays = np.arange(params.n_taps) * params.tap_spacing_s
     steering = np.exp(-1j * np.outer(delays, grid.angular_frequencies))
     return taps @ steering

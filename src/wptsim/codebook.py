@@ -46,8 +46,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (CodebookIOError, DimensionError, DomainError,
-                     check_count, check_positive)
+from .errors import (CodebookIOError, DomainError, check_count,
+                     check_positive, check_shape)
 from .rectenna import DiodeMomentModel
 from .strategies import SmfParams, smf_weights, up_weights
 from .waveform import (ToneGrid, WaveformWeights, _sphere, autoconvolution,
@@ -95,11 +95,7 @@ class Codebook:
     def __post_init__(self):
         check_positive("power_budget", self.power_budget)
         words = np.array(self.weights, dtype=complex)
-        if words.ndim != 3:
-            raise DimensionError(f"codebook weights must be a (K, M, N) "
-                                 f"array, got shape {words.shape}")
-        if len(words) < 1:
-            raise DomainError("a codebook needs at least one entry")
+        check_shape("codebook weights", words.shape, (None, None, None))
         # each entry's radiated_power, to the bit, in one reduction; an
         # entry with an inf or nan weight has a power of inf or nan, which
         # the negated test catches
@@ -510,10 +506,10 @@ def train_lloyd(training_channels, k: int, rect_model: DiodeMomentModel,
     iters = check_count("iters", iters)
     if not isinstance(rect_model, DiodeMomentModel):
         raise DomainError("training requires the smooth moment model")
-    if channels[0].gains.ndim != 2 or any(
-            ch.gains.shape != channels[0].gains.shape for ch in channels):
-        raise DimensionError(
-            "training channels must be (M, N) matrices that share dimensions")
+    # one (M, N) matrix per channel, all of the first one's (M, N)
+    for shape in {ch.gains.shape for ch in channels}:
+        check_shape("training channel gains", shape,
+                    channels[0].gains.shape[-2:])
     gains = np.stack([ch.gains for ch in channels])
 
     smf = SmfParams(power_budget=power)

@@ -1,4 +1,4 @@
-"""Exception types used across the package, and its two scalar rules.
+"""Exception types used across the package, and its three argument rules.
 
 Everything derives from WptsimError so callers can catch the package's own
 failures without swallowing genuine bugs.  DomainError doubles as ValueError
@@ -10,10 +10,15 @@ number in its range, never truncated, so a fractional, nan or infinite
 one is a DomainError rather than another run.  Every quantity that must
 be positive and finite (a power budget, a bandwidth, a carrier, a tap
 spacing, a rectifier gain, an ADC reference or load) passes
-check_positive.
+check_positive.  Every array argument (gains, weights, amplitudes, a
+codebook, taps, readings, a sweep) passes check_shape, through check_array
+where the package keeps it: a misfit is the DimensionError no other module
+raises.
 """
 
 import math
+
+import numpy as np
 
 
 class WptsimError(Exception):
@@ -74,3 +79,40 @@ def check_positive(name: str, value) -> None:
     """Raise unless 0 < value < inf; nan fails too."""
     if not 0 < value < math.inf:
         raise DomainError(f"{name} must be > 0 and finite, got {value}")
+
+
+def check_shape(name: str, shape: tuple, pattern: tuple) -> None:
+    """Raise DimensionError unless shape fits pattern.
+
+    A pattern holds exact sizes and None, any size >= 1.  It may start
+    with ..., which admits any number of leading batch axes, each of size
+    >= 1.  So (..., None, 4) fits (2, 4) and (3, 2, 4) but neither (4,)
+    nor (0, 4).  In messages None reads *.
+    """
+    if shape == pattern:        # an exact pattern's fast path
+        return
+    batch = pattern[:1] == (...,)
+    axes = pattern[1:] if batch else pattern
+    lead = len(shape) - len(axes)
+    if (lead == 0 or batch and lead > 0) and 0 not in shape:
+        # a loop, not all() over a generator: half the cost per call
+        for got, want in zip(shape[lead:], axes):
+            if want is not None and got != want:
+                break
+        else:
+            return
+    text = str(tuple(pattern)).replace("Ellipsis", "...").replace("None", "*")
+    raise DimensionError(f"{name} shape {tuple(shape)} does not fit {text}")
+
+
+def check_array(name: str, value, pattern: tuple, dtype=complex
+                ) -> np.ndarray:
+    """value as a read-only view of dtype (so the caller's array stays
+    writeable), when its shape fits pattern and every entry is finite."""
+    array = np.asarray(value, dtype=dtype).view()
+    check_shape(name, array.shape, pattern)
+    # the reduction np.all runs, without its Python dispatch
+    if not np.isfinite(array).all():
+        raise DomainError(f"{name} must be finite")
+    array.flags.writeable = False
+    return array

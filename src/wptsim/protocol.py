@@ -27,8 +27,8 @@ import numpy as np
 
 from .codebook import Codebook
 from .channel import ChannelRealization
-from .errors import (ConfigError, DimensionError, DomainError, ProtocolError,
-                     check_count)
+from .errors import (ConfigError, DomainError, ProtocolError, check_count,
+                     check_shape)
 from .rectenna import (AdcConfig, DiodeMomentModel, dc_power_moment,
                        dc_power_table, measure_dc)
 from .strategies import feedback_bits, select_codeword, up_weights
@@ -142,12 +142,12 @@ def _dc_power(rect_model, tones: EffectiveTones, grid):
 
 
 def _check_fits(codebook: Codebook, channels) -> None:
-    """Raise unless each channel is one (M, N) matrix of the book's M and N."""
-    want = (codebook.m_antennas, codebook.n_tones)
-    for ch in channels:
-        if ch.gains.shape != want:
-            raise DimensionError(
-                f"codebook {want} vs channel {ch.gains.shape}")
+    """Raise unless each channel is one (M, N) matrix of the book's M and N.
+
+    Each distinct shape is checked once, not each of a session's channels.
+    """
+    for shape in {ch.gains.shape for ch in channels}:
+        check_shape("channel gains", shape, codebook.weights.shape[1:])
 
 
 def _sweep(codebook: Codebook, channels, rect_model) -> tuple:
@@ -270,11 +270,17 @@ def run_session(config: FrameConfig, codebook: Codebook, channels,
 
     Raises:
         ConfigError: the book's K*t_s training phase fills the frame.
-        DomainError: no session or no frame, sessions of unequal length,
-            one rng per session missing, sweeps of another shape, or a
+        DomainError: a flat list of channels, no session or no frame,
+            sessions of unequal length, one rng per session missing, or a
             session without an rng on a lossy link or with a noisy ADC.
+        DimensionError: a channel off the book's (M, N), or sweeps of
+            another shape.
     """
-    n_frames = {len(frames) for frames in channels}
+    try:
+        n_frames = {len(frames) for frames in channels}
+    except TypeError:           # a flat list of channels has no len
+        raise DomainError("channels must be S sessions of F channels, "
+                          "a list of per-session lists") from None
     if not channels or 0 in n_frames:
         raise DomainError("a session needs at least one channel")
     if len(n_frames) > 1:
@@ -290,10 +296,9 @@ def run_session(config: FrameConfig, codebook: Codebook, channels,
     shape = (len(channels), n_frames.pop(), k)
     if sweeps is None:
         sweeps = _sweep(codebook, flat, rect_model)
-    elif any(np.shape(x) != shape for x in sweeps):
-        raise DomainError(f"sweeps of shape {[np.shape(x) for x in sweeps]} "
-                          f"for {shape[0]} sessions of {shape[1]} frames "
-                          f"and {k} codewords")
+    else:
+        for x in sweeps:
+            check_shape("sweeps", np.shape(x), shape)
     dcs, p_rfs = (np.reshape(x, shape) for x in sweeps)
     delivered = np.ones(shape[:2], dtype=bool)
     readings = dcs if adc is None else np.empty(shape)

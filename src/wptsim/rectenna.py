@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (ConfigError, DimensionError, DomainError, check_count,
-                     check_positive)
+from .errors import (ConfigError, DomainError, check_count, check_positive,
+                     check_shape)
 from .waveform import (EffectiveTones, ToneGrid, papr, received_rf_power,
                        waveform_moments)
 
@@ -214,9 +214,7 @@ def dc_power_table(model: EfficiencyTableModel, tones: EffectiveTones,
     yields 0.0 without consulting the table (its PAPR is undefined).
     tones must be one waveform; protocol rates a stack one row a call.
     """
-    if tones.amplitudes.ndim != 1:
-        raise DimensionError(f"dc_power_table rates one waveform, got a "
-                             f"stack of shape {tones.amplitudes.shape}")
+    check_shape("amplitudes", tones.amplitudes.shape, (grid.n_tones,))
     p_rf = received_rf_power(tones)
     if p_rf == 0.0:
         return 0.0

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelRealization
-from .errors import (DegenerateChannelError, DomainError, check_count,
-                     check_positive)
+from .errors import (DegenerateChannelError, DomainError, check_array,
+                     check_count, check_positive)
 from .waveform import ToneGrid, WaveformWeights, _sphere
 
 
@@ -75,9 +75,7 @@ def select_codeword(measurements):
     Ties go to the lowest index.  K readings give one index; a stack of
     rows gives an integer array of the stack's shape.
     """
-    arr = np.asarray(measurements, dtype=float)
-    if arr.ndim < 1 or arr.shape[-1] < 1:
-        raise DomainError("measurements must be rows of at least one reading")
+    arr = check_array("measurements", measurements, (..., None), float)
     return np.argmax(arr, axis=-1) + 1
 
 

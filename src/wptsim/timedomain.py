@@ -20,14 +20,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_array
 from .waveform import ToneGrid, sample_times
 
 
 def received_waveform(a: np.ndarray, grid: ToneGrid,
                       time_points) -> np.ndarray:
     """y(t) = Re{sum_n a_n e^{j w_n t}} of (N,) amplitudes at the instants."""
-    t = np.asarray(time_points, dtype=float)
+    a = check_array("a", a, (grid.n_tones,))
+    t = check_array("time_points", time_points, (None,), float)
     return np.real(np.exp(1j * np.outer(t, grid.angular_frequencies)) @ a)
 
 

@@ -27,8 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (DimensionError, DomainError, ZeroWaveformError,
-                     check_count, check_positive)
+from .errors import (DomainError, ZeroWaveformError, check_array,
+                     check_count, check_positive, check_shape)
 
 _REL_TOL = 1e-9
 
@@ -107,19 +107,11 @@ class WaveformWeights:
 
     def __post_init__(self):
         check_positive("power_budget", self.power_budget)
-        # a view, so freezing it leaves the caller's array writeable
-        s = np.asarray(self.weights, dtype=complex).view()
-        if s.ndim < 2 or s.size < 1:
-            raise DimensionError(f"weights must be a non-empty array of "
-                                 f"(M, N) matrices, got shape {s.shape}")
-        # the reduction np.all runs, without its Python dispatch
-        if not np.isfinite(s.view(float)).all():
-            raise DomainError("weights must be finite")
+        s = check_array("weights", self.weights, (..., None, None))
         p = np.max(radiated_power(s))
         if p > self.power_budget * (1.0 + _REL_TOL):
             raise DomainError(f"radiated power {float(p)!r} exceeds budget "
                               f"{self.power_budget!r}")
-        s.flags.writeable = False
         object.__setattr__(self, "weights", s)
 
 
@@ -153,19 +145,8 @@ class EffectiveTones:
     amplitudes: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        # a view, so freezing it leaves the caller's array writeable
-        a = np.asarray(self.amplitudes, dtype=complex).view()
-        if a.ndim < 1 or a.size < 1:
-            raise DimensionError(
-                "amplitudes must be a non-empty 1-D array or a stack of them")
-        if not np.all(np.isfinite(a.view(float))):
-            raise DomainError("amplitudes must be finite")
-        a.flags.writeable = False
-        object.__setattr__(self, "amplitudes", a)
-
-    @property
-    def n_tones(self) -> int:
-        return self.amplitudes.shape[-1]
+        object.__setattr__(self, "amplitudes", check_array(
+            "amplitudes", self.amplitudes, (..., None)))
 
 
 def effective_tones(channel, weights: WaveformWeights) -> EffectiveTones:
@@ -177,9 +158,7 @@ def effective_tones(channel, weights: WaveformWeights) -> EffectiveTones:
     call to the bit.
     """
     gains = channel.gains
-    if gains.shape != weights.weights.shape:
-        raise DimensionError(
-            f"channel gains {gains.shape} vs weights {weights.weights.shape}")
+    check_shape("weights", weights.weights.shape, gains.shape)
     return EffectiveTones(amplitudes=np.sum(gains * weights.weights, axis=-2))
 
 
@@ -346,9 +325,7 @@ def waveform_moments(tones: EffectiveTones, grid: ToneGrid
         (m2, m4) in W and W^2 respectively, of shape
         tones.amplitudes.shape[:-1]: numpy float64 scalars for one waveform.
     """
-    if tones.n_tones != grid.n_tones:
-        raise DimensionError(
-            f"tones carry {tones.n_tones} amplitudes, grid has {grid.n_tones}")
+    check_shape("amplitudes", tones.amplitudes.shape, (..., grid.n_tones))
     return tone_moments(tones.amplitudes)
 
 
@@ -393,17 +370,12 @@ def papr(tones: EffectiveTones, grid: ToneGrid, oversampling: int = 32) -> float
     once per (grid, oversampling), so a call costs one matrix-vector product.
 
     Args:
-        tones: received per-tone amplitudes.
+        tones: received per-tone amplitudes of one waveform, shape (N,).
         grid: tone grid supplying frequencies and the fundamental period.
         oversampling: samples per cycle of the highest tone, >= 8.  The
             sampled peak underestimates the true peak by O(1/oversampling^2).
     """
-    if tones.n_tones != grid.n_tones:
-        raise DimensionError(
-            f"tones carry {tones.n_tones} amplitudes, grid has {grid.n_tones}")
-    if tones.amplitudes.ndim != 1:
-        raise DimensionError(f"papr rates one waveform, got a stack of "
-                             f"shape {tones.amplitudes.shape}")
+    check_shape("amplitudes", tones.amplitudes.shape, (grid.n_tones,))
     e = _phasors(grid, oversampling)
     a = tones.amplitudes
     if not np.any(np.abs(a) > 0):

@@ -1,27 +1,37 @@
-"""One rule per scalar kind: every count and every positive quantity.
+"""One rule per argument kind: every count, positive quantity and array.
 
 A count (tones, taps, antennas, codebook size, iterations, ADC bits, a
 seed or a random-stream path element) must be a whole number in its
 range, and a positive quantity must be > 0 and finite.  Each row of the
-table below is one argument of a public constructor or function; it is
-fed the values that break its rule, and each must raise DomainError, or
-ConfigError from CampaignConfig, never construct, truncate or return nan.
+scalar tables below is one argument of a public constructor or function;
+it is fed the values that break its rule, and each must raise
+DomainError, or ConfigError from CampaignConfig, never construct,
+truncate or return nan.  An array must fit its shape pattern, and most
+must hold finite entries: each row of the array table is fed a wrong
+number of axes, an empty axis, a size off its fixed axis and non-finite
+entries, which raise DimensionError or DomainError.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
 
-from wptsim import (AdcConfig, CampaignConfig, ChannelModelParams, Codebook,
-                    ConfigError, DiodeMomentModel, DomainError,
-                    EffectiveTones, FrameConfig, SmfParams, ToneGrid,
-                    WaveformWeights, dc_ceiling, decode_feedback, derive_seed,
-                    encode_feedback, feedback_bits, gen_nested, gen_random,
-                    make_locations, moments_by_averaging, papr,
-                    realize_channel, sample_taps, sample_times, stream,
-                    train_lloyd, up_weights)
-from wptsim.errors import check_count, check_positive
+from wptsim import (AdcConfig, CampaignConfig, ChannelModelParams,
+                    ChannelRealization, Codebook, ConfigError,
+                    DimensionError, DiodeMomentModel, DomainError,
+                    EffectiveTones, EfficiencyTableModel, FrameConfig,
+                    LinkModel, SmfParams, ToneGrid, WaveformWeights,
+                    dc_ceiling, dc_power_moment, dc_power_table,
+                    decode_feedback, derive_seed, effective_tones,
+                    encode_feedback, feedback_bits, frequency_response,
+                    gen_nested, gen_random, make_locations,
+                    moments_by_averaging, papr, realize_channel,
+                    received_waveform, run_session, sample_taps,
+                    sample_times, select_codeword, stream, train_lloyd,
+                    up_weights, waveform_moments)
+from wptsim.errors import check_count, check_positive, check_shape
 
 GRID = ToneGrid(2, 2.4e9, 10e6)
 PARAMS = ChannelModelParams()
@@ -31,10 +41,20 @@ LIMITED_ADC = {"strategies": ("UP", "LIMITED"), "codebook_sizes": (4,),
                "adc_enabled": True}
 
 
-def _lloyd(k=2, iters=1, power=1.0):
-    channels = [realize_channel(PARAMS, 1, GRID, frame=i) for i in range(4)]
+CHANNELS = [realize_channel(PARAMS, 1, GRID, frame=i) for i in range(4)]
+TABLE_MODEL = EfficiencyTableModel(p_dbm=np.array([-20.0, 0.0]),
+                                   papr_axis=np.array([1.0, 3.0]),
+                                   eta=np.full((2, 2), 0.2))
+
+
+def _lloyd(k=2, iters=1, power=1.0, channels=CHANNELS):
     return train_lloyd(channels, k, MODEL, iters=iters, rng=stream(0, 5),
                        power=power)
+
+
+def _session(channel=CHANNELS[0], sweeps=None):
+    return run_session(FrameConfig(), BOOK, [[channel]], MODEL, None,
+                       LinkModel(), [None], sweeps)
 
 
 #: (argument, call with the probed value, a whole number out of range)
@@ -141,8 +161,87 @@ TABLE = [pytest.param(call, value, ConfigError
          for value in values + tuple(out_of_range)]
 
 
+#: (argument, call with the probed array, an array that fits, an array
+#: of another size on a fixed axis or None when no axis is fixed, whether
+#: the entries must be finite); the fitting array has the fewest axes its
+#: pattern allows, so dropping its first axis leaves too few
+ARRAYS = [
+    ("ChannelRealization.gains", lambda v: ChannelRealization(GRID, v),
+     np.ones((1, 2)), np.ones((1, 3)), True),
+    ("WaveformWeights.weights", lambda v: WaveformWeights(v, 1.0),
+     np.full((1, 2), 0.5), None, True),
+    ("EffectiveTones.amplitudes", EffectiveTones, np.ones(2), None, True),
+    ("Codebook.weights", lambda v: Codebook(v, 1.0), BOOK.weights, None,
+     True),
+    ("frequency_response.taps",
+     lambda v: frequency_response(v, PARAMS, GRID),
+     np.ones((1, PARAMS.n_taps)), np.ones((1, PARAMS.n_taps + 1)), False),
+    ("effective_tones.channel",
+     lambda v: effective_tones(ChannelRealization(GRID, v),
+                               up_weights(1, GRID, 1.0)),
+     np.ones((1, 2)), np.ones((2, 2)), True),
+    ("effective_tones.weights",
+     lambda v: effective_tones(CHANNELS[0], WaveformWeights(v, 1.0)),
+     np.full((1, 2), 0.5), np.full((1, 3), 0.5), True),
+    ("waveform_moments.tones",
+     lambda v: waveform_moments(EffectiveTones(v), GRID), np.ones(2),
+     np.ones(3), True),
+    ("dc_power_moment.tones",
+     lambda v: dc_power_moment(MODEL, EffectiveTones(v), GRID), np.ones(2),
+     np.ones(3), True),
+    ("papr.tones", lambda v: papr(EffectiveTones(v), GRID), np.ones(2),
+     np.ones(3), True),
+    ("dc_power_table.tones",
+     lambda v: dc_power_table(TABLE_MODEL, EffectiveTones(v), GRID),
+     np.ones(2), np.ones(3), True),
+    ("run_session.channels",
+     lambda v: _session(channel=ChannelRealization(GRID, v)),
+     np.ones((1, 2)), np.ones((2, 2)), True),
+    ("run_session.sweeps", lambda v: _session(sweeps=(v, v)),
+     np.ones((1, 1, 4)), np.ones((1, 1, 5)), False),
+    ("train_lloyd.training_channels",
+     lambda v: _lloyd(channels=CHANNELS + [ChannelRealization(GRID, v)]),
+     np.ones((1, 2)), np.ones((2, 2)), True),
+    ("select_codeword.measurements", select_codeword, np.ones(3), None,
+     True),
+    ("received_waveform.a",
+     lambda v: received_waveform(v, GRID, np.zeros(3)), np.ones(2),
+     np.ones(3), True),
+    ("received_waveform.time_points",
+     lambda v: received_waveform(np.ones(2), GRID, v), np.zeros(3), None,
+     True),
+    ("moments_by_averaging.a", lambda v: moments_by_averaging(v, GRID),
+     np.ones(2), np.ones(3), True),
+]
+
+
+def _array_cases(fits, off_grid, finite):
+    """(case, probed array, expected error) of one row of ARRAYS."""
+    cases = [("ndim", fits[0], DimensionError),
+             ("empty", fits[:0], DimensionError)]
+    if off_grid is not None:
+        cases.append(("size", off_grid, DimensionError))
+    for case, value in (("nan", math.nan), ("inf", math.inf)) if finite else ():
+        bad = np.array(fits)
+        bad.flat[0] = value
+        cases.append((case, bad, DomainError))
+    return cases
+
+
+ARRAY_TABLE = [pytest.param(call, value, expected, id=f"{name}-{case}")
+               for name, call, fits, off_grid, finite in ARRAYS
+               for case, value, expected in _array_cases(fits, off_grid,
+                                                         finite)]
+
+
 @pytest.mark.parametrize("call, value, expected", TABLE)
 def test_a_bad_count_or_positive_quantity_is_rejected(call, value, expected):
+    with pytest.raises(expected):
+        call(value)
+
+
+@pytest.mark.parametrize("call, value, expected", ARRAY_TABLE)
+def test_a_bad_array_is_rejected(call, value, expected):
     with pytest.raises(expected):
         call(value)
 
@@ -157,3 +256,27 @@ def test_the_rules_accept_their_whole_and_positive_values():
     assert ToneGrid(2.0, 2.4e9, 10e6).n_tones == 2
     assert np.array_equal(stream(1, 2.0).random(3), stream(1, 2).random(3))
     assert CampaignConfig(seed=7.0, antenna_counts=(1.0, 2)).seed == 7
+
+
+@pytest.mark.parametrize("name, call, fits", [row[:3] for row in ARRAYS],
+                         ids=[row[0] for row in ARRAYS])
+def test_each_array_row_accepts_its_fitting_array(name, call, fits):
+    # so each rejection above is the probed argument's, not the call's
+    call(fits)
+
+
+def test_the_shape_rule():
+    for shape in ((2, 4), (3, 2, 4), (1, 1, 5, 4)):
+        check_shape("x", shape, (..., None, 4))
+    check_shape("x", (2, 4), (2, 4))
+    check_shape("x", (7,), (None,))
+    for shape in ((4,), (0, 4), (0, 2, 4), (2, 3), ()):
+        with pytest.raises(DimensionError, match=re.escape(
+                f"x shape {shape} does not fit (..., *, 4)")):
+            check_shape("x", shape, (..., None, 4))
+    for shape, pattern, text in (((2, 4, 1), (2, 4), "(2, 4)"),
+                                 ((3,), (2,), "(2,)"),
+                                 ((0,), (None,), "(*,)")):
+        with pytest.raises(DimensionError, match=re.escape(
+                f"x shape {shape} does not fit {text}")):
+            check_shape("x", shape, pattern)

@@ -1,5 +1,6 @@
-"""Every top-level import is used, every benchmark trace point exists, and
-the per-object waveform layer is read only where the benchmark traces it."""
+"""Every top-level import is used, every benchmark trace point exists, the
+per-object waveform layer is read only where the benchmark traces it, and
+only the shape rule raises DimensionError."""
 
 import ast
 import importlib
@@ -41,6 +42,40 @@ def test_scan_finds_an_unused_import():
                          ids=[str(p.relative_to(_ROOT)) for p in _MODULES])
 def test_module_has_no_unused_import(path):
     assert _unused_imports(path.read_text()) == []
+
+
+def _dimension_raises(source: str) -> list[int]:
+    """Lines that raise DimensionError, by name or as an attribute."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if "DimensionError" in (getattr(exc, "id", None),
+                                    getattr(exc, "attr", None)):
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_scan_finds_a_dimension_error_raise():
+    source = ("from wptsim import errors\n"
+              "from wptsim.errors import DimensionError\n"
+              "def f(x):\n"
+              "    if x:\n        raise DimensionError('x')\n"
+              "    raise errors.DimensionError\n"
+              "def g():\n    raise ValueError('DimensionError')\n"
+              "def h():\n    return DimensionError('not raised')\n")
+    assert _dimension_raises(source) == [5, 6]
+
+
+def test_only_the_shape_rule_raises_dimension_error():
+    # every shape check goes through errors.check_shape, so a hand-written
+    # one elsewhere in the package fails here
+    raises = {path.name: _dimension_raises(path.read_text())
+              for path in sorted((_ROOT / "src" / "wptsim").glob("*.py"))
+              if path.name != "errors.py"}
+    assert {name: lines for name, lines in raises.items() if lines} == {}
+    assert _dimension_raises(
+        (_ROOT / "src" / "wptsim" / "errors.py").read_text())
 
 
 def _span_targets() -> tuple:

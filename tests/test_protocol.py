@@ -312,6 +312,10 @@ def test_run_session_rejects_ragged_sessions_and_missing_rngs():
     with pytest.raises(DomainError, match="1 rngs for 2 sessions"):
         run_session(cfg, book, [[ch] * 3] * 2, model, None, LinkModel(),
                     [None])
+    # a flat list of channels is not a list of sessions
+    with pytest.raises(DomainError, match="S sessions of F channels"):
+        run_session(cfg, book, [ch] * 3, model, None, LinkModel(),
+                    [None] * 3)
 
 
 def test_run_session_rejects_sweeps_of_the_wrong_length(monkeypatch):
@@ -324,10 +328,12 @@ def test_run_session_rejects_sweeps_of_the_wrong_length(monkeypatch):
                         lambda *args: swept.append(args))
     # (sessions, frames, codewords) of 1 session of 3 frames and K = 4
     for shape in ((1, 2, 4), (1, 5, 4), (2, 3, 4), (1, 3, 3), (3, 4)):
-        with pytest.raises(DomainError, match="sweeps of shape"):
+        with pytest.raises(DimensionError, match=re.escape(
+                f"sweeps shape {shape} does not fit (1, 3, 4)")):
             run_session(cfg, book, [channels], model, None, LinkModel(),
                         [stream(33, 6)], (np.zeros(shape), np.zeros(shape)))
-    with pytest.raises(DomainError, match="sweeps of shape"):
+    with pytest.raises(DimensionError, match=re.escape(
+            "sweeps shape (4,) does not fit (1, 3, 4)")):
         run_session(cfg, book, [channels], model, None, LinkModel(),
                     [stream(33, 6)], (np.zeros((1, 3, 4)), np.zeros(4)))
     assert swept == []
@@ -340,7 +346,7 @@ def test_session_rejects_a_book_off_the_channels_shape(m, n):
                       stream(34, 4))
     channels = [make_channel(34, m, grid)]
     with pytest.raises(DimensionError, match=re.escape(
-            f"codebook (2, {n}) vs channel ({m}, 2)")):
+            f"channel gains shape ({m}, 2) does not fit (2, {n})")):
         run_session(FrameConfig(), book, [channels], DiodeMomentModel(),
                     None, LinkModel(), [None])
 
@@ -352,7 +358,7 @@ def test_a_stacked_channel_is_rejected_not_broadcast():
     book = gen_nested(2, grid, 1.0, 2, stream(35, 4))
     stack = ChannelRealization(grid=grid, gains=np.stack(
         [make_channel(35 + i, 2, grid).gains for i in range(2)]))
-    message = re.escape("codebook (2, 2) vs channel (2, 2, 2)")
+    message = re.escape("channel gains shape (2, 2, 2) does not fit (2, 2)")
     with pytest.raises(DimensionError, match=message):
         protocol._sweep(book, [stack], DiodeMomentModel())
     sweeps = (np.array([[[1.0, 2.0]]]), np.array([[[1.0, 2.0]]]))

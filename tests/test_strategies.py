@@ -1,14 +1,16 @@
 """Transmit strategies: uniform allocation, scaled matched filter, selection."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wptsim import (ChannelRealization, DegenerateChannelError, DomainError,
-                    SmfParams, ToneGrid, effective_tones, feedback_bits,
-                    received_rf_power, select_codeword, smf_weights,
-                    up_weights)
+from wptsim import (ChannelRealization, DegenerateChannelError,
+                    DimensionError, DomainError, SmfParams, ToneGrid,
+                    effective_tones, feedback_bits, received_rf_power,
+                    select_codeword, smf_weights, up_weights)
 from wptsim.waveform import radiated_power
 
 from conftest import make_channel
@@ -152,10 +154,12 @@ def test_select_codeword_tie_breaks_low():
 
 
 def test_select_codeword_empty_rejected():
-    with pytest.raises(DomainError):
+    with pytest.raises(DimensionError, match=re.escape(
+            "measurements shape (0,) does not fit (..., *)")):
         select_codeword([])
     for empty in (np.zeros((3, 0)), np.zeros((2, 3, 0)), np.float64(1.0)):
-        with pytest.raises(DomainError):
+        with pytest.raises(DimensionError, match=re.escape(
+                f"measurements shape {np.shape(empty)} does not fit")):
             select_codeword(empty)
 
 
