@@ -33,9 +33,10 @@ Layer rows, on random complex amplitudes and channel gains:
   on a lossless link with no ADC: one batched call per K over every
   location's session, with no session stream.  ``per_k_sweep_us`` lets
   each K's call sweep its own book; ``median_us`` sweeps the K_max book
-  once per location and hands each K its columns; ``with_streams_us``
-  runs the ``median_us`` calls with one ``rng.stream`` per session, as
-  a lossy link or a noisy ADC needs.
+  once per fade draw over every location and hands each K its columns,
+  as ``campaign._point_sweep`` does; ``with_streams_us`` runs the
+  ``median_us`` calls with one ``rng.stream`` per session, as a lossy
+  link or a noisy ADC needs.
 * ``channel.realize_channel`` at M=4, N=8: one channel's tap stream,
   tap draw and frequency response, as Lloyd's training set is drawn.
 * ``campaign.summarize`` on the 4,320 rows that figure-joint's campaign,
@@ -47,6 +48,11 @@ Layer rows, on random complex amplitudes and channel gains:
   power.  ``median_us`` rates the 45 channels as one stack, one call of
   each function, as ``run_campaign`` does; ``per_channel_us`` calls each
   function once per channel.
+* ``campaign.point_channels``: figure-joint's M=4, N=8 point's 45 fades
+  (15 locations x 3 draws) from its default seed's taps.  ``median_us``
+  is ``campaign._point_channels``, one stacked ``frequency_response``
+  call and a view of its gains per fade, as ``run_campaign`` builds
+  them; ``per_fade_us`` calls ``frequency_response`` once per fade.
 * ``waveform.papr`` for N in {1, 8, 16} tones at oversampling 32, on
   random amplitudes: ``median_us`` is one ``papr`` call on the cached
   phasor matrix, ``table_us`` one ``rectenna.dc_power_table`` call on a
@@ -80,9 +86,9 @@ import numpy as np
 from wptsim import (ChannelModelParams, ChannelRealization, DiodeMomentModel,
                     EffectiveTones, EfficiencyTableModel, FrameConfig,
                     LinkModel, SmfParams, ToneGrid, codebook, dc_power_table,
-                    effective_tones, gen_nested, make_locations, papr,
-                    realize_channel, received_rf_power, rng, run_session,
-                    smf_weights)
+                    effective_tones, frequency_response, gen_nested,
+                    make_locations, papr, realize_channel,
+                    received_rf_power, rng, run_session, smf_weights)
 from wptsim import campaign, waveform
 from wptsim.codebook import _amplitudes, _assign, _dc_and_grad, _sphere
 from wptsim.protocol import _dc_power
@@ -149,21 +155,27 @@ def _iteration_row(gains, words, model, power, repeat, number):
             "median_us": median}
 
 
-def _point_fades(m, n):
-    """figure-joint's (M, N) point: its grid and each location's fades."""
+def _point_taps():
+    """figure-joint's config and every location's taps (15 x 3 draws)."""
     config = campaign.figure_config("figure-joint")
-    grid = config.tone_grid(n)
     locations = make_locations(
         config.n_locations, config.seed, config.channel_template,
         (config.pathloss_db_min, config.pathloss_db_max))
-    return grid, [campaign._fades(config, location,
-                                  campaign._taps(config, location), m, grid)
-                  for location in locations]
+    return config, campaign._taps(config, locations)
+
+
+def _point_fades(m, n):
+    """figure-joint's (M, N) point: its grid, stack and each location's
+    fades, as run_campaign builds them."""
+    config, taps = _point_taps()
+    grid = config.tone_grid(n)
+    return (grid,) + campaign._point_channels(config, taps, m, grid)
 
 
 def _session_row(model, seed, repeat, number):
     m = 4
-    grid, fades = _point_fades(m, 8)
+    grid, stack, fades = _point_fades(m, 8)
+    draws = stack.gains.shape[1]
     full = gen_nested(m, grid, 2.0, max(SESSION_SIZES),
                       rng.stream(seed, rng.CODEBOOK))
     books = {k: full.prefix(k) for k in SESSION_SIZES}
@@ -171,7 +183,7 @@ def _session_row(model, seed, repeat, number):
 
     def sessions(shared, streams=False):
         if shared:
-            dcs, p_rfs = campaign._point_sweep(full, fades, model)
+            dcs, p_rfs = campaign._point_sweep(full, fades, draws, model)
         for k, book in books.items():
             run_session(timing, book, fades, model, None, link,
                         [rng.stream(seed, rng.SESSION, k, s) if streams
@@ -215,12 +227,29 @@ def _summarize_row(repeat, number):
                                        number)}
 
 
+def _point_channels_row(repeat, number):
+    m, n = 4, 8
+    config, taps = _point_taps()
+    grid, params = config.tone_grid(n), config.channel_template
+
+    def per_fade():
+        return [ChannelRealization(grid=grid, gains=frequency_response(
+                    t[:m], params, grid)) for draws in taps for t in draws]
+
+    return {"layer": "campaign.point_channels", "m_antennas": m,
+            "n_tones": n, "batch": taps.shape[0] * taps.shape[1],
+            "per_fade_us": median_us(per_fade, repeat, number),
+            "median_us": median_us(
+                lambda: campaign._point_channels(config, taps, m, grid),
+                repeat, number)}
+
+
 def _smf_row(model, repeat, number):
     m = 4
-    grid, point_fades = _point_fades(m, 8)
+    grid, stack, point_fades = _point_fades(m, 8)
     fades = [ch for frames in point_fades for ch in frames]
-    stack = ChannelRealization(grid=grid,
-                               gains=np.stack([ch.gains for ch in fades]))
+    flat = ChannelRealization(grid=grid,
+                              gains=stack.gains.reshape(-1, m, grid.n_tones))
     smf = SmfParams(power_budget=campaign.figure_config(
         "figure-joint").transmit_power_w)
 
@@ -232,7 +261,7 @@ def _smf_row(model, repeat, number):
             "n_tones": grid.n_tones, "batch": len(fades),
             "per_channel_us": median_us(lambda: [rate(ch) for ch in fades],
                                         repeat, number),
-            "median_us": median_us(lambda: rate(stack), repeat, number)}
+            "median_us": median_us(lambda: rate(flat), repeat, number)}
 
 
 def _papr_row(n, gen, repeat, number):
@@ -333,6 +362,7 @@ def main(argv=None):
     rows.append(_channel_row(grid, args.seed, args.repeat, args.number))
     rows.append(_summarize_row(args.repeat, args.number))
     rows.append(_smf_row(model, args.repeat, args.number))
+    rows.append(_point_channels_row(args.repeat, args.number))
     rows.extend(_papr_row(n, gen, args.repeat, args.number)
                 for n in PAPR_TONES)
 
@@ -360,6 +390,8 @@ def main(argv=None):
         if "exact_pairs" in row:
             line += (f"  ({row['exact_pairs']} exact pairs, "
                      f"{row['minor_faults']:.0f} minor faults)")
+        if "per_fade_us" in row:
+            line += f"  (per fade: {row['per_fade_us']:.1f} us)"
         if "per_channel_us" in row:
             line += f"  (per channel: {row['per_channel_us']:.1f} us)"
         if "per_k_sweep_us" in row:

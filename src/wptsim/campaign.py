@@ -12,13 +12,18 @@ writes two artifacts:
   locations), each with its dB gain against the (UP, M=1, N=1) baseline at
   the same location (so every baseline row reads exactly 0 dB).
 
-At each (M, N) point every location is swept once over one book that
-holds each swept codeword once: every K's book is a contiguous slice of
-its columns, and UP's codeword is its last row (_books).  The books
-come from codebooks(), which ``wptsim codebook`` writes to file.  SMF is
-rated once per point, on one stack of every location's fades: one call
-each of smf_weights, effective_tones, the rectifier and
-received_rf_power, each row equal to its channel's own call to the bit.
+Every location's taps are drawn once, at the largest antenna count
+(_taps).  At each (M, N) point one frequency_response call turns their
+first M rows into every location's fades, each fade a view of that one
+gains array (_point_channels).  The point's book holds each swept
+codeword once: every K's book is a contiguous slice of its columns, and
+UP's codeword is its last row (_books).  The books come from
+codebooks(), which ``wptsim codebook`` writes to file.  The book is swept
+once per fade draw, over every location's channel of that draw
+(_point_sweep), so no channel is swept twice.  SMF is rated once per
+point, on the same gains array: one call each of smf_weights,
+effective_tones, the rectifier and received_rf_power, each row equal to
+its channel's own call to the bit.
 LIMITED runs one run_session call per (M, N, K) point, whose batch axis
 is the locations' sessions, each on its own stream; its reports equal
 those of every session run on its own.
@@ -397,44 +402,65 @@ def _books(config: CampaignConfig, m: int,
     return Codebook(np.concatenate(words), power), books
 
 
-def _taps(config: CampaignConfig, location) -> list:
-    """A location's tap draws at the largest antenna count, one per fade.
+def _taps(config: CampaignConfig, locations) -> np.ndarray:
+    """Every location's tap draws at the largest antenna count.
 
-    ``sample_taps`` draws antenna rows in order from one stream, so the
-    m-antenna taps are the first m rows of the draw and a smaller array
-    sees a subset of the same physical channel.  Under block fading one
-    draw serves every frame.
+    Returns an (S, D, M_max, L) array: location s's draw d, one draw per
+    fade.  ``sample_taps`` draws antenna rows in order from one stream,
+    so the m-antenna taps are the first m rows of the draw and a smaller
+    array sees a subset of the same physical channel.  Under block fading
+    one draw (D = 1) serves every frame.
     """
     draws = config.frames_per_location if config.resample_per_frame else 1
-    return [sample_taps(location.params, max(config.antenna_counts),
-                        rngmod.stream(location.params.seed, rngmod.TAPS,
-                                      fade))
-            for fade in range(draws)]
+    return np.stack([[sample_taps(location.params,
+                                  max(config.antenna_counts),
+                                  rngmod.stream(location.params.seed,
+                                                rngmod.TAPS, fade))
+                      for fade in range(draws)] for location in locations])
 
 
-def _fades(config: CampaignConfig, location, taps: list, m: int,
-           grid: ToneGrid) -> list:
-    """The channel of every frame at a location; all sweep points share it.
+def _point_channels(config: CampaignConfig, taps: np.ndarray, m: int,
+                    grid: ToneGrid) -> tuple:
+    """An (M, N) point's channels, from one frequency_response call.
 
-    The first m rows of each draw give the same bits as realize_channel's
-    own m-antenna draw.  Under block fading one realization serves every
-    frame.
+    The call takes the first m rows of every draw in taps (from _taps)
+    and gives each draw the bits of realize_channel's own m-antenna draw.
+    Every location's tap profile has the template's n_taps and spacing;
+    only its pathloss, already in the taps, differs.
+
+    Returns:
+        (stack, fades): stack holds every draw's gains, (S, D, m, N);
+        fades[s] is location s's channel in each frame, each a view of
+        one row of the stack.  Under block fading one view serves every
+        frame.
     """
-    fades = [ChannelRealization(grid=grid, gains=frequency_response(
-                 t[:m], location.params, grid)) for t in taps]
-    if config.resample_per_frame:
-        return fades
-    return fades * config.frames_per_location
+    stack = ChannelRealization(grid=grid, gains=frequency_response(
+        taps[:, :, :m], config.channel_template, grid))
+    fades = [[ChannelRealization(grid=grid, gains=gains) for gains in draws]
+             for draws in stack.gains]
+    if not config.resample_per_frame:
+        fades = [draws * config.frames_per_location for draws in fades]
+    return stack, fades
 
 
-def _point_sweep(book: Codebook, point_fades: list, rect_model) -> tuple:
+def _point_sweep(book: Codebook, fades: list, draws: int,
+                 rect_model) -> tuple:
     """Every location's sweep of book: two (locations, frames, K) arrays.
 
-    Each location is swept on its own, so the sweep's temporaries stay
-    the size of one location's.
+    One _sweep call per fade draw d covers every location's channel of
+    that draw, fades[s][d]; a frame reads its draw's row, so under block
+    fading (draws = 1) one call serves every frame.  Per draw and not
+    once over all draws, to bound the sweep's temporaries: on
+    figure-joint's M=4, N=8 point (65 codewords, 15 locations x 3 draws)
+    one draw's call peaks at 0.74 MB under tracemalloc, one call over all
+    45 channels at 2.2 MB.
     """
-    return tuple(np.stack(powers) for powers in zip(
-        *(_sweep(book, fades, rect_model) for fades in point_fades)))
+    frames = len(fades[0])
+    return tuple(np.broadcast_to(np.stack(powers, axis=1),
+                                 (len(fades), frames, book.k_codewords))
+                 for powers in zip(*(
+                     _sweep(book, [f[d] for f in fades], rect_model)
+                     for d in range(draws))))
 
 
 def _make_dirs(out: str) -> list:
@@ -462,7 +488,7 @@ def _detail_rows(config: CampaignConfig, rect_model) -> list:
                                config.channel_template,
                                (config.pathloss_db_min, config.pathloss_db_max))
     smf_params = SmfParams(power_budget=config.transmit_power_w)
-    taps = [_taps(config, location) for location in locations]
+    taps = _taps(config, locations)
     labels = [location.label for location in locations]
     if LIMITED in config.strategies:
         # every LIMITED session shares one frame timing, link and ADC; a
@@ -475,21 +501,23 @@ def _detail_rows(config: CampaignConfig, rect_model) -> list:
     for m, n in itertools.product(config.antenna_counts, config.tone_counts):
         grid = config.tone_grid(n)
         sweep, books = _books(config, m, grid)
-        point_fades = [_fades(config, location, taps[loc_idx], m, grid)
-                       for loc_idx, location in enumerate(locations)]
+        stack, fades = _point_channels(config, taps, m, grid)
+        n_draws = stack.gains.shape[1]
         # a column equals that codeword's sweep in its own book to the
         # last bit
-        dcs, p_rfs = _point_sweep(sweep, point_fades, rect_model)
+        dcs, p_rfs = _point_sweep(sweep, fades, n_draws, rect_model)
         # UP's codeword is the sweep book's last row
         fixed = {UP: (dcs[..., -1], p_rfs[..., -1])}
         if SMF in config.strategies:
-            # every location's frames in one stack; a row equals that
+            # every location's draws in one stack; a row equals that
             # channel's own SMF evaluation to the last bit
-            stack = ChannelRealization(grid=grid, gains=np.stack(
-                [ch.gains for fades in point_fades for ch in fades]))
-            tones = effective_tones(stack, smf_weights(stack, smf_params))
-            fixed[SMF] = tuple(x.reshape(dcs.shape[:2]) for x in (
-                _dc_power(rect_model, tones, grid), received_rf_power(tones)))
+            flat = ChannelRealization(grid=grid,
+                                      gains=stack.gains.reshape(-1, m, n))
+            tones = effective_tones(flat, smf_weights(flat, smf_params))
+            fixed[SMF] = tuple(
+                np.broadcast_to(x.reshape(-1, n_draws), dcs.shape[:2])
+                for x in (_dc_power(rect_model, tones, grid),
+                          received_rf_power(tones)))
         for strategy, (p_dc, p_rf) in fixed.items():
             for label, loc_dc, loc_rf in zip(labels, p_dc.tolist(),
                                              p_rf.tolist()):
@@ -503,7 +531,7 @@ def _detail_rows(config: CampaignConfig, rect_model) -> list:
             gens = [rngmod.stream(config.seed, rngmod.SESSION,
                                   _STRATEGY_IDS[LIMITED], m, n, k, loc_idx)
                     if draws else None for loc_idx in range(len(locations))]
-            report = run_session(timing, book, point_fades, rect_model, adc,
+            report = run_session(timing, book, fades, rect_model, adc,
                                  link, gens,
                                  (dcs[..., columns], p_rfs[..., columns]))
             adc_reads_signal |= bool(report.measurements.any())

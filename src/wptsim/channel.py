@@ -111,10 +111,16 @@ def sample_taps(params: ChannelModelParams, m_antennas: int,
 
 def frequency_response(taps: np.ndarray, params: ChannelModelParams,
                        grid: ToneGrid) -> np.ndarray:
-    """Per-tone gains h[m, n] = sum_l taps[m, l] e^{-j w_n l tap_spacing}."""
+    """Per-tone gains h[m, n] = sum_l taps[m, l] e^{-j w_n l tap_spacing}.
+
+    taps is one (M, L) matrix or a stack of them, (..., M, L), whose gains
+    are (..., M, N).  The stack is one matmul, which multiplies each (M, L)
+    slice as its own call would, so every slice keeps its own call's bits;
+    a flattened (S*M, L) product would not at M=1.
+    """
     # non-finite taps give non-finite gains, which ChannelRealization rejects
     taps = np.asarray(taps, dtype=complex)
-    check_shape("taps", taps.shape, (None, params.n_taps))
+    check_shape("taps", taps.shape, (..., None, params.n_taps))
     delays = np.arange(params.n_taps) * params.tap_spacing_s
     steering = np.exp(-1j * np.outer(delays, grid.angular_frequencies))
     return taps @ steering

@@ -550,12 +550,11 @@ def test_lloyd_campaign_golden_bytes(tmp_path):
 @pytest.mark.parametrize("resample", [True, False])
 def test_campaign_draws_each_channel_once(tmp_path, monkeypatch, resample):
     from wptsim import campaign
-    calls = {"sample_taps": [], "frequency_response": []}
-    for name, original in [("sample_taps", campaign.sample_taps),
-                           ("frequency_response",
-                            campaign.frequency_response)]:
-        def counting(*args, _name=name, _original=original, **kwargs):
-            calls[_name].append(1)
+    calls = {"sample_taps": [], "frequency_response": [], "_sweep": []}
+    for name, made in calls.items():
+        def counting(*args, _made=made, _original=getattr(campaign, name),
+                     **kwargs):
+            _made.append(1)
             return _original(*args, **kwargs)
         monkeypatch.setattr(campaign, name, counting)
     for axes in [{}, dict(antenna_counts=(1, 3, 4), tone_counts=(1, 2, 8))]:
@@ -563,13 +562,15 @@ def test_campaign_draws_each_channel_once(tmp_path, monkeypatch, resample):
             made.clear()
         cfg = _mini_config(resample_per_frame=resample, **axes)
         detail, _ = run_campaign(cfg, out_dir=tmp_path / str(len(axes)))
-        # UP, SMF and both codebook sizes share every (location, fade, M, N)
-        # realization, and every (M, N) shares the (location, fade) taps
+        # every (M, N) shares the (location, fade) taps; each point
+        # realizes every location's fades in one stacked call, and UP,
+        # SMF and both codebook sizes share them; each fade draw is swept
+        # once per point, over every location's channel of that draw
         fades = cfg.frames_per_location if resample else 1
+        points = len(cfg.antenna_counts) * len(cfg.tone_counts)
         assert len(calls["sample_taps"]) == cfg.n_locations * fades
-        assert len(calls["frequency_response"]) == (
-            cfg.n_locations * fades * len(cfg.antenna_counts)
-            * len(cfg.tone_counts))
+        assert len(calls["frequency_response"]) == points
+        assert len(calls["_sweep"]) == points * fades
     if not resample:
         # block fading: UP sees one channel in every frame
         p_dc = {}
@@ -631,11 +632,11 @@ def test_shared_taps_give_realize_channel_gains(n_taps, m_max, resample):
     locations = make_locations(cfg.n_locations, cfg.seed,
                                cfg.channel_template,
                                (cfg.pathloss_db_min, cfg.pathloss_db_max))
-    for location in locations:
-        taps = campaign._taps(cfg, location)
-        for m, n in itertools.product(range(1, m_max + 1), (1, 2, 5, 16)):
-            grid = ToneGrid.centered(2.4e9, 10e6, n)
-            fades = campaign._fades(cfg, location, taps, m, grid)
+    taps = campaign._taps(cfg, locations)
+    for m, n in itertools.product(range(1, m_max + 1), (1, 2, 5, 16)):
+        grid = ToneGrid.centered(2.4e9, 10e6, n)
+        _, point = campaign._point_channels(cfg, taps, m, grid)
+        for location, fades in zip(locations, point, strict=True):
             assert len(fades) == cfg.frames_per_location
             for frame, ch in enumerate(fades):
                 alone = realize_channel(location.params, m, grid,
@@ -914,6 +915,71 @@ def test_up_rows_read_from_the_sweep_equal_frame_by_frame(
                 repr(float(p_dc)), repr(float(received_rf_power(tones))),
                 "0", "0", "1", "0.0", repr(float(p_dc * cfg.t_frame))]
     assert rows == expected
+
+
+@pytest.mark.parametrize("rectifier,resample,overrides", [
+    ("moment", True, {}),
+    ("moment", False, dict(link_delivery_probability=0.5)),
+    ("table", True, dict(adc_enabled=True, adc_noise_sigma=1e-3,
+                         link_delivery_probability=0.8)),
+    ("table", False, {}),
+], ids=["moment", "moment-block-lossy", "table-adc-lossy", "table-block"])
+def test_limited_rows_equal_each_session_run_alone(
+        tmp_path, monkeypatch, rectifier, resample, overrides):
+    # a point's fades come from one stacked frequency_response call and
+    # are swept once per fade draw over every location; every LIMITED row
+    # must carry the bits of its location's session run alone on
+    # realize_channel's fades, sweeping its own book (sweeps=None).  The
+    # detail CSV is written with repr here: "%.6g" hides last-bit changes
+    from wptsim import campaign, run_session, stream
+    from wptsim.rng import SESSION
+    monkeypatch.setattr(campaign, "_fmt", lambda x: repr(float(x)))
+    _write_table(tmp_path / "eta.csv")
+    cfg = _mini_config(strategies=("UP", "LIMITED"), antenna_counts=(1, 2, 4),
+                       tone_counts=(1, 2, 8), codebook_sizes=(1, 2, 4),
+                       n_locations=3, frames_per_location=3,
+                       rectifier_model=rectifier,
+                       table_path=str(tmp_path / "eta.csv"),
+                       resample_per_frame=resample, **overrides)
+    detail, _ = run_campaign(cfg, out_dir=tmp_path / "out")
+    rows = {tuple(parts[1:6]): parts[6:]
+            for parts in (line.split(",")
+                          for line in open(detail).read().splitlines()[1:])
+            if parts[0] == "LIMITED"}
+    rect_model = campaign._rect_model(cfg)
+    timing, link, adc = cfg.frame_config(), cfg.link_model(), cfg.adc_config()
+    draws = campaign.session_draws(link, adc)
+    limited = campaign._STRATEGY_IDS["LIMITED"]
+    locations = make_locations(cfg.n_locations, cfg.seed,
+                               cfg.channel_template,
+                               (cfg.pathloss_db_min, cfg.pathloss_db_max))
+    frames = range(cfg.frames_per_location)
+    expected = {}
+    for m, n in itertools.product(cfg.antenna_counts, cfg.tone_counts):
+        grid = cfg.tone_grid(n)
+        _, books = campaign._books(cfg, m, grid)
+        for loc_idx, location in enumerate(locations):
+            fades = ([realize_channel(location.params, m, grid, frame=f)
+                      for f in frames] if resample else
+                     [realize_channel(location.params, m, grid)] * len(frames))
+            for k, (book, _) in books.items():
+                gen = stream(cfg.seed, SESSION, limited, m, n, k,
+                             loc_idx) if draws else None
+                report = run_session(timing, book, [fades], rect_model, adc,
+                                     link, [gen])
+                for f in frames:
+                    r = report.frame(0, f)
+                    expected[(str(m), str(n), str(k), location.label,
+                              str(f))] = [
+                        repr(r.p_dc_wpt), repr(r.p_rf_wpt),
+                        str(r.selected_index), str(r.applied_index),
+                        str(int(r.feedback_delivered)),
+                        repr(r.energy_training), repr(r.energy_wpt)]
+    assert len(rows) == len(expected) == 9 * 3 * 3 * 3
+    assert rows == expected
+    # the lossy variants do lose feedback, so the session streams matter
+    if cfg.link_delivery_probability < 1:
+        assert {row[4] for row in rows.values()} == {"0", "1"}
 
 
 @pytest.mark.parametrize("rectifier", ["moment", "table"])

@@ -171,13 +171,35 @@ def test_channel_realization_rejects_non_finite_gains(bad):
         ChannelRealization(grid=grid, gains=gains)
 
 
-@pytest.mark.parametrize("shape", [(3,), (2, 2), (1, 2, 3)])
+@pytest.mark.parametrize("shape", [(3,), (2, 2), (1, 2, 2)])
 def test_frequency_response_rejects_a_taps_shape(shape):
     params = ChannelModelParams(n_taps=3)
     grid = ToneGrid.centered(2.4e9, 10e6, 4)
     with pytest.raises(DimensionError, match=re.escape(
-            f"taps shape {shape} does not fit (*, 3)")):
+            f"taps shape {shape} does not fit (..., *, 3)")):
         frequency_response(np.ones(shape), params, grid)
+
+
+@pytest.mark.parametrize("m", [1, 2, 4])
+@pytest.mark.parametrize("n", [1, 2, 8])
+def test_each_slice_of_a_taps_stack_keeps_its_own_bits(m, n):
+    # a stacked call gives every slice the bits of its own (M, L) call,
+    # contiguous or, as the campaign passes it, the first m rows of larger
+    # draws; M=1 is where a flattened (S*M, L) product rounds otherwise
+    params = ChannelModelParams(seed=5)
+    grid = ToneGrid.centered(2.4e9, 10e6, n)
+    draws = np.stack([[sample_taps(params, 4, stream(5, rngmod.TAPS, s, d))
+                       for d in range(3)] for s in range(6)])
+    for taps in (draws[:, :, :m], np.ascontiguousarray(draws[:, :, :m])):
+        stack = frequency_response(taps, params, grid)
+        assert stack.shape == (6, 3, m, n)
+        for s, d in np.ndindex(6, 3):
+            alone = frequency_response(draws[s, d, :m], params, grid)
+            assert stack[s, d].tobytes() == alone.tobytes()
+        # one batch axis or two: the same bits
+        batch = frequency_response(taps.reshape(-1, m, params.n_taps),
+                                   params, grid)
+        assert batch.tobytes() == stack.tobytes()
 
 
 def test_channel_realization_rejects_a_channel_with_no_antennas():

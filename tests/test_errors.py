@@ -175,7 +175,8 @@ ARRAYS = [
      True),
     ("frequency_response.taps",
      lambda v: frequency_response(v, PARAMS, GRID),
-     np.ones((1, PARAMS.n_taps)), np.ones((1, PARAMS.n_taps + 1)), False),
+     np.ones((1, PARAMS.n_taps)), np.ones((1, 1, PARAMS.n_taps + 1)),
+     False),
     ("effective_tones.channel",
      lambda v: effective_tones(ChannelRealization(GRID, v),
                                up_weights(1, GRID, 1.0)),

@@ -459,9 +459,9 @@ def test_bench_kernel_script_writes_its_table(tmp_path):
     assign = rows[17:19]
     assert [(r["layer"], r["pathloss_db"]) for r in assign] == \
         [("codebook._assign", 60.0), ("codebook._assign", 0.0)]
-    iteration, session, channel, summary, smf = rows[19:24]
-    papr_rows = rows[24:]
-    assert len(rows) == 27
+    iteration, session, channel, summary, smf, point = rows[19:25]
+    papr_rows = rows[25:]
+    assert len(rows) == 28
     assert (iteration["layer"], iteration["m_antennas"],
             iteration["n_tones"], iteration["k_codewords"],
             iteration["batch"]) == ("codebook.train_iteration", 4, 8, 64, 1000)
@@ -482,6 +482,12 @@ def test_bench_kernel_script_writes_its_table(tmp_path):
     assert (smf["layer"], smf["m_antennas"], smf["n_tones"],
             smf["batch"]) == ("strategies.smf_weights", 4, 8, 45)
     assert smf["per_channel_us"] > 0
+    # the same point's 45 fades from one stacked frequency_response call
+    assert set(point) == {"layer", "m_antennas", "n_tones", "batch",
+                          "per_fade_us", "median_us"}
+    assert (point["layer"], point["m_antennas"], point["n_tones"],
+            point["batch"]) == ("campaign.point_channels", 4, 8, 45)
+    assert point["per_fade_us"] > 0
     assert [(r["layer"], r["n_tones"], r["oversampling"])
             for r in papr_rows] == [("waveform.papr", n, 32)
                                     for n in (1, 8, 16)]
