@@ -42,6 +42,11 @@ Layer rows, on random complex amplitudes and channel gains:
 * ``campaign.summarize`` on the 4,320 rows that figure-joint's campaign,
   at its default seed, hands it, writing the summary CSV as
   ``run_campaign`` does; ``batch`` is the row count.
+* ``campaign.write_csv``: figure-joint's summary and detail CSVs, at its
+  default seed, written from its 96 sweep-point blocks as
+  ``run_campaign`` writes them: the rounded rows handed to ``summarize``,
+  then the detail file block by block.  ``batch`` is the row count,
+  ``blocks`` the block count.
 * ``strategies.smf_weights``: SMF's evaluation at figure-joint's M=4,
   N=8 point on its default seed's 45 channels (15 locations x 3 fades):
   the weights, the received tones, the moment rectifier's dc and the RF
@@ -227,6 +232,24 @@ def _summarize_row(repeat, number):
                                        number)}
 
 
+def _write_csv_row(repeat, number):
+    config = campaign.figure_config("figure-joint")
+    index, blocks = campaign._detail_rows(config,
+                                          campaign._rect_model(config))
+    with tempfile.TemporaryDirectory() as out:
+        detail = os.path.join(out, "detail.csv")
+        summary = os.path.join(out, "summary.csv")
+
+        def write():
+            campaign.summarize(campaign._summary_rows(index, blocks), summary)
+            campaign._write_detail(detail, index, blocks)
+
+        return {"layer": "campaign.write_csv",
+                "batch": sum(columns[0].size for _, columns in blocks),
+                "blocks": len(blocks),
+                "median_us": median_us(write, repeat, number)}
+
+
 def _point_channels_row(repeat, number):
     m, n = 4, 8
     config, taps = _point_taps()
@@ -361,6 +384,7 @@ def main(argv=None):
     rows.append(_session_row(model, args.seed, args.repeat, args.number))
     rows.append(_channel_row(grid, args.seed, args.repeat, args.number))
     rows.append(_summarize_row(args.repeat, args.number))
+    rows.append(_write_csv_row(args.repeat, args.number))
     rows.append(_smf_row(model, args.repeat, args.number))
     rows.append(_point_channels_row(args.repeat, args.number))
     rows.extend(_papr_row(n, gen, args.repeat, args.number)

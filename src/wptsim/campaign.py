@@ -28,19 +28,30 @@ LIMITED runs one run_session call per (M, N, K) point, whose batch axis
 is the locations' sessions, each on its own stream; its reports equal
 those of every session run on its own.
 
+Each sweep point's detail rows are one block of (locations, frames)
+columns (_detail_rows).  The blocks are sorted by (strategy, M, N, K), and
+one permutation, taken once, puts every block's locations in label order
+(L1, L10, ..., L15, L2, ...); frames run in order.  So the rows, read
+block by block, are sorted by the literal tuple (strategy, M, N, K,
+location, frame) without sorting a row.  The summary is written first,
+from every row's rounded dc power, and then the detail file, one join and
+one write per block.
+
 Determinism contract: all randomness is keyed by (seed, purpose, indices)
 Philox streams, every sweep point draws from its own streams, and rows are
-sorted by the literal tuple (strategy, M, N, K, location, frame) before
-writing, so the bytes never depend on the order sweep points run in.
-Floats are written with 6 significant digits ("%.6g"), gains with 4
-decimals.
+written in that sorted order, so the bytes never depend on the order sweep
+points run in.  Every float field is written through one %-template
+format, _FLOAT ("%.6g": 6 significant digits, the bytes of
+format(x, ".6g")), gains with 4 decimals.
 """
 
 from __future__ import annotations
 
+import bisect
 import configparser
 import contextlib
 import itertools
+import operator
 import os
 from dataclasses import dataclass, replace
 
@@ -318,13 +329,8 @@ def load_config(path) -> CampaignConfig:
 # ---------------------------------------------------------------------------
 # execution
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".6g")
-
-
-def _row_key(row):
-    """A detail row's sort key: (strategy, M, N, K, location, frame)."""
-    return row[:6]
+#: the %-format of every float field of both CSVs, save the summary's gain
+_FLOAT = "%.6g"
 
 
 def _rect_model(config: CampaignConfig):
@@ -477,8 +483,20 @@ def _make_dirs(out: str) -> list:
     return made
 
 
-def _detail_rows(config: CampaignConfig, rect_model) -> list:
-    """Every detail row of the campaign as a tuple, sorted by _row_key.
+def _detail_rows(config: CampaignConfig, rect_model) -> tuple[tuple, list]:
+    """Every detail row of the campaign, one block per sweep point.
+
+    A block is ((strategy, M, N, K), columns): the point's p_dc, p_rf,
+    selected, applied, feedback_ok, e_train and e_wpt, each a (locations,
+    frames) array whose rows follow the locations' label order.  UP and
+    SMF share constant selection, feedback and training columns (e_train
+    a float column, written as every float is), and their e_wpt is
+    p_dc * t_frame.  The blocks are sorted by their point, so their rows,
+    read in order, are sorted by (strategy, M, N, K, location, frame).
+
+    Returns:
+        (index, blocks): index is (labels, frames), each line's location
+        label and frame within a block, in line order.
 
     Raises:
         ConfigError: the ADC is on and reads 0 V for every LIMITED training
@@ -489,7 +507,14 @@ def _detail_rows(config: CampaignConfig, rect_model) -> list:
                                (config.pathloss_db_min, config.pathloss_db_max))
     smf_params = SmfParams(power_budget=config.transmit_power_w)
     taps = _taps(config, locations)
-    labels = [location.label for location in locations]
+    # the one permutation that puts the locations in label order
+    order = sorted(range(len(locations)), key=lambda s: locations[s].label)
+    frames = config.frames_per_location
+    index = ([locations[s].label for s in order for _ in range(frames)],
+             list(range(frames)) * len(order))
+    shape = (len(order), frames)
+    constant = (np.zeros(shape, int), np.zeros(shape, int),
+                np.ones(shape, int), np.zeros(shape))
     if LIMITED in config.strategies:
         # every LIMITED session shares one frame timing, link and ADC; a
         # session that cannot draw gets no stream
@@ -497,7 +522,7 @@ def _detail_rows(config: CampaignConfig, rect_model) -> list:
         link, adc = config.link_model(), config.adc_config()
         draws = session_draws(link, adc)
     adc_reads_signal = False
-    rows = []
+    blocks = []
     for m, n in itertools.product(config.antenna_counts, config.tone_counts):
         grid = config.tone_grid(n)
         sweep, books = _books(config, m, grid)
@@ -519,12 +544,9 @@ def _detail_rows(config: CampaignConfig, rect_model) -> list:
                 for x in (_dc_power(rect_model, tones, grid),
                           received_rf_power(tones)))
         for strategy, (p_dc, p_rf) in fixed.items():
-            for label, loc_dc, loc_rf in zip(labels, p_dc.tolist(),
-                                             p_rf.tolist()):
-                rows.extend((strategy, m, n, 0, label, frame, dc, rf, 0, 0,
-                             1, 0.0, dc * config.t_frame)
-                            for frame, (dc, rf) in enumerate(zip(loc_dc,
-                                                                 loc_rf)))
+            p_dc = p_dc[order]
+            blocks.append(((strategy, m, n, 0), (p_dc, p_rf[order])
+                           + constant + (p_dc * config.t_frame,)))
         for k, (book, columns) in books.items():
             # every location's session of the point in one batch, each
             # on its own stream
@@ -535,13 +557,11 @@ def _detail_rows(config: CampaignConfig, rect_model) -> list:
                                  link, gens,
                                  (dcs[..., columns], p_rfs[..., columns]))
             adc_reads_signal |= bool(report.measurements.any())
-            per_location = zip(*(field.tolist() for field in (
-                report.p_dc_wpt, report.p_rf_wpt, report.selected_index,
-                report.applied_index, report.feedback_delivered.astype(int),
-                report.energy_training, report.energy_wpt)))
-            for label, fields in zip(labels, per_location):
-                rows.extend((LIMITED, m, n, k, label, frame) + values
-                            for frame, values in enumerate(zip(*fields)))
+            blocks.append(((LIMITED, m, n, k), tuple(
+                field[order] for field in (
+                    report.p_dc_wpt, report.p_rf_wpt, report.selected_index,
+                    report.applied_index, report.feedback_delivered,
+                    report.energy_training, report.energy_wpt))))
     if config.adc_enabled and LIMITED in config.strategies \
             and not adc_reads_signal:
         raise ConfigError(
@@ -549,8 +569,36 @@ def _detail_rows(config: CampaignConfig, rect_model) -> list:
             f"{config.adc_resolution_bits}-bit ADC (v_ref {config.adc_v_ref} "
             f"V, load {config.adc_load_resistance} ohm) resolves none of the "
             f"harvested dc levels, so every frame would select codeword 1")
-    rows.sort(key=_row_key)
-    return rows
+    blocks.sort(key=operator.itemgetter(0))
+    return index, blocks
+
+
+def _summary_rows(index: tuple, blocks: list) -> list:
+    """Every detail row's (strategy, M, N, K, location, frame, p_dc_w).
+
+    p_dc_w is rounded as the detail file writes it, so summarize averages
+    the dc power as written.
+    """
+    return [point + (label, frame, float(_FLOAT % p_dc))
+            for point, columns in blocks
+            for label, frame, p_dc in zip(*index,
+                                          columns[0].ravel().tolist())]
+
+
+def _write_detail(path: str, index: tuple, blocks: list) -> None:
+    """Write detail.csv: one %-template per line, one write per block.
+
+    Values come from .tolist(), as Python scalars: "%.6g" and "%d" write
+    the bytes of format(x, ".6g") and str(i), and feedback_ok's bools
+    read 0 or 1.
+    """
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write(DETAIL_HEADER + "\n")
+        for (strategy, m, n, k), columns in blocks:
+            line = (f"{strategy},{m},{n},{k},%s,%d,{_FLOAT},{_FLOAT},%d,%d,"
+                    f"%d,{_FLOAT},{_FLOAT}\n")
+            fh.write("".join([line % values for values in zip(
+                *index, *(column.ravel().tolist() for column in columns))]))
 
 
 def run_campaign(config: CampaignConfig, out_dir=None,
@@ -598,14 +646,11 @@ def run_campaign(config: CampaignConfig, out_dir=None,
     except OSError as exc:
         raise OSError(f"output directory {out!r} is not writable: {exc}")
     try:
-        rows = _detail_rows(config, rect_model)
-        # the summary averages the dc power as written, rounded; it is
-        # taken before either file is written, so a summary that fails
-        # leaves neither
-        p_dcs = [_fmt(r[6]) for r in rows]
+        index, blocks = _detail_rows(config, rect_model)
+        # the summary is written first, so a summary that fails leaves no
+        # CSV behind
         summary_path = os.path.join(out, "summary.csv")
-        summarize([r[:6] + (float(p_dc),) for r, p_dc in zip(rows, p_dcs)],
-                  summary_path)
+        summarize(_summary_rows(index, blocks), summary_path)
     except BaseException:
         # a run that writes no CSV leaves no directory of its own behind
         for path in made:
@@ -613,13 +658,7 @@ def run_campaign(config: CampaignConfig, out_dir=None,
                 os.rmdir(path)
         raise
     detail_path = os.path.join(out, "detail.csv")
-    with open(detail_path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(DETAIL_HEADER + "\n")
-        for r, p_dc in zip(rows, p_dcs):
-            fh.write(",".join([r[0], str(r[1]), str(r[2]), str(r[3]), r[4],
-                               str(r[5]), p_dc, _fmt(r[7]), str(r[8]),
-                               str(r[9]), str(r[10]), _fmt(r[11]),
-                               _fmt(r[12])]) + "\n")
+    _write_detail(detail_path, index, blocks)
     return detail_path, summary_path
 
 
@@ -633,16 +672,6 @@ def db_gain(p: float, p_ref: float) -> float:
     return 10.0 * float(np.log10(p / p_ref))
 
 
-def _means(pairs) -> dict:
-    """Each key's mean over its (key, value) pairs, summed in their order."""
-    sums: dict = {}
-    for key, value in pairs:
-        acc = sums.setdefault(key, [0.0, 0])
-        acc[0] += value
-        acc[1] += 1
-    return {key: total / count for key, (total, count) in sums.items()}
-
-
 def summarize(rows, out_path=None) -> list[SummaryRow]:
     """Aggregate detail rows into summary rows (and optionally a file).
 
@@ -654,8 +683,12 @@ def summarize(rows, out_path=None) -> list[SummaryRow]:
     (strategy, M, N, K): the ALL row, mean of the location means.  Gains
     are taken against the (UP, M=1, N=1) mean at the same location (or the
     ALL baseline for ALL rows), so baseline rows are exactly 0 dB.  Rows
-    are sorted lexicographically; means are accumulated in sorted row
-    order, making the output independent of input row order.
+    are sorted lexicographically and aggregated in one pass over them,
+    each mean summed left to right in sorted row order, making the output
+    independent of input row order.  Every gain comes from one vectorized
+    np.log10 call, which gives each ratio db_gain's own np.log10 bits;
+    math.log10 cannot replace it, as it differs from numpy's in the last
+    bit of some ratios.
 
     Raises:
         SummaryError: the (UP, M=1, N=1) baseline is missing, for the
@@ -663,47 +696,62 @@ def summarize(rows, out_path=None) -> list[SummaryRow]:
         SummaryError: a location's mean dc power, or its baseline's, is 0 W
             (no ALL row can fail once every location row passes).
     """
-    rows = sorted(rows, key=_row_key)
-    loc_mean = _means((row[:5], row[6]) for row in rows)
-    point_mean = _means((key[:4], loc_mean[key]) for key in sorted(loc_mean))
+    rows = sorted(rows, key=lambda row: row[:6])
+    means = {}      # point -> ({location: mean}, mean of the location means)
+    for point, point_rows in itertools.groupby(rows,
+                                               key=lambda row: row[:4]):
+        locations, point_total = {}, 0.0
+        for location, location_rows in itertools.groupby(
+                point_rows, key=operator.itemgetter(4)):
+            total, count = 0.0, 0
+            for row in location_rows:
+                total += row[6]
+                count += 1
+            locations[location] = total / count
+            point_total += locations[location]
+        means[point] = locations, point_total / len(locations)
 
     baseline_point = (UP, 1, 1, 0)
-    if baseline_point not in point_mean:
+    if baseline_point not in means:
         raise SummaryError(
             "missing baseline rows (strategy=UP, M=1, N=1, K=0)")
+    base, base_all = means[baseline_point]
 
-    summary = []
-    for key in sorted(loc_mean):
-        strategy, m, n, k, location = key
-        base_key = baseline_point + (location,)
-        if base_key not in loc_mean:
-            raise SummaryError(
-                f"missing baseline row (strategy=UP, M=1, N=1, K=0, "
-                f"location={location})")
-        if not (loc_mean[key] > 0 and loc_mean[base_key] > 0):
-            raise SummaryError(
-                f"no dB gain for (strategy={strategy}, M={m}, N={n}, K={k}, "
-                f"location={location}): mean dc {loc_mean[key]} W, baseline "
-                f"{loc_mean[base_key]} W")
-        summary.append(SummaryRow(strategy, m, n, k, location,
-                                  loc_mean[key],
-                                  db_gain(loc_mean[key], loc_mean[base_key])))
-    for point in sorted(point_mean):
-        strategy, m, n, k = point
-        summary.append(SummaryRow(strategy, m, n, k, ALL_LOCATIONS,
-                                  point_mean[point],
-                                  db_gain(point_mean[point],
-                                          point_mean[baseline_point])))
-    summary.sort(key=lambda r: (r.strategy, r.m_antennas, r.n_tones,
-                                r.k_codewords, r.location))
+    # (point, location, mean, baseline mean) in summary order: a point's
+    # ALL row sorts among its locations by its label
+    entries = []
+    for point, (locations, point_mean) in means.items():
+        point_entries = []
+        for location, mean in locations.items():
+            if location not in base:
+                raise SummaryError(
+                    f"missing baseline row (strategy=UP, M=1, N=1, K=0, "
+                    f"location={location})")
+            if not (mean > 0 and base[location] > 0):
+                strategy, m, n, k = point
+                raise SummaryError(
+                    f"no dB gain for (strategy={strategy}, M={m}, N={n}, "
+                    f"K={k}, location={location}): mean dc {mean} W, "
+                    f"baseline {base[location]} W")
+            point_entries.append((point, location, mean, base[location]))
+        point_entries.insert(bisect.bisect_right(list(locations),
+                                                 ALL_LOCATIONS),
+                             (point, ALL_LOCATIONS, point_mean, base_all))
+        entries.extend(point_entries)
+    gains = 10.0 * np.log10(np.array([e[2] for e in entries])
+                            / np.array([e[3] for e in entries]))
+    summary = [SummaryRow(*point, location, mean, gain)
+               for (point, location, mean, _), gain in zip(entries,
+                                                          gains.tolist())]
 
     if out_path is not None:
+        line = f"%s,%s,%s,%s,%s,{_FLOAT},%.4f\n"
         with open(out_path, "w", encoding="ascii", newline="\n") as fh:
             fh.write(SUMMARY_HEADER + "\n")
-            for r in summary:
-                fh.write(f"{r.strategy},{r.m_antennas},{r.n_tones},"
-                         f"{r.k_codewords},{r.location},{_fmt(r.p_dc_mean_w)},"
-                         f"{r.gain_db:.4f}\n")
+            fh.write("".join([line % (r.strategy, r.m_antennas, r.n_tones,
+                                      r.k_codewords, r.location,
+                                      r.p_dc_mean_w, r.gain_db)
+                              for r in summary]))
     return summary
 
 

@@ -422,12 +422,69 @@ def test_detail_header_and_shape(mini_run):
     assert len(lines) - 1 == expected_rows
 
 
-def test_detail_rows_are_sorted(mini_run):
-    _, detail, _ = mini_run
-    rows = [l.split(",") for l in open(detail).read().splitlines()[1:]]
-    keys = [(r[0], int(r[1]), int(r[2]), int(r[3]), r[4], int(r[5]))
-            for r in rows]
+def _keys(path, fields):
+    """Each data line's first fields of a CSV, M, N, K and frame as ints."""
+    with open(path, encoding="ascii") as fh:
+        return [tuple(int(x) if i in (1, 2, 3, 5) else x
+                      for i, x in enumerate(line.split(",")[:fields]))
+                for line in fh.read().splitlines()[1:]]
+
+
+def test_detail_rows_are_sorted(mini_run, tmp_path):
+    _, detail, summary = mini_run
+    keys = _keys(detail, 6)
     assert keys == sorted(keys)
+    # 12 locations sort L10 before L2: each point's rows follow the
+    # locations' label order, and each row still carries its own
+    # location's channel
+    from wptsim import campaign, effective_tones, up_weights
+    from wptsim.protocol import _dc_power
+    cfg = _mini_config(antenna_counts=(1,), tone_counts=(1,),
+                       codebook_sizes=(2,), n_locations=12)
+    detail, summary = run_campaign(cfg, out_dir=tmp_path)
+    keys = _keys(detail, 6)
+    assert keys == sorted(keys)
+    labels = [f"L{i}" for i in (1, 10, 11, 12, 2, 3, 4, 5, 6, 7, 8, 9)]
+    assert [key[4] for key in keys[:24:2]] == labels
+    summary_keys = _keys(summary, 5)
+    assert summary_keys == sorted(summary_keys)
+    assert [key[4] for key in summary_keys[:13]] == [ALL_LOCATIONS] + labels
+    grid = cfg.tone_grid(1)
+    rect_model = campaign._rect_model(cfg)
+    up = up_weights(1, grid, cfg.transmit_power_w)
+    locations = make_locations(cfg.n_locations, cfg.seed,
+                               cfg.channel_template,
+                               (cfg.pathloss_db_min, cfg.pathloss_db_max))
+    expected = {(location.label, frame): "%.6g" % _dc_power(
+                    rect_model, effective_tones(realize_channel(
+                        location.params, 1, grid, frame=frame), up), grid)
+                for location in locations
+                for frame in range(cfg.frames_per_location)}
+    with open(detail, encoding="ascii") as fh:
+        rows = {(parts[4], int(parts[5])): parts[6]
+                for parts in (line.split(",")
+                              for line in fh.read().splitlines()[1:])
+                if parts[0] == "UP"}
+    assert rows == expected
+
+
+def test_percent_templates_write_the_format_bytes():
+    # the CSV lines are %-templates; "%.6g", "%.4f" (the summary's gain)
+    # and "%d" must write the bytes of format(x, ".6g"), format(x, ".4f")
+    # and str(i) for every value
+    gen = np.random.default_rng(20260818)
+    floats = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e300,
+              0.1234565, 1234565.0, 1.0000005, 9.9999995, 999999.5,
+              1.5e-7, 2.5e-5]
+    floats += (10.0 ** gen.uniform(-300, 300, 4000)).tolist()
+    floats += [-x for x in floats[:8]]
+    for x in floats:
+        assert "%.6g" % x == format(x, ".6g"), x
+        assert "%.4f" % x == format(x, ".4f"), x
+    ints = [0, 1, 9, 10, 63, 64, 4320, 2**31, 2**63 + 1, True, False]
+    ints += gen.integers(-10**9, 10**9, 1000).tolist()
+    for i in ints:
+        assert "%d" % i == str(int(i)), i
 
 
 def test_detail_number_formats(mini_run):
@@ -481,6 +538,27 @@ def test_summary_all_rows_follow_location_means(mini_run, tmp_path):
         agg = by_key[point + (ALL_LOCATIONS,)]
         assert agg.p_dc_mean_w == pytest.approx(
             np.mean([r.p_dc_mean_w for r in locs]), rel=1e-9)
+
+
+def test_summary_gains_are_db_gain_to_the_bit(mini_run):
+    # every gain comes from one vectorized np.log10 call; it must carry
+    # the bits of db_gain, whose np.log10 runs on one ratio
+    _, detail, _ = mini_run
+    gen = np.random.default_rng(7)
+    p_dcs = (10.0 ** gen.uniform(-9, -3, 4000)).tolist()
+    for rows in ([(s, int(m), int(n), int(k), loc, int(frame), float(p_dc))
+                  for s, m, n, k, loc, frame, p_dc, *_ in (
+                      line.split(",")
+                      for line in open(detail).read().splitlines()[1:])],
+                 [(strategy, 1, 1, 0, f"L{i}", 0, p_dcs.pop())
+                  for strategy in ("SMF", "UP") for i in range(2000)]):
+        summary = summarize(rows)
+        base = {r.location: r.p_dc_mean_w for r in summary
+                if (r.strategy, r.m_antennas, r.n_tones) == ("UP", 1, 1)}
+        for r in summary:
+            assert r.gain_db == db_gain(r.p_dc_mean_w, base[r.location]), r
+        # the gains are not all 0 dB
+        assert len({r.gain_db for r in summary}) > len(summary) // 2
 
 
 def test_rerun_is_byte_identical(tmp_path):
@@ -884,7 +962,7 @@ def test_up_rows_read_from_the_sweep_equal_frame_by_frame(
     from wptsim import campaign, effective_tones, received_rf_power, \
         up_weights
     from wptsim.protocol import _dc_power
-    monkeypatch.setattr(campaign, "_fmt", lambda x: repr(float(x)))
+    monkeypatch.setattr(campaign, "_FLOAT", "%r")
     _write_table(tmp_path / "eta.csv")
     cfg = _mini_config(strategies=strategies, antenna_counts=(1, 2, 4),
                        tone_counts=(1, 2, 8), frames_per_location=3,
@@ -933,7 +1011,7 @@ def test_limited_rows_equal_each_session_run_alone(
     # detail CSV is written with repr here: "%.6g" hides last-bit changes
     from wptsim import campaign, run_session, stream
     from wptsim.rng import SESSION
-    monkeypatch.setattr(campaign, "_fmt", lambda x: repr(float(x)))
+    monkeypatch.setattr(campaign, "_FLOAT", "%r")
     _write_table(tmp_path / "eta.csv")
     cfg = _mini_config(strategies=("UP", "LIMITED"), antenna_counts=(1, 2, 4),
                        tone_counts=(1, 2, 8), codebook_sizes=(1, 2, 4),
@@ -993,7 +1071,7 @@ def test_smf_rows_of_a_stacked_point_equal_the_per_channel_calls(
     from wptsim import (SmfParams, campaign, effective_tones,
                         received_rf_power, smf_weights)
     from wptsim.protocol import _dc_power
-    monkeypatch.setattr(campaign, "_fmt", lambda x: repr(float(x)))
+    monkeypatch.setattr(campaign, "_FLOAT", "%r")
     stacks = []
     monkeypatch.setattr(campaign, "smf_weights", lambda channel, params: (
         stacks.append(channel.gains.shape), smf_weights(channel, params))[1])

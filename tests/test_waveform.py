@@ -459,9 +459,9 @@ def test_bench_kernel_script_writes_its_table(tmp_path):
     assign = rows[17:19]
     assert [(r["layer"], r["pathloss_db"]) for r in assign] == \
         [("codebook._assign", 60.0), ("codebook._assign", 0.0)]
-    iteration, session, channel, summary, smf, point = rows[19:25]
-    papr_rows = rows[25:]
-    assert len(rows) == 28
+    iteration, session, channel, summary, write, smf, point = rows[19:26]
+    papr_rows = rows[26:]
+    assert len(rows) == 29
     assert (iteration["layer"], iteration["m_antennas"],
             iteration["n_tones"], iteration["k_codewords"],
             iteration["batch"]) == ("codebook.train_iteration", 4, 8, 64, 1000)
@@ -478,6 +478,11 @@ def test_bench_kernel_script_writes_its_table(tmp_path):
     # sizes) x 15 locations x 3 frames
     assert (summary["layer"], summary["batch"]) == \
         ("campaign.summarize", 4320)
+    # the same rows and summary written from figure-joint's 96 blocks: 12
+    # (M, N) points x (UP, SMF and 6 codebook sizes)
+    assert set(write) == {"layer", "batch", "blocks", "median_us"}
+    assert (write["layer"], write["batch"], write["blocks"]) == \
+        ("campaign.write_csv", 4320, 96)
     # one figure-joint point: 15 locations x 3 fades
     assert (smf["layer"], smf["m_antennas"], smf["n_tones"],
             smf["batch"]) == ("strategies.smf_weights", 4, 8, 45)
