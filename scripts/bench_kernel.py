@@ -32,9 +32,10 @@ Layer rows, on random complex amplitudes and channel gains:
   for the nested books K in {2, ..., 64}, as ``run_campaign`` runs them
   on a lossless link with no ADC: one batched call per K over every
   location's session, with no session stream.  ``per_k_sweep_us`` lets
-  each K's call sweep its own book; ``median_us`` sweeps the K_max book
-  once per fade draw over every location and hands each K its columns,
-  as ``campaign._point_sweep`` does; ``with_streams_us`` runs the
+  each K's call sweep its own book and rate UP's codeword; ``median_us``
+  sweeps the K_max book, whose row 0 is UP's codeword, once per fade
+  draw over every location and hands each K UP's column and its own, as
+  ``campaign._point_sweep`` does; ``with_streams_us`` runs the
   ``median_us`` calls with one ``rng.stream`` per session, as a lossy
   link or a noisy ADC needs.
 * ``channel.realize_channel`` at M=4, N=8: one channel's tap stream,
@@ -58,6 +59,13 @@ Layer rows, on random complex amplitudes and channel gains:
   is ``campaign._point_channels``, one stacked ``frequency_response``
   call and a view of its gains per fade, as ``run_campaign`` builds
   them; ``per_fade_us`` calls ``frequency_response`` once per fade.
+* ``campaign.table_point``: the M=2, N=8 point of the benchmark's
+  ``campaign-table`` sweep (2 locations x 2 fades at the default seed,
+  nested books K in {2, 4}) on a synthetic efficiency table: the sweep
+  of its K_max book, UP's codeword first, once per fade draw, plus SMF
+  rated on the stack of its fades, as ``run_campaign`` rates them.
+  ``papr_calls`` counts the RF-sampled ``papr`` calls of one point and
+  ``papr_us`` is their time within it.
 * ``waveform.papr`` for N in {1, 8, 16} tones at oversampling 32, on
   random amplitudes: ``median_us`` is one ``papr`` call on the cached
   phasor matrix, ``table_us`` one ``rectenna.dc_power_table`` call on a
@@ -84,6 +92,7 @@ import statistics
 import sys
 import tempfile
 import tracemalloc
+from time import perf_counter
 from timeit import Timer
 
 import numpy as np
@@ -94,7 +103,7 @@ from wptsim import (ChannelModelParams, ChannelRealization, DiodeMomentModel,
                     effective_tones, frequency_response, gen_nested,
                     make_locations, papr, realize_channel,
                     received_rf_power, rng, run_session, smf_weights)
-from wptsim import campaign, waveform
+from wptsim import campaign, rectenna, waveform
 from wptsim.codebook import _amplitudes, _assign, _dc_and_grad, _sphere
 from wptsim.protocol import _dc_power
 from wptsim.waveform import tone_moments
@@ -193,7 +202,8 @@ def _session_row(model, seed, repeat, number):
             run_session(timing, book, fades, model, None, link,
                         [rng.stream(seed, rng.SESSION, k, s) if streams
                          else None for s in range(len(fades))],
-                        (dcs[..., :k], p_rfs[..., :k]) if shared else None)
+                        (dcs[..., np.r_[0, :k]], p_rfs[..., np.r_[0, :k]])
+                        if shared else None)
 
     return {"layer": "protocol.run_session", "m_antennas": m,
             "n_tones": grid.n_tones, "sessions": len(fades),
@@ -285,6 +295,64 @@ def _smf_row(model, repeat, number):
             "per_channel_us": median_us(lambda: [rate(ch) for ch in fades],
                                         repeat, number),
             "median_us": median_us(lambda: rate(flat), repeat, number)}
+
+
+def _table_point_row(repeat, number):
+    m, n = 2, 8
+    with tempfile.TemporaryDirectory() as out:
+        # efficiency rising with power and with PAPR, over every power
+        # and PAPR the point queries
+        path = os.path.join(out, "efficiency.csv")
+        lines = ["p_dbm,papr,eta"]
+        for p_dbm in (-300.0, -150.0, -100.0, -60.0, -30.0, 0.0, 30.0):
+            for q in (1.0, 2.0, 4.0, 8.0, 16.0, 24.0):
+                eta = 0.7 / (1.0 + np.exp(-(p_dbm + 30.0 + 3.0 * np.log2(q))
+                                          / 6.0))
+                lines.append(f"{p_dbm!r},{q!r},{float(eta)!r}")
+        with open(path, "w", encoding="ascii") as fh:
+            fh.write("\n".join(lines) + "\n")
+        config = campaign.CampaignConfig(
+            antenna_counts=(1, 2), tone_counts=(1, 8), codebook_sizes=(2, 4),
+            n_locations=2, frames_per_location=2, rectifier_model="table",
+            table_path=path, adc_enabled=True,
+            link_delivery_probability=0.8)
+        model = campaign._rect_model(config)
+    locations = make_locations(
+        config.n_locations, config.seed, config.channel_template,
+        (config.pathloss_db_min, config.pathloss_db_max))
+    grid = config.tone_grid(n)
+    sweep, _ = campaign._books(config, m, grid)
+    stack, fades = campaign._point_channels(
+        config, campaign._taps(config, locations), m, grid)
+    flat = ChannelRealization(grid=grid, gains=stack.gains.reshape(-1, m, n))
+    smf = SmfParams(power_budget=config.transmit_power_w)
+
+    def point():
+        campaign._point_sweep(sweep, fades, stack.gains.shape[1], model)
+        tones = effective_tones(flat, smf_weights(flat, smf))
+        return _dc_power(model, tones, grid), received_rf_power(tones)
+
+    # papr's calls and time in one warm point (the first builds the
+    # phasor matrix), through the name dc_power_table resolves
+    point()
+    spans, real = [], rectenna.papr
+
+    def timed(*args):
+        start = perf_counter()
+        try:
+            return real(*args)
+        finally:
+            spans.append(perf_counter() - start)
+
+    rectenna.papr = timed
+    try:
+        point()
+    finally:
+        rectenna.papr = real
+    return {"layer": "campaign.table_point", "m_antennas": m, "n_tones": n,
+            "batch": len(flat.gains), "k_codewords": sweep.k_codewords,
+            "papr_calls": len(spans), "papr_us": 1e6 * sum(spans),
+            "median_us": median_us(point, repeat, number)}
 
 
 def _papr_row(n, gen, repeat, number):
@@ -387,6 +455,7 @@ def main(argv=None):
     rows.append(_write_csv_row(args.repeat, args.number))
     rows.append(_smf_row(model, args.repeat, args.number))
     rows.append(_point_channels_row(args.repeat, args.number))
+    rows.append(_table_point_row(args.repeat, args.number))
     rows.extend(_papr_row(n, gen, args.repeat, args.number)
                 for n in PAPR_TONES)
 
@@ -414,6 +483,9 @@ def main(argv=None):
         if "exact_pairs" in row:
             line += (f"  ({row['exact_pairs']} exact pairs, "
                      f"{row['minor_faults']:.0f} minor faults)")
+        if "papr_calls" in row:
+            line += (f"  ({row['papr_calls']} papr calls, "
+                     f"{row['papr_us']:.1f} us)")
         if "per_fade_us" in row:
             line += f"  (per fade: {row['per_fade_us']:.1f} us)"
         if "per_channel_us" in row:

@@ -16,14 +16,17 @@ Every location's taps are drawn once, at the largest antenna count
 (_taps).  At each (M, N) point one frequency_response call turns their
 first M rows into every location's fades, each fade a view of that one
 gains array (_point_channels).  The point's book holds each swept
-codeword once: every K's book is a contiguous slice of its columns, and
-UP's codeword is its last row (_books).  The books come from
-codebooks(), which ``wptsim codebook`` writes to file.  The book is swept
-once per fade draw, over every location's channel of that draw
-(_point_sweep), so no channel is swept twice.  SMF is rated once per
-point, on the same gains array: one call each of smf_weights,
-effective_tones, the rectifier and received_rf_power, each row equal to
-its channel's own call to the bit.
+codeword once: UP's codeword is column 0, and every K's book is a
+contiguous slice of its columns; a nested K_max book starts with UP's
+codeword, so it is the sweep book as it stands (_books).  The books come
+from codebooks(), which ``wptsim codebook`` writes to file.  The book is
+swept once per fade draw, over every location's channel of that draw
+(_point_sweep), so no channel is swept twice and UP's codeword is rated
+once per channel: the UP rows read column 0, and so does a LIMITED frame
+that falls back to UP, since each K's sessions get UP's column ahead of
+their own.  SMF is rated once per point, on the same gains array: one
+call each of smf_weights, effective_tones, the rectifier and
+received_rf_power, each row equal to its channel's own call to the bit.
 LIMITED runs one run_session call per (M, N, K) point, whose batch axis
 is the locations' sessions, each on its own stream; its reports equal
 those of every session run on its own.
@@ -381,30 +384,28 @@ def _books(config: CampaignConfig, m: int,
            grid: ToneGrid) -> tuple[Codebook, dict]:
     """The (M, N) point's sweep book and each swept K's book and columns.
 
-    The sweep book holds every codeword the point sweeps once, so each
-    K's book is one contiguous slice of its columns: a nested family
-    sweeps its K_max book and K reads columns 0..K-1, random and Lloyd
-    books are concatenated in K order, and UP's codeword, which every
-    campaign sweeps for its gain baseline, is the last row.
+    The sweep book holds every codeword the point sweeps once, and UP's
+    codeword, which every campaign sweeps for its gain baseline and every
+    LIMITED session falls back to, is column 0.  Each K's book is one
+    contiguous slice of its columns: a nested family sweeps its K_max
+    book, whose row 0 is UP's codeword byte for byte, and K reads
+    columns 0..K-1; random and Lloyd books follow UP in K order.
 
     Returns:
         (sweep, books): books maps each K, when LIMITED is swept, to (its
         Codebook, its slice of the sweep book's columns).
     """
+    power = config.transmit_power_w
     made = (codebooks(config, m, grid)
             if LIMITED in config.strategies else {})
-    words, books = [], {}
     if made and config.codebook_method == "nested":
-        words.append(made[max(made)].weights)
         books = {k: (book, slice(0, k)) for k, book in made.items()}
-    else:
-        stop = 0
-        for k, book in made.items():
-            books[k] = (book, slice(stop, stop + k))
-            words.append(book.weights)
-            stop += k
-    power = config.transmit_power_w
-    words.append(up_weights(m, grid, power).weights[None])
+        return made[max(made)], books
+    words, books, stop = [up_weights(m, grid, power).weights[None]], {}, 1
+    for k, book in made.items():
+        books[k] = (book, slice(stop, stop + k))
+        words.append(book.weights)
+        stop += k
     return Codebook(np.concatenate(words), power), books
 
 
@@ -531,8 +532,8 @@ def _detail_rows(config: CampaignConfig, rect_model) -> tuple[tuple, list]:
         # a column equals that codeword's sweep in its own book to the
         # last bit
         dcs, p_rfs = _point_sweep(sweep, fades, n_draws, rect_model)
-        # UP's codeword is the sweep book's last row
-        fixed = {UP: (dcs[..., -1], p_rfs[..., -1])}
+        # UP's codeword is the sweep book's column 0
+        fixed = {UP: (dcs[..., 0], p_rfs[..., 0])}
         if SMF in config.strategies:
             # every location's draws in one stack; a row equals that
             # channel's own SMF evaluation to the last bit
@@ -549,13 +550,14 @@ def _detail_rows(config: CampaignConfig, rect_model) -> tuple[tuple, list]:
                            + constant + (p_dc * config.t_frame,)))
         for k, (book, columns) in books.items():
             # every location's session of the point in one batch, each
-            # on its own stream
+            # on its own stream; UP's column, the fallback, leads the book's
+            take = np.r_[0, columns]
             gens = [rngmod.stream(config.seed, rngmod.SESSION,
                                   _STRATEGY_IDS[LIMITED], m, n, k, loc_idx)
                     if draws else None for loc_idx in range(len(locations))]
             report = run_session(timing, book, fades, rect_model, adc,
                                  link, gens,
-                                 (dcs[..., columns], p_rfs[..., columns]))
+                                 (dcs[..., take], p_rfs[..., take]))
             adc_reads_signal |= bool(report.measurements.any())
             blocks.append(((LIMITED, m, n, k), tuple(
                 field[order] for field in (

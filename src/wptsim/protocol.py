@@ -10,6 +10,11 @@ previous frame's applied codeword, or the uniform-power codeword on the
 first frame (marker index 0).  The receiver harvests during both phases
 and the report accounts each phase's energy separately.
 
+A session's sweep is UP's codeword and the K codewords rated on each
+frame's channel, UP in column 0 and codeword k in column k, so an
+applied index, the fallback marker 0 included, is its own column: a
+frame reads its WPT powers from the sweep and rates nothing of its own.
+
 run_session is the one session path.  It takes S sessions of F frames at
 once (run_campaign passes every location's session of one (M, N, K)
 point) and computes them as (S, F) arrays: the sessions are the batch
@@ -32,10 +37,11 @@ from .errors import (ConfigError, DomainError, ProtocolError, check_count,
 from .rectenna import (AdcConfig, DiodeMomentModel, dc_power_moment,
                        dc_power_table, measure_dc)
 from .strategies import feedback_bits, select_codeword, up_weights
-from .waveform import (EffectiveTones, effective_tones, received_rf_power,
-                       second_moment, tone_moments)
+from .waveform import (EffectiveTones, WaveformWeights, effective_tones,
+                       received_rf_power, second_moment, tone_moments)
 
-#: applied_index value meaning "open-loop uniform power fallback"
+#: applied_index value meaning "open-loop uniform power fallback", and
+#: the UP codeword's column of a session's sweep
 UP_FALLBACK = 0
 
 
@@ -182,6 +188,29 @@ def _sweep(codebook: Codebook, channels, rect_model) -> tuple:
     return dcs[index], m2[index]
 
 
+def _rate_up(codebook: Codebook, channels, rect_model) -> tuple:
+    """The UP codeword's (dc, RF) powers on each channel: a (2, C) array.
+
+    The distinct channel objects of one grid are rated as one stack, one
+    call each of effective_tones, the rectifier and received_rf_power, as
+    the campaign rates SMF; a row equals its channel's own calls to the
+    bit.
+    """
+    groups = {}
+    for ch in channels:
+        groups.setdefault(ch.grid, {})[id(ch)] = ch
+    rated = {}
+    for grid, group in groups.items():
+        stack = ChannelRealization(grid=grid, gains=np.stack(
+            [ch.gains for ch in group.values()]))
+        up = up_weights(codebook.m_antennas, grid, codebook.power_budget)
+        tones = effective_tones(stack, WaveformWeights(
+            np.broadcast_to(up.weights, stack.gains.shape), up.power_budget))
+        rated.update(zip(group, zip(_dc_power(rect_model, tones, grid),
+                                    received_rf_power(tones))))
+    return np.array([rated[id(ch)] for ch in channels]).T
+
+
 @dataclass(frozen=True, eq=False)
 class SessionReport:
     """S sessions of F frames as arrays; frame f of session s is [s, f].
@@ -250,10 +279,12 @@ def run_session(config: FrameConfig, codebook: Codebook, channels,
     compensates float rounding, so it would give other bits than 3.10
     and 3.11).  Only the random draws run frame by frame: each session
     reads its own stream, per frame one ADC reading per codeword (through
-    measure_dc, in codeword order) and then one delivery draw.  A frame
-    that falls back to the UP codeword rates it on its own channel; every
-    other power comes from the sweep.  So each session's reports equal
-    those of run_frame called frame by frame on its stream.
+    measure_dc, in codeword order) and then one delivery draw.  Every
+    applied power, the UP fallback's included, is read from the sweep's
+    column of the applied index with one take_along_axis; the readings
+    and the training energy read the K codeword columns.  So each
+    session's reports equal those of run_frame called frame by frame on
+    its stream.
 
     Args:
         channels: each session's F ChannelRealizations, in frame order;
@@ -261,10 +292,12 @@ def run_session(config: FrameConfig, codebook: Codebook, channels,
         link: the feedback link every frame reports over.
         rngs: each session's stream, or None for a session that cannot
             draw (see session_draws); its feedback always arrives.
-        sweeps: the (dc powers, RF powers) of every frame's K codewords,
-            two (S, F, K) arrays, when the caller already holds them;
-            otherwise the session sweeps each distinct channel object
-            once (under block fading one object serves every frame).
+        sweeps: the (dc powers, RF powers) of every frame's UP codeword
+            and K codewords, two (S, F, 1+K) arrays with UP in column 0
+            and codeword k in column k, when the caller already holds
+            them; otherwise the session sweeps the book on each distinct
+            channel object once (under block fading one object serves
+            every frame) and rates UP on those channels in one batch.
         fallback_state: the applied_index before each session's first
             frame, or None for the UP codeword (marker 0).
 
@@ -293,18 +326,22 @@ def run_session(config: FrameConfig, codebook: Codebook, channels,
     _check_fits(codebook, flat)
     k = codebook.k_codewords
     t_p = config.t_p(k)
-    shape = (len(channels), n_frames.pop(), k)
+    shape = (len(channels), n_frames.pop(), 1 + k)
     if sweeps is None:
-        sweeps = _sweep(codebook, flat, rect_model)
+        sweeps = [np.column_stack(x) for x in zip(
+            _rate_up(codebook, flat, rect_model),
+            _sweep(codebook, flat, rect_model))]
     else:
         for x in sweeps:
             check_shape("sweeps", np.shape(x), shape)
     dcs, p_rfs = (np.reshape(x, shape) for x in sweeps)
+    # the K codewords' powers; UP's column 0 is only ever applied
+    swept = dcs[..., 1:]
     delivered = np.ones(shape[:2], dtype=bool)
-    readings = dcs if adc is None else np.empty(shape)
+    readings = swept if adc is None else np.empty(swept.shape)
     for s, rng in enumerate(rngs):
         if adc is not None:
-            for f, frame_dcs in enumerate(dcs[s].tolist()):
+            for f, frame_dcs in enumerate(swept[s].tolist()):
                 readings[s, f] = [measure_dc(adc, p, rng)[1]
                                   for p in frame_dcs]
                 if rng is not None:
@@ -319,18 +356,11 @@ def run_session(config: FrameConfig, codebook: Codebook, channels,
     applied = np.where(last >= 0, np.take_along_axis(
         selected, np.maximum(last, 0), axis=1),
         UP_FALLBACK if fallback_state is None else fallback_state)
-    column = np.maximum(applied - 1, 0)[..., None]
-    p_dc = np.take_along_axis(dcs, column, axis=-1)[..., 0]
-    p_rf = np.take_along_axis(p_rfs, column, axis=-1)[..., 0]
-    # a codeword's powers come from the sweep; only the UP fallback is new
-    for s, f in zip(*np.nonzero(applied == UP_FALLBACK)):
-        channel = channels[s][f]
-        tones = effective_tones(channel, up_weights(
-            codebook.m_antennas, channel.grid, codebook.power_budget))
-        p_dc[s, f] = _dc_power(rect_model, tones, channel.grid)
-        p_rf[s, f] = received_rf_power(tones)
+    # the applied index is its codeword's column, UP_FALLBACK UP's own
+    p_dc = np.take_along_axis(dcs, applied[..., None], axis=-1)[..., 0]
+    p_rf = np.take_along_axis(p_rfs, applied[..., None], axis=-1)[..., 0]
     return SessionReport(
         measurements=readings, selected_index=selected,
         applied_index=applied, feedback_delivered=delivered,
-        energy_training=np.cumsum(dcs, axis=-1)[..., -1] * config.t_s,
+        energy_training=np.cumsum(swept, axis=-1)[..., -1] * config.t_s,
         energy_wpt=p_dc * t_p, p_dc_wpt=p_dc, p_rf_wpt=p_rf)

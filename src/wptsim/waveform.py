@@ -380,6 +380,6 @@ def papr(tones: EffectiveTones, grid: ToneGrid, oversampling: int = 32) -> float
     a = tones.amplitudes
     if not np.any(np.abs(a) > 0):
         raise ZeroWaveformError("papr of the zero waveform is undefined")
-    y = np.real(e @ a)
-    y2 = y ** 2
-    return float(np.max(y2) / np.mean(y2))
+    y = (e @ a).real
+    y2 = y * y
+    return float(np.maximum.reduce(y2) / (np.add.reduce(y2) / y2.size))

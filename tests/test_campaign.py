@@ -804,16 +804,49 @@ def test_benchmark_table_campaign_frame_events(tmp_path, monkeypatch):
     # the benchmark's campaign-table workload at its default seed: a
     # seed-drawn efficiency table, a noisy ADC and a lossy link; the counts
     # are those the tracer read from its 32 per-frame calls
+    workloads = _benchmark_workloads(monkeypatch)
+    calls = _captured_sessions(monkeypatch)
+    workloads.prepare("campaign-table", 20260818, str(tmp_path)).main()
+    assert len(calls) == 2 * 2 * 2
+    assert _frame_events(calls) == (32, 96, 64, 9, 8)
+
+
+def _benchmark_workloads(monkeypatch):
+    # perfbench/workloads.py, loaded as a module of its own
     path = pathlib.Path(__file__).parents[1] / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("workloads", path)
     workloads = importlib.util.module_from_spec(spec)
     # its dataclasses look their module up in sys.modules
     monkeypatch.setitem(sys.modules, spec.name, workloads)
     spec.loader.exec_module(workloads)
-    calls = _captured_sessions(monkeypatch)
-    workloads.prepare("campaign-table", 20260818, str(tmp_path)).main()
-    assert len(calls) == 2 * 2 * 2
-    assert _frame_events(calls) == (32, 96, 64, 9, 8)
+    return workloads
+
+
+def test_benchmark_table_campaign_rates_each_waveform_once(tmp_path,
+                                                           monkeypatch):
+    # the benchmark's campaign-table sweep at its default seed, on its
+    # seed-drawn table: per (M, N) point the 4 codewords of the nested
+    # K_max = 4 book, UP's the first, and SMF's are rated once on each of
+    # the 2 locations x 2 fades; a frame that falls back to UP reads its
+    # column.  Each table rating samples the RF waveform with one papr call
+    from wptsim import rectenna
+    seed, table_path = 20260818, tmp_path / "efficiency.csv"
+    _benchmark_workloads(monkeypatch).write_table(table_path, seed)
+    cfg = CampaignConfig(antenna_counts=(1, 2), tone_counts=(1, 8),
+                         codebook_sizes=(2, 4), n_locations=2,
+                         frames_per_location=2, seed=seed,
+                         rectifier_model="table", table_path=str(table_path),
+                         adc_enabled=True, link_delivery_probability=0.8)
+    calls, real = [], rectenna.papr
+    monkeypatch.setattr(rectenna, "papr", lambda tones, grid: (
+        calls.append(grid.n_tones), real(tones, grid))[1])
+    detail, _ = run_campaign(cfg, out_dir=tmp_path / "out")
+    # some LIMITED frames fall back to UP, and cost no papr call of their own
+    assert any(line.split(",")[9] == "0"
+               for line in open(detail).read().splitlines()
+               if line.startswith("LIMITED,"))
+    assert len(calls) == 2 * 2 * (4 + 1) * 2 * 2 == 80
+    assert calls.count(8) == 40
 
 
 def test_lossy_adc_campaign_loses_the_frames_its_streams_draw(
@@ -910,8 +943,8 @@ def test_each_k_reads_its_rows_from_the_shared_sweep(tmp_path, method,
 
 @pytest.mark.parametrize("method,columns", [
     ("nested", {1: slice(0, 1), 2: slice(0, 2), 4: slice(0, 4)}),
-    ("random", {1: slice(0, 1), 2: slice(1, 3), 4: slice(3, 7)}),
-    ("lloyd", {1: slice(0, 1), 2: slice(1, 3), 4: slice(3, 7)}),
+    ("random", {1: slice(1, 2), 2: slice(2, 4), 4: slice(4, 8)}),
+    ("lloyd", {1: slice(1, 2), 2: slice(2, 4), 4: slice(4, 8)}),
 ], ids=["nested", "random", "lloyd"])
 def test_books_are_slices_of_the_sweep_book(method, columns):
     from wptsim import up_weights
@@ -925,24 +958,47 @@ def test_books_are_slices_of_the_sweep_book(method, columns):
     for k, (book, cols) in books.items():
         assert book.k_codewords == k
         assert sweep.weights[cols].tobytes() == book.weights.tobytes()
-    # UP's codeword is the last row, after every book's columns
-    assert sweep.k_codewords == max(c.stop for c in columns.values()) + 1
+    # UP's codeword is column 0: a nested book's own first entry, else a
+    # row before every book's columns
+    assert sweep.k_codewords == max(c.stop for c in columns.values())
     up = up_weights(2, grid, config.transmit_power_w)
-    assert sweep.weights[-1].tobytes() == up.weights.tobytes()
+    assert sweep.weights[0].tobytes() == up.weights.tobytes()
     assert sweep.power_budget == config.transmit_power_w
 
 
 def test_books_sweep_only_the_swept_strategies():
-    # every campaign sweeps UP's codeword, its gain baseline, as the last
-    # row; codebook rows come only with LIMITED
+    # every campaign sweeps UP's codeword, its gain baseline, as column 0;
+    # codebook rows come only with LIMITED, and a nested K_max book already
+    # starts with UP's codeword
     from wptsim.campaign import _books
     grid = ToneGrid.centered(2.4e9, 10e6, 2)
     sweep, books = _books(CampaignConfig(strategies=("UP", "SMF")), 2, grid)
     assert books == {} and sweep.k_codewords == 1
     sweep, books = _books(CampaignConfig(strategies=("LIMITED",),
                                          codebook_sizes=(2, 4)), 2, grid)
-    assert sweep.weights[:4].tobytes() == books[4][0].weights.tobytes()
-    assert sweep.k_codewords == 5
+    assert sweep.weights.tobytes() == books[4][0].weights.tobytes()
+    assert sweep.k_codewords == 4
+
+
+@pytest.mark.parametrize("method,m,n", [
+    ("nested", 1, 2), ("nested", 2, 4), ("random", 1, 2), ("random", 2, 4),
+    ("lloyd", 2, 4)])
+def test_sweep_book_rows_are_distinct_and_up_leads(method, m, n):
+    # the sweep rates each codeword once, UP's first: no row repeats, and
+    # row 0 holds up_weights' bytes.  (A Lloyd book trained at M=1 can
+    # itself hold one codeword twice, so Lloyd is checked at M=2.)
+    from wptsim import up_weights
+    from wptsim.campaign import _books
+    config = CampaignConfig(strategies=("UP", "LIMITED"),
+                            codebook_sizes=(1, 2, 4, 8),
+                            codebook_method=method, training_channels=16,
+                            training_iters=2)
+    grid = ToneGrid.centered(2.4e9, 10e6, n)
+    sweep, _ = _books(config, m, grid)
+    rows = [w.tobytes() for w in sweep.weights]
+    assert len(set(rows)) == len(rows) == (8 if method == "nested" else 16)
+    assert rows[0] == up_weights(m, grid, config.transmit_power_w
+                                 ).weights.tobytes()
 
 
 @pytest.mark.parametrize("rectifier,method,strategies,resample", [
@@ -1058,6 +1114,49 @@ def test_limited_rows_equal_each_session_run_alone(
     # the lossy variants do lose feedback, so the session streams matter
     if cfg.link_delivery_probability < 1:
         assert {row[4] for row in rows.values()} == {"0", "1"}
+
+
+@pytest.mark.parametrize("rectifier", ["moment", "table"])
+@pytest.mark.parametrize("resample", [True, False],
+                         ids=["per-frame", "block"])
+def test_limited_fallback_rows_carry_up_rated_on_their_channel(
+        tmp_path, monkeypatch, rectifier, resample):
+    # a LIMITED frame that falls back (applied_k = 0) reads UP's column of
+    # the point's sweep; its row must carry the dc and RF power of UP's
+    # effective tones on that frame's channel alone, rated without
+    # run_session.  The detail CSV is written with repr here
+    from wptsim import (campaign, dc_power_moment, dc_power_table,
+                        effective_tones, received_rf_power, up_weights)
+    monkeypatch.setattr(campaign, "_FLOAT", "%r")
+    _write_table(tmp_path / "eta.csv")
+    cfg = _mini_config(strategies=("UP", "LIMITED"), antenna_counts=(1, 2),
+                       tone_counts=(1, 4), codebook_sizes=(1, 2, 4),
+                       n_locations=3, frames_per_location=4,
+                       rectifier_model=rectifier,
+                       table_path=str(tmp_path / "eta.csv"),
+                       resample_per_frame=resample,
+                       link_delivery_probability=0.4)
+    detail, _ = run_campaign(cfg, out_dir=tmp_path / "out")
+    rows = [line.split(",") for line in open(detail).read().splitlines()[1:]
+            if line.startswith("LIMITED,")]
+    fallbacks = [row for row in rows if row[9] == "0"]
+    assert 0 < len(fallbacks) < len(rows)
+    rect_model = campaign._rect_model(cfg)
+    rate = dc_power_table if rectifier == "table" else dc_power_moment
+    params = {loc.label: loc.params for loc in make_locations(
+        cfg.n_locations, cfg.seed, cfg.channel_template,
+        (cfg.pathloss_db_min, cfg.pathloss_db_max))}
+    for _, m, n, k, label, frame, p_dc, p_rf, *_, e_wpt in fallbacks:
+        m, n, k, frame = int(m), int(n), int(k), int(frame)
+        grid = cfg.tone_grid(n)
+        ch = realize_channel(params[label], m, grid,
+                             frame=frame if resample else 0)
+        tones = effective_tones(ch, up_weights(m, grid,
+                                               cfg.transmit_power_w))
+        dc = float(rate(rect_model, tones, grid))
+        assert [p_dc, p_rf, e_wpt] == [
+            repr(dc), repr(float(received_rf_power(tones))),
+            repr(dc * cfg.frame_config().t_p(k))]
 
 
 @pytest.mark.parametrize("rectifier", ["moment", "table"])

@@ -198,8 +198,9 @@ ARRAYS = [
     ("run_session.channels",
      lambda v: _session(channel=ChannelRealization(GRID, v)),
      np.ones((1, 2)), np.ones((2, 2)), True),
+    # UP's column and the K = 4 book's; the book's alone lacks UP
     ("run_session.sweeps", lambda v: _session(sweeps=(v, v)),
-     np.ones((1, 1, 4)), np.ones((1, 1, 5)), False),
+     np.ones((1, 1, 5)), np.ones((1, 1, 4)), False),
     ("train_lloyd.training_channels",
      lambda v: _lloyd(channels=CHANNELS + [ChannelRealization(GRID, v)]),
      np.ones((1, 2)), np.ones((2, 2)), True),

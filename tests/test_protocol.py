@@ -209,10 +209,13 @@ def test_run_frame_lost_feedback_first_frame_applies_uniform():
 
 
 def test_run_frame_evaluates_each_codeword_once(monkeypatch):
-    # the applied codeword's dc comes from the sweep; only the UP fallback
-    # of a first frame with lost feedback costs one more evaluation
-    _, book, ch, _ = _setup(k=4)
+    # a frame that sweeps its own channel rates UP's codeword and each of
+    # the K codewords once, K+1 waveforms, whatever it applies: the applied
+    # powers, UP's fallback included, are read from that sweep
+    grid, book, ch, _ = _setup(k=4)
     dcs = protocol._sweep(book, [ch], _TABLE)[0][0]
+    up = protocol._dc_power(_TABLE, effective_tones(ch, up_weights(
+        2, grid, book.power_budget)), grid)
     real = protocol.dc_power_table
     calls = []
 
@@ -222,15 +225,15 @@ def test_run_frame_evaluates_each_codeword_once(monkeypatch):
 
     monkeypatch.setattr(protocol, "dc_power_table", spy)
     cfg = FrameConfig(t_s=0.010, t_frame=2.0)
-    for link, fallback, k_evals in ((LinkModel(1.0), None, 4),
-                                    (LinkModel(0.0), 3, 4),
+    for link, fallback, k_evals in ((LinkModel(1.0), None, 5),
+                                    (LinkModel(0.0), 3, 5),
                                     (LinkModel(0.0), None, 5)):
         calls.clear()
         report = run_frame(cfg, book, ch, _TABLE, None, link, fallback,
                            stream(27, 6))
         assert len(calls) == k_evals
-        if report.applied_index != UP_FALLBACK:
-            assert report.p_dc_wpt == dcs[report.applied_index - 1]
+        assert report.p_dc_wpt == (up if report.applied_index == UP_FALLBACK
+                                   else dcs[report.applied_index - 1])
     assert report.applied_index == UP_FALLBACK
 
 
@@ -326,16 +329,17 @@ def test_run_session_rejects_sweeps_of_the_wrong_length(monkeypatch):
     swept = []
     monkeypatch.setattr(protocol, "_sweep",
                         lambda *args: swept.append(args))
-    # (sessions, frames, codewords) of 1 session of 3 frames and K = 4
-    for shape in ((1, 2, 4), (1, 5, 4), (2, 3, 4), (1, 3, 3), (3, 4)):
+    # (sessions, frames, 1 + codewords) of 1 session of 3 frames and K = 4:
+    # UP's column and the book's; the book's (1, 3, 4) alone lacks UP
+    for shape in ((1, 2, 5), (1, 5, 5), (2, 3, 5), (1, 3, 4), (3, 5)):
         with pytest.raises(DimensionError, match=re.escape(
-                f"sweeps shape {shape} does not fit (1, 3, 4)")):
+                f"sweeps shape {shape} does not fit (1, 3, 5)")):
             run_session(cfg, book, [channels], model, None, LinkModel(),
                         [stream(33, 6)], (np.zeros(shape), np.zeros(shape)))
     with pytest.raises(DimensionError, match=re.escape(
-            "sweeps shape (4,) does not fit (1, 3, 4)")):
+            "sweeps shape (5,) does not fit (1, 3, 5)")):
         run_session(cfg, book, [channels], model, None, LinkModel(),
-                    [stream(33, 6)], (np.zeros((1, 3, 4)), np.zeros(4)))
+                    [stream(33, 6)], (np.zeros((1, 3, 5)), np.zeros(5)))
     assert swept == []
 
 
@@ -590,18 +594,23 @@ def test_a_batch_of_sessions_equals_each_session_frame_by_frame(model,
 
 def test_session_sweeps_each_distinct_channel_once(monkeypatch):
     # under block fading one realization serves every frame; the session
-    # sweeps it once and hands every frame its row
+    # rates the K = 8 codewords and UP's once on it and hands every frame
+    # its row
     grid, book, _, _ = _setup(k=8, m=2, n=4)
     cfg = FrameConfig(t_s=0.010, t_frame=2.0)
     a, b = (make_channel(56 + i, 2, grid, pathloss_db=10.0) for i in range(2))
     # (each frame's channel, distinct channels among the 6 frames)
     sources = (([a] * 6, 1), ([a, b] * 3, 2))
-    # waveforms evaluated: a moment call's (channels, K) rows, one each
-    # for a table lookup
+    # waveforms evaluated: the rows of a moment call (the sweep's
+    # tone_moments, UP's dc_power_moment), one each for a table lookup
     evals = []
     real_moments, real_table = protocol.tone_moments, protocol.dc_power_table
+    real_up = protocol.dc_power_moment
     monkeypatch.setattr(protocol, "tone_moments", lambda tones: (
         evals.append(tones.size // tones.shape[-1]) or real_moments(tones)))
+    monkeypatch.setattr(protocol, "dc_power_moment", lambda model, tones, g: (
+        evals.append(tones.amplitudes.size // g.n_tones)
+        or real_up(model, tones, g)))
     monkeypatch.setattr(protocol, "dc_power_table", lambda *args: (
         evals.append(1) or real_table(*args)))
     for (channels, distinct), model in itertools.product(
@@ -609,7 +618,7 @@ def test_session_sweeps_each_distinct_channel_once(monkeypatch):
         evals.clear()
         _session(cfg, book, channels, model, None, LinkModel(1.0),
                  stream(57, 6))
-        assert sum(evals) == distinct * 8
+        assert sum(evals) == distinct * (8 + 1)
         lossy = LinkModel(delivery_probability=0.5)
         batched = _session(cfg, book, channels, model, None, lossy,
                            stream(58, 6))
@@ -639,10 +648,10 @@ def test_sweep_rf_power_is_received_rf_power(m, n):
 
 def test_session_forms_tones_only_in_its_sweep(monkeypatch):
     # the table sweep forms each channel's tones in one batch and rates
-    # every (channel, codeword) with one dc_power_table call.  With every
-    # feedback delivered no frame needs the UP fallback; lost feedback on
-    # a first frame falls back to UP, which forms its tones and rates
-    # them outside the sweep, once per frame.
+    # every (channel, codeword) with one dc_power_table call.  UP, the
+    # fallback of lost feedback on a first frame, is rated outside the
+    # sweep once per channel, delivered or not: one effective_tones call
+    # on the stack of the 3 fades, then one dc_power_table call each.
     grid, book, _, _ = _setup(k=8, m=2, n=4)
     cfg = FrameConfig(t_s=0.010, t_frame=2.0)
     fades = [make_channel(62, 2, grid, pathloss_db=10.0, frame=i)
@@ -668,15 +677,16 @@ def test_session_forms_tones_only_in_its_sweep(monkeypatch):
     monkeypatch.setattr(protocol, "_sweep", sweep)
     for name in ("effective_tones", "dc_power_table"):
         monkeypatch.setattr(protocol, name, counted(name))
-    for delivery, outside in ((1.0, 0), (0.0, 3)):
+    for delivery, fallbacks in ((1.0, 0), (0.0, 3)):
         calls.clear()
         reports = _session(cfg, book, fades, _TABLE, None,
                            LinkModel(delivery), stream(63, 6))
         assert calls.count(("dc_power_table", True)) == 3 * 8
         assert calls.count(("effective_tones", True)) == 0
-        assert calls.count(("effective_tones", False)) == outside
-        assert calls.count(("dc_power_table", False)) == outside
-        assert sum(r.applied_index == UP_FALLBACK for r in reports) == outside
+        assert calls.count(("effective_tones", False)) == 1
+        assert calls.count(("dc_power_table", False)) == 3
+        assert sum(r.applied_index == UP_FALLBACK
+                   for r in reports) == fallbacks
 
 
 def test_adc_selection_can_differ_from_ideal_but_stays_valid():

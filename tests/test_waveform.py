@@ -459,9 +459,10 @@ def test_bench_kernel_script_writes_its_table(tmp_path):
     assign = rows[17:19]
     assert [(r["layer"], r["pathloss_db"]) for r in assign] == \
         [("codebook._assign", 60.0), ("codebook._assign", 0.0)]
-    iteration, session, channel, summary, write, smf, point = rows[19:26]
-    papr_rows = rows[26:]
-    assert len(rows) == 29
+    iteration, session, channel, summary, write, smf, point, table = \
+        rows[19:27]
+    papr_rows = rows[27:]
+    assert len(rows) == 30
     assert (iteration["layer"], iteration["m_antennas"],
             iteration["n_tones"], iteration["k_codewords"],
             iteration["batch"]) == ("codebook.train_iteration", 4, 8, 64, 1000)
@@ -493,6 +494,13 @@ def test_bench_kernel_script_writes_its_table(tmp_path):
     assert (point["layer"], point["m_antennas"], point["n_tones"],
             point["batch"]) == ("campaign.point_channels", 4, 8, 45)
     assert point["per_fade_us"] > 0
+    # campaign-table's M=2, N=8 point: 2 locations x 2 fades, each rating
+    # the 4 codewords of the K_max = 4 book (UP's the first) and SMF's with
+    # one papr call
+    assert (table["layer"], table["m_antennas"], table["n_tones"],
+            table["batch"], table["k_codewords"], table["papr_calls"]) == \
+        ("campaign.table_point", 2, 8, 4, 4, 20)
+    assert 0 < table["papr_us"]
     assert [(r["layer"], r["n_tones"], r["oversampling"])
             for r in papr_rows] == [("waveform.papr", n, 32)
                                     for n in (1, 8, 16)]
@@ -567,6 +575,21 @@ def test_papr_equals_sampled_oracle_ratio_bit_for_bit(n, oversampling):
         assert papr(tones, grid, oversampling) == expected
         assert papr(tones, grid, oversampling) == expected
     assert waveform._phasors.cache_info().currsize == 1
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 8])
+def test_papr_tail_gives_the_bits_of_max_over_mean(n):
+    # papr reduces y*y with np.maximum.reduce and np.add.reduce / size; on
+    # seeded amplitudes of scales 1e-6 to 1e3 that must be the bits of the
+    # np.max(y ** 2) / np.mean(y ** 2) it replaced
+    grid = ToneGrid.centered(2.4e9, 10e6, n)
+    e = waveform._phasors(grid, 32)
+    gen = stream(37, 10, n)
+    for scale in 10.0 ** gen.uniform(-6, 3, size=100):
+        a = scale * (gen.normal(size=n) + 1j * gen.normal(size=n))
+        y = np.real(e @ a)
+        assert papr(_tones(a), grid) == float(np.max(y ** 2)
+                                              / np.mean(y ** 2))
 
 
 def test_phasor_cache_keys_on_grid_values_not_identity():
