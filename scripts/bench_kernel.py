@@ -40,14 +40,17 @@ Layer rows, on random complex amplitudes and channel gains:
   link or a noisy ADC needs.
 * ``channel.realize_channel`` at M=4, N=8: one channel's tap stream,
   tap draw and frequency response, as Lloyd's training set is drawn.
-* ``campaign.summarize`` on the 4,320 rows that figure-joint's campaign,
-  at its default seed, hands it, writing the summary CSV as
-  ``run_campaign`` does; ``batch`` is the row count.
+* ``campaign.summarize`` on the 4,320 rows of figure-joint's detail file
+  at its default seed, p_dc_w read back from its text, writing the
+  summary CSV; ``batch`` is the row count.  ``blocks_us`` writes the same
+  summary from the campaign's 96 sweep-point blocks, as ``run_campaign``
+  does: each block's per-location groups of its formatted p_dc values,
+  read back with ``float``, through the aggregation ``summarize`` runs.
 * ``campaign.write_csv``: figure-joint's summary and detail CSVs, at its
   default seed, written from its 96 sweep-point blocks as
-  ``run_campaign`` writes them: the rounded rows handed to ``summarize``,
-  then the detail file block by block.  ``batch`` is the row count,
-  ``blocks`` the block count.
+  ``run_campaign`` writes them: each p_dc formatted once, the summary
+  from the blocks, then the detail file block by block.  ``batch`` is
+  the row count, ``blocks`` the block count.
 * ``strategies.smf_weights``: SMF's evaluation at figure-joint's M=4,
   N=8 point on its default seed's 45 channels (15 locations x 3 fades):
   the weights, the received tones, the moment rectifier's dc and the RF
@@ -223,36 +226,39 @@ def _channel_row(grid, seed, repeat, number):
                                    repeat, number)}
 
 
-def _summarize_row(repeat, number):
-    # catch the rows the campaign hands summarize
-    caught = []
-    real = campaign.summarize
-    campaign.summarize = lambda rows, out_path=None: \
-        caught.append(rows) or real(rows, out_path)
+def _p_dc_texts(blocks):
+    # each block's p_dc column formatted once, as run_campaign formats it
+    return [list(map(campaign._FLOAT.__mod__, columns[0].ravel().tolist()))
+            for _, columns in blocks]
+
+
+def _summarize_row(index, blocks, repeat, number):
+    # the detail file's rows, p_dc_w read back from its text
+    p_dcs = _p_dc_texts(blocks)
+    rows = [point + (label, frame, float(text))
+            for (point, _), texts in zip(blocks, p_dcs)
+            for label, frame, text in zip(*index, texts)]
     with tempfile.TemporaryDirectory() as out:
-        try:
-            campaign.run_campaign(campaign.figure_config("figure-joint"),
-                                  out_dir=out)
-        finally:
-            campaign.summarize = real
-        rows, = caught
         path = os.path.join(out, "summary.csv")
         return {"layer": "campaign.summarize", "batch": len(rows),
-                "median_us": median_us(lambda: real(rows, path), repeat,
-                                       number)}
+                "median_us": median_us(
+                    lambda: campaign.summarize(rows, path), repeat, number),
+                "blocks_us": median_us(
+                    lambda: campaign._summarize(
+                        campaign._block_groups(index, blocks, p_dcs), path),
+                    repeat, number)}
 
 
-def _write_csv_row(repeat, number):
-    config = campaign.figure_config("figure-joint")
-    index, blocks = campaign._detail_rows(config,
-                                          campaign._rect_model(config))
+def _write_csv_row(index, blocks, repeat, number):
     with tempfile.TemporaryDirectory() as out:
         detail = os.path.join(out, "detail.csv")
         summary = os.path.join(out, "summary.csv")
 
         def write():
-            campaign.summarize(campaign._summary_rows(index, blocks), summary)
-            campaign._write_detail(detail, index, blocks)
+            p_dcs = _p_dc_texts(blocks)
+            campaign._summarize(campaign._block_groups(index, blocks, p_dcs),
+                                summary)
+            campaign._write_detail(detail, index, blocks, p_dcs)
 
         return {"layer": "campaign.write_csv",
                 "batch": sum(columns[0].size for _, columns in blocks),
@@ -451,8 +457,11 @@ def main(argv=None):
                                args.number))
     rows.append(_session_row(model, args.seed, args.repeat, args.number))
     rows.append(_channel_row(grid, args.seed, args.repeat, args.number))
-    rows.append(_summarize_row(args.repeat, args.number))
-    rows.append(_write_csv_row(args.repeat, args.number))
+    config = campaign.figure_config("figure-joint")
+    index, blocks = campaign._detail_rows(config,
+                                          campaign._rect_model(config))
+    rows.append(_summarize_row(index, blocks, args.repeat, args.number))
+    rows.append(_write_csv_row(index, blocks, args.repeat, args.number))
     rows.append(_smf_row(model, args.repeat, args.number))
     rows.append(_point_channels_row(args.repeat, args.number))
     rows.append(_table_point_row(args.repeat, args.number))
@@ -486,6 +495,8 @@ def main(argv=None):
         if "papr_calls" in row:
             line += (f"  ({row['papr_calls']} papr calls, "
                      f"{row['papr_us']:.1f} us)")
+        if "blocks_us" in row:
+            line += f"  (from blocks: {row['blocks_us']:.1f} us)"
         if "per_fade_us" in row:
             line += f"  (per fade: {row['per_fade_us']:.1f} us)"
         if "per_channel_us" in row:

@@ -36,9 +36,11 @@ columns (_detail_rows).  The blocks are sorted by (strategy, M, N, K), and
 one permutation, taken once, puts every block's locations in label order
 (L1, L10, ..., L15, L2, ...); frames run in order.  So the rows, read
 block by block, are sorted by the literal tuple (strategy, M, N, K,
-location, frame) without sorting a row.  The summary is written first,
-from every row's rounded dc power, and then the detail file, one join and
-one write per block.
+location, frame) without sorting a row.  Each p_dc is formatted once.
+The summary is written first, from the blocks: each block is its point's
+per-location groups of those values read back, as summarize groups its
+sorted rows, and one aggregation serves both (_summarize).  Then the
+detail file is written, one join and one write per block.
 
 Determinism contract: all randomness is keyed by (seed, purpose, indices)
 Philox streams, every sweep point draws from its own streams, and rows are
@@ -575,40 +577,52 @@ def _detail_rows(config: CampaignConfig, rect_model) -> tuple[tuple, list]:
     return index, blocks
 
 
-def _summary_rows(index: tuple, blocks: list) -> list:
-    """Every detail row's (strategy, M, N, K, location, frame, p_dc_w).
+def _block_groups(index: tuple, blocks: list, p_dcs: list):
+    """Each block's (point, [(location, p_dc values)]) summary group.
 
-    p_dc_w is rounded as the detail file writes it, so summarize averages
-    the dc power as written.
+    p_dcs holds each block's p_dc column as the detail file writes it, so
+    the summary averages float() of those strings.  A block's lines run
+    location by location in label order, then frame by frame: the order
+    summarize's sorted rows give them.
     """
-    return [point + (label, frame, float(_FLOAT % p_dc))
-            for point, columns in blocks
-            for label, frame, p_dc in zip(*index,
-                                          columns[0].ravel().tolist())]
+    for (point, columns), texts in zip(blocks, p_dcs):
+        frames = columns[0].shape[1]
+        values = list(map(float, texts))
+        yield point, [(label, values[start:start + frames])
+                      for start, label in zip(range(0, len(values), frames),
+                                              index[0][::frames])]
 
 
-def _write_detail(path: str, index: tuple, blocks: list) -> None:
+def _write_detail(path: str, index: tuple, blocks: list,
+                  p_dcs: list) -> None:
     """Write detail.csv: one %-template per line, one write per block.
 
-    Values come from .tolist(), as Python scalars: "%.6g" and "%d" write
-    the bytes of format(x, ".6g") and str(i), and feedback_ok's bools
-    read 0 or 1.
+    p_dcs holds each block's p_dc column already formatted with _FLOAT,
+    and is written with %s.  The other values come from .tolist(), as
+    Python scalars: "%.6g" and "%d" write the bytes of format(x, ".6g")
+    and str(i), and feedback_ok's bools read 0 or 1.
     """
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(DETAIL_HEADER + "\n")
-        for (strategy, m, n, k), columns in blocks:
-            line = (f"{strategy},{m},{n},{k},%s,%d,{_FLOAT},{_FLOAT},%d,%d,"
+        for ((strategy, m, n, k), columns), texts in zip(blocks, p_dcs):
+            line = (f"{strategy},{m},{n},{k},%s,%d,%s,{_FLOAT},%d,%d,"
                     f"%d,{_FLOAT},{_FLOAT}\n")
             fh.write("".join([line % values for values in zip(
-                *index, *(column.ravel().tolist() for column in columns))]))
+                *index, texts,
+                *(column.ravel().tolist() for column in columns[1:]))]))
 
 
 def run_campaign(config: CampaignConfig, out_dir=None,
                  jobs: int = 1) -> tuple[str, str]:
     """Execute the campaign and write detail.csv and summary.csv.
 
-    A run that fails before it writes a CSV, for one of the errors below
-    or another, removes the output directories it created.
+    Both files come from the sweep points' blocks (_detail_rows), with
+    each p_dc formatted once: the summary aggregates each block's
+    per-location groups of those values as summarize aggregates the
+    detail file's rows, so summarize of the detail rows writes the same
+    summary.csv.  A run that fails before it writes a CSV, for one of
+    the errors below or another, removes the output directories it
+    created.
 
     Args:
         config: campaign description.
@@ -649,10 +663,14 @@ def run_campaign(config: CampaignConfig, out_dir=None,
         raise OSError(f"output directory {out!r} is not writable: {exc}")
     try:
         index, blocks = _detail_rows(config, rect_model)
+        # each p_dc is formatted once: the summary averages the values the
+        # detail file writes
+        p_dcs = [list(map(_FLOAT.__mod__, columns[0].ravel().tolist()))
+                 for _, columns in blocks]
         # the summary is written first, so a summary that fails leaves no
         # CSV behind
         summary_path = os.path.join(out, "summary.csv")
-        summarize(_summary_rows(index, blocks), summary_path)
+        _summarize(_block_groups(index, blocks, p_dcs), summary_path)
     except BaseException:
         # a run that writes no CSV leaves no directory of its own behind
         for path in made:
@@ -660,7 +678,7 @@ def run_campaign(config: CampaignConfig, out_dir=None,
                 os.rmdir(path)
         raise
     detail_path = os.path.join(out, "detail.csv")
-    _write_detail(detail_path, index, blocks)
+    _write_detail(detail_path, index, blocks, p_dcs)
     return detail_path, summary_path
 
 
@@ -678,19 +696,18 @@ def summarize(rows, out_path=None) -> list[SummaryRow]:
     """Aggregate detail rows into summary rows (and optionally a file).
 
     Each row is (strategy, M, N, K, location, frame, p_dc_w), as in the
-    detail CSV; run_campaign passes p_dc_w rounded as written there, so a
-    summary can be recomputed from its detail file alone.
+    detail CSV; run_campaign averages p_dc_w as written there, so a
+    campaign's summary.csv can be recomputed from its detail file alone,
+    byte for byte.
 
-    Per (strategy, M, N, K, location): mean dc power over frames.  Per
-    (strategy, M, N, K): the ALL row, mean of the location means.  Gains
-    are taken against the (UP, M=1, N=1) mean at the same location (or the
-    ALL baseline for ALL rows), so baseline rows are exactly 0 dB.  Rows
-    are sorted lexicographically and aggregated in one pass over them,
-    each mean summed left to right in sorted row order, making the output
-    independent of input row order.  Every gain comes from one vectorized
-    np.log10 call, which gives each ratio db_gain's own np.log10 bits;
-    math.log10 cannot replace it, as it differs from numpy's in the last
-    bit of some ratios.
+    Rows are sorted lexicographically, which makes the output independent
+    of input row order, and grouped by point and location into the
+    groups run_campaign takes from its blocks; both run one aggregation
+    (_summarize).  Per (strategy, M, N, K, location): mean dc power over
+    frames.  Per (strategy, M, N, K): the ALL row, mean of the location
+    means.  Gains are taken against the (UP, M=1, N=1) mean at the same
+    location (or the ALL baseline for ALL rows), so baseline rows are
+    exactly 0 dB.
 
     Raises:
         SummaryError: the (UP, M=1, N=1) baseline is missing, for the
@@ -699,17 +716,40 @@ def summarize(rows, out_path=None) -> list[SummaryRow]:
             (no ALL row can fail once every location row passes).
     """
     rows = sorted(rows, key=lambda row: row[:6])
+    groups = ((point, [(location, [row[6] for row in location_rows])
+                       for location, location_rows in itertools.groupby(
+                           point_rows, key=operator.itemgetter(4))])
+              for point, point_rows in itertools.groupby(
+                  rows, key=lambda row: row[:4]))
+    return [SummaryRow(*line) for line in _summarize(groups, out_path)]
+
+
+def _summarize(groups, out_path=None) -> list:
+    """The summary lines of (point, [(location, p_dc values)]) groups.
+
+    The groups come in summary order: points sorted, each point's
+    locations by label, each location's values in frame order.  Each mean
+    is summed left to right in that order.  Every gain comes from one
+    vectorized np.log10 call, which gives each ratio db_gain's own
+    np.log10 bits; math.log10 cannot replace it, as it differs from
+    numpy's in the last bit of some ratios.  Every check runs before
+    out_path is written.
+
+    Returns:
+        Each line's (strategy, M, N, K, location, p_dc_mean_w, gain_db),
+        in summary order.
+
+    Raises:
+        SummaryError: as summarize.
+    """
     means = {}      # point -> ({location: mean}, mean of the location means)
-    for point, point_rows in itertools.groupby(rows,
-                                               key=lambda row: row[:4]):
+    for point, point_groups in groups:
         locations, point_total = {}, 0.0
-        for location, location_rows in itertools.groupby(
-                point_rows, key=operator.itemgetter(4)):
-            total, count = 0.0, 0
-            for row in location_rows:
-                total += row[6]
-                count += 1
-            locations[location] = total / count
+        for location, values in point_groups:
+            total = 0.0
+            for value in values:
+                total += value
+            locations[location] = total / len(values)
             point_total += locations[location]
         means[point] = locations, point_total / len(locations)
 
@@ -742,19 +782,16 @@ def summarize(rows, out_path=None) -> list[SummaryRow]:
         entries.extend(point_entries)
     gains = 10.0 * np.log10(np.array([e[2] for e in entries])
                             / np.array([e[3] for e in entries]))
-    summary = [SummaryRow(*point, location, mean, gain)
-               for (point, location, mean, _), gain in zip(entries,
-                                                          gains.tolist())]
+    lines = [(*point, location, mean, gain)
+             for (point, location, mean, _), gain in zip(entries,
+                                                        gains.tolist())]
 
     if out_path is not None:
         line = f"%s,%s,%s,%s,%s,{_FLOAT},%.4f\n"
         with open(out_path, "w", encoding="ascii", newline="\n") as fh:
             fh.write(SUMMARY_HEADER + "\n")
-            fh.write("".join([line % (r.strategy, r.m_antennas, r.n_tones,
-                                      r.k_codewords, r.location,
-                                      r.p_dc_mean_w, r.gain_db)
-                              for r in summary]))
-    return summary
+            fh.write("".join([line % values for values in lines]))
+    return lines
 
 
 # ---------------------------------------------------------------------------

@@ -540,6 +540,37 @@ def test_summary_all_rows_follow_location_means(mini_run, tmp_path):
             np.mean([r.p_dc_mean_w for r in locs]), rel=1e-9)
 
 
+@pytest.mark.parametrize("resample", [True, False])
+def test_campaign_summary_equals_summarize_of_its_detail(tmp_path, resample):
+    # run_campaign summarizes its blocks, summarize its rows: 12 locations
+    # sort L10 before L2, so label order is not draw order, and 3 frames
+    # give every mean more than one term
+    cfg = _mini_config(n_locations=12, frames_per_location=3,
+                       resample_per_frame=resample)
+    detail, summary = run_campaign(cfg, out_dir=tmp_path / "run")
+    detail_rows = [(s, int(m), int(n), int(k), loc, int(frame), float(p_dc))
+                   for s, m, n, k, loc, frame, p_dc, *_ in (
+                       line.split(",")
+                       for line in open(detail).read().splitlines()[1:])]
+    assert {row[0] for row in detail_rows} == {"UP", "SMF", "LIMITED"}
+    rows = summarize(detail_rows, tmp_path / "summary.csv")
+    assert (tmp_path / "summary.csv").read_bytes() == \
+        open(summary, "rb").read()
+    # each location's mean is its detail values summed left to right
+    values = {}
+    for row in detail_rows:
+        values.setdefault(row[:4] + (row[4],), []).append(row[6])
+    means = {(r.strategy, r.m_antennas, r.n_tones, r.k_codewords,
+              r.location): r.p_dc_mean_w
+             for r in rows if r.location != ALL_LOCATIONS}
+    assert means.keys() == values.keys()
+    for key, p_dcs in values.items():
+        total = 0.0
+        for p_dc in p_dcs:
+            total += p_dc
+        assert means[key] == total / cfg.frames_per_location, key
+
+
 def test_summary_gains_are_db_gain_to_the_bit(mini_run):
     # every gain comes from one vectorized np.log10 call; it must carry
     # the bits of db_gain, whose np.log10 runs on one ratio
