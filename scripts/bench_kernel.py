@@ -31,11 +31,12 @@ Layer rows, on random complex amplitudes and channel gains:
   N=8 point on its default seed's channels (15 locations x 3 fades),
   for the nested books K in {2, ..., 64}, as ``run_campaign`` runs them
   on a lossless link with no ADC: one batched call per K over every
-  location's session, with no session stream.  ``per_k_sweep_us`` lets
-  each K's call sweep its own book and rate UP's codeword; ``median_us``
-  sweeps the K_max book, whose row 0 is UP's codeword, once per fade
-  draw over every location and hands each K UP's column and its own, as
-  ``campaign._point_sweep`` does; ``with_streams_us`` runs the
+  location's session, with no session stream.  ``per_k_sweep_us``
+  sweeps each K's own book, whose row 0 is UP's codeword, with
+  ``campaign._point_sweep`` and then runs that K's sessions on UP's
+  column and the book's; ``median_us`` sweeps the K_max book once per
+  fade draw over every location and hands each K UP's column and its
+  own, as ``run_campaign`` does; ``with_streams_us`` runs the
   ``median_us`` calls with one ``rng.stream`` per session, as a lossy
   link or a noisy ADC needs.
 * ``channel.realize_channel`` at M=4, N=8: one channel's tap stream,
@@ -60,8 +61,9 @@ Layer rows, on random complex amplitudes and channel gains:
 * ``campaign.point_channels``: figure-joint's M=4, N=8 point's 45 fades
   (15 locations x 3 draws) from its default seed's taps.  ``median_us``
   is ``campaign._point_channels``, one stacked ``frequency_response``
-  call and a view of its gains per fade, as ``run_campaign`` builds
-  them; ``per_fade_us`` calls ``frequency_response`` once per fade.
+  call whose (locations, draws, M, N) gains ``run_campaign`` sweeps and
+  rates SMF on; ``per_fade_us`` calls ``frequency_response`` once per
+  fade.
 * ``campaign.table_point``: the M=2, N=8 point of the benchmark's
   ``campaign-table`` sweep (2 locations x 2 fades at the default seed,
   nested books K in {2, 4}) on a synthetic efficiency table: the sweep
@@ -181,18 +183,19 @@ def _point_taps():
     return config, campaign._taps(config, locations)
 
 
-def _point_fades(m, n):
-    """figure-joint's (M, N) point: its grid, stack and each location's
-    fades, as run_campaign builds them."""
+def _point_stack(m, n):
+    """figure-joint's (M, N) point: its grid and its (locations, draws,
+    M, N) stack of fades, as run_campaign builds them."""
     config, taps = _point_taps()
     grid = config.tone_grid(n)
-    return (grid,) + campaign._point_channels(config, taps, m, grid)
+    return grid, campaign._point_channels(config, taps, m, grid)
 
 
 def _session_row(model, seed, repeat, number):
     m = 4
-    grid, stack, fades = _point_fades(m, 8)
-    draws = stack.gains.shape[1]
+    grid, stack = _point_stack(m, 8)
+    # figure-joint draws a fade per frame
+    locations, frames = stack.gains.shape[:2]
     full = gen_nested(m, grid, 2.0, max(SESSION_SIZES),
                       rng.stream(seed, rng.CODEBOOK))
     books = {k: full.prefix(k) for k in SESSION_SIZES}
@@ -200,17 +203,20 @@ def _session_row(model, seed, repeat, number):
 
     def sessions(shared, streams=False):
         if shared:
-            dcs, p_rfs = campaign._point_sweep(full, fades, draws, model)
+            dcs, p_rfs = campaign._point_sweep(full, stack, frames, model)
         for k, book in books.items():
-            run_session(timing, book, fades, model, None, link,
-                        [rng.stream(seed, rng.SESSION, k, s) if streams
-                         else None for s in range(len(fades))],
-                        (dcs[..., np.r_[0, :k]], p_rfs[..., np.r_[0, :k]])
-                        if shared else None)
+            if not shared:
+                dcs, p_rfs = campaign._point_sweep(book, stack, frames,
+                                                   model)
+            take = np.r_[0, :k]
+            run_session(timing, (dcs[..., take], p_rfs[..., take]), None,
+                        link, [rng.stream(seed, rng.SESSION, k, s)
+                               if streams else None
+                               for s in range(locations)])
 
     return {"layer": "protocol.run_session", "m_antennas": m,
-            "n_tones": grid.n_tones, "sessions": len(fades),
-            "frames": len(fades[0]), "k_sizes": list(SESSION_SIZES),
+            "n_tones": grid.n_tones, "sessions": locations,
+            "frames": frames, "k_sizes": list(SESSION_SIZES),
             "per_k_sweep_us": median_us(lambda: sessions(False), repeat,
                                         number),
             "with_streams_us": median_us(lambda: sessions(True, True),
@@ -285,10 +291,9 @@ def _point_channels_row(repeat, number):
 
 def _smf_row(model, repeat, number):
     m = 4
-    grid, stack, point_fades = _point_fades(m, 8)
-    fades = [ch for frames in point_fades for ch in frames]
-    flat = ChannelRealization(grid=grid,
-                              gains=stack.gains.reshape(-1, m, grid.n_tones))
+    grid, stack = _point_stack(m, 8)
+    fades = [ChannelRealization(grid=grid, gains=gains)
+             for gains in stack.gains.reshape(-1, m, grid.n_tones)]
     smf = SmfParams(power_budget=campaign.figure_config(
         "figure-joint").transmit_power_w)
 
@@ -300,7 +305,7 @@ def _smf_row(model, repeat, number):
             "n_tones": grid.n_tones, "batch": len(fades),
             "per_channel_us": median_us(lambda: [rate(ch) for ch in fades],
                                         repeat, number),
-            "median_us": median_us(lambda: rate(flat), repeat, number)}
+            "median_us": median_us(lambda: rate(stack), repeat, number)}
 
 
 def _table_point_row(repeat, number):
@@ -328,14 +333,14 @@ def _table_point_row(repeat, number):
         (config.pathloss_db_min, config.pathloss_db_max))
     grid = config.tone_grid(n)
     sweep, _ = campaign._books(config, m, grid)
-    stack, fades = campaign._point_channels(
+    stack = campaign._point_channels(
         config, campaign._taps(config, locations), m, grid)
-    flat = ChannelRealization(grid=grid, gains=stack.gains.reshape(-1, m, n))
     smf = SmfParams(power_budget=config.transmit_power_w)
 
     def point():
-        campaign._point_sweep(sweep, fades, stack.gains.shape[1], model)
-        tones = effective_tones(flat, smf_weights(flat, smf))
+        campaign._point_sweep(sweep, stack, config.frames_per_location,
+                              model)
+        tones = effective_tones(stack, smf_weights(stack, smf))
         return _dc_power(model, tones, grid), received_rf_power(tones)
 
     # papr's calls and time in one warm point (the first builds the
@@ -356,7 +361,8 @@ def _table_point_row(repeat, number):
     finally:
         rectenna.papr = real
     return {"layer": "campaign.table_point", "m_antennas": m, "n_tones": n,
-            "batch": len(flat.gains), "k_codewords": sweep.k_codewords,
+            "batch": stack.gains[..., 0, 0].size,
+            "k_codewords": sweep.k_codewords,
             "papr_calls": len(spans), "papr_us": 1e6 * sum(spans),
             "median_us": median_us(point, repeat, number)}
 

@@ -14,22 +14,23 @@ writes two artifacts:
 
 Every location's taps are drawn once, at the largest antenna count
 (_taps).  At each (M, N) point one frequency_response call turns their
-first M rows into every location's fades, each fade a view of that one
-gains array (_point_channels).  The point's book holds each swept
-codeword once: UP's codeword is column 0, and every K's book is a
-contiguous slice of its columns; a nested K_max book starts with UP's
-codeword, so it is the sweep book as it stands (_books).  The books come
-from codebooks(), which ``wptsim codebook`` writes to file.  The book is
+first M rows into one (locations, draws, M, N) stack of every location's
+fades (_point_channels).  The point's book holds each swept codeword
+once: UP's codeword is column 0, and every K's book is a contiguous
+slice of its columns; a nested K_max book starts with UP's codeword, so
+it is the sweep book as it stands (_books).  The books come from
+codebooks(), which ``wptsim codebook`` writes to file.  The book is
 swept once per fade draw, over every location's channel of that draw
 (_point_sweep), so no channel is swept twice and UP's codeword is rated
 once per channel: the UP rows read column 0, and so does a LIMITED frame
 that falls back to UP, since each K's sessions get UP's column ahead of
-their own.  SMF is rated once per point, on the same gains array: one
-call each of smf_weights, effective_tones, the rectifier and
+their own.  SMF is rated once per point, on the same stack: one call
+each of smf_weights, effective_tones, the rectifier and
 received_rf_power, each row equal to its channel's own call to the bit.
-LIMITED runs one run_session call per (M, N, K) point, whose batch axis
-is the locations' sessions, each on its own stream; its reports equal
-those of every session run on its own.
+LIMITED runs one run_session call per (M, N, K) point on the columns of
+the point's sweep that K reads; its batch axis is the locations'
+sessions, each on its own stream, and its reports equal those of every
+session run on its own.
 
 Each sweep point's detail rows are one block of (locations, frames)
 columns (_detail_rows).  The blocks are sorted by (strategy, M, N, K), and
@@ -429,7 +430,7 @@ def _taps(config: CampaignConfig, locations) -> np.ndarray:
 
 
 def _point_channels(config: CampaignConfig, taps: np.ndarray, m: int,
-                    grid: ToneGrid) -> tuple:
+                    grid: ToneGrid) -> ChannelRealization:
     """An (M, N) point's channels, from one frequency_response call.
 
     The call takes the first m rows of every draw in taps (from _taps)
@@ -438,37 +439,32 @@ def _point_channels(config: CampaignConfig, taps: np.ndarray, m: int,
     only its pathloss, already in the taps, differs.
 
     Returns:
-        (stack, fades): stack holds every draw's gains, (S, D, m, N);
-        fades[s] is location s's channel in each frame, each a view of
-        one row of the stack.  Under block fading one view serves every
-        frame.
+        The stack of every draw's gains, (S, D, m, N): location s's draw d
+        in row [s, d].
     """
-    stack = ChannelRealization(grid=grid, gains=frequency_response(
+    return ChannelRealization(grid=grid, gains=frequency_response(
         taps[:, :, :m], config.channel_template, grid))
-    fades = [[ChannelRealization(grid=grid, gains=gains) for gains in draws]
-             for draws in stack.gains]
-    if not config.resample_per_frame:
-        fades = [draws * config.frames_per_location for draws in fades]
-    return stack, fades
 
 
-def _point_sweep(book: Codebook, fades: list, draws: int,
+def _point_sweep(book: Codebook, stack: ChannelRealization, frames: int,
                  rect_model) -> tuple:
     """Every location's sweep of book: two (locations, frames, K) arrays.
 
     One _sweep call per fade draw d covers every location's channel of
-    that draw, fades[s][d]; a frame reads its draw's row, so under block
-    fading (draws = 1) one call serves every frame.  Per draw and not
-    once over all draws, to bound the sweep's temporaries: on
+    that draw, stack.gains[:, d]; a frame reads its draw's row, so under
+    block fading (one draw) one call serves every frame.  Per draw and
+    not once over all draws, to bound the sweep's temporaries: on
     figure-joint's M=4, N=8 point (65 codewords, 15 locations x 3 draws)
     one draw's call peaks at 0.74 MB under tracemalloc, one call over all
     45 channels at 2.2 MB.
     """
-    frames = len(fades[0])
+    locations, draws = stack.gains.shape[:2]
     return tuple(np.broadcast_to(np.stack(powers, axis=1),
-                                 (len(fades), frames, book.k_codewords))
+                                 (locations, frames, book.k_codewords))
                  for powers in zip(*(
-                     _sweep(book, [f[d] for f in fades], rect_model)
+                     _sweep(book, ChannelRealization(
+                         grid=stack.grid, gains=stack.gains[:, d]),
+                         rect_model)
                      for d in range(draws))))
 
 
@@ -529,37 +525,33 @@ def _detail_rows(config: CampaignConfig, rect_model) -> tuple[tuple, list]:
     for m, n in itertools.product(config.antenna_counts, config.tone_counts):
         grid = config.tone_grid(n)
         sweep, books = _books(config, m, grid)
-        stack, fades = _point_channels(config, taps, m, grid)
-        n_draws = stack.gains.shape[1]
+        stack = _point_channels(config, taps, m, grid)
         # a column equals that codeword's sweep in its own book to the
         # last bit
-        dcs, p_rfs = _point_sweep(sweep, fades, n_draws, rect_model)
+        dcs, p_rfs = _point_sweep(sweep, stack, frames, rect_model)
         # UP's codeword is the sweep book's column 0
         fixed = {UP: (dcs[..., 0], p_rfs[..., 0])}
         if SMF in config.strategies:
             # every location's draws in one stack; a row equals that
             # channel's own SMF evaluation to the last bit
-            flat = ChannelRealization(grid=grid,
-                                      gains=stack.gains.reshape(-1, m, n))
-            tones = effective_tones(flat, smf_weights(flat, smf_params))
+            tones = effective_tones(stack, smf_weights(stack, smf_params))
             fixed[SMF] = tuple(
-                np.broadcast_to(x.reshape(-1, n_draws), dcs.shape[:2])
+                np.broadcast_to(x, shape)
                 for x in (_dc_power(rect_model, tones, grid),
                           received_rf_power(tones)))
         for strategy, (p_dc, p_rf) in fixed.items():
             p_dc = p_dc[order]
             blocks.append(((strategy, m, n, 0), (p_dc, p_rf[order])
                            + constant + (p_dc * config.t_frame,)))
-        for k, (book, columns) in books.items():
+        for k, (_, columns) in books.items():
             # every location's session of the point in one batch, each
             # on its own stream; UP's column, the fallback, leads the book's
             take = np.r_[0, columns]
             gens = [rngmod.stream(config.seed, rngmod.SESSION,
                                   _STRATEGY_IDS[LIMITED], m, n, k, loc_idx)
                     if draws else None for loc_idx in range(len(locations))]
-            report = run_session(timing, book, fades, rect_model, adc,
-                                 link, gens,
-                                 (dcs[..., take], p_rfs[..., take]))
+            report = run_session(timing, (dcs[..., take], p_rfs[..., take]),
+                                 adc, link, gens)
             adc_reads_signal |= bool(report.measurements.any())
             blocks.append(((LIMITED, m, n, k), tuple(
                 field[order] for field in (
@@ -654,14 +646,15 @@ def run_campaign(config: CampaignConfig, out_dir=None,
     rect_model = _rect_model(config)
     out = str(out_dir) if out_dir is not None else config.output_dir
     made = _make_dirs(out)
-    probe = os.path.join(out, ".write_probe")
     try:
-        with open(probe, "w") as fh:
-            fh.write("ok")
-        os.remove(probe)
-    except OSError as exc:
-        raise OSError(f"output directory {out!r} is not writable: {exc}")
-    try:
+        probe = os.path.join(out, ".write_probe")
+        try:
+            with open(probe, "w") as fh:
+                fh.write("ok")
+            os.remove(probe)
+        except OSError as exc:
+            raise OSError(f"output directory {out!r} is not writable: "
+                          f"{exc}") from exc
         index, blocks = _detail_rows(config, rect_model)
         # each p_dc is formatted once: the summary averages the values the
         # detail file writes

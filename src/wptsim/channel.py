@@ -131,8 +131,10 @@ def realize_channel(params: ChannelModelParams, m_antennas: int,
     """Deterministic realization for (params.seed, frame).
 
     The tap stream is Philox-keyed by (seed, TAPS, frame), so the same
-    arguments reproduce the same channel on any machine, and consecutive
-    frames get independent fades.
+    arguments draw the same variates everywhere, and consecutive frames
+    get independent fades.  The gains repeat to the bit only where numpy
+    and OpenBLAS run the same code paths: with AVX-512 off, or another
+    OpenBLAS core type, their last bits can move (README, Determinism).
     """
     gen = rngmod.stream(params.seed, rngmod.TAPS, frame)
     taps = sample_taps(params, m_antennas, gen)

@@ -15,12 +15,13 @@ frame's channel, UP in column 0 and codeword k in column k, so an
 applied index, the fallback marker 0 included, is its own column: a
 frame reads its WPT powers from the sweep and rates nothing of its own.
 
-run_session is the one session path.  It takes S sessions of F frames at
-once (run_campaign passes every location's session of one (M, N, K)
-point) and computes them as (S, F) arrays: the sessions are the batch
-axis, the frames the axis the fallback is threaded along.  Each session
-keeps its own stream and draws from it frame by frame, in the order one
-frame alone would.  run_frame is its one-session, one-frame case.
+run_session is the one session path.  It takes the (S, F, 1+K) sweeps of
+S sessions of F frames (run_campaign passes every location's session of
+one (M, N, K) point) and computes them as (S, F) arrays: the sessions are
+the batch axis, the frames the axis the fallback is threaded along.  Each
+session keeps its own stream and draws from it frame by frame, in the
+order one frame alone would.  run_frame sweeps its one channel and is
+run_session's one-session, one-frame case.
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ from .errors import (ConfigError, DomainError, ProtocolError, check_count,
 from .rectenna import (AdcConfig, DiodeMomentModel, dc_power_moment,
                        dc_power_table, measure_dc)
 from .strategies import feedback_bits, select_codeword, up_weights
-from .waveform import (EffectiveTones, WaveformWeights, effective_tones,
-                       received_rf_power, second_moment, tone_moments)
+from .waveform import (EffectiveTones, effective_tones, received_rf_power,
+                       second_moment, tone_moments)
 
 #: applied_index value meaning "open-loop uniform power fallback", and
 #: the UP codeword's column of a session's sweep
@@ -147,68 +148,37 @@ def _dc_power(rect_model, tones: EffectiveTones, grid):
     return dc_power_table(rect_model, tones, grid)
 
 
-def _check_fits(codebook: Codebook, channels) -> None:
-    """Raise unless each channel is one (M, N) matrix of the book's M and N.
+def _sweep(codebook: Codebook, channels: ChannelRealization,
+           rect_model) -> tuple:
+    """Every codeword's dc and RF powers on each channel: two (..., K) arrays.
 
-    Each distinct shape is checked once, not each of a session's channels.
+    channels holds one (M, N) channel or a stack, (..., M, N).  Each
+    channel's (K, N) tones are formed in one multiply of their own, and
+    their m2 is the RF power.  The moment model takes every channel's dc
+    in one moment call, the table model one dc_power_table call per
+    codeword.  A row does not depend on the rows or codewords beside it,
+    so it equals its channel's own sweep, and a codeword's column of a
+    larger book's sweep equals its own book's sweep, to the last bit.
     """
-    for shape in {ch.gains.shape for ch in channels}:
-        check_shape("channel gains", shape, codebook.weights.shape[1:])
-
-
-def _sweep(codebook: Codebook, channels, rect_model) -> tuple:
-    """Every codeword's dc and RF powers on each channel: two (C, K) arrays.
-
-    Row c holds the K codewords' powers on channels[c].  Each distinct
-    channel object is swept once: its (K, N) tones are formed in one
-    multiply, and their m2 is the RF power.  The moment model takes every
-    channel's dc in one moment call, the table model one dc_power_table
-    call per codeword.  A row does not depend on the rows or codewords
-    beside it, so a codeword's column of a larger book's sweep equals its
-    own book's sweep to the last bit.
-    """
-    distinct = {id(ch): ch for ch in channels}
-    _check_fits(codebook, distinct.values())
+    k, m, n = codebook.weights.shape
+    gains = channels.gains
+    check_shape("channel gains", gains.shape, (..., m, n))
     # each channel's (K, N) tones are formed alone, as in its own sweep,
     # and from operands of equal ndim, as effective_tones forms them:
     # numpy rounds a one-element complex multiply (M=N=K=1) whose operands
     # differ in ndim without the fused multiply-add it uses otherwise
-    tones = np.stack([np.sum(ch.gains[None] * codebook.weights, axis=1)
-                      for ch in distinct.values()])
+    tones = np.stack([np.sum(g[None] * codebook.weights, axis=1)
+                      for g in gains.reshape(-1, m, n)])
     if isinstance(rect_model, DiodeMomentModel):
         m2, m4 = tone_moments(tones)
         dcs = rect_model.dc(m2, m4)
     else:
         m2 = second_moment(tones)
         dcs = np.array([[dc_power_table(rect_model, EffectiveTones(row),
-                                        ch.grid) for row in ch_tones]
-                        for ch, ch_tones in zip(distinct.values(), tones)])
-    rows = {key: i for i, key in enumerate(distinct)}
-    index = [rows[id(ch)] for ch in channels]
-    return dcs[index], m2[index]
-
-
-def _rate_up(codebook: Codebook, channels, rect_model) -> tuple:
-    """The UP codeword's (dc, RF) powers on each channel: a (2, C) array.
-
-    The distinct channel objects of one grid are rated as one stack, one
-    call each of effective_tones, the rectifier and received_rf_power, as
-    the campaign rates SMF; a row equals its channel's own calls to the
-    bit.
-    """
-    groups = {}
-    for ch in channels:
-        groups.setdefault(ch.grid, {})[id(ch)] = ch
-    rated = {}
-    for grid, group in groups.items():
-        stack = ChannelRealization(grid=grid, gains=np.stack(
-            [ch.gains for ch in group.values()]))
-        up = up_weights(codebook.m_antennas, grid, codebook.power_budget)
-        tones = effective_tones(stack, WaveformWeights(
-            np.broadcast_to(up.weights, stack.gains.shape), up.power_budget))
-        rated.update(zip(group, zip(_dc_power(rect_model, tones, grid),
-                                    received_rf_power(tones))))
-    return np.array([rated[id(ch)] for ch in channels]).T
+                                        channels.grid) for row in ch_tones]
+                        for ch_tones in tones])
+    shape = gains.shape[:-2] + (k,)
+    return dcs.reshape(shape), m2.reshape(shape)
 
 
 @dataclass(frozen=True, eq=False)
@@ -248,6 +218,9 @@ def run_frame(config: FrameConfig, codebook: Codebook,
               rng: np.random.Generator | None) -> FrameReport:
     """One closed-loop frame on a constant channel: run_session's S=F=1 case.
 
+    Its sweep is UP's codeword, rated through effective_tones, ahead of
+    the book's.
+
     Args:
         fallback_state: applied_index of the previous frame, or None on the
             first frame (then the fallback is the UP codeword, marker 0).
@@ -257,84 +230,70 @@ def run_frame(config: FrameConfig, codebook: Codebook,
     Raises:
         ConfigError: the book's K*t_s training phase fills the frame.
         DomainError: rng is None on a lossy link or with a noisy ADC.
+        DimensionError: the channel is not one (M, N) matrix of the book's
+            M and N.
     """
-    return run_session(config, codebook, [[channel]], rect_model, adc, link,
-                       [rng], fallback_state=fallback_state).frame(0, 0)
+    check_shape("channel gains", channel.gains.shape,
+                codebook.weights.shape[1:])
+    up = effective_tones(channel, up_weights(
+        codebook.m_antennas, channel.grid, codebook.power_budget))
+    rated = (_dc_power(rect_model, up, channel.grid), received_rf_power(up))
+    sweeps = tuple(np.r_[first, rest][None, None] for first, rest in zip(
+        rated, _sweep(codebook, channel, rect_model)))
+    return run_session(config, sweeps, adc, link, [rng],
+                       fallback_state).frame(0, 0)
 
 
-def run_session(config: FrameConfig, codebook: Codebook, channels,
-                rect_model, adc: AdcConfig | None, link: LinkModel, rngs,
-                sweeps: tuple | None = None,
+def run_session(config: FrameConfig, sweeps: tuple, adc: AdcConfig | None,
+                link: LinkModel, rngs,
                 fallback_state: int | None = None) -> SessionReport:
     """S closed-loop sessions of F frames, each threading its fallback.
 
-    Each frame trains for K*t_s, K the codebook's size, and transmits for
-    the rest of config.t_frame.  Its measurements are the ADC readings,
-    or without an ADC the sweep's dc powers themselves.  A session's
-    frames are computed as arrays: selection is one select_codeword call
-    over the last axis, a frame's applied index is the selection of the
-    session's last delivered frame (np.maximum.accumulate over frame
-    indices), and the training energy is np.cumsum of the K dc levels,
-    which adds left to right (from Python 3.12 the builtin sum
-    compensates float rounding, so it would give other bits than 3.10
-    and 3.11).  Only the random draws run frame by frame: each session
-    reads its own stream, per frame one ADC reading per codeword (through
-    measure_dc, in codeword order) and then one delivery draw.  Every
-    applied power, the UP fallback's included, is read from the sweep's
-    column of the applied index with one take_along_axis; the readings
-    and the training energy read the K codeword columns.  So each
-    session's reports equal those of run_frame called frame by frame on
-    its stream.
+    As the paper's receiver feeds back an index without estimating the
+    channel, a session sees only its sweep.  Each frame trains for K*t_s
+    and transmits for the rest of config.t_frame.  Its measurements are
+    the ADC readings, or without an ADC the sweep's dc powers themselves.
+    A session's frames are computed as arrays: selection is one
+    select_codeword call over the last axis, a frame's applied index is
+    the selection of the session's last delivered frame
+    (np.maximum.accumulate over frame indices), and the training energy
+    is np.cumsum of the K dc levels, which adds left to right (from
+    Python 3.12 the builtin sum compensates float rounding, so it would
+    give other bits than 3.10 and 3.11).  Only the random draws run frame
+    by frame: each session reads its own stream, per frame one ADC
+    reading per codeword (through measure_dc, in codeword order) and then
+    one delivery draw.  Every applied power, the UP fallback's included,
+    is read from the sweep's column of the applied index with one
+    take_along_axis; the readings and the training energy read the K
+    codeword columns.  So each session's reports equal those of run_frame
+    called frame by frame on its stream.
 
     Args:
-        channels: each session's F ChannelRealizations, in frame order;
-            every session has the same F.
+        sweeps: (dc powers, RF powers), two (S, F, 1+K) arrays: session
+            s's frame f in row [s, f], UP's codeword in column 0 and
+            codeword k in column k.
         link: the feedback link every frame reports over.
         rngs: each session's stream, or None for a session that cannot
             draw (see session_draws); its feedback always arrives.
-        sweeps: the (dc powers, RF powers) of every frame's UP codeword
-            and K codewords, two (S, F, 1+K) arrays with UP in column 0
-            and codeword k in column k, when the caller already holds
-            them; otherwise the session sweeps the book on each distinct
-            channel object once (under block fading one object serves
-            every frame) and rates UP on those channels in one batch.
         fallback_state: the applied_index before each session's first
             frame, or None for the UP codeword (marker 0).
 
     Raises:
-        ConfigError: the book's K*t_s training phase fills the frame.
-        DomainError: a flat list of channels, no session or no frame,
-            sessions of unequal length, one rng per session missing, or a
-            session without an rng on a lossy link or with a noisy ADC.
-        DimensionError: a channel off the book's (M, N), or sweeps of
-            another shape.
+        ConfigError: the K*t_s training phase fills the frame.
+        DomainError: no codeword column, one rng per session missing, or
+            a session without an rng on a lossy link or with a noisy ADC.
+        DimensionError: sweeps that are not two (S, F, 1+K) arrays of one
+            shape, or that have an empty axis.
     """
-    try:
-        n_frames = {len(frames) for frames in channels}
-    except TypeError:           # a flat list of channels has no len
-        raise DomainError("channels must be S sessions of F channels, "
-                          "a list of per-session lists") from None
-    if not channels or 0 in n_frames:
-        raise DomainError("a session needs at least one channel")
-    if len(n_frames) > 1:
-        raise DomainError(f"sessions of unequal length {sorted(n_frames)}")
-    if len(rngs) != len(channels):
-        raise DomainError(f"{len(rngs)} rngs for {len(channels)} sessions")
+    dcs, p_rfs = map(np.asarray, sweeps)
+    check_shape("sweeps", dcs.shape, (None, None, None))
+    check_shape("sweeps", p_rfs.shape, dcs.shape)
+    shape = dcs.shape
+    if len(rngs) != shape[0]:
+        raise DomainError(f"{len(rngs)} rngs for {shape[0]} sessions")
     if None in rngs and session_draws(link, adc):
         raise DomainError("a lossy link or a noisy ADC requires an rng")
-    flat = [ch for frames in channels for ch in frames]
-    _check_fits(codebook, flat)
-    k = codebook.k_codewords
-    t_p = config.t_p(k)
-    shape = (len(channels), n_frames.pop(), 1 + k)
-    if sweeps is None:
-        sweeps = [np.column_stack(x) for x in zip(
-            _rate_up(codebook, flat, rect_model),
-            _sweep(codebook, flat, rect_model))]
-    else:
-        for x in sweeps:
-            check_shape("sweeps", np.shape(x), shape)
-    dcs, p_rfs = (np.reshape(x, shape) for x in sweeps)
+    t_p = config.t_p(shape[2] - 1)
     # the K codewords' powers; UP's column 0 is only ever applied
     swept = dcs[..., 1:]
     delivered = np.ones(shape[:2], dtype=bool)

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 import wptsim.rng as rngmod
-from wptsim import (ChannelModelParams, DiodeMomentModel, ToneGrid,
-                    WaveformWeights, realize_channel, stream, train_lloyd)
+from wptsim import (ChannelModelParams, ChannelRealization, Codebook,
+                    DiodeMomentModel, ToneGrid, WaveformWeights, protocol,
+                    realize_channel, stream, train_lloyd, up_weights)
 from wptsim.codebook import _amplitudes
 from wptsim.waveform import tone_moments
 
@@ -32,6 +33,22 @@ def make_channel(seed: int, m: int, grid: ToneGrid, n_taps: int = 8,
     params = ChannelModelParams(n_taps=n_taps, pathloss_db=pathloss_db,
                                 seed=seed)
     return realize_channel(params, m, grid, frame=frame)
+
+
+def session_sweeps(book, channels, model) -> tuple:
+    """The (S, F, 1+K) dc and RF sweeps of S sessions on their channels.
+
+    channels[s][f] is session s's channel in frame f.  UP's codeword is
+    column 0 and the book's K codewords follow, each channel rated alone,
+    as run_frame rates its one channel.
+    """
+    grid = channels[0][0].grid
+    up = up_weights(book.m_antennas, grid, book.power_budget)
+    swept = Codebook(np.concatenate([up.weights[None], book.weights]),
+                     book.power_budget)
+    stack = ChannelRealization(grid, np.array(
+        [[ch.gains for ch in frames] for frames in channels]))
+    return protocol._sweep(swept, stack, model)
 
 
 @pytest.fixture(scope="session")

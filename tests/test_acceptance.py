@@ -29,7 +29,7 @@ import wptsim.rng as rngmod
 from wptsim.waveform import radiated_power
 from wptsim.cli import main, oracle_moment_errors
 
-from conftest import dc_batch
+from conftest import dc_batch, session_sweeps
 
 _SUITE_START = time.perf_counter()
 
@@ -247,8 +247,9 @@ def test_criterion_08_protocol_accounting():
     grid = ToneGrid.centered(2.4e9, 10e6, 2)
     book = gen_nested(2, grid, 1.0, 8, stream(9800, rngmod.CODEBOOK))
     ch = _random_channel(500_000, 2, grid)
-    session = run_session(cfg, book, [[ch] * 5], DiodeMomentModel(), None,
-                          LinkModel(), [stream(9800, rngmod.SESSION)])
+    session = run_session(cfg, session_sweeps(book, [[ch] * 5],
+                                              DiodeMomentModel()),
+                          None, LinkModel(), [stream(9800, rngmod.SESSION)])
     reports = [session.frame(0, f) for f in range(5)]
     # ideal mode: the readings are the swept dc levels themselves, summed
     # left to right (the builtin sum compensates rounding from Python 3.12)
@@ -287,8 +288,8 @@ def test_criterion_09_fallback_behavior():
     model = DiodeMomentModel()
 
     lost = LinkModel(delivery_probability=0.0)
-    session = run_session(cfg, book, [[ch] * 4], model, None, lost,
-                          [stream(9900, rngmod.SESSION)])
+    session = run_session(cfg, session_sweeps(book, [[ch] * 4], model), None,
+                          lost, [stream(9900, rngmod.SESSION)])
     reports = [session.frame(0, f) for f in range(4)]
     all_uniform = all(r.applied_index == 0 for r in reports)
     up = up_weights(2, grid, 1.0)

@@ -18,6 +18,8 @@ from wptsim import (ALL_LOCATIONS, CampaignConfig, ConfigError, DomainError,
                     run_campaign, summarize)
 from wptsim.campaign import DETAIL_HEADER, SUMMARY_HEADER, _KEYS
 
+from conftest import session_sweeps
+
 
 def _mini_config(**overrides) -> CampaignConfig:
     base = dict(strategies=("UP", "SMF", "LIMITED"),
@@ -384,6 +386,26 @@ def test_load_config_missing_file():
         load_config("/nonexistent/config.ini")
 
 
+def test_a_failing_write_probe_leaves_no_directory(tmp_path, monkeypatch):
+    # the write probe's open fails in a fresh nested out_dir: the run
+    # raises the probe's OSError, chained to its cause, and removes the
+    # directories it made
+    from wptsim import campaign
+    real = open
+
+    def probe_fails(path, *args, **kwargs):
+        if str(path).endswith(".write_probe"):
+            raise PermissionError("probe refused")
+        return real(path, *args, **kwargs)
+
+    monkeypatch.setattr(campaign, "open", probe_fails, raising=False)
+    with pytest.raises(OSError, match="is not writable: probe refused") \
+            as info:
+        run_campaign(_mini_config(), out_dir=tmp_path / "a" / "b")
+    assert isinstance(info.value.__cause__, PermissionError)
+    assert list(tmp_path.iterdir()) == []
+
+
 # ---------------------------------------------------------------------------
 # gains
 
@@ -744,14 +766,16 @@ def test_shared_taps_give_realize_channel_gains(n_taps, m_max, resample):
     taps = campaign._taps(cfg, locations)
     for m, n in itertools.product(range(1, m_max + 1), (1, 2, 5, 16)):
         grid = ToneGrid.centered(2.4e9, 10e6, n)
-        _, point = campaign._point_channels(cfg, taps, m, grid)
-        for location, fades in zip(locations, point, strict=True):
-            assert len(fades) == cfg.frames_per_location
-            for frame, ch in enumerate(fades):
+        stack = campaign._point_channels(cfg, taps, m, grid)
+        draws = cfg.frames_per_location if resample else 1
+        assert stack.gains.shape == (cfg.n_locations, draws, m, n)
+        assert stack.m_antennas == m
+        for location, fades in zip(locations, stack.gains, strict=True):
+            for frame in range(cfg.frames_per_location):
                 alone = realize_channel(location.params, m, grid,
                                         frame=frame if resample else 0)
-                assert ch.gains.tobytes() == alone.gains.tobytes()
-                assert ch.m_antennas == m
+                gains = fades[frame if resample else 0]
+                assert gains.tobytes() == alone.gains.tobytes()
 
 
 def _adc_config(load_resistance):
@@ -782,35 +806,44 @@ def test_adc_reading_above_zero_writes_csvs(tmp_path):
     assert open(summary).read().startswith(SUMMARY_HEADER)
 
 
-def _captured_sessions(monkeypatch) -> list:
+def _captured_sessions(monkeypatch) -> tuple:
     # every run_session call of a campaign: its arguments, copies of its
-    # streams as they stood before the call, and its report
+    # streams as they stood before the call, and its report; and every
+    # _sweep call's book and channels
     from wptsim import campaign
-    calls, real = [], campaign.run_session
+    calls, swept = [], []
+    real_session, real_sweep = campaign.run_session, campaign._sweep
 
     def capture(*args):
-        before = [copy.deepcopy(gen) for gen in args[6]]
-        report = real(*args)
+        before = [copy.deepcopy(gen) for gen in args[4]]
+        report = real_session(*args)
         calls.append((args, before, report))
         return report
 
+    def sweep(book, channels, rect_model):
+        swept.append((book, channels))
+        return real_sweep(book, channels, rect_model)
+
     monkeypatch.setattr(campaign, "run_session", capture)
-    return calls
+    monkeypatch.setattr(campaign, "_sweep", sweep)
+    return calls, swept
 
 
-def _frame_events(calls) -> tuple:
+def _frame_events(calls, swept) -> tuple:
     # (frames, codeword evaluations, distinct (channel, codeword) pairs
-    # among them, frames whose top reading is tied, frames whose feedback
-    # was lost) over captured session calls, counted as the benchmark's
-    # tracer counts them per frame: a channel and a codeword are keyed by
-    # their bytes
+    # the campaign swept, frames whose top reading is tied, frames whose
+    # feedback was lost) over captured session and sweep calls, counted as
+    # the benchmark's tracer counts them per frame: a channel and a
+    # codeword are keyed by their bytes.  A nested family's sweep book is
+    # its K_max book, so its pairs are those the sessions' frames read.
     frames = evals = tied = lost = 0
     pairs = set()
-    for args, _, report in calls:
-        entries = [hash(e.weights.tobytes()) for e in args[1].entries]
-        for ch in itertools.chain.from_iterable(args[2]):
-            key = hash(ch.gains.tobytes())
-            pairs.update((key, entry) for entry in entries)
+    for book, channels in swept:
+        words = [hash(w.tobytes()) for w in book.weights]
+        for gains in channels.gains:
+            key = hash(gains.tobytes())
+            pairs.update((key, word) for word in words)
+    for _, _, report in calls:
         readings = report.measurements
         top = readings == readings.max(axis=-1, keepdims=True)
         frames += report.applied_index.size
@@ -824,11 +857,11 @@ def test_figure_joint_frame_events(tmp_path, monkeypatch):
     # one session call per (M, N, K) point, each over the 15 locations'
     # sessions of 3 frames; the counts are those the tracer read from the
     # 3240 per-frame calls before sessions ran as one batch per point
-    calls = _captured_sessions(monkeypatch)
+    calls, swept = _captured_sessions(monkeypatch)
     run_campaign(figure_config("figure-joint"), out_dir=tmp_path)
     assert len(calls) == 3 * 4 * 6
     assert all(r.applied_index.shape == (15, 3) for _, _, r in calls)
-    assert _frame_events(calls) == (3240, 68040, 34560, 186, 0)
+    assert _frame_events(calls, swept) == (3240, 68040, 34560, 186, 0)
 
 
 def test_benchmark_table_campaign_frame_events(tmp_path, monkeypatch):
@@ -836,10 +869,10 @@ def test_benchmark_table_campaign_frame_events(tmp_path, monkeypatch):
     # seed-drawn efficiency table, a noisy ADC and a lossy link; the counts
     # are those the tracer read from its 32 per-frame calls
     workloads = _benchmark_workloads(monkeypatch)
-    calls = _captured_sessions(monkeypatch)
+    calls, swept = _captured_sessions(monkeypatch)
     workloads.prepare("campaign-table", 20260818, str(tmp_path)).main()
     assert len(calls) == 2 * 2 * 2
-    assert _frame_events(calls) == (32, 96, 64, 9, 8)
+    assert _frame_events(calls, swept) == (32, 96, 64, 9, 8)
 
 
 def _benchmark_workloads(monkeypatch):
@@ -888,18 +921,19 @@ def test_lossy_adc_campaign_loses_the_frames_its_streams_draw(
     cfg = _mini_config(adc_enabled=True, adc_load_resistance=1e8,
                        adc_noise_sigma=1e-3, link_delivery_probability=0.6,
                        n_locations=3, frames_per_location=4)
-    calls = _captured_sessions(monkeypatch)
+    calls, swept = _captured_sessions(monkeypatch)
     detail, _ = run_campaign(cfg, out_dir=tmp_path)
     lost = 0
     for args, before, report in calls:
-        k = args[1].k_codewords
+        # the sweep's columns: UP's and the K codewords'
+        k = args[1][0].shape[-1] - 1
         for gen, delivered in zip(before, report.feedback_delivered):
             for frame_delivered in delivered:
                 for _ in range(k):
                     gen.standard_normal()
                 assert frame_delivered == (gen.random() < 0.6)
                 lost += not frame_delivered
-    frames, _, _, _, events_lost = _frame_events(calls)
+    frames, _, _, _, events_lost = _frame_events(calls, swept)
     assert frames == 2 * 2 * 2 * 3 * 4
     assert 0 < events_lost == lost < frames
     rows = [line.split(",") for line in open(detail).read().splitlines()
@@ -1093,9 +1127,9 @@ def test_limited_rows_equal_each_session_run_alone(
         tmp_path, monkeypatch, rectifier, resample, overrides):
     # a point's fades come from one stacked frequency_response call and
     # are swept once per fade draw over every location; every LIMITED row
-    # must carry the bits of its location's session run alone on
-    # realize_channel's fades, sweeping its own book (sweeps=None).  The
-    # detail CSV is written with repr here: "%.6g" hides last-bit changes
+    # must carry the bits of its location's session run alone on the
+    # sweep of its own book on realize_channel's fades.  The detail CSV
+    # is written with repr here: "%.6g" hides last-bit changes
     from wptsim import campaign, run_session, stream
     from wptsim.rng import SESSION
     monkeypatch.setattr(campaign, "_FLOAT", "%r")
@@ -1130,8 +1164,9 @@ def test_limited_rows_equal_each_session_run_alone(
             for k, (book, _) in books.items():
                 gen = stream(cfg.seed, SESSION, limited, m, n, k,
                              loc_idx) if draws else None
-                report = run_session(timing, book, [fades], rect_model, adc,
-                                     link, [gen])
+                report = run_session(
+                    timing, session_sweeps(book, [fades], rect_model), adc,
+                    link, [gen])
                 for f in frames:
                     r = report.frame(0, f)
                     expected[(str(m), str(n), str(k), location.label,
@@ -1194,7 +1229,7 @@ def test_limited_fallback_rows_carry_up_rated_on_their_channel(
 @pytest.mark.parametrize("seed", [20260818, 7])
 def test_smf_rows_of_a_stacked_point_equal_the_per_channel_calls(
         tmp_path, monkeypatch, rectifier, seed):
-    # run_campaign rates SMF on one (locations x frames, M, N) stack per
+    # run_campaign rates SMF on one (locations, frames, M, N) stack per
     # point; every row must carry the bits of its channel's own
     # smf_weights, effective_tones, rectifier and received_rf_power, at
     # every (M, N) of figure-joint, M=N=1 included
@@ -1211,8 +1246,9 @@ def test_smf_rows_of_a_stacked_point_equal_the_per_channel_calls(
         rectifier_model=rectifier, table_path=str(tmp_path / "eta.csv"))
     detail, _ = run_campaign(cfg, out_dir=tmp_path / "out")
     channels = cfg.n_locations * cfg.frames_per_location
-    assert stacks == [(channels, m, n) for m, n in itertools.product(
-        cfg.antenna_counts, cfg.tone_counts)]
+    assert stacks == [(cfg.n_locations, cfg.frames_per_location, m, n)
+                      for m, n in itertools.product(cfg.antenna_counts,
+                                                    cfg.tone_counts)]
     rows = {tuple(parts[1:6]): parts[6:8]
             for parts in (line.split(",")
                           for line in open(detail).read().splitlines()[1:])

@@ -33,6 +33,8 @@ from wptsim import (AdcConfig, CampaignConfig, ChannelModelParams,
                     up_weights, waveform_moments)
 from wptsim.errors import check_count, check_positive, check_shape
 
+from conftest import session_sweeps
+
 GRID = ToneGrid(2, 2.4e9, 10e6)
 PARAMS = ChannelModelParams()
 BOOK = gen_nested(1, GRID, 1.0, 4, stream(0, 4))
@@ -53,8 +55,10 @@ def _lloyd(k=2, iters=1, power=1.0, channels=CHANNELS):
 
 
 def _session(channel=CHANNELS[0], sweeps=None):
-    return run_session(FrameConfig(), BOOK, [[channel]], MODEL, None,
-                       LinkModel(), [None], sweeps)
+    # one frame's session, on the sweep of BOOK on channel unless given
+    if sweeps is None:
+        sweeps = session_sweeps(BOOK, [[channel]], MODEL)
+    return run_session(FrameConfig(), sweeps, None, LinkModel(), [None])
 
 
 #: (argument, call with the probed value, a whole number out of range)
@@ -195,11 +199,14 @@ ARRAYS = [
     ("dc_power_table.tones",
      lambda v: dc_power_table(TABLE_MODEL, EffectiveTones(v), GRID),
      np.ones(2), np.ones(3), True),
+    # a session's channels reach it only through their sweep
     ("run_session.channels",
      lambda v: _session(channel=ChannelRealization(GRID, v)),
      np.ones((1, 2)), np.ones((2, 2)), True),
-    # UP's column and the K = 4 book's; the book's alone lacks UP
-    ("run_session.sweeps", lambda v: _session(sweeps=(v, v)),
+    # the dc powers against RF powers of one session, one frame, UP's
+    # column and 4 codewords': the two arrays must agree
+    ("run_session.sweeps",
+     lambda v: _session(sweeps=(v, np.ones((1, 1, 5)))),
      np.ones((1, 1, 5)), np.ones((1, 1, 4)), False),
     ("train_lloyd.training_channels",
      lambda v: _lloyd(channels=CHANNELS + [ChannelRealization(GRID, v)]),

@@ -17,7 +17,7 @@ from wptsim import (AdcConfig, ChannelRealization, ConfigError,
                     protocol, received_rf_power, run_frame, run_session,
                     stream, up_weights)
 
-from conftest import make_channel
+from conftest import make_channel, session_sweeps
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +145,7 @@ def test_batched_sweep_is_bit_identical_to_per_codeword_path(m, n):
         ch = make_channel(41 + n, m, grid, pathloss_db=10.0, frame=frame)
         expected = [dc_power_moment(model, effective_tones(ch, e), grid)
                     for e in book.entries]
-        assert protocol._sweep(book, [ch], model)[0][0].tolist() == expected
+        assert protocol._sweep(book, ch, model)[0].tolist() == expected
 
 
 def test_one_codeword_sweep_equals_effective_tones_at_m1_n1():
@@ -156,7 +156,7 @@ def test_one_codeword_sweep_equals_effective_tones_at_m1_n1():
     for i in range(200):
         book = gen_random(1, grid, 1.0, 1, stream(60, 4, i))
         ch = make_channel(61 + i, 1, grid, pathloss_db=10.0)
-        assert protocol._sweep(book, [ch], model)[0][0][0] == dc_power_moment(
+        assert protocol._sweep(book, ch, model)[0][0] == dc_power_moment(
             model, effective_tones(ch, book.entries[0]), grid)
 
 
@@ -176,7 +176,7 @@ def test_run_frame_energy_accounting():
     cfg = FrameConfig(t_s=0.010, t_frame=2.0)
     link = LinkModel(delivery_probability=1.0)
     report = run_frame(cfg, book, ch, model, None, link, None, stream(21, 6))
-    raw = protocol._sweep(book, [ch], model)[0][0]
+    raw = protocol._sweep(book, ch, model)[0]
     assert report.energy_training == pytest.approx(sum(raw) * 0.010,
                                                    rel=1e-12)
     assert report.energy_wpt == pytest.approx(report.p_dc_wpt * cfg.t_p(4),
@@ -213,7 +213,7 @@ def test_run_frame_evaluates_each_codeword_once(monkeypatch):
     # the K codewords once, K+1 waveforms, whatever it applies: the applied
     # powers, UP's fallback included, are read from that sweep
     grid, book, ch, _ = _setup(k=4)
-    dcs = protocol._sweep(book, [ch], _TABLE)[0][0]
+    dcs = protocol._sweep(book, ch, _TABLE)[0]
     up = protocol._dc_power(_TABLE, effective_tones(ch, up_weights(
         2, grid, book.power_budget)), grid)
     real = protocol.dc_power_table
@@ -264,8 +264,8 @@ def _frames(report, s=0):
 
 def _session(cfg, book, channels, model, adc, link, gen):
     # one session's reports from a batch of one
-    return _frames(run_session(cfg, book, [channels], model, adc, link,
-                               [gen]))
+    return _frames(run_session(cfg, session_sweeps(book, [channels], model),
+                               adc, link, [gen]))
 
 
 def test_run_session_threads_fallback_state():
@@ -299,47 +299,45 @@ def test_run_session_all_lost_stays_uniform():
 
 
 def test_run_session_rejects_zero_frames():
-    _, book, _, model = _setup()
+    # a sweep of no session or of no frame has an empty axis
     cfg = FrameConfig(t_s=0.010, t_frame=2.0)
-    for channels, gens in (([], []), ([[]], [stream(30, 6)])):
-        with pytest.raises(DomainError, match="at least one channel"):
-            run_session(cfg, book, channels, model, None, LinkModel(), gens)
+    for shape, gens in (((0, 1, 5), []), ((1, 0, 5), [stream(30, 6)])):
+        with pytest.raises(DimensionError, match=re.escape(
+                f"sweeps shape {shape} does not fit (*, *, *)")):
+            run_session(cfg, (np.zeros(shape), np.zeros(shape)), None,
+                        LinkModel(), gens)
 
 
 def test_run_session_rejects_ragged_sessions_and_missing_rngs():
-    grid, book, ch, model = _setup()
+    _, book, ch, model = _setup()
     cfg = FrameConfig(t_s=0.010, t_frame=2.0)
-    with pytest.raises(DomainError, match=re.escape("unequal length [2, 3]")):
-        run_session(cfg, book, [[ch] * 3, [ch] * 2], model, None,
-                    LinkModel(), [None, None])
     with pytest.raises(DomainError, match="1 rngs for 2 sessions"):
-        run_session(cfg, book, [[ch] * 3] * 2, model, None, LinkModel(),
-                    [None])
-    # a flat list of channels is not a list of sessions
-    with pytest.raises(DomainError, match="S sessions of F channels"):
-        run_session(cfg, book, [ch] * 3, model, None, LinkModel(),
-                    [None] * 3)
+        run_session(cfg, session_sweeps(book, [[ch] * 3] * 2, model), None,
+                    LinkModel(), [None])
 
 
 def test_run_session_rejects_sweeps_of_the_wrong_length(monkeypatch):
-    grid, book, _, model = _setup()
     cfg = FrameConfig(t_s=0.010, t_frame=2.0)
-    channels = [make_channel(40 + i, 2, grid, pathloss_db=10.0)
-                for i in range(3)]
     swept = []
     monkeypatch.setattr(protocol, "_sweep",
                         lambda *args: swept.append(args))
-    # (sessions, frames, 1 + codewords) of 1 session of 3 frames and K = 4:
-    # UP's column and the book's; the book's (1, 3, 4) alone lacks UP
-    for shape in ((1, 2, 5), (1, 5, 5), (2, 3, 5), (1, 3, 4), (3, 5)):
-        with pytest.raises(DimensionError, match=re.escape(
-                f"sweeps shape {shape} does not fit (1, 3, 5)")):
-            run_session(cfg, book, [channels], model, None, LinkModel(),
-                        [stream(33, 6)], (np.zeros(shape), np.zeros(shape)))
+    # (sessions, frames, 1 + codewords): K is the last axis's length less
+    # UP's column, and one rng stands for each session
+    report = run_session(cfg, (np.ones((1, 3, 4)), np.ones((1, 3, 4))),
+                         None, LinkModel(), [stream(33, 6)])
+    assert report.measurements.shape == (1, 3, 3)
+    with pytest.raises(DomainError, match="1 rngs for 2 sessions"):
+        run_session(cfg, (np.zeros((2, 3, 5)), np.zeros((2, 3, 5))), None,
+                    LinkModel(), [stream(33, 6)])
+    with pytest.raises(DimensionError, match=re.escape(
+            "sweeps shape (3, 5) does not fit (*, *, *)")):
+        run_session(cfg, (np.zeros((3, 5)), np.zeros((3, 5))), None,
+                    LinkModel(), [stream(33, 6)])
     with pytest.raises(DimensionError, match=re.escape(
             "sweeps shape (5,) does not fit (1, 3, 5)")):
-        run_session(cfg, book, [channels], model, None, LinkModel(),
-                    [stream(33, 6)], (np.zeros((1, 3, 5)), np.zeros(5)))
+        run_session(cfg, (np.zeros((1, 3, 5)), np.zeros(5)), None,
+                    LinkModel(), [stream(33, 6)])
+    # a session sweeps nothing of its own
     assert swept == []
 
 
@@ -348,35 +346,32 @@ def test_session_rejects_a_book_off_the_channels_shape(m, n):
     grid = ToneGrid.centered(2.4e9, 10e6, 2)
     book = gen_nested(2, ToneGrid.centered(2.4e9, 10e6, n), 1.0, 2,
                       stream(34, 4))
-    channels = [make_channel(34, m, grid)]
+    channel = make_channel(34, m, grid)
     with pytest.raises(DimensionError, match=re.escape(
             f"channel gains shape ({m}, 2) does not fit (2, {n})")):
-        run_session(FrameConfig(), book, [channels], DiodeMomentModel(),
-                    None, LinkModel(), [None])
+        run_frame(FrameConfig(), book, channel, DiodeMomentModel(), None,
+                  LinkModel(), None, None)
+    with pytest.raises(DimensionError, match=re.escape(
+            f"channel gains shape ({m}, 2) does not fit (..., 2, {n})")):
+        protocol._sweep(book, channel, DiodeMomentModel())
 
 
 def test_a_stacked_channel_is_rejected_not_broadcast():
     # gains of shape (F, M, N) would broadcast against the (K, M, N) book;
-    # the sweep, a frame and a session each take one (M, N) channel
+    # a frame takes one (M, N) channel, and the sweep rates each channel
+    # of a stack alone
     grid = ToneGrid.centered(2.4e9, 10e6, 2)
     book = gen_nested(2, grid, 1.0, 2, stream(35, 4))
     stack = ChannelRealization(grid=grid, gains=np.stack(
         [make_channel(35 + i, 2, grid).gains for i in range(2)]))
-    message = re.escape("channel gains shape (2, 2, 2) does not fit (2, 2)")
-    with pytest.raises(DimensionError, match=message):
-        protocol._sweep(book, [stack], DiodeMomentModel())
-    sweeps = (np.array([[[1.0, 2.0]]]), np.array([[[1.0, 2.0]]]))
-    for call in (
-            lambda: run_frame(FrameConfig(), book, stack, DiodeMomentModel(),
-                              None, LinkModel(), None, None),
-            lambda: run_session(FrameConfig(), book, [[stack]],
-                                DiodeMomentModel(), None, LinkModel(),
-                                [None]),
-            lambda: run_session(FrameConfig(), book, [[stack]],
-                                DiodeMomentModel(), None, LinkModel(),
-                                [None], sweeps)):
-        with pytest.raises(DimensionError, match=message):
-            call()
+    with pytest.raises(DimensionError, match=re.escape(
+            "channel gains shape (2, 2, 2) does not fit (2, 2)")):
+        run_frame(FrameConfig(), book, stack, DiodeMomentModel(), None,
+                  LinkModel(), None, None)
+    assert protocol._sweep(book, stack, DiodeMomentModel())[0].tolist() == [
+        protocol._sweep(book, ChannelRealization(grid, gains),
+                        DiodeMomentModel())[0].tolist()
+        for gains in stack.gains]
 
 
 def _frame_by_frame(cfg, book, channels, model, adc, link, gen):
@@ -424,9 +419,17 @@ def test_session_batch_equals_frame_by_frame(m, n):
         assert any(not r.feedback_delivered for r in batched)
         if book.k_codewords > 1:
             assert len(set(batched[0].measurements)) > 1
-        assert protocol._sweep(book, channels, model)[0].tolist() \
-            == [protocol._sweep(book, [ch], model)[0][0].tolist()
-                for ch in channels]
+    # an (S, D, M, N) stack's sweep is each channel's own to the bit, on
+    # either rectifier, for K = 1 and K = 64
+    stack = ChannelRealization(grid, np.array(
+        [[ch.gains for ch in frames] for frames in (fixed, fading)]))
+    for book, rect_model in itertools.product(books, (model, _TABLE)):
+        alone = [[protocol._sweep(book, ch, rect_model) for ch in frames]
+                 for frames in (fixed, fading)]
+        for i, powers in enumerate(protocol._sweep(book, stack, rect_model)):
+            assert powers.shape == (2, 6, book.k_codewords)
+            assert powers.tolist() == [[sweep[i].tolist() for sweep in row]
+                                       for row in alone]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
@@ -461,11 +464,12 @@ def test_rng_none_raises_where_a_session_draws():
     for adc, link in ((None, lossy), (None, LinkModel(0.0)),
                       (noisy, LinkModel())):
         with pytest.raises(DomainError, match="requires an rng"):
-            run_session(cfg, book, [[ch] * 3], model, adc, link, [None])
+            run_session(cfg, session_sweeps(book, [[ch] * 3], model), adc,
+                        link, [None])
         # one session without a stream is enough
         with pytest.raises(DomainError, match="requires an rng"):
-            run_session(cfg, book, [[ch] * 3] * 2, model, adc, link,
-                        [stream(29, 6), None])
+            run_session(cfg, session_sweeps(book, [[ch] * 3] * 2, model),
+                        adc, link, [stream(29, 6), None])
     for adc, link in ((None, lossy), (noisy, LinkModel())):
         assert protocol.session_draws(link, adc)
         with pytest.raises(DomainError, match="requires an rng"):
@@ -486,7 +490,7 @@ def test_a_session_given_a_stream_draws_in_frame_order(delivery):
         reports = _session(cfg, book, channels, model, adc,
                            LinkModel(delivery), gen)
         for ch, report in zip(channels, reports):
-            dcs = protocol._sweep(book, [ch], model)[0][0].tolist()
+            dcs = protocol._sweep(book, ch, model)[0].tolist()
             if adc is not None:
                 dcs = [measure_dc(adc, p, ref)[1] for p in dcs]
             assert report.measurements == tuple(dcs)
@@ -516,8 +520,7 @@ def _loop_frames(cfg, book, channels, model, adc, link, gen):
     # fed back as bits, the training dc added left to right
     k, reports, applied = book.k_codewords, [], UP_FALLBACK
     for ch in channels:
-        dcs, p_rfs = (x[0].tolist()
-                      for x in protocol._sweep(book, [ch], model))
+        dcs, p_rfs = (x.tolist() for x in protocol._sweep(book, ch, model))
         readings = (dcs if adc is None
                     else [measure_dc(adc, p, gen)[1] for p in dcs])
         selected = readings.index(max(readings)) + 1
@@ -554,7 +557,7 @@ def test_a_batch_of_sessions_equals_each_session_frame_by_frame(model,
     if fading == "block":
         channels = [[make_channel(80 + s, 2, grid, pathloss_db=10.0)]
                     * n_frames for s in range(n_sessions)]
-        # one channel object shared by two sessions is swept once
+        # two sessions on one channel
         channels[3] = channels[0]
     else:
         channels = [[make_channel(80 + s, 2, grid, pathloss_db=10.0,
@@ -572,7 +575,8 @@ def test_a_batch_of_sessions_equals_each_session_frame_by_frame(model,
     for case, (link, adc, drawn) in enumerate(cases):
         batch, chain, loop = ([stream(90, case, s) if s in drawn else None
                                for s in range(n_sessions)] for _ in range(3))
-        report = run_session(cfg, book, channels, model, adc, link, batch)
+        report = run_session(cfg, session_sweeps(book, channels, model), adc,
+                             link, batch)
         assert report.applied_index.shape == (n_sessions, n_frames)
         assert report.measurements.shape == (n_sessions, n_frames, 8)
         for s in range(n_sessions):
@@ -592,54 +596,24 @@ def test_a_batch_of_sessions_equals_each_session_frame_by_frame(model,
             assert (report.applied_index[lost] != UP_FALLBACK).any()
 
 
-def test_session_sweeps_each_distinct_channel_once(monkeypatch):
-    # under block fading one realization serves every frame; the session
-    # rates the K = 8 codewords and UP's once on it and hands every frame
-    # its row
-    grid, book, _, _ = _setup(k=8, m=2, n=4)
-    cfg = FrameConfig(t_s=0.010, t_frame=2.0)
-    a, b = (make_channel(56 + i, 2, grid, pathloss_db=10.0) for i in range(2))
-    # (each frame's channel, distinct channels among the 6 frames)
-    sources = (([a] * 6, 1), ([a, b] * 3, 2))
-    # waveforms evaluated: the rows of a moment call (the sweep's
-    # tone_moments, UP's dc_power_moment), one each for a table lookup
-    evals = []
-    real_moments, real_table = protocol.tone_moments, protocol.dc_power_table
-    real_up = protocol.dc_power_moment
-    monkeypatch.setattr(protocol, "tone_moments", lambda tones: (
-        evals.append(tones.size // tones.shape[-1]) or real_moments(tones)))
-    monkeypatch.setattr(protocol, "dc_power_moment", lambda model, tones, g: (
-        evals.append(tones.amplitudes.size // g.n_tones)
-        or real_up(model, tones, g)))
-    monkeypatch.setattr(protocol, "dc_power_table", lambda *args: (
-        evals.append(1) or real_table(*args)))
-    for (channels, distinct), model in itertools.product(
-            sources, (DiodeMomentModel(), _TABLE)):
-        evals.clear()
-        _session(cfg, book, channels, model, None, LinkModel(1.0),
-                 stream(57, 6))
-        assert sum(evals) == distinct * (8 + 1)
-        lossy = LinkModel(delivery_probability=0.5)
-        batched = _session(cfg, book, channels, model, None, lossy,
-                           stream(58, 6))
-        assert batched == _frame_by_frame(cfg, book, channels, model, None,
-                                          lossy, stream(58, 6))
-        assert batched == _loop_frames(cfg, book, channels, model, None,
-                                       lossy, stream(58, 6))
-
-
 @pytest.mark.parametrize("m", [1, 2, 4])
 @pytest.mark.parametrize("n", [1, 2, 4, 8])
 def test_sweep_rf_power_is_received_rf_power(m, n):
     # a frame reads the applied codeword's dc and RF power from the sweep,
     # which on either rectifier must equal those of the codeword's own
-    # effective tones
+    # effective tones, for K = 1 and K = 64, on each channel of a
+    # (locations, draws) stack
     grid = ToneGrid.centered(2.4e9, 10e6, n)
-    book = gen_nested(m, grid, 2.0, 64, stream(60 + m, 4, n))
+    books = (gen_random(m, grid, 2.0, 1, stream(60 + m, 4, n)),
+             gen_nested(m, grid, 2.0, 64, stream(60 + m, 4, n)))
     channels = [make_channel(61, m, grid, frame=i) for i in range(30)]
-    for model in (DiodeMomentModel(), _TABLE):
-        swept = protocol._sweep(book, channels, model)
-        for ch, dcs, p_rfs in zip(channels, *swept):
+    stack = ChannelRealization(grid, np.array(
+        [ch.gains for ch in channels]).reshape(5, 6, m, n))
+    for book, model in itertools.product(books, (DiodeMomentModel(),
+                                                 _TABLE)):
+        swept = (x.reshape(30, -1) for x in protocol._sweep(book, stack,
+                                                            model))
+        for ch, dcs, p_rfs in zip(channels, *swept, strict=True):
             tones = [effective_tones(ch, e) for e in book.entries]
             assert dcs.tolist() == [protocol._dc_power(model, t, grid)
                                     for t in tones]
@@ -647,15 +621,16 @@ def test_sweep_rf_power_is_received_rf_power(m, n):
 
 
 def test_session_forms_tones_only_in_its_sweep(monkeypatch):
-    # the table sweep forms each channel's tones in one batch and rates
-    # every (channel, codeword) with one dc_power_table call.  UP, the
-    # fallback of lost feedback on a first frame, is rated outside the
-    # sweep once per channel, delivered or not: one effective_tones call
-    # on the stack of the 3 fades, then one dc_power_table call each.
+    # a session given its sweeps forms no tones and rates no waveform.  A
+    # frame run alone forms the book's tones in its one _sweep call, which
+    # rates each of the K = 8 codewords with one dc_power_table call, and
+    # rates UP, its first frame's fallback, outside the sweep, delivered
+    # or not: one effective_tones and one dc_power_table call.
     grid, book, _, _ = _setup(k=8, m=2, n=4)
     cfg = FrameConfig(t_s=0.010, t_frame=2.0)
     fades = [make_channel(62, 2, grid, pathloss_db=10.0, frame=i)
              for i in range(3)]
+    sweeps = session_sweeps(book, [fades], _TABLE)
     depth, calls = [], []
     real_sweep = protocol._sweep
 
@@ -675,18 +650,25 @@ def test_session_forms_tones_only_in_its_sweep(monkeypatch):
         return call
 
     monkeypatch.setattr(protocol, "_sweep", sweep)
-    for name in ("effective_tones", "dc_power_table"):
+    for name in ("effective_tones", "dc_power_table", "dc_power_moment",
+                 "tone_moments"):
         monkeypatch.setattr(protocol, name, counted(name))
     for delivery, fallbacks in ((1.0, 0), (0.0, 3)):
         calls.clear()
-        reports = _session(cfg, book, fades, _TABLE, None,
-                           LinkModel(delivery), stream(63, 6))
-        assert calls.count(("dc_power_table", True)) == 3 * 8
-        assert calls.count(("effective_tones", True)) == 0
-        assert calls.count(("effective_tones", False)) == 1
-        assert calls.count(("dc_power_table", False)) == 3
-        assert sum(r.applied_index == UP_FALLBACK
-                   for r in reports) == fallbacks
+        report = run_session(cfg, sweeps, None, LinkModel(delivery),
+                             [stream(63, 6)])
+        assert calls == []
+        assert np.count_nonzero(report.applied_index == UP_FALLBACK) \
+            == fallbacks
+        for ch in fades:
+            calls.clear()
+            run_frame(cfg, book, ch, _TABLE, None, LinkModel(delivery), None,
+                      stream(63, 6))
+            assert calls.count(("dc_power_table", True)) == 8
+            assert calls.count(("effective_tones", True)) == 0
+            assert calls.count(("effective_tones", False)) == 1
+            assert calls.count(("dc_power_table", False)) == 1
+            assert len(calls) == 10
 
 
 def test_adc_selection_can_differ_from_ideal_but_stays_valid():
