@@ -16,10 +16,11 @@ Every location's taps are drawn once, at the largest antenna count
 (_taps).  At each (M, N) point one frequency_response call turns their
 first M rows into one (locations, draws, M, N) stack of every location's
 fades (_point_channels).  The point's book holds each swept codeword
-once: UP's codeword is column 0, and every K's book is a contiguous
-slice of its columns; a nested K_max book starts with UP's codeword, so
-it is the sweep book as it stands (_books).  The books come from
-codebooks(), which ``wptsim codebook`` writes to file.  The book is
+once, UP's codeword in column 0: a nested K_max book starts with UP's
+codeword, so it is the sweep book as it stands, and K's book is its
+first K columns; random and Lloyd books follow UP in K order (_books).
+The books are those of codebooks(), which ``wptsim codebook`` writes to
+file, and a nested campaign builds only the K_max one.  The book is
 swept once per fade draw, over every location's channel of that draw
 (_point_sweep), so no channel is swept twice and UP's codeword is rated
 once per channel: the UP rows read column 0, and so does a LIMITED frame
@@ -33,9 +34,10 @@ sessions, each on its own stream, and its reports equal those of every
 session run on its own.
 
 Each sweep point's detail rows are one block of (locations, frames)
-columns (_detail_rows).  The blocks are sorted by (strategy, M, N, K), and
-one permutation, taken once, puts every block's locations in label order
-(L1, L10, ..., L15, L2, ...); frames run in order.  So the rows, read
+columns (_detail_rows).  The blocks are sorted by (strategy, M, N, K).
+The locations are sorted into label order (L1, L10, ..., L15, L2, ...)
+once, before their taps are drawn, so every block is built with its
+locations in that order; frames run in order.  So the rows, read
 block by block, are sorted by the literal tuple (strategy, M, N, K,
 location, frame) without sorting a row.  Each p_dc is formatted once.
 The summary is written first, from the blocks: each block is its point's
@@ -349,20 +351,26 @@ def _rect_model(config: CampaignConfig):
                           f"{exc}") from exc
 
 
+def _nested_book(config: CampaignConfig, m: int, grid: ToneGrid) -> Codebook:
+    """The nested family's K_max book, drawn from (seed, CODEBOOK, M, N)."""
+    return gen_nested(m, grid, config.transmit_power_w,
+                      max(config.codebook_sizes), rngmod.stream(
+                          config.seed, rngmod.CODEBOOK, m, grid.n_tones))
+
+
 def codebooks(config: CampaignConfig, m: int, grid: ToneGrid) -> dict:
     """Each of the config's codebook sizes K mapped to its M-antenna book.
 
-    A nested family is one K_max book, drawn from (seed, CODEBOOK, M, N),
-    whose first K rows are K's book; a random book draws from (seed,
-    CODEBOOK, M, N, K); a Lloyd book starts from (seed, TRAINING, M, N, K)
-    and trains on the campaign's channel family at the midpoint of its
-    pathloss range.  So K's book does not depend on the other sizes.
+    A nested family is one K_max book (_nested_book) whose first K rows
+    are K's book; a random book draws from (seed, CODEBOOK, M, N, K); a
+    Lloyd book starts from (seed, TRAINING, M, N, K) and trains on the
+    campaign's channel family at the midpoint of its pathloss range.  So
+    K's book does not depend on the other sizes.
     """
     n, power, sizes = grid.n_tones, config.transmit_power_w, \
         config.codebook_sizes
     if config.codebook_method == "nested":
-        full = gen_nested(m, grid, power, max(sizes),
-                          rngmod.stream(config.seed, rngmod.CODEBOOK, m, n))
+        full = _nested_book(config, m, grid)
         return {k: full.prefix(k) if k < full.k_codewords else full
                 for k in sizes}
     if config.codebook_method == "random":
@@ -385,31 +393,30 @@ def codebooks(config: CampaignConfig, m: int, grid: ToneGrid) -> dict:
 
 def _books(config: CampaignConfig, m: int,
            grid: ToneGrid) -> tuple[Codebook, dict]:
-    """The (M, N) point's sweep book and each swept K's book and columns.
+    """The (M, N) point's sweep book and the columns each swept K reads.
 
     The sweep book holds every codeword the point sweeps once, and UP's
     codeword, which every campaign sweeps for its gain baseline and every
-    LIMITED session falls back to, is column 0.  Each K's book is one
-    contiguous slice of its columns: a nested family sweeps its K_max
-    book, whose row 0 is UP's codeword byte for byte, and K reads
-    columns 0..K-1; random and Lloyd books follow UP in K order.
+    LIMITED session falls back to, is column 0.  A nested family sweeps
+    its K_max book, whose row 0 is UP's codeword byte for byte, and K's
+    book is its columns 0..K-1; random and Lloyd books follow UP in K
+    order.
 
     Returns:
-        (sweep, books): books maps each K, when LIMITED is swept, to (its
-        Codebook, its slice of the sweep book's columns).
+        (sweep, takes): takes maps each K, when LIMITED is swept, to the
+        index array of its sessions' sweep columns, UP's column 0 and then
+        its book's K columns.
     """
-    power = config.transmit_power_w
-    made = (codebooks(config, m, grid)
-            if LIMITED in config.strategies else {})
-    if made and config.codebook_method == "nested":
-        books = {k: (book, slice(0, k)) for k, book in made.items()}
-        return made[max(made)], books
-    words, books, stop = [up_weights(m, grid, power).weights[None]], {}, 1
-    for k, book in made.items():
-        books[k] = (book, slice(stop, stop + k))
-        words.append(book.weights)
-        stop += k
-    return Codebook(np.concatenate(words), power), books
+    power, sizes = config.transmit_power_w, config.codebook_sizes
+    if LIMITED not in config.strategies:
+        return Codebook(up_weights(m, grid, power).weights[None], power), {}
+    if config.codebook_method == "nested":
+        return _nested_book(config, m, grid), {k: np.r_[0, :k] for k in sizes}
+    starts = itertools.accumulate(sizes, initial=1)
+    words = [up_weights(m, grid, power).weights[None]] + [
+        book.weights for book in codebooks(config, m, grid).values()]
+    return Codebook(np.concatenate(words), power), {
+        k: np.r_[0, start:start + k] for k, start in zip(sizes, starts)}
 
 
 def _taps(config: CampaignConfig, locations) -> np.ndarray:
@@ -487,11 +494,12 @@ def _detail_rows(config: CampaignConfig, rect_model) -> tuple[tuple, list]:
 
     A block is ((strategy, M, N, K), columns): the point's p_dc, p_rf,
     selected, applied, feedback_ok, e_train and e_wpt, each a (locations,
-    frames) array whose rows follow the locations' label order.  UP and
-    SMF share constant selection, feedback and training columns (e_train
-    a float column, written as every float is), and their e_wpt is
-    p_dc * t_frame.  The blocks are sorted by their point, so their rows,
-    read in order, are sorted by (strategy, M, N, K, location, frame).
+    frames) array whose rows follow the locations' label order, into which
+    they are sorted before anything is built.  UP and SMF share constant
+    selection, feedback and training columns (e_train a float column,
+    written as every float is), and their e_wpt is p_dc * t_frame.  The
+    blocks are sorted by their point, so their rows, read in order, are
+    sorted by (strategy, M, N, K, location, frame).
 
     Returns:
         (index, blocks): index is (labels, frames), each line's location
@@ -504,14 +512,16 @@ def _detail_rows(config: CampaignConfig, rect_model) -> tuple[tuple, list]:
     locations = make_locations(config.n_locations, config.seed,
                                config.channel_template,
                                (config.pathloss_db_min, config.pathloss_db_max))
+    # every array is built in the locations' label order; a location's
+    # session stream stays keyed by its index
+    order = sorted(range(len(locations)), key=lambda s: locations[s].label)
+    locations = [locations[s] for s in order]
     smf_params = SmfParams(power_budget=config.transmit_power_w)
     taps = _taps(config, locations)
-    # the one permutation that puts the locations in label order
-    order = sorted(range(len(locations)), key=lambda s: locations[s].label)
     frames = config.frames_per_location
-    index = ([locations[s].label for s in order for _ in range(frames)],
-             list(range(frames)) * len(order))
-    shape = (len(order), frames)
+    index = ([location.label for location in locations
+              for _ in range(frames)], list(range(frames)) * len(locations))
+    shape = (len(locations), frames)
     constant = (np.zeros(shape, int), np.zeros(shape, int),
                 np.ones(shape, int), np.zeros(shape))
     if LIMITED in config.strategies:
@@ -524,13 +534,14 @@ def _detail_rows(config: CampaignConfig, rect_model) -> tuple[tuple, list]:
     blocks = []
     for m, n in itertools.product(config.antenna_counts, config.tone_counts):
         grid = config.tone_grid(n)
-        sweep, books = _books(config, m, grid)
+        sweep, takes = _books(config, m, grid)
         stack = _point_channels(config, taps, m, grid)
         # a column equals that codeword's sweep in its own book to the
         # last bit
         dcs, p_rfs = _point_sweep(sweep, stack, frames, rect_model)
-        # UP's codeword is the sweep book's column 0
-        fixed = {UP: (dcs[..., 0], p_rfs[..., 0])}
+        # UP's codeword is the sweep book's column 0, copied so the block
+        # does not keep the point's sweep alive
+        fixed = {UP: (dcs[..., 0].copy(), p_rfs[..., 0].copy())}
         if SMF in config.strategies:
             # every location's draws in one stack; a row equals that
             # channel's own SMF evaluation to the last bit
@@ -540,24 +551,21 @@ def _detail_rows(config: CampaignConfig, rect_model) -> tuple[tuple, list]:
                 for x in (_dc_power(rect_model, tones, grid),
                           received_rf_power(tones)))
         for strategy, (p_dc, p_rf) in fixed.items():
-            p_dc = p_dc[order]
-            blocks.append(((strategy, m, n, 0), (p_dc, p_rf[order])
-                           + constant + (p_dc * config.t_frame,)))
-        for k, (_, columns) in books.items():
+            blocks.append(((strategy, m, n, 0), (p_dc, p_rf) + constant
+                           + (p_dc * config.t_frame,)))
+        for k, take in takes.items():
             # every location's session of the point in one batch, each
             # on its own stream; UP's column, the fallback, leads the book's
-            take = np.r_[0, columns]
             gens = [rngmod.stream(config.seed, rngmod.SESSION,
                                   _STRATEGY_IDS[LIMITED], m, n, k, loc_idx)
-                    if draws else None for loc_idx in range(len(locations))]
+                    if draws else None for loc_idx in order]
             report = run_session(timing, (dcs[..., take], p_rfs[..., take]),
                                  adc, link, gens)
             adc_reads_signal |= bool(report.measurements.any())
-            blocks.append(((LIMITED, m, n, k), tuple(
-                field[order] for field in (
-                    report.p_dc_wpt, report.p_rf_wpt, report.selected_index,
-                    report.applied_index, report.feedback_delivered,
-                    report.energy_training, report.energy_wpt))))
+            blocks.append(((LIMITED, m, n, k), (
+                report.p_dc_wpt, report.p_rf_wpt, report.selected_index,
+                report.applied_index, report.feedback_delivered,
+                report.energy_training, report.energy_wpt)))
     if config.adc_enabled and LIMITED in config.strategies \
             and not adc_reads_signal:
         raise ConfigError(

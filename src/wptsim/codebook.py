@@ -565,8 +565,8 @@ def load_codebook(path) -> Codebook:
     try:
         with open(path, "r", encoding="ascii") as fh:
             lines = fh.read().splitlines()
-    except UnicodeDecodeError as exc:
-        raise CodebookIOError(f"{path}: not an ASCII file: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CodebookIOError(f"{path}: cannot read: {exc}") from exc
     if not lines:
         raise CodebookIOError(f"{path}: empty file")
     header = lines[0].split()
@@ -574,10 +574,12 @@ def load_codebook(path) -> Codebook:
         raise CodebookIOError(f"{path}:1: malformed header")
     if header[1] != "v1":
         raise CodebookIOError(f"{path}:1: unsupported version {header[1]!r}")
+    if header[6] not in ("0", "1"):
+        raise CodebookIOError(f"{path}:1: nested flag {header[6]!r} not 0/1")
     try:
         m, n, k = int(header[2]), int(header[3]), int(header[4])
         power = float(header[5])
-        nested = bool(int(header[6]))
+        nested = header[6] == "1"
         # a DomainError is a ValueError, so it names the header line too
         check_positive("power", power)
     except ValueError as exc:

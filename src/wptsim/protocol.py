@@ -38,8 +38,7 @@ from .errors import (ConfigError, DomainError, ProtocolError, check_count,
 from .rectenna import (AdcConfig, DiodeMomentModel, dc_power_moment,
                        dc_power_table, measure_dc)
 from .strategies import feedback_bits, select_codeword, up_weights
-from .waveform import (EffectiveTones, effective_tones, received_rf_power,
-                       second_moment, tone_moments)
+from .waveform import EffectiveTones, effective_tones, received_rf_power
 
 #: applied_index value meaning "open-loop uniform power fallback", and
 #: the UP codeword's column of a session's sweep
@@ -135,16 +134,9 @@ def session_draws(link: LinkModel, adc: AdcConfig | None) -> bool:
 
 
 def _dc_power(rect_model, tones: EffectiveTones, grid):
-    """dc power of one waveform, or an array of them for a stack of tones.
-
-    The moment model rates a stack in one call, the table model one
-    dc_power_table call per waveform.
-    """
+    """dc power of one waveform, or an array of them for a stack of tones."""
     if isinstance(rect_model, DiodeMomentModel):
         return dc_power_moment(rect_model, tones, grid)
-    if tones.amplitudes.ndim > 1:
-        return np.array([_dc_power(rect_model, EffectiveTones(row), grid)
-                         for row in tones.amplitudes])
     return dc_power_table(rect_model, tones, grid)
 
 
@@ -154,11 +146,10 @@ def _sweep(codebook: Codebook, channels: ChannelRealization,
 
     channels holds one (M, N) channel or a stack, (..., M, N).  Each
     channel's (K, N) tones are formed in one multiply of their own, and
-    their m2 is the RF power.  The moment model takes every channel's dc
-    in one moment call, the table model one dc_power_table call per
-    codeword.  A row does not depend on the rows or codewords beside it,
-    so it equals its channel's own sweep, and a codeword's column of a
-    larger book's sweep equals its own book's sweep, to the last bit.
+    their stack is rated in one call.  A row does not depend on the rows
+    or codewords beside it, so it equals its channel's own sweep, and a
+    codeword's column of a larger book's sweep equals its own book's
+    sweep, to the last bit.
     """
     k, m, n = codebook.weights.shape
     gains = channels.gains
@@ -167,18 +158,12 @@ def _sweep(codebook: Codebook, channels: ChannelRealization,
     # and from operands of equal ndim, as effective_tones forms them:
     # numpy rounds a one-element complex multiply (M=N=K=1) whose operands
     # differ in ndim without the fused multiply-add it uses otherwise
-    tones = np.stack([np.sum(g[None] * codebook.weights, axis=1)
-                      for g in gains.reshape(-1, m, n)])
-    if isinstance(rect_model, DiodeMomentModel):
-        m2, m4 = tone_moments(tones)
-        dcs = rect_model.dc(m2, m4)
-    else:
-        m2 = second_moment(tones)
-        dcs = np.array([[dc_power_table(rect_model, EffectiveTones(row),
-                                        channels.grid) for row in ch_tones]
-                        for ch_tones in tones])
+    tones = EffectiveTones(np.stack([np.sum(g[None] * codebook.weights,
+                                            axis=1)
+                                     for g in gains.reshape(-1, m, n)]))
     shape = gains.shape[:-2] + (k,)
-    return dcs.reshape(shape), m2.reshape(shape)
+    return (_dc_power(rect_model, tones, channels.grid).reshape(shape),
+            received_rf_power(tones).reshape(shape))
 
 
 @dataclass(frozen=True, eq=False)

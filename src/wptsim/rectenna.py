@@ -179,11 +179,11 @@ def dc_power_moment(model: DiodeMomentModel, tones: EffectiveTones,
 
 @dataclass
 class TableDiagnostics:
-    """Set by dc_power_table when a query falls outside the table.
+    """Set by dc_power_table when some query of a call leaves the table.
 
     The campaign passes none.  It stays public for callers that count
-    clamped queries: the benchmark's tracer (``perfbench/spans.py``)
-    hands one to every table call to report ``rectenna.table_clamps``.
+    clamped calls: the benchmark's tracer (``perfbench/spans.py``) hands
+    one to every table call to report ``rectenna.table_clamps``.
     """
 
     clamped_power: bool = False
@@ -194,33 +194,31 @@ class TableDiagnostics:
         return self.clamped_power or self.clamped_papr
 
 
-def _interp_axis(axis: np.ndarray, x: float) -> tuple[int, float, bool]:
-    # clamped fractional position: (lower index, weight of upper node, clamped?)
-    if x <= axis[0]:
-        return 0, 0.0, bool(x < axis[0])
-    if x >= axis[-1]:
-        return axis.size - 2, 1.0, bool(x > axis[-1])
-    i = int(np.searchsorted(axis, x, side="right") - 1)
-    return i, (x - axis[i]) / (axis[i + 1] - axis[i]), False
+def _interp_axis(axis: np.ndarray, x: np.ndarray) -> tuple:
+    # clamped fractional positions: (lower indices, weights of the upper
+    # nodes, whether any x clamped); x on the last node reads weight 1
+    i = np.clip(np.searchsorted(axis, x, side="right") - 1, 0, axis.size - 2)
+    w = np.clip((x - axis[i]) / (axis[i + 1] - axis[i]), 0.0, 1.0)
+    return i, w, bool(np.any((x < axis[0]) | (x > axis[-1])))
 
 
 def dc_power_table(model: EfficiencyTableModel, tones: EffectiveTones,
                    grid: ToneGrid, *,
-                   diag: TableDiagnostics | None = None) -> float:
+                   diag: TableDiagnostics | None = None) -> np.ndarray:
     """dc output via the efficiency table: P_RF * eta(P_RF dBm, PAPR).
 
-    Queries outside the table clamp to its boundary; when a diag object is
-    supplied the corresponding clamped flags are set.  A zero waveform
-    yields 0.0 without consulting the table (its PAPR is undefined).
-    tones must be one waveform; protocol rates a stack one row a call.
+    One value per waveform of tones, (N,) or a stack (..., N): a numpy
+    float64 scalar for one.  Each waveform's PAPR comes from its own
+    papr call; a zero waveform reads 0.0 without one (its PAPR is
+    undefined).  Queries outside the table clamp to its boundary; when a
+    diag object is supplied its flags say whether some query clamped.
     """
-    check_shape("amplitudes", tones.amplitudes.shape, (grid.n_tones,))
-    p_rf = received_rf_power(tones)
-    if p_rf == 0.0:
-        return 0.0
-    ratio = papr(tones, grid)
-    p_dbm = 10.0 * np.log10(p_rf / 1e-3)
-    i, u, cp = _interp_axis(model.p_dbm, p_dbm)
+    check_shape("amplitudes", tones.amplitudes.shape, (..., grid.n_tones))
+    p_rf = np.reshape(received_rf_power(tones), -1)
+    lit = p_rf != 0.0
+    ratio = np.array([papr(EffectiveTones(row), grid) for row in
+                      tones.amplitudes.reshape(-1, grid.n_tones)[lit]])
+    i, u, cp = _interp_axis(model.p_dbm, 10.0 * np.log10(p_rf[lit] / 1e-3))
     j, v, cq = _interp_axis(model.papr_axis, ratio)
     if diag is not None:
         diag.clamped_power = cp
@@ -228,7 +226,9 @@ def dc_power_table(model: EfficiencyTableModel, tones: EffectiveTones,
     e = model.eta
     eta = ((1 - u) * (1 - v) * e[i, j] + u * (1 - v) * e[i + 1, j]
            + (1 - u) * v * e[i, j + 1] + u * v * e[i + 1, j + 1])
-    return p_rf * float(eta)
+    dc = np.zeros(p_rf.shape)
+    dc[lit] = p_rf[lit] * eta
+    return dc.reshape(tones.amplitudes.shape[:-1])[()]
 
 
 def measure_dc(adc: AdcConfig, p_dc: float,

@@ -1007,25 +1007,28 @@ def test_each_k_reads_its_rows_from_the_shared_sweep(tmp_path, method,
 
 
 @pytest.mark.parametrize("method,columns", [
-    ("nested", {1: slice(0, 1), 2: slice(0, 2), 4: slice(0, 4)}),
-    ("random", {1: slice(1, 2), 2: slice(2, 4), 4: slice(4, 8)}),
-    ("lloyd", {1: slice(1, 2), 2: slice(2, 4), 4: slice(4, 8)}),
+    ("nested", {1: [0, 0], 2: [0, 0, 1], 4: [0, 0, 1, 2, 3]}),
+    ("random", {1: [0, 1], 2: [0, 2, 3], 4: [0, 4, 5, 6, 7]}),
+    ("lloyd", {1: [0, 1], 2: [0, 2, 3], 4: [0, 4, 5, 6, 7]}),
 ], ids=["nested", "random", "lloyd"])
 def test_books_are_slices_of_the_sweep_book(method, columns):
+    # each K's sessions read UP's column 0 and then the columns of K's
+    # book, as codebooks() makes it
     from wptsim import up_weights
-    from wptsim.campaign import _books
+    from wptsim.campaign import _books, codebooks
     config = CampaignConfig(strategies=("UP", "LIMITED"),
                             codebook_sizes=(1, 2, 4), codebook_method=method,
                             training_channels=8, training_iters=2)
     grid = ToneGrid.centered(2.4e9, 10e6, 2)
-    sweep, books = _books(config, 2, grid)
-    assert {k: cols for k, (_, cols) in books.items()} == columns
-    for k, (book, cols) in books.items():
-        assert book.k_codewords == k
-        assert sweep.weights[cols].tobytes() == book.weights.tobytes()
+    sweep, takes = _books(config, 2, grid)
+    assert {k: take.tolist() for k, take in takes.items()} == columns
+    for k, book in codebooks(config, 2, grid).items():
+        assert book.k_codewords == k == len(takes[k]) - 1
+        assert sweep.weights[takes[k][1:]].tobytes() == \
+            book.weights.tobytes()
     # UP's codeword is column 0: a nested book's own first entry, else a
     # row before every book's columns
-    assert sweep.k_codewords == max(c.stop for c in columns.values())
+    assert sweep.k_codewords == max(max(c) for c in columns.values()) + 1
     up = up_weights(2, grid, config.transmit_power_w)
     assert sweep.weights[0].tobytes() == up.weights.tobytes()
     assert sweep.power_budget == config.transmit_power_w
@@ -1035,14 +1038,33 @@ def test_books_sweep_only_the_swept_strategies():
     # every campaign sweeps UP's codeword, its gain baseline, as column 0;
     # codebook rows come only with LIMITED, and a nested K_max book already
     # starts with UP's codeword
-    from wptsim.campaign import _books
+    from wptsim.campaign import _books, codebooks
     grid = ToneGrid.centered(2.4e9, 10e6, 2)
-    sweep, books = _books(CampaignConfig(strategies=("UP", "SMF")), 2, grid)
-    assert books == {} and sweep.k_codewords == 1
-    sweep, books = _books(CampaignConfig(strategies=("LIMITED",),
-                                         codebook_sizes=(2, 4)), 2, grid)
-    assert sweep.weights.tobytes() == books[4][0].weights.tobytes()
+    sweep, takes = _books(CampaignConfig(strategies=("UP", "SMF")), 2, grid)
+    assert takes == {} and sweep.k_codewords == 1
+    config = CampaignConfig(strategies=("LIMITED",), codebook_sizes=(2, 4))
+    sweep, _ = _books(config, 2, grid)
+    assert sweep.weights.tobytes() == \
+        codebooks(config, 2, grid)[4].weights.tobytes()
     assert sweep.k_codewords == 4
+
+
+def test_a_nested_campaign_builds_no_book_per_k(monkeypatch):
+    # a nested family's sweep is its one K_max book: _books draws that
+    # book once and makes no prefix book of a smaller K
+    from wptsim import Codebook
+    from wptsim.campaign import _books
+    made, real = [], Codebook.prefix
+
+    def prefix(self, k):
+        made.append(k)
+        return real(self, k)
+
+    monkeypatch.setattr(Codebook, "prefix", prefix)
+    config = CampaignConfig(strategies=("UP", "LIMITED"),
+                            codebook_sizes=(2, 4, 8))
+    sweep, takes = _books(config, 2, ToneGrid.centered(2.4e9, 10e6, 2))
+    assert made == [] and sweep.k_codewords == 8 and sorted(takes) == [2, 4, 8]
 
 
 @pytest.mark.parametrize("method,m,n", [
@@ -1122,24 +1144,29 @@ def test_up_rows_read_from_the_sweep_equal_frame_by_frame(
     ("table", True, dict(adc_enabled=True, adc_noise_sigma=1e-3,
                          link_delivery_probability=0.8)),
     ("table", False, {}),
-], ids=["moment", "moment-block-lossy", "table-adc-lossy", "table-block"])
+    ("moment", True, dict(n_locations=12, link_delivery_probability=0.5)),
+], ids=["moment", "moment-block-lossy", "table-adc-lossy", "table-block",
+        "moment-12-locations-lossy"])
 def test_limited_rows_equal_each_session_run_alone(
         tmp_path, monkeypatch, rectifier, resample, overrides):
     # a point's fades come from one stacked frequency_response call and
     # are swept once per fade draw over every location; every LIMITED row
     # must carry the bits of its location's session run alone on the
-    # sweep of its own book on realize_channel's fades.  The detail CSV
-    # is written with repr here: "%.6g" hides last-bit changes
+    # sweep of its own book on realize_channel's fades.  With 12
+    # locations, label order (L1, L10, L11, L12, L2, ...) is not index
+    # order, and each session's stream stays keyed by its location's
+    # index.  The detail CSV is written with repr here: "%.6g" hides
+    # last-bit changes
     from wptsim import campaign, run_session, stream
     from wptsim.rng import SESSION
     monkeypatch.setattr(campaign, "_FLOAT", "%r")
     _write_table(tmp_path / "eta.csv")
     cfg = _mini_config(strategies=("UP", "LIMITED"), antenna_counts=(1, 2, 4),
                        tone_counts=(1, 2, 8), codebook_sizes=(1, 2, 4),
-                       n_locations=3, frames_per_location=3,
-                       rectifier_model=rectifier,
+                       frames_per_location=3, rectifier_model=rectifier,
                        table_path=str(tmp_path / "eta.csv"),
-                       resample_per_frame=resample, **overrides)
+                       resample_per_frame=resample,
+                       **{"n_locations": 3, **overrides})
     detail, _ = run_campaign(cfg, out_dir=tmp_path / "out")
     rows = {tuple(parts[1:6]): parts[6:]
             for parts in (line.split(",")
@@ -1156,12 +1183,12 @@ def test_limited_rows_equal_each_session_run_alone(
     expected = {}
     for m, n in itertools.product(cfg.antenna_counts, cfg.tone_counts):
         grid = cfg.tone_grid(n)
-        _, books = campaign._books(cfg, m, grid)
+        books = campaign.codebooks(cfg, m, grid)
         for loc_idx, location in enumerate(locations):
             fades = ([realize_channel(location.params, m, grid, frame=f)
                       for f in frames] if resample else
                      [realize_channel(location.params, m, grid)] * len(frames))
-            for k, (book, _) in books.items():
+            for k, book in books.items():
                 gen = stream(cfg.seed, SESSION, limited, m, n, k,
                              loc_idx) if draws else None
                 report = run_session(
@@ -1175,7 +1202,7 @@ def test_limited_rows_equal_each_session_run_alone(
                         str(r.selected_index), str(r.applied_index),
                         str(int(r.feedback_delivered)),
                         repr(r.energy_training), repr(r.energy_wpt)]
-    assert len(rows) == len(expected) == 9 * 3 * 3 * 3
+    assert len(rows) == len(expected) == 9 * 3 * cfg.n_locations * 3
     assert rows == expected
     # the lossy variants do lose feedback, so the session streams matter
     if cfg.link_delivery_probability < 1:

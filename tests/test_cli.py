@@ -277,9 +277,9 @@ def test_codebook_writes_the_campaigns_book(tmp_path, method, k):
     assert main(["codebook", "--out", str(out), "--config", cfg,
                  "--antennas", "2", "--tones", "4", "--size", str(k)]) == 0
     config = load_config(cfg)
-    _, books = _books(config, 2, config.tone_grid(4))
+    sweep, takes = _books(config, 2, config.tone_grid(4))
     assert load_codebook(out).weights.tobytes() == \
-        books[k][0].weights.tobytes()
+        sweep.weights[takes[k][1:]].tobytes()
 
 
 def test_codebook_does_not_build_a_rectifier_it_never_reads(tmp_path):

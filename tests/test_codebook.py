@@ -823,14 +823,28 @@ def test_load_names_the_file_for_a_header_power_that_is_not_positive(
      "expected 'm n real imag'"),
     ("wptcb v1 1 1 1 1.0 0\nprovenance x\n1 1 one 0.0\n", ":3",
      "could not convert"),
-], ids=["empty", "version", "provenance", "fields", "number"])
+    ("wptcb v1 1 1 1 1.0 7\nprovenance x\n1 1 1.0 0.0\n", ":1",
+     "nested flag '7' not 0/1"),
+    ("wptcb v1 1 1 1 1.0 -1\nprovenance x\n1 1 1.0 0.0\n", ":1",
+     "nested flag '-1' not 0/1"),
+    (None, "", "cannot read: "),
+    ("directory", "", "cannot read: "),
+], ids=["empty", "version", "provenance", "fields", "number", "nested-7",
+        "nested-minus-1", "missing", "directory"])
 def test_load_names_the_line_of_a_malformed_file(tmp_path, text, where,
                                                  message):
+    # a path that cannot be opened is named too, with the OS error kept
+    # as the cause
     path = tmp_path / "book.txt"
-    path.write_text(text)
+    if text == "directory":
+        path.mkdir()
+    elif text is not None:
+        path.write_text(text)
     with pytest.raises(CodebookIOError,
-                       match=re.escape(f"{path}{where}: {message}")):
+                       match=re.escape(f"{path}{where}: {message}")) as err:
         load_codebook(path)
+    if text is None or text == "directory":
+        assert isinstance(err.value.__cause__, OSError)
 
 
 @pytest.mark.parametrize("m, n, k", [(2, 2, 0), (0, 2, 2), (2, 0, 2)])

@@ -15,7 +15,7 @@ from wptsim import (AdcConfig, ChannelRealization, ConfigError,
                     decode_feedback, dc_power_moment, effective_tones,
                     encode_feedback, gen_nested, gen_random, measure_dc,
                     protocol, received_rf_power, run_frame, run_session,
-                    stream, up_weights)
+                    stream, up_weights, waveform)
 
 from conftest import make_channel, session_sweeps
 
@@ -217,21 +217,21 @@ def test_run_frame_evaluates_each_codeword_once(monkeypatch):
     up = protocol._dc_power(_TABLE, effective_tones(ch, up_weights(
         2, grid, book.power_budget)), grid)
     real = protocol.dc_power_table
-    calls = []
+    rated = []
 
-    def spy(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+    def spy(rect_model, tones, grid, **kwargs):
+        rated.append(tones.amplitudes[..., 0].size)
+        return real(rect_model, tones, grid, **kwargs)
 
     monkeypatch.setattr(protocol, "dc_power_table", spy)
     cfg = FrameConfig(t_s=0.010, t_frame=2.0)
     for link, fallback, k_evals in ((LinkModel(1.0), None, 5),
                                     (LinkModel(0.0), 3, 5),
                                     (LinkModel(0.0), None, 5)):
-        calls.clear()
+        rated.clear()
         report = run_frame(cfg, book, ch, _TABLE, None, link, fallback,
                            stream(27, 6))
-        assert len(calls) == k_evals
+        assert sum(rated) == k_evals
         assert report.p_dc_wpt == (up if report.applied_index == UP_FALLBACK
                                    else dcs[report.applied_index - 1])
     assert report.applied_index == UP_FALLBACK
@@ -623,15 +623,16 @@ def test_sweep_rf_power_is_received_rf_power(m, n):
 def test_session_forms_tones_only_in_its_sweep(monkeypatch):
     # a session given its sweeps forms no tones and rates no waveform.  A
     # frame run alone forms the book's tones in its one _sweep call, which
-    # rates each of the K = 8 codewords with one dc_power_table call, and
-    # rates UP, its first frame's fallback, outside the sweep, delivered
-    # or not: one effective_tones and one dc_power_table call.
+    # rates the K = 8 codewords in one dc_power_table call, and rates UP,
+    # its first frame's fallback, outside the sweep, delivered or not:
+    # one effective_tones and one dc_power_table call of one waveform.
+    # Calls are counted, and so are the waveforms each call rates.
     grid, book, _, _ = _setup(k=8, m=2, n=4)
     cfg = FrameConfig(t_s=0.010, t_frame=2.0)
     fades = [make_channel(62, 2, grid, pathloss_db=10.0, frame=i)
              for i in range(3)]
     sweeps = session_sweeps(book, [fades], _TABLE)
-    depth, calls = [], []
+    depth, calls, rows = [], [], []
     real_sweep = protocol._sweep
 
     def sweep(*args):
@@ -641,18 +642,21 @@ def test_session_forms_tones_only_in_its_sweep(monkeypatch):
         finally:
             depth.pop()
 
-    def counted(name):
-        real = getattr(protocol, name)
+    def counted(module, name):
+        real = getattr(module, name)
 
         def call(*args, **kwargs):
             calls.append((name, bool(depth)))
+            if name.startswith("dc_power"):
+                rows.append(args[1].amplitudes[..., 0].size)
             return real(*args, **kwargs)
         return call
 
     monkeypatch.setattr(protocol, "_sweep", sweep)
-    for name in ("effective_tones", "dc_power_table", "dc_power_moment",
-                 "tone_moments"):
-        monkeypatch.setattr(protocol, name, counted(name))
+    for name in ("effective_tones", "dc_power_table", "dc_power_moment"):
+        monkeypatch.setattr(protocol, name, counted(protocol, name))
+    monkeypatch.setattr(waveform, "tone_moments",
+                        counted(waveform, "tone_moments"))
     for delivery, fallbacks in ((1.0, 0), (0.0, 3)):
         calls.clear()
         report = run_session(cfg, sweeps, None, LinkModel(delivery),
@@ -662,13 +666,16 @@ def test_session_forms_tones_only_in_its_sweep(monkeypatch):
             == fallbacks
         for ch in fades:
             calls.clear()
+            rows.clear()
             run_frame(cfg, book, ch, _TABLE, None, LinkModel(delivery), None,
                       stream(63, 6))
-            assert calls.count(("dc_power_table", True)) == 8
+            assert calls.count(("dc_power_table", True)) == 1
             assert calls.count(("effective_tones", True)) == 0
             assert calls.count(("effective_tones", False)) == 1
             assert calls.count(("dc_power_table", False)) == 1
-            assert len(calls) == 10
+            assert len(calls) == 3
+            # UP's call rates UP alone, then the sweep's the 8 codewords
+            assert rows == [1, 8]
 
 
 def test_adc_selection_can_differ_from_ideal_but_stays_valid():

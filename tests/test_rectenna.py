@@ -1,5 +1,6 @@
 """Rectifier output models and the measurement/quantization path."""
 
+import itertools
 import re
 
 import numpy as np
@@ -10,8 +11,9 @@ from hypothesis import strategies as st
 from wptsim import (AdcConfig, ConfigError, DimensionError, DiodeMomentModel,
                     DomainError, EfficiencyTableModel, EffectiveTones,
                     TableDiagnostics, ToneGrid, dc_power_moment,
-                    dc_power_table, measure_dc, papr, stream,
-                    waveform_moments)
+                    dc_power_table, measure_dc, papr, received_rf_power,
+                    stream, waveform_moments)
+from wptsim.rectenna import _interp_axis
 
 
 def _tones(amps) -> EffectiveTones:
@@ -97,19 +99,87 @@ def _simple_table() -> EfficiencyTableModel:
         eta=np.array([[0.1, 0.2], [0.3, 0.4]]))
 
 
-def test_table_and_papr_rate_one_waveform_not_a_stack():
-    # a stack of waveforms has one RF power per row; the table rectifier
-    # and papr take one at a time, and the moment model all at once
+def test_papr_rates_one_waveform_not_a_stack():
+    # a stack of waveforms has one RF power per row; papr takes one at a
+    # time, and the moment model all at once
     grid = ToneGrid.centered(2.4e9, 10e6, 2)
     stack = _tones(0.1 * np.ones((2, 2)))
     message = re.escape("amplitudes shape (2, 2) does not fit (2,)")
-    with pytest.raises(DimensionError, match=message):
-        dc_power_table(_simple_table(), stack, grid)
     with pytest.raises(DimensionError, match=message):
         papr(stack, grid)
     model = DiodeMomentModel()
     assert dc_power_moment(model, stack, grid).tolist() == \
         [dc_power_moment(model, _tones(row), grid) for row in stack.amplitudes]
+
+
+def _scalar_axis(axis, x):
+    # (lower index, weight of the upper node) of one query, branch by branch
+    if x <= axis[0]:
+        return 0, 0.0
+    if x >= axis[-1]:
+        return axis.size - 2, 1.0
+    i = int(np.searchsorted(axis, x, side="right") - 1)
+    return i, (x - axis[i]) / (axis[i + 1] - axis[i])
+
+
+def _scalar_table(model, tones, grid):
+    # one waveform rated as the table rectifier rates each row of a stack
+    p_rf = received_rf_power(tones)
+    if p_rf == 0.0:
+        return 0.0
+    i, u = _scalar_axis(model.p_dbm, 10.0 * np.log10(p_rf / 1e-3))
+    j, v = _scalar_axis(model.papr_axis, papr(tones, grid))
+    e = model.eta
+    return p_rf * float((1 - u) * (1 - v) * e[i, j] + u * (1 - v) * e[i + 1, j]
+                        + (1 - u) * v * e[i, j + 1] + u * v * e[i + 1, j + 1])
+
+
+@pytest.mark.parametrize("n", [1, 2, 8])
+def test_a_stacked_table_call_equals_its_rows(n):
+    # a zero row and seven rows whose powers span 90 dB; each axis runs
+    # from the second-lowest to the second-highest of the rows' values,
+    # through the third-lowest, so rows lie below and above both axes,
+    # exactly on both end nodes and on an inner node
+    grid = ToneGrid.centered(2.4e9, 10e6, n)
+    gen = stream(70 + n, 1)
+    amps = (gen.standard_normal((7, n)) + 1j * gen.standard_normal((7, n))) \
+        * np.sqrt(np.logspace(-9, 0, 7))[:, None]
+    rows = [_tones(np.zeros(n))] + [_tones(a) for a in amps]
+    p_dbm = sorted(float(10.0 * np.log10(received_rf_power(t) / 1e-3))
+                   for t in rows[1:])
+    ratios = sorted(papr(t, grid) for t in rows[1:])
+    model = EfficiencyTableModel(
+        p_dbm=np.array([p_dbm[1], p_dbm[2], p_dbm[5]]),
+        papr_axis=np.array([ratios[1], ratios[2], ratios[5]]),
+        eta=np.linspace(0.05, 0.8, 9).reshape(3, 3))
+    for axis, values in ((model.p_dbm, p_dbm), (model.papr_axis, ratios)):
+        i, w, clamped = _interp_axis(axis, np.array(values))
+        expected = [_scalar_axis(axis, x) for x in values]
+        assert i.tolist() == [e[0] for e in expected]
+        assert w.tobytes() == np.array([e[1] for e in expected]).tobytes()
+        assert clamped and not _interp_axis(axis, np.array(values[1:6]))[2]
+    alone, flags = [], []
+    for t in rows:
+        diag = TableDiagnostics()
+        alone.append(dc_power_table(model, t, grid, diag=diag))
+        flags.append((diag.clamped_power, diag.clamped_papr))
+        assert type(alone[-1]) is np.float64
+        assert alone[-1] == _scalar_table(model, t, grid)
+    assert flags[0] == (False, False)
+    assert {f[0] for f in flags} == {f[1] for f in flags} == {False, True}
+    stack = np.array([t.amplitudes for t in rows])
+    for size in (1, 2, len(rows)):
+        for picked in itertools.combinations(range(len(rows)), size):
+            diag = TableDiagnostics(clamped_power=True, clamped_papr=True)
+            got = dc_power_table(model, _tones(stack[list(picked)]), grid,
+                                 diag=diag)
+            assert got.shape == (size,)
+            assert got.tobytes() == np.array(
+                [alone[r] for r in picked]).tobytes()
+            assert (diag.clamped_power, diag.clamped_papr) == tuple(
+                any(flags[r][axis] for r in picked) for axis in (0, 1))
+    assert dc_power_table(model, _tones(stack.reshape(2, 4, n)),
+                          grid).tobytes() == np.array(alone).tobytes()
 
 
 def test_table_validation():
