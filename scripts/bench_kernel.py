@@ -39,6 +39,15 @@ Layer rows, on random complex amplitudes and channel gains:
   own, as ``run_campaign`` does; ``with_streams_us`` runs the
   ``median_us`` calls with one ``rng.stream`` per session, as a lossy
   link or a noisy ADC needs.
+* ``protocol.sweep``: the codebook sweeps of figure-joint's 12 (M, N)
+  points at its default seed, each point's sweep book (64 codewords,
+  UP's the first) against its 15 locations x 3 fades.  ``median_us``
+  runs ``campaign._point_sweep`` once per point, one ``_sweep`` call per
+  fade draw, as ``run_campaign`` does; ``tones_us`` runs only the
+  tones those 36 calls form, ``waveform._antenna_sum`` of each draw's
+  (15, 1, M, N) gains against the book's (1, 64, M, N) weights; and
+  ``peak_mb`` is the ``tracemalloc`` peak of one ``_sweep`` call on one
+  draw of the M=4, N=8 point (``m_antennas``, ``n_tones``, ``batch``).
 * ``channel.realize_channel`` at M=4, N=8: one channel's tap stream,
   tap draw and frequency response, as Lloyd's training set is drawn.
 * ``campaign.summarize`` on the 4,320 rows of figure-joint's detail file
@@ -89,6 +98,7 @@ Usage: python3 scripts/bench_kernel.py [--out BENCH_kernel.json]
 """
 
 import argparse
+import itertools
 import json
 import os
 import platform
@@ -110,7 +120,7 @@ from wptsim import (ChannelModelParams, ChannelRealization, DiodeMomentModel,
                     received_rf_power, rng, run_session, smf_weights)
 from wptsim import campaign, rectenna, waveform
 from wptsim.codebook import _amplitudes, _assign, _dc_and_grad, _sphere
-from wptsim.protocol import _dc_power
+from wptsim.protocol import _dc_power, _sweep
 from wptsim.waveform import tone_moments
 
 TONES = (1, 2, 4, 8)
@@ -222,6 +232,33 @@ def _session_row(model, seed, repeat, number):
             "with_streams_us": median_us(lambda: sessions(True, True),
                                          repeat, number),
             "median_us": median_us(lambda: sessions(True), repeat, number)}
+
+
+def _sweep_row(repeat, number):
+    config, taps = _point_taps()
+    model, frames = campaign._rect_model(config), config.frames_per_location
+    points = {}
+    for m, n in itertools.product(config.antenna_counts, config.tone_counts):
+        grid = config.tone_grid(n)
+        points[m, n] = (campaign._books(config, m, grid)[0],
+                        campaign._point_channels(config, taps, m, grid))
+    # each fade draw's operands, as _sweep hands them to the helper
+    operands = [(stack.gains[:, d].reshape(-1, 1, m, n), book.weights[None])
+                for (m, n), (book, stack) in points.items()
+                for d in range(stack.gains.shape[1])]
+    m, n = 4, 8
+    book, stack = points[m, n]
+    draw = ChannelRealization(grid=stack.grid, gains=stack.gains[:, 0])
+    return {"layer": "protocol.sweep", "points": len(points),
+            "m_antennas": m, "n_tones": n, "batch": len(stack.gains),
+            "peak_mb": peak_mb(lambda: _sweep(book, draw, model)),
+            "tones_us": median_us(
+                lambda: [waveform._antenna_sum(*ops) for ops in operands],
+                repeat, number),
+            "median_us": median_us(
+                lambda: [campaign._point_sweep(b, st, frames, model)
+                         for b, st in points.values()],
+                repeat, number)}
 
 
 def _channel_row(grid, seed, repeat, number):
@@ -462,6 +499,7 @@ def main(argv=None):
     rows.append(_iteration_row(*inputs[60.0], model, power, args.repeat,
                                args.number))
     rows.append(_session_row(model, args.seed, args.repeat, args.number))
+    rows.append(_sweep_row(args.repeat, args.number))
     rows.append(_channel_row(grid, args.seed, args.repeat, args.number))
     config = campaign.figure_config("figure-joint")
     index, blocks = campaign._detail_rows(config,
@@ -507,6 +545,9 @@ def main(argv=None):
             line += f"  (per fade: {row['per_fade_us']:.1f} us)"
         if "per_channel_us" in row:
             line += f"  (per channel: {row['per_channel_us']:.1f} us)"
+        if "tones_us" in row:
+            line += (f"  ({row['points']} points; tones "
+                     f"{row['tones_us']:.1f} us)")
         if "per_k_sweep_us" in row:
             line += (f"  (sweep per K: {row['per_k_sweep_us']:.1f} us; "
                      f"with streams: {row['with_streams_us']:.1f} us)")

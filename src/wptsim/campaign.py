@@ -461,9 +461,9 @@ def _point_sweep(book: Codebook, stack: ChannelRealization, frames: int,
     that draw, stack.gains[:, d]; a frame reads its draw's row, so under
     block fading (one draw) one call serves every frame.  Per draw and
     not once over all draws, to bound the sweep's temporaries: on
-    figure-joint's M=4, N=8 point (65 codewords, 15 locations x 3 draws)
-    one draw's call peaks at 0.74 MB under tracemalloc, one call over all
-    45 channels at 2.2 MB.
+    figure-joint's M=4, N=8 point (64 codewords, UP's the first; 15
+    locations x 3 draws) one draw's call peaks at 0.73 MB under
+    tracemalloc, one call over all 45 channels at 2.14 MB.
     """
     locations, draws = stack.gains.shape[:2]
     return tuple(np.broadcast_to(np.stack(powers, axis=1),

@@ -38,7 +38,8 @@ from .errors import (ConfigError, DomainError, ProtocolError, check_count,
 from .rectenna import (AdcConfig, DiodeMomentModel, dc_power_moment,
                        dc_power_table, measure_dc)
 from .strategies import feedback_bits, select_codeword, up_weights
-from .waveform import EffectiveTones, effective_tones, received_rf_power
+from .waveform import (EffectiveTones, _antenna_sum, effective_tones,
+                       received_rf_power)
 
 #: applied_index value meaning "open-loop uniform power fallback", and
 #: the UP codeword's column of a session's sweep
@@ -144,23 +145,19 @@ def _sweep(codebook: Codebook, channels: ChannelRealization,
            rect_model) -> tuple:
     """Every codeword's dc and RF powers on each channel: two (..., K) arrays.
 
-    channels holds one (M, N) channel or a stack, (..., M, N).  Each
-    channel's (K, N) tones are formed in one multiply of their own, and
-    their stack is rated in one call.  A row does not depend on the rows
-    or codewords beside it, so it equals its channel's own sweep, and a
-    codeword's column of a larger book's sweep equals its own book's
-    sweep, to the last bit.
+    channels holds one (M, N) channel or a stack, (..., M, N).  The
+    (C, K, N) tones of all C channels are formed by _antenna_sum, one
+    multiply per antenna, as effective_tones forms one codeword's, and
+    rated in one call.  A row does not depend on the rows or codewords
+    beside it, so it equals its channel's own sweep, and a codeword's
+    column of a larger book's sweep equals its own book's sweep, to the
+    last bit.
     """
     k, m, n = codebook.weights.shape
     gains = channels.gains
     check_shape("channel gains", gains.shape, (..., m, n))
-    # each channel's (K, N) tones are formed alone, as in its own sweep,
-    # and from operands of equal ndim, as effective_tones forms them:
-    # numpy rounds a one-element complex multiply (M=N=K=1) whose operands
-    # differ in ndim without the fused multiply-add it uses otherwise
-    tones = EffectiveTones(np.stack([np.sum(g[None] * codebook.weights,
-                                            axis=1)
-                                     for g in gains.reshape(-1, m, n)]))
+    tones = EffectiveTones(_antenna_sum(gains.reshape(-1, 1, m, n),
+                                        codebook.weights[None]))
     shape = gains.shape[:-2] + (k,)
     return (_dc_power(rect_model, tones, channels.grid).reshape(shape),
             received_rf_power(tones).reshape(shape))

@@ -152,14 +152,14 @@ class EffectiveTones:
 def effective_tones(channel, weights: WaveformWeights) -> EffectiveTones:
     """Combine channel gains and weights into received per-tone amplitudes.
 
-    Gains and weights of one shape (..., M, N) give amplitudes (..., N).
-    The operands have equal ndim and a row's M terms add in the order one
-    channel alone adds them, so a stack's row equals that channel's own
-    call to the bit.
+    Gains and weights of one shape (..., M, N) give amplitudes (..., N),
+    formed by _antenna_sum: a row's M terms add in the order one channel
+    alone adds them, so a stack's row equals that channel's own call to
+    the bit.
     """
     gains = channel.gains
     check_shape("weights", weights.weights.shape, gains.shape)
-    return EffectiveTones(amplitudes=np.sum(gains * weights.weights, axis=-2))
+    return EffectiveTones(amplitudes=_antenna_sum(gains, weights.weights))
 
 
 def received_rf_power(tones: EffectiveTones) -> np.ndarray:
@@ -203,6 +203,34 @@ def pairwise_sum(terms: np.ndarray) -> np.ndarray:
     for i in range(stop, n):
         s = s + terms[i]
     return s + 0.0
+
+
+def _antenna_sum(gains: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Received tones sum_m gains[..., m, n] * weights[..., m, n], (..., N).
+
+    gains and weights are complex arrays of equal ndim whose last two axes
+    are both (M, N) and whose leading axes broadcast.  The result equals
+    np.sum(gains * weights, axis=-2) bit for bit, the M products adding
+    in the order numpy's reduction adds them.  At N = 1 the M axis of
+    that product is contiguous, so numpy adds it pairwise: the product
+    is formed whole, M elements a row, and pairwise_sum adds it.  At
+    N > 1 numpy adds antenna by antenna, left to right: each antenna's
+    product is one elementwise multiply, added in place into antenna 0's,
+    and the identity +0.0 comes last (it only turns a -0.0 into +0.0,
+    as it does when numpy adds it first).  So no more than two (..., N)
+    arrays are held at once, besides the buffers numpy's iterator takes
+    for broadcast operands.  The operands must have equal ndim: numpy
+    rounds a one-element complex multiply (M = N = K = 1 in a sweep) whose
+    operands differ in ndim without the fused multiply-add it uses
+    otherwise.
+    """
+    if gains.shape[-1] == 1:
+        return pairwise_sum(np.moveaxis(gains * weights, -2, 0))
+    tones = gains[..., 0, :] * weights[..., 0, :]
+    for m in range(1, gains.shape[-2]):
+        tones += gains[..., m, :] * weights[..., m, :]
+    tones += 0.0
+    return tones
 
 
 def autoconvolution(a: np.ndarray) -> np.ndarray:

@@ -1,9 +1,5 @@
 """Tone grids, weights, moments, and PAPR against independent references."""
 
-import importlib.util
-import json
-import os
-import platform
 import re
 import tracemalloc
 
@@ -436,86 +432,74 @@ def test_m4_gradient_never_holds_all_terms_at_once():
     assert peak < n * n * rows * 16
 
 
-def test_bench_kernel_script_writes_its_table(tmp_path):
-    path = os.path.join(os.path.dirname(__file__), os.pardir, "scripts",
-                        "bench_kernel.py")
-    spec = importlib.util.spec_from_file_location("bench_kernel", path)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    out = tmp_path / "BENCH_kernel.json"
-    assert script.main(["--out", str(out), "--repeat", "1",
-                        "--number", "1"]) == 0
-    report = json.loads(out.read_text())
-    assert report["numpy"] == np.__version__
-    assert report["python"] == platform.python_version()
-    rows = report["rows"]
-    assert [(r["n_tones"], r["batch"]) for r in rows[:16]] == \
-        [(n, c) for n in (1, 2, 4, 8) for c in (1, 64, 192, 1000)]
-    assert all(r["peak_mb"] > 0 for r in rows[:16])
-    # N=8 at C=1000 holds one diagonal's products, not all N^2 of them
-    assert rows[15]["peak_mb"] < 8 * 8 * 1000 * 16 / 1e6
-    assert rows[16]["layer"] == "codebook._dc_and_grad"
-    assert rows[16]["peak_mb"] > 0
-    assign = rows[17:19]
-    assert [(r["layer"], r["pathloss_db"]) for r in assign] == \
-        [("codebook._assign", 60.0), ("codebook._assign", 0.0)]
-    iteration, session, channel, summary, write, smf, point, table = \
-        rows[19:27]
-    papr_rows = rows[27:]
-    assert len(rows) == 30
-    assert (iteration["layer"], iteration["m_antennas"],
-            iteration["n_tones"], iteration["k_codewords"],
-            iteration["batch"]) == ("codebook.train_iteration", 4, 8, 64, 1000)
-    assert iteration["exact_pairs"] > 0
-    assert iteration["minor_faults"] >= 0
-    # one figure-joint point's sessions: 15 locations x 3 fades
-    assert (session["layer"], session["m_antennas"], session["n_tones"],
-            session["sessions"], session["frames"], session["k_sizes"]) == \
-        ("protocol.run_session", 4, 8, 15, 3, [2, 4, 8, 16, 32, 64])
-    assert session["per_k_sweep_us"] > 0 and session["with_streams_us"] > 0
-    assert (channel["layer"], channel["m_antennas"], channel["n_tones"]) == \
-        ("channel.realize_channel", 4, 8)
-    # figure-joint's rows: 3 x 4 (M, N) points x (UP, SMF and 6 codebook
-    # sizes) x 15 locations x 3 frames
-    assert (summary["layer"], summary["batch"]) == \
-        ("campaign.summarize", 4320)
-    # the same rows and summary written from figure-joint's 96 blocks: 12
-    # (M, N) points x (UP, SMF and 6 codebook sizes)
-    assert set(write) == {"layer", "batch", "blocks", "median_us"}
-    assert (write["layer"], write["batch"], write["blocks"]) == \
-        ("campaign.write_csv", 4320, 96)
-    # one figure-joint point: 15 locations x 3 fades
-    assert (smf["layer"], smf["m_antennas"], smf["n_tones"],
-            smf["batch"]) == ("strategies.smf_weights", 4, 8, 45)
-    assert smf["per_channel_us"] > 0
-    # the same point's 45 fades from one stacked frequency_response call
-    assert set(point) == {"layer", "m_antennas", "n_tones", "batch",
-                          "per_fade_us", "median_us"}
-    assert (point["layer"], point["m_antennas"], point["n_tones"],
-            point["batch"]) == ("campaign.point_channels", 4, 8, 45)
-    assert point["per_fade_us"] > 0
-    # campaign-table's M=2, N=8 point: 2 locations x 2 fades, each rating
-    # the 4 codewords of the K_max = 4 book (UP's the first) and SMF's with
-    # one papr call
-    assert (table["layer"], table["m_antennas"], table["n_tones"],
-            table["batch"], table["k_codewords"], table["papr_calls"]) == \
-        ("campaign.table_point", 2, 8, 4, 4, 20)
-    assert 0 < table["papr_us"]
-    assert [(r["layer"], r["n_tones"], r["oversampling"])
-            for r in papr_rows] == [("waveform.papr", n, 32)
-                                    for n in (1, 8, 16)]
-    # a cold build holds at least its matrix; at N=16 little more
-    assert all(r["build_peak_mb"] >= r["matrix_mb"] for r in papr_rows)
-    assert papr_rows[-1]["build_peak_mb"] <= 1.1 * papr_rows[-1]["matrix_mb"]
-    assert all(r["build_ms"] > 0 and r["table_us"] > 0 for r in papr_rows)
-    assert all(r["median_us"] > 0 for r in rows)
-    assert all(r["full_matrix_us"] > 0 and r["screen_us"] > 0
-               for r in assign)
-    # every channel evaluates at least its seeded pair; pruning leaves
-    # fewer than K pairs at 60 dB
-    assert all(1 <= r["pairs_per_channel"] <= r["k_codewords"]
-               for r in assign)
-    assert assign[0]["pairs_per_channel"] < assign[0]["k_codewords"]
+# the received tones: _antenna_sum adds each antenna's product in the order
+# numpy's sum over the antenna axis does, for effective_tones' equal
+# shapes and for a sweep's channels against a book
+
+_ANTENNAS = (1, 2, 3, 4, 5, 8, 16)
+_TONE_COUNTS = (1, 2, 3, 8)
+
+
+@pytest.mark.parametrize("m", _ANTENNAS)
+def test_antenna_sum_equals_numpy_sum_over_antennas(m):
+    gen = stream(m, 93)
+    for batch in [(), (1,), (7,), (5, 3)]:
+        for n in _TONE_COUNTS:
+            for make in (_spread, _signed_zeros):
+                gains, weights = make(gen, batch + (m, n)), \
+                    make(gen, batch + (m, n))
+                assert waveform._antenna_sum(gains, weights).tobytes() == \
+                    np.sum(gains * weights, axis=-2).tobytes(), (batch, n)
+
+
+@pytest.mark.parametrize("m", _ANTENNAS)
+def test_antenna_sum_equals_each_channels_own_sweep(m):
+    # (C, 1, M, N) channels against a (1, K, M, N) book, as _sweep passes
+    # them, row by row equal to a channel's own (K, N) tones
+    gen = stream(m, 94)
+    for c in (1, 2, 15):
+        for k in (1, 2, 5, 65):
+            for n in _TONE_COUNTS:
+                for make in (_spread, _signed_zeros):
+                    gains, book = make(gen, (c, m, n)), make(gen, (k, m, n))
+                    expected = np.stack([np.sum(g[None] * book, axis=1)
+                                         for g in gains])
+                    tones = waveform._antenna_sum(gains[:, None], book[None])
+                    assert tones.tobytes() == expected.tobytes(), (c, k, n)
+
+
+@pytest.mark.parametrize("n", _TONE_COUNTS)
+def test_antenna_sum_ends_on_the_identity(n):
+    # each product 1j * -1 is (-0.0, -1.0), so the products' own sum has
+    # real part -0.0; numpy's sum adds its identity +0.0 and reads +0.0
+    m = 5
+    gains, weights = np.full((2, m, n), 1j), np.full((2, m, n), -1 + 0j)
+    products = gains * weights
+    in_order = products[:, 0]
+    for i in range(1, m):
+        in_order = in_order + products[:, i]
+    assert np.signbit(in_order.real).all()
+    tones = waveform._antenna_sum(gains, weights)
+    assert tones.tobytes() == np.sum(products, axis=-2).tobytes()
+    assert not np.signbit(tones.real).any()
+
+
+def test_antenna_sum_never_holds_the_antenna_products():
+    # a draw of figure-joint's largest point: 15 channels, 64 codewords,
+    # M=4, N=8.  The tones and one antenna's product are two (C, K, N)
+    # arrays; numpy's iterator adds a buffer of up to getbufsize()
+    # elements for each broadcast operand.  np.sum over the (C, K, M, N)
+    # product holds M + 1 arrays and those buffers.
+    c, k, m, n = 15, 64, 4, 8
+    gen = stream(m, 92)
+    gains, book = _spread(gen, (c, 1, m, n)), _spread(gen, (1, k, m, n))
+    tracemalloc.start()
+    try:
+        tones = waveform._antenna_sum(gains, book)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * tones.nbytes + 2 * np.getbufsize() * tones.itemsize
 
 
 # ---------------------------------------------------------------------------
