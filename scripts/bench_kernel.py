@@ -11,6 +11,10 @@ Layer rows, on random complex amplitudes and channel gains:
 * ``codebook._dc_and_grad`` at M=4, N=8 on one segment of 1000 channels,
   the step Lloyd's UPDATE repeats: the segment's mean dc, every row's dc
   and the gradient.  ``peak_mb`` is the ``tracemalloc`` peak of one call.
+  ``clusters_us`` times the same 1000 channels split into K=64 clusters
+  by a uniform random assignment, sorted and segmented as
+  ``codebook._update`` orders them, one codeword per occupied cluster:
+  the cost each cluster's own reductions add.
 * ``codebook._assign``, Lloyd's pruned ASSIGN, at M=4, N=8, K=64 on 1000
   channels drawn with ``realize_channel`` at 60 dB and at 0 dB pathloss,
   against SMF codewords of 64 of those channels (as ``train_lloyd``
@@ -161,6 +165,20 @@ def _exact_pairs(fn):
     finally:
         codebook.fourth_moment = real
     return sum(count)
+
+
+def _clusters(gains, k, gen):
+    """(ordered gains, codewords, bounds) of k random clusters of gains,
+    sorted and segmented as codebook._update orders them."""
+    assign = gen.integers(0, k, size=len(gains))
+    counts = np.bincount(assign, minlength=k)
+    stops = np.cumsum(counts)
+    occupied = np.flatnonzero(counts)
+    ordered = gains[np.argsort(assign, kind="stable")]
+    words = _sphere(complex_normal(gen, (len(occupied),) + gains.shape[1:]),
+                    1.0)
+    bounds = np.column_stack([stops - counts, stops])[occupied]
+    return ordered, words, bounds
 
 
 def _iteration_row(gains, words, model, power, repeat, number):
@@ -456,14 +474,19 @@ def main(argv=None):
     words = _sphere(complex_normal(gen, (1, m, n)), 1.0)
     bounds = np.array([[0, c]])
     model = DiodeMomentModel()
+    k, power = 64, 2.0
+    # a generator of its own keeps the later rows' draws as they were
+    clustered = _clusters(gains, k, np.random.default_rng([args.seed, k]))
     rows.append({"layer": "codebook._dc_and_grad", "m_antennas": m,
                  "n_tones": n, "batch": c,
                  "peak_mb": peak_mb(
                      lambda: _dc_and_grad(gains, words, bounds, model)),
+                 "clusters_us": median_us(
+                     lambda: _dc_and_grad(*clustered, model),
+                     args.repeat, args.number),
                  "median_us": median_us(
                      lambda: _dc_and_grad(gains, words, bounds, model),
                      args.repeat, args.number)})
-    k, power = 64, 2.0
     grid = ToneGrid.centered(2.4e9, 10e6, n)
     smf = SmfParams(power_budget=power)
     inputs = {}
@@ -533,6 +556,8 @@ def main(argv=None):
                      f"{row['k_codewords']} pairs exact")
         if "peak_mb" in row:
             line += f"  (peak {row['peak_mb']:.2f} MB)"
+        if "clusters_us" in row:
+            line += f"  ({row['clusters_us']:.1f} us in clusters)"
         if "exact_pairs" in row:
             line += (f"  ({row['exact_pairs']} exact pairs, "
                      f"{row['minor_faults']:.0f} minor faults)")

@@ -507,7 +507,8 @@ def _detail_rows(config: CampaignConfig, rect_model) -> tuple[tuple, list]:
 
     Raises:
         ConfigError: the ADC is on and reads 0 V for every LIMITED training
-            measurement.
+            measurement of some (M, N, K) point; the first such point is
+            named.
     """
     locations = make_locations(config.n_locations, config.seed,
                                config.channel_template,
@@ -530,7 +531,6 @@ def _detail_rows(config: CampaignConfig, rect_model) -> tuple[tuple, list]:
         timing = config.frame_config()
         link, adc = config.link_model(), config.adc_config()
         draws = session_draws(link, adc)
-    adc_reads_signal = False
     blocks = []
     for m, n in itertools.product(config.antenna_counts, config.tone_counts):
         grid = config.tone_grid(n)
@@ -561,18 +561,18 @@ def _detail_rows(config: CampaignConfig, rect_model) -> tuple[tuple, list]:
                     if draws else None for loc_idx in order]
             report = run_session(timing, (dcs[..., take], p_rfs[..., take]),
                                  adc, link, gens)
-            adc_reads_signal |= bool(report.measurements.any())
+            if adc is not None and not report.measurements.any():
+                raise ConfigError(
+                    f"every LIMITED training reading is 0 V at M={m}, "
+                    f"N={n}, K={k}: the {config.adc_resolution_bits}-bit "
+                    f"ADC (v_ref {config.adc_v_ref} V, load "
+                    f"{config.adc_load_resistance} ohm) resolves none of "
+                    f"the harvested dc levels there, so every frame of "
+                    f"that point would select codeword 1")
             blocks.append(((LIMITED, m, n, k), (
                 report.p_dc_wpt, report.p_rf_wpt, report.selected_index,
                 report.applied_index, report.feedback_delivered,
                 report.energy_training, report.energy_wpt)))
-    if config.adc_enabled and LIMITED in config.strategies \
-            and not adc_reads_signal:
-        raise ConfigError(
-            f"every LIMITED training reading is 0 V: the "
-            f"{config.adc_resolution_bits}-bit ADC (v_ref {config.adc_v_ref} "
-            f"V, load {config.adc_load_resistance} ohm) resolves none of the "
-            f"harvested dc levels, so every frame would select codeword 1")
     blocks.sort(key=operator.itemgetter(0))
     return index, blocks
 
@@ -639,7 +639,8 @@ def run_campaign(config: CampaignConfig, out_dir=None,
         ConfigError: the sweep lacks the summary's (UP, M=1, N=1) baseline.
         ConfigError: the rectifier's table file is missing or malformed.
         ConfigError: the ADC is on and reads 0 V for every LIMITED training
-            measurement, so every frame would pick codeword 1.
+            measurement of some (M, N, K) point, so every frame of that
+            point would pick codeword 1.
         SummaryError: a location's mean dc power, or its baseline's, is
             0 W, so it has no dB gain.
     """

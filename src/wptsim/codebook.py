@@ -365,6 +365,18 @@ def _dc_and_grad(gains: np.ndarray, words: np.ndarray, bounds,
     m4_gradient over all rows one output tone at a time, as one (N, R)
     block per tone; both equal a per-row evaluation to the last bit.
 
+    A segment's gradient is sum_c ddc[c, n] conj(h[c, m, n]) / count.  It
+    is summed as conj(sum_c conj(ddc[c, n]) h[c, m, n]), which conjugates
+    the (R, N) row derivatives once instead of the (R, M, N) gains per
+    segment, each segment's einsum writing into its row of the result.
+    Term by term and in every partial sum, the two have the same real
+    parts and imaginary parts of opposite sign, since negation is exact
+    and rounding to nearest is symmetric.  The one exception is an
+    imaginary part that cancels exactly: it sums to +0.0 either way, so
+    its conjugate is -0.0, and adding 0.0 restores the direct sum's
+    +0.0.  Then one division by the counts, as complex division by each
+    count, gives every segment's own `/ count`.
+
     Returns:
         (means, dc, grads) of shapes (S,), (R,) and (S, M, N) for S
         segments of R rows in all; grads is None unless gradient is set.
@@ -387,11 +399,15 @@ def _dc_and_grad(gains: np.ndarray, words: np.ndarray, bounds,
     z = model.proxy(m2, m4)
     dm4 = m4_gradient(a, conv)
     dz = model.proxy(0.5 * a, dm4)
-    ddc = (2.0 * model.alpha) * z[:, None] * dz
+    conj_ddc = (2.0 * model.alpha) * z[:, None] * dz
+    np.conj(conj_ddc, out=conj_ddc)
     grads = np.empty_like(words)
-    for i, ((start, stop), (seg, count)) in enumerate(zip(bounds, spans)):
-        grads[i] = np.einsum("cn,cmn->mn", ddc[seg],
-                             np.conj(gains[start:stop])) / count
+    for i, ((start, stop), (seg, _)) in enumerate(zip(bounds, spans)):
+        np.einsum("cn,cmn->mn", conj_ddc[seg], gains[start:stop],
+                  out=grads[i])
+    np.conj(grads, out=grads)
+    grads += 0.0
+    grads /= counts[:, None, None]
     return means, dc, grads
 
 

@@ -378,11 +378,14 @@ def _phasors(grid: ToneGrid, oversampling: int) -> np.ndarray:
     # N at different M are equal but distinct objects.  A ToneGrid hashes
     # and compares on its three fields, which fix its frequencies
     t = sample_times(grid, oversampling)
-    # one matrix, written in place, bit for bit np.exp(1j * np.outer(t, w))
-    # without its two full-size temporaries
-    e = np.zeros((t.size, grid.n_tones), dtype=complex)
+    # one matrix, written in place: the phases w t go into its imaginary
+    # parts, their cosines into the real parts and their sines over the
+    # phases, which is bit for bit np.exp(1j * np.outer(t, w)) (pinned in
+    # tests/test_waveform.py) without its temporaries or its complex exp
+    e = np.empty((t.size, grid.n_tones), dtype=complex)
     np.multiply(t[:, None], grid.angular_frequencies, out=e.imag)
-    np.exp(e, out=e)
+    np.cos(e.imag, out=e.real)
+    np.sin(e.imag, out=e.imag)
     e.flags.writeable = False
     return e
 

@@ -795,6 +795,19 @@ def test_adc_reading_zero_everywhere_is_rejected(tmp_path):
     assert not list(tmp_path.glob("*.csv"))
 
 
+def test_adc_reading_zero_at_one_point_is_rejected(tmp_path):
+    # at 5e6 ohm the (1, 1, K) and (2, 1, K) points read some codes above
+    # zero, but every reading of (1, 2, 2), (2, 2, 2) and (2, 2, 4) is
+    # code 0: those points would silently run as UP, so the run fails at
+    # the first of them in sweep order and writes nothing
+    with pytest.raises(ConfigError, match=r"^every LIMITED training reading "
+                                          r"is 0 V at M=1, N=2, K=2: the "
+                                          r"12-bit ADC \(v_ref 3\.3 V, "
+                                          r"load 5000000\.0 ohm\)"):
+        run_campaign(_adc_config(5e6), out_dir=tmp_path)
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_adc_reading_above_zero_writes_csvs(tmp_path):
     # at 1e8 ohm some codes read above zero (11 of the 72 LIMITED frames
     # select a codeword other than 1)

@@ -17,9 +17,10 @@ from wptsim import (ChannelRealization, Codebook, CodebookIOError,
                     up_weights)
 from wptsim import codebook as codebook_module
 from wptsim.codebook import (_amplitudes, _assign, _dc_and_grad, _dc_upper,
-                             _exact_dc, _screen, _sphere, _update)
-from wptsim.waveform import (autoconvolution, radiated_power, second_moment,
-                             tone_moments)
+                             _exact_dc, _pair_amplitudes, _screen,
+                             _segment_rows, _sphere, _update)
+from wptsim.waveform import (autoconvolution, m4_gradient, radiated_power,
+                             second_moment, tone_moments)
 
 from conftest import dc_batch, make_channel
 
@@ -295,6 +296,65 @@ def test_segmented_dc_and_grad_equals_each_segment_alone(m, n):
     for j, i in enumerate(pick):
         assert means[j] == alone[i][0]
         assert np.array_equal(grads[j], alone[i][1])
+
+
+def _per_cluster_dc_and_grad(gains, words, bounds, model):
+    # each cluster's mean and gradient reduced on its own: a fresh conj of
+    # its gains, one einsum of ddc against it and its own division
+    bounds = np.asarray(bounds)
+    counts = bounds[:, 1] - bounds[:, 0]
+    a = _pair_amplitudes(gains, words, _segment_rows(bounds),
+                         np.repeat(np.arange(len(bounds)), counts))
+    conv = autoconvolution(a)
+    m2, m4 = tone_moments(a, conv)
+    dc = model.dc(m2, m4)
+    ddc = (2.0 * model.alpha) * model.proxy(m2, m4)[:, None] \
+        * model.proxy(0.5 * a, m4_gradient(a, conv))
+    means, grads, stop = [], [], 0
+    for (start, end), count in zip(bounds.tolist(), counts.tolist()):
+        seg = slice(stop, stop + count)
+        stop += count
+        means.append(np.add.reduce(dc[seg]) / count)
+        grads.append(np.einsum("cn,cmn->mn", ddc[seg],
+                               np.conj(gains[start:end])) / count)
+    return np.array(means), dc, np.array(grads)
+
+
+@pytest.mark.parametrize("m", [1, 4])
+@pytest.mark.parametrize("n", [1, 8])
+@pytest.mark.parametrize("values", ["complex", "real"])
+def test_dc_and_grad_reductions_equal_per_cluster_bytes(m, n, values):
+    # the gradient is summed as the conjugate of sum(conj(ddc) * h) and
+    # divided once for all clusters; means, rows and gradients must be
+    # the per-cluster reductions' bytes.  array_equal takes -0.0 for 0.0,
+    # so only tobytes() sees a lost signed zero: real gains and codewords
+    # give imaginary gradient sums that cancel to exactly zero.  Every
+    # fifth channel is all zero, and clusters 0 and 7 hold only zero
+    # channels
+    gen = stream(17, 93, m, n)
+    rows, k = sum(_SEGMENT_SIZES), len(_SEGMENT_SIZES)
+    gains = gen.standard_normal((rows, m, n)) + 0j
+    words = gen.standard_normal((k, m, n)) + 0j
+    if values == "complex":
+        gains += 1j * gen.standard_normal((rows, m, n))
+        words += 1j * gen.standard_normal((k, m, n))
+    words = _sphere(words, 1.0)
+    stops = np.cumsum(_SEGMENT_SIZES)
+    bounds = np.column_stack([stops - _SEGMENT_SIZES, stops])
+    gains[::5] = 0.0
+    gains[:1] = gains[-130:] = 0.0
+    model = DiodeMomentModel(k2=1.0, k4=1.0)
+    # every cluster in order, and a subset in another order, as the line
+    # search evaluates the pending ones
+    for pick in (np.arange(k), np.array([7, 0, 5, 2, 6])):
+        got = _dc_and_grad(gains, words[pick], bounds[pick], model)
+        expected = _per_cluster_dc_and_grad(gains, words[pick], bounds[pick],
+                                            model)
+        for x, y in zip(got, expected):
+            assert x.dtype == y.dtype and x.shape == y.shape
+            assert x.tobytes() == y.tobytes()
+    if values == "real":
+        assert not np.signbit(expected[2].imag).any()
 
 
 @pytest.mark.parametrize("m", [1, 4])

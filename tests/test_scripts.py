@@ -81,7 +81,7 @@ def test_codebook_gap_prints_a_finite_gap_per_size(capsys):
 _KERNEL_LAYERS = [
     ("waveform.tone_moments", 16, {"n_tones", "batch", "peak_mb"}),
     ("codebook._dc_and_grad", 1, {"m_antennas", "n_tones", "batch",
-                                  "peak_mb"}),
+                                  "peak_mb", "clusters_us"}),
     ("codebook._assign", 2, {"m_antennas", "n_tones", "k_codewords",
                              "batch", "pathloss_db", "pairs_per_channel",
                              "full_matrix_us", "screen_us"}),
@@ -132,6 +132,7 @@ def test_bench_kernel_script_writes_its_table(tmp_path):
     # N=8 at C=1000 holds one diagonal's products, not all N^2 of them
     assert moments[-1]["peak_mb"] < 8 * 8 * 1000 * 16 / 1e6
     assert by_layer["codebook._dc_and_grad"][0]["peak_mb"] > 0
+    assert by_layer["codebook._dc_and_grad"][0]["clusters_us"] > 0
     assign = by_layer["codebook._assign"]
     assert [r["pathloss_db"] for r in assign] == [60.0, 0.0]
     iteration, session, sweep, channel, summary, write, smf, point, table = (

@@ -601,23 +601,27 @@ def test_cached_phasors_are_read_only():
             e.imag[0, 0] = 0.0
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 16])
-@pytest.mark.parametrize("oversampling", [8, 32])
-@pytest.mark.parametrize("center_hz", [2.4e9, 6e6])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 16])
+@pytest.mark.parametrize("oversampling", [8, 32, 64])
+@pytest.mark.parametrize("center_hz", [2.4e9, 6e6, 915e6])
 def test_phasors_equal_one_shot_exp_by_bytes(n, oversampling, center_hz):
-    # the matrix is written in place; it must carry the bytes of the
-    # one-shot exp(1j * outer(t, w)), built and read from the cache.  At
-    # 6 MHz the phases are small, and every tone up to N=16 lies above
-    # 0 Hz (the lowest at 1.3125 MHz), as ToneGrid requires
+    # the matrix is cos and sin of its phases, written in place; it must
+    # carry the bytes of the one-shot complex exp(1j * outer(t, w)), built
+    # and read from the cache.  At 6 MHz the phases are small, and every
+    # tone up to N=16 lies above 0 Hz (the lowest at 1.3125 MHz), as
+    # ToneGrid requires; at 2.4 GHz they reach about 1.2e4 rad.  The exp
+    # is elementwise, so it is taken a block of samples at a time
     grid = ToneGrid.centered(center_hz, 10e6, n)
-    expected = np.exp(1j * np.outer(sample_times(grid, oversampling),
-                                    grid.angular_frequencies))
+    t = sample_times(grid, oversampling)
     waveform._phasors.cache_clear()
     built = waveform._phasors(grid, oversampling)
     cached = waveform._phasors(grid, oversampling)
     assert cached is built
-    assert built.dtype == expected.dtype and built.shape == expected.shape
-    assert built.tobytes() == expected.tobytes()
+    assert built.dtype == complex and built.shape == (t.size, n)
+    for start in range(0, t.size, 8192):
+        block = slice(start, start + 8192)
+        expected = np.exp(1j * np.outer(t[block], grid.angular_frequencies))
+        assert built[block].tobytes() == expected.tobytes()
 
 
 def test_cold_phasor_build_peaks_near_one_matrix():
